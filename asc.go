@@ -542,6 +542,11 @@ func (p *Processor) Debug(in io.Reader, out io.Writer) error {
 // state between instructions; pipeline state rebuilds on resume.
 func (p *Processor) Snapshot() []byte { return p.core.Snapshot() }
 
+// WriteSnapshot streams the bytes of Snapshot to w through a fixed-size
+// buffer, so hashing or sending a checkpoint allocates nothing
+// proportional to the machine. It returns the first error w reports.
+func (p *Processor) WriteSnapshot(w io.Writer) error { return p.core.WriteSnapshot(w) }
+
 // Restore loads a Snapshot taken from an identically configured processor.
 func (p *Processor) Restore(data []byte) error { return p.core.Restore(data) }
 

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"sync/atomic"
 
 	"repro/internal/cu"
@@ -791,6 +792,10 @@ func (p *Processor) Restore(data []byte) error {
 
 // Snapshot serializes the architectural state (see machine.Snapshot).
 func (p *Processor) Snapshot() []byte { return p.mach.Snapshot() }
+
+// WriteSnapshot streams the architectural snapshot to w (see
+// machine.WriteSnapshot).
+func (p *Processor) WriteSnapshot(w io.Writer) error { return p.mach.WriteSnapshot(w) }
 
 // NetworkLatencies returns (b, r) for convenience in reports.
 func (p *Processor) NetworkLatencies() (b, r int) { return p.params.B, p.params.R }
