@@ -256,6 +256,28 @@ func (c Config) coreConfig() core.Config {
 type Program struct {
 	prog *asm.Program
 	dec  *isa.DecodedProgram
+	data []int64 // the .data image as scalar-memory words, converted once
+}
+
+// newProgram decodes an assembled program and converts its .data image.
+func newProgram(p *asm.Program) (*Program, error) {
+	dec, err := isa.DecodeProgram(p.Insts)
+	if err != nil {
+		return nil, err
+	}
+	data := make([]int64, len(p.Data))
+	for i, w := range p.Data {
+		data[i] = int64(w)
+	}
+	return &Program{prog: p, dec: dec, data: data}, nil
+}
+
+// loadData initializes m's scalar memory from the program's .data image.
+func (p *Program) loadData(m *machine.Machine) error {
+	if len(p.data) == 0 {
+		return nil
+	}
+	return m.LoadScalarMem(p.data)
 }
 
 // ErrInvalidProgram is the sentinel wrapped by program-validation
@@ -273,11 +295,7 @@ func Assemble(src string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec, err := isa.DecodeProgram(p.Insts)
-	if err != nil {
-		return nil, err
-	}
-	return &Program{prog: p, dec: dec}, nil
+	return newProgram(p)
 }
 
 // MustAssemble is Assemble that panics on error, for constant sources.
@@ -424,23 +442,10 @@ func New(cfg Config, prog *Program) (*Processor, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Processor{cfg: cfg, prog: prog, core: c}
-	if err := p.loadDataSegment(); err != nil {
+	if err := prog.loadData(c.Machine()); err != nil {
 		return nil, err
 	}
-	return p, nil
-}
-
-// loadDataSegment initializes scalar memory from the program's .data image.
-func (p *Processor) loadDataSegment() error {
-	if len(p.prog.prog.Data) == 0 {
-		return nil
-	}
-	img := make([]int64, len(p.prog.prog.Data))
-	for i, w := range p.prog.prog.Data {
-		img[i] = int64(w)
-	}
-	return p.LoadScalarMem(img)
+	return &Processor{cfg: cfg, prog: prog, core: c}, nil
 }
 
 // Config returns the configuration the processor was built with.
@@ -454,7 +459,7 @@ func (p *Processor) Config() Config { return p.cfg }
 // uses it to recycle warm machines between requests.
 func (p *Processor) Reset() error {
 	p.core.Reset()
-	return p.loadDataSegment()
+	return p.prog.loadData(p.core.Machine())
 }
 
 // SetProgram swaps in a new program and Resets the processor. The machine
@@ -464,7 +469,7 @@ func (p *Processor) Reset() error {
 func (p *Processor) SetProgram(prog *Program) error {
 	p.core.SetDecoded(prog.dec)
 	p.prog = prog
-	return p.loadDataSegment()
+	return prog.loadData(p.core.Machine())
 }
 
 // LoadLocalMem initializes PE local memories: data[pe][word].

@@ -2,7 +2,6 @@ package asc
 
 import (
 	"repro/internal/ascl"
-	"repro/internal/isa"
 )
 
 // CompileASCL compiles an ASCL source program (the associative data-parallel
@@ -27,9 +26,9 @@ func CompileASCL(src string) (*Program, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	dec, err := isa.DecodeProgram(res.Program.Insts)
+	p, err := newProgram(res.Program)
 	if err != nil {
 		return nil, "", err
 	}
-	return &Program{prog: res.Program, dec: dec}, res.Asm, nil
+	return p, res.Asm, nil
 }

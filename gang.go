@@ -51,24 +51,17 @@ func NewGang(cfg Config, prog *Program, lanes int) (*Gang, error) {
 		return nil, err
 	}
 	ng := &Gang{cfg: cfg, prog: prog, core: g}
-	if err := ng.loadDataSegments(); err != nil {
+	if err := ng.loadData(); err != nil {
 		return nil, err
 	}
 	return ng, nil
 }
 
-// loadDataSegments initializes every lane's scalar memory from the
-// program's .data image.
-func (g *Gang) loadDataSegments() error {
-	if len(g.prog.prog.Data) == 0 {
-		return nil
-	}
-	img := make([]int64, len(g.prog.prog.Data))
-	for i, w := range g.prog.prog.Data {
-		img[i] = int64(w)
-	}
+// loadData initializes every lane's scalar memory from the program's
+// .data image.
+func (g *Gang) loadData() error {
 	for i := 0; i < g.core.Lanes(); i++ {
-		if err := g.core.Lane(i).LoadScalarMem(img); err != nil {
+		if err := g.prog.loadData(g.core.Lane(i)); err != nil {
 			return err
 		}
 	}
@@ -86,7 +79,7 @@ func (g *Gang) Config() Config { return g.cfg }
 // Processor.Reset, the serving pool uses it to recycle warm gangs.
 func (g *Gang) Reset() error {
 	g.core.Reset()
-	return g.loadDataSegments()
+	return g.loadData()
 }
 
 // SetProgram swaps in a new program and Resets the gang; allocations are
@@ -94,7 +87,7 @@ func (g *Gang) Reset() error {
 func (g *Gang) SetProgram(prog *Program) error {
 	g.core.SetDecoded(prog.dec)
 	g.prog = prog
-	return g.loadDataSegments()
+	return g.loadData()
 }
 
 // LoadLocalMem initializes lane's PE local memories: data[pe][word].

@@ -1,25 +1,25 @@
-// Block-plane dispatch for the solo processor: when exactly one hardware
-// thread is active, the per-cycle fetch/classify/pick/issue loop is
-// provably equivalent to a closed form — the thread's next issue cycle is
-// max(eligible, scoreboard minimum, unit-free), every cycle before it is
-// idle and attributed to the first binding threshold, and the fetch unit
-// serves only that thread. runBlock exploits this to dispatch a whole
-// basic block (isa.BuildBlocks) per entry: singleton micro-ops issue via
-// the closed form, and fused superinstructions execute in one
-// machine.ExecFused call with per-constituent accounting replayed at
-// their back-to-back issue cycles. Every counter the generic path
-// maintains (cycles, stalls by kind, idle by kind, fetches, contention,
-// completion drain) is updated identically, so the golden cycle tests
-// hold with the block plane on or off.
+// Block-plane dispatch: when exactly one hardware thread is active, the
+// per-cycle fetch/classify/pick/issue loop is provably equivalent to a
+// closed form — the thread's next issue cycle is max(eligible, scoreboard
+// minimum, unit-free), every cycle before it is idle and attributed to the
+// first binding threshold, and the fetch unit serves only that thread.
+// runBlock exploits this to dispatch a whole basic block (isa.BuildBlocks)
+// per entry: singleton micro-ops issue via the closed form on every live
+// lane, and fused superinstructions execute in one machine.ExecFused call
+// per lane with per-constituent accounting replayed at their back-to-back
+// issue cycles. Every counter the generic path maintains (cycles, stalls by
+// kind, idle by kind, fetches, contention, completion drain) is updated
+// identically, so the golden cycle tests hold with the block plane on or
+// off, for one lane or many.
 //
 // The dispatcher falls back to the generic Step — counting why — at
 // every surface the closed form does not cover: more than one active
 // thread, an empty instruction buffer (redirect/refill), a pc outside
 // every block (terminators: control flow and thread management), and a
 // pending deadlock-window expiry (the per-cycle path owns that error).
-// Architectural traps need no fallback: the closed form stops exactly
-// where the generic path would, with the trapping op popped but not
-// recorded.
+// Per-lane traps and divergence need no fallback: a singleton goes
+// through the same execRest/peelDivergent pair as the generic issue, and fused
+// kernels are trap-free and outcome-free by construction.
 //
 // This file is in the hot-path lint set: dispatch keys on precomputed
 // micro-op selector fields only.
@@ -75,11 +75,11 @@ const (
 // soleActive finds the single active thread, if there is exactly one.
 // The closed form needs the machine view (idle attribution, anyActive)
 // and the front-end view (fetch arbitration) to agree on one thread.
-func (p *Processor) soleActive() (int, soleState) {
+func (e *engine) soleActive() (int, soleState) {
 	tid, nm, nf := -1, 0, 0
-	for t := 0; t < p.cfg.Machine.Threads; t++ {
-		ma := p.mach.ThreadActive(t)
-		fa := p.front.Active(t)
+	for t := 0; t < e.cfg.Machine.Threads; t++ {
+		ma := e.lead.ThreadActive(t)
+		fa := e.front.Active(t)
 		if ma {
 			nm++
 		}
@@ -112,268 +112,184 @@ const (
 	stepBail                     // deadlock window pending; nothing changed
 )
 
-// noStop is the stopAt value meaning "no stop line": the dispatcher may
-// skip arbitrarily far ahead (the deadlock window still bounds any one
-// idle span).
-const noStop = int64(^uint64(0) >> 1)
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
+// accountGap replays the generic path over the idle gap [e.cycle, until),
+// in which the sole active thread tid is the best blocker, and advances the
+// clock to until. Idle cycles are attributed segment by binding threshold
+// in classification order (fetch eligibility, then the scoreboard's
+// binding hazard, then the sequential unit), and the fetch unit serves
+// only tid.
+func (e *engine) accountGap(tid int, eligible, minIssue int64, kind pipeline.HazardKind, free, until int64) {
+	c := e.cycle
+	if until <= c {
+		return
 	}
-	return b
-}
-
-// accountGap replays the idle attribution for cycles [p.cycle, until):
-// exactly what the generic path records when the sole active thread is
-// the best blocker, segment by binding threshold in classification order
-// (fetch eligibility, then the scoreboard's binding hazard, then the
-// sequential unit).
-func (p *Processor) accountGap(eligible, minIssue int64, kind pipeline.HazardKind, free, until int64) {
-	c := p.cycle
-	if e := min64(until, eligible); e > c {
-		p.stats.IdleCycles += e - c
-		p.stats.IdleByKind[pipeline.HazardFetch] += e - c
-		c = e
+	if el := min(until, eligible); el > c {
+		e.stats.IdleCycles += el - c
+		e.stats.IdleByKind[pipeline.HazardFetch] += el - c
+		c = el
 	}
-	if m := min64(until, minIssue); m > c {
-		p.stats.IdleCycles += m - c
-		p.stats.IdleByKind[kind] += m - c
+	if m := min(until, minIssue); m > c {
+		e.stats.IdleCycles += m - c
+		e.stats.IdleByKind[kind] += m - c
 		c = m
 	}
-	if f := min64(until, free); f > c {
-		p.stats.IdleCycles += f - c
-		p.stats.IdleByKind[pipeline.HazardStructural] += f - c
+	if f := min(until, free); f > c {
+		e.stats.IdleCycles += f - c
+		e.stats.IdleByKind[pipeline.HazardStructural] += f - c
 	}
+	e.front.FetchRun(tid, e.cycle, until-1)
+	e.cycle = until
+}
+
+// retire closes an in-block issue at cycle c like the generic path's
+// scheduler rotation and same-cycle fetch.
+func (e *engine) retire(tid int, c int64) {
+	if e.cfg.Scheduler != SchedFixed {
+		e.front.MarkPicked(tid)
+	}
+	e.front.FetchRun(tid, c, c)
 }
 
 // dispatchOne issues the head micro-op of tid at the earliest legal
 // cycle, replaying idle, stall, and fetch accounting for every skipped
-// cycle. On a trap the processor is left exactly where the generic path
-// leaves it: op popped, stall recorded, cycle at the issue cycle,
-// nothing else updated.
-func (p *Processor) dispatchOne(tid int, stopAt int64) (blockStep, error) {
-	head, ok := p.front.Head(tid)
+// cycle. On a trap that ends the last live lane the engine is left
+// exactly where the generic path leaves it: op popped, stall recorded,
+// cycle at the issue cycle, nothing else updated.
+func (e *engine) dispatchOne(tid int, stopAt int64) (blockStep, error) {
+	head, ok := e.front.Head(tid)
 	if !ok {
 		return stepNoHead, nil
 	}
 	d := head.D
 	eligible := head.EligibleAt()
-	minIssue, kind := p.sb.MinIssue(tid, d)
-	free := p.unitFreeAt(d)
-	issueC := p.cycle
-	if eligible > issueC {
-		issueC = eligible
-	}
-	if minIssue > issueC {
-		issueC = minIssue
-	}
-	if free > issueC {
-		issueC = free
-	}
+	minIssue, kind := e.sb.MinIssue(tid, d)
+	free := e.unitFreeAt(d)
+	issueC := max(e.cycle, eligible, minIssue, free)
 	if issueC >= stopAt {
 		// The issue lands at or past the stop cycle: account the idle
 		// prefix up to stopAt and leave the op buffered.
-		if stopAt-1-p.lastIssue > p.cfg.DeadlockWindow {
+		if stopAt-1-e.lastIssue > e.cfg.DeadlockWindow {
 			return stepBail, nil
 		}
-		p.accountGap(eligible, minIssue, kind, free, stopAt)
-		p.front.FetchRun(tid, p.cycle, stopAt-1)
-		p.cycle = stopAt
+		e.accountGap(tid, eligible, minIssue, kind, free, stopAt)
 		return stepStopped, nil
 	}
-	if issueC-1-p.lastIssue > p.cfg.DeadlockWindow {
+	if issueC-1-e.lastIssue > e.cfg.DeadlockWindow {
 		// The generic path would raise the deadlock error inside this
 		// idle span; let it.
 		return stepBail, nil
 	}
-	if issueC > p.cycle {
-		p.accountGap(eligible, minIssue, kind, free, issueC)
-		p.front.FetchRun(tid, p.cycle, issueC-1)
-		p.cycle = issueC
-	}
+	e.accountGap(tid, eligible, minIssue, kind, free, issueC)
 
-	// Issue at issueC, replicating Processor.issue for an in-block op
-	// (never a control-flow, thread, or blocking micro-op).
-	p.front.PopHead(tid)
-	stall := issueC - eligible
-	if stall > 0 {
-		k := kind
-		if minIssue <= eligible {
-			switch {
-			case free > eligible:
-				k = pipeline.HazardStructural
-			default:
-				k = pipeline.HazardNone
-			}
-		}
-		if k != pipeline.HazardNone {
-			p.stats.StallByKind[k] += stall
+	// Issue at issueC, replicating issue for an in-block op (never a
+	// control-flow, thread, or blocking micro-op): in-block ops produce the
+	// same fall-through Outcome on every lane, so peelDivergent finds
+	// nothing; it runs as the enforcement of that invariant.
+	e.front.PopHead(tid)
+	e.accountStall(eligible, issueC, minIssue, kind, free)
+	out, err := e.lead.ExecDecoded(tid, d)
+	if err != nil || len(e.live) > 1 {
+		if out, err = e.execRest(tid, d, out, err); err != nil {
+			return stepIssued, err
 		}
 	}
-	if _, err := p.mach.ExecDecoded(tid, d); err != nil {
-		return stepIssued, err
-	}
-	p.sb.Record(tid, d, issueC)
-	p.reserveUnit(d, issueC)
-	if c := p.params.CompletionTime(d, issueC); c > p.maxCompletion {
-		p.maxCompletion = c
-	}
-	p.stats.Instructions++
-	p.stats.PerThread[tid]++
-	switch d.Class {
-	case isa.ClassScalar:
-		p.stats.Scalar++
-	case isa.ClassParallel:
-		p.stats.Parallel++
-	case isa.ClassReduction:
-		p.stats.Reduction++
-	}
-	p.lastIssue = issueC
-	if p.cfg.Scheduler != SchedFixed {
-		p.front.MarkPicked(tid)
-	}
-	p.front.FetchRun(tid, issueC, issueC)
-	p.cycle = issueC + 1
+	e.record(tid, d, issueC)
+	e.peelDivergent(out)
+	e.retire(tid, issueC)
+	e.cycle = issueC + 1
 	return stepIssued, nil
 }
 
-// fusedStatus is the outcome of attempting a fused superinstruction.
-type fusedStatus uint8
-
-const (
-	fusedDone fusedStatus = iota // all constituents issued back to back
-	fusedFall                    // preconditions unmet; dispatch constituents singly
-)
-
-// dispatchFused issues a fused superinstruction in one machine call when
-// the closed form can prove the generic path would issue its
+// dispatchFused issues a fused superinstruction in one machine call per
+// lane when the closed form can prove the generic path would issue its
 // constituents back to back: every constituent buffered and eligible at
 // its staggered cycle, no external scoreboard dependence binding later
 // (in-group dependences sustain one-cycle stagger by the fusion-set
 // construction — see isa/blocks.go), and the whole group inside the stop
 // window. Anything unproven falls back to singleton dispatch, which is
-// always exact.
-func (p *Processor) dispatchFused(tid int, bo *isa.BlockOp, stopAt int64) fusedStatus {
+// always exact. Fused kernels are trap-free and outcome-free, so no lane
+// can finalize or peel inside one.
+func (e *engine) dispatchFused(tid int, bo *isa.BlockOp, stopAt int64) bool {
 	k := len(bo.Ops)
-	head, ok := p.front.Head(tid)
+	head, ok := e.front.Head(tid)
 	if !ok || head.PC != bo.PC {
-		return fusedFall
+		return false
 	}
-	d0 := bo.Ops[0]
 	eligible := head.EligibleAt()
-	minIssue, kind := p.sb.MinIssue(tid, d0)
-	issueC := p.cycle
-	if eligible > issueC {
-		issueC = eligible
-	}
-	if minIssue > issueC {
-		issueC = minIssue
-	}
+	minIssue, kind := e.sb.MinIssue(tid, bo.Ops[0])
 	// Fusible ops never use a sequential unit (no mul/div), so free == 0.
-	if issueC+int64(k) > stopAt {
-		return fusedFall
-	}
-	if issueC-1-p.lastIssue > p.cfg.DeadlockWindow {
-		return fusedFall
+	issueC := max(e.cycle, eligible, minIssue)
+	if issueC+int64(k) > stopAt || issueC-1-e.lastIssue > e.cfg.DeadlockWindow {
+		return false
 	}
 	for j := 1; j < k; j++ {
-		e, ok := p.front.Entry(tid, j)
-		if !ok || e.PC != bo.PC+j {
-			return fusedFall
-		}
-		if e.EligibleAt() > issueC+int64(j) {
-			return fusedFall
+		en, ok := e.front.Entry(tid, j)
+		if !ok || en.PC != bo.PC+j || en.EligibleAt() > issueC+int64(j) {
+			return false
 		}
 		// External dependences only; in-group producers (recorded below)
 		// are always satisfied at stagger 1.
-		if ext, _ := p.sb.MinIssue(tid, bo.Ops[j]); ext > issueC+int64(j) {
-			return fusedFall
+		if ext, _ := e.sb.MinIssue(tid, bo.Ops[j]); ext > issueC+int64(j) {
+			return false
 		}
 	}
+	e.accountGap(tid, eligible, minIssue, kind, 0, issueC)
 
-	if issueC > p.cycle {
-		p.accountGap(eligible, minIssue, kind, 0, issueC)
-		p.front.FetchRun(tid, p.cycle, issueC-1)
-		p.cycle = issueC
+	// One architectural call per lane for the whole superinstruction
+	// (accounting below reads no machine state), then the per-constituent
+	// issue bookkeeping at cycles issueC..issueC+k-1, exactly as the
+	// generic path would have recorded it.
+	for _, li := range e.live {
+		e.lanes[li].ExecFused(tid, bo.Ops)
 	}
-
-	// One architectural call for the whole superinstruction (accounting
-	// below reads no machine state), then the per-constituent issue
-	// bookkeeping at cycles issueC..issueC+k-1, exactly as the generic
-	// path would have recorded it.
-	p.mach.ExecFused(tid, bo.Ops)
-	for j := 0; j < k; j++ {
+	for j, d := range bo.Ops {
 		c := issueC + int64(j)
-		h := p.front.PopHead(tid)
-		d := bo.Ops[j]
-		mi, kd := p.sb.MinIssue(tid, d)
-		if stall := c - h.EligibleAt(); stall > 0 {
-			k2 := kd
-			if mi <= h.EligibleAt() {
-				k2 = pipeline.HazardNone // no sequential units in a fused group
-			}
-			if k2 != pipeline.HazardNone {
-				p.stats.StallByKind[k2] += stall
-			}
-		}
-		p.sb.Record(tid, d, c)
-		if ct := p.params.CompletionTime(d, c); ct > p.maxCompletion {
-			p.maxCompletion = ct
-		}
-		p.stats.Instructions++
-		p.stats.PerThread[tid]++
-		switch d.Class {
-		case isa.ClassParallel:
-			p.stats.Parallel++
-		case isa.ClassReduction:
-			p.stats.Reduction++
-		}
-		p.lastIssue = c
-		if p.cfg.Scheduler != SchedFixed {
-			p.front.MarkPicked(tid)
-		}
-		p.front.FetchRun(tid, c, c)
+		h := e.front.PopHead(tid)
+		mi, kd := e.sb.MinIssue(tid, d)
+		e.accountStall(h.EligibleAt(), c, mi, kd, 0)
+		e.record(tid, d, c)
+		e.retire(tid, c)
 	}
-	p.cycle = issueC + int64(k)
-	return fusedDone
+	e.cycle = issueC + int64(k)
+	return true
 }
 
 // runBlock dispatches from the sole active thread's current block until
 // the block ends, stopAt is reached, or a fallback surface appears. It
 // reports whether it made progress; ran=false means the caller must take
 // a generic Step.
-func (p *Processor) runBlock(stopAt int64) (ran bool, err error) {
-	tid, st := p.soleActive()
+func (e *engine) runBlock(stopAt int64) (ran bool, err error) {
+	if len(e.live) == 0 {
+		return false, nil
+	}
+	tid, st := e.soleActive()
 	if st != soleOne {
 		if st == soleMany {
-			p.blockFallbacks[fbMultithread]++
+			e.blockFallbacks[fbMultithread]++
 		}
 		return false, nil
 	}
-	head, ok := p.front.Head(tid)
+	head, ok := e.front.Head(tid)
 	if !ok {
-		p.blockFallbacks[fbRefill]++
+		e.blockFallbacks[fbRefill]++
 		return false, nil
 	}
-	blk, opIdx, sub, ok := p.blocks.Lookup(head.PC)
+	blk, opIdx, sub, ok := e.blocks.Lookup(head.PC)
 	if !ok {
-		p.blockFallbacks[fbBoundary]++
+		e.blockFallbacks[fbBoundary]++
 		return false, nil
 	}
-	p.blockDispatches++
+	e.blockDispatches++
 
 	progressed := false
 	for oi := opIdx; oi < len(blk.Ops); oi++ {
 		bo := &blk.Ops[oi]
-		if len(bo.Ops) > 1 && sub == 0 && p.blockFuse {
-			if p.dispatchFused(tid, bo, stopAt) == fusedDone {
-				progressed = true
-				continue
-			}
+		if len(bo.Ops) > 1 && sub == 0 && e.blockFuse && e.dispatchFused(tid, bo, stopAt) {
+			progressed = true
+			continue
 		}
 		for ci := sub; ci < len(bo.Ops); ci++ {
-			step, err := p.dispatchOne(tid, stopAt)
+			step, err := e.dispatchOne(tid, stopAt)
 			if err != nil {
 				return true, err
 			}
@@ -386,13 +302,13 @@ func (p *Processor) runBlock(stopAt int64) (ran bool, err error) {
 				if progressed {
 					return true, nil
 				}
-				p.blockFallbacks[fbRefill]++
+				e.blockFallbacks[fbRefill]++
 				return false, nil
 			case stepBail:
 				if progressed {
 					return true, nil
 				}
-				p.blockFallbacks[fbWindow]++
+				e.blockFallbacks[fbWindow]++
 				return false, nil
 			}
 		}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/asm"
@@ -84,6 +85,43 @@ func TestBlockKernelsOnOffIdentical(t *testing.T) {
 			if off.BlockDispatches != 0 {
 				t.Fatalf("%s (engine %v): blocks-off run counted %d dispatches", ins.Name, eng, off.BlockDispatches)
 			}
+		}
+	}
+}
+
+// TestGangLongRunStatsMatchSolo runs a block-dispatched kernel long enough
+// to cross the run loop's poll boundaries and checks that a lockstep gang
+// lane's statistics — block dispatch counts included — are identical to
+// the solo run's: both front ends are the same engine and stop a block at
+// the same boundaries.
+func TestGangLongRunStatsMatchSolo(t *testing.T) {
+	ins := progs.MTReduction(16, 1, 1024)
+	prog, err := asm.Assemble(ins.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Machine: ins.MachineConfig(16, 1)}
+	p, err := core.New(cfg, prog.Insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := core.NewGangDecoded(cfg, p.Machine().Decoded(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	solo, err := p.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if solo.Cycles < 2*4096 || solo.BlockDispatches == 0 {
+		t.Fatalf("%d cycles, %d block dispatches: too short to cross a poll boundary in a block", solo.Cycles, solo.BlockDispatches)
+	}
+	for i, lr := range g.Run(0) {
+		if lr.Err != nil || lr.Peeled {
+			t.Fatalf("lane %d left the gang: %+v", i, lr)
+		}
+		if !reflect.DeepEqual(lr.Stats, solo) {
+			t.Errorf("lane %d stats %+v, solo %+v", i, lr.Stats, solo)
 		}
 	}
 }

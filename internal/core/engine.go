@@ -1,0 +1,729 @@
+// The cycle engine: one control-unit front end (fetch, classify, pick,
+// issue), one scoreboard, and one set of sequential-unit reservations
+// driving a set of lanes — architectural states that run the same program
+// in lockstep. A Processor is the engine with one lane; a Gang is the
+// engine with n. This is the paper's broadcast applied one level up: the
+// control unit decodes and schedules each instruction once, and every lane
+// executes it.
+//
+// Lockstep is sound exactly while the lanes' *control* behavior agrees: the
+// front end's decisions depend only on the program (shared), the timing
+// parameters (shared), thread PCs and liveness (identical while outcomes
+// agree), and interthread-sync blocking (data-dependent). With more than
+// one lane, divergence is detected at two points and resolved by peeling
+// the minority out of the lockstep set at a quiescent boundary (see
+// gang.go):
+//
+//   - pre-issue: a blocking micro-op (TSEND/TRECV/TJOIN) whose blocked
+//     status differs between lanes — the lanes outside the larger agreeing
+//     group peel with the op still pending (blockingStatus);
+//   - post-execute: a machine.Outcome (branch direction, halt, exit, spawn)
+//     that differs from the larger agreeing group's — those lanes executed
+//     the op and peel with it counted (execRest, peelDivergent).
+//
+// A lane that traps leaves at once with solo semantics: the trapping
+// instruction is popped and its stall recorded, but it is never counted.
+// With one lane, both divergence checks are no-ops and a trap ends the run.
+//
+// This file is in the hot-path lint set: the per-cycle path consumes
+// precomputed micro-op fields only.
+package core
+
+import (
+	"context"
+	"fmt"
+	"sync/atomic"
+
+	"repro/internal/cu"
+	"repro/internal/isa"
+	"repro/internal/machine"
+	"repro/internal/pipeline"
+)
+
+// engine is the lane-parametrized cycle-accurate front end shared by
+// Processor and Gang.
+type engine struct {
+	cfg    Config
+	params pipeline.Params
+	front  *cu.CU
+	sb     *pipeline.Scoreboard
+
+	// lanes are the architectural states the front end drives. live holds
+	// the indices of lanes still executing in lockstep and lead caches
+	// lanes[live[0]] (nil once none is live): every front-end decision
+	// reads the leader, and it changes only when the live set does. res[i]
+	// is filled when lane i leaves (peel, trap, or run end). liveBuf and
+	// outBuf are scratch for the multi-lane paths, reused so Step never
+	// allocates.
+	lanes   []*machine.Machine
+	live    []int
+	lead    *machine.Machine
+	res     []LaneResult
+	liveBuf []int
+	outBuf  []machine.Outcome
+	split   bool // outBuf disagrees: peelDivergent has lanes to peel
+
+	cycle         int64
+	lastIssue     int64
+	maxCompletion int64
+	halted        bool
+
+	// Sequential functional units become free at these cycles. The control
+	// unit and the PE array have separate multiplier/divider resources.
+	cuMulFree, cuDivFree int64
+	peMulFree, peDivFree int64
+
+	// stats is the shared lockstep accounting: the front end behaves for
+	// every lane exactly as it would solo, so the numbers are per-job.
+	stats Stats
+	trace []InstRecord
+
+	// statusBuf is reused each cycle by Step to avoid per-cycle allocation.
+	statusBuf []threadState
+
+	// Block-dispatch tier (block.go). blocks is nil when the tier is off
+	// or the configuration excludes it; blockFuse additionally allows
+	// fused superinstruction kernels (serial engine only — the sharded
+	// engine executes constituents individually, which the singleton
+	// dispatch path already covers).
+	blocks          *isa.BlockProgram
+	blockFuse       bool
+	blockDispatches int64
+	blockFallbacks  [numFallbacks]int64
+
+	// checkpointReq is set by RequestCheckpoint (any goroutine) and
+	// consumed by run at the next cancel-check window boundary, stopping
+	// the run at a quiescent point with ErrCheckpoint.
+	checkpointReq atomic.Bool
+
+	// structural is non-nil when Config.StructuralNetworks is set.
+	structural *structState
+}
+
+// threadState is the per-cycle readiness classification of one thread.
+type threadState struct {
+	ready bool
+	why   blocker
+}
+
+// blocker describes why a thread cannot issue at the current cycle.
+type blocker struct {
+	kind    pipeline.HazardKind
+	readyAt int64 // estimated cycle the thread becomes ready; -1 = unknown
+}
+
+// init builds the engine around the lanes newLanes allocates for the
+// validated machine configuration.
+func (e *engine) init(cfg Config, dp *isa.DecodedProgram, newLanes func(machine.Config) ([]*machine.Machine, error)) error {
+	params, err := cfg.Params()
+	if err != nil {
+		return err
+	}
+	lanes, err := newLanes(cfg.Machine)
+	if err != nil {
+		return err
+	}
+	if cfg.SMT && cfg.FetchWidth == 0 {
+		// Dual issue consumes up to two instructions per cycle; a
+		// single-ported instruction fetch would starve the second port.
+		cfg.FetchWidth = 2
+	}
+	front, err := cu.New(cu.Config{
+		Threads:     cfg.Machine.Threads,
+		BufferDepth: cfg.BufferDepth,
+		FetchWidth:  cfg.FetchWidth,
+	}, dp)
+	if err != nil {
+		return err
+	}
+	if cfg.DeadlockWindow == 0 {
+		cfg.DeadlockWindow = 100000
+	}
+	e.cfg, e.params, e.lanes, e.front = cfg, params, lanes, front
+	e.sb = pipeline.NewScoreboard(params, cfg.Machine.Threads)
+	e.live = make([]int, 0, len(lanes))
+	e.liveBuf = make([]int, 0, len(lanes))
+	e.outBuf = make([]machine.Outcome, 0, len(lanes))
+	e.res = make([]LaneResult, len(lanes))
+	e.statusBuf = make([]threadState, cfg.Machine.Threads)
+	if cfg.Blocks != BlocksOff && !cfg.SMT && !cfg.StructuralNetworks && cfg.TraceDepth == 0 {
+		e.blocks = dp.Blocks()
+		e.blockFuse = !lanes[0].EngineParallelActive()
+	}
+	e.restart()
+	return nil
+}
+
+// restart returns the engine's own state to power-on with every lane live;
+// the lanes, front end, and scoreboard are the caller's.
+func (e *engine) restart() {
+	e.cycle, e.lastIssue, e.maxCompletion = 0, 0, 0
+	e.halted = false
+	e.cuMulFree, e.cuDivFree, e.peMulFree, e.peDivFree = 0, 0, 0, 0
+	e.stats = Stats{
+		PerThread:   make([]int64, e.cfg.Machine.Threads),
+		IdleByKind:  make(map[pipeline.HazardKind]int64),
+		StallByKind: make(map[pipeline.HazardKind]int64),
+	}
+	e.trace = nil
+	e.blockDispatches = 0
+	e.blockFallbacks = [numFallbacks]int64{}
+	e.checkpointReq.Store(false)
+	if e.cfg.StructuralNetworks {
+		e.structural = newStructState(e.cfg.Machine.PEs, e.cfg.Arity, e.cfg.Machine.Width)
+	}
+	e.reviveLanes()
+}
+
+// reviveLanes makes every lane live again and clears their results.
+func (e *engine) reviveLanes() {
+	e.live = e.live[:0]
+	for i := range e.lanes {
+		e.live = append(e.live, i)
+	}
+	e.lead = e.lanes[0]
+	clear(e.res)
+}
+
+// setLive installs keep (built in liveBuf) as the live set and refreshes
+// the cached leader.
+func (e *engine) setLive(keep []int) {
+	e.live, e.liveBuf = keep, e.live
+	e.lead = nil
+	if len(e.live) > 0 {
+		e.lead = e.lanes[e.live[0]]
+	}
+}
+
+// Params returns the derived timing parameters (b, r, unit latencies).
+func (e *engine) Params() pipeline.Params { return e.params }
+
+// Cycle returns the current simulation cycle.
+func (e *engine) Cycle() int64 { return e.cycle }
+
+// Reset returns the engine to power-on state — every lane's architectural
+// state, front end, scoreboard, sequential-unit reservations, statistics,
+// and trace — without reallocating the flat register/flag/memory files or
+// restarting a host engine's worker pool. A reset engine behaves
+// identically to a freshly constructed one; the serving pool relies on
+// this to reuse warm machines and gangs across requests.
+func (e *engine) Reset() {
+	for _, m := range e.lanes {
+		m.Reset()
+	}
+	e.front.Reset(e.lanes[0].Decoded())
+	for tid := 0; tid < e.cfg.Machine.Threads; tid++ {
+		e.sb.ClearThread(tid)
+	}
+	e.restart()
+}
+
+// SetDecoded retargets every lane at an already-decoded program and Resets.
+func (e *engine) SetDecoded(dp *isa.DecodedProgram) {
+	for _, m := range e.lanes {
+		m.SetDecoded(dp)
+	}
+	if e.blocks != nil {
+		e.blocks = dp.Blocks()
+	}
+	e.Reset()
+}
+
+// threadStatus classifies thread tid at the current cycle. ready=true means
+// it can issue now; otherwise why describes the binding obstacle.
+func (e *engine) threadStatus(tid int) (ready bool, why blocker) {
+	lead := e.lead
+	if !lead.ThreadActive(tid) || !e.front.Active(tid) {
+		return false, blocker{kind: pipeline.HazardNone, readyAt: -1}
+	}
+	head, ok := e.front.Head(tid)
+	if !ok {
+		// Buffer empty: either a redirect is resolving or fetch bandwidth
+		// has not reached this thread yet.
+		return false, blocker{kind: pipeline.HazardFetch, readyAt: -1}
+	}
+	if head.PC != lead.PC(tid) {
+		panic(fmt.Sprintf("core: thread %d buffer head pc %d != architectural pc %d", tid, head.PC, lead.PC(tid)))
+	}
+	if el := head.EligibleAt(); el > e.cycle {
+		return false, blocker{kind: pipeline.HazardFetch, readyAt: el}
+	}
+	if min, kind := e.sb.MinIssue(tid, head.D); min > e.cycle {
+		return false, blocker{kind: kind, readyAt: min}
+	}
+	if free := e.unitFreeAt(head.D); free > e.cycle {
+		return false, blocker{kind: pipeline.HazardStructural, readyAt: free}
+	}
+	if head.D.Info.Blocking && e.blockingStatus(tid, head.D) {
+		return false, blocker{kind: pipeline.HazardSync, readyAt: -1}
+	}
+	return true, blocker{}
+}
+
+// blockingStatus evaluates a blocking micro-op's blocked state. Mailbox
+// state is data-dependent (a TSEND target register can differ between
+// lanes without any prior Outcome divergence), so lanes whose blocked
+// status disagrees would break lockstep on the very next issue decision.
+// The larger agreeing group stays (a tie keeps the leader's group) and the
+// rest peel here — before the op executes, a quiescent point.
+func (e *engine) blockingStatus(tid int, d *isa.Decoded) bool {
+	blocked := e.lead.BlockedDecoded(tid, d)
+	if len(e.live) == 1 {
+		return blocked
+	}
+	agree := 0
+	for _, li := range e.live {
+		if e.lanes[li].BlockedDecoded(tid, d) == blocked {
+			agree++
+		}
+	}
+	if agree == len(e.live) {
+		return blocked
+	}
+	if 2*agree < len(e.live) {
+		blocked = !blocked
+	}
+	keep := e.liveBuf[:0]
+	for _, li := range e.live {
+		if e.lanes[li].BlockedDecoded(tid, d) == blocked {
+			keep = append(keep, li)
+		} else {
+			e.peel(li)
+		}
+	}
+	e.setLive(keep)
+	return blocked
+}
+
+// unitFreeAt returns the cycle at which any sequential unit the micro-op
+// needs becomes free (or 0 if it needs none / the unit is pipelined).
+func (e *engine) unitFreeAt(d *isa.Decoded) int64 {
+	info := d.Info
+	switch {
+	case info.IsDiv && d.Class == isa.ClassScalar:
+		return e.cuDivFree
+	case info.IsDiv:
+		return e.peDivFree
+	case info.IsMul && e.params.SeqMul && d.Class == isa.ClassScalar:
+		return e.cuMulFree
+	case info.IsMul && e.params.SeqMul:
+		return e.peMulFree
+	}
+	return 0
+}
+
+// reserveUnit marks a sequential unit busy after an issue at cycle t.
+func (e *engine) reserveUnit(d *isa.Decoded, t int64) {
+	info := d.Info
+	switch {
+	case info.IsDiv && d.Class == isa.ClassScalar:
+		e.cuDivFree = t + int64(e.params.DivLatency)
+	case info.IsDiv:
+		e.peDivFree = t + int64(e.params.DivLatency)
+	case info.IsMul && e.params.SeqMul && d.Class == isa.ClassScalar:
+		e.cuMulFree = t + int64(e.params.MulLatency)
+	case info.IsMul && e.params.SeqMul:
+		e.peMulFree = t + int64(e.params.MulLatency)
+	}
+}
+
+// Step simulates one clock cycle. It returns false once every lane has
+// left, or the live lanes have halted and the pipeline has drained. The
+// error is a deadlock, a structural co-simulation mismatch, or the trap
+// that ended the last live lane.
+func (e *engine) Step() (bool, error) {
+	if e.done() {
+		return false, nil
+	}
+
+	// Structural co-simulation: advance the network bank first, so an
+	// operation pushed at issue cycle t takes its first pipeline step at
+	// t+1 (entering B1) and emerges at t+b+r+1, the end of its last
+	// reduction stage.
+	if e.structural != nil {
+		if err := e.stepStructural(); err != nil {
+			return false, err
+		}
+	}
+
+	// Issue phase: classify every thread, pick one ready thread.
+	n := e.cfg.Machine.Threads
+	sts := e.statusBuf
+	readyCount := 0
+	for tid := 0; tid < n; tid++ {
+		r, why := e.threadStatus(tid)
+		sts[tid] = threadState{ready: r, why: why}
+		if r {
+			readyCount++
+		}
+	}
+
+	// A local closure, so the inlined pickers inline it too.
+	isReady := func(tid int) bool { return sts[tid].ready }
+	var picked int
+	if e.cfg.Scheduler == SchedFixed {
+		picked = e.front.PickFixed(isReady)
+	} else {
+		picked = e.front.PickRotating(isReady)
+	}
+	if picked >= 0 {
+		firstClass := e.headClass(picked)
+		if err := e.issue(picked); err != nil {
+			return false, err
+		}
+		issued := 1
+		if e.cfg.SMT {
+			// Second issue slot: a thread whose next instruction uses the
+			// other datapath. Statuses are re-evaluated because the first
+			// issue changed machine and scoreboard state.
+			if second := e.pickSecond(picked, firstClass); second >= 0 {
+				if err := e.issue(second); err != nil {
+					return false, err
+				}
+				issued++
+			}
+		}
+		if extra := readyCount - issued; extra > 0 {
+			e.stats.Contention += int64(extra)
+		}
+	} else if e.anyActive() {
+		e.stats.IdleCycles++
+		// Attribute the lost issue slot to the thread closest to ready.
+		best := blocker{kind: pipeline.HazardNone, readyAt: -1}
+		for tid := 0; tid < n; tid++ {
+			w := sts[tid].why
+			if w.kind == pipeline.HazardNone {
+				continue
+			}
+			if best.kind == pipeline.HazardNone ||
+				(w.readyAt >= 0 && (best.readyAt < 0 || w.readyAt < best.readyAt)) {
+				best = w
+			}
+		}
+		if best.kind != pipeline.HazardNone {
+			e.stats.IdleByKind[best.kind]++
+		}
+		if e.cycle-e.lastIssue > e.cfg.DeadlockWindow {
+			return false, fmt.Errorf("core: no instruction issued for %d cycles (deadlock at cycle %d)", e.cfg.DeadlockWindow, e.cycle)
+		}
+	}
+
+	// Fetch phase (same cycle, after issue, so a decode-stage redirect can
+	// refetch immediately).
+	e.front.Fetch(e.cycle)
+
+	e.cycle++
+	return !e.done(), nil
+}
+
+// headClass returns the pipeline class of tid's next instruction (only
+// valid when the thread was just found ready).
+func (e *engine) headClass(tid int) isa.Class {
+	head, ok := e.front.Head(tid)
+	if !ok {
+		return isa.ClassScalar
+	}
+	return head.D.Class
+}
+
+// pickSecond selects a thread for the SMT second issue slot: ready right
+// now (re-evaluated after the first issue), different thread, opposite
+// datapath, and not a thread-management or halt instruction (the thread
+// status table is single-ported).
+func (e *engine) pickSecond(first int, firstClass isa.Class) int {
+	if e.halted {
+		return -1
+	}
+	ok := func(tid int) bool {
+		if tid == first {
+			return false
+		}
+		if ready, _ := e.threadStatus(tid); !ready {
+			return false
+		}
+		head, have := e.front.Head(tid)
+		if !have || head.D.Info.IsThread || head.D.Info.IsHalt {
+			return false
+		}
+		// The scalar datapath and the broadcast network are the two ports.
+		return (head.D.Class == isa.ClassScalar) != (firstClass == isa.ClassScalar)
+	}
+	if e.cfg.Scheduler == SchedFixed {
+		return e.front.PickFixed(ok)
+	}
+	return e.front.PickRotating(ok)
+}
+
+func (e *engine) anyActive() bool {
+	for tid := 0; tid < e.cfg.Machine.Threads; tid++ {
+		if e.lead.ThreadActive(tid) {
+			return true
+		}
+	}
+	return false
+}
+
+func (e *engine) done() bool {
+	if len(e.live) == 0 {
+		return true
+	}
+	if !e.halted && !e.lead.Halted() {
+		return false
+	}
+	// Drain: run the clock to the last write-back.
+	return e.cycle >= e.maxCompletion
+}
+
+// issue pops and executes the head micro-op of thread tid on every live
+// lane.
+func (e *engine) issue(tid int) error {
+	head := e.front.PopHead(tid)
+	d := head.D
+	minIssue, kind := e.sb.MinIssue(tid, d)
+	e.accountStall(head.EligibleAt(), e.cycle, minIssue, kind, e.unitFreeAt(d))
+
+	if e.structural != nil && d.Class == isa.ClassReduction {
+		e.pushReduction(tid, d.Inst)
+	}
+	out, err := e.lead.ExecDecoded(tid, d)
+	if err != nil || len(e.live) > 1 {
+		if out, err = e.execRest(tid, d, out, err); err != nil {
+			return err
+		}
+	}
+	e.record(tid, d, e.cycle)
+	e.peelDivergent(out)
+
+	if e.cfg.TraceDepth != 0 {
+		rec := InstRecord{
+			Issue: e.cycle, FetchCycle: head.FetchCycle, Thread: tid,
+			PC: head.PC, Inst: d.Inst, Stall: e.cycle - head.EligibleAt(), StallKind: kind,
+		}
+		if rec.Stall <= 0 {
+			rec.StallKind = pipeline.HazardNone
+		}
+		e.trace = append(e.trace, rec)
+		if e.cfg.TraceDepth > 0 && len(e.trace) > e.cfg.TraceDepth {
+			e.trace = e.trace[1:]
+		}
+	}
+
+	// Control flow, from the outcome every surviving lane produced.
+	switch {
+	case out.Halt:
+		e.halted = true
+		for t := 0; t < e.cfg.Machine.Threads; t++ {
+			e.front.StopThread(t)
+		}
+	case out.Exited:
+		e.front.StopThread(tid)
+	case out.Redirect:
+		resume := e.cycle + int64(e.params.ExecRedirect) - 1
+		if d.Kind == isa.ExecJump && d.Jump != isa.JumpReg {
+			// J/JAL: target known at decode, cheap redirect.
+			resume = e.cycle + int64(e.params.DecodeRedirect) - 1
+		}
+		e.front.Redirect(tid, out.NextPC, resume)
+	}
+	if out.Spawned >= 0 {
+		e.sb.ClearThread(out.Spawned)
+		e.front.StartThread(out.Spawned, e.lead.PC(out.Spawned), e.cycle+int64(e.params.SpawnStart)-1)
+	}
+	return nil
+}
+
+// accountStall attributes the cycles an op issued at issueC waited beyond
+// its front-end minimum (eligible) to the binding hazard at decode time: the
+// scoreboard's kind when a register hazard bound, else a busy sequential
+// unit (free); contention and sync waits are not attributed.
+func (e *engine) accountStall(eligible, issueC, minIssue int64, kind pipeline.HazardKind, free int64) {
+	stall := issueC - eligible
+	if stall <= 0 {
+		return
+	}
+	if minIssue <= eligible {
+		if free <= eligible {
+			return
+		}
+		kind = pipeline.HazardStructural
+	}
+	if kind != pipeline.HazardNone {
+		e.stats.StallByKind[kind] += stall
+	}
+}
+
+// execRest completes the execution of micro-op d of thread tid across the
+// live lanes, given the leader's result (callers run the leader first and
+// call this only when that result is a trap or other lanes are live, so
+// the one-lane path costs one direct call). It returns the outcome the
+// front end follows. A lane that traps is finalized at once, before the
+// shared accounting, so its statistics exclude d — exactly what a solo run
+// records. When no lane survives, the first trap is returned. With several
+// survivors the reference outcome is the larger agreeing group's (a tie
+// keeps the group holding the earliest lane); when they disagree, outBuf
+// keeps every survivor's outcome for peelDivergent.
+func (e *engine) execRest(tid int, d *isa.Decoded, leadOut machine.Outcome, leadErr error) (machine.Outcome, error) {
+	out := e.outBuf[:0]
+	keep := e.liveBuf[:0]
+	var trap error
+	split := false
+	for k, li := range e.live {
+		o, err := leadOut, leadErr
+		if k > 0 {
+			o, err = e.lanes[li].ExecDecoded(tid, d)
+		}
+		if err != nil {
+			e.finalize(li, err)
+			if trap == nil {
+				trap = err
+			}
+			continue
+		}
+		split = split || (len(out) > 0 && o != out[0])
+		out = append(out, o)
+		keep = append(keep, li)
+	}
+	e.outBuf = out
+	if trap != nil {
+		e.setLive(keep)
+		if len(keep) == 0 {
+			return machine.Outcome{}, trap
+		}
+	}
+	e.split = split
+	if !split {
+		return out[0], nil
+	}
+	// Plurality, only on divergence: a strictly larger count wins, so a
+	// tie keeps the group seen first.
+	ref, refN := out[0], 0
+	for _, o := range out {
+		n := 0
+		for _, p := range out {
+			if p == o {
+				n++
+			}
+		}
+		if n > refN {
+			ref, refN = o, n
+		}
+	}
+	return ref, nil
+}
+
+// peelDivergent peels the live lanes whose outcome of the op just recorded
+// differs from ref: they executed it, so their statistics include it.
+func (e *engine) peelDivergent(ref machine.Outcome) {
+	if e.split {
+		e.split = false
+		e.peelLanes(ref)
+	}
+}
+
+// peelLanes is peelDivergent's slow path, taken only when outcomes differ.
+func (e *engine) peelLanes(ref machine.Outcome) {
+	keep := e.liveBuf[:0]
+	for k, li := range e.live {
+		if e.outBuf[k] != ref {
+			e.peel(li)
+		} else {
+			keep = append(keep, li)
+		}
+	}
+	e.setLive(keep)
+}
+
+// record accounts micro-op d of thread tid issued at cycle c: last issue,
+// scoreboard, sequential-unit reservation, drain horizon, and instruction
+// counts.
+func (e *engine) record(tid int, d *isa.Decoded, c int64) {
+	e.lastIssue = c
+	e.sb.Record(tid, d, c)
+	e.reserveUnit(d, c)
+	if ct := e.params.CompletionTime(d, c); ct > e.maxCompletion {
+		e.maxCompletion = ct
+	}
+	e.stats.Instructions++
+	e.stats.PerThread[tid]++
+	switch d.Class {
+	case isa.ClassScalar:
+		e.stats.Scalar++
+	case isa.ClassParallel:
+		e.stats.Parallel++
+	case isa.ClassReduction:
+		e.stats.Reduction++
+	}
+}
+
+// run simulates until the live lanes halt and drain, or until maxCycles
+// elapse (0 = no limit). Every cancelCheckWindow cycles it polls ctx and
+// the checkpoint request flag. It returns the error that ended the run —
+// nil for a clean halt — and always stops at a quiescent point (between
+// cycles), so the engine can be Reset, snapshotted, or resumed afterwards.
+func (e *engine) run(ctx context.Context, maxCycles int64) error {
+	done := ctx.Done()
+	nextCheck := e.cycle + cancelCheckWindow
+	for {
+		if maxCycles > 0 && e.cycle >= maxCycles {
+			return fmt.Errorf("core: %w (limit %d)", ErrCycleLimit, maxCycles)
+		}
+		if e.cycle >= nextCheck {
+			if e.checkpointReq.CompareAndSwap(true, false) {
+				return fmt.Errorf("core: %w (cycle %d)", ErrCheckpoint, e.cycle)
+			}
+			if done != nil {
+				select {
+				case <-done:
+					return fmt.Errorf("core: run stopped at cycle %d: %w", e.cycle, ctx.Err())
+				default:
+				}
+			}
+			nextCheck = e.cycle + cancelCheckWindow
+		}
+		if e.blocks != nil {
+			// Block-dispatch tier: cover as much of the window as the
+			// closed form allows, then fall back to the per-cycle path.
+			stopAt := nextCheck
+			if maxCycles > 0 && maxCycles < stopAt {
+				stopAt = maxCycles
+			}
+			ran, err := e.runBlock(stopAt)
+			if err != nil {
+				return err
+			}
+			if ran {
+				continue
+			}
+		}
+		more, err := e.Step()
+		if err != nil {
+			return err
+		}
+		if !more {
+			return e.structuralDrained()
+		}
+	}
+}
+
+// finish returns the shared statistics with the drain rule applied. The
+// slice and maps alias the engine's; laneStats deep-copies them.
+func (e *engine) finish() Stats {
+	s := e.stats
+	s.Cycles = e.cycle
+	if e.maxCompletion+1 > s.Cycles {
+		s.Cycles = e.maxCompletion + 1
+	}
+	s.Fetches = e.front.Fetches
+	s.Flushes = e.front.Flushes
+	s.BlockDispatches = e.blockDispatches
+	for i, v := range e.blockFallbacks {
+		if v == 0 {
+			continue
+		}
+		if s.BlockFallbacks == nil {
+			s.BlockFallbacks = make(map[string]int64, numFallbacks)
+		}
+		s.BlockFallbacks[fallbackReasons[i]] = v
+	}
+	return s
+}

@@ -305,6 +305,79 @@ func TestGangDivergencePeel(t *testing.T) {
 	}
 }
 
+// TestGangDivergentLeaderPeelsAlone pins the lockstep reference as the
+// majority, not lane 0: when only lane 0 takes the other branch arm, lane 0
+// alone peels and the three agreeing lanes stay in lockstep, finishing
+// with snapshots and statistics identical to solo runs.
+func TestGangDivergentLeaderPeelsAlone(t *testing.T) {
+	const src = `
+		lw s1, 0(s0)
+		bnez s1, big
+		addi s2, s0, 5
+		j fin
+	big:
+		addi s2, s0, 9
+	fin:
+		rsum s3, p1
+		sw s2, 1(s0)
+		halt
+	`
+	mc := machine.Config{PEs: 4, Threads: 1, Width: 16}
+	cfg := Config{Machine: mc, Arity: 4}
+	const lanes = 4
+	g, dp := buildGangAsm(t, cfg, src, lanes)
+
+	mems := [lanes][]int64{{1}, {0}, {0}, {0}}
+	soloSnaps := make([][]byte, lanes)
+	soloStats := make([]Stats, lanes)
+	for i := 0; i < lanes; i++ {
+		p, err := NewDecoded(cfg, dp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Machine().LoadScalarMem(mems[i]); err != nil {
+			t.Fatal(err)
+		}
+		if soloStats[i], err = p.Run(100000); err != nil {
+			t.Fatal(err)
+		}
+		soloSnaps[i] = p.Snapshot()
+		if err := g.Lane(i).LoadScalarMem(mems[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	res := g.Run(100000)
+	if got := peeledLanes(res); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("peeled lanes %v, want exactly [0]", got)
+	}
+	if got := continuePeeled(t, cfg, dp, res[0].Snapshot, 100000); !bytes.Equal(got, soloSnaps[0]) {
+		t.Error("peeled lane 0 continuation differs from solo run")
+	}
+	for i := 1; i < lanes; i++ {
+		if res[i].Err != nil {
+			t.Fatalf("surviving lane %d: %v", i, res[i].Err)
+		}
+		if !bytes.Equal(g.Lane(i).Snapshot(), soloSnaps[i]) {
+			t.Errorf("surviving lane %d snapshot differs from solo", i)
+		}
+		if !reflect.DeepEqual(res[i].Stats, soloStats[i]) {
+			t.Errorf("surviving lane %d stats %+v, solo %+v", i, res[i].Stats, soloStats[i])
+		}
+	}
+}
+
+// peeledLanes lists the lanes of a gang run that peeled.
+func peeledLanes(res []LaneResult) []int {
+	var out []int
+	for i, lr := range res {
+		if lr.Peeled {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
 // TestGangTrapFinalizes pins solo trap semantics inside a gang: a lane that
 // traps reports the identical error and identical statistics to a solo run
 // (the trapping instruction is not counted), and the other lanes finish
@@ -397,6 +470,34 @@ func TestGangTrapLowestPE(t *testing.T) {
 	}
 }
 
+// blockingDivergenceSrc sends thread 0's first message to worker 1 or 2
+// depending on scalar memory word 0, so lanes with different words reach
+// the same TRECV with different mailbox states.
+const blockingDivergenceSrc = `
+	lw s3, 0(s0)
+	tspawn s1, w1
+	tspawn s2, w2
+	li s5, 1
+	sub s6, s5, s3
+	add s7, s1, s3
+	add s8, s1, s6
+	li s4, 77
+	tsend s7, s4
+	li s4, 88
+	tsend s8, s4
+	tjoin s1
+	tjoin s2
+	halt
+	w1:
+	trecv s1
+	sw s1, 2(s0)
+	texit
+	w2:
+	trecv s1
+	sw s1, 3(s0)
+	texit
+	`
+
 // TestGangBlockingDivergencePeel exercises the pre-issue divergence check:
 // two lanes send their first interthread message to different workers (the
 // target is data-dependent), so one lane's worker has mail while the
@@ -404,33 +505,9 @@ func TestGangTrapLowestPE(t *testing.T) {
 // with no prior Outcome divergence. The minority lane must peel before the
 // TRECV executes and still finish bit-identical to solo.
 func TestGangBlockingDivergencePeel(t *testing.T) {
-	const src = `
-		lw s3, 0(s0)
-		tspawn s1, w1
-		tspawn s2, w2
-		li s5, 1
-		sub s6, s5, s3
-		add s7, s1, s3
-		add s8, s1, s6
-		li s4, 77
-		tsend s7, s4
-		li s4, 88
-		tsend s8, s4
-		tjoin s1
-		tjoin s2
-		halt
-	w1:
-		trecv s1
-		sw s1, 2(s0)
-		texit
-	w2:
-		trecv s1
-		sw s1, 3(s0)
-		texit
-	`
 	mc := machine.Config{PEs: 4, Threads: 4, Width: 16}
 	cfg := Config{Machine: mc, Arity: 4}
-	g, dp := buildGangAsm(t, cfg, src, 2)
+	g, dp := buildGangAsm(t, cfg, blockingDivergenceSrc, 2)
 
 	mems := [2][]int64{{0}, {1}}
 	soloSnaps := make([][]byte, 2)
@@ -464,6 +541,52 @@ func TestGangBlockingDivergencePeel(t *testing.T) {
 	}
 	if !bytes.Equal(g.Lane(0).Snapshot(), soloSnaps[0]) {
 		t.Error("lane 0 snapshot differs from solo")
+	}
+}
+
+// TestGangBlockingDivergentLeaderPeelsAlone is the pre-issue surface of
+// the majority rule: lane 0 alone sends its first message to the other
+// worker, so at the TRECV its blocked status disagrees with both other
+// lanes'. Lane 0 alone peels; the agreeing pair finishes in lockstep,
+// bit-identical to solo.
+func TestGangBlockingDivergentLeaderPeelsAlone(t *testing.T) {
+	mc := machine.Config{PEs: 4, Threads: 4, Width: 16}
+	cfg := Config{Machine: mc, Arity: 4}
+	g, dp := buildGangAsm(t, cfg, blockingDivergenceSrc, 3)
+
+	mems := [3][]int64{{1}, {0}, {0}}
+	soloSnaps := make([][]byte, 3)
+	for i := range mems {
+		p, err := NewDecoded(cfg, dp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Machine().LoadScalarMem(mems[i]); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(100000); err != nil {
+			t.Fatal(err)
+		}
+		soloSnaps[i] = p.Snapshot()
+		if err := g.Lane(i).LoadScalarMem(mems[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	res := g.Run(100000)
+	if got := peeledLanes(res); !reflect.DeepEqual(got, []int{0}) {
+		t.Fatalf("peeled lanes %v, want exactly [0]", got)
+	}
+	if got := continuePeeled(t, cfg, dp, res[0].Snapshot, 100000); !bytes.Equal(got, soloSnaps[0]) {
+		t.Error("peeled lane 0 continuation differs from solo run")
+	}
+	for i := 1; i < 3; i++ {
+		if res[i].Err != nil {
+			t.Fatalf("lane %d: %v", i, res[i].Err)
+		}
+		if !bytes.Equal(g.Lane(i).Snapshot(), soloSnaps[i]) {
+			t.Errorf("lane %d snapshot differs from solo", i)
+		}
 	}
 }
 
@@ -537,6 +660,60 @@ func TestGangRejectsUnsupported(t *testing.T) {
 		if _, err := NewGangDecoded(tc.cfg, dp, tc.n); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestProcessorStepZeroAlloc pins the one-lane engine's hot paths as
+// allocation-free once warm: the per-cycle Step of a multithreaded run, and
+// a whole block-dispatching window of a single-threaded run (runBlock plus
+// the per-cycle fallbacks RunContext takes between its polls).
+func TestProcessorStepZeroAlloc(t *testing.T) {
+	const loop = `
+	loop:
+		rsum s2, p1
+		padd p2, p2, s2
+		addi s1, s1, -1
+		bnez s1, loop
+	`
+	mc := machine.Config{PEs: 16, Threads: 2, Width: 16, LocalMemWords: 64}
+	cfg := Config{Machine: mc, Arity: 4}
+
+	mt := build(t, cfg, "tspawn s3, work\n work:\n li s1, 30000\n"+loop+"halt\n")
+	for i := 0; i < 500; i++ {
+		if _, err := mt.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(2000, func() {
+		if _, err := mt.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("Step allocates %.2f/cycle, want 0", avg)
+	}
+
+	st := build(t, cfg, "li s1, 30000\n"+loop+"halt\n")
+	window := func() {
+		stopAt := st.cycle + cancelCheckWindow
+		for st.cycle < stopAt {
+			ran, err := st.runBlock(stopAt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ran {
+				if more, err := st.Step(); err != nil || !more {
+					t.Fatalf("run ended inside the window: %v", err)
+				}
+			}
+		}
+	}
+	window()
+	before := st.blockDispatches
+	if avg := testing.AllocsPerRun(20, window); avg != 0 {
+		t.Errorf("block-dispatch window allocates %.2f, want 0", avg)
+	}
+	if st.blockDispatches == before {
+		t.Fatal("block plane never engaged; test is vacuous")
 	}
 }
 

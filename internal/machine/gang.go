@@ -21,12 +21,10 @@ import (
 	"repro/internal/isa"
 )
 
-// NewGangLanes builds n machines for one decoded program whose state files
-// are contiguous sub-slices of shared per-kind planes. Each lane behaves
-// exactly like an independently constructed serial machine (thread 0 active
-// at PC 0); the shared backing is invisible to it. Lanes are full-capacity
-// three-index sub-slices, so an out-of-bounds write in one lane can never
-// corrupt a neighbor.
+// NewGangLanes builds n serial machines for one decoded program through
+// the shared plane allocator (newLanes). Each lane behaves exactly like an
+// independently constructed serial machine; the shared backing is
+// invisible to it.
 func NewGangLanes(cfg Config, dp *isa.DecodedProgram, n int) ([]*Machine, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("machine: gang needs at least 1 lane, got %d", n)
@@ -37,7 +35,15 @@ func NewGangLanes(cfg Config, dp *isa.DecodedProgram, n int) ([]*Machine, error)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return newLanes(cfg, dp, n), nil
+}
 
+// newLanes is the one state-plane allocator: n machines for a validated
+// configuration whose state files are contiguous sub-slices of shared
+// per-kind planes, each at power-on (thread 0 active at PC 0). NewDecoded
+// is its n = 1 case. Lanes are full-capacity three-index sub-slices, so an
+// out-of-bounds write in one lane can never corrupt a neighbor.
+func newLanes(cfg Config, dp *isa.DecodedProgram, n int) []*Machine {
 	regL := cfg.Threads * cfg.PEs * isa.NumParallelRegs
 	flagL := cfg.Threads * cfg.PEs * isa.NumFlagRegs
 	localL := cfg.PEs * cfg.LocalMemWords
@@ -63,5 +69,5 @@ func NewGangLanes(cfg Config, dp *isa.DecodedProgram, n int) ([]*Machine, error)
 		m.threads[0].state = ThreadActive
 		lanes[j] = m
 	}
-	return lanes, nil
+	return lanes
 }

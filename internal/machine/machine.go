@@ -211,14 +211,7 @@ func NewDecoded(cfg Config, dp *isa.DecodedProgram) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{cfg: cfg, dec: dp, prog: dp.Insts()}
-	m.threads = make([]thread, cfg.Threads)
-	m.pregs = make([]int64, cfg.Threads*cfg.PEs*isa.NumParallelRegs)
-	m.flags = make([]bool, cfg.Threads*cfg.PEs*isa.NumFlagRegs)
-	m.localMem = make([]int64, cfg.PEs*cfg.LocalMemWords)
-	m.scalarMem = make([]int64, cfg.ScalarMemWords)
-	m.leafBuf = make([]int64, cfg.PEs)
-	m.initReduceTables()
+	m := newLanes(cfg, dp, 1)[0]
 
 	useParallel := false
 	switch cfg.Engine {
@@ -236,8 +229,6 @@ func NewDecoded(cfg Config, dp *isa.DecodedProgram) (*Machine, error) {
 		}
 	}
 
-	// Thread 0 starts active at PC 0.
-	m.threads[0].state = ThreadActive
 	return m, nil
 }
 

@@ -88,7 +88,7 @@ func (t *modalTree) step(in []int64, op taggedOp) (out BankResult, ok bool) {
 	for l := t.depth - 1; l >= 1; l-- {
 		if t.occupied[l-1] {
 			opl := t.ops[l-1]
-			combineRow2(t.levels[l], t.levels[l-1], func(a, b int64) int64 {
+			combineRow(t.levels[l], t.levels[l-1], func(a, b int64) int64 {
 				return t.dispatch(opl.op, t.width, a, b)
 			})
 			t.ops[l] = opl
@@ -99,7 +99,7 @@ func (t *modalTree) step(in []int64, op taggedOp) (out BankResult, ok bool) {
 		if len(in) != t.p {
 			panic(fmt.Sprintf("network: modalTree input length %d, want %d", len(in), t.p))
 		}
-		combineRow2(t.levels[0], in, func(a, b int64) int64 {
+		combineRow(t.levels[0], in, func(a, b int64) int64 {
 			return t.dispatch(op.op, t.width, a, b)
 		})
 		t.ops[0] = op
@@ -108,18 +108,6 @@ func (t *modalTree) step(in []int64, op taggedOp) (out BankResult, ok bool) {
 		t.occupied[0] = false
 	}
 	return out, ok
-}
-
-// combineRow2 is combineRow with a closure (kept separate so ReduceTree's
-// hot path stays monomorphic).
-func combineRow2(dst, src []int64, combine func(a, b int64) int64) {
-	n := len(src)
-	for i := 0; i < n/2; i++ {
-		dst[i] = combine(src[2*i], src[2*i+1])
-	}
-	if n%2 == 1 {
-		dst[n/2] = src[n-1]
-	}
 }
 
 // Bank is the complete broadcast/reduction network of section 6.4 as one
