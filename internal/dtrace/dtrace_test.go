@@ -406,3 +406,18 @@ func TestHandler(t *testing.T) {
 		t.Fatalf("nil tracer dump: err=%v traces=%d", err, len(dump.Traces))
 	}
 }
+
+// TestValidID pins the id rule both tiers apply to inbound request ids and
+// session path segments: the ^[A-Za-z0-9._-]+$ charset, at most 64 bytes.
+func TestValidID(t *testing.T) {
+	for _, id := range []string{"a", "req-9", "s0123456789abcdef", "A.b_c-D", strings.Repeat("x", 64), NewID()} {
+		if !ValidID(id) {
+			t.Errorf("ValidID(%q) = false, want true", id)
+		}
+	}
+	for _, id := range []string{"", strings.Repeat("x", 65), "abc?x=1", "a/b", "a b", "a%3F", "é", "a\"b", "a\nb"} {
+		if ValidID(id) {
+			t.Errorf("ValidID(%q) = true, want false", id)
+		}
+	}
+}

@@ -196,3 +196,35 @@ func Waterfall(t *FinishedTrace) string {
 	}
 	return b.String()
 }
+
+// ValidID reports whether an id from outside the process may be adopted
+// as a request id or accepted as a session id: 1 to 64 characters from
+// [A-Za-z0-9._-]. That is enough for UUIDs and derived ids, and admits no
+// whitespace or quoting that could mangle a structured log line, nor any
+// character a URL path would have to escape.
+func ValidID(id string) bool {
+	if id == "" || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// NewID returns a fresh 16-hex-character random id.
+func NewID() string { return newHex(8) }
+
+// RequestID resolves the id for a request: a valid inbound X-Request-Id
+// (set by ascgw or any fronting proxy) is adopted, so one id threads
+// through gateway and backend logs; anything else gets a fresh id.
+func RequestID(r *http.Request) string {
+	if id := r.Header.Get("X-Request-Id"); ValidID(id) {
+		return id
+	}
+	return NewID()
+}

@@ -1,9 +1,8 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
-	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -345,47 +343,65 @@ func (g *Gateway) writeUnavailable(w http.ResponseWriter, status int, floorHint 
 	writeError(w, status, format, args...)
 }
 
-var safeIDRE = regexp.MustCompile(`^[A-Za-z0-9._-]+$`)
-
-// requestID adopts a well-formed inbound X-Request-Id or mints one; the
-// same id is forwarded to every backend attempt, so one id follows a job
-// through gateway and backend logs end to end.
-func requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-Id"); id != "" && len(id) <= 64 && safeIDRE.MatchString(id) {
-		return id
+// request runs the prelude every POST handler shares: it resolves the
+// request id, starts the trace, checks the method, and reads the bounded
+// body, decoding it into v. The raw body comes back for proxying. ok=false
+// means the refusal has been written; the caller still finishes tr, which
+// is nil-safe. The id is forwarded to every backend attempt, so one id
+// follows a job through gateway and backend logs end to end.
+func (g *Gateway) request(w http.ResponseWriter, r *http.Request, name, allow string, v any) (id string, tr *dtrace.Active, log *slog.Logger, body []byte, ok bool) {
+	id = dtrace.RequestID(r)
+	w.Header().Set("X-Request-Id", id)
+	tr, log = g.startTrace(w, r, name, id, g.log.With("request_id", id))
+	if r.Method != http.MethodPost {
+		tr.SetError()
+		writeError(w, http.StatusMethodNotAllowed, "%s required", allow)
+		return id, tr, log, nil, false
 	}
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		return "0000000000000000"
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
+	if err != nil {
+		tr.SetError()
+		writeError(w, http.StatusBadRequest, "reading request: %v", err)
+		return id, tr, log, nil, false
 	}
-	return hex.EncodeToString(b[:])
+	if err := json.Unmarshal(body, v); err != nil {
+		tr.SetError()
+		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return id, tr, log, nil, false
+	}
+	return id, tr, log, body, true
 }
 
-// admit performs the drain/in-flight admission dance shared by run and
-// batch. It returns false after writing the refusal; on true the caller
-// owns one wg slot and one inflight unit and must call release.
-func (g *Gateway) admit(w http.ResponseWriter, route string) bool {
+// admit performs the drain/in-flight admission dance shared by every
+// proxying handler. It returns false after writing the refusal and
+// marking tr errored; on true the caller owns one wg slot and one inflight
+// unit and must call release with the returned start time.
+func (g *Gateway) admit(w http.ResponseWriter, tr *dtrace.Active, route string) (start time.Time, ok bool) {
 	g.mu.RLock()
 	if g.draining {
 		g.mu.RUnlock()
 		g.m.sheds.With(route, "draining").Inc()
+		tr.SetError()
 		g.writeUnavailable(w, http.StatusServiceUnavailable, 0, "gateway is shutting down")
-		return false
+		return start, false
 	}
 	if g.inflight.Load() >= int64(g.cfg.MaxInflight) {
 		g.mu.RUnlock()
 		g.m.sheds.With(route, "inflight").Inc()
+		tr.SetError()
 		g.writeUnavailable(w, http.StatusTooManyRequests, 0, "gateway at capacity (%d in flight)", g.cfg.MaxInflight)
-		return false
+		return start, false
 	}
 	g.inflight.Add(1)
 	g.wg.Add(1)
 	g.mu.RUnlock()
 	g.m.requests.With(route).Inc()
-	return true
+	return time.Now(), true
 }
 
-func (g *Gateway) release() {
+// release records an admitted request's latency and returns its slot.
+func (g *Gateway) release(tr *dtrace.Active, start time.Time) {
+	g.observeLatency(tr, time.Since(start).Seconds())
 	g.inflight.Add(-1)
 	g.wg.Done()
 }
@@ -434,21 +450,29 @@ type backendResponse struct {
 	status     int
 	body       []byte
 	header     http.Header
-	retryAfter int // parsed Retry-After seconds on 429/503
+	retryAfter int                      // parsed Retry-After seconds on 429/503
+	handoff    *client.SnapshotEnvelope // the drain handshake's envelope, set by attempt
 }
 
-// forward issues one backend attempt. Simulation jobs are pure — a rerun
+// forward issues one backend request. Simulation jobs are pure — a rerun
 // is bit-identical and side-effect free — so every attempt is safely
 // idempotent, including after an ambiguous transport failure.
 // tp, when non-empty, is the outbound W3C traceparent whose span id is
 // this attempt's forward/retry span — the backend's root span parents to
-// it, which is what lets Stitch render one fleet-wide tree.
-func (g *Gateway) forward(ctx context.Context, backend, path, id, tp string, body []byte) (*backendResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, backend+path, strings.NewReader(string(body)))
+// it, which is what lets Stitch render one fleet-wide tree. A nil body
+// sends none.
+func (g *Gateway) forward(ctx context.Context, method, backend, path, id, tp string, body []byte) (*backendResponse, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, backend+path, rd)
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
 	req.Header.Set("Accept", "application/json")
 	req.Header.Set("X-Request-Id", id)
 	if tp != "" {
@@ -472,20 +496,87 @@ func (g *Gateway) forward(ctx context.Context, backend, path, id, tp string, bod
 	return br, nil
 }
 
-// retryable reports whether a backend response means "try another
-// replica": 429 (queue full) and 503 (draining or overloaded) are load
-// statements about one node, not about the job.
-func retryable(status int) bool {
-	return status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable
+// hop is what every backend attempt of one proxied unit shares: a run
+// request, one batch digest group, a new session, or a session migration.
+type hop struct {
+	path string
+	id   string // X-Request-Id, forwarded to every attempt
+	body []byte
+	jobs int64 // load units one attempt charges its backend
+	log  *slog.Logger
+
+	hint      int  // largest backend Retry-After seen, for the shed response
+	restarted bool // the answer came after a transport failure lost the job elsewhere
 }
 
-// proxyToFleet runs the attempt loop for one routed unit (a run request
-// or one batch digest group): walk the candidate replicas, forward,
-// retry 429/503 and transport failures on the next replica, and report
-// how the unit resolved. jobs weights the per-backend load accounting.
-// A nil response with ok=false means the unit shed; hint carries the
-// largest backend Retry-After seen, for the shed response.
-func (g *Gateway) proxyToFleet(ctx context.Context, key, path, id string, body []byte, jobs int64, log *slog.Logger) (resp *backendResponse, backend string, hint int) {
+// hopOutcome classifies one backend attempt.
+type hopOutcome int
+
+const (
+	hopDone      hopOutcome = iota // a terminal answer, for the caller to relay
+	hopRetry                       // 429/503: load truth about one replica, try the next
+	hopLost                        // transport failure, reported to health: try the next
+	hopHandshake                   // 503 with a snapshot envelope: the session suspended in our hands
+	hopCanceled                    // ctx ended: no replica can help, health is not implicated
+)
+
+// attempt makes one backend hop under its own span (name and attrs are
+// the caller's): it charges the backend's load while the request is in
+// flight, forwards, reports transport failures to the health checker,
+// and classifies the answer, raising h.hint to a retryable answer's
+// Retry-After. Every proxy loop goes through it.
+func (g *Gateway) attempt(ctx context.Context, h *hop, parent *dtrace.Span, name, backend string, attrs ...dtrace.Attr) (*backendResponse, hopOutcome) {
+	label := backendLabel(backend)
+	a, _ := dtrace.FromContext(ctx)
+	sp := a.StartSpan(name, parent, attrs...)
+	load, gauge := g.loads[backend], g.m.inflight.With(label)
+	load.Add(h.jobs)
+	gauge.Add(h.jobs)
+	r, err := g.forward(ctx, http.MethodPost, backend, h.path, h.id, a.Traceparent(sp), h.body)
+	load.Add(-h.jobs)
+	gauge.Add(-h.jobs)
+	if err != nil {
+		if ctx.Err() != nil {
+			sp.EndErr("canceled: " + err.Error())
+			return nil, hopCanceled
+		}
+		g.m.backendRequests.With(label, "transport").Inc()
+		g.check.ReportFailure(backend, err)
+		sp.EndErr(err.Error())
+		h.log.Warn("backend transport failure", "backend", backend, "path", h.path, "error", err.Error())
+		return nil, hopLost
+	}
+	sp.SetAttr(dtrace.Int("status", int64(r.status)))
+	if r.status == http.StatusServiceUnavailable {
+		if r.handoff = parseDraining(r.body); r.handoff != nil {
+			sp.SetAttr(dtrace.Str("outcome", "draining_handshake"))
+			sp.End()
+			return r, hopHandshake
+		}
+	}
+	// 429 (queue full) and 503 (draining or overloaded) are load
+	// statements about one node, not about the job: close the span with
+	// its status, not as an error.
+	if r.status == http.StatusTooManyRequests || r.status == http.StatusServiceUnavailable {
+		g.m.backendRequests.With(label, "retryable").Inc()
+		sp.SetAttr(dtrace.Str("outcome", "retryable"))
+		sp.End()
+		h.hint = max(h.hint, r.retryAfter)
+		return r, hopRetry
+	}
+	g.m.backendRequests.With(label, "ok").Inc()
+	sp.End()
+	return r, hopDone
+}
+
+// proxyToFleet runs the attempt loop for one routed unit: walk the
+// candidate replicas, retry 429/503 and transport failures on the next
+// replica, and report how the unit resolved. A drain handshake — a
+// session that started, ran, and suspended — migrates the envelope to a
+// ring successor instead of resubmitting from scratch. A nil response
+// means the unit shed (h.hint carries the largest backend Retry-After) or
+// ctx ended.
+func (g *Gateway) proxyToFleet(ctx context.Context, key string, h *hop) (resp *backendResponse, backend string) {
 	cands, spilled := g.candidates(key)
 	if spilled {
 		g.m.spills.Inc()
@@ -494,105 +585,63 @@ func (g *Gateway) proxyToFleet(ctx context.Context, key, path, id string, body [
 	route := a.StartSpan("route", parent,
 		dtrace.Bool("spilled", spilled), dtrace.Int("candidates", int64(len(cands))))
 	defer route.End()
+	lost := false
 	for i, b := range cands {
 		name := "forward"
 		if i > 0 {
 			name = "retry"
 			g.m.retries.Inc()
-			log.Debug("retrying on next replica", "backend", b, "attempt", i+1)
+			h.log.Debug("retrying on next replica", "backend", b, "attempt", i+1)
 		}
-		asp := a.StartSpan(name, route,
+		r, out := g.attempt(ctx, h, route, name, b,
 			dtrace.Str("backend", backendLabel(b)), dtrace.Int("attempt", int64(i+1)))
-		load := g.loads[b]
-		load.Add(jobs)
-		g.m.inflight.With(backendLabel(b)).Add(jobs)
-		r, err := g.forward(ctx, b, path, id, a.Traceparent(asp), body)
-		load.Add(-jobs)
-		g.m.inflight.With(backendLabel(b)).Add(-jobs)
-		if err != nil {
-			if ctx.Err() != nil {
-				// The client went away or the deadline hit; no replica can
-				// help and health is not implicated.
-				asp.EndErr("canceled: " + err.Error())
-				return nil, "", hint
-			}
-			g.m.backendRequests.With(backendLabel(b), "transport").Inc()
-			g.check.ReportFailure(b, err)
-			asp.EndErr(err.Error())
-			log.Warn("backend transport failure", "backend", b, "error", err.Error())
-			continue
+		switch out {
+		case hopCanceled:
+			return nil, ""
+		case hopLost:
+			lost = true
+		case hopHandshake:
+			h.log.Info("session handshake: backend draining", "backend", b, "session_id", r.handoff.SessionID)
+			g.claimMigration(r.handoff.SessionID)
+			return g.migrateSession(ctx, r.handoff, b, h)
+		case hopDone:
+			route.SetAttr(dtrace.Str("backend", backendLabel(b)), dtrace.Int("attempts", int64(i+1)))
+			h.restarted = lost
+			return r, b
 		}
-		asp.SetAttr(dtrace.Int("status", int64(r.status)))
-		if retryable(r.status) {
-			g.m.backendRequests.With(backendLabel(b), "retryable").Inc()
-			// Backpressure from one replica is load truth, not an error:
-			// close the attempt span with its status and try the next one.
-			asp.SetAttr(dtrace.Str("outcome", "retryable"))
-			asp.End()
-			if r.retryAfter > hint {
-				hint = r.retryAfter
-			}
-			continue
-		}
-		g.m.backendRequests.With(backendLabel(b), "ok").Inc()
-		asp.End()
-		route.SetAttr(dtrace.Str("backend", backendLabel(b)), dtrace.Int("attempts", int64(i+1)))
-		return r, b, hint
 	}
 	route.SetAttr(dtrace.Bool("shed", true))
-	return nil, "", hint
+	return nil, ""
 }
 
 // handleRun routes one job to the backend that owns its program digest
 // and relays the backend's response verbatim — the gateway adds routing,
 // not semantics.
 func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
-	id := requestID(r)
-	w.Header().Set("X-Request-Id", id)
-	log := g.log.With("request_id", id)
-	tr, log := g.startTrace(w, r, "run", id, log)
-	defer tr.Finish()
-	if r.Method != http.MethodPost {
-		tr.SetError()
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
-	if err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return
-	}
 	var req client.RunRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	id, tr, log, body, ok := g.request(w, r, "run", "POST", &req)
+	defer tr.Finish()
+	if !ok {
 		return
 	}
-	if !g.admit(w, "run") {
-		tr.SetError()
+	start, ok := g.admit(w, tr, "run")
+	if !ok {
 		return
 	}
-	defer g.release()
-	start := time.Now()
-	defer func() { g.observeLatency(tr, time.Since(start).Seconds()) }()
+	defer g.release(tr, start)
 
-	key := routingKey(&req)
 	ctx := dtrace.ContextWith(r.Context(), tr, tr.Root())
-	resp, backend, hint := g.proxyToFleet(ctx, key, "/v1/run", id, body, 1, log)
+	h := &hop{path: "/v1/run", id: id, body: body, jobs: 1, log: log}
+	resp, backend := g.proxyToFleet(ctx, routingKey(&req), h)
 	if resp == nil {
 		tr.SetError()
-		if r.Context().Err() != nil {
-			return // client gone; nothing useful can be written
+		if r.Context().Err() == nil { // otherwise the client is gone: nothing useful can be written
+			g.shedRun(w, log, h.hint)
 		}
-		g.shedRun(w, log, hint)
 		return
 	}
-	if resp.status >= http.StatusBadRequest {
-		tr.SetError()
-	}
 	log.Debug("run routed", "backend", backend, "status", resp.status)
-	relay(w, resp)
+	relay(w, tr, resp)
 }
 
 // startTrace begins the distributed trace for one gateway request,
@@ -636,8 +685,11 @@ func (g *Gateway) shedRun(w http.ResponseWriter, log *slog.Logger, hint int) {
 
 // relay copies a backend response to the client byte for byte, keeping
 // the backend's status, error shape, and Retry-After (results must be
-// bit-identical to a direct ascd call).
-func relay(w http.ResponseWriter, resp *backendResponse) {
+// bit-identical to a direct ascd call), and marks tr errored on a 4xx/5xx.
+func relay(w http.ResponseWriter, tr *dtrace.Active, resp *backendResponse) {
+	if resp.status >= http.StatusBadRequest {
+		tr.SetError()
+	}
 	if ct := resp.header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
@@ -688,26 +740,10 @@ func (g *Gateway) splitBatch(req *client.BatchRequest) []batchGroup {
 // failures degrade to per-job errors — the batch response contract
 // (HTTP 200, index-aligned outcome vector) survives any single backend.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	id := requestID(r)
-	w.Header().Set("X-Request-Id", id)
-	log := g.log.With("request_id", id)
-	tr, log := g.startTrace(w, r, "batch", id, log)
-	defer tr.Finish()
-	if r.Method != http.MethodPost {
-		tr.SetError()
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
-	if err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return
-	}
 	var req client.BatchRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	id, tr, log, _, ok := g.request(w, r, "batch", "POST", &req)
+	defer tr.Finish()
+	if !ok {
 		return
 	}
 	if len(req.Jobs) == 0 {
@@ -725,13 +761,11 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "timeoutMs must be non-negative")
 		return
 	}
-	if !g.admit(w, "batch") {
-		tr.SetError()
+	start, ok := g.admit(w, tr, "batch")
+	if !ok {
 		return
 	}
-	defer g.release()
-	start := time.Now()
-	defer func() { g.observeLatency(tr, time.Since(start).Seconds()) }()
+	defer g.release(tr, start)
 
 	groups := g.splitBatch(&req)
 	tr.Root().SetAttr(dtrace.Int("jobs", int64(len(req.Jobs))), dtrace.Int("groups", int64(len(groups))))
@@ -793,7 +827,8 @@ func (g *Gateway) routeGroup(ctx context.Context, req *client.BatchRequest, grp 
 		return
 	}
 
-	resp, backend, hint := g.proxyToFleet(ctx, grp.key, "/v1/batch", id, body, int64(len(grp.idxs)), log)
+	h := &hop{path: "/v1/batch", id: id, body: body, jobs: int64(len(grp.idxs)), log: log}
+	resp, backend := g.proxyToFleet(ctx, grp.key, h)
 	if resp == nil {
 		if ctx.Err() != nil {
 			csp.EndErr("canceled")
@@ -802,7 +837,7 @@ func (g *Gateway) routeGroup(ctx context.Context, req *client.BatchRequest, grp 
 		}
 		g.m.sheds.With("batch", "saturated").Inc()
 		log.Warn("batch group shed", "jobs", len(grp.idxs))
-		secs := g.retryAfterSeconds(hint)
+		secs := g.retryAfterSeconds(h.hint)
 		csp.EndErr("shed: every replica backpressured")
 		g.failGroup(outcomes, grp, http.StatusServiceUnavailable,
 			fmt.Sprintf("no backend available for this job group; retry after %ds", secs))
@@ -966,40 +1001,37 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 // orphaned-but-renderable tree, so a partial fleet still yields a usable
 // waterfall.
 func (g *Gateway) fetchBackendTraces(ctx context.Context, traceID string) []*dtrace.FinishedTrace {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.ScrapeTimeout)
-	defer cancel()
 	halves := make([][]*dtrace.FinishedTrace, len(g.cfg.Backends))
-	var wg sync.WaitGroup
-	for i, b := range g.cfg.Backends {
-		wg.Add(1)
-		go func(i int, b string) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-				b+"/debug/traces?trace="+url.QueryEscape(traceID), nil)
-			if err != nil {
-				return
-			}
-			resp, err := g.cfg.HTTPClient.Do(req)
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				return
-			}
-			var dump dtrace.TraceDump
-			if err := json.NewDecoder(io.LimitReader(resp.Body, 64<<20)).Decode(&dump); err != nil {
-				return
-			}
+	g.getAll(ctx, "/debug/traces?trace="+url.QueryEscape(traceID), "", func(i int, body []byte) {
+		var dump dtrace.TraceDump
+		if json.Unmarshal(body, &dump) == nil {
 			halves[i] = dump.Traces
-		}(i, b)
-	}
-	wg.Wait()
+		}
+	})
 	var out []*dtrace.FinishedTrace
 	for _, ts := range halves {
 		out = append(out, ts...)
 	}
 	return out
+}
+
+// getAll GETs path from every configured backend concurrently, bounded by
+// ScrapeTimeout, and hands each 200 answer's body to each with the
+// backend's index. A backend that is down or answers otherwise is skipped.
+func (g *Gateway) getAll(ctx context.Context, path, id string, each func(i int, body []byte)) {
+	ctx, cancel := context.WithTimeout(ctx, g.cfg.ScrapeTimeout)
+	defer cancel()
+	var wg sync.WaitGroup
+	for i, b := range g.cfg.Backends {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, err := g.forward(ctx, http.MethodGet, b, path, id, "", nil); err == nil && resp.status == http.StatusOK {
+				each(i, resp.body)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // ownFamilies renders and re-parses the gateway's registry so its series

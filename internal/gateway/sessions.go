@@ -20,11 +20,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/client"
@@ -127,26 +125,6 @@ func parseDraining(body []byte) *client.SnapshotEnvelope {
 	return nil
 }
 
-// forwardGet issues one GET to a backend, mirroring forward's shape.
-func (g *Gateway) forwardGet(ctx context.Context, backend, path, id string) (*backendResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, backend+path, nil)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Accept", "application/json")
-	req.Header.Set("X-Request-Id", id)
-	resp, err := g.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if err != nil {
-		return nil, err
-	}
-	return &backendResponse{status: resp.StatusCode, body: data, header: resp.Header}, nil
-}
-
 // handleSessions serves POST /v1/sessions (route a session, migrating it
 // transparently if its backend drains mid-job) and GET /v1/sessions (the
 // fleet-wide session list, concatenated from every backend).
@@ -155,132 +133,40 @@ func (g *Gateway) handleSessions(w http.ResponseWriter, r *http.Request) {
 		g.handleSessionList(w, r)
 		return
 	}
-	id := requestID(r)
-	w.Header().Set("X-Request-Id", id)
-	log := g.log.With("request_id", id)
-	tr, log := g.startTrace(w, r, "session", id, log)
-	defer tr.Finish()
-	if r.Method != http.MethodPost {
-		tr.SetError()
-		writeError(w, http.StatusMethodNotAllowed, "POST or GET required")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
-	if err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return
-	}
 	var req client.SessionRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	id, tr, log, body, ok := g.request(w, r, "session", "POST or GET", &req)
+	defer tr.Finish()
+	if !ok {
 		return
 	}
-	if !g.admit(w, "session") {
-		tr.SetError()
+	start, ok := g.admit(w, tr, "session")
+	if !ok {
 		return
 	}
-	defer g.release()
-	start := time.Now()
-	defer func() { g.observeLatency(tr, time.Since(start).Seconds()) }()
+	defer g.release(tr, start)
 
-	key := routingKey(&req.RunRequest)
 	ctx := dtrace.ContextWith(r.Context(), tr, tr.Root())
-	resp, backend, hint := g.proxySession(ctx, key, id, body, log)
+	h := &hop{path: "/v1/sessions", id: id, body: body, jobs: 1, log: log}
+	resp, backend := g.proxyToFleet(ctx, routingKey(&req.RunRequest), h)
 	if resp == nil {
 		tr.SetError()
-		if r.Context().Err() != nil {
-			return // client gone
+		if r.Context().Err() == nil { // otherwise the client is gone: nothing useful can be written
+			g.m.sheds.With("session", "saturated").Inc()
+			log.Warn("session shed", "reason", "all replicas backpressured")
+			g.writeUnavailable(w, http.StatusServiceUnavailable, h.hint, "no backend available for this session")
 		}
-		g.m.sheds.With("session", "saturated").Inc()
-		log.Warn("session shed", "reason", "all replicas backpressured")
-		g.writeUnavailable(w, http.StatusServiceUnavailable, hint, "no backend available for this session")
 		return
 	}
-	if resp.status >= http.StatusBadRequest {
-		tr.SetError()
-	}
-	log.Debug("session routed", "backend", backend, "status", resp.status)
-	relay(w, resp)
-}
-
-// proxySession runs the session attempt loop: walk the candidate replicas
-// like proxyToFleet, but treat a 503 carrying a snapshot envelope as the
-// drain handshake — the session started, ran, and suspended — and migrate
-// it to a ring successor instead of resubmitting from scratch. A transport
-// failure before any handshake restarts the job fresh on the next replica
-// (simulations are pure; a restart is bit-identical).
-func (g *Gateway) proxySession(ctx context.Context, key, id string, body []byte, log *slog.Logger) (resp *backendResponse, backend string, hint int) {
-	cands, spilled := g.candidates(key)
-	if spilled {
-		g.m.spills.Inc()
-	}
-	a, parent := dtrace.FromContext(ctx)
-	route := a.StartSpan("route", parent,
-		dtrace.Bool("spilled", spilled), dtrace.Int("candidates", int64(len(cands))))
-	defer route.End()
-	restarted := false
-	for i, b := range cands {
-		name := "forward"
-		if i > 0 {
-			name = "retry"
-			g.m.retries.Inc()
-		}
-		asp := a.StartSpan(name, route,
-			dtrace.Str("backend", backendLabel(b)), dtrace.Int("attempt", int64(i+1)))
-		load := g.loads[b]
-		load.Add(1)
-		g.m.inflight.With(backendLabel(b)).Add(1)
-		r, err := g.forward(ctx, b, "/v1/sessions", id, a.Traceparent(asp), body)
-		load.Add(-1)
-		g.m.inflight.With(backendLabel(b)).Add(-1)
-		if err != nil {
-			if ctx.Err() != nil {
-				asp.EndErr("canceled: " + err.Error())
-				return nil, "", hint
-			}
-			g.m.backendRequests.With(backendLabel(b), "transport").Inc()
-			g.check.ReportFailure(b, err)
-			asp.EndErr(err.Error())
-			log.Warn("backend transport failure", "backend", b, "error", err.Error())
-			restarted = true // a later success started this job over from scratch
-			continue
-		}
-		asp.SetAttr(dtrace.Int("status", int64(r.status)))
-		if r.status == http.StatusServiceUnavailable {
-			if env := parseDraining(r.body); env != nil {
-				// The drain handshake: the session is suspended in our hands.
-				// From here the envelope, not the original body, is the job.
-				asp.SetAttr(dtrace.Str("outcome", "draining_handshake"))
-				asp.End()
-				log.Info("session handshake: backend draining", "backend", b, "session_id", env.SessionID)
-				g.claimMigration(env.SessionID)
-				return g.migrateSession(ctx, env, b, id, log)
-			}
-		}
-		if retryable(r.status) {
-			g.m.backendRequests.With(backendLabel(b), "retryable").Inc()
-			asp.SetAttr(dtrace.Str("outcome", "retryable"))
-			asp.End()
-			if r.retryAfter > hint {
-				hint = r.retryAfter
-			}
-			continue
-		}
-		g.m.backendRequests.With(backendLabel(b), "ok").Inc()
-		asp.End()
-		route.SetAttr(dtrace.Str("backend", backendLabel(b)), dtrace.Int("attempts", int64(i+1)))
-		if sid := sessionIDFromResult(r); sid != "" {
-			g.recordSessionBackend(sid, b)
-		}
-		if restarted && r.status == http.StatusOK {
+	if sid := sessionIDFromResult(resp); sid != "" {
+		g.recordSessionBackend(sid, backend)
+		if h.restarted {
+			// A transport failure lost the session before any checkpoint;
+			// it started over from scratch on this replica.
 			g.m.migrations.With("restarted").Inc()
 		}
-		return r, b, hint
 	}
-	route.SetAttr(dtrace.Bool("shed", true))
-	return nil, "", hint
+	log.Debug("session routed", "backend", backend, "status", resp.status)
+	relay(w, tr, resp)
 }
 
 // sessionIDFromResult pulls the session id out of a 2xx session response.
@@ -302,19 +188,24 @@ func sessionIDFromResult(r *backendResponse) string {
 // success the terminal backend response is returned for relay; on
 // exhaustion the latest envelope is wrapped in a gateway-minted 503
 // handshake so the client still holds a resumable checkpoint instead of a
-// dead job.
-func (g *Gateway) migrateSession(ctx context.Context, env *client.SnapshotEnvelope,
-	from, id string, log *slog.Logger) (*backendResponse, string, int) {
-
+// dead job. A nil response means ctx ended.
+func (g *Gateway) migrateSession(ctx context.Context, env *client.SnapshotEnvelope, from string, h *hop) (*backendResponse, string) {
 	start := time.Now()
 	a, parent := dtrace.FromContext(ctx)
 	msp := a.StartSpan("migrate", parent,
 		dtrace.Str("session", env.SessionID), dtrace.Str("from", backendLabel(from)))
 	defer msp.End()
 
+	// From here the envelope, not the original body, is the job, and the
+	// Retry-After hint starts over with it.
+	h.jobs, h.hint = 1, 0
 	exclude := from
-	var hint int
-	for hop := 0; hop < g.cfg.MaxMigrations; hop++ {
+	for n := 0; n < g.cfg.MaxMigrations; n++ {
+		body, err := json.Marshal(&client.ResumeRequest{Envelope: env})
+		if err != nil {
+			break
+		}
+		h.path, h.body = "/v1/sessions/"+env.SessionID+"/resume", body
 		cands, _ := g.candidates(routingKey(&env.Request))
 		handshook := false
 		// Sweep the candidate set with escalating backoff: a replica
@@ -323,16 +214,10 @@ func (g *Gateway) migrateSession(ctx context.Context, env *client.SnapshotEnvelo
 	sweeps:
 		for sweep := 0; sweep < resumeSweeps; sweep++ {
 			if sweep > 0 {
-				wait := time.Duration(50<<(sweep-1)) * time.Millisecond
-				if wait > time.Second {
-					wait = time.Second
-				}
-				if hintWait := time.Duration(hint) * time.Second; hintWait > wait {
-					wait = hintWait
-				}
-				if !sleepCtx(ctx, wait) {
+				wait := min(time.Duration(50<<(sweep-1))*time.Millisecond, time.Second)
+				if !sleepCtx(ctx, max(wait, time.Duration(h.hint)*time.Second)) {
 					msp.SetAttr(dtrace.Bool("canceled", true))
-					return nil, "", hint
+					return nil, ""
 				}
 			}
 			sawRetryable := false
@@ -342,76 +227,45 @@ func (g *Gateway) migrateSession(ctx context.Context, env *client.SnapshotEnvelo
 				}
 				if ctx.Err() != nil {
 					msp.SetAttr(dtrace.Bool("canceled", true))
-					return nil, "", hint
+					return nil, ""
 				}
-				body, err := json.Marshal(&client.ResumeRequest{Envelope: env})
-				if err != nil {
-					break sweeps
-				}
-				asp := a.StartSpan("resume", msp,
-					dtrace.Str("backend", backendLabel(b)),
-					dtrace.Int("hop", int64(hop+1)), dtrace.Int("sweep", int64(sweep+1)))
-				load := g.loads[b]
-				load.Add(1)
-				g.m.inflight.With(backendLabel(b)).Add(1)
-				r, err := g.forward(ctx, b, "/v1/sessions/"+env.SessionID+"/resume", id, a.Traceparent(asp), body)
-				load.Add(-1)
-				g.m.inflight.With(backendLabel(b)).Add(-1)
-				if err != nil {
-					if ctx.Err() != nil {
-						asp.EndErr("canceled: " + err.Error())
-						msp.SetAttr(dtrace.Bool("canceled", true))
-						return nil, "", hint
-					}
-					g.m.backendRequests.With(backendLabel(b), "transport").Inc()
-					g.check.ReportFailure(b, err)
-					asp.EndErr(err.Error())
-					log.Warn("resume transport failure", "backend", b, "session_id", env.SessionID, "error", err.Error())
+				r, out := g.attempt(ctx, h, msp, "resume", b, dtrace.Str("backend", backendLabel(b)),
+					dtrace.Int("hop", int64(n+1)), dtrace.Int("sweep", int64(sweep+1)))
+				switch out {
+				case hopCanceled:
+					msp.SetAttr(dtrace.Bool("canceled", true))
+					return nil, ""
+				case hopLost:
 					continue
-				}
-				asp.SetAttr(dtrace.Int("status", int64(r.status)))
-				if r.status == http.StatusServiceUnavailable {
-					if next := parseDraining(r.body); next != nil {
-						// The successor is draining too; it handed back a fresher
-						// envelope. Spend a hop and keep walking.
-						asp.SetAttr(dtrace.Str("outcome", "draining_handshake"))
-						asp.End()
-						log.Info("resume handshake: successor draining too",
-							"backend", b, "session_id", env.SessionID)
-						env, exclude, handshook = next, b, true
-						break sweeps
-					}
-				}
-				if retryable(r.status) {
-					g.m.backendRequests.With(backendLabel(b), "retryable").Inc()
-					asp.SetAttr(dtrace.Str("outcome", "retryable"))
-					asp.End()
-					if r.retryAfter > hint {
-						hint = r.retryAfter
-					}
+				case hopRetry:
 					sawRetryable = true
 					continue
+				case hopHandshake:
+					// The successor is draining too; it handed back a fresher
+					// envelope. Spend a hop and keep walking.
+					h.log.Info("resume handshake: successor draining too",
+						"backend", b, "session_id", env.SessionID)
+					env, exclude, handshook = r.handoff, b, true
+					break sweeps
 				}
 				// Terminal answer: the session completed, re-suspended for its
 				// own reasons, or failed — either way this backend owns it now.
-				g.m.backendRequests.With(backendLabel(b), "ok").Inc()
-				asp.End()
 				g.recordSessionBackend(env.SessionID, b)
 				g.m.migrationDur.Observe(time.Since(start).Seconds())
 				if r.status == http.StatusOK {
 					g.m.migrations.With("migrated").Inc()
 					g.settleMigration(env.SessionID, "migrated", b, "")
-					msp.SetAttr(dtrace.Str("to", backendLabel(b)), dtrace.Int("hops", int64(hop+1)))
-					log.Info("session migrated", "session_id", env.SessionID,
+					msp.SetAttr(dtrace.Str("to", backendLabel(b)), dtrace.Int("hops", int64(n+1)))
+					h.log.Info("session migrated", "session_id", env.SessionID,
 						"from", from, "to", b, "duration", time.Since(start).String())
 				} else {
 					g.m.migrations.With("failed").Inc()
 					g.settleMigration(env.SessionID, "failed", b, strings.TrimSpace(string(r.body)))
 					msp.SetAttr(dtrace.Bool("failed", true))
-					log.Warn("session migration failed", "session_id", env.SessionID,
+					h.log.Warn("session migration failed", "session_id", env.SessionID,
 						"backend", b, "status", r.status)
 				}
-				return r, b, hint
+				return r, b
 			}
 			if !sawRetryable {
 				break
@@ -427,7 +281,7 @@ func (g *Gateway) migrateSession(ctx context.Context, env *client.SnapshotEnvelo
 	g.m.migrationDur.Observe(time.Since(start).Seconds())
 	g.settleMigration(env.SessionID, "failed", "", "no backend could resume the session")
 	msp.SetAttr(dtrace.Bool("failed", true))
-	log.Warn("session migration exhausted", "session_id", env.SessionID, "from", from)
+	h.log.Warn("session migration exhausted", "session_id", env.SessionID, "from", from)
 	data, _ := json.Marshal(&client.SessionDraining{
 		Error:    "no backend could resume the session; retry the attached envelope later",
 		Envelope: env,
@@ -435,7 +289,7 @@ func (g *Gateway) migrateSession(ctx context.Context, env *client.SnapshotEnvelo
 	hdr := http.Header{}
 	hdr.Set("Content-Type", "application/json")
 	hdr.Set("Retry-After", "2")
-	return &backendResponse{status: http.StatusServiceUnavailable, body: data, header: hdr}, "", hint
+	return &backendResponse{status: http.StatusServiceUnavailable, body: data, header: hdr}, ""
 }
 
 // sleepCtx sleeps d or until ctx ends; false means ctx ended.
@@ -452,23 +306,10 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 
 // handleSessionList concatenates every backend's GET /v1/sessions.
 func (g *Gateway) handleSessionList(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.ScrapeTimeout)
-	defer cancel()
-	id := requestID(r)
 	lists := make([]client.SessionList, len(g.cfg.Backends))
-	var wg sync.WaitGroup
-	for i, b := range g.cfg.Backends {
-		wg.Add(1)
-		go func(i int, b string) {
-			defer wg.Done()
-			resp, err := g.forwardGet(ctx, b, "/v1/sessions", id)
-			if err != nil || resp.status != http.StatusOK {
-				return
-			}
-			json.Unmarshal(resp.body, &lists[i])
-		}(i, b)
-	}
-	wg.Wait()
+	g.getAll(r.Context(), "/v1/sessions", dtrace.RequestID(r), func(i int, body []byte) {
+		json.Unmarshal(body, &lists[i])
+	})
 	out := client.SessionList{Sessions: []client.SessionStatus{}}
 	for _, l := range lists {
 		out.Sessions = append(out.Sessions, l.Sessions...)
@@ -483,7 +324,10 @@ func (g *Gateway) handleSessionList(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/sessions/")
 	sid, action, _ := strings.Cut(rest, "/")
-	if sid == "" {
+	// ascd's id rule, applied before any backend hop: an id it would
+	// reject could otherwise smuggle a query or path into the forwarded
+	// URL.
+	if !dtrace.ValidID(sid) {
 		writeError(w, http.StatusNotFound, "unknown session")
 		return
 	}
@@ -498,12 +342,12 @@ func (g *Gateway) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, "session %s was not routed through this gateway", sid)
 			return
 		}
-		resp, err := g.forwardGet(r.Context(), b, "/v1/sessions/"+sid, requestID(r))
+		resp, err := g.forward(r.Context(), http.MethodGet, b, "/v1/sessions/"+sid, dtrace.RequestID(r), "", nil)
 		if err != nil {
 			writeError(w, http.StatusBadGateway, "backend %s: %v", backendLabel(b), err)
 			return
 		}
-		relay(w, resp)
+		relay(w, nil, resp)
 	case "resume":
 		g.handleSessionResume(w, r, sid)
 	default:
@@ -514,26 +358,10 @@ func (g *Gateway) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 // handleSessionResume resumes a client-held envelope somewhere in the
 // fleet via the same walk a drain migration uses.
 func (g *Gateway) handleSessionResume(w http.ResponseWriter, r *http.Request, sid string) {
-	id := requestID(r)
-	w.Header().Set("X-Request-Id", id)
-	log := g.log.With("request_id", id)
-	tr, log := g.startTrace(w, r, "resume", id, log)
-	defer tr.Finish()
-	if r.Method != http.MethodPost {
-		tr.SetError()
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
-	if err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return
-	}
 	var req client.ResumeRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	id, tr, log, _, ok := g.request(w, r, "resume", "POST", &req)
+	defer tr.Finish()
+	if !ok {
 		return
 	}
 	if req.Envelope == nil {
@@ -546,30 +374,25 @@ func (g *Gateway) handleSessionResume(w http.ResponseWriter, r *http.Request, si
 		writeError(w, http.StatusBadRequest, "envelope session id %q does not match path %q", req.Envelope.SessionID, sid)
 		return
 	}
-	if !g.admit(w, "session") {
-		tr.SetError()
+	start, ok := g.admit(w, tr, "session")
+	if !ok {
 		return
 	}
-	defer g.release()
-	start := time.Now()
-	defer func() { g.observeLatency(tr, time.Since(start).Seconds()) }()
+	defer g.release(tr, start)
 
 	g.claimMigration(sid)
 	ctx := dtrace.ContextWith(r.Context(), tr, tr.Root())
-	resp, backend, hint := g.migrateSession(ctx, req.Envelope, "", id, log)
+	h := &hop{id: id, log: log}
+	resp, backend := g.migrateSession(ctx, req.Envelope, "", h)
 	if resp == nil {
 		tr.SetError()
-		if r.Context().Err() != nil {
-			return
+		if r.Context().Err() == nil { // otherwise the client is gone: nothing useful can be written
+			g.writeUnavailable(w, http.StatusServiceUnavailable, h.hint, "no backend available to resume the session")
 		}
-		g.writeUnavailable(w, http.StatusServiceUnavailable, hint, "no backend available to resume the session")
 		return
 	}
-	if resp.status >= http.StatusBadRequest {
-		tr.SetError()
-	}
 	log.Debug("resume routed", "backend", backend, "status", resp.status)
-	relay(w, resp)
+	relay(w, tr, resp)
 }
 
 // handleAdminDrain serves POST /v1/admin/drain: drain one backend and
@@ -578,20 +401,10 @@ func (g *Gateway) handleSessionResume(w http.ResponseWriter, r *http.Request, si
 // this walk), migrating (an in-flight client request is carrying it), or
 // failed.
 func (g *Gateway) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
-	id := requestID(r)
-	w.Header().Set("X-Request-Id", id)
-	log := g.log.With("request_id", id)
-	tr, log := g.startTrace(w, r, "drain", id, log)
-	defer tr.Finish()
-	if r.Method != http.MethodPost {
-		tr.SetError()
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
 	var req client.DrainBackendRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes)).Decode(&req); err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	id, tr, log, _, ok := g.request(w, r, "drain", "POST", &req)
+	defer tr.Finish()
+	if !ok {
 		return
 	}
 	backend := strings.TrimRight(strings.TrimSpace(req.Backend), "/")
@@ -620,7 +433,7 @@ func (g *Gateway) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	body, _ := json.Marshal(&client.DrainRequest{TimeoutMs: req.TimeoutMs})
 	a, parent := dtrace.FromContext(ctx)
 	dsp := a.StartSpan("backend_drain", parent, dtrace.Str("backend", backendLabel(backend)))
-	resp, err := g.forward(ctx, backend, "/v1/admin/drain", id, a.Traceparent(dsp), body)
+	resp, err := g.forward(ctx, http.MethodPost, backend, "/v1/admin/drain", id, a.Traceparent(dsp), body)
 	if err != nil {
 		dsp.EndErr(err.Error())
 		tr.SetError()
@@ -681,7 +494,7 @@ func (g *Gateway) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 // successor, synchronously, bounded by the walk's context.
 func (g *Gateway) rescueSession(ctx context.Context, backend, sid, id string, log *slog.Logger) client.MigratedSession {
 	ms := client.MigratedSession{SessionID: sid, From: backend}
-	st, err := g.forwardGet(ctx, backend, "/v1/sessions/"+sid, id)
+	st, err := g.forward(ctx, http.MethodGet, backend, "/v1/sessions/"+sid, id, "", nil)
 	if err != nil || st.status != http.StatusOK {
 		ms.Outcome = "failed"
 		ms.Error = fmt.Sprintf("fetching envelope: %v", err)
@@ -697,7 +510,7 @@ func (g *Gateway) rescueSession(ctx context.Context, backend, sid, id string, lo
 		return ms
 	}
 	g.claimMigration(sid)
-	resp, to, _ := g.migrateSession(ctx, status.Envelope, backend, id, log)
+	resp, to := g.migrateSession(ctx, status.Envelope, backend, &hop{id: id, log: log})
 	switch {
 	case resp != nil && resp.status == http.StatusOK:
 		ms.Outcome, ms.To = "migrated", to

@@ -241,3 +241,28 @@ func TestGatewaySessionStatusRouting(t *testing.T) {
 		t.Error("fleet session list does not include the completed session")
 	}
 }
+
+// TestGatewaySessionIDRule: the gateway applies ascd's session id rule
+// before any backend hop, so an id ascd would reject — here one whose
+// escaped '?' would smuggle a query into the forwarded URL — is a 404
+// "unknown session", not a forwarded request and a failed migration.
+func TestGatewaySessionIDRule(t *testing.T) {
+	f := newFleet(t, 2, nil)
+	const sid = "abc?x=1"
+	req, _ := longSessionJob(10)
+	body, err := json.Marshal(&client.ResumeRequest{Envelope: &client.SnapshotEnvelope{SessionID: sid, Request: req}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(f.gwHS.URL+"/v1/sessions/abc%3Fx=1/resume", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("resume of id %q: status %d, want 404", sid, resp.StatusCode)
+	}
+	if got := promSum(t, f.gwHS.URL, "asc_migrations_total"); got != 0 {
+		t.Errorf("asc_migrations_total = %v, want 0 (no hop was made)", got)
+	}
+}

@@ -29,7 +29,6 @@ type Stats struct {
 	Hits      int64 // Get satisfied by recycling a warm machine
 	Misses    int64 // Get that had to construct a processor
 	Evictions int64 // Put dropped because the idle cap was reached
-	Restores  int64 // GetRestored checkouts that resumed from a snapshot
 	Idle      int   // machines currently parked in the pool
 	// BuildNanos is the cumulative wall-clock time spent constructing
 	// machines on misses — the cold-start cost the warm pool exists to
@@ -144,11 +143,6 @@ func (p *Pool) GetRestored(cfg asc.Config, prog *asc.Program, snapshot []byte) (
 		}
 		return nil, false, err
 	}
-	key := cfg.Key()
-	p.mu.Lock()
-	p.stats.Restores++
-	p.keyStatsLocked(key).Restores++
-	p.mu.Unlock()
 	return proc, hit, nil
 }
 

@@ -376,3 +376,37 @@ func TestRunRetryAfterHeaders(t *testing.T) {
 	cancel()
 	wg.Wait()
 }
+
+// TestBatchDegenerateGangCacheHit: a gang group that degrades to one solo
+// run (its second lane's scalar image cannot fit the machine) resolves its
+// program once, so the job that compiled it reports programCacheHit false,
+// as the same job alone on /v1/run would, and the cache counts one miss
+// and no hits.
+func TestBatchDegenerateGangCacheHit(t *testing.T) {
+	_, c := newTestServer(t, server.Config{Workers: 2})
+	good, want := sumRequest([]int64{1, 2, 3, 4})
+	bad := good
+	bad.ScalarMem = make([]int64, 1<<20)
+	batch, err := c.RunBatch(context.Background(), client.BatchRequest{Jobs: []client.RunRequest{good, bad}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := batch.Jobs[0].Result
+	if res == nil {
+		t.Fatalf("job 0: no result (error %q)", batch.Jobs[0].Error)
+	}
+	if res.ScalarMem[0] != want {
+		t.Errorf("job 0 result %d, want %d", res.ScalarMem[0], want)
+	}
+	if res.ProgramCacheHit {
+		t.Error("job 0 compiled its program but reports programCacheHit: true")
+	}
+	if st := batch.Jobs[1].Status; st != http.StatusBadRequest {
+		t.Errorf("job 1 status %d, want 400", st)
+	}
+	_, body := httpGet(t, c.BaseURL+"/metrics", nil)
+	if hits, misses := counterValue(t, body, "asc_program_cache_hits_total"),
+		counterValue(t, body, "asc_program_cache_misses_total"); hits != 0 || misses != 1 {
+		t.Errorf("program cache hits/misses = %v/%v, want 0/1", hits, misses)
+	}
+}

@@ -1,0 +1,567 @@
+// The executor: the one job pipeline every lane runs through.
+//
+//	resolve → checkout → run → result
+//
+// resolve compiles a plan's program once (through progcache, or by
+// re-establishing a migrated envelope's digest). A solo job — a /v1/run
+// job, a batch single, a peeled gang lane, a session segment — then runs
+// in runSolo, the only solo checkout; a gang group runs in runGang, which
+// hands its peeled lanes to runSolo. Both build their wire result in
+// newResult. The lanes differ only in admission and wire shape, and a solo
+// job's callers only in its starting state (see solo).
+package server
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"net/http"
+	"time"
+
+	asc "repro"
+	"repro/client"
+	"repro/internal/dtrace"
+	"repro/internal/migrate"
+	"repro/internal/progcache"
+)
+
+// resolved is a plan's program: the shared artifact, whether the program
+// cache served it, and whether the artifact already carried its
+// block-compiled form at resolve time. Blocks build lazily on first
+// execution, so lanes of one plan must not observe the blocks their own
+// leader's first run built.
+type resolved struct {
+	art         progcache.Program
+	cacheHit    bool
+	blocksBuilt bool
+}
+
+// resolve runs once per plan — a /v1/run job, a batch single, a gang
+// group, or a session segment — and owns the compile span. A fresh job
+// compiles through the content-addressed cache; a resume re-validates
+// its envelope's digest against the cache (recompiling on a miss), and a
+// mismatch is a 409 "stale_snapshot:", never a silent recompute.
+func (s *Server) resolve(ctx context.Context, req *client.RunRequest, env *client.SnapshotEnvelope) (resolved, *jobOutcome) {
+	_, csp := dtrace.Start(ctx, "compile", dtrace.Str("kind", sourceKind(req)))
+	var (
+		p    resolved
+		fail *jobOutcome
+	)
+	if env == nil {
+		p.art, p.cacheHit, fail = s.compileJob(req)
+	} else {
+		var err error
+		p.art, p.cacheHit, err = migrate.Resolve(s.progs, env, func() (progcache.Program, error) {
+			art, _, fail := s.compileJob(req)
+			if fail != nil {
+				return progcache.Program{}, errors.New(fail.errMsg)
+			}
+			return art, nil
+		})
+		var stale *migrate.StaleError
+		switch {
+		case errors.As(err, &stale):
+			fail = &jobOutcome{status: http.StatusConflict, errMsg: stale.Error()}
+		case err != nil:
+			fail = &jobOutcome{status: http.StatusUnprocessableEntity, errMsg: err.Error()}
+		}
+	}
+	if fail != nil {
+		csp.EndErr(fail.errMsg)
+		return p, fail
+	}
+	p.blocksBuilt = p.art.Prog.BlocksBuilt()
+	csp.SetAttr(dtrace.Str("digest", progcache.ShortDigest(p.art.Digest)), dtrace.Bool("cache_hit", p.cacheHit))
+	csp.End()
+	return p, nil
+}
+
+// solo is a solo job's starting state, the only thing its callers differ
+// in. A run or batch single starts fresh from the request's memory
+// images. A peeled gang lane restores the lane's snapshot, carries the
+// lane's statistics, and spends what its cycle budget has left. A session
+// resume restores the envelope and spends what the envelope says is left.
+// sess is nil for jobs that never checkpoint.
+type solo struct {
+	req  *client.RunRequest
+	plan resolved
+	sess *session
+	peel *asc.GangLaneResult
+	env  *client.SnapshotEnvelope
+}
+
+// execute resolves a solo job's program and runs it.
+func (s *Server) execute(ctx context.Context, r solo) jobOutcome {
+	plan, fail := s.resolve(ctx, r.req, r.env)
+	if fail != nil {
+		return s.failed(r.sess, *fail)
+	}
+	r.plan = plan
+	return s.runSolo(ctx, r)
+}
+
+// failed settles a session segment's record as failed; for a job without
+// a session it only passes the outcome through.
+func (s *Server) failed(sess *session, out jobOutcome) jobOutcome {
+	if sess != nil {
+		sess.fail(out.errMsg)
+		s.parkSession(sess.id)
+	}
+	return out
+}
+
+// runSolo checks out a machine (warm, or restored from the starting
+// snapshot), simulates in checkpoint-bounded chunks until the machine
+// halts, the budget runs out, or a checkpoint request suspends it into a
+// fresh envelope, and builds the result. It folds the job's statistics
+// into the simulation metrics once.
+func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
+	req, sess, prog := r.req, r.sess, r.plan.art.Prog
+	cfg := req.Config.ASC()
+	if req.Trace {
+		// Bounded record retention: the trace covers the most recent
+		// TraceDepth instructions, so tracing a long run cannot OOM the
+		// worker. Traced machines pool separately (TraceDepth is part of
+		// the pool key).
+		cfg.TraceDepth = s.cfg.TraceDepth
+	}
+	// limit is the cycle limit a budget error names; budget is what this
+	// segment may spend. Wall-clock budgets are per segment.
+	limit := s.effMaxCycles(req)
+	budget := limit
+	var (
+		base         asc.Stats // statistics accrued before the starting snapshot
+		baseConsumed int64     // a resumed session's cycles before its envelope
+		proc         *asc.Processor
+		hit          bool
+		err          error
+	)
+	switch {
+	case r.env != nil:
+		limit = min(max(r.env.RemainingCycles, 1), s.cfg.MaxCycles)
+		budget = limit
+		base, baseConsumed = migrate.StatsFromWire(r.env.Stats), r.env.ConsumedCycles
+		proc, hit, err = s.pool.GetRestored(cfg, prog, r.env.Snapshot)
+	case r.peel != nil:
+		budget = max(limit-r.peel.PeelCycle, 1)
+		base = r.peel.Stats
+		proc, hit, err = s.pool.GetRestored(cfg, prog, r.peel.Snapshot)
+	default:
+		proc, hit, err = s.pool.Get(cfg, prog)
+	}
+	if err != nil {
+		out := jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("building machine: %v", err)}
+		switch {
+		case errors.Is(err, asc.ErrInvalidProgram):
+			out = jobOutcome{status: http.StatusUnprocessableEntity, errMsg: fmt.Sprintf("invalid_program: %v", err)}
+		case r.env != nil:
+			// The envelope passed structural validation but the machine
+			// refused the image (fingerprint mismatch: the config/program
+			// pair changed underneath it). Conflict, not a server bug.
+			out = jobOutcome{status: http.StatusConflict, errMsg: fmt.Sprintf("restoring snapshot: %v", err)}
+		case r.peel != nil:
+			out = jobOutcome{status: http.StatusInternalServerError, errMsg: fmt.Sprintf("resuming peeled job: %v", err)}
+		}
+		return s.failed(sess, out)
+	}
+	defer func() {
+		if sess != nil {
+			sess.detachProc()
+		}
+		s.pool.Put(proc)
+	}()
+
+	if r.env == nil && r.peel == nil {
+		if len(req.LocalMem) > 0 {
+			if err := proc.LoadLocalMem(req.LocalMem); err != nil {
+				return s.failed(sess, jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("loading local memory: %v", err)})
+			}
+		}
+		if len(req.ScalarMem) > 0 {
+			if err := proc.LoadScalarMem(req.ScalarMem); err != nil {
+				return s.failed(sess, jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("loading scalar memory: %v", err)})
+			}
+		}
+	}
+	// fold folds a segment's statistics into the simulation metrics once
+	// and returns the whole-job view. An envelope's earlier segments were
+	// folded where they ran; a peeled lane's gang phase never was.
+	fold := func(stats asc.Stats) asc.Stats {
+		all := stats
+		if r.env != nil || r.peel != nil {
+			all = mergeStats(base, stats)
+		}
+		if r.peel != nil {
+			s.m.fold(all)
+		} else {
+			s.m.fold(stats)
+		}
+		return all
+	}
+
+	var every int64
+	if sess != nil {
+		// The machine is live from here: a drain can signal it directly.
+		sess.attachProc(proc)
+		every = sess.every
+	}
+	timeout := s.effTimeout(req)
+	runCtx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	_, esp := dtrace.Start(ctx, "exec", dtrace.Bool("pool_hit", hit))
+
+	// mint packs the current quiescent machine state into a sealed
+	// envelope; boundary is proc.Cycle() (the segment's resume point, the
+	// same accounting the gang peel uses — not stats.Cycles, which
+	// includes in-flight completions past the boundary). Those in-flight
+	// cycles are re-simulated after restore, so the envelope's cumulative
+	// cycle count is pinned to the boundary itself: a migrated session's
+	// final merged Cycles then equals an uninterrupted run's to within a
+	// pipeline refill (restore clears microarchitectural state, so the
+	// resumed timeline can differ by a few cycles around the boundary;
+	// instruction and op counts merge exactly).
+	mint := func(stats asc.Stats) *client.SnapshotEnvelope {
+		boundary := proc.Cycle()
+		all := mergeStats(base, stats)
+		all.Cycles = baseConsumed + boundary
+		s.m.sessionCheckpoints.Inc()
+		return migrate.Pack(sess.id, *req, r.plan.art.Digest, proc.Snapshot(),
+			baseConsumed+boundary, budget-boundary, sess.checkpoints+1, sess.every, all)
+	}
+	// suspend parks the session on a segment-ending checkpoint.
+	suspend := func(stats asc.Stats, fallback string) (*client.SnapshotEnvelope, string) {
+		env := mint(stats)
+		fold(stats)
+		reason := sess.suspend(env, fallback)
+		s.parkSession(sess.id)
+		return env, reason
+	}
+
+	var stats asc.Stats
+	for {
+		// Chunk the run at the periodic-checkpoint cadence; the engine's
+		// own poll window coarsens very small cadences.
+		target := budget
+		if every > 0 {
+			target = min(proc.Cycle()+every, budget)
+		}
+		stats, err = proc.RunContext(runCtx, target)
+		if err == nil {
+			break // halted: completed below
+		}
+		switch {
+		case errors.Is(err, asc.ErrCheckpoint):
+			env, reason := suspend(stats, reasonRequested)
+			esp.SetAttr(dtrace.Int("cycles", stats.Cycles), dtrace.Str("suspended", reason))
+			esp.End()
+			if reason == reasonDraining {
+				return jobOutcome{draining: env}
+			}
+			return jobOutcome{sess: suspended(env, reason, r.env != nil)}
+		case errors.Is(err, asc.ErrCycleLimit) && target < budget:
+			// Periodic checkpoint boundary, not the real budget: export the
+			// envelope and keep running.
+			sess.storeCheckpoint(mint(stats))
+			continue
+		case errors.Is(err, context.Canceled) && ctx.Err() != nil && sess != nil && sess.resumable:
+			// The client went away mid-run. The machine is quiescent, so
+			// instead of discarding the work, checkpoint it: the envelope
+			// stays exported from GET /v1/sessions/{id} for a rescue. The
+			// response goes to a dead connection; the suspended result keeps
+			// the metrics honest.
+			env, _ := suspend(stats, reasonDisconnected)
+			esp.EndErr("client went away; checkpointed")
+			return jobOutcome{sess: suspended(env, reasonDisconnected, r.env != nil)}
+		default:
+			out := runErrOutcome(err, fold(stats), timeout, limit)
+			esp.EndErr(out.errMsg)
+			return s.failed(sess, out)
+		}
+	}
+
+	all := fold(stats)
+	esp.SetAttr(dtrace.Int("cycles", all.Cycles))
+	esp.End()
+	var trace *client.Trace
+	if req.Trace {
+		trace = &client.Trace{Diagram: proc.PipelineDiagram(), Stats: asc.FormatStats(stats)}
+	}
+	geom, _ := proc.Config().Geometry()
+	out := jobOutcome{
+		result: newResult(req, r.plan, all, hit, geom, proc.ScalarMem, proc.LocalMem, trace),
+		stats:  all,
+	}
+	if sess == nil {
+		return out
+	}
+	// The byte-identity witness: resumed-after-migration snapshots must
+	// hash identically to an uninterrupted run's. The snapshot streams
+	// into the hash, so the witness allocates nothing proportional to the
+	// machine; hash.Hash writes never fail.
+	h := sha256.New()
+	_ = proc.WriteSnapshot(h)
+	out.sess = &client.SessionResult{
+		SessionID:   sess.id,
+		State:       sessCompleted,
+		Result:      out.result,
+		Resumed:     r.env != nil,
+		Checkpoints: sess.checkpoints,
+		StateDigest: hex.EncodeToString(h.Sum(nil)),
+	}
+	sess.complete(out.sess, baseConsumed+proc.Cycle())
+	s.parkSession(sess.id)
+	return out
+}
+
+// suspended renders a checkpointed session segment's answer.
+func suspended(env *client.SnapshotEnvelope, reason string, resumed bool) *client.SessionResult {
+	return &client.SessionResult{
+		SessionID:   env.SessionID,
+		State:       sessSuspended,
+		Reason:      reason,
+		Envelope:    env,
+		Resumed:     resumed,
+		Checkpoints: env.Checkpoints,
+	}
+}
+
+// runGang executes one gang group under a single batch-concurrency slot —
+// that is the amortization: one front end's worth of host work drives
+// every lane in the group. Results land in outcomes at the group's
+// original batch indices. Lanes that diverge mid-run peel out of the gang
+// and finish in runSolo; degenerate groups (too few valid jobs, a gang
+// the pool cannot build) degrade to sequential solo runs in-slot.
+func (s *Server) runGang(batchCtx context.Context, jobs []client.RunRequest, grp []int, outcomes []jobOutcome) {
+	if !s.batchSlot(batchCtx) {
+		for _, i := range grp {
+			outcomes[i] = canceledBeforeStart
+		}
+		return
+	}
+	defer func() { <-s.batchSem }()
+
+	gctx, gsp := dtrace.Start(batchCtx, "gang_group", dtrace.Int("lanes", int64(len(grp))))
+	defer gsp.End()
+
+	lead := &jobs[grp[0]]
+	plan, fail := s.resolve(gctx, lead, nil)
+	if fail != nil {
+		// The group shares one program; a compile failure is every job's
+		// failure.
+		for _, i := range grp {
+			outcomes[i] = *fail
+		}
+		return
+	}
+	gsp.SetAttr(dtrace.Str("digest", progcache.ShortDigest(plan.art.Digest)))
+	cfg := lead.Config.ASC()
+	geom, err := cfg.Geometry()
+	if err != nil {
+		// planBatch validated the config; unreachable, but fail per-job.
+		for _, i := range grp {
+			outcomes[i] = jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("invalid machine config: %v", err)}
+		}
+		return
+	}
+
+	valid := make([]int, 0, len(grp))
+	for _, i := range grp {
+		if err := memImagesFit(&jobs[i], geom); err != nil {
+			outcomes[i] = jobOutcome{status: http.StatusBadRequest, errMsg: err.Error()}
+			continue
+		}
+		valid = append(valid, i)
+	}
+	// The plan's resolve counts for the first lane that runs. The others
+	// are served from the artifact it cached; resolving them through the
+	// cache keeps the hit accounting identical to the fan-out path (N
+	// same-program jobs, at most one compile, N-1 hits).
+	lanePlan := func(lane int) resolved {
+		p := plan
+		if lane > 0 {
+			_, p.cacheHit = s.progs.Get(plan.art.Digest)
+		}
+		return p
+	}
+
+	// Sequential in-slot fallback: the group already holds its one batch
+	// slot, so running its jobs solo here cannot deadlock against other
+	// groups waiting on batchSem.
+	fallback := func() {
+		for lane, i := range valid {
+			if batchCtx.Err() != nil {
+				outcomes[i] = canceledBeforeStart
+				continue
+			}
+			outcomes[i] = rewriteBatchCancel(batchCtx, s.runSolo(gctx, solo{req: &jobs[i], plan: lanePlan(lane)}))
+		}
+	}
+	if len(valid) < 2 {
+		fallback()
+		return
+	}
+
+	g, poolHit, err := s.pool.GetGang(cfg, plan.art.Prog, len(valid))
+	if err != nil {
+		fallback()
+		return
+	}
+	defer s.pool.PutGang(g)
+
+	for lane, i := range valid {
+		req := &jobs[i]
+		if len(req.LocalMem) > 0 {
+			if err := g.LoadLocalMem(lane, req.LocalMem); err != nil {
+				// memImagesFit mirrors the machine's checks, so this should
+				// not happen; degrade to solo runs rather than running a
+				// partially loaded lane (the gang re-parks dirty and is
+				// reset on its next checkout).
+				fallback()
+				return
+			}
+		}
+		if len(req.ScalarMem) > 0 {
+			if err := g.LoadScalarMem(lane, req.ScalarMem); err != nil {
+				fallback()
+				return
+			}
+		}
+	}
+
+	maxCycles := s.effMaxCycles(lead)
+	timeout := s.effTimeout(lead)
+	s.m.gangSize.Observe(float64(len(valid)))
+	runCtx, cancel := context.WithTimeout(gctx, timeout)
+	defer cancel()
+	_, esp := dtrace.Start(gctx, "exec", dtrace.Int("lanes", int64(len(valid))), dtrace.Bool("pool_hit", poolHit))
+	res := g.RunContext(runCtx, maxCycles)
+	esp.End()
+
+	for lane, i := range valid {
+		s.m.gangJobs.Inc()
+		lp := lanePlan(lane)
+		lr := &res[lane]
+		switch {
+		case lr.Peeled:
+			// The continuation runs under the gang's wall-clock deadline.
+			s.m.gangPeels.Inc()
+			pctx, psp := dtrace.Start(runCtx, "peel",
+				dtrace.Int("index", int64(i)), dtrace.Int("peel_cycle", lr.PeelCycle))
+			outcomes[i] = rewriteBatchCancel(batchCtx, s.runSolo(pctx, solo{req: &jobs[i], plan: lp, peel: lr}))
+			outcomes[i].endSpan(psp)
+		case lr.Err != nil:
+			s.m.fold(lr.Stats)
+			outcomes[i] = rewriteBatchCancel(batchCtx, runErrOutcome(lr.Err, lr.Stats, timeout, maxCycles))
+		default:
+			s.m.fold(lr.Stats)
+			out := newResult(&jobs[i], lp, lr.Stats, poolHit, geom,
+				func(w int) int64 { return g.ScalarMem(lane, w) },
+				func(pe, w int) int64 { return g.LocalMem(lane, pe, w) }, nil)
+			outcomes[i] = jobOutcome{result: out, stats: lr.Stats}
+		}
+	}
+}
+
+// newResult builds a finished job's wire result from its statistics, the
+// memory dumps read through the given readers (a solo machine or one gang
+// lane; sizes clamp to the machine's geometry, validated at admission),
+// and the optional trace.
+func newResult(req *client.RunRequest, plan resolved, stats asc.Stats, poolHit bool, geom asc.Geometry,
+	scalarAt func(w int) int64, localAt func(pe, w int) int64, trace *client.Trace) *client.RunResult {
+	res := &client.RunResult{
+		Cycles:          stats.Cycles,
+		Instructions:    stats.Instructions,
+		IPC:             stats.IPC(),
+		ScalarOps:       stats.Scalar,
+		ParallelOps:     stats.Parallel,
+		ReductionOps:    stats.Reduction,
+		IdleCycles:      stats.IdleCycles,
+		Asm:             plan.art.Asm,
+		PoolHit:         poolHit,
+		ProgramCacheHit: plan.cacheHit,
+		BlockCacheHit:   plan.cacheHit && plan.blocksBuilt,
+		Trace:           trace,
+	}
+	if req.DumpScalar > 0 {
+		res.ScalarMem = make([]int64, min(req.DumpScalar, geom.ScalarMemWords))
+		for i := range res.ScalarMem {
+			res.ScalarMem[i] = scalarAt(i)
+		}
+	}
+	if req.DumpLocal > 0 {
+		n := min(req.DumpLocal, geom.LocalMemWords)
+		res.LocalMem = make([][]int64, geom.PEs)
+		for pe := range res.LocalMem {
+			row := make([]int64, n)
+			for w := range row {
+				row[w] = localAt(pe, w)
+			}
+			res.LocalMem[pe] = row
+		}
+	}
+	return res
+}
+
+// runErrOutcome maps a simulation error onto the job outcome shared by the
+// solo and gang paths.
+func runErrOutcome(err error, stats asc.Stats, timeout time.Duration, maxCycles int64) jobOutcome {
+	var out jobOutcome
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		out.status, out.errMsg = http.StatusGatewayTimeout,
+			fmt.Sprintf("simulation exceeded wall-clock limit %v after %d cycles", timeout, stats.Cycles)
+	case errors.Is(err, context.Canceled):
+		out.status, out.errMsg = http.StatusRequestTimeout, "client went away"
+	case errors.Is(err, asc.ErrCycleLimit):
+		out.status, out.errMsg = http.StatusGatewayTimeout,
+			fmt.Sprintf("simulation exceeded cycle limit %d", maxCycles)
+	default:
+		out.status, out.errMsg = http.StatusUnprocessableEntity, fmt.Sprintf("simulation: %v", err)
+	}
+	return out
+}
+
+// mergeStats combines statistics accrued before a starting snapshot (a
+// peeled lane's gang phase, a resumed session's earlier segments) with a
+// continuation into one whole-job view.
+func mergeStats(a, b asc.Stats) asc.Stats {
+	out := a
+	out.Cycles += b.Cycles
+	out.Instructions += b.Instructions
+	out.Scalar += b.Scalar
+	out.Parallel += b.Parallel
+	out.Reduction += b.Reduction
+	out.IdleCycles += b.IdleCycles
+	out.Contention += b.Contention
+	out.Fetches += b.Fetches
+	out.Flushes += b.Flushes
+	out.BlockDispatches += b.BlockDispatches
+	out.IdleByCause = mergeCauses(a.IdleByCause, b.IdleByCause)
+	out.StallByCause = mergeCauses(a.StallByCause, b.StallByCause)
+	out.BlockFallbacks = mergeCauses(a.BlockFallbacks, b.BlockFallbacks)
+	out.PerThread = append([]int64(nil), a.PerThread...)
+	for t, v := range b.PerThread {
+		if t < len(out.PerThread) {
+			out.PerThread[t] += v
+		} else {
+			out.PerThread = append(out.PerThread, v)
+		}
+	}
+	return out
+}
+
+func mergeCauses(a, b map[string]int64) map[string]int64 {
+	if len(a) == 0 && len(b) == 0 {
+		return nil
+	}
+	out := make(map[string]int64, len(a)+len(b))
+	for k, v := range a {
+		out[k] += v
+	}
+	for k, v := range b {
+		out[k] += v
+	}
+	return out
+}

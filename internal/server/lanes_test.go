@@ -1,0 +1,143 @@
+package server_test
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"net/http"
+	"testing"
+
+	"repro/client"
+	"repro/internal/server"
+)
+
+// TestLanesAgree runs one program with memory images through every lane
+// ascd has: /v1/run, a batch single, a gang lane, a forced-peel lane, a
+// non-resumable session, and a resumable session checkpointed mid-run and
+// resumed on a second server. Memory dumps are bit-identical to /v1/run's
+// on every lane, and lanes that stay on one machine match its statistics
+// too. The peeled and resumed lanes are held to what
+// TestGangDivergencePeelE2E and TestSessionCheckpointResumeCrossServer
+// assert for them.
+func TestLanesAgree(t *testing.T) {
+	_, c, urlA := newSessionTestServer(t, server.Config{Workers: 2})
+	_, cb, _ := newSessionTestServer(t, server.Config{Workers: 2})
+	ctx := context.Background()
+
+	// Scalar word 0 picks a branch, so a lane with a different word
+	// diverges from its gang and peels; word 1 sizes the run so a
+	// checkpoint lands mid-run.
+	job := func(sel int64) client.RunRequest {
+		return client.RunRequest{
+			ASCL: `
+				scalar sel = read(0);
+				scalar n = read(1);
+				scalar acc = 0;
+				if (sel > 0) {
+					acc = 1000;
+				}
+				parallel v = pread(0) + idx();
+				while (n > 0) {
+					acc = acc + sumval(v);
+					n = n - 1;
+				}
+				write(2, acc);
+				pwrite(1, v + acc);
+			`,
+			Config:     client.MachineConfig{PEs: 8, Width: 32},
+			LocalMem:   [][]int64{{3}, {1}, {4}, {1}, {5}, {9}, {2}, {6}},
+			ScalarMem:  []int64{sel, 150_000},
+			DumpScalar: 3,
+			DumpLocal:  2,
+		}
+	}
+	run := func(req client.RunRequest) *client.RunResult {
+		t.Helper()
+		res, err := c.Run(ctx, req)
+		if err != nil {
+			t.Fatalf("/v1/run: %v", err)
+		}
+		return res
+	}
+	want, wantPeel := run(job(0)), run(job(1))
+
+	sameMem := func(lane string, got, want *client.RunResult) {
+		t.Helper()
+		if got == nil {
+			t.Fatalf("%s: no result", lane)
+		}
+		a, _ := json.Marshal([]any{got.ScalarMem, got.LocalMem})
+		b, _ := json.Marshal([]any{want.ScalarMem, want.LocalMem})
+		if string(a) != string(b) {
+			t.Errorf("%s: memory dump %s, /v1/run %s", lane, a, b)
+		}
+	}
+	sameStats := func(lane string, got, want *client.RunResult) {
+		t.Helper()
+		sameMem(lane, got, want)
+		if got.Cycles != want.Cycles || got.Instructions != want.Instructions ||
+			got.ScalarOps != want.ScalarOps || got.ParallelOps != want.ParallelOps ||
+			got.ReductionOps != want.ReductionOps {
+			t.Errorf("%s: stats %+v, /v1/run %+v", lane, got, want)
+		}
+	}
+	batch := func(jobs ...client.RunRequest) []client.BatchJobResult {
+		t.Helper()
+		res, err := c.RunBatch(ctx, client.BatchRequest{Jobs: jobs})
+		if err != nil {
+			t.Fatalf("batch: %v", err)
+		}
+		return res.Jobs
+	}
+
+	sameStats("batch single", batch(job(0))[0].Result, want)
+
+	gang := batch(job(0), job(0), job(1))
+	sameStats("gang lane", gang[0].Result, want)
+	sameMem("peeled lane", gang[2].Result, wantPeel)
+	_, body := httpGet(t, urlA+"/metrics", nil)
+	if v := counterValue(t, body, "asc_gang_divergence_peels_total"); v < 1 {
+		t.Errorf("asc_gang_divergence_peels_total = %v, want >= 1 (the peel lane did not peel)", v)
+	}
+
+	resp, raw := postJSON(t, urlA+"/v1/sessions", client.SessionRequest{RunRequest: job(0)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("non-resumable session: status %d: %s", resp.StatusCode, raw)
+	}
+	var plain client.SessionResult
+	if err := json.Unmarshal(raw, &plain); err != nil {
+		t.Fatal(err)
+	}
+	sameStats("non-resumable session", plain.Result, want)
+
+	// Resumable: run on A, checkpoint mid-flight, resume on B.
+	sess := c.NewSession(job(0))
+	done := make(chan error, 1)
+	go func() {
+		_, err := sess.Run(ctx)
+		done <- err
+	}()
+	sid := waitRunningSession(t, urlA)
+	if resp, body := postJSON(t, urlA+"/v1/sessions/"+sid+"/checkpoint", struct{}{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("checkpoint: status %d: %s", resp.StatusCode, body)
+	}
+	if err := <-done; !errors.Is(err, client.ErrSessionSuspended) {
+		t.Fatalf("checkpointed run returned %v, want ErrSessionSuspended", err)
+	}
+	resumed, err := cb.ResumeSession(sess.Envelope()).Resume(ctx)
+	if err != nil {
+		t.Fatalf("resume on B: %v", err)
+	}
+	got := resumed.Result
+	sameMem("resumed session", got, want)
+	if resumed.StateDigest != plain.StateDigest {
+		t.Errorf("resumed state digest %s, uninterrupted %s", resumed.StateDigest, plain.StateDigest)
+	}
+	if d := got.Cycles - want.Cycles; d < -16 || d > 16 {
+		t.Errorf("resumed cycles %d, want %d ±16", got.Cycles, want.Cycles)
+	}
+	if got.Instructions != want.Instructions || got.ScalarOps != want.ScalarOps ||
+		got.ParallelOps != want.ParallelOps || got.ReductionOps != want.ReductionOps {
+		t.Errorf("resumed instruction mix %+v, /v1/run %+v", got, want)
+	}
+}

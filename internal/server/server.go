@@ -23,15 +23,12 @@ package server
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
-	"regexp"
 	"runtime"
 	"strconv"
 	"strings"
@@ -195,21 +192,33 @@ func (c *Config) fillDefaults() {
 type job struct {
 	ctx      context.Context
 	req      *client.RunRequest
-	id       string // request id, returned in X-Request-Id and logged
 	log      *slog.Logger
 	trace    *dtrace.Active // nil when tracing is disabled
 	enqueued time.Time
 	done     chan jobOutcome
 }
 
-// jobOutcome is what a worker hands back to the HTTP handler.
+// jobOutcome is what the executor hands back to a lane's handler.
 type jobOutcome struct {
 	result *client.RunResult
-	status int    // HTTP status for err (ignored when result != nil)
-	errMsg string // error text for the JSON error body
+	status int       // HTTP status for err (ignored when result != nil)
+	errMsg string    // error text for the JSON error body
+	stats  asc.Stats // whole-job statistics, valid when result != nil
 
-	stats     asc.Stats // simulation statistics, valid when simulated is set
-	simulated bool
+	// Session segments only: the session's answer (completed, or
+	// suspended at a checkpoint), or the drain-handshake envelope.
+	sess     *client.SessionResult
+	draining *client.SnapshotEnvelope
+}
+
+// endSpan closes a job-level span, marking it errored unless the job
+// produced a result.
+func (out *jobOutcome) endSpan(sp *dtrace.Span) {
+	if out.result == nil {
+		sp.EndErr(out.errMsg)
+		return
+	}
+	sp.End()
 }
 
 // Server is the serving core. Create it with New, mount Handler, and stop
@@ -398,40 +407,40 @@ func (s *Server) retryAfterSeconds() int {
 	return secs
 }
 
-// writeUnavailable emits a 429/503 with the queue-depth-derived
-// Retry-After header.
-func (s *Server) writeUnavailable(w http.ResponseWriter, status int, format string, args ...any) {
+// reject turns a request away at admission: the lane's rejection
+// counter, the admission span, and a 503 (draining) or 429 (lane full)
+// carrying the queue-depth-derived Retry-After hint.
+func (s *Server) reject(w http.ResponseWriter, tr *dtrace.Active, admStart time.Time, rejected *obs.Counter,
+	outcome string, status int, format string, args ...any) {
+	rejected.Inc()
+	tr.Record("admission", nil, admStart, time.Now(), dtrace.Str("outcome", outcome))
+	tr.SetError()
 	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
 	writeError(w, status, format, args...)
 }
 
-// newRequestID returns a 16-hex-char random id for X-Request-Id and the
-// job lifecycle logs.
-func newRequestID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// crypto/rand failing is effectively fatal elsewhere; a
-		// constant id degrades log correlation, nothing else.
-		return "0000000000000000"
+// request runs the prelude every POST handler shares: it resolves the
+// request id, checks the method, starts the trace, and decodes the
+// bounded body into v. allow names the accepted methods in the 405 text.
+// ok=false means the refusal has been written; the caller still finishes
+// tr, which is nil-safe.
+func (s *Server) request(w http.ResponseWriter, r *http.Request, name, allow string, v any) (tr *dtrace.Active, log *slog.Logger, ok bool) {
+	id := dtrace.RequestID(r)
+	w.Header().Set("X-Request-Id", id)
+	log = s.log.With("request_id", id)
+	if r.Method != http.MethodPost {
+		writeError(w, http.StatusMethodNotAllowed, "%s required", allow)
+		return nil, log, false
 	}
-	return hex.EncodeToString(b[:])
-}
-
-// requestID resolves the id for a request: a well-formed inbound
-// X-Request-Id (set by ascgw or any fronting proxy) is adopted so one id
-// threads through gateway and backend logs; anything else gets a fresh
-// id. Adopted ids are restricted to a log-safe charset and length.
-func requestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-Id"); id != "" && len(id) <= 64 && safeIDRE.MatchString(id) {
-		return id
+	tr, log = s.startTrace(w, r, name, id, log)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(v); err != nil {
+		log.Warn("request rejected", "reason", "bad request body", "error", err.Error())
+		tr.SetError()
+		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+		return tr, log, false
 	}
-	return newRequestID()
+	return tr, log, true
 }
-
-// safeIDRE is the charset adopted inbound request ids must match: enough
-// for UUIDs and derived ids, no whitespace or quoting that could mangle
-// structured logs.
-var safeIDRE = regexp.MustCompile(`^[A-Za-z0-9._-]+$`)
 
 // startTrace begins the distributed trace for one request: a valid inbound
 // traceparent (from ascgw or any W3C-propagating client) is adopted,
@@ -462,21 +471,10 @@ func (s *Server) observeLatency(tr *dtrace.Active, seconds float64) {
 
 // handleRun admits a job into the bounded queue and waits for its outcome.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	id := requestID(r)
-	w.Header().Set("X-Request-Id", id)
-	log := s.log.With("request_id", id)
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	tr, log := s.startTrace(w, r, "run", id, log)
-	defer tr.Finish()
 	var req client.RunRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		log.Warn("job rejected", "reason", "bad request body", "error", err.Error())
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	tr, log, ok := s.request(w, r, "run", "POST", &req)
+	defer tr.Finish()
+	if !ok {
 		return
 	}
 	if err := s.validate(&req); err != nil {
@@ -489,7 +487,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	j := &job{
 		ctx:      dtrace.ContextWith(r.Context(), tr, tr.Root()),
 		req:      &req,
-		id:       id,
 		log:      log,
 		trace:    tr,
 		enqueued: time.Now(),
@@ -503,11 +500,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	if s.draining {
 		s.mu.RUnlock()
-		s.m.outcomes.With("rejected").Inc()
 		log.Warn("job rejected", "reason", "draining")
-		tr.Record("admission", nil, admStart, time.Now(), dtrace.Str("outcome", "draining"))
-		tr.SetError()
-		s.writeUnavailable(w, http.StatusServiceUnavailable, "server is shutting down")
+		s.reject(w, tr, admStart, s.m.outcomes.With("rejected"), "draining",
+			http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	select {
@@ -515,11 +510,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.mu.RUnlock()
 	default:
 		s.mu.RUnlock()
-		s.m.outcomes.With("rejected").Inc()
 		log.Warn("job rejected", "reason", "queue full", "queue_cap", s.cfg.QueueDepth)
-		tr.Record("admission", nil, admStart, time.Now(), dtrace.Str("outcome", "queue_full"))
-		tr.SetError()
-		s.writeUnavailable(w, http.StatusTooManyRequests, "job queue full (%d waiting)", s.cfg.QueueDepth)
+		s.reject(w, tr, admStart, s.m.outcomes.With("rejected"), "queue_full",
+			http.StatusTooManyRequests, "job queue full (%d waiting)", s.cfg.QueueDepth)
 		return
 	}
 	tr.Record("admission", nil, admStart, time.Now(), dtrace.Str("outcome", "admitted"))
@@ -633,12 +626,9 @@ func (s *Server) worker() {
 			dtrace.Int("queue_depth", int64(len(s.jobs))))
 		s.m.running.Add(1)
 		start := time.Now()
-		out := s.runJob(j.ctx, j.req)
+		out := s.execute(j.ctx, solo{req: j.req})
 		elapsed := time.Since(start)
 		s.m.running.Add(-1)
-		if out.simulated {
-			s.m.fold(out.stats)
-		}
 		switch {
 		case out.result != nil:
 			s.m.outcomes.With("completed").Inc()
@@ -737,146 +727,6 @@ func (s *Server) effTimeout(req *client.RunRequest) time.Duration {
 	return timeout
 }
 
-// runErrOutcome maps a simulation error onto the job outcome shared by the
-// solo and gang paths.
-func runErrOutcome(err error, stats asc.Stats, timeout time.Duration, maxCycles int64) jobOutcome {
-	out := jobOutcome{stats: stats, simulated: true}
-	switch {
-	case errors.Is(err, context.DeadlineExceeded):
-		out.status, out.errMsg = http.StatusGatewayTimeout,
-			fmt.Sprintf("simulation exceeded wall-clock limit %v after %d cycles", timeout, stats.Cycles)
-	case errors.Is(err, context.Canceled):
-		out.status, out.errMsg = http.StatusRequestTimeout, "client went away"
-	case errors.Is(err, asc.ErrCycleLimit):
-		out.status, out.errMsg = http.StatusGatewayTimeout,
-			fmt.Sprintf("simulation exceeded cycle limit %d", maxCycles)
-	default:
-		out.status, out.errMsg = http.StatusUnprocessableEntity, fmt.Sprintf("simulation: %v", err)
-	}
-	return out
-}
-
-// dumpMems fills res's memory dumps through the given readers, clamping
-// sizes to the machine's actual geometry (config validated at admission).
-func dumpMems(req *client.RunRequest, geom asc.Geometry, res *client.RunResult,
-	scalarAt func(w int) int64, localAt func(pe, w int) int64) {
-	if n := req.DumpScalar; n > 0 {
-		if n > geom.ScalarMemWords {
-			n = geom.ScalarMemWords
-		}
-		res.ScalarMem = make([]int64, n)
-		for i := 0; i < n; i++ {
-			res.ScalarMem[i] = scalarAt(i)
-		}
-	}
-	if n := req.DumpLocal; n > 0 {
-		pes, lmw := geom.PEs, geom.LocalMemWords
-		if n > lmw {
-			n = lmw
-		}
-		res.LocalMem = make([][]int64, pes)
-		for pe := 0; pe < pes; pe++ {
-			row := make([]int64, n)
-			for wd := 0; wd < n; wd++ {
-				row[wd] = localAt(pe, wd)
-			}
-			res.LocalMem[pe] = row
-		}
-	}
-}
-
-// baseRunResult builds the statistics portion of a run result. blockHit
-// reports whether the cached artifact already carried its block-compiled
-// form (basic blocks plus fused superinstructions) when this job resolved
-// it — blocks build lazily on first execution, so the first run of a
-// program reports false even on a program-cache hit.
-func baseRunResult(stats asc.Stats, asmText string, poolHit, cacheHit, blockHit bool) *client.RunResult {
-	return &client.RunResult{
-		Cycles:          stats.Cycles,
-		Instructions:    stats.Instructions,
-		IPC:             stats.IPC(),
-		ScalarOps:       stats.Scalar,
-		ParallelOps:     stats.Parallel,
-		ReductionOps:    stats.Reduction,
-		IdleCycles:      stats.IdleCycles,
-		Asm:             asmText,
-		PoolHit:         poolHit,
-		ProgramCacheHit: cacheHit,
-		BlockCacheHit:   blockHit,
-	}
-}
-
-// runJob runs one job end to end: compile (through the program cache),
-// check out a machine, load memory images, simulate under the request's
-// limits, read back results, and return the machine to the fleet. Both
-// the single-run worker lane and the batch lane execute through it, so a
-// batch of N jobs is bit-identical to N sequential /v1/run calls.
-func (s *Server) runJob(jobCtx context.Context, req *client.RunRequest) jobOutcome {
-	_, csp := dtrace.Start(jobCtx, "compile", dtrace.Str("kind", sourceKind(req)))
-	art, cacheHit, fail := s.compileJob(req)
-	if fail != nil {
-		csp.EndErr(fail.errMsg)
-		return *fail
-	}
-	blockHit := cacheHit && art.Prog.BlocksBuilt()
-	csp.SetAttr(dtrace.Str("digest", progcache.ShortDigest(art.Digest)), dtrace.Bool("cache_hit", cacheHit))
-	csp.End()
-	prog, asmText := art.Prog, art.Asm
-
-	cfg := req.Config.ASC()
-	if req.Trace {
-		// Bounded record retention: the trace covers the most recent
-		// TraceDepth instructions, so tracing a long run cannot OOM the
-		// worker. Traced machines pool separately (TraceDepth is part of
-		// the pool key).
-		cfg.TraceDepth = s.cfg.TraceDepth
-	}
-	proc, hit, err := s.pool.Get(cfg, prog)
-	if err != nil {
-		if errors.Is(err, asc.ErrInvalidProgram) {
-			return jobOutcome{status: http.StatusUnprocessableEntity, errMsg: fmt.Sprintf("invalid_program: %v", err)}
-		}
-		return jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("building machine: %v", err)}
-	}
-	defer s.pool.Put(proc)
-
-	if len(req.LocalMem) > 0 {
-		if err := proc.LoadLocalMem(req.LocalMem); err != nil {
-			return jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("loading local memory: %v", err)}
-		}
-	}
-	if len(req.ScalarMem) > 0 {
-		if err := proc.LoadScalarMem(req.ScalarMem); err != nil {
-			return jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("loading scalar memory: %v", err)}
-		}
-	}
-
-	maxCycles := s.effMaxCycles(req)
-	timeout := s.effTimeout(req)
-	ctx, cancel := context.WithTimeout(jobCtx, timeout)
-	defer cancel()
-
-	_, esp := dtrace.Start(jobCtx, "exec", dtrace.Bool("pool_hit", hit))
-	stats, err := proc.RunContext(ctx, maxCycles)
-	esp.SetAttr(dtrace.Int("cycles", stats.Cycles))
-	if err != nil {
-		esp.EndErr(err.Error())
-		return runErrOutcome(err, stats, timeout, maxCycles)
-	}
-	esp.End()
-
-	res := baseRunResult(stats, asmText, hit, cacheHit, blockHit)
-	if req.Trace {
-		res.Trace = &client.Trace{
-			Diagram: proc.PipelineDiagram(),
-			Stats:   asc.FormatStats(stats),
-		}
-	}
-	geom, _ := proc.Config().Geometry()
-	dumpMems(req, geom, res, proc.ScalarMem, proc.LocalMem)
-	return jobOutcome{result: res, stats: stats, simulated: true}
-}
-
 // handleBatch admits up to BatchMaxJobs jobs as one unit and fans them
 // out across the warm fleet with bounded concurrency. Jobs fail
 // independently: the batch always resolves to HTTP 200 with a per-job
@@ -889,21 +739,10 @@ func (s *Server) runJob(jobCtx context.Context, req *client.RunRequest) jobOutco
 // of work, the way one broadcast/reduction pipeline fill is hidden
 // across 16 hardware threads.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	id := requestID(r)
-	w.Header().Set("X-Request-Id", id)
-	log := s.log.With("request_id", id)
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	tr, log := s.startTrace(w, r, "batch", id, log)
-	defer tr.Finish()
 	var req client.BatchRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		log.Warn("batch rejected", "reason", "bad request body", "error", err.Error())
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	tr, log, ok := s.request(w, r, "batch", "POST", &req)
+	defer tr.Finish()
+	if !ok {
 		return
 	}
 	if len(req.Jobs) == 0 {
@@ -930,11 +769,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	if s.draining {
 		s.mu.RUnlock()
-		s.m.batchRejected.Inc()
 		log.Warn("batch rejected", "reason", "draining")
-		tr.Record("admission", nil, admStart, time.Now(), dtrace.Str("outcome", "draining"))
-		tr.SetError()
-		s.writeUnavailable(w, http.StatusServiceUnavailable, "server is shutting down")
+		s.reject(w, tr, admStart, s.m.batchRejected, "draining",
+			http.StatusServiceUnavailable, "server is shutting down")
 		return
 	}
 	n := int64(len(req.Jobs))
@@ -943,11 +780,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		cur := s.batchInflight.Load()
 		if cur+n > limit {
 			s.mu.RUnlock()
-			s.m.batchRejected.Inc()
 			log.Warn("batch rejected", "reason", "batch lane full", "inflight", cur, "jobs", n)
-			tr.Record("admission", nil, admStart, time.Now(), dtrace.Str("outcome", "lane_full"))
-			tr.SetError()
-			s.writeUnavailable(w, http.StatusTooManyRequests, "batch lane full (%d jobs in flight, cap %d)", cur, limit)
+			s.reject(w, tr, admStart, s.m.batchRejected, "lane_full",
+				http.StatusTooManyRequests, "batch lane full (%d jobs in flight, cap %d)", cur, limit)
 			return
 		}
 		if s.batchInflight.CompareAndSwap(cur, cur+n) {
@@ -981,8 +816,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// stream drives all of them, the paper's one-broadcast-to-all-PEs
 	// amortization applied across jobs. The wire semantics are unchanged:
 	// per-job results are bit-identical to solo runs.
-	groups, singles := s.planBatch(&req)
 	outcomes := make([]jobOutcome, len(req.Jobs))
+	groups, singles := s.planBatch(&req, outcomes)
 	var wg sync.WaitGroup
 	for _, i := range singles {
 		wg.Add(1)
@@ -991,16 +826,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer s.batchInflight.Add(-1)
 			jctx, sp := dtrace.Start(batchCtx, "job", dtrace.Int("index", int64(i)))
 			jobStart := time.Now()
-			out := s.runBatchJob(jctx, &req.Jobs[i])
+			out := canceledBeforeStart
+			if s.batchSlot(batchCtx) {
+				out = rewriteBatchCancel(batchCtx, s.execute(jctx, solo{req: &req.Jobs[i]}))
+				<-s.batchSem
+			}
 			// Sub-jobs observe into the same request-duration histogram the
 			// single-run lane uses: one histogram answers "how long does a
 			// job take here" regardless of how it arrived.
 			s.observeLatency(tr, time.Since(jobStart).Seconds())
-			if out.result == nil {
-				sp.EndErr(out.errMsg)
-			} else {
-				sp.End()
-			}
+			out.endSpan(sp)
 			outcomes[i] = out
 		}(i)
 	}
@@ -1010,7 +845,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			defer s.batchInflight.Add(-int64(len(grp)))
 			gangStart := time.Now()
-			s.runGangGroup(batchCtx, req.Jobs, grp, outcomes)
+			s.runGang(batchCtx, req.Jobs, grp, outcomes)
 			// Lockstep lanes share wall-clock: each lane's duration is the
 			// group's.
 			sec := time.Since(gangStart).Seconds()
@@ -1040,9 +875,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			res.Failed++
 			s.m.batchJobs.With("failed").Inc()
 		}
-		if out.simulated {
-			s.m.fold(out.stats)
-		}
 	}
 	s.m.batchLatency.Observe(time.Since(start).Seconds())
 	log.Info("batch completed",
@@ -1051,21 +883,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, &res)
 }
 
-// runBatchJob validates and executes one batch sub-job under the batch
-// concurrency bound, mapping batch-level cancellation onto a canceled
-// (408) outcome. Validation runs per job — a bad job in a batch yields a
-// per-job error, never a failed batch.
-func (s *Server) runBatchJob(batchCtx context.Context, req *client.RunRequest) jobOutcome {
-	if err := s.validate(req); err != nil {
-		return jobOutcome{status: http.StatusBadRequest, errMsg: err.Error()}
-	}
+// canceledBeforeStart is a batch job's outcome when the batch ended
+// before the job got an execution slot.
+var canceledBeforeStart = jobOutcome{status: http.StatusRequestTimeout, errMsg: "batch canceled before the job started"}
+
+// batchSlot takes one batch-concurrency slot, or reports false when the
+// batch ends first. The caller releases the slot with <-s.batchSem.
+func (s *Server) batchSlot(batchCtx context.Context) bool {
 	select {
 	case s.batchSem <- struct{}{}:
-		defer func() { <-s.batchSem }()
+		return true
 	case <-batchCtx.Done():
-		return jobOutcome{status: http.StatusRequestTimeout, errMsg: "batch canceled before the job started"}
+		return false
 	}
-	return rewriteBatchCancel(batchCtx, s.runJob(batchCtx, req))
 }
 
 // rewriteBatchCancel maps a job cut off by the batch deadline (or the
@@ -1083,23 +913,23 @@ func rewriteBatchCancel(batchCtx context.Context, out jobOutcome) jobOutcome {
 	return out
 }
 
-// planBatch partitions a batch into gang groups and solo jobs. Jobs gang
-// when they share a program digest, an architectural configuration, and
-// effective run limits, and at least GangMinJobs of them agree; everything
-// else — including invalid jobs (they re-validate to a per-job 400 on the
-// solo path), traced jobs, and SMT configurations — runs solo.
-func (s *Server) planBatch(req *client.BatchRequest) (groups [][]int, singles []int) {
-	if s.cfg.GangMinJobs < 2 {
-		for i := range req.Jobs {
-			singles = append(singles, i)
-		}
-		return nil, singles
-	}
+// planBatch validates every job once, settling an invalid job's outcome
+// with a per-job 400 (a bad job in a batch never fails the batch) and
+// releasing its batch-lane admission, and partitions the rest into gang groups and solo jobs. Jobs gang when they
+// share a program digest, an architectural configuration, and effective
+// run limits, and at least GangMinJobs of them agree; traced jobs and SMT
+// configurations always run solo.
+func (s *Server) planBatch(req *client.BatchRequest, outcomes []jobOutcome) (groups [][]int, singles []int) {
 	byKey := make(map[string][]int)
 	var order []string
 	for i := range req.Jobs {
 		j := &req.Jobs[i]
-		if s.validate(j) != nil || j.Trace || j.Config.ASC().SMT {
+		if err := s.validate(j); err != nil {
+			outcomes[i] = jobOutcome{status: http.StatusBadRequest, errMsg: err.Error()}
+			s.batchInflight.Add(-1)
+			continue
+		}
+		if s.cfg.GangMinJobs < 2 || j.Trace || j.Config.ASC().SMT {
 			singles = append(singles, i)
 			continue
 		}
@@ -1140,229 +970,4 @@ func memImagesFit(req *client.RunRequest, geom asc.Geometry) error {
 			len(req.ScalarMem), geom.ScalarMemWords)
 	}
 	return nil
-}
-
-// runGangGroup executes one gang group under a single batch-concurrency
-// slot — that is the amortization: one front end's worth of host work
-// drives every lane in the group. Results land in outcomes at the group's
-// original batch indices. Lanes that diverge mid-run peel out of the gang
-// and finish on a solo machine; degenerate groups (too few valid jobs, a
-// gang the pool cannot build) degrade to sequential solo runs in-slot.
-func (s *Server) runGangGroup(batchCtx context.Context, jobs []client.RunRequest, grp []int, outcomes []jobOutcome) {
-	select {
-	case s.batchSem <- struct{}{}:
-		defer func() { <-s.batchSem }()
-	case <-batchCtx.Done():
-		for _, i := range grp {
-			outcomes[i] = jobOutcome{status: http.StatusRequestTimeout, errMsg: "batch canceled before the job started"}
-		}
-		return
-	}
-
-	gctx, gsp := dtrace.Start(batchCtx, "gang_group", dtrace.Int("lanes", int64(len(grp))))
-	defer gsp.End()
-
-	lead := &jobs[grp[0]]
-	_, csp := dtrace.Start(gctx, "compile", dtrace.Str("kind", sourceKind(lead)))
-	art, cacheHit, fail := s.compileJob(lead)
-	if fail != nil {
-		// The group shares one program; a compile failure is every job's
-		// failure.
-		csp.EndErr(fail.errMsg)
-		for _, i := range grp {
-			outcomes[i] = *fail
-		}
-		return
-	}
-	// Snapshot the block-compiled state at resolve time, before any lane
-	// runs: lanes of this very batch must not observe the blocks their own
-	// leader's first execution built.
-	blocksBuilt := art.Prog.BlocksBuilt()
-	csp.SetAttr(dtrace.Str("digest", progcache.ShortDigest(art.Digest)), dtrace.Bool("cache_hit", cacheHit))
-	csp.End()
-	gsp.SetAttr(dtrace.Str("digest", progcache.ShortDigest(art.Digest)))
-	cfg := lead.Config.ASC()
-	geom, err := cfg.Geometry()
-	if err != nil {
-		// planBatch validated the config; unreachable, but fail per-job.
-		for _, i := range grp {
-			outcomes[i] = jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("invalid machine config: %v", err)}
-		}
-		return
-	}
-
-	valid := make([]int, 0, len(grp))
-	for _, i := range grp {
-		if err := memImagesFit(&jobs[i], geom); err != nil {
-			outcomes[i] = jobOutcome{status: http.StatusBadRequest, errMsg: err.Error()}
-			continue
-		}
-		valid = append(valid, i)
-	}
-
-	// Sequential in-slot fallback: the group already holds its one batch
-	// slot, so running its jobs through the solo path here cannot deadlock
-	// against other groups waiting on batchSem.
-	runSolo := func(idxs []int) {
-		for _, i := range idxs {
-			if batchCtx.Err() != nil {
-				outcomes[i] = jobOutcome{status: http.StatusRequestTimeout, errMsg: "batch canceled before the job started"}
-				continue
-			}
-			outcomes[i] = rewriteBatchCancel(batchCtx, s.runJob(batchCtx, &jobs[i]))
-		}
-	}
-	if len(valid) < 2 {
-		runSolo(valid)
-		return
-	}
-
-	g, poolHit, err := s.pool.GetGang(cfg, art.Prog, len(valid))
-	if err != nil {
-		runSolo(valid)
-		return
-	}
-	defer s.pool.PutGang(g)
-
-	for lane, i := range valid {
-		req := &jobs[i]
-		if len(req.LocalMem) > 0 {
-			if err := g.LoadLocalMem(lane, req.LocalMem); err != nil {
-				// memImagesFit mirrors the machine's checks, so this should
-				// not happen; degrade to solo runs rather than running a
-				// partially loaded lane (the gang re-parks dirty and is
-				// reset on its next checkout).
-				runSolo(valid)
-				return
-			}
-		}
-		if len(req.ScalarMem) > 0 {
-			if err := g.LoadScalarMem(lane, req.ScalarMem); err != nil {
-				runSolo(valid)
-				return
-			}
-		}
-	}
-
-	maxCycles := s.effMaxCycles(lead)
-	timeout := s.effTimeout(lead)
-	s.m.gangSize.Observe(float64(len(valid)))
-	runCtx, cancel := context.WithTimeout(gctx, timeout)
-	defer cancel()
-	_, esp := dtrace.Start(gctx, "exec", dtrace.Int("lanes", int64(len(valid))), dtrace.Bool("pool_hit", poolHit))
-	res := g.RunContext(runCtx, maxCycles)
-	esp.End()
-
-	for lane, i := range valid {
-		s.m.gangJobs.Inc()
-		laneCacheHit := cacheHit
-		if i != grp[0] {
-			// Only the lead lane could have compiled; the others' programs
-			// are served from the artifact it cached. Resolving them through
-			// the cache keeps the hit accounting identical to the fan-out
-			// path (N same-program jobs, at most one compile, N-1 hits).
-			_, laneCacheHit = s.progs.Get(art.Digest)
-		}
-		lr := &res[lane]
-		switch {
-		case lr.Peeled:
-			s.m.gangPeels.Inc()
-			pctx, psp := dtrace.Start(runCtx, "peel",
-				dtrace.Int("index", int64(i)), dtrace.Int("peel_cycle", lr.PeelCycle))
-			outcomes[i] = s.finishPeeled(pctx, batchCtx, &jobs[i], art, laneCacheHit, laneCacheHit && blocksBuilt, lr, maxCycles, timeout, geom)
-			if out := &outcomes[i]; out.result == nil {
-				psp.EndErr(out.errMsg)
-			} else {
-				psp.End()
-			}
-		case lr.Err != nil:
-			outcomes[i] = rewriteBatchCancel(batchCtx, runErrOutcome(lr.Err, lr.Stats, timeout, maxCycles))
-		default:
-			out := baseRunResult(lr.Stats, art.Asm, poolHit, laneCacheHit, laneCacheHit && blocksBuilt)
-			dumpMems(&jobs[i], geom, out,
-				func(w int) int64 { return g.ScalarMem(lane, w) },
-				func(pe, w int) int64 { return g.LocalMem(lane, pe, w) })
-			outcomes[i] = jobOutcome{result: out, stats: lr.Stats, simulated: true}
-		}
-	}
-}
-
-// finishPeeled resumes a peeled lane on a solo machine: restore the
-// snapshot the lane carried out of the gang, spend the remaining cycle
-// budget, and merge the gang-phase and solo-phase statistics. The final
-// architectural state is bit-identical to having run the job solo from
-// the start (pinned by the gang differential tests).
-func (s *Server) finishPeeled(runCtx, batchCtx context.Context, req *client.RunRequest,
-	art progcache.Program, cacheHit, blockHit bool, lr *asc.GangLaneResult,
-	maxCycles int64, timeout time.Duration, geom asc.Geometry) jobOutcome {
-
-	proc, hit, err := s.pool.Get(req.Config.ASC(), art.Prog)
-	if err != nil {
-		return jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("building machine: %v", err)}
-	}
-	defer s.pool.Put(proc)
-	if err := proc.Restore(lr.Snapshot); err != nil {
-		return jobOutcome{status: http.StatusInternalServerError, errMsg: fmt.Sprintf("resuming peeled job: %v", err)}
-	}
-	remaining := maxCycles - lr.PeelCycle
-	if remaining <= 0 {
-		remaining = 1
-	}
-	_, rsp := dtrace.Start(runCtx, "solo_resume",
-		dtrace.Int("remaining_cycles", remaining), dtrace.Bool("pool_hit", hit))
-	stats, err := proc.RunContext(runCtx, remaining)
-	merged := mergeStats(lr.Stats, stats)
-	if err != nil {
-		rsp.EndErr(err.Error())
-	} else {
-		rsp.End()
-	}
-	if err != nil {
-		return rewriteBatchCancel(batchCtx, runErrOutcome(err, merged, timeout, maxCycles))
-	}
-	res := baseRunResult(merged, art.Asm, hit, cacheHit, blockHit)
-	dumpMems(req, geom, res, proc.ScalarMem, proc.LocalMem)
-	return jobOutcome{result: res, stats: merged, simulated: true}
-}
-
-// mergeStats combines a peeled lane's gang-phase statistics with its solo
-// continuation into one whole-job view.
-func mergeStats(a, b asc.Stats) asc.Stats {
-	out := a
-	out.Cycles += b.Cycles
-	out.Instructions += b.Instructions
-	out.Scalar += b.Scalar
-	out.Parallel += b.Parallel
-	out.Reduction += b.Reduction
-	out.IdleCycles += b.IdleCycles
-	out.Contention += b.Contention
-	out.Fetches += b.Fetches
-	out.Flushes += b.Flushes
-	out.BlockDispatches += b.BlockDispatches
-	out.IdleByCause = mergeCauses(a.IdleByCause, b.IdleByCause)
-	out.StallByCause = mergeCauses(a.StallByCause, b.StallByCause)
-	out.BlockFallbacks = mergeCauses(a.BlockFallbacks, b.BlockFallbacks)
-	out.PerThread = append([]int64(nil), a.PerThread...)
-	for t, v := range b.PerThread {
-		if t < len(out.PerThread) {
-			out.PerThread[t] += v
-		} else {
-			out.PerThread = append(out.PerThread, v)
-		}
-	}
-	return out
-}
-
-func mergeCauses(a, b map[string]int64) map[string]int64 {
-	if len(a) == 0 && len(b) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(a)+len(b))
-	for k, v := range a {
-		out[k] += v
-	}
-	for k, v := range b {
-		out[k] += v
-	}
-	return out
 }

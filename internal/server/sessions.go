@@ -25,9 +25,6 @@
 package server
 
 import (
-	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -275,261 +272,6 @@ func (s *Server) adoptSession(env *client.SnapshotEnvelope) (*session, error) {
 	return sess, nil
 }
 
-// sessionOutcome is what a segment hands back to its HTTP handler: exactly
-// one of res (2xx), draining (the 503 handshake envelope), or errMsg/status.
-type sessionOutcome struct {
-	res      *client.SessionResult
-	draining *client.SnapshotEnvelope
-	status   int
-	errMsg   string
-}
-
-// failSession marks the session failed, parks its record, and builds the
-// error outcome.
-func (s *Server) failSession(sess *session, status int, errMsg string) sessionOutcome {
-	sess.fail(errMsg)
-	s.parkSession(sess.id)
-	return sessionOutcome{status: status, errMsg: errMsg}
-}
-
-// runSegment executes one session segment end to end: resolve the program
-// (compile, or re-validate a resumed envelope's digest against the cache),
-// check out a machine (warm or snapshot-restored), and simulate in
-// checkpoint-bounded chunks until the machine halts, the budget runs out,
-// or a checkpoint request suspends it into a fresh envelope. env is nil
-// for a fresh session and the validated envelope for a resume.
-func (s *Server) runSegment(jobCtx context.Context, sess *session, req *client.RunRequest,
-	env *client.SnapshotEnvelope, log *slog.Logger) sessionOutcome {
-
-	resumed := env != nil
-
-	_, csp := dtrace.Start(jobCtx, "compile", dtrace.Str("kind", sourceKind(req)))
-	var (
-		art      progcache.Program
-		cacheHit bool
-	)
-	if resumed {
-		var err error
-		art, cacheHit, err = migrate.Resolve(s.progs, env, func() (progcache.Program, error) {
-			a, _, fail := s.compileJob(req)
-			if fail != nil {
-				return progcache.Program{}, errors.New(fail.errMsg)
-			}
-			return a, nil
-		})
-		var stale *migrate.StaleError
-		switch {
-		case errors.As(err, &stale):
-			csp.EndErr(stale.Error())
-			return s.failSession(sess, http.StatusConflict, stale.Error())
-		case err != nil:
-			csp.EndErr(err.Error())
-			return s.failSession(sess, http.StatusUnprocessableEntity, err.Error())
-		}
-	} else {
-		var fail *jobOutcome
-		art, cacheHit, fail = s.compileJob(req)
-		if fail != nil {
-			csp.EndErr(fail.errMsg)
-			return s.failSession(sess, fail.status, fail.errMsg)
-		}
-	}
-	blockHit := cacheHit && art.Prog.BlocksBuilt()
-	csp.SetAttr(dtrace.Str("digest", progcache.ShortDigest(art.Digest)), dtrace.Bool("cache_hit", cacheHit))
-	csp.End()
-
-	cfg := req.Config.ASC()
-	var (
-		proc *asc.Processor
-		hit  bool
-		err  error
-	)
-	if resumed {
-		proc, hit, err = s.pool.GetRestored(cfg, art.Prog, env.Snapshot)
-	} else {
-		proc, hit, err = s.pool.Get(cfg, art.Prog)
-	}
-	if err != nil {
-		switch {
-		case errors.Is(err, asc.ErrInvalidProgram):
-			return s.failSession(sess, http.StatusUnprocessableEntity, fmt.Sprintf("invalid_program: %v", err))
-		case resumed:
-			// The envelope passed structural validation but the machine
-			// refused the image (fingerprint mismatch: the config/program
-			// pair changed underneath it). Conflict, not a server bug.
-			return s.failSession(sess, http.StatusConflict, fmt.Sprintf("restoring snapshot: %v", err))
-		default:
-			return s.failSession(sess, http.StatusBadRequest, fmt.Sprintf("building machine: %v", err))
-		}
-	}
-	defer func() {
-		sess.detachProc()
-		s.pool.Put(proc)
-	}()
-
-	if !resumed {
-		if len(req.LocalMem) > 0 {
-			if err := proc.LoadLocalMem(req.LocalMem); err != nil {
-				return s.failSession(sess, http.StatusBadRequest, fmt.Sprintf("loading local memory: %v", err))
-			}
-		}
-		if len(req.ScalarMem) > 0 {
-			if err := proc.LoadScalarMem(req.ScalarMem); err != nil {
-				return s.failSession(sess, http.StatusBadRequest, fmt.Sprintf("loading scalar memory: %v", err))
-			}
-		}
-	}
-
-	// Budgets: a fresh segment gets the request's effective cycle budget; a
-	// resumed one spends what the envelope says is left, clamped to this
-	// server's own cap. Wall-clock budgets are per segment.
-	total := s.effMaxCycles(req)
-	var baseConsumed int64
-	var baseStats asc.Stats
-	if resumed {
-		total = env.RemainingCycles
-		if total > s.cfg.MaxCycles {
-			total = s.cfg.MaxCycles
-		}
-		if total < 1 {
-			total = 1
-		}
-		baseConsumed = env.ConsumedCycles
-		baseStats = migrate.StatsFromWire(env.Stats)
-	}
-	timeout := s.effTimeout(req)
-
-	// The machine is live from here: a drain can signal it directly.
-	sess.attachProc(proc)
-
-	runCtx, cancel := context.WithTimeout(jobCtx, timeout)
-	defer cancel()
-
-	_, esp := dtrace.Start(jobCtx, "exec",
-		dtrace.Bool("pool_hit", hit), dtrace.Bool("resumed", resumed))
-
-	// mint packs the current quiescent machine state into a sealed
-	// envelope; boundary is proc.Cycle() (the segment's resume point, the
-	// same accounting the gang peel uses — not stats.Cycles, which
-	// includes in-flight completions past the boundary). Those in-flight
-	// cycles are re-simulated after restore, so the envelope's cumulative
-	// cycle count is pinned to the boundary itself: a migrated session's
-	// final merged Cycles then equals an uninterrupted run's to within a
-	// pipeline refill (restore clears microarchitectural state, so the
-	// resumed timeline can differ by a few cycles around the boundary;
-	// instruction and op counts merge exactly).
-	mint := func(stats asc.Stats) *client.SnapshotEnvelope {
-		boundary := proc.Cycle()
-		merged := mergeStats(baseStats, stats)
-		merged.Cycles = baseConsumed + boundary
-		return migrate.Pack(sess.id, *req, art.Digest, proc.Snapshot(),
-			baseConsumed+boundary, total-boundary, sess.checkpoints+1, sess.every,
-			merged)
-	}
-
-	var stats asc.Stats
-	for {
-		// Chunk the run at the periodic-checkpoint cadence; the engine's
-		// own poll window coarsens very small cadences.
-		target := total
-		if sess.every > 0 {
-			if t := proc.Cycle() + sess.every; t < target {
-				target = t
-			}
-		}
-		stats, err = proc.RunContext(runCtx, target)
-		if err == nil {
-			break // halted: completed below
-		}
-		switch {
-		case errors.Is(err, asc.ErrCheckpoint):
-			envOut := mint(stats)
-			s.m.sessionCheckpoints.Inc()
-			s.m.fold(stats)
-			reason := sess.suspend(envOut, reasonRequested)
-			s.parkSession(sess.id)
-			esp.SetAttr(dtrace.Int("cycles", stats.Cycles), dtrace.Str("suspended", reason))
-			esp.End()
-			log.Info("session suspended", "session_id", sess.id, "reason", reason,
-				"consumed_cycles", envOut.ConsumedCycles, "remaining_cycles", envOut.RemainingCycles)
-			if reason == reasonDraining {
-				return sessionOutcome{draining: envOut}
-			}
-			return sessionOutcome{res: &client.SessionResult{
-				SessionID:   sess.id,
-				State:       sessSuspended,
-				Reason:      reason,
-				Envelope:    envOut,
-				Resumed:     resumed,
-				Checkpoints: envOut.Checkpoints,
-			}}
-		case errors.Is(err, asc.ErrCycleLimit) && target < total:
-			// Periodic checkpoint boundary, not the real budget: export the
-			// envelope and keep running.
-			envOut := mint(stats)
-			s.m.sessionCheckpoints.Inc()
-			sess.storeCheckpoint(envOut)
-			continue
-		case errors.Is(err, context.Canceled) && jobCtx.Err() != nil && sess.resumable:
-			// The client went away mid-run. The machine is quiescent, so
-			// instead of discarding the work, checkpoint it: the envelope
-			// stays exported from GET /v1/sessions/{id} for a rescue. The
-			// response goes to a dead connection; the suspended result keeps
-			// the metrics honest.
-			envOut := mint(stats)
-			s.m.sessionCheckpoints.Inc()
-			s.m.fold(stats)
-			sess.suspend(envOut, reasonDisconnected)
-			s.parkSession(sess.id)
-			esp.EndErr("client went away; checkpointed")
-			log.Info("session suspended", "session_id", sess.id, "reason", reasonDisconnected)
-			return sessionOutcome{res: &client.SessionResult{
-				SessionID:   sess.id,
-				State:       sessSuspended,
-				Reason:      reasonDisconnected,
-				Envelope:    envOut,
-				Resumed:     resumed,
-				Checkpoints: envOut.Checkpoints,
-			}}
-		default:
-			merged := mergeStats(baseStats, stats)
-			out := runErrOutcome(err, merged, timeout, total)
-			s.m.fold(stats)
-			esp.EndErr(out.errMsg)
-			sess.fail(out.errMsg)
-			s.parkSession(sess.id)
-			return sessionOutcome{status: out.status, errMsg: out.errMsg}
-		}
-	}
-
-	merged := mergeStats(baseStats, stats)
-	s.m.fold(stats)
-	esp.SetAttr(dtrace.Int("cycles", merged.Cycles))
-	esp.End()
-
-	res := baseRunResult(merged, art.Asm, hit, cacheHit, blockHit)
-	geom, _ := proc.Config().Geometry()
-	dumpMems(req, geom, res, proc.ScalarMem, proc.LocalMem)
-
-	// The byte-identity witness: resumed-after-migration snapshots must
-	// hash identically to an uninterrupted run's. The snapshot streams
-	// into the hash, so the witness allocates nothing proportional to the
-	// machine; hash.Hash writes never fail.
-	h := sha256.New()
-	_ = proc.WriteSnapshot(h)
-	sres := &client.SessionResult{
-		SessionID:   sess.id,
-		State:       sessCompleted,
-		Result:      res,
-		Resumed:     resumed,
-		Checkpoints: sess.checkpoints,
-		StateDigest: hex.EncodeToString(h.Sum(nil)),
-	}
-	sess.complete(sres, baseConsumed+proc.Cycle())
-	s.parkSession(sess.id)
-	return sessionOutcome{res: sres}
-}
-
 // admitSession performs session-lane admission under the drain guard:
 // draining → 503, lane full → 429. On success the caller owns one
 // sessionSem slot and a sessionWg count; release undoes both.
@@ -538,22 +280,18 @@ func (s *Server) admitSession(w http.ResponseWriter, tr *dtrace.Active, log *slo
 	s.mu.RLock()
 	if s.draining {
 		s.mu.RUnlock()
-		s.m.sessions.With("rejected").Inc()
 		log.Warn("session rejected", "reason", "draining")
-		tr.Record("admission", nil, admStart, time.Now(), dtrace.Str("outcome", "draining"))
-		tr.SetError()
-		s.writeUnavailable(w, http.StatusServiceUnavailable, "server is draining")
+		s.reject(w, tr, admStart, s.m.sessions.With("rejected"), "draining",
+			http.StatusServiceUnavailable, "server is draining")
 		return false
 	}
 	select {
 	case s.sessionSem <- struct{}{}:
 	default:
 		s.mu.RUnlock()
-		s.m.sessions.With("rejected").Inc()
 		log.Warn("session rejected", "reason", "session lane full", "cap", s.cfg.SessionMaxLive)
-		tr.Record("admission", nil, admStart, time.Now(), dtrace.Str("outcome", "lane_full"))
-		tr.SetError()
-		s.writeUnavailable(w, http.StatusTooManyRequests, "session lane full (%d live)", s.cfg.SessionMaxLive)
+		s.reject(w, tr, admStart, s.m.sessions.With("rejected"), "lane_full",
+			http.StatusTooManyRequests, "session lane full (%d live)", s.cfg.SessionMaxLive)
 		return false
 	}
 	s.sessionWg.Add(1) // under the RLock: Shutdown cannot start waiting yet
@@ -570,21 +308,25 @@ func (s *Server) releaseSession() {
 // writeSessionOutcome renders a segment's outcome: 200 for completed and
 // requested-checkpoint suspensions, the 503 drain handshake for
 // drain-triggered ones, and the mapped error status otherwise.
-func (s *Server) writeSessionOutcome(w http.ResponseWriter, tr *dtrace.Active, log *slog.Logger, out sessionOutcome) {
+func (s *Server) writeSessionOutcome(w http.ResponseWriter, tr *dtrace.Active, log *slog.Logger, out jobOutcome) {
 	switch {
 	case out.draining != nil:
 		s.m.sessions.With("suspended").Inc()
+		log.Info("session suspended", "session_id", out.draining.SessionID, "reason", reasonDraining,
+			"consumed_cycles", out.draining.ConsumedCycles, "remaining_cycles", out.draining.RemainingCycles)
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusServiceUnavailable, client.SessionDraining{
 			Error:    "server draining: resume the attached envelope on another backend",
 			Envelope: out.draining,
 		})
-	case out.res != nil && out.res.State == sessSuspended:
+	case out.sess != nil && out.sess.State == sessSuspended:
 		s.m.sessions.With("suspended").Inc()
-		writeJSON(w, http.StatusOK, out.res)
-	case out.res != nil:
+		log.Info("session suspended", "session_id", out.sess.SessionID, "reason", out.sess.Reason,
+			"consumed_cycles", out.sess.Envelope.ConsumedCycles, "remaining_cycles", out.sess.Envelope.RemainingCycles)
+		writeJSON(w, http.StatusOK, out.sess)
+	case out.sess != nil:
 		s.m.sessions.With("completed").Inc()
-		writeJSON(w, http.StatusOK, out.res)
+		writeJSON(w, http.StatusOK, out.sess)
 	default:
 		s.m.sessions.With("failed").Inc()
 		tr.SetError()
@@ -599,20 +341,10 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		s.handleSessionList(w)
 		return
 	}
-	id := requestID(r)
-	w.Header().Set("X-Request-Id", id)
-	log := s.log.With("request_id", id)
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST or GET required")
-		return
-	}
-	tr, log := s.startTrace(w, r, "session", id, log)
-	defer tr.Finish()
 	var req client.SessionRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	tr, log, ok := s.request(w, r, "session", "POST or GET", &req)
+	defer tr.Finish()
+	if !ok {
 		return
 	}
 	if err := s.validate(&req.RunRequest); err != nil {
@@ -635,25 +367,28 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.releaseSession()
 
-	sid := "s" + newRequestID()
+	sid := "s" + dtrace.NewID()
 	sess := newSession(sid, req.Resumable, req.CheckpointEveryCycles)
 	s.registerSession(sess)
+	log.Info("session started", "session_id", sid, "resumable", req.Resumable,
+		"checkpoint_every", req.CheckpointEveryCycles)
+	s.serveSegment(w, r, tr, log, solo{req: &req.RunRequest, sess: sess})
+}
+
+// serveSegment runs one admitted session segment and writes its outcome.
+func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request, tr *dtrace.Active, log *slog.Logger, job solo) {
 	// Close the admission race: a drain that started between the guard
-	// above and registration walked the registry without seeing this
-	// session, so re-check and self-signal — the segment then suspends at
-	// its first poll boundary.
+	// and registration walked the registry without seeing this session,
+	// so re-check and self-signal — the segment then suspends at its
+	// first poll boundary.
 	s.mu.RLock()
 	nowDraining := s.draining
 	s.mu.RUnlock()
 	if nowDraining {
-		sess.requestCheckpoint(reasonDraining)
+		job.sess.requestCheckpoint(reasonDraining)
 	}
-
-	log.Info("session started", "session_id", sid, "resumable", req.Resumable,
-		"checkpoint_every", req.CheckpointEveryCycles)
 	start := time.Now()
-	ctx := dtrace.ContextWith(r.Context(), tr, tr.Root())
-	out := s.runSegment(ctx, sess, &req.RunRequest, nil, log)
+	out := s.execute(dtrace.ContextWith(r.Context(), tr, tr.Root()), job)
 	s.observeLatency(tr, time.Since(start).Seconds())
 	s.writeSessionOutcome(w, tr, log, out)
 }
@@ -676,7 +411,7 @@ func (s *Server) handleSessionList(w http.ResponseWriter) {
 func (s *Server) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/sessions/")
 	sid, action, _ := strings.Cut(rest, "/")
-	if sid == "" || len(sid) > 64 || !safeIDRE.MatchString(sid) {
+	if !dtrace.ValidID(sid) {
 		writeError(w, http.StatusNotFound, "unknown session")
 		return
 	}
@@ -704,20 +439,10 @@ func (s *Server) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 // handleSessionResume continues a session from a snapshot envelope —
 // the receiving end of a migration.
 func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request, sid string) {
-	id := requestID(r)
-	w.Header().Set("X-Request-Id", id)
-	log := s.log.With("request_id", id)
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	tr, log := s.startTrace(w, r, "resume", id, log)
-	defer tr.Finish()
 	var req client.ResumeRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	tr, log, ok := s.request(w, r, "resume", "POST", &req)
+	defer tr.Finish()
+	if !ok {
 		return
 	}
 	env := req.Envelope
@@ -752,22 +477,11 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request, sid
 		writeError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	s.mu.RLock()
-	nowDraining := s.draining
-	s.mu.RUnlock()
-	if nowDraining {
-		sess.requestCheckpoint(reasonDraining)
-	}
-
 	s.m.resumedJobs.Inc()
 	log.Info("session resumed", "session_id", sid,
 		"consumed_cycles", env.ConsumedCycles, "remaining_cycles", env.RemainingCycles,
 		"digest", progcache.ShortDigest(env.Digest))
-	start := time.Now()
-	ctx := dtrace.ContextWith(r.Context(), tr, tr.Root())
-	out := s.runSegment(ctx, sess, &env.Request, env, log)
-	s.observeLatency(tr, time.Since(start).Seconds())
-	s.writeSessionOutcome(w, tr, log, out)
+	s.serveSegment(w, r, tr, log, solo{req: &env.Request, sess: sess, env: env})
 }
 
 // handleSessionCheckpoint asks a running session to suspend and returns
