@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench bench-engines obs-demo fleet-smoke trace-demo apicheck apiupdate hotpath-lint bench-test check
+.PHONY: build vet test race bench bench-engines obs-demo fleet-smoke trace-demo apicheck apiupdate hotpath-lint bench-test fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -15,7 +15,8 @@ test:
 
 # Concurrency-heavy packages must stay clean under the race detector:
 # the sharded parallel engine is exercised with Engine forced to parallel
-# even on single-core hosts (see internal/machine/engine_test.go), and the
+# even on single-core hosts (the parallel-engine and mid-run-restore tiers
+# of the differential harness, internal/core/oracle_test.go), and the
 # serving stack runs concurrent compile->simulate round trips.
 race:
 	$(GO) test -race ./internal/machine/... ./internal/core/... ./internal/server/... ./internal/pool/... ./internal/obs/... ./internal/gateway/... ./internal/migrate/... ./client/...
@@ -109,5 +110,20 @@ hotpath-lint:
 # logic.
 bench-test:
 	cd bench && $(GO) test .
+
+# Run every fuzz target for 10 s beyond its seed corpus (which plain
+# `go test` already runs), one package per invocation as `go test -fuzz`
+# requires. Minimization is capped so a newly interesting large input
+# (snapshots, envelopes) does not stall the smoke run for a minute.
+FUZZ_TARGETS = FuzzOracle:./internal/core FuzzEnvelope:./internal/migrate \
+	FuzzRestore:./internal/machine FuzzCompile:./internal/ascl \
+	FuzzAssemble:./internal/asm FuzzDecode:./internal/asm
+
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+	  name=$${t%%:*}; pkg=$${t#*:}; \
+	  echo "fuzz-smoke: $$name ($$pkg)"; \
+	  $(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s -fuzzminimizetime 1s $$pkg || exit 1; \
+	done
 
 check: build vet test race apicheck hotpath-lint bench-test

@@ -479,104 +479,6 @@ func TestStatsConsistency(t *testing.T) {
 	}
 }
 
-// randomStraightLine generates a hazard-rich but trap-free straight-line
-// program over parallel registers and reductions.
-func randomStraightLine(r *rand.Rand, n int) []isa.Inst {
-	ops := []isa.Op{
-		isa.ADD, isa.SUB, isa.XOR, isa.ADDI, isa.MUL,
-		isa.PADD, isa.PSUB, isa.PXOR, isa.PMUL, isa.PIDX, isa.PLI,
-		isa.PCEQ, isa.PCLT, isa.FAND, isa.FNOT,
-		isa.RMAX, isa.RMIN, isa.RSUM, isa.ROR, isa.RAND, isa.RCOUNT, isa.RANY, isa.RFIRST,
-	}
-	prog := make([]isa.Inst, 0, n+1)
-	for i := 0; i < n; i++ {
-		op := ops[r.Intn(len(ops))]
-		in := isa.Inst{
-			Op:   op,
-			Rd:   uint8(r.Intn(16)),
-			Ra:   uint8(r.Intn(16)),
-			Rb:   uint8(r.Intn(16)),
-			Mask: uint8(r.Intn(4)),
-		}
-		info := isa.Lookup(op)
-		if info.Format == isa.FormatPR && info.SrcBKind == isa.KindParallel {
-			in.SB = r.Intn(3) == 0
-		}
-		if info.Format == isa.FormatI || info.Format == isa.FormatPI {
-			in.Imm = int32(r.Intn(100))
-		}
-		if info.DstKind == isa.KindFlag {
-			in.Rd &= 7
-		}
-		if info.SrcAKind == isa.KindFlag {
-			in.Ra &= 7
-		}
-		if info.SrcBKind == isa.KindFlag {
-			in.Rb &= 7
-		}
-		prog = append(prog, in.Canonical())
-	}
-	prog = append(prog, isa.Inst{Op: isa.HALT})
-	return prog
-}
-
-// Property: the pipelined, hazard-stalled processor computes exactly the
-// same architectural state as the plain functional interpreter, for random
-// hazard-rich straight-line programs.
-func TestTimedMatchesFunctional(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		prog := randomStraightLine(r, 60)
-		mc := machine.Config{PEs: 8, Threads: 1, Width: 8}
-
-		// Reference: direct functional execution.
-		ref, err := machine.New(mc, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for !ref.Halted() {
-			if _, err := ref.Exec(0, prog[ref.PC(0)]); err != nil {
-				t.Fatal(err)
-			}
-		}
-
-		// Timed simulation.
-		p, err := New(Config{Machine: mc, Arity: 2}, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Run(1_000_000); err != nil {
-			t.Fatal(err)
-		}
-		got := p.Machine()
-
-		for reg := uint8(1); reg < 16; reg++ {
-			if got.Scalar(0, reg) != ref.Scalar(0, reg) {
-				t.Logf("seed %d: s%d = %d, want %d", seed, reg, got.Scalar(0, reg), ref.Scalar(0, reg))
-				return false
-			}
-		}
-		for pe := 0; pe < 8; pe++ {
-			for reg := uint8(1); reg < 16; reg++ {
-				if got.Parallel(0, pe, reg) != ref.Parallel(0, pe, reg) {
-					t.Logf("seed %d: PE %d p%d mismatch", seed, pe, reg)
-					return false
-				}
-			}
-			for fl := uint8(1); fl < 8; fl++ {
-				if got.Flag(0, pe, fl) != ref.Flag(0, pe, fl) {
-					t.Logf("seed %d: PE %d f%d mismatch", seed, pe, fl)
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: multithreaded execution of independent per-thread work yields
 // the same per-thread results as running each thread's program alone.
 func TestMTMatchesSingleThread(t *testing.T) {

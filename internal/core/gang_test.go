@@ -2,138 +2,14 @@ package core
 
 import (
 	"bytes"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/machine"
 )
-
-// gangRandomProgram is randomBranchyProgram widened with reductions (incl.
-// the non-associative saturating RSUM), flag ops, and parallel immediates,
-// so lockstep divergence checks see every pipeline class. Control flow only
-// moves forward, so every generated program halts.
-func gangRandomProgram(r *rand.Rand, blocks int) []isa.Inst {
-	var prog []isa.Inst
-	type patch struct {
-		at     int
-		target int
-	}
-	var patches []patch
-	blockStart := make([]int, blocks+1)
-
-	aluOps := []isa.Op{isa.ADD, isa.SUB, isa.XOR, isa.AND, isa.OR}
-	redOps := []isa.Op{isa.RSUM, isa.RMAX, isa.RMIN, isa.ROR, isa.RCOUNT, isa.RANY}
-	branchOps := []isa.Op{isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU}
-
-	for bi := 0; bi < blocks; bi++ {
-		blockStart[bi] = len(prog)
-		n := 1 + r.Intn(4)
-		for i := 0; i < n; i++ {
-			switch r.Intn(5) {
-			case 0:
-				prog = append(prog, isa.Inst{
-					Op: aluOps[r.Intn(len(aluOps))],
-					Rd: uint8(1 + r.Intn(15)), Ra: uint8(r.Intn(16)), Rb: uint8(r.Intn(16)),
-				})
-			case 1:
-				prog = append(prog, isa.Inst{
-					Op: isa.ADDI, Rd: uint8(1 + r.Intn(15)), Ra: uint8(r.Intn(16)),
-					Imm: int32(r.Intn(64)),
-				})
-			case 2:
-				prog = append(prog, isa.Inst{
-					Op: isa.PADD, Rd: uint8(1 + r.Intn(15)), Ra: uint8(r.Intn(16)),
-					Rb: uint8(r.Intn(16)), SB: r.Intn(2) == 0,
-				})
-			case 3:
-				op := redOps[r.Intn(len(redOps))]
-				in := isa.Inst{Op: op, Rd: uint8(1 + r.Intn(15)), Ra: uint8(r.Intn(16))}
-				if isa.Lookup(op).SrcAKind == isa.KindFlag {
-					in.Ra &= 7
-				}
-				prog = append(prog, in.Canonical())
-			default:
-				prog = append(prog, isa.Inst{
-					Op: isa.PCLT, Rd: uint8(r.Intn(8)), Ra: uint8(r.Intn(16)),
-					Rb: uint8(r.Intn(16)),
-				}.Canonical())
-			}
-		}
-		if bi < blocks-1 {
-			target := bi + 1 + r.Intn(blocks-bi-1) + 1
-			if target > blocks {
-				target = blocks
-			}
-			switch r.Intn(3) {
-			case 0:
-				prog = append(prog, isa.Inst{
-					Op: branchOps[r.Intn(len(branchOps))],
-					Rd: uint8(r.Intn(16)), Ra: uint8(r.Intn(16)),
-				})
-				patches = append(patches, patch{at: len(prog) - 1, target: target})
-			case 1:
-				prog = append(prog, isa.Inst{Op: isa.J})
-				patches = append(patches, patch{at: len(prog) - 1, target: target})
-			}
-		}
-	}
-	blockStart[blocks] = len(prog)
-	prog = append(prog, isa.Inst{Op: isa.HALT})
-	for _, p := range patches {
-		prog[p.at].Imm = int32(blockStart[p.target])
-	}
-	return prog
-}
-
-// laneSeed is one lane's randomized architectural input: scalar registers
-// s1..s7 of thread 0 and parallel registers p1..p3 of every PE.
-type laneSeed struct {
-	sregs [7]int64
-	pregs [3][]int64
-}
-
-func newLaneSeed(r *rand.Rand, pes int) laneSeed {
-	var s laneSeed
-	for i := range s.sregs {
-		s.sregs[i] = int64(r.Intn(256))
-	}
-	for i := range s.pregs {
-		s.pregs[i] = make([]int64, pes)
-		for pe := range s.pregs[i] {
-			s.pregs[i][pe] = int64(r.Intn(256))
-		}
-	}
-	return s
-}
-
-func (s laneSeed) apply(m *machine.Machine) {
-	for i, v := range s.sregs {
-		m.SetScalar(0, uint8(i+1), v)
-	}
-	for i := range s.pregs {
-		for pe, v := range s.pregs[i] {
-			m.SetParallel(0, pe, uint8(i+1), v)
-		}
-	}
-}
-
-// soloRun runs one lane's inputs on an ordinary solo processor and returns
-// its terminal snapshot, statistics, and error.
-func soloRun(t *testing.T, cfg Config, dp *isa.DecodedProgram, seed laneSeed, maxCycles int64) ([]byte, Stats, error) {
-	t.Helper()
-	p, err := NewDecoded(cfg, dp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed.apply(p.Machine())
-	stats, runErr := p.Run(maxCycles)
-	return p.Snapshot(), stats, runErr
-}
 
 // continuePeeled resumes a peeled lane's snapshot on a solo processor and
 // returns the final snapshot.
@@ -150,76 +26,6 @@ func continuePeeled(t *testing.T, cfg Config, dp *isa.DecodedProgram, snap []byt
 		t.Fatalf("peeled continuation: %v", err)
 	}
 	return p.Snapshot()
-}
-
-// TestGangMatchesSoloRandom is the gang correctness pin: random forward-
-// branching programs over all three instruction classes, four lanes with
-// independently randomized register state. Whatever path a lane takes out
-// of the gang — lockstep completion, divergence peel, or trap — its final
-// architectural state must be bit-identical to a solo run, and lanes that
-// complete in lockstep must report statistics identical to solo.
-func TestGangMatchesSoloRandom(t *testing.T) {
-	const lanes = 4
-	const budget = 2_000_000
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		prog := gangRandomProgram(r, 2+r.Intn(10))
-		dp, err := isa.DecodeProgram(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mc := machine.Config{PEs: 4, Threads: 1, Width: 8}
-		cfg := Config{Machine: mc, Arity: 4}
-
-		seeds := make([]laneSeed, lanes)
-		soloSnaps := make([][]byte, lanes)
-		soloStats := make([]Stats, lanes)
-		soloErrs := make([]error, lanes)
-		for i := range seeds {
-			seeds[i] = newLaneSeed(r, mc.PEs)
-			soloSnaps[i], soloStats[i], soloErrs[i] = soloRun(t, cfg, dp, seeds[i], budget)
-		}
-
-		g, err := NewGangDecoded(cfg, dp, lanes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range seeds {
-			seeds[i].apply(g.Lane(i))
-		}
-		res := g.Run(budget)
-
-		for i, lr := range res {
-			if lr.Peeled {
-				got := continuePeeled(t, cfg, dp, lr.Snapshot, budget)
-				if !bytes.Equal(got, soloSnaps[i]) {
-					t.Errorf("seed %d lane %d: peeled continuation snapshot differs from solo", seed, i)
-					return false
-				}
-				continue
-			}
-			if (lr.Err == nil) != (soloErrs[i] == nil) {
-				t.Errorf("seed %d lane %d: gang err %v, solo err %v", seed, i, lr.Err, soloErrs[i])
-				return false
-			}
-			if lr.Err != nil && lr.Err.Error() != soloErrs[i].Error() {
-				t.Errorf("seed %d lane %d: gang err %q, solo err %q", seed, i, lr.Err, soloErrs[i])
-				return false
-			}
-			if !bytes.Equal(g.Lane(i).Snapshot(), soloSnaps[i]) {
-				t.Errorf("seed %d lane %d: lockstep snapshot differs from solo", seed, i)
-				return false
-			}
-			if lr.Err == nil && !reflect.DeepEqual(lr.Stats, soloStats[i]) {
-				t.Errorf("seed %d lane %d: gang stats %+v, solo stats %+v", seed, i, lr.Stats, soloStats[i])
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
 }
 
 func buildGangAsm(t *testing.T, cfg Config, src string, lanes int) (*Gang, *isa.DecodedProgram) {

@@ -1,0 +1,602 @@
+package core
+
+// The differential oracle harness: one program generator, one oracle, and
+// one table of execution tiers. The oracle is machine.ExecRef — the
+// pre-decode reference interpreter — stepping the program on a serial
+// machine. Every tier must leave each lane's architectural snapshot
+// byte-identical to the oracle's and stop with the oracle's trap text, if
+// any. Tiers that model the same timing must also report equal Stats:
+// blocks on vs off (minus the block counters), the parallel vs the serial
+// host engine, and gang lanes that finish in lockstep vs solo runs. On a
+// failure the program is shrunk greedily and printed as assembly.
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/baseline"
+	"repro/internal/isa"
+	"repro/internal/machine"
+)
+
+const (
+	oracleLanes       = 4 // gang width; lane 0 is every solo tier's input
+	oracleBudget      = 1_000_000
+	oracleLocalWords  = 16 // small, so register-based PLW/PSW addresses trap
+	oracleScalarWords = 64
+	oraclePrograms    = 160 // programs per default TestOracle run
+)
+
+// oracleCase is one generated program with its machine shape and one
+// randomized architectural input per gang lane. The shape byte selects the
+// PE count (bits 0-1), data width (bits 2-3), the TSPAWN/TEXIT prologue
+// (bit 4), and the broadcast arity (bits 5-7); the seed draws the program
+// and the inputs.
+type oracleCase struct {
+	seed     int64
+	shape    uint8
+	prologue bool
+	cfg      Config // solo configuration: serial engine, blocks on
+	prog     []isa.Inst
+	dp       *isa.DecodedProgram
+	in       [oracleLanes]laneInput
+
+	want [oracleLanes]*laneRun // oracle results, filled lazily
+	solo [oracleLanes]*laneRun // solo-tier results, filled lazily
+}
+
+// laneInput is one lane's initial architectural state: thread 0's scalar,
+// parallel, and flag registers, every PE's local memory, and the head of
+// scalar memory.
+type laneInput struct {
+	sregs []int64
+	pregs [][]int64 // [reg][pe]
+	flags [][]bool  // [reg][pe]
+	local [][]int64 // [pe][word]
+	smem  []int64
+}
+
+// laneRun is where one tier left one lane; stats is nil for a lane whose
+// run has no whole-run statistics (a peeled gang lane, a baseline).
+type laneRun struct {
+	lane  int
+	snap  []byte
+	err   error
+	stats *Stats
+}
+
+// oracleCoverage counts the behaviours a default run must reach.
+type oracleCoverage struct {
+	programs, traps, peels, blockRuns, restores int
+}
+
+func newOracleCase(seed int64, shape uint8) *oracleCase {
+	r := rand.New(rand.NewSource(seed))
+	mc := machine.Config{
+		PEs:            [4]int{5, 32, 67, 300}[shape&3],
+		Threads:        1,
+		Width:          [4]uint{8, 8, 16, 32}[shape>>2&3],
+		LocalMemWords:  oracleLocalWords,
+		ScalarMemWords: oracleScalarWords,
+		Engine:         machine.EngineSerial,
+	}
+	c := &oracleCase{seed: seed, shape: shape, prologue: shape&16 != 0}
+	if c.prologue {
+		mc.Threads = 2
+	}
+	c.cfg = Config{Machine: mc, Arity: 2 + int(shape>>5)%6}
+	for i := range c.in {
+		c.in[i] = newLaneInput(r, mc.PEs)
+	}
+	return c.withProg(genProgram(r, c.prologue))
+}
+
+// withProg returns a copy of c running prog, with empty result caches.
+func (c *oracleCase) withProg(prog []isa.Inst) *oracleCase {
+	dp, err := isa.DecodeProgram(prog)
+	if err != nil {
+		panic(fmt.Sprintf("oracle: generated program does not decode: %v", err))
+	}
+	return &oracleCase{seed: c.seed, shape: c.shape, prologue: c.prologue, cfg: c.cfg, prog: prog, dp: dp, in: c.in}
+}
+
+func newLaneInput(r *rand.Rand, pes int) laneInput {
+	val := func() int64 { // half small values, half full-width patterns
+		if r.Intn(2) == 0 {
+			return int64(r.Intn(16))
+		}
+		return r.Int63()
+	}
+	in := laneInput{
+		sregs: make([]int64, isa.NumScalarRegs),
+		pregs: make([][]int64, isa.NumParallelRegs),
+		flags: make([][]bool, isa.NumFlagRegs),
+		local: make([][]int64, pes),
+		smem:  make([]int64, oracleScalarWords),
+	}
+	for i := range in.sregs {
+		in.sregs[i] = val()
+	}
+	for i := range in.pregs {
+		in.pregs[i] = make([]int64, pes)
+		for pe := range in.pregs[i] {
+			in.pregs[i][pe] = val()
+		}
+	}
+	for i := range in.flags {
+		in.flags[i] = make([]bool, pes)
+		for pe := range in.flags[i] {
+			in.flags[i][pe] = r.Intn(2) == 0
+		}
+	}
+	for pe := range in.local {
+		in.local[pe] = make([]int64, oracleLocalWords)
+		for w := range in.local[pe] {
+			in.local[pe][w] = val()
+		}
+	}
+	for i := range in.smem {
+		in.smem[i] = val()
+	}
+	return in
+}
+
+func (in *laneInput) apply(m *machine.Machine) {
+	for r, v := range in.sregs {
+		m.SetScalar(0, uint8(r), v)
+	}
+	for r, row := range in.pregs {
+		for pe, v := range row {
+			m.SetParallel(0, pe, uint8(r), v)
+		}
+	}
+	for r, row := range in.flags {
+		for pe, v := range row {
+			m.SetFlag(0, pe, uint8(r), v)
+		}
+	}
+	if err := m.LoadLocalMem(in.local); err != nil {
+		panic(err)
+	}
+	if err := m.LoadScalarMem(in.smem); err != nil {
+		panic(err)
+	}
+}
+
+// genProgram draws a terminating program: a forward-only body over every
+// instruction class, then HALT. With the prologue, thread 0 spawns the body
+// on thread 1 and exits, so the body runs on nonzero per-thread planes.
+func genProgram(r *rand.Rand, prologue bool) []isa.Inst {
+	var prog []isa.Inst
+	if prologue {
+		prog = append(prog,
+			isa.Inst{Op: isa.TSPAWN, Rd: uint8(r.Intn(isa.NumScalarRegs)), Imm: 2},
+			isa.Inst{Op: isa.TEXIT})
+		// TSPAWN clears thread 1's registers and flags, so the body first
+		// loads some from the lane's randomized scalar and local memory.
+		for i := 0; i < 4; i++ {
+			prog = append(prog,
+				isa.Inst{Op: isa.LW, Rd: uint8(r.Intn(isa.NumScalarRegs)), Imm: int32(r.Intn(oracleScalarWords))},
+				isa.Inst{Op: isa.PLW, Rd: uint8(r.Intn(isa.NumParallelRegs)), Imm: int32(r.Intn(oracleLocalWords))})
+		}
+		for i := 0; i < 2; i++ {
+			prog = append(prog, isa.Inst{Op: isa.PCLT, Rd: uint8(1 + r.Intn(isa.NumFlagRegs-1)),
+				Ra: uint8(r.Intn(isa.NumParallelRegs)), Rb: uint8(r.Intn(isa.NumParallelRegs))})
+		}
+	}
+	n := 8 + r.Intn(48)
+	for i := 0; i < n; i++ {
+		prog = append(prog, genInst(r).Canonical())
+	}
+	prog = append(prog, isa.Inst{Op: isa.HALT})
+	halt := len(prog) - 1
+	for at, in := range prog {
+		if hasTarget(in) && in.Op != isa.TSPAWN {
+			prog[at].Imm = int32(at + 1 + r.Intn(min(halt-at, 8))) // in (at, halt]
+		}
+	}
+	return prog
+}
+
+// hasTarget reports whether in carries a static PC target in Imm.
+func hasTarget(in isa.Inst) bool {
+	return in.Info().IsBranch || in.Op == isa.J || in.Op == isa.JAL || in.Op == isa.TSPAWN
+}
+
+// genInst draws one body instruction. Branch and jump targets are patched
+// by genProgram.
+func genInst(r *rand.Rand) isa.Inst {
+	sreg := func() uint8 { return uint8(r.Intn(isa.NumScalarRegs)) }
+	preg := func() uint8 { return uint8(r.Intn(isa.NumParallelRegs)) }
+	freg := func() uint8 { return uint8(r.Intn(isa.NumFlagRegs)) }
+	mask := func() uint8 { return uint8(r.Intn(4)) }
+	pick := func(ops ...isa.Op) isa.Op { return ops[r.Intn(len(ops))] }
+	switch k := r.Intn(100); {
+	case k < 10: // scalar ALU, register form
+		return isa.Inst{Op: pick(isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.SLL, isa.SRL, isa.SRA,
+			isa.SLT, isa.SLTU, isa.MUL, isa.DIV, isa.MOD), Rd: sreg(), Ra: sreg(), Rb: sreg()}
+	case k < 15: // scalar ALU, immediate form
+		return isa.Inst{Op: pick(isa.ADDI, isa.ANDI, isa.ORI, isa.XORI, isa.SLLI, isa.SRLI, isa.SRAI, isa.SLTI),
+			Rd: sreg(), Ra: sreg(), Imm: int32(r.Intn(256) - 128)}
+	case k < 16:
+		return isa.Inst{Op: isa.LUI, Rd: sreg(), Imm: int32(r.Intn(1 << 16))}
+	case k < 20: // scalar memory at safe addresses
+		return isa.Inst{Op: pick(isa.LW, isa.SW), Rd: sreg(), Imm: int32(r.Intn(oracleScalarWords))}
+	case k < 26: // forward control flow
+		return isa.Inst{Op: pick(isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU, isa.J, isa.JAL),
+			Rd: sreg(), Ra: sreg()}
+	case k < 38: // parallel ALU, register or broadcast form
+		return isa.Inst{Op: pick(isa.PADD, isa.PSUB, isa.PAND, isa.POR, isa.PXOR, isa.PSLL, isa.PSRL, isa.PSRA,
+			isa.PMUL, isa.PDIV, isa.PMOD), Rd: preg(), Ra: preg(), Rb: preg(), SB: r.Intn(3) == 0, Mask: mask()}
+	case k < 43: // parallel ALU, immediate form
+		return isa.Inst{Op: pick(isa.PADDI, isa.PANDI, isa.PORI, isa.PXORI, isa.PSLLI, isa.PSRLI, isa.PSRAI),
+			Rd: preg(), Ra: preg(), Imm: int32(r.Intn(64)), Mask: mask()}
+	case k < 47:
+		return isa.Inst{Op: pick(isa.PIDX, isa.PLI), Rd: preg(), Imm: int32(r.Intn(256) - 128), Mask: mask()}
+	case k < 57: // compares
+		return isa.Inst{Op: pick(isa.PCEQ, isa.PCNE, isa.PCLT, isa.PCLE, isa.PCGT, isa.PCGE,
+			isa.PCLTU, isa.PCLEU, isa.PCGTU, isa.PCGEU), Rd: freg(), Ra: preg(), Rb: preg(), SB: r.Intn(3) == 0, Mask: mask()}
+	case k < 66: // flag logic
+		return isa.Inst{Op: pick(isa.FAND, isa.FOR, isa.FXOR, isa.FANDN, isa.FNOT, isa.FMOV, isa.FSET, isa.FCLR),
+			Rd: freg(), Ra: freg(), Rb: freg(), Mask: mask()}
+	case k < 72: // local memory at safe addresses
+		return isa.Inst{Op: pick(isa.PLW, isa.PSW), Rd: preg(), Imm: int32(r.Intn(oracleLocalWords)), Mask: mask()}
+	case k < 73: // local memory through a register base: usually traps
+		return isa.Inst{Op: pick(isa.PLW, isa.PSW), Rd: preg(), Ra: preg(), Imm: int32(r.Intn(8)), Mask: mask()}
+	case k < 87: // value reductions
+		return isa.Inst{Op: pick(isa.RAND, isa.ROR, isa.RMAX, isa.RMIN, isa.RMAXU, isa.RMINU, isa.RSUM, isa.RSUM),
+			Rd: sreg(), Ra: preg(), Mask: mask()}
+	case k < 93: // responder reductions
+		return isa.Inst{Op: pick(isa.RCOUNT, isa.RANY), Rd: sreg(), Ra: freg(), Mask: mask()}
+	default:
+		return isa.Inst{Op: isa.RFIRST, Rd: freg(), Ra: freg(), Mask: mask()}
+	}
+}
+
+// oracle steps lane's input through machine.ExecRef on a serial machine,
+// always running the lowest active thread (the bodies never synchronize,
+// so only the prologue's spawn-then-exit order is observable).
+func (c *oracleCase) oracle(lane int) *laneRun {
+	if c.want[lane] != nil {
+		return c.want[lane]
+	}
+	m, err := machine.NewDecoded(c.cfg.Machine, c.dp)
+	if err != nil {
+		panic(err)
+	}
+	defer m.Close()
+	c.in[lane].apply(m)
+	var runErr error
+	for steps := 0; !m.Halted() && runErr == nil; steps++ {
+		t := 0
+		for !m.ThreadActive(t) {
+			t++
+		}
+		if pc := m.PC(t); pc >= len(c.prog) || steps > 2*len(c.prog) {
+			runErr = fmt.Errorf("oracle: forward-only program did not halt (pc %d)", pc)
+		} else {
+			_, runErr = m.ExecRef(t, c.prog[pc])
+		}
+	}
+	c.want[lane] = &laneRun{lane: lane, snap: m.Snapshot(), err: runErr}
+	return c.want[lane]
+}
+
+// proc builds a processor for the case's program.
+func (c *oracleCase) proc(cfg Config) *Processor {
+	p, err := NewDecoded(cfg, c.dp)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// runSolo runs lane's input on a fresh processor built from cfg.
+func (c *oracleCase) runSolo(cfg Config, lane int) laneRun {
+	p := c.proc(cfg)
+	defer p.Machine().Close()
+	c.in[lane].apply(p.Machine())
+	st, err := p.Run(oracleBudget)
+	return laneRun{lane: lane, snap: p.Snapshot(), err: err, stats: &st}
+}
+
+// soloRun is the reference timed run: serial engine, blocks on.
+func (c *oracleCase) soloRun(lane int) *laneRun {
+	if c.solo[lane] == nil {
+		lr := c.runSolo(c.cfg, lane)
+		c.solo[lane] = &lr
+	}
+	return c.solo[lane]
+}
+
+// variant runs lane 0 on the solo configuration as modified by mod.
+func (c *oracleCase) variant(mod func(*Config)) ([]laneRun, error) {
+	cfg := c.cfg
+	mod(&cfg)
+	return []laneRun{c.runSolo(cfg, 0)}, nil
+}
+
+// runGang runs every lane's input on one gang built from cfg.
+func (c *oracleCase) runGang(cfg Config) (*Gang, []LaneResult) {
+	g, err := NewGangDecoded(cfg, c.dp, oracleLanes)
+	if err != nil {
+		panic(err)
+	}
+	for i := range c.in {
+		c.in[i].apply(g.Lane(i))
+	}
+	return g, g.Run(oracleBudget)
+}
+
+// laneSnapshot is lane i's state on leaving the gang: the peel snapshot, or
+// the lane's machine once it finished or trapped.
+func laneSnapshot(g *Gang, i int, res LaneResult) []byte {
+	if res.Peeled {
+		return res.Snapshot
+	}
+	return g.Lane(i).Snapshot()
+}
+
+// timing says which solo-tier Stats a tier's lanes must reproduce.
+type timing uint8
+
+const (
+	anyTiming  timing = iota // the tier models different timing
+	soloTiming               // equal Stats
+	noBlocks                 // equal Stats minus the block counters, which must be zero
+)
+
+// oracleTier is one execution tier: it runs the case and reports where it
+// left each lane it covered, or a disagreement between runs inside the tier.
+type oracleTier struct {
+	name   string
+	timing timing
+	run    func(c *oracleCase, cov *oracleCoverage) ([]laneRun, error)
+}
+
+var oracleTiers = []oracleTier{
+	{"solo", anyTiming, func(c *oracleCase, cov *oracleCoverage) ([]laneRun, error) {
+		runs := make([]laneRun, oracleLanes)
+		for i := range runs {
+			runs[i] = *c.soloRun(i)
+			// Every program but a lone HALT takes the block plane at PC 0
+			// unless it traps first.
+			if len(c.prog) > 1 && c.oracle(i).err == nil && runs[i].stats.BlockDispatches == 0 {
+				return nil, fmt.Errorf("lane %d: block plane never engaged (fallbacks %v)", i, runs[i].stats.BlockFallbacks)
+			}
+		}
+		if c.solo[0].stats.BlockDispatches > 0 {
+			cov.blockRuns++
+		}
+		return runs, nil
+	}},
+	{"blocks-off", noBlocks, func(c *oracleCase, _ *oracleCoverage) ([]laneRun, error) {
+		return c.variant(func(cfg *Config) { cfg.Blocks = BlocksOff })
+	}},
+	{"parallel-engine", soloTiming, func(c *oracleCase, _ *oracleCoverage) ([]laneRun, error) {
+		return c.variant(func(cfg *Config) { cfg.Machine.Engine = machine.EngineParallel })
+	}},
+	{"smt", anyTiming, func(c *oracleCase, _ *oracleCoverage) ([]laneRun, error) {
+		return c.variant(func(cfg *Config) { cfg.SMT = true })
+	}},
+	{"structural", anyTiming, func(c *oracleCase, _ *oracleCoverage) ([]laneRun, error) {
+		return c.variant(func(cfg *Config) { cfg.StructuralNetworks = true })
+	}},
+	{"sched-fixed", anyTiming, func(c *oracleCase, _ *oracleCoverage) ([]laneRun, error) {
+		return c.variant(func(cfg *Config) { cfg.Scheduler = SchedFixed })
+	}},
+	{"gang", soloTiming, func(c *oracleCase, cov *oracleCoverage) ([]laneRun, error) {
+		// Blocks on and off must agree lane by lane, peels included; the
+		// blocks-on gang then answers to the oracle and the solo tier.
+		off := c.cfg
+		off.Blocks = BlocksOff
+		gOn, on := c.runGang(c.cfg)
+		gOff, offRes := c.runGang(off)
+		runs := make([]laneRun, oracleLanes)
+		for i, res := range on {
+			o := offRes[i]
+			if res.Peeled != o.Peeled || res.PeelCycle != o.PeelCycle || errText(res.Err) != errText(o.Err) ||
+				!reflect.DeepEqual(stripBlockCounters(res.Stats), o.Stats) ||
+				!bytes.Equal(laneSnapshot(gOn, i, res), laneSnapshot(gOff, i, o)) {
+				return nil, fmt.Errorf("lane %d: gang blocks-on and blocks-off runs differ (peel %v@%d vs %v@%d)",
+					i, res.Peeled, res.PeelCycle, o.Peeled, o.PeelCycle)
+			}
+			if !res.Peeled {
+				runs[i] = laneRun{lane: i, snap: gOn.Lane(i).Snapshot(), err: res.Err}
+				if res.Err == nil {
+					runs[i].stats = &res.Stats
+				}
+				continue
+			}
+			cov.peels++
+			p := c.proc(c.cfg)
+			if err := p.Restore(res.Snapshot); err != nil {
+				panic(err)
+			}
+			_, err := p.Run(oracleBudget)
+			runs[i] = laneRun{lane: i, snap: p.Snapshot(), err: err}
+		}
+		return runs, nil
+	}},
+	{"mid-run-restore", anyTiming, func(c *oracleCase, cov *oracleCoverage) ([]laneRun, error) {
+		// Step a seed-chosen share of the solo run on one engine, then
+		// finish from its snapshot on a fresh processor on the other.
+		from, to := c.cfg, c.cfg
+		if c.seed&1 == 0 {
+			from.Machine.Engine = machine.EngineParallel
+		} else {
+			to.Machine.Engine = machine.EngineParallel
+		}
+		a := c.proc(from)
+		defer a.Machine().Close()
+		c.in[0].apply(a.Machine())
+		stopAt := 1 + uint64(c.seed)%uint64(max(c.soloRun(0).stats.Cycles-1, 1))
+		for cycle := uint64(0); cycle < stopAt; cycle++ {
+			if more, err := a.Step(); err != nil || !more {
+				return []laneRun{{snap: a.Snapshot(), err: err}}, nil
+			}
+		}
+		cov.restores++
+		b := c.proc(to)
+		defer b.Machine().Close()
+		if err := b.Restore(a.Snapshot()); err != nil {
+			panic(err)
+		}
+		_, err := b.Run(oracleBudget)
+		return []laneRun{{snap: b.Snapshot(), err: err}}, nil
+	}},
+	{"coarse-grain", anyTiming, func(c *oracleCase, _ *oracleCoverage) ([]laneRun, error) {
+		cg, err := baseline.NewCoarseGrain(c.cfg.Machine, c.cfg.Arity, c.prog)
+		if err != nil {
+			panic(err)
+		}
+		c.in[0].apply(cg.Machine())
+		_, err = cg.Run(oracleBudget)
+		return []laneRun{{snap: cg.Machine().Snapshot(), err: err}}, nil
+	}},
+	{"non-pipelined", anyTiming, func(c *oracleCase, _ *oracleCoverage) ([]laneRun, error) {
+		if c.cfg.Machine.Threads != 1 {
+			return nil, nil // the unpipelined machine has one thread context
+		}
+		np, err := baseline.NewNonPipelined(c.cfg.Machine, c.prog)
+		if err != nil {
+			panic(err)
+		}
+		c.in[0].apply(np.Machine())
+		_, err = np.Run(oracleBudget)
+		return []laneRun{{snap: np.Machine().Snapshot(), err: err}}, nil
+	}},
+}
+
+// errText renders a run error (a trap, unwrapped, on every tier) for
+// comparison, nil as the empty string.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// stripBlockCounters clears the block-plane counters, the only Stats
+// fields allowed to differ between blocks-on and blocks-off runs: they
+// describe how the work was dispatched, not when it issued.
+func stripBlockCounters(s Stats) Stats {
+	s.BlockDispatches = 0
+	s.BlockFallbacks = nil
+	return s
+}
+
+// check runs one tier on c and compares it with the oracle.
+func (c *oracleCase) check(tr oracleTier, cov *oracleCoverage) error {
+	runs, err := tr.run(c, cov)
+	if err != nil {
+		return err
+	}
+	for _, got := range runs {
+		want := c.oracle(got.lane)
+		if g, w := errText(got.err), errText(want.err); g != w {
+			return fmt.Errorf("lane %d: error %q, oracle %q", got.lane, g, w)
+		}
+		if !bytes.Equal(got.snap, want.snap) {
+			return fmt.Errorf("lane %d: architectural snapshot differs from the oracle's", got.lane)
+		}
+		if tr.timing == anyTiming || got.stats == nil {
+			continue
+		}
+		g, w := *got.stats, *c.soloRun(got.lane).stats
+		if tr.timing == noBlocks {
+			w = stripBlockCounters(w)
+		}
+		if !reflect.DeepEqual(g, w) {
+			return fmt.Errorf("lane %d: stats differ from the solo tier's\n got: %+v\nsolo: %+v", got.lane, g, w)
+		}
+	}
+	return nil
+}
+
+// without returns c with instruction i removed, every static target past
+// it moved down by one.
+func (c *oracleCase) without(i int) *oracleCase {
+	prog := slices.Delete(slices.Clone(c.prog), i, i+1)
+	for j, in := range prog {
+		if hasTarget(in) && int(in.Imm) > i {
+			prog[j].Imm--
+		}
+	}
+	return c.withProg(prog)
+}
+
+// shrink greedily drops instructions (never the prologue or the final
+// HALT) while tr still fails.
+func (c *oracleCase) shrink(tr oracleTier) *oracleCase {
+	first := 0
+	if c.prologue {
+		first = 2
+	}
+	for changed := true; changed; {
+		changed = false
+		for i := len(c.prog) - 2; i >= first; i-- {
+			if next := c.without(i); next.check(tr, &oracleCoverage{}) != nil {
+				c, changed = next, true
+			}
+		}
+	}
+	return c
+}
+
+// runOracleCase checks every tier on the program (seed, shape) and fails
+// t with a shrunk reproducer on the first mismatch.
+func runOracleCase(t *testing.T, seed int64, shape uint8, cov *oracleCoverage) {
+	t.Helper()
+	c := newOracleCase(seed, shape)
+	cov.programs++
+	if c.oracle(0).err != nil {
+		cov.traps++
+	}
+	for _, tr := range oracleTiers {
+		if err := c.check(tr, cov); err != nil {
+			s := c.shrink(tr)
+			var asm strings.Builder
+			for pc, in := range s.prog {
+				fmt.Fprintf(&asm, "%4d  %v\n", pc, in)
+			}
+			t.Fatalf("oracle: seed %d shape %#02x (%d PEs, width %d, %d threads, arity %d) tier %s: %v\nshrunk to %d instructions (%v):\n%s",
+				seed, shape, c.cfg.Machine.PEs, c.cfg.Machine.Width, c.cfg.Machine.Threads, c.cfg.Arity,
+				tr.name, err, len(s.prog), s.check(tr, &oracleCoverage{}), asm.String())
+		}
+	}
+}
+
+// TestOracle sends oraclePrograms generated programs through every tier
+// and requires the run to have reached traps, gang peels, the block plane,
+// and mid-run restores.
+func TestOracle(t *testing.T) {
+	var cov oracleCoverage
+	for i := 0; i < oraclePrograms; i++ {
+		runOracleCase(t, int64(i), uint8(i*29+3), &cov)
+	}
+	t.Logf("oracle coverage: %+v", cov)
+	for name, n := range map[string]int{"trapping program": cov.traps, "gang peel": cov.peels,
+		"block-plane run": cov.blockRuns, "mid-run restore": cov.restores} {
+		if n == 0 {
+			t.Errorf("no %s in %d programs: the generator lost coverage", name, cov.programs)
+		}
+	}
+}
+
+// FuzzOracle explores programs beyond TestOracle's fixed seeds:
+//
+//	go test -fuzz=FuzzOracle ./internal/core
+func FuzzOracle(f *testing.F) {
+	for _, shape := range []uint8{0x00, 0x13, 0x2e, 0x5a, 0xb7, 0xfd} {
+		f.Add(int64(shape)*7919, shape)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+		runOracleCase(t, seed, shape, &oracleCoverage{})
+	})
+}

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/asm"
 	"repro/internal/machine"
@@ -91,33 +89,6 @@ func TestStructuralCoSimMultithreaded(t *testing.T) {
 	}
 	if stats.Reduction < 4*25*3 {
 		t.Errorf("only %d reductions co-simulated", stats.Reduction)
-	}
-}
-
-// Property: random reduction-heavy straight-line programs pass structural
-// co-simulation at random machine shapes.
-func TestStructuralCoSimRandom(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		prog := randomStraightLine(r, 40)
-		pes := 1 + r.Intn(48)
-		k := 2 + r.Intn(6)
-		p, err := New(Config{
-			Machine:            machine.Config{PEs: pes, Threads: 1, Width: 8},
-			Arity:              k,
-			StructuralNetworks: true,
-		}, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Run(1_000_000); err != nil {
-			t.Logf("seed %d pes %d k %d: %v", seed, pes, k, err)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 

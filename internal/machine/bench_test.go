@@ -8,7 +8,7 @@ import (
 )
 
 // benchMachine builds a machine primed with per-PE data and a responder
-// pattern, for driving single instructions through Exec.
+// pattern, for driving single instructions through ExecDecoded.
 func benchMachine(b *testing.B, pes int, engine Engine) *Machine {
 	b.Helper()
 	m, err := New(Config{PEs: pes, Threads: 2, Width: 16, LocalMemWords: 64, Engine: engine}, []isa.Inst{{Op: isa.NOP}})
@@ -16,12 +16,12 @@ func benchMachine(b *testing.B, pes int, engine Engine) *Machine {
 		b.Fatal(err)
 	}
 	b.Cleanup(m.Close)
-	if _, err := m.Exec(0, isa.Inst{Op: isa.PIDX, Rd: 1}); err != nil {
+	if _, err := m.ExecDecoded(0, dec(isa.Inst{Op: isa.PIDX, Rd: 1})); err != nil {
 		b.Fatal(err)
 	}
 	m.SetPC(0, 0)
 	m.SetScalar(0, 2, int64(pes/2))
-	if _, err := m.Exec(0, isa.Inst{Op: isa.PCLT, Rd: 1, Ra: 1, Rb: 2, SB: true}); err != nil {
+	if _, err := m.ExecDecoded(0, dec(isa.Inst{Op: isa.PCLT, Rd: 1, Ra: 1, Rb: 2, SB: true})); err != nil {
 		b.Fatal(err)
 	}
 	m.SetPC(0, 0)
@@ -48,11 +48,12 @@ func BenchmarkExecEngines(b *testing.B) {
 			}
 			m := benchMachine(b, pes, engine)
 			for _, tc := range insts {
+				d := dec(tc.in)
 				b.Run(fmt.Sprintf("%s/pes=%d/%v", tc.name, pes, engine), func(b *testing.B) {
 					b.ReportAllocs()
 					for i := 0; i < b.N; i++ {
 						m.SetPC(0, 0)
-						if _, err := m.Exec(0, tc.in); err != nil {
+						if _, err := m.ExecDecoded(0, d); err != nil {
 							b.Fatal(err)
 						}
 					}

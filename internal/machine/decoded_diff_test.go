@@ -2,147 +2,29 @@ package machine
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 
 	"repro/internal/isa"
 )
 
-// randMixedInst widens randParallelInst with the scalar datapath and
-// control flow: scalar ALU register/immediate forms, LUI, safe scalar
-// loads/stores, and branches/jumps whose targets stay inside [0, n] so
-// the program decodes. Parallel, reduction, and flag traffic still
-// dominates the stream.
-func randMixedInst(r *rand.Rand, n int) isa.Inst {
-	sreg := func() uint8 { return uint8(r.Intn(isa.NumScalarRegs)) }
-	target := func() int32 { return int32(r.Intn(n + 1)) }
-	switch r.Intn(8) {
-	case 0: // scalar ALU register form
-		ops := []isa.Op{isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.SLL, isa.SRL, isa.SRA, isa.MUL, isa.DIV, isa.MOD, isa.SLT, isa.SLTU}
-		return isa.Inst{Op: ops[r.Intn(len(ops))], Rd: sreg(), Ra: sreg(), Rb: sreg()}
-	case 1: // scalar ALU immediate form / LUI
-		if r.Intn(4) == 0 {
-			return isa.Inst{Op: isa.LUI, Rd: sreg(), Imm: int32(r.Intn(256))}
-		}
-		ops := []isa.Op{isa.ADDI, isa.ANDI, isa.ORI, isa.XORI, isa.SLLI, isa.SRLI, isa.SRAI}
-		return isa.Inst{Op: ops[r.Intn(len(ops))], Rd: sreg(), Ra: sreg(), Imm: int32(r.Intn(64))}
-	case 2: // safe scalar load/store (s0 base, bounded offset)
-		if r.Intn(2) == 0 {
-			return isa.Inst{Op: isa.LW, Rd: sreg(), Ra: 0, Imm: int32(r.Intn(32))}
-		}
-		return isa.Inst{Op: isa.SW, Rd: sreg(), Ra: 0, Imm: int32(r.Intn(32))}
-	case 3: // control flow with in-bounds targets
-		switch r.Intn(4) {
-		case 0:
-			ops := []isa.Op{isa.BEQ, isa.BNE, isa.BLT, isa.BGE, isa.BLTU, isa.BGEU}
-			return isa.Inst{Op: ops[r.Intn(len(ops))], Rd: sreg(), Ra: sreg(), Imm: target()}
-		case 1:
-			return isa.Inst{Op: isa.J, Imm: target()}
-		case 2:
-			return isa.Inst{Op: isa.JAL, Imm: target()}
-		default:
-			return isa.Inst{Op: isa.NOP}
-		}
-	default:
-		return randParallelInst(r)
-	}
-}
-
-// TestDecodedDifferentialRef executes randomized mixed programs
-// instruction by instruction on two machines built from the same image:
-// one driven through the decode plane (Exec -> ExecDecoded) and one
-// through the retained pre-decode reference interpreter (ExecRef), which
-// re-derives semantics from the raw instruction on every call. Outcomes,
-// errors, and the full architectural snapshot must be bit-identical, on
-// both host engines. This is the refactor's ground-truth check: if decode
-// precomputed anything wrong — an ALU function, a condition, operand
-// masks, a reduction identity — some stream here diverges.
-func TestDecodedDifferentialRef(t *testing.T) {
-	peCounts := []int{5, 32, 67, 128, 300}
-	widths := []uint{8, 16}
-	for _, engine := range []Engine{EngineSerial, EngineParallel} {
-		for trial := 0; trial < 30; trial++ {
-			r := rand.New(rand.NewSource(int64(7000 + trial)))
-			cfg := Config{
-				PEs:           peCounts[trial%len(peCounts)],
-				Threads:       2,
-				Width:         widths[trial%len(widths)],
-				LocalMemWords: 64,
-				Engine:        engine,
-			}
-			const n = 80
-			prog := make([]isa.Inst, n)
-			for i := range prog {
-				prog[i] = randMixedInst(r, n)
-			}
-			dec, err := New(cfg, prog)
-			if err != nil {
-				t.Fatalf("engine %v trial %d: decoded machine: %v", engine, trial, err)
-			}
-			refCfg := cfg
-			refCfg.Engine = EngineSerial // ExecRef is serial by construction
-			ref, err := New(refCfg, prog)
-			if err != nil {
-				t.Fatalf("engine %v trial %d: reference machine: %v", engine, trial, err)
-			}
-			mem := make([][]int64, cfg.PEs)
-			for pe := range mem {
-				row := make([]int64, cfg.LocalMemWords)
-				for w := range row {
-					row[w] = r.Int63()
-				}
-				mem[pe] = row
-			}
-			if err := dec.LoadLocalMem(mem); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.LoadLocalMem(mem); err != nil {
-				t.Fatal(err)
-			}
-			for i, in := range prog {
-				th := i % cfg.Threads
-				do, derr := dec.Exec(th, in)
-				ro, rerr := ref.ExecRef(th, in)
-				if do != ro {
-					t.Fatalf("engine %v trial %d inst %d (%v): outcome %+v != ref %+v", engine, trial, i, in, do, ro)
-				}
-				if (derr == nil) != (rerr == nil) || (derr != nil && derr.Error() != rerr.Error()) {
-					t.Fatalf("engine %v trial %d inst %d (%v): error %v != ref %v", engine, trial, i, in, derr, rerr)
-				}
-				if db, rb := dec.Blocked(th, in), ref.Blocked(th, in); db != rb {
-					t.Fatalf("engine %v trial %d inst %d (%v): blocked %v != ref %v", engine, trial, i, in, db, rb)
-				}
-				if derr != nil {
-					break // both trapped identically; state must still agree
-				}
-			}
-			if !bytes.Equal(dec.Snapshot(), ref.Snapshot()) {
-				t.Fatalf("engine %v trial %d: architectural snapshots diverged after program", engine, trial)
-			}
-			dec.Close()
-			ref.Close()
-		}
-	}
-}
-
 // TestDecodedDifferentialThreads drives the thread-management ops (TID,
 // TSPAWN, TEXIT, TSEND, TRECV, TJOIN) through fixed scripts on both the
 // decoded and reference paths, comparing outcomes and snapshots. Random
-// streams above rarely line up a legal send/recv pair, so this leg is
-// scripted.
+// programs rarely line up a legal send/recv pair, so this leg is scripted;
+// the randomized tiers live in internal/core/oracle_test.go.
 func TestDecodedDifferentialThreads(t *testing.T) {
 	script := []struct {
 		th int
 		in isa.Inst
 	}{
 		{0, isa.Inst{Op: isa.TID, Rd: 1}},
-		{0, isa.Inst{Op: isa.ADDI, Rd: 2, Ra: 0, Imm: 1}},   // s2 = 1 (peer thread id)
-		{0, isa.Inst{Op: isa.TSPAWN, Rd: 3, Imm: 5}},        // spawn thread at PC 5
-		{0, isa.Inst{Op: isa.ADDI, Rd: 4, Ra: 0, Imm: 42}},  // payload
-		{0, isa.Inst{Op: isa.TSEND, Ra: 2, Rb: 4}},          // send 42 to thread 1
-		{1, isa.Inst{Op: isa.TRECV, Rd: 5}},                 // thread 1 receives 42
-		{1, isa.Inst{Op: isa.TEXIT}},                        // thread 1 exits
-		{0, isa.Inst{Op: isa.TJOIN, Ra: 2}},                 // join the exited thread
+		{0, isa.Inst{Op: isa.ADDI, Rd: 2, Ra: 0, Imm: 1}},  // s2 = 1 (peer thread id)
+		{0, isa.Inst{Op: isa.TSPAWN, Rd: 3, Imm: 5}},       // spawn thread at PC 5
+		{0, isa.Inst{Op: isa.ADDI, Rd: 4, Ra: 0, Imm: 42}}, // payload
+		{0, isa.Inst{Op: isa.TSEND, Ra: 2, Rb: 4}},         // send 42 to thread 1
+		{1, isa.Inst{Op: isa.TRECV, Rd: 5}},                // thread 1 receives 42
+		{1, isa.Inst{Op: isa.TEXIT}},                       // thread 1 exits
+		{0, isa.Inst{Op: isa.TJOIN, Ra: 2}},                // join the exited thread
 		{0, isa.Inst{Op: isa.HALT}},
 	}
 	prog := make([]isa.Inst, 8)
@@ -150,18 +32,18 @@ func TestDecodedDifferentialThreads(t *testing.T) {
 		prog[i] = isa.Inst{Op: isa.NOP}
 	}
 	cfg := Config{PEs: 8, Threads: 4, Width: 16, LocalMemWords: 16}
-	dec, err := New(cfg, prog)
+	dm, err := New(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dec.Close()
+	defer dm.Close()
 	ref, err := New(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ref.Close()
 	for i, step := range script {
-		do, derr := dec.Exec(step.th, step.in)
+		do, derr := dm.ExecDecoded(step.th, dec(step.in))
 		ro, rerr := ref.ExecRef(step.th, step.in)
 		if do != ro {
 			t.Fatalf("step %d (%v): outcome %+v != ref %+v", i, step.in, do, ro)
@@ -170,7 +52,7 @@ func TestDecodedDifferentialThreads(t *testing.T) {
 			t.Fatalf("step %d (%v): error %v != ref %v", i, step.in, derr, rerr)
 		}
 	}
-	if !bytes.Equal(dec.Snapshot(), ref.Snapshot()) {
+	if !bytes.Equal(dm.Snapshot(), ref.Snapshot()) {
 		t.Fatal("architectural snapshots diverged after thread script")
 	}
 }

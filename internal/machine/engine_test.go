@@ -41,108 +41,6 @@ func enginePair(t *testing.T, r *rand.Rand, cfg Config, prog []isa.Inst) (serial
 	return serial, parallel
 }
 
-// randParallelInst draws one valid straight-line instruction: parallel ALU,
-// compares, flag logic, loads/stores (possibly trapping), reductions, and
-// the scalar ops needed to feed broadcasts.
-func randParallelInst(r *rand.Rand) isa.Inst {
-	preg := func() uint8 { return uint8(r.Intn(isa.NumParallelRegs)) }
-	sreg := func() uint8 { return uint8(r.Intn(isa.NumScalarRegs)) }
-	freg := func() uint8 { return uint8(r.Intn(isa.NumFlagRegs)) }
-	mask := func() uint8 {
-		if r.Intn(2) == 0 {
-			return 0
-		}
-		return freg()
-	}
-	switch r.Intn(12) {
-	case 0: // seed scalar registers
-		return isa.Inst{Op: isa.ADDI, Rd: sreg(), Ra: sreg(), Imm: int32(r.Intn(256) - 128)}
-	case 1:
-		return isa.Inst{Op: isa.PLI, Rd: preg(), Imm: int32(r.Intn(256) - 128), Mask: mask()}
-	case 2:
-		return isa.Inst{Op: isa.PIDX, Rd: preg(), Mask: mask()}
-	case 3: // ALU register / broadcast form
-		ops := []isa.Op{isa.PADD, isa.PSUB, isa.PAND, isa.POR, isa.PXOR, isa.PSLL, isa.PSRL, isa.PSRA, isa.PMUL, isa.PDIV, isa.PMOD}
-		return isa.Inst{Op: ops[r.Intn(len(ops))], Rd: preg(), Ra: preg(), Rb: preg(), SB: r.Intn(3) == 0, Mask: mask()}
-	case 4: // ALU immediate form
-		ops := []isa.Op{isa.PADDI, isa.PANDI, isa.PORI, isa.PXORI, isa.PSLLI, isa.PSRLI, isa.PSRAI}
-		return isa.Inst{Op: ops[r.Intn(len(ops))], Rd: preg(), Ra: preg(), Imm: int32(r.Intn(64)), Mask: mask()}
-	case 5: // compare
-		ops := []isa.Op{isa.PCEQ, isa.PCNE, isa.PCLT, isa.PCLE, isa.PCGT, isa.PCGE, isa.PCLTU, isa.PCLEU, isa.PCGTU, isa.PCGEU}
-		return isa.Inst{Op: ops[r.Intn(len(ops))], Rd: freg(), Ra: preg(), Rb: preg(), SB: r.Intn(3) == 0, Mask: mask()}
-	case 6: // flag logic
-		ops := []isa.Op{isa.FAND, isa.FOR, isa.FXOR, isa.FANDN, isa.FNOT, isa.FMOV, isa.FSET, isa.FCLR}
-		return isa.Inst{Op: ops[r.Intn(len(ops))], Rd: freg(), Ra: freg(), Rb: freg(), Mask: mask()}
-	case 7: // safe local load (p0 base, bounded imm)
-		return isa.Inst{Op: isa.PLW, Rd: preg(), Ra: 0, Imm: int32(r.Intn(32)), Mask: mask()}
-	case 8: // safe local store
-		return isa.Inst{Op: isa.PSW, Rd: preg(), Ra: 0, Imm: int32(r.Intn(32)), Mask: mask()}
-	case 9: // value reduction
-		ops := []isa.Op{isa.RAND, isa.ROR, isa.RMAX, isa.RMIN, isa.RMAXU, isa.RMINU, isa.RSUM}
-		return isa.Inst{Op: ops[r.Intn(len(ops))], Rd: sreg(), Ra: preg(), Mask: mask()}
-	case 10: // responder reductions
-		switch r.Intn(3) {
-		case 0:
-			return isa.Inst{Op: isa.RCOUNT, Rd: sreg(), Ra: freg(), Mask: mask()}
-		case 1:
-			return isa.Inst{Op: isa.RANY, Rd: sreg(), Ra: freg(), Mask: mask()}
-		default:
-			return isa.Inst{Op: isa.RFIRST, Rd: freg(), Ra: freg(), Mask: mask()}
-		}
-	default: // load/store with a register base: may trap, identically on both engines
-		op := isa.PLW
-		if r.Intn(2) == 0 {
-			op = isa.PSW
-		}
-		return isa.Inst{Op: op, Rd: preg(), Ra: preg(), Imm: int32(r.Intn(16) - 8), Mask: mask()}
-	}
-}
-
-// TestEngineDifferentialRandom executes random instruction streams on the
-// serial and sharded engines, comparing per-instruction outcomes, errors,
-// and the full architectural snapshot after every program. PE counts are
-// chosen to exercise odd array widths (short final shards) as well as
-// power-of-two ones.
-func TestEngineDifferentialRandom(t *testing.T) {
-	peCounts := []int{5, 32, 67, 128, 300}
-	widths := []uint{8, 16}
-	for trial := 0; trial < 40; trial++ {
-		r := rand.New(rand.NewSource(int64(1000 + trial)))
-		cfg := Config{
-			PEs:           peCounts[trial%len(peCounts)],
-			Threads:       2,
-			Width:         widths[trial%len(widths)],
-			LocalMemWords: 64,
-		}
-		const n = 80
-		prog := make([]isa.Inst, n)
-		for i := range prog {
-			prog[i] = randParallelInst(r)
-		}
-		serial, parallel := enginePair(t, r, cfg, prog)
-		if !parallel.EngineParallelActive() {
-			t.Fatalf("trial %d: forced parallel engine inactive at PEs=%d", trial, cfg.PEs)
-		}
-		for i, in := range prog {
-			th := i % cfg.Threads // exercise per-thread base offsets
-			so, serr := serial.Exec(th, in)
-			po, perr := parallel.Exec(th, in)
-			if so != po {
-				t.Fatalf("trial %d inst %d (%v): outcome %+v != %+v", trial, i, in, so, po)
-			}
-			if (serr == nil) != (perr == nil) || (serr != nil && serr.Error() != perr.Error()) {
-				t.Fatalf("trial %d inst %d (%v): error %v != %v", trial, i, in, serr, perr)
-			}
-			if serr != nil {
-				break // both trapped identically; state must still agree
-			}
-		}
-		if !bytes.Equal(serial.Snapshot(), parallel.Snapshot()) {
-			t.Fatalf("trial %d: snapshots differ between engines (PEs=%d width=%d)", trial, cfg.PEs, cfg.Width)
-		}
-	}
-}
-
 // TestEngineTrapDeterminism pins the deterministic trap rule: when several
 // PEs fault on a parallel memory access, both engines report the lowest
 // faulting PE and every non-faulting responder still executes.
@@ -159,13 +57,13 @@ func TestEngineTrapDeterminism(t *testing.T) {
 	serial, parallel := enginePair(t, r, cfg, prog)
 	for _, m := range []*Machine{serial, parallel} {
 		m.SetScalar(0, 2, 50)
-		if _, err := m.Exec(0, prog[0]); err != nil {
+		if _, err := m.ExecDecoded(0, dec(prog[0])); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := m.Exec(0, prog[1]); err != nil {
+		if _, err := m.ExecDecoded(0, dec(prog[1])); err != nil {
 			t.Fatal(err)
 		}
-		_, err := m.Exec(0, prog[2])
+		_, err := m.ExecDecoded(0, dec(prog[2]))
 		te, ok := err.(*TrapError)
 		if !ok {
 			t.Fatalf("expected trap, got %v", err)
@@ -253,40 +151,25 @@ func TestExecZeroAlloc(t *testing.T) {
 		}
 		defer m.Close()
 		// Give the responder flags some structure.
-		if _, err := m.Exec(0, isa.Inst{Op: isa.PIDX, Rd: 1}); err != nil {
+		if _, err := m.ExecDecoded(0, dec(isa.Inst{Op: isa.PIDX, Rd: 1})); err != nil {
 			t.Fatal(err)
 		}
 		m.SetPC(0, 0)
-		if _, err := m.Exec(0, isa.Inst{Op: isa.PCLT, Rd: 1, Ra: 1, Rb: 2}); err != nil {
+		if _, err := m.ExecDecoded(0, dec(isa.Inst{Op: isa.PCLT, Rd: 1, Ra: 1, Rb: 2})); err != nil {
 			t.Fatal(err)
 		}
 		for _, tc := range cases {
-			in := tc.in
+			d := dec(tc.in)
 			// Warm up: first dispatches grow worker goroutine stacks.
 			for i := 0; i < 100; i++ {
 				m.SetPC(0, 0)
-				if _, err := m.Exec(0, in); err != nil {
+				if _, err := m.ExecDecoded(0, d); err != nil {
 					t.Fatalf("%v/%s: %v", engine, tc.name, err)
 				}
 			}
 			allocs := testing.AllocsPerRun(200, func() {
 				m.SetPC(0, 0)
-				if _, err := m.Exec(0, in); err != nil {
-					t.Fatalf("%v/%s: %v", engine, tc.name, err)
-				}
-			})
-			if allocs != 0 {
-				t.Errorf("%v/%s: %v allocs per Exec, want 0", engine, tc.name, allocs)
-			}
-			// The decoded fast path — what the scheduler actually drives
-			// per cycle — must also run allocation free.
-			d, err := isa.DecodeInst(in)
-			if err != nil {
-				t.Fatalf("%v/%s: decode: %v", engine, tc.name, err)
-			}
-			allocs = testing.AllocsPerRun(200, func() {
-				m.SetPC(0, 0)
-				if _, err := m.ExecDecoded(0, &d); err != nil {
+				if _, err := m.ExecDecoded(0, d); err != nil {
 					t.Fatalf("%v/%s: %v", engine, tc.name, err)
 				}
 			})
@@ -294,28 +177,5 @@ func TestExecZeroAlloc(t *testing.T) {
 				t.Errorf("%v/%s: %v allocs per ExecDecoded, want 0", engine, tc.name, allocs)
 			}
 		}
-	}
-}
-
-// TestEngineSnapshotCrossRestore: a snapshot taken on one engine restores
-// into a machine running the other (the fingerprint ignores Config.Engine).
-func TestEngineSnapshotCrossRestore(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	cfg := Config{PEs: 67, Threads: 2, Width: 8, LocalMemWords: 32}
-	prog := make([]isa.Inst, 40)
-	for i := range prog {
-		prog[i] = randParallelInst(r)
-	}
-	serial, parallel := enginePair(t, r, cfg, prog)
-	for i, in := range prog {
-		if _, err := serial.Exec(i%cfg.Threads, in); err != nil {
-			break
-		}
-	}
-	if err := parallel.Restore(serial.Snapshot()); err != nil {
-		t.Fatalf("cross-engine restore: %v", err)
-	}
-	if !bytes.Equal(serial.Snapshot(), parallel.Snapshot()) {
-		t.Fatal("restored parallel machine diverges from serial source")
 	}
 }

@@ -13,10 +13,8 @@
 // Programs are decoded once (isa.DecodeProgram) when loaded — New and
 // SetProgram validate and reject bad programs up front — and the per-cycle
 // paths dispatch on the precomputed selectors in isa.Decoded, never on raw
-// opcodes. Exec and Blocked remain as single-instruction compatibility
-// entry points that decode on the fly into a per-machine scratch slot. The
-// pre-decode-plane interpreter is retained in ref.go (ExecRef) as the
-// reference for differential testing.
+// opcodes. The pre-decode-plane interpreter is retained in ref.go (ExecRef)
+// as the oracle for differential testing.
 //
 // Value representation: registers and memory words hold the raw bit pattern
 // in the low Width bits of an int64 (0 .. 2^Width-1). Signed operations
@@ -161,7 +159,7 @@ type Machine struct {
 
 	halted bool
 
-	// leafBuf is the reduction tree's leaf vector, reused across Exec calls
+	// leafBuf is the reduction tree's leaf vector, reused across instructions
 	// (the machine is not safe for concurrent use; neither is the simulator
 	// around it). Under the sharded engine each shard fills and folds its
 	// own disjoint sub-slice.
@@ -180,13 +178,6 @@ type Machine struct {
 	// loads instead of opcode switches.
 	reduceIdent [isa.NumReduceKinds]int64
 	reduceComb  [isa.NumReduceKinds]network.CombineFunc
-
-	// scratch holds the decoded form of the instruction passed to the
-	// single-instruction compatibility entry points Exec/Blocked. It lives
-	// on the machine (not the stack) because the sharded engine publishes a
-	// pointer to the in-flight micro-op, which would otherwise force a heap
-	// allocation per call.
-	scratch isa.Decoded
 
 	// eng is the sharded worker pool, or nil for the serial engine.
 	eng *engine
@@ -508,20 +499,6 @@ func (m *Machine) trap(t int, in isa.Inst, format string, args ...any) error {
 	return &TrapError{Thread: t, PC: m.threads[t].pc, Inst: in, Msg: fmt.Sprintf(format, args...)}
 }
 
-// Exec decodes one instruction on the fly and executes it — the
-// single-instruction compatibility entry point. The decoded form lands in
-// the machine's scratch slot, so the call allocates nothing. Hot loops
-// (internal/core, the baselines) execute pre-decoded programs through
-// ExecDecoded instead. An instruction that fails decode validation traps.
-func (m *Machine) Exec(t int, in isa.Inst) (Outcome, error) {
-	d, err := isa.DecodeInst(in)
-	if err != nil {
-		return Outcome{NextPC: m.threads[t].pc + 1, Spawned: -1}, m.trap(t, in, "%v", err)
-	}
-	m.scratch = d
-	return m.ExecDecoded(t, &m.scratch)
-}
-
 // ExecDecoded executes one pre-decoded micro-op for thread t and advances
 // that thread's PC. The caller must ensure the thread is active and not
 // blocked. It applies all architectural effects immediately; the timing
@@ -695,13 +672,13 @@ func (m *Machine) execThreadOp(t int, d *isa.Decoded, out *Outcome) error {
 		}
 		tt := &m.threads[target]
 		if len(tt.mailbox) >= m.cfg.MailboxCap {
-			return m.trap(t, *in, "send to full mailbox (caller must check Blocked)")
+			return m.trap(t, *in, "send to full mailbox (caller must check BlockedDecoded)")
 		}
 		tt.mailbox = append(tt.mailbox, m.Scalar(t, in.Rb))
 
 	case isa.ThreadOpRecv:
 		if len(th.mailbox) == 0 {
-			return m.trap(t, *in, "recv on empty mailbox (caller must check Blocked)")
+			return m.trap(t, *in, "recv on empty mailbox (caller must check BlockedDecoded)")
 		}
 		v := th.mailbox[0]
 		th.mailbox = th.mailbox[1:]

@@ -33,6 +33,16 @@ func newMachine(t *testing.T, cfg Config, src string) *Machine {
 	return m
 }
 
+// dec decodes one instruction for the tests that drive single
+// instructions through ExecDecoded/BlockedDecoded.
+func dec(in isa.Inst) *isa.Decoded {
+	d, err := isa.DecodeInst(in)
+	if err != nil {
+		panic(err)
+	}
+	return &d
+}
+
 // run executes the machine to completion as a simple reference interpreter:
 // round-robin over active, unblocked threads, one instruction each.
 func run(t *testing.T, m *Machine) {
@@ -52,10 +62,10 @@ func run(t *testing.T, m *Machine) {
 				t.Fatalf("thread %d ran off the end of the program", tid)
 			}
 			in := m.Program()[pc]
-			if m.Blocked(tid, in) {
+			if m.BlockedDecoded(tid, dec(in)) {
 				continue
 			}
-			if _, err := m.Exec(tid, in); err != nil {
+			if _, err := m.ExecDecoded(tid, dec(in)); err != nil {
 				t.Fatal(err)
 			}
 			progress = true
@@ -336,7 +346,7 @@ func TestLocalMemTrap(t *testing.T) {
 	`)
 	var err error
 	for !m.Halted() && err == nil {
-		_, err = m.Exec(0, m.Program()[m.PC(0)])
+		_, err = m.ExecDecoded(0, dec(m.Program()[m.PC(0)]))
 	}
 	if err == nil {
 		t.Fatal("out-of-range local load did not trap")
@@ -512,7 +522,7 @@ func TestSpawnExhaustion(t *testing.T) {
 	`)
 	// Step only thread 0 (the worker spins forever).
 	for i := 0; i < 3; i++ {
-		if _, err := m.Exec(0, m.Program()[m.PC(0)]); err != nil {
+		if _, err := m.ExecDecoded(0, dec(m.Program()[m.PC(0)])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -533,21 +543,21 @@ func TestMailboxBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := m.Program()[0]
-	if !m.Blocked(0, in) {
+	if !m.BlockedDecoded(0, dec(in)) {
 		t.Error("TRECV with empty mailbox should block")
 	}
 	// TSEND to self: fill the mailbox, then it should block.
 	send := isa.Inst{Op: isa.TSEND, Ra: 0, Rb: 0} // thread s0=0, value 0
-	if m.Blocked(0, send) {
+	if m.BlockedDecoded(0, dec(send)) {
 		t.Error("TSEND to empty mailbox should not block")
 	}
-	if _, err := m.Exec(0, send); err != nil {
+	if _, err := m.ExecDecoded(0, dec(send)); err != nil {
 		t.Fatal(err)
 	}
-	if !m.Blocked(0, send) {
+	if !m.BlockedDecoded(0, dec(send)) {
 		t.Error("TSEND to full mailbox should block")
 	}
-	if m.Blocked(0, in) {
+	if m.BlockedDecoded(0, dec(in)) {
 		t.Error("TRECV with queued value should not block")
 	}
 }
@@ -563,17 +573,17 @@ func TestTJOINBlockedWhileAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Exec(0, m.Program()[0]); err != nil { // spawn
+	if _, err := m.ExecDecoded(0, dec(m.Program()[0])); err != nil { // spawn
 		t.Fatal(err)
 	}
 	join := m.Program()[1]
-	if !m.Blocked(0, join) {
+	if !m.BlockedDecoded(0, dec(join)) {
 		t.Error("TJOIN should block while the target is active")
 	}
-	if _, err := m.Exec(1, m.Program()[3]); err != nil { // worker texit
+	if _, err := m.ExecDecoded(1, dec(m.Program()[3])); err != nil { // worker texit
 		t.Fatal(err)
 	}
-	if m.Blocked(0, join) {
+	if m.BlockedDecoded(0, dec(join)) {
 		t.Error("TJOIN should unblock after target exit")
 	}
 }
@@ -585,7 +595,7 @@ func TestHaltedWhenAllThreadsExit(t *testing.T) {
 	if m.Halted() {
 		t.Fatal("halted before executing")
 	}
-	if _, err := m.Exec(0, m.Program()[0]); err != nil {
+	if _, err := m.ExecDecoded(0, dec(m.Program()[0])); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Halted() {
@@ -595,13 +605,13 @@ func TestHaltedWhenAllThreadsExit(t *testing.T) {
 
 func TestPCOutOfBoundsTrap(t *testing.T) {
 	m := newMachine(t, cfg8(1), `nop`)
-	if _, err := m.Exec(0, m.Program()[0]); err != nil {
+	if _, err := m.ExecDecoded(0, dec(m.Program()[0])); err != nil {
 		t.Fatal(err)
 	}
 	// PC now == len(prog): allowed boundary (falls off the end is caught by
 	// the driver); jumping beyond must trap.
 	m.SetPC(0, 0)
-	_, err := m.Exec(0, isa.Inst{Op: isa.J, Imm: 99})
+	_, err := m.ExecDecoded(0, dec(isa.Inst{Op: isa.J, Imm: 99}))
 	if err == nil {
 		t.Error("jump beyond program did not trap")
 	}
@@ -648,7 +658,7 @@ func TestALUMatchesReference(t *testing.T) {
 			m.SetScalar(0, 2, b)
 			for _, op := range ops {
 				in := isa.Inst{Op: op, Rd: 3, Ra: 1, Rb: 2}
-				if _, err := m.Exec(0, in); err != nil {
+				if _, err := m.ExecDecoded(0, dec(in)); err != nil {
 					t.Logf("exec: %v", err)
 					return false
 				}
@@ -689,7 +699,8 @@ func TestALUMatchesReference(t *testing.T) {
 	}
 }
 
-// Property: parallel ALU == scalar ALU applied pointwise on every PE.
+// Property: parallel ALU == the reference interpreter's scalar ALU applied
+// pointwise on every PE.
 func TestParallelMatchesScalarPointwise(t *testing.T) {
 	pairs := []struct {
 		par, sc isa.Op
@@ -712,14 +723,14 @@ func TestParallelMatchesScalarPointwise(t *testing.T) {
 			mp.SetParallel(0, pe, 2, bvals[pe])
 		}
 		for _, pair := range pairs {
-			if _, err := mp.Exec(0, isa.Inst{Op: pair.par, Rd: 3, Ra: 1, Rb: 2}); err != nil {
+			if _, err := mp.ExecDecoded(0, dec(isa.Inst{Op: pair.par, Rd: 3, Ra: 1, Rb: 2})); err != nil {
 				return false
 			}
 			mp.SetPC(0, 0)
 			for pe := 0; pe < p; pe++ {
 				ms.SetScalar(0, 1, avals[pe])
 				ms.SetScalar(0, 2, bvals[pe])
-				if _, err := ms.Exec(0, isa.Inst{Op: pair.sc, Rd: 3, Ra: 1, Rb: 2}); err != nil {
+				if _, err := ms.ExecRef(0, isa.Inst{Op: pair.sc, Rd: 3, Ra: 1, Rb: 2}); err != nil {
 					return false
 				}
 				ms.SetPC(0, 0)

@@ -406,7 +406,7 @@ func goldenCases() []opCase {
 		{op: isa.TRECV, name: "trecv",
 			setup: func(m *Machine) {
 				m.SetScalar(0, 2, 42)
-				if _, err := m.Exec(0, isa.Inst{Op: isa.TSEND, Ra: 0, Rb: 2}); err != nil {
+				if _, err := m.ExecDecoded(0, dec(isa.Inst{Op: isa.TSEND, Ra: 0, Rb: 2})); err != nil {
 					panic(err)
 				}
 				m.SetPC(0, 0)
@@ -426,7 +426,7 @@ func TestGoldenOpcodeSemantics(t *testing.T) {
 			if c.setup != nil {
 				c.setup(m)
 			}
-			out, err := m.Exec(0, c.inst)
+			out, err := m.ExecDecoded(0, dec(c.inst))
 			if err != nil {
 				t.Fatalf("exec: %v", err)
 			}

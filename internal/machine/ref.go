@@ -1,14 +1,12 @@
 package machine
 
-// This file retains the pre-decode-plane interpreter as a reference
-// implementation: it re-derives everything from the raw isa.Inst on every
-// call — Info lookups, per-opcode switches, the scalarALUOp/parallelALUOp
-// translations — exactly like the original Exec did. It exists so the
-// differential tests can check that decoded execution (machine.go) is
-// bit-identical to first-principles instruction semantics on randomized
-// programs. It always runs the PE array serially, regardless of the
-// configured host engine, and is not a hot path: nothing in the simulator
-// proper calls it.
+// This file retains the pre-decode-plane interpreter as the oracle: ExecRef
+// re-derives everything from the raw isa.Inst on every call — Info lookups,
+// per-opcode switches, the scalarALUOp/parallelALUOp translations. The
+// differential harness (internal/core/oracle_test.go) steps it to check
+// every execution tier, decoded execution included, on randomized programs.
+// It always runs the PE array serially, regardless of the configured host
+// engine, and nothing in the simulator proper calls it.
 
 import (
 	"fmt"
@@ -16,28 +14,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/network"
 )
-
-// Blocked is the single-instruction compatibility twin of BlockedDecoded,
-// re-deriving the thread-op kind from the opcode.
-func (m *Machine) Blocked(t int, in isa.Inst) bool {
-	switch in.Op {
-	case isa.TRECV:
-		return len(m.threads[t].mailbox) == 0
-	case isa.TSEND:
-		target := int(m.signed(m.Scalar(t, in.Ra)))
-		if target < 0 || target >= m.cfg.Threads {
-			return false // executes and traps
-		}
-		return len(m.threads[target].mailbox) >= m.cfg.MailboxCap
-	case isa.TJOIN:
-		target := int(m.signed(m.Scalar(t, in.Ra)))
-		if target < 0 || target >= m.cfg.Threads {
-			return false
-		}
-		return m.threads[target].state == ThreadActive
-	}
-	return false
-}
 
 // scalarALUOp maps a scalar ALU opcode to its ALU function — the reference
 // path's per-exec translation that the decode plane precomputes.
@@ -102,9 +78,8 @@ func parallelALUOp(op isa.Op) isa.ALUOp {
 	panic(fmt.Sprintf("machine: %v is not a parallel ALU op", op))
 }
 
-// ExecRef executes one instruction for thread t exactly like the
-// pre-decode-plane Exec: metadata re-derived per call, dispatch by opcode,
-// serial PE loops. Architectural effects and Outcome are required to be
+// ExecRef executes one instruction for thread t from first principles:
+// metadata re-derived per call, dispatch by opcode, serial PE loops. Architectural effects and Outcome are required to be
 // bit-identical to ExecDecoded.
 func (m *Machine) ExecRef(t int, in isa.Inst) (Outcome, error) {
 	th := &m.threads[t]
@@ -264,13 +239,13 @@ func (m *Machine) refExecThreadOp(t int, in isa.Inst, out *Outcome) error {
 		}
 		tt := &m.threads[target]
 		if len(tt.mailbox) >= m.cfg.MailboxCap {
-			return m.trap(t, in, "send to full mailbox (caller must check Blocked)")
+			return m.trap(t, in, "send to full mailbox (caller must check BlockedDecoded)")
 		}
 		tt.mailbox = append(tt.mailbox, m.Scalar(t, in.Rb))
 
 	case isa.TRECV:
 		if len(th.mailbox) == 0 {
-			return m.trap(t, in, "recv on empty mailbox (caller must check Blocked)")
+			return m.trap(t, in, "recv on empty mailbox (caller must check BlockedDecoded)")
 		}
 		v := th.mailbox[0]
 		th.mailbox = th.mailbox[1:]

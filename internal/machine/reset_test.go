@@ -77,10 +77,10 @@ func TestResetAfterTrap(t *testing.T) {
 		sw s1, 4090(s1)   ; traps: address 4150 out of range
 		halt
 	`)
-	if _, err := m.Exec(0, m.Program()[0]); err != nil {
+	if _, err := m.ExecDecoded(0, dec(m.Program()[0])); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Exec(0, m.Program()[1]); err == nil {
+	if _, err := m.ExecDecoded(0, dec(m.Program()[1])); err == nil {
 		t.Fatal("expected a trap")
 	}
 	m.Reset()

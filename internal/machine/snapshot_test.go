@@ -44,7 +44,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	m := snapMachine(t)
 	// Execute a few instructions to build interesting state.
 	for i := 0; i < 4; i++ {
-		if _, err := m.Exec(0, m.Program()[m.PC(0)]); err != nil {
+		if _, err := m.ExecDecoded(0, dec(m.Program()[m.PC(0)])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestSnapshotResumeDeterminism(t *testing.T) {
 		for i := 0; i < steps && !m.Halted(); i++ {
 			tid := -1
 			for c := 0; c < m.Config().Threads; c++ {
-				if m.ThreadActive(c) && !m.Blocked(c, m.Program()[m.PC(c)]) {
+				if m.ThreadActive(c) && !m.BlockedDecoded(c, dec(m.Program()[m.PC(c)])) {
 					tid = c
 					break
 				}
@@ -95,7 +95,7 @@ func TestSnapshotResumeDeterminism(t *testing.T) {
 			if tid < 0 {
 				t.Fatal("deadlock")
 			}
-			if _, err := m.Exec(tid, m.Program()[m.PC(tid)]); err != nil {
+			if _, err := m.ExecDecoded(tid, dec(m.Program()[m.PC(tid)])); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -18,7 +18,7 @@ func execOne(t *testing.T, setup func(m *Machine), in isa.Inst) error {
 	if setup != nil {
 		setup(m)
 	}
-	_, err = m.Exec(0, in)
+	_, err = m.ExecDecoded(0, dec(in))
 	return err
 }
 
@@ -100,11 +100,11 @@ func TestMaskedLanesDoNotTrap(t *testing.T) {
 		m.SetParallel(0, pe, 1, addr)
 		m.SetFlag(0, pe, 1, pe == 0)
 	}
-	if _, err := m.Exec(0, isa.Inst{Op: isa.PLW, Rd: 2, Ra: 1, Mask: 1}); err != nil {
+	if _, err := m.ExecDecoded(0, dec(isa.Inst{Op: isa.PLW, Rd: 2, Ra: 1, Mask: 1})); err != nil {
 		t.Fatalf("masked lanes trapped: %v", err)
 	}
 	m.SetPC(0, 0)
-	if _, err := m.Exec(0, isa.Inst{Op: isa.PSW, Rd: 2, Ra: 1, Mask: 1}); err != nil {
+	if _, err := m.ExecDecoded(0, dec(isa.Inst{Op: isa.PSW, Rd: 2, Ra: 1, Mask: 1})); err != nil {
 		t.Fatalf("masked store trapped: %v", err)
 	}
 }
@@ -115,14 +115,14 @@ func TestSendToExitedThreadMailboxStillWorks(t *testing.T) {
 	m, _ := New(Config{PEs: 1, Threads: 2, Width: 16}, make([]isa.Inst, 8))
 	m.SetScalar(0, 1, 1) // target thread 1 (free)
 	m.SetScalar(0, 2, 42)
-	if _, err := m.Exec(0, isa.Inst{Op: isa.TSEND, Ra: 1, Rb: 2}); err != nil {
+	if _, err := m.ExecDecoded(0, dec(isa.Inst{Op: isa.TSEND, Ra: 1, Rb: 2})); err != nil {
 		t.Fatalf("send to free context: %v", err)
 	}
 	if m.MailboxLen(1) != 1 {
 		t.Error("value not queued")
 	}
 	// Spawning into the context clears stale mailbox contents.
-	if _, err := m.Exec(0, isa.Inst{Op: isa.TSPAWN, Rd: 3, Imm: 0}); err != nil {
+	if _, err := m.ExecDecoded(0, dec(isa.Inst{Op: isa.TSPAWN, Rd: 3, Imm: 0})); err != nil {
 		t.Fatal(err)
 	}
 	if m.MailboxLen(1) != 0 {

@@ -351,3 +351,48 @@ func TestSumMatchesMarshal(t *testing.T) {
 		}
 	}
 }
+
+// FuzzEnvelope feeds arbitrary bytes through the resume path's trust
+// boundary: json.Unmarshal into a SnapshotEnvelope, then Validate. Either
+// step may reject the input, but neither may panic, and an envelope
+// Validate accepts must re-Seal to the Sum it arrived with.
+//
+//	go test -fuzz=FuzzEnvelope ./internal/migrate
+func FuzzEnvelope(f *testing.F) {
+	const src = "halt"
+	cfg := client.MachineConfig{PEs: 4, Width: 16}
+	prog, err := asc.Assemble(src)
+	if err != nil {
+		f.Fatal(err)
+	}
+	p, err := asc.New(cfg.ASC(), prog)
+	if err != nil {
+		f.Fatal(err)
+	}
+	req := client.RunRequest{Asm: src, Config: cfg, MaxCycles: 1000}
+	valid := migrate.Pack("s-fuzz", req, progcache.RequestDigest("", src, cfg.ASC()), p.Snapshot(), 0, 1000, 0, 0, asc.Stats{})
+	if err := migrate.Validate(valid); err != nil {
+		f.Fatalf("seed envelope rejected: %v", err)
+	}
+	for _, env := range []*client.SnapshotEnvelope{valid, goldenEnvelope()} {
+		data, err := json.Marshal(env)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"version":1,"snapshot":"AAAA","sum":""}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var env client.SnapshotEnvelope
+		if json.Unmarshal(data, &env) != nil || migrate.Validate(&env) != nil {
+			return
+		}
+		if sum := env.Sum; sum != "" {
+			if migrate.Seal(&env); env.Sum != sum {
+				t.Fatalf("accepted envelope re-seals to %s, arrived with %s", env.Sum, sum)
+			}
+		}
+	})
+}

@@ -254,7 +254,6 @@ func (bk *Bank) Step() []BankResult {
 	var feedLogic, feedMaxMin, feedSum, feedCount []int64
 	var feedLogicOp, feedMaxMinOp, feedSumOp, feedCountOp taggedOp
 	var feedRes []bool
-	var feedResOp taggedOp
 	keep := bk.front[:0]
 	for _, f := range bk.front {
 		f.remaining--
@@ -272,7 +271,7 @@ func (bk *Bank) Step() []BankResult {
 		case ROpCount, ROpAny:
 			feedCount, feedCountOp = f.leaves, f.taggedOp
 		case ROpFirst:
-			feedRes, feedResOp = f.flagIn, f.taggedOp
+			feedRes = f.flagIn
 			bk.resQueue = append(bk.resQueue, f.taggedOp)
 		}
 	}
@@ -296,6 +295,7 @@ func (bk *Bank) Step() []BankResult {
 		if out.Op == ROpAny && out.Value != 0 {
 			out.Value = 1
 		}
+		out.Value &= ones // the count wraps at Width bits, like RCOUNT
 		results = append(results, out)
 	}
 	if vec, ok := bk.resolver.Step(feedRes); ok {
@@ -303,7 +303,6 @@ func (bk *Bank) Step() []BankResult {
 		bk.resQueue = bk.resQueue[1:]
 		results = append(results, BankResult{Op: op.op, Tag: op.tag, Vector: vec})
 	}
-	_ = feedResOp
 	return results
 }
 

@@ -135,12 +135,23 @@ func TestBankDistinctUnitsOverlap(t *testing.T) {
 	}
 }
 
+func TestBankCountWrapsAtWidth(t *testing.T) {
+	// With p >= 2^Width responders the count wraps like RCOUNT: 300 mod 256.
+	const p = 300
+	bk := NewBank(p, 4, 8)
+	flags := allMask(p)
+	res, _ := drainOne(t, bk, func() { bk.PushFlags(ROpCount, 0, flags, allMask(p)) })
+	if want := int64(p & 0xff); res.Value != want {
+		t.Errorf("RCOUNT of %d responders at width 8 = %d, want %d", p, res.Value, want)
+	}
+}
+
 // Property: for random vectors/masks/ops, the structural bank's result
 // equals the functional reduction model, at exactly the modeled latency.
 func TestBankMatchesFunctional(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
-		p := 1 + rnd.Intn(64)
+		p := 1 + rnd.Intn(70) // up to 7-level trees
 		k := 2 + rnd.Intn(6)
 		width := []uint{8, 16}[rnd.Intn(2)]
 		ones := int64(1)<<width - 1

@@ -6,24 +6,6 @@ import "testing"
 // host-side cost of structural co-simulation (ns per simulated network
 // cycle) at several machine sizes.
 
-func BenchmarkReduceTreeStep(b *testing.B) {
-	b.ReportAllocs()
-	for _, p := range []int{16, 256, 4096} {
-		b.Run(sizeName(p), func(b *testing.B) {
-			b.ReportAllocs()
-			tr := NewReduceTree(p, func(a, c int64) int64 { return a + c })
-			in := make([]int64, p)
-			for i := range in {
-				in[i] = int64(i)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tr.Step(in)
-			}
-		})
-	}
-}
-
 func BenchmarkResolverStep(b *testing.B) {
 	b.ReportAllocs()
 	for _, p := range []int{16, 256, 4096} {

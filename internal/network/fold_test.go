@@ -46,32 +46,24 @@ func TestFoldInPlaceSharding(t *testing.T) {
 }
 
 // TestFoldInPlaceMatchesTree: FoldInPlace agrees with the structural
-// ReduceTree for random vectors (treeFold already does via the Reduce*
-// tests; this covers the exported primitive directly).
+// Bank's saturating sum tree for random vectors (treeFold already does via
+// the Reduce* tests; this covers the exported primitive directly).
 func TestFoldInPlaceMatchesTree(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
+	mask := make([]bool, 70)
+	for i := range mask {
+		mask[i] = true
+	}
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + r.Intn(70)
-		combine := SatAdd(8)
-		tr := NewReduceTree(n, combine)
 		vals := make([]int64, n)
 		for i := range vals {
 			vals[i] = int64(r.Intn(200)) - 100
 		}
-		var out int64
-		var ok bool
-		tr.Step(vals)
-		for i := 0; i < tr.Latency(); i++ {
-			out, ok = tr.Step(nil)
-			if ok {
-				break
-			}
-		}
-		if !ok {
-			t.Fatal("no tree output")
-		}
-		if got := FoldInPlace(append([]int64(nil), vals...), combine); got != out {
-			t.Fatalf("n=%d FoldInPlace %d != structural tree %d", n, got, out)
+		bk := NewBank(n, 4, 8)
+		res, _ := drainOne(t, bk, func() { bk.PushValues(ROpSum, 0, vals, mask[:n]) })
+		if got := FoldInPlace(append([]int64(nil), vals...), SatAdd(8)) & 0xff; got != res.Value {
+			t.Fatalf("n=%d FoldInPlace %d != structural tree %d", n, got, res.Value)
 		}
 	}
 }

@@ -15,13 +15,14 @@
 //   - multiple response resolver: parallel prefix network that isolates the
 //     first responder; uniquely, its output is a parallel value.
 //
-// Two model granularities are provided. The structural types (Broadcast,
-// ReduceTree, Resolver) hold a register file per tree level and are stepped
-// one cycle at a time; they are the ground truth for latency and initiation
-// rate and are exercised directly by the unit tests. The functional helpers
-// (ReduceOr, ReduceMax, ...) compute the same results combinationally and
-// are what the instruction-level simulator calls, with latencies taken from
-// BroadcastLatency and ReductionLatency.
+// Two model granularities are provided. The structural model is Bank
+// (bank.go): every reduction unit behind the broadcast stages, with a
+// register file per tree level, stepped one cycle at a time. It is the
+// ground truth for latency and initiation rate, and the core's structural
+// co-simulation replays every reduction through it. The functional helpers
+// (FoldInPlace*, ReduceOr, ReduceMax, ...) compute the same results
+// combinationally and are what the instruction-level simulator calls, with
+// latencies taken from BroadcastLatency and ReductionLatency.
 package network
 
 import "fmt"
@@ -82,95 +83,8 @@ func ReduceNodes(p int) int {
 	return p - 1
 }
 
-// Broadcast is a structural model of the pipelined k-ary broadcast tree.
-// One value enters per cycle; after Latency cycles it appears at every leaf.
-type Broadcast struct {
-	p, k  int
-	depth int
-	// pipe[0] is the register nearest the control unit; pipe[depth-1] feeds
-	// the PE array. valid tracks bubble propagation.
-	pipe  []int64
-	valid []bool
-}
-
-// NewBroadcast builds a broadcast tree for p PEs with arity k.
-func NewBroadcast(p, k int) *Broadcast {
-	d := BroadcastLatency(p, k)
-	return &Broadcast{p: p, k: k, depth: d, pipe: make([]int64, d), valid: make([]bool, d)}
-}
-
-// Latency is the number of cycles between Step input and leaf output.
-func (b *Broadcast) Latency() int { return b.depth }
-
-// Step advances one clock cycle. If in is non-nil, *in enters the tree this
-// cycle. The return values are the value arriving at the PE array this cycle
-// and whether one arrived.
-func (b *Broadcast) Step(in *int64) (out int64, ok bool) {
-	out, ok = b.pipe[b.depth-1], b.valid[b.depth-1]
-	copy(b.pipe[1:], b.pipe[:b.depth-1])
-	copy(b.valid[1:], b.valid[:b.depth-1])
-	if in != nil {
-		b.pipe[0], b.valid[0] = *in, true
-	} else {
-		b.pipe[0], b.valid[0] = 0, false
-	}
-	return out, ok
-}
-
 // CombineFunc combines two values at a reduction tree node.
 type CombineFunc func(a, b int64) int64
-
-// ReduceTree is a structural model of one pipelined binary reduction tree.
-// A full vector of p leaf values enters per cycle; the reduced scalar
-// emerges from the root Latency cycles later.
-type ReduceTree struct {
-	p       int
-	combine CombineFunc
-	// levels[0] has ceil(p/2) registers (after the first combine row),
-	// and so on up to levels[depth-1] which has 1 register (the root).
-	levels [][]int64
-	valid  []bool
-	depth  int
-}
-
-// NewReduceTree builds a reduction tree over p leaves with the given
-// combine function. The tree has ReductionLatency(p) register levels; for
-// non-power-of-two p, odd nodes pass through unchanged.
-func NewReduceTree(p int, combine CombineFunc) *ReduceTree {
-	depth := ReductionLatency(p)
-	t := &ReduceTree{p: p, combine: combine, depth: depth, valid: make([]bool, depth)}
-	width := p
-	for l := 0; l < depth; l++ {
-		width = (width + 1) / 2
-		t.levels = append(t.levels, make([]int64, width))
-	}
-	return t
-}
-
-// Latency is the number of cycles between Step input and root output.
-func (t *ReduceTree) Latency() int { return t.depth }
-
-// Step advances one clock cycle. If in is non-nil it must have length p and
-// enters the first combine row this cycle. The return values are the scalar
-// emerging from the root this cycle and whether one emerged.
-func (t *ReduceTree) Step(in []int64) (out int64, ok bool) {
-	out, ok = t.levels[t.depth-1][0], t.valid[t.depth-1]
-	// Advance upper levels from the bottom of the pipeline upward.
-	for l := t.depth - 1; l >= 1; l-- {
-		combineRow(t.levels[l], t.levels[l-1], t.combine)
-		t.valid[l] = t.valid[l-1]
-	}
-	if in != nil {
-		if len(in) != t.p {
-			panic(fmt.Sprintf("network: ReduceTree.Step input length %d, want %d", len(in), t.p))
-		}
-		combineRow(t.levels[0], in, t.combine)
-		t.valid[0] = true
-	} else {
-		t.valid[0] = false
-	}
-	return out, ok
-}
 
 // combineRow fills dst[i] = combine(src[2i], src[2i+1]), passing odd tails
 // through unchanged.

@@ -37,131 +37,6 @@ func TestReductionLatency(t *testing.T) {
 	}
 }
 
-func TestBroadcastDeliversAfterLatency(t *testing.T) {
-	b := NewBroadcast(16, 4)
-	if b.Latency() != 2 {
-		t.Fatalf("latency = %d, want 2", b.Latency())
-	}
-	v := int64(42)
-	if _, ok := b.Step(&v); ok {
-		t.Fatal("output on the injection cycle")
-	}
-	out, ok := b.Step(nil)
-	if ok {
-		t.Fatalf("output one cycle early: %d", out)
-	}
-	out, ok = b.Step(nil)
-	if !ok || out != 42 {
-		t.Fatalf("after latency: got (%d, %v), want (42, true)", out, ok)
-	}
-	if _, ok := b.Step(nil); ok {
-		t.Fatal("stale output after the value drained")
-	}
-}
-
-func TestBroadcastInitiationRateOnePerCycle(t *testing.T) {
-	b := NewBroadcast(64, 2) // latency 6
-	n := 20
-	var got []int64
-	for c := 0; c < n+b.Latency(); c++ {
-		var in *int64
-		if c < n {
-			v := int64(c * 3)
-			in = &v
-		}
-		if out, ok := b.Step(in); ok {
-			got = append(got, out)
-		}
-	}
-	if len(got) != n {
-		t.Fatalf("delivered %d values, want %d", len(got), n)
-	}
-	for i, v := range got {
-		if v != int64(i*3) {
-			t.Errorf("delivery %d = %d, want %d (in-order, fully pipelined)", i, v, i*3)
-		}
-	}
-}
-
-func TestReduceTreeLatencyAndValue(t *testing.T) {
-	p := 16
-	tr := NewReduceTree(p, func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-	if tr.Latency() != 4 {
-		t.Fatalf("latency = %d, want 4", tr.Latency())
-	}
-	in := make([]int64, p)
-	for i := range in {
-		in[i] = int64((i * 7) % 13)
-	}
-	tr.Step(in)
-	for c := 1; c < tr.Latency(); c++ {
-		if _, ok := tr.Step(nil); ok {
-			t.Fatalf("output at cycle %d, before latency %d", c, tr.Latency())
-		}
-	}
-	out, ok := tr.Step(nil)
-	if !ok {
-		t.Fatal("no output after latency")
-	}
-	want := int64(12) // max of (i*7)%13 over 0..15
-	if out != want {
-		t.Fatalf("max = %d, want %d", out, want)
-	}
-}
-
-func TestReduceTreePipelined(t *testing.T) {
-	p := 8
-	tr := NewReduceTree(p, func(a, b int64) int64 { return a + b })
-	rounds := 10
-	var outs []int64
-	for c := 0; c < rounds+tr.Latency(); c++ {
-		var in []int64
-		if c < rounds {
-			in = make([]int64, p)
-			for i := range in {
-				in[i] = int64(c) // sum should be p*c
-			}
-		}
-		if out, ok := tr.Step(in); ok {
-			outs = append(outs, out)
-		}
-	}
-	if len(outs) != rounds {
-		t.Fatalf("got %d results, want %d", len(outs), rounds)
-	}
-	for c, out := range outs {
-		if out != int64(p*c) {
-			t.Errorf("round %d sum = %d, want %d", c, out, p*c)
-		}
-	}
-}
-
-func TestReduceTreeOddSizes(t *testing.T) {
-	for _, p := range []int{1, 3, 5, 7, 9, 13, 17, 31} {
-		tr := NewReduceTree(p, func(a, b int64) int64 { return a + b })
-		in := make([]int64, p)
-		want := int64(0)
-		for i := range in {
-			in[i] = int64(i + 1)
-			want += int64(i + 1)
-		}
-		tr.Step(in)
-		var out int64
-		var ok bool
-		for c := 0; c < tr.Latency(); c++ {
-			out, ok = tr.Step(nil)
-		}
-		if !ok || out != want {
-			t.Errorf("p=%d: sum = (%d,%v), want (%d,true)", p, out, ok, want)
-		}
-	}
-}
-
 func TestResolverFindsFirst(t *testing.T) {
 	p := 16
 	r := NewResolver(p)
@@ -237,70 +112,6 @@ func TestResolverMatchesFunctional(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: every structural tree result equals the functional reduction for
-// random vectors, masks, and sizes.
-func TestStructuralMatchesFunctional(t *testing.T) {
-	const width = 8
-	type unit struct {
-		name       string
-		combine    CombineFunc
-		identity   int64
-		functional func(vals []int64, mask []bool) int64
-	}
-	units := []unit{
-		{"or", func(a, b int64) int64 { return a | b }, 0,
-			func(v []int64, m []bool) int64 { return ReduceOr(v, m) }},
-		{"max", func(a, b int64) int64 {
-			if a > b {
-				return a
-			}
-			return b
-		}, MaxIdentitySigned(width),
-			func(v []int64, m []bool) int64 { return ReduceMax(v, m, width) }},
-		{"min", func(a, b int64) int64 {
-			if a < b {
-				return a
-			}
-			return b
-		}, MinIdentitySigned(width),
-			func(v []int64, m []bool) int64 { return ReduceMin(v, m, width) }},
-		{"sum", SatAdd(width), 0,
-			func(v []int64, m []bool) int64 { return ReduceSum(v, m, width) }},
-	}
-	f := func(seed int64) bool {
-		rnd := rand.New(rand.NewSource(seed))
-		p := 1 + rnd.Intn(70)
-		vals := make([]int64, p)
-		mask := make([]bool, p)
-		for i := range vals {
-			vals[i] = int64(rnd.Intn(256)) - 128 // signed 8-bit range
-			mask[i] = rnd.Intn(2) == 0
-		}
-		for _, u := range units {
-			tr := NewReduceTree(p, u.combine)
-			in := leaves(vals, mask, u.identity)
-			tr.Step(in)
-			var out int64
-			var ok bool
-			for c := 0; c < tr.Latency(); c++ {
-				out, ok = tr.Step(nil)
-			}
-			if !ok {
-				t.Logf("%s: no output", u.name)
-				return false
-			}
-			if want := u.functional(vals, mask); out != want {
-				t.Logf("%s: p=%d structural %d != functional %d", u.name, p, out, want)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -512,10 +323,6 @@ func TestInvalidParametersPanic(t *testing.T) {
 	mustPanic("BroadcastLatency p=0", func() { BroadcastLatency(0, 2) })
 	mustPanic("BroadcastLatency k=1", func() { BroadcastLatency(8, 1) })
 	mustPanic("ReductionLatency p=0", func() { ReductionLatency(0) })
-	mustPanic("ReduceTree bad input len", func() {
-		tr := NewReduceTree(4, func(a, b int64) int64 { return a + b })
-		tr.Step([]int64{1})
-	})
 	mustPanic("Resolver bad input len", func() {
 		r := NewResolver(4)
 		r.Step([]bool{true})

@@ -59,8 +59,8 @@ func SatAdd(width uint) CombineFunc {
 }
 
 // treeFold reduces vals with combine using the same binary-tree topology as
-// ReduceTree, so that functional and structural results agree even for
-// non-associative-under-saturation operations like SatAdd.
+// Bank's pipelined trees, so that functional and structural results agree
+// even for non-associative-under-saturation operations like SatAdd.
 func treeFold(vals []int64, combine CombineFunc) int64 {
 	// Fold in place over one scratch copy: combineRow writes dst[i] from
 	// src[2i], src[2i+1], and i <= 2i, so the prefix overwrite is safe.
@@ -68,7 +68,7 @@ func treeFold(vals []int64, combine CombineFunc) int64 {
 }
 
 // FoldInPlace reduces buf with combine using the exact binary-tree topology
-// of ReduceTree (pairs (2i, 2i+1) at every level, odd tails passed through),
+// of Bank's trees (pairs (2i, 2i+1) at every level, odd tails passed through),
 // clobbering buf's prefix as scratch. It never allocates, which makes it the
 // hot-path primitive behind the machine's reduction instructions.
 //

@@ -1,111 +1,11 @@
 package progs
 
 import (
-	"fmt"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/asm"
-	"repro/internal/baseline"
 	"repro/internal/core"
-	"repro/internal/isa"
-	"repro/internal/machine"
 )
-
-// Differential testing: the same program run on every machine model —
-// plain functional interpreter, fine-grain pipelined core, the same core
-// with SMT and with structural co-simulation, the coarse-grain baseline,
-// and the non-pipelined baseline — must produce identical architectural
-// results. Timing models may disagree about cycles; they must never
-// disagree about answers.
-
-// diffProgram builds a randomized single-threaded program exercising all
-// three instruction classes, branches, and memory, and ends by storing a
-// digest of its registers into scalar memory.
-func diffProgram(r *rand.Rand) []isa.Inst {
-	prog := randomDiffBody(r, 30+r.Intn(40))
-	// Digest: fold every scalar register into s1 and store; reduce every
-	// parallel register and store.
-	addr := int32(0)
-	for reg := uint8(2); reg < 14; reg++ {
-		prog = append(prog, isa.Inst{Op: isa.XOR, Rd: 1, Ra: 1, Rb: reg})
-	}
-	prog = append(prog, isa.Inst{Op: isa.SW, Rd: 1, Ra: 0, Imm: addr})
-	addr++
-	for reg := uint8(1); reg < 8; reg++ {
-		prog = append(prog,
-			isa.Inst{Op: isa.RSUM, Rd: 2, Ra: reg},
-			isa.Inst{Op: isa.SW, Rd: 2, Ra: 0, Imm: addr})
-		addr++
-	}
-	prog = append(prog, isa.Inst{Op: isa.HALT})
-	return prog
-}
-
-// randomDiffBody mirrors the straight-line generator but adds forward
-// branches and local-memory traffic with safe addresses.
-func randomDiffBody(r *rand.Rand, n int) []isa.Inst {
-	var prog []isa.Inst
-	type patch struct{ at int }
-	var patches []patch
-	ops := []isa.Op{
-		isa.ADD, isa.SUB, isa.XOR, isa.AND, isa.OR, isa.MUL, isa.ADDI,
-		isa.PADD, isa.PSUB, isa.PXOR, isa.PMUL, isa.PIDX, isa.PLI, isa.PADDI,
-		isa.PCEQ, isa.PCLT, isa.PCGT, isa.FAND, isa.FOR, isa.FNOT, isa.FSET,
-		isa.RMAX, isa.RMIN, isa.RSUM, isa.ROR, isa.RAND, isa.RCOUNT, isa.RANY, isa.RFIRST,
-	}
-	for i := 0; i < n; i++ {
-		if r.Intn(12) == 0 {
-			// Forward branch on a data-dependent condition.
-			prog = append(prog, isa.Inst{
-				Op: []isa.Op{isa.BEQ, isa.BNE, isa.BLT, isa.BGE}[r.Intn(4)],
-				Rd: uint8(r.Intn(16)), Ra: uint8(r.Intn(16)),
-			})
-			patches = append(patches, patch{at: len(prog) - 1})
-			continue
-		}
-		if r.Intn(10) == 0 {
-			// Local memory round trip at a safe address (p1 set to idx by
-			// a PIDX earlier or zero; use immediate-only addressing).
-			prog = append(prog,
-				isa.Inst{Op: isa.PSW, Rd: uint8(1 + r.Intn(15)), Ra: 0, Imm: int32(r.Intn(8))},
-				isa.Inst{Op: isa.PLW, Rd: uint8(1 + r.Intn(15)), Ra: 0, Imm: int32(r.Intn(8))})
-			continue
-		}
-		op := ops[r.Intn(len(ops))]
-		in := isa.Inst{
-			Op:   op,
-			Rd:   uint8(r.Intn(16)),
-			Ra:   uint8(r.Intn(16)),
-			Rb:   uint8(r.Intn(16)),
-			Mask: uint8(r.Intn(3)),
-		}
-		info := isa.Lookup(op)
-		if info.Format == isa.FormatI || info.Format == isa.FormatPI {
-			in.Imm = int32(r.Intn(50))
-		}
-		if info.Format == isa.FormatPR && info.SrcBKind == isa.KindParallel {
-			in.SB = r.Intn(3) == 0
-		}
-		if info.DstKind == isa.KindFlag {
-			in.Rd &= 7
-		}
-		if info.SrcAKind == isa.KindFlag {
-			in.Ra &= 7
-		}
-		if info.SrcBKind == isa.KindFlag {
-			in.Rb &= 7
-		}
-		prog = append(prog, in.Canonical())
-	}
-	// Patch branches to land just past the body (before the digest).
-	for _, p := range patches {
-		lo := p.at + 1
-		prog[p.at].Imm = int32(lo + r.Intn(len(prog)-lo+1))
-	}
-	return prog
-}
 
 // digest extracts the stored result words.
 func digest(mem func(int) int64) [8]int64 {
@@ -114,90 +14,6 @@ func digest(mem func(int) int64) [8]int64 {
 		d[i] = mem(i)
 	}
 	return d
-}
-
-func TestDifferentialAllModels(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		prog := diffProgram(r)
-		mc := machine.Config{PEs: 8, Threads: 2, Width: 16, LocalMemWords: 16}
-
-		// Reference interpreter.
-		ref, err := machine.New(mc, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		steps := 0
-		for !ref.Halted() {
-			if _, err := ref.Exec(0, prog[ref.PC(0)]); err != nil {
-				t.Fatal(err)
-			}
-			if steps++; steps > len(prog)+8 {
-				t.Fatal("reference did not halt")
-			}
-		}
-		want := digest(ref.ScalarMem)
-
-		check := func(name string, mem func(int) int64) bool {
-			if got := digest(mem); got != want {
-				t.Logf("seed %d: %s digest %v != reference %v", seed, name, got, want)
-				return false
-			}
-			return true
-		}
-
-		// Fine-grain core (several shapes).
-		for _, cfg := range []core.Config{
-			{Machine: mc, Arity: 2},
-			{Machine: mc, Arity: 8},
-			{Machine: mc, Arity: 4, SMT: true},
-			{Machine: mc, Arity: 4, StructuralNetworks: true},
-			{Machine: mc, Arity: 4, Scheduler: core.SchedFixed},
-		} {
-			p, err := core.New(cfg, prog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := p.Run(1_000_000); err != nil {
-				t.Logf("seed %d: core run: %v", seed, err)
-				return false
-			}
-			if !check(fmt.Sprintf("core(arity=%d,smt=%v)", cfg.Arity, cfg.SMT), p.Machine().ScalarMem) {
-				return false
-			}
-		}
-
-		// Coarse-grain baseline.
-		cg, err := baseline.NewCoarseGrain(mc, 4, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cg.Run(1_000_000); err != nil {
-			t.Logf("seed %d: coarse: %v", seed, err)
-			return false
-		}
-		if !check("coarse-grain", cg.Machine().ScalarMem) {
-			return false
-		}
-
-		// Non-pipelined baseline.
-		np, err := baseline.NewNonPipelined(mc, prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := np.Run(1_000_000); err != nil {
-			t.Logf("seed %d: non-pipelined: %v", seed, err)
-			return false
-		}
-		return check("non-pipelined", np.Machine().ScalarMem)
-	}
-	cfg := &quick.Config{MaxCount: 40}
-	if testing.Short() {
-		cfg.MaxCount = 8
-	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestDifferentialKernels: the kernel suite digested across models (already
