@@ -117,7 +117,8 @@ bench-test:
 # (snapshots, envelopes) does not stall the smoke run for a minute.
 FUZZ_TARGETS = FuzzOracle:./internal/core FuzzEnvelope:./internal/migrate \
 	FuzzRestore:./internal/machine FuzzCompile:./internal/ascl \
-	FuzzAssemble:./internal/asm FuzzDecode:./internal/asm
+	FuzzAssemble:./internal/asm FuzzDecode:./internal/asm \
+	FuzzRequest:./internal/server
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

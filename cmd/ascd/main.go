@@ -1,14 +1,16 @@
 // ascd is the MTASC simulation-as-a-service daemon: it serves
-// compile-and-simulate jobs over HTTP/JSON from a bounded work queue,
-// executing them on a pool of warm, recyclable simulator machines.
+// compile-and-simulate jobs over HTTP/JSON through bounded admission
+// lanes, executing them on a pool of warm, recyclable simulator machines.
 //
 // Usage:
 //
 //	ascd [flags]
 //
 //	-addr HOST:PORT   listen address (default :8642)
-//	-workers N        concurrent simulations (default: host CPUs)
-//	-queue N          bounded queue depth; beyond it submissions get 429
+//	-workers N        execution slots in each admission lane — /v1/run,
+//	                  batches, sessions (default: host CPUs)
+//	-queue N          jobs /v1/run and the batch lane each queue beyond
+//	                  their slots; beyond that submissions get 429
 //	-pool-idle N      warm machines kept between requests (default 2*workers)
 //	-max-cycles N     hard per-request cycle cap
 //	-timeout D        default per-request wall-clock limit
@@ -17,17 +19,12 @@
 //	-max-body N       request body size cap in bytes
 //	-trace-depth N    instruction records retained for "trace": true jobs
 //	-batch-max-jobs N jobs accepted in one POST /v1/batch
-//	-batch-concurrency N
-//	                  batch sub-jobs executing at once (default: workers)
 //	-program-cache-size N
 //	                  compiled programs kept in the content-addressed
 //	                  cache (repeat submissions skip the compiler;
 //	                  negative disables)
 //	-gang-min-jobs N  minimum same-program batch jobs executed as one
 //	                  lockstep gang (negative disables ganging)
-//	-session-max-live N
-//	                  resumable sessions executing at once in the session
-//	                  lane (default: workers)
 //	-session-retain N parked session records (suspended envelopes and
 //	                  completed outcomes) kept for export (default 1024)
 //	-session-drain-wait D
@@ -53,7 +50,7 @@
 // contract, and docs/OBSERVABILITY.md for the metric catalog, tracing,
 // log fields, and pprof usage. SIGINT/SIGTERM trigger a
 // graceful shutdown that stops admission (503) and drains queued and
-// in-flight jobs, batches included.
+// in-flight jobs in every lane.
 package main
 
 import (
@@ -75,8 +72,8 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8642", "listen address")
-	workers := flag.Int("workers", 0, "concurrent simulations (0 = host CPUs)")
-	queue := flag.Int("queue", 64, "job queue depth")
+	workers := flag.Int("workers", 0, "execution slots per admission lane (0 = host CPUs)")
+	queue := flag.Int("queue", 64, "jobs queued beyond the slots in the run and batch lanes")
 	poolIdle := flag.Int("pool-idle", 0, "warm machines kept idle (0 = 2*workers)")
 	maxCycles := flag.Int64("max-cycles", 100_000_000, "per-request cycle cap")
 	timeout := flag.Duration("timeout", 30*time.Second, "default per-request wall-clock limit")
@@ -85,10 +82,8 @@ func main() {
 	maxBody := flag.Int64("max-body", 8<<20, "request body cap in bytes")
 	traceDepth := flag.Int("trace-depth", 512, "instruction records retained for trace-enabled jobs")
 	batchMaxJobs := flag.Int("batch-max-jobs", 64, "jobs accepted in one POST /v1/batch")
-	batchConcurrency := flag.Int("batch-concurrency", 0, "batch sub-jobs executing at once (0 = workers)")
 	programCacheSize := flag.Int("program-cache-size", 128, "compiled programs kept in the content-addressed cache (negative = off)")
 	gangMinJobs := flag.Int("gang-min-jobs", 0, "minimum same-program batch jobs ganged into one lockstep run (0 = default 2, negative = off)")
-	sessionMaxLive := flag.Int("session-max-live", 0, "resumable sessions executing at once (0 = workers)")
 	sessionRetain := flag.Int("session-retain", 1024, "parked session records kept for export")
 	sessionDrainWait := flag.Duration("session-drain-wait", 10*time.Second, "drain budget for running sessions to reach a checkpoint")
 	traceSample := flag.Float64("trace-sample", 0, "head-sampling rate for distributed traces in [0,1]")
@@ -120,10 +115,8 @@ func main() {
 		MaxBodyBytes:     *maxBody,
 		TraceDepth:       *traceDepth,
 		BatchMaxJobs:     *batchMaxJobs,
-		BatchConcurrency: *batchConcurrency,
 		ProgramCacheSize: *programCacheSize,
 		GangMinJobs:      *gangMinJobs,
-		SessionMaxLive:   *sessionMaxLive,
 		SessionRetain:    *sessionRetain,
 		SessionDrainWait: *sessionDrainWait,
 		TraceSample:      *traceSample,
@@ -163,7 +156,7 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
-	// Drain the job queue first so handlers waiting on results complete,
+	// Drain the admission lanes first so every admitted job completes,
 	// then close the HTTP side; new submissions get 503 throughout.
 	if err := core.Shutdown(ctx); err != nil {
 		logger.Error("drain incomplete", "error", err.Error())

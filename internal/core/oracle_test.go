@@ -68,6 +68,9 @@ type laneRun struct {
 	snap  []byte
 	err   error
 	stats *Stats
+	// inBlock is set on oracle runs that issued an instruction inside a
+	// basic block while one thread was active.
+	inBlock bool
 }
 
 // oracleCoverage counts the behaviours a default run must reach.
@@ -272,18 +275,24 @@ func (c *oracleCase) oracle(lane int) *laneRun {
 	defer m.Close()
 	c.in[lane].apply(m)
 	var runErr error
+	inBlock := false
 	for steps := 0; !m.Halted() && runErr == nil; steps++ {
-		t := 0
-		for !m.ThreadActive(t) {
-			t++
+		t, active := -1, 0
+		for u := c.cfg.Machine.Threads - 1; u >= 0; u-- {
+			if m.ThreadActive(u) {
+				t, active = u, active+1
+			}
 		}
 		if pc := m.PC(t); pc >= len(c.prog) || steps > 2*len(c.prog) {
 			runErr = fmt.Errorf("oracle: forward-only program did not halt (pc %d)", pc)
 		} else {
+			if _, _, _, ok := c.dp.Blocks().Lookup(pc); ok && active == 1 {
+				inBlock = true
+			}
 			_, runErr = m.ExecRef(t, c.prog[pc])
 		}
 	}
-	c.want[lane] = &laneRun{lane: lane, snap: m.Snapshot(), err: runErr}
+	c.want[lane] = &laneRun{lane: lane, snap: m.Snapshot(), err: runErr, inBlock: inBlock}
 	return c.want[lane]
 }
 
@@ -364,9 +373,11 @@ var oracleTiers = []oracleTier{
 		runs := make([]laneRun, oracleLanes)
 		for i := range runs {
 			runs[i] = *c.soloRun(i)
-			// Every program but a lone HALT takes the block plane at PC 0
-			// unless it traps first.
-			if len(c.prog) > 1 && c.oracle(i).err == nil && runs[i].stats.BlockDispatches == 0 {
+			// A lane whose path issues an instruction inside a block takes
+			// the block plane unless it traps first. Terminators (control
+			// flow, thread management, HALT) lie outside every block, so a
+			// path of terminators alone never engages it.
+			if want := c.oracle(i); want.inBlock && want.err == nil && runs[i].stats.BlockDispatches == 0 {
 				return nil, fmt.Errorf("lane %d: block plane never engaged (fallbacks %v)", i, runs[i].stats.BlockFallbacks)
 			}
 		}

@@ -221,10 +221,27 @@ func NewID() string { return newHex(8) }
 
 // RequestID resolves the id for a request: a valid inbound X-Request-Id
 // (set by ascgw or any fronting proxy) is adopted, so one id threads
-// through gateway and backend logs; anything else gets a fresh id.
+// through gateway and backend logs; anything else gets a fresh id. Below
+// WithRequestID it returns the id the wrapper resolved.
 func RequestID(r *http.Request) string {
 	if id := r.Header.Get("X-Request-Id"); ValidID(id) {
 		return id
 	}
 	return NewID()
+}
+
+// WithRequestID resolves a request's id once, before any route runs, and
+// echoes it in the response's X-Request-Id header. A fresh id is also
+// written back to the request header, so every handler below reads the
+// same id with RequestID.
+func WithRequestID(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := r.Header.Get("X-Request-Id")
+		if !ValidID(id) {
+			id = NewID()
+			r.Header.Set("X-Request-Id", id)
+		}
+		w.Header().Set("X-Request-Id", id)
+		next.ServeHTTP(w, r)
+	})
 }

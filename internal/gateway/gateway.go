@@ -262,7 +262,7 @@ func (g *Gateway) onHealthChange(name string, healthy bool) {
 // POST /v1/run, POST /v1/batch, POST /v1/sessions (+ /v1/sessions/{id},
 // .../resume), POST /v1/admin/drain (drain-and-migrate one backend),
 // GET /metrics (fleet-wide), GET /healthz, GET /debug/traces (stitched
-// fleet-wide waterfalls).
+// fleet-wide waterfalls). Every response carries X-Request-Id.
 func (g *Gateway) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/run", g.handleRun)
@@ -273,7 +273,7 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/metrics", g.handleMetrics)
 	mux.HandleFunc("/healthz", g.handleHealthz)
 	mux.HandleFunc("/debug/traces", g.handleTraces)
-	return mux
+	return dtrace.WithRequestID(mux)
 }
 
 // Tracer exposes the gateway's tracer; nil when disabled.
@@ -343,7 +343,7 @@ func (g *Gateway) writeUnavailable(w http.ResponseWriter, status int, floorHint 
 	writeError(w, status, format, args...)
 }
 
-// request runs the prelude every POST handler shares: it resolves the
+// request runs the prelude every POST handler shares: it reads the
 // request id, starts the trace, checks the method, and reads the bounded
 // body, decoding it into v. The raw body comes back for proxying. ok=false
 // means the refusal has been written; the caller still finishes tr, which
@@ -351,7 +351,6 @@ func (g *Gateway) writeUnavailable(w http.ResponseWriter, status int, floorHint 
 // follows a job through gateway and backend logs end to end.
 func (g *Gateway) request(w http.ResponseWriter, r *http.Request, name, allow string, v any) (id string, tr *dtrace.Active, log *slog.Logger, body []byte, ok bool) {
 	id = dtrace.RequestID(r)
-	w.Header().Set("X-Request-Id", id)
 	tr, log = g.startTrace(w, r, name, id, g.log.With("request_id", id))
 	if r.Method != http.MethodPost {
 		tr.SetError()

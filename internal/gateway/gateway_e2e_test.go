@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -404,6 +405,55 @@ func TestGatewayRequestIDThreading(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	if got := resp.Header.Get("X-Request-Id"); got != "e2e-trace-42" {
 		t.Errorf("X-Request-Id = %q, want e2e-trace-42", got)
+	}
+}
+
+// TestGatewayRequestIDEveryRoute checks the X-Request-Id promise of
+// docs/API.md on every gateway route: a response always carries an id,
+// and a valid inbound id is echoed. The drain route names a backend this
+// gateway does not know, so it refuses without draining anything.
+func TestGatewayRequestIDEveryRoute(t *testing.T) {
+	f := newFleet(t, 1, nil)
+	req, _ := sumJob(4, []int64{9})
+	raw, _ := json.Marshal(&req)
+	run := string(raw)
+	routes := []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/run", run},
+		{http.MethodPost, "/v1/run", `{`},
+		{http.MethodPost, "/v1/batch", `{"jobs": [` + run + `]}`},
+		{http.MethodPost, "/v1/sessions", run},
+		{http.MethodGet, "/v1/sessions", ""},
+		{http.MethodGet, "/v1/sessions/s0123", ""},
+		{http.MethodGet, "/v1/sessions/bad%20id", ""},
+		{http.MethodPost, "/v1/sessions/s0123/resume", `{}`},
+		{http.MethodPost, "/v1/admin/drain", `{"backend": "http://127.0.0.1:1"}`},
+		{http.MethodGet, "/metrics", ""},
+		{http.MethodGet, "/healthz", ""},
+		{http.MethodGet, "/debug/traces", ""},
+	}
+	for i, rt := range routes {
+		for _, inbound := range []string{"", fmt.Sprintf("gw-rid-%d", i)} {
+			hreq, err := http.NewRequest(rt.method, f.gwHS.URL+rt.path, strings.NewReader(rt.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inbound != "" {
+				hreq.Header.Set("X-Request-Id", inbound)
+			}
+			resp, err := http.DefaultClient.Do(hreq)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			got := resp.Header.Get("X-Request-Id")
+			switch {
+			case got == "":
+				t.Errorf("%s %s (status %d): no X-Request-Id", rt.method, rt.path, resp.StatusCode)
+			case inbound != "" && got != inbound:
+				t.Errorf("%s %s: X-Request-Id %q, want the inbound %q", rt.method, rt.path, got, inbound)
+			}
+		}
 	}
 }
 

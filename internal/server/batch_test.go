@@ -170,7 +170,7 @@ func TestBatchPerJobErrors(t *testing.T) {
 // canceled, and re-parks (not leaks) the warm machines the canceled jobs
 // were running on.
 func TestBatchCancellationReparks(t *testing.T) {
-	_, c := newTestServer(t, server.Config{Workers: 2, BatchConcurrency: 4})
+	_, c := newTestServer(t, server.Config{Workers: 4})
 	fast, want := sumRequest([]int64{1, 2, 3, 4})
 	spin := spinRequest(0) // no per-job limit; only the batch deadline stops it
 
@@ -230,7 +230,7 @@ func TestBatchCancellationReparks(t *testing.T) {
 // TestBatchAdmission covers whole-batch admission failures: empty, over
 // the size cap, and backpressure with a Retry-After hint.
 func TestBatchAdmission(t *testing.T) {
-	_, c := newTestServer(t, server.Config{Workers: 1, QueueDepth: 1, BatchMaxJobs: 4, BatchConcurrency: 1})
+	_, c := newTestServer(t, server.Config{Workers: 1, QueueDepth: 1, BatchMaxJobs: 4})
 	base := c.BaseURL
 
 	resp, _ := postBatch(t, base, client.BatchRequest{})

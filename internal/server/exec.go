@@ -7,8 +7,9 @@
 // job, a batch single, a peeled gang lane, a session segment — then runs
 // in runSolo, the only solo checkout; a gang group runs in runGang, which
 // hands its peeled lanes to runSolo. Both build their wire result in
-// newResult. The lanes differ only in admission and wire shape, and a solo
-// job's callers only in its starting state (see solo).
+// newResult. The lanes differ only in their admission lane (see lane) and
+// wire shape, and a solo job's callers only in its starting state (see
+// solo).
 package server
 
 import (
@@ -123,7 +124,7 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 	if req.Trace {
 		// Bounded record retention: the trace covers the most recent
 		// TraceDepth instructions, so tracing a long run cannot OOM the
-		// worker. Traced machines pool separately (TraceDepth is part of
+		// daemon. Traced machines pool separately (TraceDepth is part of
 		// the pool key).
 		cfg.TraceDepth = s.cfg.TraceDepth
 	}
@@ -327,21 +328,13 @@ func suspended(env *client.SnapshotEnvelope, reason string, resumed bool) *clien
 	}
 }
 
-// runGang executes one gang group under a single batch-concurrency slot —
-// that is the amortization: one front end's worth of host work drives
-// every lane in the group. Results land in outcomes at the group's
-// original batch indices. Lanes that diverge mid-run peel out of the gang
-// and finish in runSolo; degenerate groups (too few valid jobs, a gang
-// the pool cannot build) degrade to sequential solo runs in-slot.
+// runGang executes one gang group in the single batch-lane slot its
+// caller holds — that is the amortization: one front end's worth of host
+// work drives every lane in the group. Results land in outcomes at the
+// group's original batch indices. Lanes that diverge mid-run peel out of
+// the gang and finish in runSolo; degenerate groups (too few valid jobs,
+// a gang the pool cannot build) degrade to sequential solo runs in-slot.
 func (s *Server) runGang(batchCtx context.Context, jobs []client.RunRequest, grp []int, outcomes []jobOutcome) {
-	if !s.batchSlot(batchCtx) {
-		for _, i := range grp {
-			outcomes[i] = canceledBeforeStart
-		}
-		return
-	}
-	defer func() { <-s.batchSem }()
-
 	gctx, gsp := dtrace.Start(batchCtx, "gang_group", dtrace.Int("lanes", int64(len(grp))))
 	defer gsp.End()
 
@@ -388,7 +381,7 @@ func (s *Server) runGang(batchCtx context.Context, jobs []client.RunRequest, grp
 
 	// Sequential in-slot fallback: the group already holds its one batch
 	// slot, so running its jobs solo here cannot deadlock against other
-	// groups waiting on batchSem.
+	// groups waiting for a slot.
 	fallback := func() {
 		for lane, i := range valid {
 			if batchCtx.Err() != nil {

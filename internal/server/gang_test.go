@@ -167,7 +167,7 @@ fin:
 // occupies the batch lane, the 429 turned-away batch still carries the
 // queue-depth-derived Retry-After hint, exactly like the fan-out path.
 func TestGangBackpressureRetryAfter(t *testing.T) {
-	_, c := newTestServer(t, server.Config{Workers: 1, QueueDepth: 1, BatchMaxJobs: 4, BatchConcurrency: 1})
+	_, c := newTestServer(t, server.Config{Workers: 1, QueueDepth: 1, BatchMaxJobs: 4})
 	base := c.BaseURL
 
 	// Two same-program spinners gang into one group holding the whole

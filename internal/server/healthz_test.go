@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -88,6 +89,60 @@ func TestRequestIDAdoption(t *testing.T) {
 		}
 		if got == "" {
 			t.Errorf("hostile id %q: no replacement id generated", bad)
+		}
+	}
+}
+
+// TestRequestIDEveryRoute checks the X-Request-Id promise of docs/API.md
+// on every route: a response always carries an id, and a valid inbound id
+// is echoed. The drain route runs last, since it stops admission.
+func TestRequestIDEveryRoute(t *testing.T) {
+	s := server.New(server.Config{Workers: 1})
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		s.Shutdown(ctx)
+		hs.Close()
+	})
+	run := `{"asm": "halt"}`
+	routes := []struct{ method, path, body string }{
+		{http.MethodPost, "/v1/run", run},
+		{http.MethodPost, "/v1/run", `{`},
+		{http.MethodGet, "/v1/run", ""},
+		{http.MethodPost, "/v1/batch", `{"jobs": [` + run + `]}`},
+		{http.MethodPost, "/v1/sessions", run},
+		{http.MethodGet, "/v1/sessions", ""},
+		{http.MethodGet, "/v1/sessions/s0123", ""},
+		{http.MethodGet, "/v1/sessions/bad%20id", ""},
+		{http.MethodPost, "/v1/sessions/s0123/resume", `{}`},
+		{http.MethodPost, "/v1/sessions/s0123/checkpoint", ""},
+		{http.MethodGet, "/metrics", ""},
+		{http.MethodGet, "/healthz", ""},
+		{http.MethodGet, "/debug/traces", ""},
+		{http.MethodPost, "/v1/admin/drain", `{"timeoutMs": 1}`},
+	}
+	for i, rt := range routes {
+		for _, inbound := range []string{"", fmt.Sprintf("rid-%d", i)} {
+			req, err := http.NewRequest(rt.method, hs.URL+rt.path, strings.NewReader(rt.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inbound != "" {
+				req.Header.Set("X-Request-Id", inbound)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			got := resp.Header.Get("X-Request-Id")
+			switch {
+			case got == "":
+				t.Errorf("%s %s (status %d): no X-Request-Id", rt.method, rt.path, resp.StatusCode)
+			case inbound != "" && got != inbound:
+				t.Errorf("%s %s: X-Request-Id %q, want the inbound %q", rt.method, rt.path, got, inbound)
+			}
 		}
 	}
 }

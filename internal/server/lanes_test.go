@@ -1,11 +1,17 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/client"
 	"repro/internal/server"
@@ -139,5 +145,95 @@ func TestLanesAgree(t *testing.T) {
 	if got.Instructions != want.Instructions || got.ScalarOps != want.ScalarOps ||
 		got.ParallelOps != want.ParallelOps || got.ReductionOps != want.ReductionOps {
 		t.Errorf("resumed instruction mix %+v, /v1/run %+v", got, want)
+	}
+}
+
+// TestLanesIsolated pins the isolation docs/SERVER.md promises: a full
+// batch lane neither blocks /v1/run nor sessions, its rejections count
+// against the batch lane only, and Shutdown waits for a job in every lane.
+func TestLanesIsolated(t *testing.T) {
+	s := server.New(server.Config{Workers: 1, QueueDepth: 1})
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+	c := client.New(hs.URL)
+	ctx := context.Background()
+
+	// Two spinners fill the batch lane: one slot plus one queued job.
+	batchDone := make(chan error, 1)
+	go func() {
+		_, err := c.RunBatch(ctx, client.BatchRequest{Jobs: []client.RunRequest{spinRequest(1500), spinRequest(1500)}})
+		batchDone <- err
+	}()
+	waitGauge := func(name string, want float64) {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			_, body := httpGet(t, hs.URL+"/metrics", nil)
+			if counterValue(t, body, name) == want {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never reached %v", name, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitGauge("asc_batch_running_jobs", 2)
+
+	if _, err := c.Run(ctx, sumFast()); err != nil {
+		t.Errorf("/v1/run beside a full batch lane: %v", err)
+	}
+	if resp, body := postJSON(t, hs.URL+"/v1/sessions", client.SessionRequest{RunRequest: sumFast()}); resp.StatusCode != http.StatusOK {
+		t.Errorf("session beside a full batch lane: status %d: %s", resp.StatusCode, body)
+	}
+	resp, body := postBatch(t, hs.URL, client.BatchRequest{Jobs: []client.RunRequest{sumFast()}})
+	if resp.StatusCode != http.StatusTooManyRequests || !strings.Contains(string(body), "batch lane full") {
+		t.Errorf("batch into a full lane: status %d: %s, want 429 batch lane full", resp.StatusCode, body)
+	}
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+		t.Errorf("Retry-After = %q, want integer seconds >= 1", resp.Header.Get("Retry-After"))
+	}
+	_, m := httpGet(t, hs.URL+"/metrics", nil)
+	if v := counterValue(t, m, "asc_batch_rejected_total"); v != 1 {
+		t.Errorf("asc_batch_rejected_total = %v, want 1", v)
+	}
+	// A series that was never touched may be absent: that reads as 0.
+	if runRejected := `asc_jobs_total{outcome="rejected"}`; strings.Contains(m, runRejected+" ") {
+		if v := counterValue(t, m, runRejected); v != 0 {
+			t.Errorf("%s = %v, want 0: a batch rejection leaked into the run lane", runRejected, v)
+		}
+	}
+
+	// One spinner in each of the other lanes, then Shutdown: it returns
+	// only once every lane is empty.
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		c.Run(ctx, spinRequest(600))
+	}()
+	spinSession, _ := json.Marshal(client.SessionRequest{RunRequest: spinRequest(600)})
+	go func() {
+		defer wg.Done()
+		if resp, err := http.Post(hs.URL+"/v1/sessions", "application/json", bytes.NewReader(spinSession)); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitGauge("asc_running_jobs", 1)
+	waitGauge("asc_sessions_live", 1)
+	sctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	defer cancel()
+	if err := s.Shutdown(sctx); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	_, m = httpGet(t, hs.URL+"/metrics", nil)
+	for _, g := range []string{"asc_running_jobs", "asc_batch_running_jobs", "asc_sessions_live"} {
+		if v := counterValue(t, m, g); v != 0 {
+			t.Errorf("%s = %v after Shutdown returned, want 0", g, v)
+		}
+	}
+	wg.Wait()
+	if err := <-batchDone; err != nil {
+		t.Errorf("filler batch: %v", err)
 	}
 }

@@ -95,7 +95,7 @@ func newMetrics() *metrics {
 		requests: reg.NewCounter("asc_requests_total", "Jobs admitted into the serving queue."),
 		outcomes: reg.NewCounterVec("asc_jobs_total",
 			"Finished jobs by outcome: completed, failed, rejected (429/503), canceled.", "outcome"),
-		running: reg.NewGauge("asc_running_jobs", "Jobs currently executing on a worker."),
+		running: reg.NewGauge("asc_running_jobs", "/v1/run jobs currently executing."),
 		latency: reg.NewHistogram("asc_request_duration_seconds",
 			"Wall-clock latency of admitted jobs from enqueue to outcome.", durationBuckets),
 

@@ -1,6 +1,6 @@
 // Package server implements ascd's serving core: an HTTP/JSON API that
 // runs MTASC simulation jobs (ASCL source or assembly plus a machine
-// configuration and memory images) on a bounded worker pool over a fleet
+// configuration and memory images) in bounded admission lanes over a fleet
 // of warm, recyclable machines (internal/pool).
 //
 // The design transplants the paper's central idea to the serving layer:
@@ -30,10 +30,8 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	asc "repro"
@@ -46,9 +44,12 @@ import (
 
 // Config sizes the serving core. Zero fields take defaults.
 type Config struct {
-	// Workers is the number of concurrent simulations (default: GOMAXPROCS).
+	// Workers is the number of execution slots in each admission lane —
+	// /v1/run, the batch lane, and the session lane (default: GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds jobs waiting beyond the ones executing (default 64).
+	// QueueDepth bounds /v1/run and batch jobs waiting beyond the ones
+	// executing (default 64). The session lane has no queue: a full one
+	// answers 429 at once.
 	QueueDepth int
 	// PoolIdle caps warm machines kept between requests (default 2*Workers).
 	PoolIdle int
@@ -73,17 +74,12 @@ type Config struct {
 	// TraceDepth caps the instruction records retained for a job that opts
 	// into tracing (default 512), so "trace": true on a long run renders
 	// the most recent instructions instead of buffering them all and
-	// OOMing a worker.
+	// OOMing the daemon.
 	TraceDepth int
 
 	// BatchMaxJobs bounds the jobs accepted in one POST /v1/batch
 	// (default 64).
 	BatchMaxJobs int
-	// BatchConcurrency bounds batch sub-jobs executing at once across all
-	// in-flight batches (default: Workers). The batch lane runs beside the
-	// single-run workers, so total simulation concurrency is at most
-	// Workers + BatchConcurrency.
-	BatchConcurrency int
 	// ProgramCacheSize bounds the content-addressed compiled-program cache
 	// in entries (default 128; negative disables caching). Repeat
 	// submissions of a program skip the ASCL compiler and assembler.
@@ -96,10 +92,6 @@ type Config struct {
 	// tracing or SMT always run solo.
 	GangMinJobs int
 
-	// SessionMaxLive bounds sessions executing at once in the session lane
-	// (POST /v1/sessions and .../resume; default: Workers). The lane runs
-	// beside the single-run workers and the batch lane.
-	SessionMaxLive int
 	// SessionRetain bounds parked session records — suspended envelopes
 	// awaiting resume plus terminal results — kept for GET /v1/sessions
 	// (default 1024; the oldest parked records are evicted first).
@@ -158,12 +150,6 @@ func (c *Config) fillDefaults() {
 	if c.BatchMaxJobs <= 0 {
 		c.BatchMaxJobs = 64
 	}
-	if c.BatchConcurrency <= 0 {
-		c.BatchConcurrency = c.Workers
-	}
-	if c.SessionMaxLive <= 0 {
-		c.SessionMaxLive = c.Workers
-	}
 	if c.SessionRetain <= 0 {
 		c.SessionRetain = 1024
 	}
@@ -185,17 +171,6 @@ func (c *Config) fillDefaults() {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-}
-
-// job is one queued simulation request. done is buffered so a worker can
-// always deliver the outcome even if the submitting handler has gone away.
-type job struct {
-	ctx      context.Context
-	req      *client.RunRequest
-	log      *slog.Logger
-	trace    *dtrace.Active // nil when tracing is disabled
-	enqueued time.Time
-	done     chan jobOutcome
 }
 
 // jobOutcome is what the executor hands back to a lane's handler.
@@ -231,37 +206,24 @@ type Server struct {
 	log    *slog.Logger
 	tracer *dtrace.Tracer
 
-	jobs chan *job
-	wg   sync.WaitGroup
+	// The admission lanes (see lane). Every job runs on its handler's
+	// goroutine under one of them; wg counts admitted, unfinished jobs
+	// across all three, so Shutdown waits for every lane.
+	runLane, batchLane, sessionLane *lane
+	wg                              sync.WaitGroup
 
-	// The batch lane: batchSem bounds sub-jobs executing at once across
-	// all in-flight batches, batchInflight counts admitted-but-unfinished
-	// sub-jobs for the admission bound, and batchWg lets Shutdown drain
-	// batches the same way it drains the worker queue.
-	batchSem      chan struct{}
-	batchInflight atomic.Int64
-	batchWg       sync.WaitGroup
+	// Session registry: running and parked sessions, so a drain can walk
+	// them and a resume can adopt them. sessOrder is the parked-record
+	// eviction FIFO (see Config.SessionRetain).
+	sessMu    sync.Mutex
+	sessions  map[string]*session
+	sessOrder []string
 
-	// The session lane: resumable jobs run on handler goroutines bounded
-	// by sessionSem, registered in sessions so a drain can walk them and
-	// a resume can adopt them. sessOrder is the parked-record eviction
-	// FIFO (see Config.SessionRetain).
-	sessionSem chan struct{}
-	sessionWg  sync.WaitGroup
-	sessMu     sync.Mutex
-	sessions   map[string]*session
-	sessOrder  []string
-
-	mu       sync.RWMutex // guards draining against concurrent enqueues
+	mu       sync.RWMutex // guards draining against concurrent admissions
 	draining bool
-	// jobsClosed tracks whether the worker queue channel has been closed.
-	// An admin drain (Drain) sets draining without closing the queue so
-	// in-flight work finishes and a later Shutdown still closes it exactly
-	// once.
-	jobsClosed bool
 }
 
-// New builds a serving core and starts its workers.
+// New builds a serving core.
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{
@@ -276,24 +238,26 @@ func New(cfg Config) *Server {
 			Slow:     cfg.TraceSlow,
 			RingSize: cfg.TraceRing,
 		}),
-		jobs:       make(chan *job, cfg.QueueDepth),
-		batchSem:   make(chan struct{}, cfg.BatchConcurrency),
-		sessionSem: make(chan struct{}, cfg.SessionMaxLive),
-		sessions:   make(map[string]*session),
+		sessions: make(map[string]*session),
 	}
+	// Each lane has Workers slots. /v1/run and batches may queue
+	// QueueDepth jobs beyond them; the session lane may not.
+	s.runLane = s.newLane("job", "job queue full", s.m.outcomes.With("rejected"), cfg.QueueDepth)
+	s.batchLane = s.newLane("batch", "batch lane full", s.m.batchRejected, cfg.QueueDepth)
+	s.sessionLane = s.newLane("session", "session lane full", s.m.sessions.With("rejected"), 0)
 	// Point-in-time gauges read live server state at scrape time.
 	s.m.reg.NewGaugeFunc("asc_queue_depth", "Jobs waiting in the admission queue.",
-		func() float64 { return float64(len(s.jobs)) })
+		func() float64 { return float64(s.runLane.waiting()) })
 	s.m.reg.NewGaugeFunc("asc_queue_capacity", "Admission queue capacity.",
 		func() float64 { return float64(cfg.QueueDepth) })
-	s.m.reg.NewGaugeFunc("asc_workers", "Concurrent simulation workers.",
+	s.m.reg.NewGaugeFunc("asc_workers", "Execution slots per admission lane.",
 		func() float64 { return float64(cfg.Workers) })
 	s.m.reg.NewGaugeFunc("asc_batch_running_jobs",
-		"Batch sub-jobs admitted and not yet finished (executing or waiting on the batch concurrency bound).",
-		func() float64 { return float64(s.batchInflight.Load()) })
+		"Batch sub-jobs admitted and not yet finished (executing or waiting for a batch lane slot).",
+		func() float64 { return float64(s.batchLane.inflight.Load()) })
 	s.m.reg.NewGaugeFunc("asc_sessions_live",
 		"Resumable sessions currently executing a segment in the session lane.",
-		func() float64 { return float64(len(s.sessionSem)) })
+		func() float64 { return float64(len(s.sessionLane.slots)) })
 	// Fleet and program-cache counters are maintained outside the
 	// registry; mirror them into instruments at scrape time.
 	s.m.reg.OnCollect(func() {
@@ -310,16 +274,13 @@ func New(cfg Config) *Server {
 		s.m.progEvictions.Set(cs.Evictions)
 		s.m.progEntries.Set(int64(cs.Entries))
 	})
-	for i := 0; i < cfg.Workers; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
 	return s
 }
 
 // Handler returns the HTTP API: POST /v1/run, POST /v1/batch,
 // POST /v1/sessions (+ /v1/sessions/{id}, .../resume, .../checkpoint),
 // POST /v1/admin/drain, GET /metrics, GET /healthz, GET /debug/traces.
+// Every response carries X-Request-Id.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/run", s.handleRun)
@@ -330,7 +291,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.Handle("/debug/traces", s.tracer.Handler())
-	return mux
+	return dtrace.WithRequestID(mux)
 }
 
 // Tracer exposes the server's tracer so embedders (and the fleet smoke
@@ -358,22 +319,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // it elsewhere or add their own instruments.
 func (s *Server) Registry() *obs.Registry { return s.m.reg }
 
-// Shutdown stops admission (new submissions get 503), drains every queued
-// and in-flight job — batches included — and waits for the workers to
-// finish, up to ctx's deadline. It is idempotent.
+// Shutdown stops admission (new submissions get 503) and waits, up to
+// ctx's deadline, for every queued and in-flight job in every lane to
+// finish. It is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	if !s.jobsClosed {
-		s.jobsClosed = true
-		close(s.jobs)
-	}
-	s.mu.Unlock()
+	s.setDraining()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
-		s.batchWg.Wait()
-		s.sessionWg.Wait()
 		close(done)
 	}()
 	select {
@@ -394,39 +347,12 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// retryAfterSeconds derives the Retry-After hint for 429/503 responses
-// from current load: roughly how many worker-rounds of jobs are already
-// waiting, clamped to [1s, 60s]. It is a hint, not a promise — the client
-// backoff treats it as a floor.
-func (s *Server) retryAfterSeconds() int {
-	waiting := len(s.jobs) + int(s.batchInflight.Load())
-	secs := 1 + waiting/s.cfg.Workers
-	if secs > 60 {
-		secs = 60
-	}
-	return secs
-}
-
-// reject turns a request away at admission: the lane's rejection
-// counter, the admission span, and a 503 (draining) or 429 (lane full)
-// carrying the queue-depth-derived Retry-After hint.
-func (s *Server) reject(w http.ResponseWriter, tr *dtrace.Active, admStart time.Time, rejected *obs.Counter,
-	outcome string, status int, format string, args ...any) {
-	rejected.Inc()
-	tr.Record("admission", nil, admStart, time.Now(), dtrace.Str("outcome", outcome))
-	tr.SetError()
-	w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSeconds()))
-	writeError(w, status, format, args...)
-}
-
-// request runs the prelude every POST handler shares: it resolves the
-// request id, checks the method, starts the trace, and decodes the
-// bounded body into v. allow names the accepted methods in the 405 text.
-// ok=false means the refusal has been written; the caller still finishes
-// tr, which is nil-safe.
+// request runs the prelude every POST handler shares: it checks the
+// method, starts the trace, and decodes the bounded body into v. allow
+// names the accepted methods in the 405 text. ok=false means the refusal
+// has been written; the caller still finishes tr, which is nil-safe.
 func (s *Server) request(w http.ResponseWriter, r *http.Request, name, allow string, v any) (tr *dtrace.Active, log *slog.Logger, ok bool) {
 	id := dtrace.RequestID(r)
-	w.Header().Set("X-Request-Id", id)
 	log = s.log.With("request_id", id)
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "%s required", allow)
@@ -469,7 +395,8 @@ func (s *Server) observeLatency(tr *dtrace.Active, seconds float64) {
 	s.m.latency.Observe(seconds)
 }
 
-// handleRun admits a job into the bounded queue and waits for its outcome.
+// handleRun admits a job into the run lane, waits for a slot, and runs it
+// on the handler's goroutine.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req client.RunRequest
 	tr, log, ok := s.request(w, r, "run", "POST", &req)
@@ -483,58 +410,52 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
-	j := &job{
-		ctx:      dtrace.ContextWith(r.Context(), tr, tr.Root()),
-		req:      &req,
-		log:      log,
-		trace:    tr,
-		enqueued: time.Now(),
-		done:     make(chan jobOutcome, 1),
-	}
-
-	// Admission: non-blocking enqueue under the drain guard. A full queue
-	// is backpressure (429, retryable), a draining server is going away
-	// (503).
-	admStart := time.Now()
-	s.mu.RLock()
-	if s.draining {
-		s.mu.RUnlock()
-		log.Warn("job rejected", "reason", "draining")
-		s.reject(w, tr, admStart, s.m.outcomes.With("rejected"), "draining",
-			http.StatusServiceUnavailable, "server is shutting down")
+	enqueued := time.Now()
+	if !s.runLane.admit(w, tr, log, 1) {
 		return
 	}
-	select {
-	case s.jobs <- j:
-		s.mu.RUnlock()
-	default:
-		s.mu.RUnlock()
-		log.Warn("job rejected", "reason", "queue full", "queue_cap", s.cfg.QueueDepth)
-		s.reject(w, tr, admStart, s.m.outcomes.With("rejected"), "queue_full",
-			http.StatusTooManyRequests, "job queue full (%d waiting)", s.cfg.QueueDepth)
-		return
-	}
-	tr.Record("admission", nil, admStart, time.Now(), dtrace.Str("outcome", "admitted"))
 	s.m.requests.Inc()
 	log.Debug("job admitted", "source", sourceKind(&req), "trace", req.Trace)
 
-	// The worker always delivers on the buffered channel; waiting on the
-	// request context too lets a disconnected client release this handler
-	// while the worker abandons the job via the same context.
-	select {
-	case out := <-j.done:
-		s.observeLatency(tr, time.Since(j.enqueued).Seconds())
-		if out.result != nil {
-			writeJSON(w, http.StatusOK, out.result)
-		} else {
-			tr.SetError()
-			writeError(w, out.status, "%s", out.errMsg)
-		}
-	case <-r.Context().Done():
-		// Client gone; the worker observes the same context and skips or
-		// aborts the job. Nothing useful can be written.
+	ctx := dtrace.ContextWith(r.Context(), tr, tr.Root())
+	if !s.runLane.slot(ctx, log) {
+		// The client went away while the job was queued: it never starts,
+		// and nothing useful can be written.
+		s.runLane.release(1)
+		s.m.outcomes.With("canceled").Inc()
+		log.Info("job canceled", "reason", "client went away while queued")
+		return
 	}
+	s.m.running.Add(1)
+	start := time.Now()
+	out := s.execute(ctx, solo{req: &req})
+	elapsed := time.Since(start)
+	s.m.running.Add(-1)
+	s.runLane.free()
+	s.runLane.release(1)
+	switch {
+	case out.result != nil:
+		s.m.outcomes.With("completed").Inc()
+		log.Info("job completed",
+			"cycles", out.stats.Cycles,
+			"instructions", out.stats.Instructions,
+			"ipc", out.stats.IPC(),
+			"pool_hit", out.result.PoolHit,
+			"duration", elapsed.String())
+	case out.status == http.StatusRequestTimeout:
+		s.m.outcomes.With("canceled").Inc()
+		log.Info("job canceled", "reason", out.errMsg, "duration", elapsed.String())
+	default:
+		s.m.outcomes.With("failed").Inc()
+		log.Warn("job failed", "status", out.status, "error", out.errMsg, "duration", elapsed.String())
+	}
+	s.observeLatency(tr, time.Since(enqueued).Seconds())
+	if out.result != nil {
+		writeJSON(w, http.StatusOK, out.result)
+		return
+	}
+	tr.SetError()
+	writeError(w, out.status, "%s", out.errMsg)
 }
 
 func sourceKind(req *client.RunRequest) string {
@@ -597,7 +518,7 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter) {
 		Rejected:        s.m.outcomes.With("rejected").Value(),
 		Canceled:        s.m.outcomes.With("canceled").Value(),
 		Running:         s.m.running.Value(),
-		QueueDepth:      int64(len(s.jobs)),
+		QueueDepth:      s.runLane.waiting(),
 		QueueCap:        int64(s.cfg.QueueDepth),
 		Workers:         int64(s.cfg.Workers),
 		PoolHits:        ps.Hits,
@@ -608,45 +529,6 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter) {
 		LatencyMsP99:    s.m.latencyMs(0.99),
 		LatencyOverflow: s.m.latency.Overflow(),
 	})
-}
-
-// worker drains the job queue until Shutdown closes it.
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for j := range s.jobs {
-		if j.ctx.Err() != nil {
-			// Client went away while the job was queued.
-			s.m.outcomes.With("canceled").Inc()
-			j.log.Info("job canceled", "reason", "client went away while queued")
-			j.done <- jobOutcome{status: http.StatusRequestTimeout, errMsg: "client went away"}
-			continue
-		}
-		j.log.Debug("job started", "queue_wait", time.Since(j.enqueued).String())
-		j.trace.Record("queue_wait", nil, j.enqueued, time.Now(),
-			dtrace.Int("queue_depth", int64(len(s.jobs))))
-		s.m.running.Add(1)
-		start := time.Now()
-		out := s.execute(j.ctx, solo{req: j.req})
-		elapsed := time.Since(start)
-		s.m.running.Add(-1)
-		switch {
-		case out.result != nil:
-			s.m.outcomes.With("completed").Inc()
-			j.log.Info("job completed",
-				"cycles", out.stats.Cycles,
-				"instructions", out.stats.Instructions,
-				"ipc", out.stats.IPC(),
-				"pool_hit", out.result.PoolHit,
-				"duration", elapsed.String())
-		case out.status == http.StatusRequestTimeout:
-			s.m.outcomes.With("canceled").Inc()
-			j.log.Info("job canceled", "reason", out.errMsg, "duration", elapsed.String())
-		default:
-			s.m.outcomes.With("failed").Inc()
-			j.log.Warn("job failed", "status", out.status, "error", out.errMsg, "duration", elapsed.String())
-		}
-		j.done <- out
-	}
 }
 
 // progDigest is the content digest of a request's compilation input — the
@@ -727,8 +609,8 @@ func (s *Server) effTimeout(req *client.RunRequest) time.Duration {
 	return timeout
 }
 
-// handleBatch admits up to BatchMaxJobs jobs as one unit and fans them
-// out across the warm fleet with bounded concurrency. Jobs fail
+// handleBatch admits up to BatchMaxJobs jobs as one unit into the batch
+// lane and fans them out across the warm fleet. Jobs fail
 // independently: the batch always resolves to HTTP 200 with a per-job
 // outcome vector, index-aligned with the request. Only admission itself
 // can fail the whole batch (malformed body, size cap, backpressure,
@@ -762,39 +644,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Whole-batch admission under the drain guard. The batch lane's
-	// bounded queue is the in-flight sub-job count: concurrency plus a
-	// queue's worth of waiting jobs, mirroring the single-run lane.
-	admStart := time.Now()
-	s.mu.RLock()
-	if s.draining {
-		s.mu.RUnlock()
-		log.Warn("batch rejected", "reason", "draining")
-		s.reject(w, tr, admStart, s.m.batchRejected, "draining",
-			http.StatusServiceUnavailable, "server is shutting down")
+	// Whole-batch admission: every job is charged against the batch lane
+	// at once.
+	n := int64(len(req.Jobs))
+	if !s.batchLane.admit(w, tr, log, n) {
 		return
 	}
-	n := int64(len(req.Jobs))
-	limit := int64(s.cfg.BatchConcurrency + s.cfg.QueueDepth)
-	for {
-		cur := s.batchInflight.Load()
-		if cur+n > limit {
-			s.mu.RUnlock()
-			log.Warn("batch rejected", "reason", "batch lane full", "inflight", cur, "jobs", n)
-			s.reject(w, tr, admStart, s.m.batchRejected, "lane_full",
-				http.StatusTooManyRequests, "batch lane full (%d jobs in flight, cap %d)", cur, limit)
-			return
-		}
-		if s.batchInflight.CompareAndSwap(cur, cur+n) {
-			break
-		}
-	}
-	s.batchWg.Add(1) // under the RLock: Shutdown cannot start waiting yet
-	s.mu.RUnlock()
-	defer s.batchWg.Done()
-	tr.Record("admission", nil, admStart, time.Now(),
-		dtrace.Str("outcome", "admitted"), dtrace.Int("jobs", n))
-
 	s.m.batchRequests.Inc()
 	s.m.batchSize.Observe(float64(n))
 	start := time.Now()
@@ -823,13 +678,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			defer s.batchInflight.Add(-1)
+			defer s.batchLane.release(1)
 			jctx, sp := dtrace.Start(batchCtx, "job", dtrace.Int("index", int64(i)))
 			jobStart := time.Now()
 			out := canceledBeforeStart
-			if s.batchSlot(batchCtx) {
+			if s.batchLane.slot(jctx, log) {
 				out = rewriteBatchCancel(batchCtx, s.execute(jctx, solo{req: &req.Jobs[i]}))
-				<-s.batchSem
+				s.batchLane.free()
 			}
 			// Sub-jobs observe into the same request-duration histogram the
 			// single-run lane uses: one histogram answers "how long does a
@@ -843,9 +698,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(grp []int) {
 			defer wg.Done()
-			defer s.batchInflight.Add(-int64(len(grp)))
+			defer s.batchLane.release(int64(len(grp)))
 			gangStart := time.Now()
-			s.runGang(batchCtx, req.Jobs, grp, outcomes)
+			// One slot drives every lane of the group: that is the gang's
+			// amortization.
+			if s.batchLane.slot(batchCtx, log) {
+				s.runGang(batchCtx, req.Jobs, grp, outcomes)
+				s.batchLane.free()
+			} else {
+				for _, i := range grp {
+					outcomes[i] = canceledBeforeStart
+				}
+			}
 			// Lockstep lanes share wall-clock: each lane's duration is the
 			// group's.
 			sec := time.Since(gangStart).Seconds()
@@ -887,17 +751,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // before the job got an execution slot.
 var canceledBeforeStart = jobOutcome{status: http.StatusRequestTimeout, errMsg: "batch canceled before the job started"}
 
-// batchSlot takes one batch-concurrency slot, or reports false when the
-// batch ends first. The caller releases the slot with <-s.batchSem.
-func (s *Server) batchSlot(batchCtx context.Context) bool {
-	select {
-	case s.batchSem <- struct{}{}:
-		return true
-	case <-batchCtx.Done():
-		return false
-	}
-}
-
 // rewriteBatchCancel maps a job cut off by the batch deadline (or the
 // client going away) onto a batch cancellation: such a job surfaces as a
 // wall-clock 504 or a bare 408 from the run, and the per-job error should
@@ -915,7 +768,8 @@ func rewriteBatchCancel(batchCtx context.Context, out jobOutcome) jobOutcome {
 
 // planBatch validates every job once, settling an invalid job's outcome
 // with a per-job 400 (a bad job in a batch never fails the batch) and
-// releasing its batch-lane admission, and partitions the rest into gang groups and solo jobs. Jobs gang when they
+// releasing its batch-lane charge, and partitions the rest into gang
+// groups and solo jobs. Jobs gang when they
 // share a program digest, an architectural configuration, and effective
 // run limits, and at least GangMinJobs of them agree; traced jobs and SMT
 // configurations always run solo.
@@ -926,7 +780,7 @@ func (s *Server) planBatch(req *client.BatchRequest, outcomes []jobOutcome) (gro
 		j := &req.Jobs[i]
 		if err := s.validate(j); err != nil {
 			outcomes[i] = jobOutcome{status: http.StatusBadRequest, errMsg: err.Error()}
-			s.batchInflight.Add(-1)
+			s.batchLane.release(1)
 			continue
 		}
 		if s.cfg.GangMinJobs < 2 || j.Trace || j.Config.ASC().SMT {

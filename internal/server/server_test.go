@@ -210,6 +210,50 @@ func TestQueueFullRejects(t *testing.T) {
 	})
 }
 
+// TestRunCanceledWhileQueued: a /v1/run whose client disconnects while it
+// waits behind a spinner counts as canceled, never checks out a machine,
+// and leaves the queue empty.
+func TestRunCanceledWhileQueued(t *testing.T) {
+	_, c := newTestServer(t, server.Config{Workers: 1, QueueDepth: 1})
+	spinDone := make(chan struct{})
+	go func() {
+		defer close(spinDone)
+		c.Run(context.Background(), spinRequest(800))
+	}()
+	waitMetrics(t, c, 2*time.Second, func(m *client.Metrics) bool { return m.Running == 1 })
+	before, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	queued := make(chan error, 1)
+	go func() {
+		_, err := c.Run(ctx, sumFast())
+		queued <- err
+	}()
+	waitMetrics(t, c, 2*time.Second, func(m *client.Metrics) bool { return m.QueueDepth == 1 })
+	cancel()
+	if err := <-queued; err == nil {
+		t.Fatal("canceled queued job returned success")
+	}
+	<-spinDone
+	waitMetrics(t, c, 2*time.Second, func(m *client.Metrics) bool {
+		return m.Canceled == before.Canceled+1 && m.QueueDepth == 0 && m.Running == 0
+	})
+	after, err := c.Metrics(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.PoolHits+after.PoolMisses != before.PoolHits+before.PoolMisses {
+		t.Errorf("pool checkouts moved from %d+%d to %d+%d: the canceled job checked out a machine",
+			before.PoolHits, before.PoolMisses, after.PoolHits, after.PoolMisses)
+	}
+	if after.Completed != before.Completed {
+		t.Errorf("completed moved from %d to %d: the canceled job ran", before.Completed, after.Completed)
+	}
+}
+
 // TestGracefulShutdownDrains initiates shutdown while jobs are queued
 // behind a slow one, and checks (a) new submissions get 503, (b) every
 // already-admitted job still completes with a correct result.

@@ -25,6 +25,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -272,39 +273,6 @@ func (s *Server) adoptSession(env *client.SnapshotEnvelope) (*session, error) {
 	return sess, nil
 }
 
-// admitSession performs session-lane admission under the drain guard:
-// draining → 503, lane full → 429. On success the caller owns one
-// sessionSem slot and a sessionWg count; release undoes both.
-func (s *Server) admitSession(w http.ResponseWriter, tr *dtrace.Active, log *slog.Logger) bool {
-	admStart := time.Now()
-	s.mu.RLock()
-	if s.draining {
-		s.mu.RUnlock()
-		log.Warn("session rejected", "reason", "draining")
-		s.reject(w, tr, admStart, s.m.sessions.With("rejected"), "draining",
-			http.StatusServiceUnavailable, "server is draining")
-		return false
-	}
-	select {
-	case s.sessionSem <- struct{}{}:
-	default:
-		s.mu.RUnlock()
-		log.Warn("session rejected", "reason", "session lane full", "cap", s.cfg.SessionMaxLive)
-		s.reject(w, tr, admStart, s.m.sessions.With("rejected"), "lane_full",
-			http.StatusTooManyRequests, "session lane full (%d live)", s.cfg.SessionMaxLive)
-		return false
-	}
-	s.sessionWg.Add(1) // under the RLock: Shutdown cannot start waiting yet
-	s.mu.RUnlock()
-	tr.Record("admission", nil, admStart, time.Now(), dtrace.Str("outcome", "admitted"))
-	return true
-}
-
-func (s *Server) releaseSession() {
-	<-s.sessionSem
-	s.sessionWg.Done()
-}
-
 // writeSessionOutcome renders a segment's outcome: 200 for completed and
 // requested-checkpoint suspensions, the 503 drain handshake for
 // drain-triggered ones, and the mapped error status otherwise.
@@ -362,21 +330,26 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "sessions do not support trace (trace state is not part of the snapshot); use /v1/run")
 		return
 	}
-	if !s.admitSession(w, tr, log) {
+	if !s.sessionLane.admit(w, tr, log, 1) {
 		return
 	}
-	defer s.releaseSession()
+	defer s.sessionLane.release(1)
+	ctx := dtrace.ContextWith(r.Context(), tr, tr.Root())
+	if !s.sessionLane.slot(ctx, log) {
+		return // the client went away before the segment started
+	}
+	defer s.sessionLane.free()
 
 	sid := "s" + dtrace.NewID()
 	sess := newSession(sid, req.Resumable, req.CheckpointEveryCycles)
 	s.registerSession(sess)
 	log.Info("session started", "session_id", sid, "resumable", req.Resumable,
 		"checkpoint_every", req.CheckpointEveryCycles)
-	s.serveSegment(w, r, tr, log, solo{req: &req.RunRequest, sess: sess})
+	s.serveSegment(ctx, w, tr, log, solo{req: &req.RunRequest, sess: sess})
 }
 
 // serveSegment runs one admitted session segment and writes its outcome.
-func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request, tr *dtrace.Active, log *slog.Logger, job solo) {
+func (s *Server) serveSegment(ctx context.Context, w http.ResponseWriter, tr *dtrace.Active, log *slog.Logger, job solo) {
 	// Close the admission race: a drain that started between the guard
 	// and registration walked the registry without seeing this session,
 	// so re-check and self-signal — the segment then suspends at its
@@ -388,7 +361,7 @@ func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request, tr *dtrace
 		job.sess.requestCheckpoint(reasonDraining)
 	}
 	start := time.Now()
-	out := s.execute(dtrace.ContextWith(r.Context(), tr, tr.Root()), job)
+	out := s.execute(ctx, job)
 	s.observeLatency(tr, time.Since(start).Seconds())
 	s.writeSessionOutcome(w, tr, log, out)
 }
@@ -466,10 +439,15 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request, sid
 		writeError(w, http.StatusBadRequest, "envelope request: %v", err)
 		return
 	}
-	if !s.admitSession(w, tr, log) {
+	if !s.sessionLane.admit(w, tr, log, 1) {
 		return
 	}
-	defer s.releaseSession()
+	defer s.sessionLane.release(1)
+	ctx := dtrace.ContextWith(r.Context(), tr, tr.Root())
+	if !s.sessionLane.slot(ctx, log) {
+		return // the client went away before the segment started
+	}
+	defer s.sessionLane.free()
 
 	sess, err := s.adoptSession(env)
 	if err != nil {
@@ -481,7 +459,7 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request, sid
 	log.Info("session resumed", "session_id", sid,
 		"consumed_cycles", env.ConsumedCycles, "remaining_cycles", env.RemainingCycles,
 		"digest", progcache.ShortDigest(env.Digest))
-	s.serveSegment(w, r, tr, log, solo{req: &env.Request, sess: sess, env: env})
+	s.serveSegment(ctx, w, tr, log, solo{req: &env.Request, sess: sess, env: env})
 }
 
 // handleSessionCheckpoint asks a running session to suspend and returns
@@ -520,9 +498,8 @@ func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request,
 	}
 }
 
-// setDraining stops admission (healthz answers 503, new work is refused)
-// without closing the worker queue, so in-flight jobs finish and a later
-// Shutdown still closes the queue exactly once.
+// setDraining stops admission in every lane (healthz answers 503, new
+// work is refused); admitted jobs still finish.
 func (s *Server) setDraining() {
 	s.mu.Lock()
 	s.draining = true

@@ -393,7 +393,7 @@ func TestSessionPeriodicCheckpoints(t *testing.T) {
 // resumes of the same envelope cannot both run.
 func TestSessionConcurrentResumeConflict(t *testing.T) {
 	_, ca, urlA := newSessionTestServer(t, server.Config{Workers: 2})
-	_, cb, _ := newSessionTestServer(t, server.Config{Workers: 4, SessionMaxLive: 4})
+	_, cb, _ := newSessionTestServer(t, server.Config{Workers: 4})
 
 	req, _ := longSession(150_000)
 	sess := ca.NewSession(req)
