@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench bench-engines obs-demo fleet-smoke trace-demo apicheck apiupdate hotpath-lint bench-test fuzz-smoke check
+.PHONY: build vet test race bench bench-smoke bench-engines obs-demo fleet-smoke trace-demo apicheck apiupdate hotpath-lint bench-test fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,11 @@ race:
 
 bench:
 	$(GO) test -bench . -benchtime 10x -run '^$$' ./...
+
+# Run every go test benchmark once so a benchmark that can no longer run
+# (a b.Fatal on a peeled gang lane, a renamed entry point) fails the check.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # Boot ascd, push three jobs through it, and print the Prometheus scrape:
 # the fastest way to see the simulation-depth metrics move.
@@ -53,10 +58,9 @@ fleet-smoke:
 trace-demo:
 	sh scripts/trace_demo.sh
 
-# Serial-vs-parallel host engine comparison plus BENCH_results.json.
+# Serial-vs-parallel host engine comparison.
 bench-engines:
 	$(GO) test -bench 'BenchmarkLargeArray|BenchmarkExecEngines' -benchtime 10x -run '^$$' . ./internal/machine/
-	$(GO) run ./cmd/ascbench -exp T1 >/dev/null
 
 # API surface guard: the exported surface of the public packages (repro
 # and repro/client), as rendered by `go doc -all`, must match the golden
@@ -127,4 +131,4 @@ fuzz-smoke:
 	  $(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s -fuzzminimizetime 1s $$pkg || exit 1; \
 	done
 
-check: build vet test race apicheck hotpath-lint bench-test
+check: build vet test race bench-smoke apicheck hotpath-lint bench-test

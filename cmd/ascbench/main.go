@@ -1,626 +1,106 @@
 // ascbench regenerates every table and figure of the paper (and the derived
 // experiments that quantify its prose claims) on the simulator and the
 // calibrated FPGA model. See DESIGN.md section 5 for the experiment index
-// and EXPERIMENTS.md for recorded paper-vs-measured results.
-//
-// Besides the formatted tables, every run writes a machine-readable
-// BENCH_results.json (name, ns/op, allocs/op, and model metrics for the
-// host-engine comparison) so performance can be tracked across commits;
-// -benchout changes the path, -benchout "" disables it.
+// and EXPERIMENTS.md for recorded paper-vs-measured results. Host
+// performance is measured elsewhere: the go test benchmarks and bench/.
 //
 // Usage:
 //
 //	ascbench            # run everything
 //	ascbench -exp T1    # one experiment: T1, F1, F2, F3, D1 ... D13
 //	ascbench -list      # list experiment ids
+//	ascbench -json      # emit results as a JSON array
 package main
 
 import (
-	"bytes"
-	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"net/http/httptest"
+	"io"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
-	"repro/client"
-	"repro/internal/asm"
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/machine"
-	"repro/internal/progs"
-	"repro/internal/server"
 )
 
-// benchResult is one row of BENCH_results.json.
-type benchResult struct {
-	Name        string             `json:"name"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	AllocsPerOp float64            `json:"allocs_per_op"`
-	BytesPerOp  float64            `json:"bytes_per_op"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-	Error       string             `json:"error,omitempty"`
-}
-
-// measure times f and reports per-op wall time and heap allocation deltas
-// (whole-process Mallocs/TotalAlloc, the same counters testing.B uses).
-func measure(ops int, f func() error) (r benchResult) {
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	var err error
-	for i := 0; i < ops && err == nil; i++ {
-		err = f()
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	n := float64(ops)
-	r.NsPerOp = float64(elapsed.Nanoseconds()) / n
-	r.AllocsPerOp = float64(m1.Mallocs-m0.Mallocs) / n
-	r.BytesPerOp = float64(m1.TotalAlloc-m0.TotalAlloc) / n
-	if err != nil {
-		r.Error = err.Error()
-	}
-	return r
-}
-
-// engineBenches compares the serial and sharded host engines on the
-// multithreaded reduction kernel at wide PE counts, recording model metrics
-// (cycles, IPC) alongside host-side cost. Engines must agree on the model
-// metrics exactly; ns/op is the host speedup trajectory.
-func engineBenches() []benchResult {
-	var out []benchResult
-	for _, pes := range []int{256, 1024} {
-		ins := progs.MTReduction(pes, 8, 20)
-		prog, err := asm.Assemble(ins.Source)
-		if err != nil {
-			out = append(out, benchResult{Name: "engine/assemble", Error: err.Error()})
-			continue
-		}
-		for _, engine := range []machine.Engine{machine.EngineSerial, machine.EngineParallel} {
-			var last core.Stats
-			r := measure(3, func() error {
-				mcfg := ins.MachineConfig(pes, 8)
-				mcfg.Engine = engine
-				p, err := core.New(core.Config{Machine: mcfg}, prog.Insts)
-				if err != nil {
-					return err
-				}
-				defer p.Machine().Close()
-				if err := p.Machine().LoadLocalMem(ins.LocalMem); err != nil {
-					return err
-				}
-				if err := p.Machine().LoadScalarMem(ins.ScalarMem); err != nil {
-					return err
-				}
-				stats, err := p.Run(0)
-				if err != nil {
-					return err
-				}
-				if err := ins.Check(p.Machine()); err != nil {
-					return err
-				}
-				last = stats
-				return nil
-			})
-			r.Name = fmt.Sprintf("engine/mt-reduction/pes=%d/%v", pes, engine)
-			r.Metrics = map[string]float64{
-				"model-cycles": float64(last.Cycles),
-				"model-IPC":    last.IPC(),
-				"gomaxprocs":   float64(runtime.GOMAXPROCS(0)),
-			}
-			addStallMetrics(r.Metrics, last)
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// addStallMetrics folds the paper-relevant hazard counters of a run into
-// a benchmark row: stall and idle cycles by hazard kind (the b+r
-// reduction hazard the multithreading is there to hide), plus the
-// front-end and contention totals. These land in BENCH_results.json so
-// the bench trajectory tracks the model's behavior, not just wall-clock.
-func addStallMetrics(m map[string]float64, s core.Stats) {
-	for k, v := range s.StallByKind {
-		m["stall-cycles/"+k.String()] = float64(v)
-	}
-	for k, v := range s.IdleByKind {
-		m["idle-cycles/"+k.String()] = float64(v)
-	}
-	m["idle-cycles"] = float64(s.IdleCycles)
-	m["contention"] = float64(s.Contention)
-	m["fetches"] = float64(s.Fetches)
-	m["flushes"] = float64(s.Flushes)
-}
-
-// coreBenches times the cycle-accurate model's per-cycle loop itself, the
-// hot path the decode plane exists for. Two scenarios bracket it:
-//
-//   - core/cycle-loop: a paper-scale 16-PE machine running the
-//     multithreaded reduction kernel on 16 threads. PE-array work is tiny,
-//     so almost all host time is scheduling: per-thread ready checks,
-//     scoreboard lookups, and instruction dispatch — decode overhead in
-//     its purest form.
-//   - core/large-array: the same kernel on a 4096-PE array, where the
-//     broadcast/reduction loops carry real data weight and decode cost
-//     must stay invisible next to them.
-func coreBenches() []benchResult {
-	var out []benchResult
-	cases := []struct {
-		name    string
-		pes     int
-		threads int
-		iters   int
-		engine  machine.Engine
-		ops     int
-	}{
-		{"core/cycle-loop/pes=16/threads=16", 16, 16, 200, machine.EngineSerial, 5},
-		{"core/large-array/pes=4096/threads=8", 4096, 8, 20, machine.EngineSerial, 3},
-	}
-	for _, tc := range cases {
-		ins := progs.MTReduction(tc.pes, tc.threads, tc.iters)
-		prog, err := asm.Assemble(ins.Source)
-		if err != nil {
-			out = append(out, benchResult{Name: tc.name, Error: err.Error()})
-			continue
-		}
-		var last core.Stats
-		r := measure(tc.ops, func() error {
-			mcfg := ins.MachineConfig(tc.pes, tc.threads)
-			mcfg.Engine = tc.engine
-			p, err := core.New(core.Config{Machine: mcfg}, prog.Insts)
-			if err != nil {
-				return err
-			}
-			defer p.Machine().Close()
-			if err := p.Machine().LoadLocalMem(ins.LocalMem); err != nil {
-				return err
-			}
-			if err := p.Machine().LoadScalarMem(ins.ScalarMem); err != nil {
-				return err
-			}
-			stats, err := p.Run(0)
-			if err != nil {
-				return err
-			}
-			if err := ins.Check(p.Machine()); err != nil {
-				return err
-			}
-			last = stats
-			return nil
-		})
-		r.Name = tc.name
-		r.Metrics = map[string]float64{
-			"model-cycles":  float64(last.Cycles),
-			"model-IPC":     last.IPC(),
-			"ns-per-cycle":  r.NsPerOp / float64(last.Cycles),
-			"instructions":  float64(last.Instructions),
-		}
-		addStallMetrics(r.Metrics, last)
-		out = append(out, r)
-	}
-	return out
-}
-
-// blockFusionBenches is the block plane's A/B row: one associative
-// search-and-fold loop — a fusible parallel ALU run, a broadcast compare
-// feeding flag logic, and compare+fold/sum reduction tails, the idioms the
-// fusion catalog targets — run with the block plane on and off on the same
-// serial-engine machine. Timings are the min of 5 interleaved reps so
-// scheduler noise hits both sides alike, and every rep cross-checks the
-// two modes' statistics and terminal snapshots bit for bit: the block
-// plane is only allowed to be faster, never different.
-func blockFusionBenches() []benchResult {
-	const reps = 5
-	const pes = 16
-	const src = `
-	li s1, 8000        ; loop trips: long enough that the cycle loop,
-	                   ; not machine construction, dominates each rep
-	paddi p1, p0, 3
-	addi s3, s0, 40    ; search threshold
-loop:
-	padd p3, p3, p1    ; fusible ALU run feeding the search below
-	pcgt f1, p3, s3    ; broadcast-compare: the associative search step
-	fand f2, f1, f1
-	rcount s4, f1      ; compare+fold
-	add s5, s5, s4     ; scalar consumer: the full b+r latency exposed
-	rsum s2, p3        ; fold the values too
-	add s6, s6, s2     ; and consume again (a single thread cannot hide it)
-	addi s1, s1, -1
-	bnez s1, loop
-	sw s5, 0(s0)
-	sw s6, 1(s0)
-	halt
-`
-	onRow := benchResult{Name: "core/block-fusion/blocks=on"}
-	offRow := benchResult{Name: "core/block-fusion/blocks=off"}
-	prog, err := asm.Assemble(src)
-	if err != nil {
-		onRow.Error = err.Error()
-		return []benchResult{onRow, offRow}
-	}
-
-	run := func(off bool) (core.Stats, []byte, error) {
-		// Arity 2 deepens the broadcast/reduction tree: more b+r stall
-		// cycles per fold for the closed form to jump over.
-		cfg := core.Config{Arity: 2}
-		cfg.Machine = machine.Config{PEs: pes, Threads: 1, Width: 32}
-		cfg.Machine.Engine = machine.EngineSerial
-		if off {
-			cfg.Blocks = core.BlocksOff
-		}
-		p, err := core.New(cfg, prog.Insts)
-		if err != nil {
-			return core.Stats{}, nil, err
-		}
-		defer p.Machine().Close()
-		stats, err := p.Run(0)
-		if err != nil {
-			return core.Stats{}, nil, err
-		}
-		return stats, p.Snapshot(), nil
-	}
-
-	best := func(row *benchResult, r benchResult) {
-		if row.NsPerOp == 0 || r.NsPerOp < row.NsPerOp {
-			row.NsPerOp, row.AllocsPerOp, row.BytesPerOp = r.NsPerOp, r.AllocsPerOp, r.BytesPerOp
-		}
-		if r.Error != "" {
-			row.Error = r.Error
-		}
-	}
-	var onStats, offStats core.Stats
-	identical := 0
-	for rep := 0; rep < reps; rep++ {
-		var snapOn, snapOff []byte
-		best(&onRow, measure(1, func() (err error) {
-			onStats, snapOn, err = run(false)
-			return err
-		}))
-		best(&offRow, measure(1, func() (err error) {
-			offStats, snapOff, err = run(true)
-			return err
-		}))
-		if onRow.Error != "" || offRow.Error != "" {
-			continue
-		}
-		if onStats.Cycles != offStats.Cycles || onStats.Instructions != offStats.Instructions ||
-			onStats.IdleCycles != offStats.IdleCycles || !bytes.Equal(snapOn, snapOff) {
-			onRow.Error = fmt.Sprintf("rep %d: blocks-on run diverges from blocks-off", rep)
-			continue
-		}
-		identical++
-	}
-
-	onRow.Metrics = map[string]float64{
-		"model-cycles":       float64(onStats.Cycles),
-		"model-IPC":          onStats.IPC(),
-		"ns-per-cycle":       onRow.NsPerOp / float64(onStats.Cycles),
-		"speedup-vs-off":     offRow.NsPerOp / onRow.NsPerOp,
-		"block-dispatches":   float64(onStats.BlockDispatches),
-		"bit-identical-reps": float64(identical),
-	}
-	addStallMetrics(onRow.Metrics, onStats)
-	offRow.Metrics = map[string]float64{
-		"model-cycles": float64(offStats.Cycles),
-		"model-IPC":    offStats.IPC(),
-		"ns-per-cycle": offRow.NsPerOp / float64(offStats.Cycles),
-	}
-	addStallMetrics(offRow.Metrics, offStats)
-	return []benchResult{onRow, offRow}
-}
-
-// mergeBaseline annotates rows with the matching ns/op from a previous
-// BENCH_results.json (ascbench -baseline old.json), recording the
-// before/after trajectory of a refactor in the new file itself:
-// baseline-ns-per-op is the old cost, speedup is old/new.
-func mergeBaseline(rows []benchResult, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var old []benchResult
-	if err := json.Unmarshal(data, &old); err != nil {
-		return fmt.Errorf("parsing %s: %w", path, err)
-	}
-	byName := make(map[string]benchResult, len(old))
-	for _, r := range old {
-		byName[r.Name] = r
-	}
-	for i := range rows {
-		prev, ok := byName[rows[i].Name]
-		if !ok || prev.NsPerOp <= 0 || rows[i].NsPerOp <= 0 {
-			continue
-		}
-		if rows[i].Metrics == nil {
-			rows[i].Metrics = make(map[string]float64)
-		}
-		rows[i].Metrics["baseline-ns-per-op"] = prev.NsPerOp
-		rows[i].Metrics["speedup"] = prev.NsPerOp / rows[i].NsPerOp
-	}
-	return nil
-}
-
-// batchBenches measures the serving stack's batched-throughput win: N
-// identical jobs pushed one at a time through POST /v1/run versus the
-// same N as a single POST /v1/batch. The batch path amortizes HTTP
-// round trips and, after the first job, serves every compile from the
-// content-addressed program cache — the `cache-hits` metric records how
-// many of the N jobs skipped the compiler.
-func batchBenches() []benchResult {
-	const jobs = 32
-	req := client.RunRequest{
-		ASCL:       "parallel v = pread(0); write(0, sumval(v));",
-		Config:     client.MachineConfig{PEs: 16, Width: 32},
-		LocalMem:   make([][]int64, 16),
-		DumpScalar: 1,
-	}
-	for i := range req.LocalMem {
-		req.LocalMem[i] = []int64{int64(i + 1)}
-	}
-
-	// A fresh in-process daemon per scenario keeps the program cache and
-	// machine pool cold at the start of each measurement.
-	bench := func(name string, f func(c *client.Client) (hits int, err error)) benchResult {
-		s := server.New(server.Config{Workers: runtime.GOMAXPROCS(0)})
-		hs := httptest.NewServer(s.Handler())
-		c := client.New(hs.URL)
-		var hits int
-		r := measure(1, func() (err error) {
-			hits, err = f(c)
-			return err
-		})
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		s.Shutdown(ctx)
-		cancel()
-		hs.Close()
-		r.Name = name
-		r.Metrics = map[string]float64{
-			"jobs":       jobs,
-			"ns-per-job": r.NsPerOp / jobs,
-			"cache-hits": float64(hits),
-		}
-		return r
-	}
-
-	out := []benchResult{
-		bench(fmt.Sprintf("serving/sequential-runs/jobs=%d", jobs), func(c *client.Client) (int, error) {
-			hits := 0
-			for i := 0; i < jobs; i++ {
-				res, err := c.Run(context.Background(), req)
-				if err != nil {
-					return hits, err
-				}
-				if res.ProgramCacheHit {
-					hits++
-				}
-			}
-			return hits, nil
-		}),
-		bench(fmt.Sprintf("serving/batch-run/jobs=%d", jobs), func(c *client.Client) (int, error) {
-			breq := client.BatchRequest{Jobs: make([]client.RunRequest, jobs)}
-			for i := range breq.Jobs {
-				breq.Jobs[i] = req
-			}
-			res, err := c.RunBatch(context.Background(), breq)
-			if err != nil {
-				return 0, err
-			}
-			hits := 0
-			for _, j := range res.Jobs {
-				if j.Result == nil {
-					return hits, fmt.Errorf("batch job failed: %s", j.Error)
-				}
-				if j.Result.ProgramCacheHit {
-					hits++
-				}
-			}
-			return hits, nil
-		}),
-	}
-	return out
-}
-
-// gangBenches measures the cross-job lockstep win: one POST /v1/batch of N
-// identical jobs executed as a gang — a single fetch/decode/issue pass over
-// the shared micro-op stream driving all N jobs' state — versus the same
-// batch fanned out job-per-machine (GangMinJobs disabled). Both servers run
-// the same kernel; timings are the min of 5 interleaved reps so scheduler
-// noise hits both sides alike, and every rep cross-checks the two modes'
-// per-job memory dumps bit for bit.
-func gangBenches() []benchResult {
-	const jobs = 32
-	const reps = 5
-	// A looping reduction kernel long enough that simulation, not HTTP or
-	// compilation, dominates each batch.
-	req := client.RunRequest{
-		Asm: `
-	addi s1, s0, 2000
-	paddi p1, p0, 3
-loop:
-	padd p2, p2, p1
-	rsum s2, p2
-	addi s1, s1, -1
-	bnez s1, loop
-	sw s2, 0(s0)
-	halt
-`,
-		Config:     client.MachineConfig{PEs: 16, Width: 32},
-		DumpScalar: 1,
-	}
-	breq := client.BatchRequest{Jobs: make([]client.RunRequest, jobs)}
-	for i := range breq.Jobs {
-		breq.Jobs[i] = req
-	}
-
-	newSrv := func(gangMin int) (*server.Server, *httptest.Server, *client.Client) {
-		s := server.New(server.Config{Workers: runtime.GOMAXPROCS(0), GangMinJobs: gangMin})
-		hs := httptest.NewServer(s.Handler())
-		return s, hs, client.New(hs.URL)
-	}
-	sg, hg, cg := newSrv(0)  // ganging on (default threshold)
-	sf, hf, cf := newSrv(-1) // ganging off: the fan-out baseline
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		sg.Shutdown(ctx)
-		sf.Shutdown(ctx)
-		hg.Close()
-		hf.Close()
-	}()
-
-	runBatch := func(c *client.Client) ([]int64, error) {
-		res, err := c.RunBatch(context.Background(), breq)
-		if err != nil {
-			return nil, err
-		}
-		words := make([]int64, len(res.Jobs))
-		for i, j := range res.Jobs {
-			if j.Result == nil {
-				return nil, fmt.Errorf("batch job %d failed: %s", i, j.Error)
-			}
-			words[i] = j.Result.ScalarMem[0]
-		}
-		return words, nil
-	}
-
-	gangRow := benchResult{Name: fmt.Sprintf("serving/gang-batch/jobs=%d", jobs)}
-	fanRow := benchResult{Name: fmt.Sprintf("serving/gang-fanout/jobs=%d", jobs)}
-	// One warm-up batch per server fills the machine pool and program
-	// cache, so the reps measure steady-state serving.
-	want, gerr := runBatch(cg)
-	if _, ferr := runBatch(cf); gerr != nil || ferr != nil {
-		gangRow.Error = fmt.Sprintf("warm-up: gang=%v fanout=%v", gerr, ferr)
-		return []benchResult{gangRow, fanRow}
-	}
-
-	best := func(row *benchResult, r benchResult) {
-		if row.NsPerOp == 0 || r.NsPerOp < row.NsPerOp {
-			row.NsPerOp, row.AllocsPerOp, row.BytesPerOp = r.NsPerOp, r.AllocsPerOp, r.BytesPerOp
-		}
-		if r.Error != "" {
-			row.Error = r.Error
-		}
-	}
-	check := func(words []int64, err error) error {
-		if err != nil {
-			return err
-		}
-		for i, w := range words {
-			if w != want[i] {
-				return fmt.Errorf("job %d: result %d diverges from fan-out baseline %d", i, w, want[i])
-			}
-		}
-		return nil
-	}
-	for rep := 0; rep < reps; rep++ {
-		best(&gangRow, measure(1, func() error { w, err := runBatch(cg); return check(w, err) }))
-		best(&fanRow, measure(1, func() error { w, err := runBatch(cf); return check(w, err) }))
-	}
-
-	gangRow.Metrics = map[string]float64{
-		"jobs": jobs, "reps": reps,
-		"ns-per-job":         gangRow.NsPerOp / jobs,
-		"speedup-vs-fanout":  fanRow.NsPerOp / gangRow.NsPerOp,
-		"bit-identical-runs": float64(reps * 2),
-	}
-	fanRow.Metrics = map[string]float64{
-		"jobs": jobs, "reps": reps,
-		"ns-per-job": fanRow.NsPerOp / jobs,
-	}
-	return []benchResult{gangRow, fanRow}
-}
-
 func main() {
-	exp := flag.String("exp", "all", "experiment id (T1, F1, F2, F3, D1..D13) or 'all'")
-	list := flag.Bool("list", false, "list experiments")
-	jsonOut := flag.Bool("json", false, "emit results as a JSON array")
-	benchOut := flag.String("benchout", "BENCH_results.json", "write machine-readable timings here (empty = off)")
-	baseline := flag.String("baseline", "", "previous BENCH_results.json to record baseline-ns-per-op/speedup against")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// result is one element of the -json array.
+type result struct {
+	ID     string `json:"id"`
+	Title  string `json:"title"`
+	Output string `json:"output,omitempty"`
+	Error  string `json:"error,omitempty"`
+}
+
+// run is the whole command: it returns 0 on success, 1 when an experiment
+// fails, and 2 on a usage error (a bad flag or an unknown experiment id).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ascbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment id (T1, F1, F2, F3, D1..D13) or 'all'")
+	list := fs.Bool("list", false, "list experiments")
+	jsonOut := fs.Bool("json", false, "emit results as a JSON array")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	all := experiments.All()
 	if *list {
 		for _, e := range all {
-			fmt.Printf("%-4s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-4s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
+	}
+	selected := all
+	if *exp != "all" {
+		selected = nil
+		ids := make([]string, len(all))
+		for i, e := range all {
+			ids[i] = e.ID
+			if strings.EqualFold(*exp, e.ID) {
+				selected = append(selected, e)
+			}
+		}
+		if len(selected) == 0 {
+			fmt.Fprintf(stderr, "ascbench: unknown experiment %q; valid ids: %s, all\n", *exp, strings.Join(ids, ", "))
+			return 2
+		}
 	}
 
-	type result struct {
-		ID     string `json:"id"`
-		Title  string `json:"title"`
-		Output string `json:"output,omitempty"`
-		Error  string `json:"error,omitempty"`
-	}
-	var results []result
-	var bench []benchResult
-	failed := false
-	for _, e := range all {
-		if *exp != "all" && !strings.EqualFold(*exp, e.ID) {
-			continue
-		}
-		var out string
-		br := measure(1, func() (err error) {
-			out, err = e.Run()
-			return err
-		})
-		br.Name = "experiment/" + e.ID
-		bench = append(bench, br)
+	results := make([]result, 0, len(selected))
+	code := 0
+	for _, e := range selected {
+		out, err := e.Run()
 		r := result{ID: e.ID, Title: e.Title, Output: out}
-		if br.Error != "" {
-			r.Error = br.Error
-			failed = true
+		if err != nil {
+			r.Error = err.Error()
+			code = 1
 		}
 		results = append(results, r)
-		if !*jsonOut {
-			fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
-			if r.Error != "" {
-				fmt.Fprintf(os.Stderr, "%s failed: %s\n", e.ID, r.Error)
-				continue
-			}
-			fmt.Println(out)
+		if *jsonOut {
+			continue
 		}
-	}
-	bench = append(bench, engineBenches()...)
-	bench = append(bench, coreBenches()...)
-	bench = append(bench, blockFusionBenches()...)
-	bench = append(bench, batchBenches()...)
-	bench = append(bench, gangBenches()...)
-	bench = append(bench, gatewayBenches()...)
-	if *baseline != "" {
-		if err := mergeBaseline(bench, *baseline); err != nil {
-			fmt.Fprintf(os.Stderr, "merging baseline %s: %v\n", *baseline, err)
-			os.Exit(1)
+		fmt.Fprintf(stdout, "=== %s: %s ===\n", e.ID, e.Title)
+		if err != nil {
+			fmt.Fprintf(stderr, "%s failed: %s\n", e.ID, r.Error)
+			continue
 		}
+		fmt.Fprintln(stdout, out)
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
-	if *benchOut != "" {
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*benchOut, append(data, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *benchOut, err)
-			os.Exit(1)
-		}
-		if !*jsonOut {
-			fmt.Printf("wrote %s (%d benchmark rows)\n", *benchOut, len(bench))
-		}
-	}
-	if failed {
-		os.Exit(1)
-	}
+	return code
 }

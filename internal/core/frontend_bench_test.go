@@ -14,7 +14,9 @@ import (
 // simulated cycle at 16 PEs for one lane (a Processor) and eight lanes (a
 // Gang; ns per lockstep cycle, all lanes together), on the per-cycle
 // 16-thread reduction chain and on the single-threaded chain, which the
-// block plane dispatches. Each op resets, reloads, and runs one job to halt.
+// block plane dispatches. The same single-threaded chain with the block
+// plane off is the block plane's A/B baseline. Each op resets, reloads, and
+// runs one job to halt.
 //
 //	go test ./internal/core -run '^$' -bench FrontEnd -benchmem
 func BenchmarkFrontEnd(b *testing.B) {
@@ -22,9 +24,11 @@ func BenchmarkFrontEnd(b *testing.B) {
 		name    string
 		ins     progs.Instance
 		threads int
+		blocks  core.BlocksMode
 	}{
-		{"mt-reduction-16t", progs.MTReduction(16, 16, 64), 16},
-		{"mt-reduction-1t", progs.MTReduction(16, 1, 1024), 1},
+		{"mt-reduction-16t", progs.MTReduction(16, 16, 64), 16, core.BlocksAuto},
+		{"mt-reduction-1t", progs.MTReduction(16, 1, 1024), 1, core.BlocksAuto},
+		{"mt-reduction-1t-blocksoff", progs.MTReduction(16, 1, 1024), 1, core.BlocksOff},
 	}
 	for _, k := range kernels {
 		prog, err := asm.Assemble(k.ins.Source)
@@ -35,7 +39,7 @@ func BenchmarkFrontEnd(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cfg := core.Config{Machine: k.ins.MachineConfig(16, k.threads), Arity: 4}
+		cfg := core.Config{Machine: k.ins.MachineConfig(16, k.threads), Arity: 4, Blocks: k.blocks}
 		for _, lanes := range []int{1, 8} {
 			b.Run(fmt.Sprintf("%s/lanes=%d", k.name, lanes), func(b *testing.B) {
 				run := frontEndJob(b, cfg, dp, k.ins, lanes)

@@ -355,13 +355,16 @@ func TestSumMatchesMarshal(t *testing.T) {
 // FuzzEnvelope feeds arbitrary bytes through the resume path's trust
 // boundary: json.Unmarshal into a SnapshotEnvelope, then Validate. Either
 // step may reject the input, but neither may panic, and an envelope
-// Validate accepts must re-Seal to the Sum it arrived with.
+// Validate accepts must re-Seal to the Sum it arrived with. An accepted
+// envelope then goes on through Resolve against a fresh program cache,
+// compiling from the envelope's own request as ascd does: it may only fail
+// with a StaleError or a compile error, and on success it yields the
+// envelope's digest and a second Resolve is a cache hit.
 //
 //	go test -fuzz=FuzzEnvelope ./internal/migrate
 func FuzzEnvelope(f *testing.F) {
-	const src = "halt"
 	cfg := client.MachineConfig{PEs: 4, Width: 16}
-	prog, err := asc.Assemble(src)
+	prog, err := asc.Assemble("halt")
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -369,12 +372,21 @@ func FuzzEnvelope(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	req := client.RunRequest{Asm: src, Config: cfg, MaxCycles: 1000}
-	valid := migrate.Pack("s-fuzz", req, progcache.RequestDigest("", src, cfg.ASC()), p.Snapshot(), 0, 1000, 0, 0, asc.Stats{})
-	if err := migrate.Validate(valid); err != nil {
-		f.Fatalf("seed envelope rejected: %v", err)
+	pack := func(src, digest string) *client.SnapshotEnvelope {
+		req := client.RunRequest{Asm: src, Config: cfg, MaxCycles: 1000}
+		env := migrate.Pack("s-fuzz", req, digest, p.Snapshot(), 0, 1000, 0, 0, asc.Stats{})
+		if err := migrate.Validate(env); err != nil {
+			f.Fatalf("seed envelope rejected: %v", err)
+		}
+		return env
 	}
-	for _, env := range []*client.SnapshotEnvelope{valid, goldenEnvelope()} {
+	seeds := []*client.SnapshotEnvelope{
+		pack("halt", progcache.RequestDigest("", "halt", cfg.ASC())),   // resolves
+		pack("halt", strings.Repeat("cd", 32)),                         // stale digest
+		pack("bogus", progcache.RequestDigest("", "bogus", cfg.ASC())), // compile error
+		goldenEnvelope(),
+	}
+	for _, env := range seeds {
 		data, err := json.Marshal(env)
 		if err != nil {
 			f.Fatal(err)
@@ -394,5 +406,47 @@ func FuzzEnvelope(f *testing.F) {
 				t.Fatalf("accepted envelope re-seals to %s, arrived with %s", env.Sum, sum)
 			}
 		}
+		cache := progcache.New(4)
+		compile := func() (progcache.Program, error) { return compileRequest(&env.Request) }
+		art, hit, err := migrate.Resolve(cache, &env, compile)
+		var stale *migrate.StaleError
+		var cerr *compileError
+		switch {
+		case errors.As(err, &stale), errors.As(err, &cerr):
+			return
+		case err != nil:
+			t.Fatalf("Resolve failed with neither a StaleError nor a compile error: %v", err)
+		case hit:
+			t.Fatal("Resolve reported a cache hit on an empty cache")
+		case art.Digest != env.Digest:
+			t.Fatalf("Resolve returned digest %s, envelope carries %s", art.Digest, env.Digest)
+		}
+		if _, hit, err := migrate.Resolve(cache, &env, compile); err != nil || !hit {
+			t.Fatalf("second Resolve: hit=%v err=%v, want a cache hit", hit, err)
+		}
 	})
+}
+
+// compileError marks a compile func's failure to build the source.
+type compileError struct{ err error }
+
+func (e *compileError) Error() string { return "compiling: " + e.err.Error() }
+
+// compileRequest builds req's program the way ascd's compile step does,
+// digested under the request's own cache key.
+func compileRequest(req *client.RunRequest) (progcache.Program, error) {
+	var (
+		prog    *asc.Program
+		asmText string
+		err     error
+	)
+	if req.ASCL != "" {
+		prog, asmText, err = asc.CompileASCL(req.ASCL)
+	} else {
+		prog, err = asc.Assemble(req.Asm)
+	}
+	if err != nil {
+		return progcache.Program{}, &compileError{err}
+	}
+	return progcache.Program{Prog: prog, Asm: asmText, Digest: progcache.RequestDigest(req.ASCL, req.Asm, req.Config.ASC())}, nil
 }
