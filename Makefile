@@ -122,7 +122,7 @@ bench-test:
 FUZZ_TARGETS = FuzzOracle:./internal/core FuzzEnvelope:./internal/migrate \
 	FuzzRestore:./internal/machine FuzzCompile:./internal/ascl \
 	FuzzAssemble:./internal/asm FuzzDecode:./internal/asm \
-	FuzzRequest:./internal/server
+	FuzzRequest:./internal/server FuzzParseText:./internal/obs
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -48,9 +48,11 @@
 // group), POST /v1/sessions and GET/POST /v1/sessions/{id}[/resume]
 // (resumable sessions with transparent live migration),
 // POST /v1/admin/drain (checkpoint a backend's live sessions and resume
-// them on ring successors), GET /metrics (fleet-wide: gateway asc_gw_* series plus every
-// backend's registry, per-sample backend label by default, summed with
-// ?view=fleet), GET /healthz, GET /debug/traces (with ?trace=<id> the
+// them on ring successors), GET /metrics (fleet-wide: gateway asc_gw_*
+// series plus every backend's registry, per-sample backend label by
+// default, summed with ?view=fleet; ?format=json or Accept:
+// application/json answers ascd's JSON view as fleet totals),
+// GET /healthz, GET /debug/traces (with ?trace=<id> the
 // gateway stitches its own spans with every backend's spans for that
 // trace into one fleet-wide waterfall; ?format=waterfall renders it as
 // text). See docs/SERVER.md for fleet deployment and

@@ -166,9 +166,6 @@ func (s Stats) IPC() float64 {
 	return float64(s.Instructions) / float64(s.Cycles)
 }
 
-// Utilization is the fraction of cycles that issued an instruction.
-func (s Stats) Utilization() float64 { return s.IPC() }
-
 // Processor is a configured simulation instance: the cycle engine
 // (engine.go) driving one lane. The one-lane-only features — SMT dual
 // issue, structural network co-simulation, tracing, checkpoint requests,

@@ -3,6 +3,7 @@ package dtrace
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"sort"
 	"strconv"
@@ -228,6 +229,21 @@ func RequestID(r *http.Request) string {
 		return id
 	}
 	return NewID()
+}
+
+// StartRequest begins the distributed trace for one HTTP request: a valid
+// inbound traceparent (from ascgw or any W3C-propagating client) is
+// adopted, anything else mints a fresh trace. The trace id is echoed in
+// X-Trace-Id and threaded through the returned logger, so a log line, an
+// exemplar, and GET /debug/traces?trace=<id> all meet at the same id.
+// With tracing disabled it returns a nil trace and log unchanged.
+func (tr *Tracer) StartRequest(w http.ResponseWriter, r *http.Request, name, id string, log *slog.Logger) (*Active, *slog.Logger) {
+	a := tr.StartTrace(r.Header.Get("traceparent"), name, id)
+	if a == nil {
+		return nil, log
+	}
+	w.Header().Set("X-Trace-Id", a.TraceID())
+	return a, log.With("trace_id", a.TraceID(), "span_id", a.Root().ID())
 }
 
 // WithRequestID resolves a request's id once, before any route runs, and

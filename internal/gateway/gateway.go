@@ -20,6 +20,7 @@ import (
 	"repro/internal/dtrace"
 	"repro/internal/obs"
 	"repro/internal/progcache"
+	"repro/internal/server"
 )
 
 // Config sizes the gateway. Backends is required; zero fields take
@@ -351,7 +352,7 @@ func (g *Gateway) writeUnavailable(w http.ResponseWriter, status int, floorHint 
 // follows a job through gateway and backend logs end to end.
 func (g *Gateway) request(w http.ResponseWriter, r *http.Request, name, allow string, v any) (id string, tr *dtrace.Active, log *slog.Logger, body []byte, ok bool) {
 	id = dtrace.RequestID(r)
-	tr, log = g.startTrace(w, r, name, id, g.log.With("request_id", id))
+	tr, log = g.tracer.StartRequest(w, r, name, id, g.log.With("request_id", id))
 	if r.Method != http.MethodPost {
 		tr.SetError()
 		writeError(w, http.StatusMethodNotAllowed, "%s required", allow)
@@ -472,7 +473,6 @@ func (g *Gateway) forward(ctx context.Context, method, backend, path, id, tp str
 	if body != nil {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	req.Header.Set("Accept", "application/json")
 	req.Header.Set("X-Request-Id", id)
 	if tp != "" {
 		req.Header.Set("traceparent", tp)
@@ -641,19 +641,6 @@ func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	log.Debug("run routed", "backend", backend, "status", resp.status)
 	relay(w, tr, resp)
-}
-
-// startTrace begins the distributed trace for one gateway request,
-// adopting a client-supplied traceparent when present. The trace id is
-// echoed in X-Trace-Id and stamped on every log line so a log line, an
-// exemplar, and GET /debug/traces?trace=<id> all meet at the same id.
-func (g *Gateway) startTrace(w http.ResponseWriter, r *http.Request, name, id string, log *slog.Logger) (*dtrace.Active, *slog.Logger) {
-	tr := g.tracer.StartTrace(r.Header.Get("traceparent"), name, id)
-	if tr == nil {
-		return nil, log
-	}
-	w.Header().Set("X-Trace-Id", tr.TraceID())
-	return tr, log.With("trace_id", tr.TraceID(), "span_id", tr.Root().ID())
 }
 
 // observeLatency records gateway request latency, attaching a trace-id
@@ -904,43 +891,57 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // program cache is hitting); with ?view=fleet, same-name samples are
 // summed across backends instead (counters sum, histogram buckets merge
 // element-wise), giving fleet totals under the original series names.
+// The JSON view (?format=json or Accept: application/json) is ascd's
+// MetricsView projected from that fleet sum. Ejected backends are scraped
+// too — a draining node still reports, and its counters are part of fleet
+// truth until it is gone. A backend that does not answer 200 with an
+// exposition ParseText accepts counts as a scrape failure.
 func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	sum := r.URL.Query().Get("view") == "fleet"
+	asJSON := server.WantsJSON(r)
+	sum := asJSON || r.URL.Query().Get("view") == "fleet"
 
 	own, err := g.ownFamilies()
 	if err != nil {
 		http.Error(w, fmt.Sprintf("rendering gateway metrics: %v", err), http.StatusInternalServerError)
 		return
 	}
+	scraped := make([][]*obs.ParsedFamily, len(g.cfg.Backends))
+	ok := make([]bool, len(g.cfg.Backends))
+	g.getAll(r.Context(), "/metrics", "", func(i int, body []byte) {
+		fams, err := obs.ParseText(string(body))
+		scraped[i], ok[i] = fams, err == nil
+	})
 	merged := own
-	scrapes := g.scrapeBackends(r.Context())
 	var failed []string
-	for _, sc := range scrapes {
-		if sc.err != nil {
-			g.m.scrapeFailures.With(backendLabel(sc.backend)).Inc()
-			failed = append(failed, backendLabel(sc.backend))
+	for i, b := range g.cfg.Backends {
+		if !ok[i] {
+			g.m.scrapeFailures.With(backendLabel(b)).Inc()
+			failed = append(failed, backendLabel(b))
 			continue
 		}
-		fams := sc.fams
 		if !sum {
-			for _, f := range fams {
-				for i := range f.Samples {
-					f.Samples[i] = f.Samples[i].WithLabel("backend", backendLabel(sc.backend))
+			for _, f := range scraped[i] {
+				for j := range f.Samples {
+					f.Samples[j] = f.Samples[j].WithLabel("backend", backendLabel(b))
 				}
 			}
 		}
-		merged = obs.MergeFamilies(merged, fams)
+		merged = obs.MergeFamilies(merged, scraped[i])
 	}
 	if sum {
 		for _, f := range merged {
 			f.SumSamples()
 		}
 	}
+	if asJSON {
+		writeJSON(w, http.StatusOK, server.MetricsView(merged))
+		return
+	}
 	var b strings.Builder
 	// Partial-merge status rides as a plain comment: scrapers skip it, a
 	// human reading the exposition (or a test) sees at a glance whether
 	// the fleet view is complete.
-	fmt.Fprintf(&b, "# asc-gw-fleet-scrape: %d/%d backends merged", len(scrapes)-len(failed), len(scrapes))
+	fmt.Fprintf(&b, "# asc-gw-fleet-scrape: %d/%d backends merged", len(g.cfg.Backends)-len(failed), len(g.cfg.Backends))
 	if len(failed) > 0 {
 		fmt.Fprintf(&b, "; failed: %s", strings.Join(failed, ","))
 	}
@@ -1051,51 +1052,4 @@ func backendLabel(base string) string {
 		return rest
 	}
 	return base
-}
-
-type scrapeResult struct {
-	backend string
-	fams    []*obs.ParsedFamily
-	err     error
-}
-
-// scrapeBackends fetches every backend's /metrics concurrently, bounded
-// by ScrapeTimeout. Ejected backends are scraped too — a draining node
-// still reports, and its counters are part of fleet truth until it is
-// gone.
-func (g *Gateway) scrapeBackends(ctx context.Context) []scrapeResult {
-	ctx, cancel := context.WithTimeout(ctx, g.cfg.ScrapeTimeout)
-	defer cancel()
-	out := make([]scrapeResult, len(g.cfg.Backends))
-	var wg sync.WaitGroup
-	for i, b := range g.cfg.Backends {
-		wg.Add(1)
-		go func(i int, b string) {
-			defer wg.Done()
-			out[i] = scrapeResult{backend: b}
-			req, err := http.NewRequestWithContext(ctx, http.MethodGet, b+"/metrics", nil)
-			if err != nil {
-				out[i].err = err
-				return
-			}
-			resp, err := g.cfg.HTTPClient.Do(req)
-			if err != nil {
-				out[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-			if err != nil {
-				out[i].err = err
-				return
-			}
-			if resp.StatusCode != http.StatusOK {
-				out[i].err = fmt.Errorf("scrape %s: %s", b, resp.Status)
-				return
-			}
-			out[i].fams, out[i].err = obs.ParseText(string(data))
-		}(i, b)
-	}
-	wg.Wait()
-	return out
 }

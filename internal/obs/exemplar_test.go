@@ -28,8 +28,7 @@ func exemplarRegistry() *Registry {
 
 // TestExemplarGolden pins the rendered exemplar syntax: each exemplar
 // rides its bucket line as `# {labels} value [ts]`, buckets without
-// exemplars render exactly as before, and the whole exposition stays
-// lint-clean and parseable.
+// exemplars render exactly as before, and the whole exposition parses.
 func TestExemplarGolden(t *testing.T) {
 	var b strings.Builder
 	if err := exemplarRegistry().WritePrometheus(&b); err != nil {
@@ -50,8 +49,8 @@ func TestExemplarGolden(t *testing.T) {
 	if got != string(want) {
 		t.Errorf("exemplar rendering drifted from golden (run with -update to accept):\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	if err := Lint(got); err != nil {
-		t.Errorf("exemplar exposition fails lint: %v", err)
+	if _, err := ParseText(got); err != nil {
+		t.Errorf("exemplar exposition does not parse: %v", err)
 	}
 }
 
@@ -180,17 +179,14 @@ func randomRegistry(t *testing.T, rng *rand.Rand) string {
 	return b.String()
 }
 
-// TestParseWriteFixedPoint is the property test: for any lint-clean
-// exposition this package renders — exemplars, escapes, vecs and all —
+// TestParseWriteFixedPoint is the property test: for any exposition this
+// package renders — exemplars, escapes, vecs and all —
 // ParseText followed by WriteFamilies reproduces the text byte-for-byte,
 // and parsing the re-rendered text yields the same families again.
 func TestParseWriteFixedPoint(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		text := randomRegistry(t, rng)
-		if err := Lint(text); err != nil {
-			t.Fatalf("seed %d: rendered exposition not lint-clean: %v\n%s", seed, err, text)
-		}
 		fams, err := ParseText(text)
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, text)
@@ -251,16 +247,16 @@ func TestExemplarThroughMerge(t *testing.T) {
 	var sb strings.Builder
 	WriteFamilies(&sb, merged)
 	out := sb.String()
-	if err := Lint(out); err != nil {
-		t.Fatalf("summed exemplar exposition fails lint: %v\n%s", err, out)
+	if _, err := ParseText(out); err != nil {
+		t.Fatalf("summed exemplar exposition does not parse: %v\n%s", err, out)
 	}
 	if !strings.Contains(out, `rt_seconds_bucket{le="1"} 2 # {trace_id="bbbb"} 0.5 200`) {
 		t.Errorf("summed bucket must keep the newest exemplar:\n%s", out)
 	}
 }
 
-// TestLintExemplarPlacement: exemplars belong on counter samples and
-// histogram buckets only, and must themselves parse.
+// TestLintExemplarPlacement: ParseText admits exemplars on counter
+// samples and histogram buckets only, and they must themselves parse.
 func TestLintExemplarPlacement(t *testing.T) {
 	bad := []struct{ name, text string }{
 		{"gauge exemplar", "# HELP g x\n# TYPE g gauge\ng 1 # {trace_id=\"a\"} 1\n"},
@@ -274,14 +270,14 @@ func TestLintExemplarPlacement(t *testing.T) {
 		{"bad exemplar ts", "# HELP c_total x\n# TYPE c_total counter\nc_total 1 # {trace_id=\"a\"} 0.5 xyz\n"},
 	}
 	for _, tc := range bad {
-		if err := Lint(tc.text); err == nil {
-			t.Errorf("%s: lint accepted bad exposition", tc.name)
+		if _, err := ParseText(tc.text); err == nil {
+			t.Errorf("%s: ParseText accepted bad exposition", tc.name)
 		}
 	}
 	good := "# HELP c_total x\n# TYPE c_total counter\nc_total 1 # {trace_id=\"abc\"} 0.5 1754524800.125\n" +
 		"# HELP h x\n# TYPE h histogram\n" +
 		"h_bucket{le=\"1\"} 1 # {trace_id=\"def\"} 0.5\nh_bucket{le=\"+Inf\"} 1\nh_sum 0.5\nh_count 1\n"
-	if err := Lint(good); err != nil {
-		t.Errorf("lint rejected valid exemplar exposition: %v", err)
+	if _, err := ParseText(good); err != nil {
+		t.Errorf("ParseText rejected valid exemplar exposition: %v", err)
 	}
 }

@@ -40,8 +40,8 @@ func testRegistry() *Registry {
 	return r
 }
 
-// TestExposition golden-tests the rendered Prometheus text format and runs
-// the format lint over it. CI smokes this test under -race.
+// TestExposition golden-tests the rendered Prometheus text format and
+// holds it to the strict parser. CI smokes this test under -race.
 func TestExposition(t *testing.T) {
 	var b strings.Builder
 	if err := testRegistry().WritePrometheus(&b); err != nil {
@@ -66,8 +66,8 @@ func TestExposition(t *testing.T) {
 		t.Errorf("exposition drifted from golden file (run with -update to accept):\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
 
-	if err := Lint(got); err != nil {
-		t.Errorf("rendered exposition fails lint: %v", err)
+	if _, err := ParseText(got); err != nil {
+		t.Errorf("rendered exposition does not parse: %v", err)
 	}
 
 	// Rendering twice must be deterministic (children sorted, no map
@@ -92,7 +92,10 @@ func TestServeHTTP(t *testing.T) {
 	}
 }
 
-// TestLintCatchesViolations feeds the lint known-bad expositions.
+// TestLintCatchesViolations feeds ParseText, the one exposition lint,
+// known-bad expositions. The last three are shapes a fleet merge must
+// refuse: a sample with an empty name, a +Inf bucket below a finite
+// bucket and its _count, and a sample with no TYPE.
 func TestLintCatchesViolations(t *testing.T) {
 	cases := []struct {
 		name, text string
@@ -107,15 +110,19 @@ func TestLintCatchesViolations(t *testing.T) {
 			"h_bucket{le=\"1\"} 5\nh_sum 1\nh_count 5\n"},
 		{"inf != count", "# HELP h x\n# TYPE h histogram\n" +
 			"h_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 9\n"},
+		{"empty sample name", " 00"},
+		{"+Inf below a finite bucket and _count", "# HELP h x\n# TYPE h histogram\n" +
+			"h_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 5\n"},
+		{"untyped sample", "x_total 3\n"},
 	}
 	for _, tc := range cases {
-		if err := Lint(tc.text); err == nil {
-			t.Errorf("%s: lint accepted bad exposition", tc.name)
+		if _, err := ParseText(tc.text); err == nil {
+			t.Errorf("%s: ParseText accepted bad exposition", tc.name)
 		}
 	}
 	good := "# HELP h x\n# TYPE h histogram\n" +
 		"h_bucket{le=\"1\"} 2\nh_bucket{le=\"+Inf\"} 5\nh_sum 1\nh_count 5\n"
-	if err := Lint(good); err != nil {
-		t.Errorf("lint rejected valid exposition: %v", err)
+	if _, err := ParseText(good); err != nil {
+		t.Errorf("ParseText rejected valid exposition: %v", err)
 	}
 }

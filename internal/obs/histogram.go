@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"math"
 	"sort"
 	"sync"
 )
@@ -9,8 +8,8 @@ import (
 // Histogram is a fixed-bucket histogram. Bucket semantics follow
 // Prometheus: an observation v lands in the first bucket whose upper bound
 // is >= v; observations past the last finite bound land in the implicit
-// +Inf overflow bucket and are reported there honestly (see Quantile and
-// Overflow) instead of being folded into the last finite bucket.
+// +Inf overflow bucket and are reported there honestly instead of being
+// folded into the last finite bucket.
 type Histogram struct {
 	bounds []float64 // ascending, finite
 
@@ -66,67 +65,6 @@ func (h *Histogram) ObserveWithExemplar(v float64, ts float64, labels ...Label) 
 	}
 	h.exemplars[i] = &Exemplar{Labels: labels, Value: v, Ts: ts}
 	h.mu.Unlock()
-}
-
-// Quantile returns an upper-bound estimate of quantile q (0 < q <= 1): the
-// upper bound of the bucket containing the q-th ranked observation, or 0
-// when the histogram is empty. A rank that lands in the +Inf overflow
-// bucket is reported as math.Inf(1) — the histogram does not pretend such
-// observations fit under the last finite bound; callers that need a finite
-// number must clamp explicitly and should surface Overflow alongside it.
-func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.total == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(h.total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Overflow returns how many observations exceeded the last finite bucket
-// bound (the +Inf bucket count).
-func (h *Histogram) Overflow() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.counts[len(h.bounds)]
-}
-
-// MaxBound returns the largest finite bucket bound (0 if there are no
-// buckets); callers clamping an overflowed Quantile use it as the explicit
-// saturation point.
-func (h *Histogram) MaxBound() float64 {
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
 }
 
 // snapshot copies the counts, total, sum, and per-bucket exemplars under

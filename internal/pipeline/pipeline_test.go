@@ -230,14 +230,6 @@ func TestMultiplierLatencies(t *testing.T) {
 func TestScoreboardRetireAndClear(t *testing.T) {
 	p := paperParams()
 	sb := NewScoreboard(p, 2)
-	sb.Record(0, dec(t, isa.Inst{Op: isa.RMAX, Rd: 1, Ra: 2}), 10)
-	if got := sb.InFlight(0, 11); got != 1 {
-		t.Errorf("in flight = %d, want 1", got)
-	}
-	sb.Retire(0, 100)
-	if got := sb.InFlight(0, 100); got != 0 {
-		t.Errorf("after retire: in flight = %d", got)
-	}
 	sb.Record(1, dec(t, isa.Inst{Op: isa.RMAX, Rd: 1, Ra: 2}), 10)
 	sb.ClearThread(1)
 	if mi, _ := sb.MinIssue(1, dec(t, isa.Inst{Op: isa.ADD, Rd: 2, Ra: 1})); mi != 0 {

@@ -101,20 +101,6 @@ func (sb *Scoreboard) Record(tid int, d *isa.Decoded, t int64) {
 	tab[d.Write.Idx] = pending{readyAbs: ready, loc: loc, prodClass: d.Class, valid: true}
 }
 
-// Retire clears entries whose results are architecturally visible at cycle
-// now; keeping the table small is not required for correctness (stale valid
-// entries with past readyAbs impose no constraint), but Retire keeps
-// introspection output readable.
-func (sb *Scoreboard) Retire(tid int, now int64) {
-	for _, tab := range [][]pending{sb.scalar[tid], sb.par[tid], sb.flag[tid]} {
-		for i := range tab {
-			if tab[i].valid && tab[i].readyAbs <= now {
-				tab[i] = pending{}
-			}
-		}
-	}
-}
-
 // ClearThread wipes a thread's entries; used when a context is recycled by
 // TSPAWN.
 func (sb *Scoreboard) ClearThread(tid int) {
@@ -123,18 +109,4 @@ func (sb *Scoreboard) ClearThread(tid int) {
 			tab[i] = pending{}
 		}
 	}
-}
-
-// InFlight reports how many register writes are pending for thread tid at
-// cycle now (for the F3 control-unit introspection tooling).
-func (sb *Scoreboard) InFlight(tid int, now int64) int {
-	n := 0
-	for _, tab := range [][]pending{sb.scalar[tid], sb.par[tid], sb.flag[tid]} {
-		for i := range tab {
-			if tab[i].valid && tab[i].readyAbs > now {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -49,8 +49,7 @@ type Pool struct {
 	// lane count: the cap bounds fleet entries, not simulated machines.
 	idleGangs map[string][]*asc.Gang
 	nIdle     int
-	stats     Stats
-	byKey     map[string]*Stats
+	byKey     map[string]*Stats // the only counters; Stats sums them
 }
 
 // New builds a pool that parks at most maxIdle machines across all
@@ -99,12 +98,10 @@ func (p *Pool) Get(cfg asc.Config, prog *asc.Program) (*asc.Processor, bool, err
 			return nil, false, err
 		}
 		p.mu.Lock()
-		p.stats.Hits++
 		p.keyStatsLocked(key).Hits++
 		p.mu.Unlock()
 		return proc, true, nil
 	}
-	p.stats.Misses++
 	p.keyStatsLocked(key).Misses++
 	p.mu.Unlock()
 
@@ -137,7 +134,6 @@ func (p *Pool) GetRestored(cfg asc.Config, prog *asc.Program, snapshot []byte) (
 			// Undo the hit Get recorded: this checkout produced nothing.
 			key := cfg.Key()
 			p.mu.Lock()
-			p.stats.Hits--
 			p.keyStatsLocked(key).Hits--
 			p.mu.Unlock()
 		}
@@ -149,7 +145,6 @@ func (p *Pool) GetRestored(cfg asc.Config, prog *asc.Program, snapshot []byte) (
 // addBuildTime accumulates the construction cost of one pool miss.
 func (p *Pool) addBuildTime(key string, d time.Duration) {
 	p.mu.Lock()
-	p.stats.BuildNanos += int64(d)
 	p.keyStatsLocked(key).BuildNanos += int64(d)
 	p.mu.Unlock()
 }
@@ -163,7 +158,6 @@ func (p *Pool) Put(proc *asc.Processor) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.nIdle >= p.maxIdle {
-		p.stats.Evictions++
 		p.keyStatsLocked(key).Evictions++
 		return
 	}
@@ -198,12 +192,10 @@ func (p *Pool) GetGang(cfg asc.Config, prog *asc.Program, lanes int) (*asc.Gang,
 			return nil, false, err
 		}
 		p.mu.Lock()
-		p.stats.Hits++
 		p.keyStatsLocked(key).Hits++
 		p.mu.Unlock()
 		return g, true, nil
 	}
-	p.stats.Misses++
 	p.keyStatsLocked(key).Misses++
 	p.mu.Unlock()
 
@@ -223,7 +215,6 @@ func (p *Pool) PutGang(g *asc.Gang) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.nIdle >= p.maxIdle {
-		p.stats.Evictions++
 		p.keyStatsLocked(key).Evictions++
 		return
 	}
@@ -231,12 +222,17 @@ func (p *Pool) PutGang(g *asc.Gang) {
 	p.nIdle++
 }
 
-// Stats returns a snapshot of the fleet-wide pool counters.
+// Stats returns a snapshot of the fleet-wide pool counters: the sum of
+// StatsByKey.
 func (p *Pool) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	s := p.stats
-	s.Idle = p.nIdle
+	var s Stats
+	for _, ks := range p.StatsByKey() {
+		s.Hits += ks.Hits
+		s.Misses += ks.Misses
+		s.Evictions += ks.Evictions
+		s.Idle += ks.Idle
+		s.BuildNanos += ks.BuildNanos
+	}
 	return s
 }
 

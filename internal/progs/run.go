@@ -6,6 +6,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/machine"
 )
 
@@ -32,7 +33,7 @@ func (ins Instance) MachineConfig(pes, threads int) machine.Config {
 	}
 }
 
-// load assembles the source and initializes a machine's memories.
+// load initializes a machine's memories from the instance.
 func (ins Instance) load(m *machine.Machine) error {
 	if err := m.LoadLocalMem(ins.LocalMem); err != nil {
 		return err
@@ -45,28 +46,55 @@ func (ins Instance) load(m *machine.Machine) error {
 
 const runLimit = 50_000_000
 
+// model is an execution model an instance runs on: the multithreaded core
+// or one of the baselines, each over one machine.
+type model[R any] interface {
+	Machine() *machine.Machine
+	Run(maxCycles int64) (R, error)
+}
+
+// run assembles the instance, builds a model over the program, loads the
+// memories, runs to completion, and verifies the result.
+func run[R any, M model[R]](ins Instance, build func([]isa.Inst) (M, error)) (R, error) {
+	var zero R
+	prog, err := asm.Assemble(ins.Source)
+	if err != nil {
+		return zero, fmt.Errorf("%s: %w", ins.Name, err)
+	}
+	m, err := build(prog.Insts)
+	if err != nil {
+		return zero, fmt.Errorf("%s: %w", ins.Name, err)
+	}
+	if err := ins.load(m.Machine()); err != nil {
+		return zero, fmt.Errorf("%s: %w", ins.Name, err)
+	}
+	res, err := m.Run(runLimit)
+	if err != nil {
+		return res, fmt.Errorf("%s: %w", ins.Name, err)
+	}
+	return res, ins.Check(m.Machine())
+}
+
+// runCore runs the instance on the fine-grain multithreaded core.
+func (ins Instance) runCore(cfg core.Config) (core.Stats, error) {
+	return run[core.Stats](ins, func(prog []isa.Inst) (*core.Processor, error) { return core.New(cfg, prog) })
+}
+
 // RunCore executes the instance on the fine-grain multithreaded core and
 // verifies the result.
 func (ins Instance) RunCore(pes, threads, arity int) (core.Stats, error) {
-	prog, err := asm.Assemble(ins.Source)
-	if err != nil {
-		return core.Stats{}, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	p, err := core.New(core.Config{Machine: ins.MachineConfig(pes, threads), Arity: arity}, prog.Insts)
-	if err != nil {
-		return core.Stats{}, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	if err := ins.load(p.Machine()); err != nil {
-		return core.Stats{}, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	stats, err := p.Run(runLimit)
-	if err != nil {
-		return stats, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	if err := ins.Check(p.Machine()); err != nil {
-		return stats, err
-	}
-	return stats, nil
+	return ins.runCore(core.Config{Machine: ins.MachineConfig(pes, threads), Arity: arity})
+}
+
+// RunCoreStructural is RunCore with structural network co-simulation
+// enabled: every reduction is additionally pushed through the pipelined
+// tree models and checked for value and latency.
+func (ins Instance) RunCoreStructural(pes, threads, arity int) (core.Stats, error) {
+	return ins.runCore(core.Config{
+		Machine:            ins.MachineConfig(pes, threads),
+		Arity:              arity,
+		StructuralNetworks: true,
+	})
 }
 
 // RunNonPipelined executes the instance on the non-pipelined baseline and
@@ -75,76 +103,15 @@ func (ins Instance) RunNonPipelined(pes int) (baseline.Result, error) {
 	if ins.Threads > 1 {
 		return baseline.Result{}, fmt.Errorf("%s: needs %d threads; non-pipelined model is single-threaded", ins.Name, ins.Threads)
 	}
-	prog, err := asm.Assemble(ins.Source)
-	if err != nil {
-		return baseline.Result{}, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	n, err := baseline.NewNonPipelined(ins.MachineConfig(pes, 1), prog.Insts)
-	if err != nil {
-		return baseline.Result{}, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	if err := ins.load(n.Machine()); err != nil {
-		return baseline.Result{}, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	res, err := n.Run(runLimit)
-	if err != nil {
-		return res, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	if err := ins.Check(n.Machine()); err != nil {
-		return res, err
-	}
-	return res, nil
+	return run[baseline.Result](ins, func(prog []isa.Inst) (*baseline.NonPipelined, error) {
+		return baseline.NewNonPipelined(ins.MachineConfig(pes, 1), prog)
+	})
 }
 
 // RunCoarseGrain executes the instance on the coarse-grain multithreaded
 // baseline and verifies the result.
 func (ins Instance) RunCoarseGrain(pes, threads, arity int) (baseline.Result, error) {
-	prog, err := asm.Assemble(ins.Source)
-	if err != nil {
-		return baseline.Result{}, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	cg, err := baseline.NewCoarseGrain(ins.MachineConfig(pes, threads), arity, prog.Insts)
-	if err != nil {
-		return baseline.Result{}, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	if err := ins.load(cg.Machine()); err != nil {
-		return baseline.Result{}, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	res, err := cg.Run(runLimit)
-	if err != nil {
-		return res, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	if err := ins.Check(cg.Machine()); err != nil {
-		return res, err
-	}
-	return res, nil
-}
-
-// RunCoreStructural is RunCore with structural network co-simulation
-// enabled: every reduction is additionally pushed through the pipelined
-// tree models and checked for value and latency.
-func (ins Instance) RunCoreStructural(pes, threads, arity int) (core.Stats, error) {
-	prog, err := asm.Assemble(ins.Source)
-	if err != nil {
-		return core.Stats{}, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	p, err := core.New(core.Config{
-		Machine:            ins.MachineConfig(pes, threads),
-		Arity:              arity,
-		StructuralNetworks: true,
-	}, prog.Insts)
-	if err != nil {
-		return core.Stats{}, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	if err := ins.load(p.Machine()); err != nil {
-		return core.Stats{}, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	stats, err := p.Run(runLimit)
-	if err != nil {
-		return stats, fmt.Errorf("%s: %w", ins.Name, err)
-	}
-	if err := ins.Check(p.Machine()); err != nil {
-		return stats, err
-	}
-	return stats, nil
+	return run[baseline.Result](ins, func(prog []isa.Inst) (*baseline.CoarseGrain, error) {
+		return baseline.NewCoarseGrain(ins.MachineConfig(pes, threads), arity, prog)
+	})
 }

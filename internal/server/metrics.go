@@ -2,8 +2,13 @@ package server
 
 import (
 	"math"
+	"net/http"
+	"sort"
+	"strconv"
+	"strings"
 
 	asc "repro"
+	"repro/client"
 	"repro/internal/obs"
 )
 
@@ -23,8 +28,9 @@ var threadBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 var batchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 
 // metrics is the serving instrument panel: every counter the server
-// maintains lives in one obs.Registry, which renders both the Prometheus
-// exposition at /metrics and the backing values of the JSON compat view.
+// maintains lives in one obs.Registry, which renders the Prometheus
+// exposition at /metrics; the JSON compat view is projected from that
+// same exposition (MetricsView).
 type metrics struct {
 	reg *obs.Registry
 
@@ -189,14 +195,105 @@ func (m *metrics) fold(s asc.Stats) {
 	}
 }
 
-// latencyMs reports quantile q of the request latency histogram in
-// milliseconds for the JSON view. A quantile that lands in the +Inf
-// overflow bucket is clamped to the largest finite bound; Metrics.
-// LatencyOverflow tells the reader the clamp is in effect.
-func (m *metrics) latencyMs(q float64) float64 {
-	v := m.latency.Quantile(q)
-	if math.IsInf(v, 1) {
-		v = m.latency.MaxBound()
+// MetricsView projects parsed exposition families onto the JSON /metrics
+// view. Counters and gauges are summed over their labels (jobs by
+// outcome are read per outcome), so ascd's projection of its own
+// exposition reports its own state and ascgw's projection of the
+// ?view=fleet sum reports fleet totals.
+func MetricsView(fams []*obs.ParsedFamily) client.Metrics {
+	byName := make(map[string]*obs.ParsedFamily, len(fams))
+	for _, f := range fams {
+		byName[f.Name] = f
 	}
-	return v * 1000
+	// sum adds the samples of one counter or gauge family, keeping only
+	// those labeled outcome=<outcome> when outcome is set.
+	sum := func(name, outcome string) int64 {
+		var t float64
+		if f := byName[name]; f != nil {
+			for _, s := range f.Samples {
+				if outcome == "" || label(s, "outcome") == outcome {
+					t += s.Value
+				}
+			}
+		}
+		return int64(t)
+	}
+	m := client.Metrics{
+		Requests:        sum("asc_requests_total", ""),
+		Completed:       sum("asc_jobs_total", "completed"),
+		Failed:          sum("asc_jobs_total", "failed"),
+		Rejected:        sum("asc_jobs_total", "rejected"),
+		Canceled:        sum("asc_jobs_total", "canceled"),
+		Running:         sum("asc_running_jobs", ""),
+		QueueDepth:      sum("asc_queue_depth", ""),
+		QueueCap:        sum("asc_queue_capacity", ""),
+		Workers:         sum("asc_workers", ""),
+		PoolHits:        sum("asc_pool_hits_total", ""),
+		PoolMisses:      sum("asc_pool_misses_total", ""),
+		PoolIdle:        sum("asc_pool_idle_machines", ""),
+		CyclesSimulated: sum("asc_sim_cycles_total", ""),
+	}
+	if f := byName["asc_request_duration_seconds"]; f != nil {
+		latencyView(f, &m)
+	}
+	return m
+}
+
+// latencyView fills the JSON view's latency fields from a request-latency
+// histogram, summing its buckets over series. A quantile is the upper
+// bound of the bucket holding the ceil(q*count)-th request; one that lands
+// in the +Inf bucket is clamped to the largest finite bound, and
+// LatencyOverflow — the +Inf bucket's own count — tells the reader the
+// clamp is in effect.
+func latencyView(f *obs.ParsedFamily, m *client.Metrics) {
+	cum := map[float64]float64{} // cumulative count by bucket bound, summed over series
+	for _, s := range f.Samples {
+		if s.Name == f.Name+"_bucket" {
+			le, _ := strconv.ParseFloat(label(s, "le"), 64) // ParseText checked it
+			cum[le] += s.Value
+		}
+	}
+	les := make([]float64, 0, len(cum))
+	for le := range cum {
+		les = append(les, le)
+	}
+	sort.Float64s(les) // +Inf last
+	n := len(les)
+	if n == 0 || cum[les[n-1]] == 0 {
+		return
+	}
+	total, maxBound, finite := cum[les[n-1]], 0.0, 0.0
+	if n > 1 {
+		maxBound, finite = les[n-2], cum[les[n-2]]
+	}
+	quantileMs := func(q float64) float64 {
+		rank := math.Max(1, math.Ceil(q*total))
+		i := 0
+		for i < n-1 && cum[les[i]] < rank {
+			i++
+		}
+		return math.Min(les[i], maxBound) * 1000
+	}
+	m.LatencyMsP50 = quantileMs(0.50)
+	m.LatencyMsP99 = quantileMs(0.99)
+	m.LatencyOverflow = int64(total - finite)
+}
+
+// label returns the value of s's label name, or "" when it has none.
+func label(s obs.ParsedSample, name string) string {
+	for _, l := range s.Labels {
+		if l.Name == name {
+			return l.Value
+		}
+	}
+	return ""
+}
+
+// WantsJSON reports whether a GET /metrics asks for the JSON view
+// (?format=json or Accept: application/json) instead of the exposition.
+func WantsJSON(r *http.Request) bool {
+	if r.URL.Query().Get("format") == "json" {
+		return true
+	}
+	return strings.Contains(r.Header.Get("Accept"), "application/json")
 }

@@ -358,7 +358,7 @@ func (s *Server) request(w http.ResponseWriter, r *http.Request, name, allow str
 		writeError(w, http.StatusMethodNotAllowed, "%s required", allow)
 		return nil, log, false
 	}
-	tr, log = s.startTrace(w, r, name, id, log)
+	tr, log = s.tracer.StartRequest(w, r, name, id, log)
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(v); err != nil {
 		log.Warn("request rejected", "reason", "bad request body", "error", err.Error())
 		tr.SetError()
@@ -366,20 +366,6 @@ func (s *Server) request(w http.ResponseWriter, r *http.Request, name, allow str
 		return tr, log, false
 	}
 	return tr, log, true
-}
-
-// startTrace begins the distributed trace for one request: a valid inbound
-// traceparent (from ascgw or any W3C-propagating client) is adopted,
-// anything else mints a fresh trace. The trace id is echoed in X-Trace-Id
-// and threaded through the request's slog lines, and Finish retention runs
-// when the handler returns.
-func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, name, id string, log *slog.Logger) (*dtrace.Active, *slog.Logger) {
-	tr := s.tracer.StartTrace(r.Header.Get("traceparent"), name, id)
-	if tr == nil {
-		return nil, log
-	}
-	w.Header().Set("X-Trace-Id", tr.TraceID())
-	return tr, log.With("trace_id", tr.TraceID(), "span_id", tr.Root().ID())
 }
 
 // observeLatency records a request duration, attaching a trace-id exemplar
@@ -490,45 +476,23 @@ func (s *Server) validate(req *client.RunRequest) error {
 // handleMetrics serves the Prometheus text exposition by default; the
 // pre-obs JSON shape stays available through content negotiation
 // (Accept: application/json or ?format=json) for existing dashboards.
-// The JSON view is a compatibility surface — new signals land only in the
-// exposition, and the JSON path can be retired once nothing scrapes it
+// The JSON view is a projection of the same exposition (MetricsView), so
+// it can never disagree with it; new signals land only in the exposition
 // (see docs/OBSERVABILITY.md for the deprecation note).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if wantsJSON(r) {
-		s.handleMetricsJSON(w)
+	if !WantsJSON(r) {
+		w.Header().Set("Content-Type", obs.ContentType)
+		s.m.reg.WritePrometheus(w)
 		return
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.m.reg.WritePrometheus(w)
-}
-
-func wantsJSON(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "json" {
-		return true
+	var b strings.Builder
+	s.m.reg.WritePrometheus(&b)
+	fams, err := obs.ParseText(b.String())
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "projecting metrics: %v", err)
+		return
 	}
-	return strings.Contains(r.Header.Get("Accept"), "application/json")
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter) {
-	ps := s.pool.Stats()
-	writeJSON(w, http.StatusOK, client.Metrics{
-		Requests:        s.m.requests.Value(),
-		Completed:       s.m.outcomes.With("completed").Value(),
-		Failed:          s.m.outcomes.With("failed").Value(),
-		Rejected:        s.m.outcomes.With("rejected").Value(),
-		Canceled:        s.m.outcomes.With("canceled").Value(),
-		Running:         s.m.running.Value(),
-		QueueDepth:      s.runLane.waiting(),
-		QueueCap:        int64(s.cfg.QueueDepth),
-		Workers:         int64(s.cfg.Workers),
-		PoolHits:        ps.Hits,
-		PoolMisses:      ps.Misses,
-		PoolIdle:        int64(ps.Idle),
-		CyclesSimulated: s.m.simCycles.Value(),
-		LatencyMsP50:    s.m.latencyMs(0.50),
-		LatencyMsP99:    s.m.latencyMs(0.99),
-		LatencyOverflow: s.m.latency.Overflow(),
-	})
+	writeJSON(w, http.StatusOK, MetricsView(fams))
 }
 
 // progDigest is the content digest of a request's compilation input — the

@@ -1,12 +1,11 @@
 // Package trace renders simulation results for humans: Figure-2-style
 // pipeline diagrams (instructions as rows, cycles as columns, stage names in
-// the cells, with stalls shown as repeated ID stages), aligned statistic
-// tables, and stall breakdowns.
+// the cells, with stalls shown as repeated ID stages) and aligned statistic
+// tables. Run summaries with the stall breakdown are asc.FormatStats.
 package trace
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -124,44 +123,4 @@ func (t *Table) String() string {
 		writeRow(r)
 	}
 	return b.String()
-}
-
-// FormatStats renders a Stats summary with the stall breakdown.
-func FormatStats(s core.Stats) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cycles:        %d\n", s.Cycles)
-	fmt.Fprintf(&b, "instructions:  %d (scalar %d, parallel %d, reduction %d)\n",
-		s.Instructions, s.Scalar, s.Parallel, s.Reduction)
-	fmt.Fprintf(&b, "IPC:           %.3f\n", s.IPC())
-	fmt.Fprintf(&b, "idle cycles:   %d\n", s.IdleCycles)
-	writeKinds(&b, "  idle by cause:  ", s.IdleByKind)
-	writeKinds(&b, "  instruction stalls by cause: ", s.StallByKind)
-	fmt.Fprintf(&b, "fetches: %d, flushed: %d, ready-contention: %d\n",
-		s.Fetches, s.Flushes, s.Contention)
-	active := 0
-	for _, n := range s.PerThread {
-		if n > 0 {
-			active++
-		}
-	}
-	fmt.Fprintf(&b, "threads used:  %d\n", active)
-	return b.String()
-}
-
-func writeKinds(b *strings.Builder, prefix string, m map[pipeline.HazardKind]int64) {
-	if len(m) == 0 {
-		return
-	}
-	kinds := make([]pipeline.HazardKind, 0, len(m))
-	for k := range m {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return m[kinds[i]] > m[kinds[j]] })
-	b.WriteString(prefix)
-	parts := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		parts = append(parts, fmt.Sprintf("%v=%d", k, m[k]))
-	}
-	b.WriteString(strings.Join(parts, ", "))
-	b.WriteByte('\n')
 }

@@ -100,21 +100,3 @@ func TestTableFloats(t *testing.T) {
 		t.Errorf("float formatting: %s", s)
 	}
 }
-
-func TestFormatStats(t *testing.T) {
-	p, _ := runTrace(t, `
-		rmax s1, p1
-		add s2, s1, s0
-		halt
-	`)
-	s, err := p.Run(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := FormatStats(s)
-	for _, frag := range []string{"cycles:", "instructions:", "IPC:", "idle", "reduction"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("stats output missing %q:\n%s", frag, out)
-		}
-	}
-}
