@@ -2,10 +2,16 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench bench-smoke bench-engines obs-demo fleet-smoke trace-demo apicheck apiupdate hotpath-lint bench-test fuzz-smoke check
+.PHONY: build fmt-check vet test race bench bench-smoke bench-engines obs-demo fleet-smoke trace-demo apicheck apiupdate hotpath-lint bench-test fuzz-smoke check
 
 build:
 	$(GO) build ./...
+
+# Every Go file is gofmt-clean (the bench module included).
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+	  echo "fmt-check: gofmt would reformat:"; echo "$$out"; exit 1; \
+	fi; echo "fmt-check: gofmt-clean"
 
 vet:
 	$(GO) vet ./...
@@ -131,4 +137,4 @@ fuzz-smoke:
 	  $(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s -fuzzminimizetime 1s $$pkg || exit 1; \
 	done
 
-check: build vet test race bench-smoke apicheck hotpath-lint bench-test
+check: build fmt-check vet test race bench-smoke apicheck hotpath-lint bench-test

@@ -13,6 +13,7 @@
 //	-max N        cycle limit (default 10,000,000)
 //	-diagram N    print the pipeline diagram of the last N instructions
 //	-dump N       print the first N words of scalar data memory at exit
+//	              (at most the whole scalar memory)
 //	-describe     print the machine organization before running
 //	-data FILE    load PE local memory: one line per PE, space-separated
 //	              integers (decimal or 0x hex)
@@ -141,8 +142,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote waveform to %s\n", *vcdOut)
 	}
 	if *dump > 0 {
+		// Clamp to the scalar memory; New accepted cfg, so Geometry cannot fail.
+		geom, _ := cfg.Geometry()
 		fmt.Println("\nscalar memory:")
-		for i := 0; i < *dump; i++ {
+		for i := 0; i < min(*dump, geom.ScalarMemWords); i++ {
 			fmt.Printf("  [%3d] %d\n", i, proc.ScalarMem(i))
 		}
 	}

@@ -2,10 +2,40 @@ package main
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// TestMain lets a test re-execute this binary as ascsim itself: with
+// ASCSIM_RUN_MAIN set, the process runs main on its own arguments.
+func TestMain(m *testing.M) {
+	if os.Getenv("ASCSIM_RUN_MAIN") != "" {
+		os.Args = append(os.Args[:1], strings.Fields(os.Getenv("ASCSIM_RUN_MAIN"))...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestDumpClampsToScalarMemory: -dump larger than scalar memory (4096 words
+// by default) prints the whole memory instead of indexing past it.
+func TestDumpClampsToScalarMemory(t *testing.T) {
+	prog := filepath.Join(t.TempDir(), "prog.s")
+	if err := os.WriteFile(prog, []byte("halt\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(os.Args[0])
+	cmd.Env = append(os.Environ(), "ASCSIM_RUN_MAIN=-dump 5000 "+prog)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("ascsim -dump 5000: %v\n%s", err, out)
+	}
+	if n := strings.Count(string(out), "\n  ["); n != 4096 {
+		t.Errorf("dumped %d words, want the 4096 of scalar memory", n)
+	}
+}
 
 func writeData(t *testing.T, content string) string {
 	t.Helper()

@@ -483,7 +483,7 @@ func (e *engine) issue(tid int) error {
 	e.accountStall(head.EligibleAt(), e.cycle, minIssue, kind, e.unitFreeAt(d))
 
 	if e.structural != nil && d.Class == isa.ClassReduction {
-		e.pushReduction(tid, d.Inst)
+		e.pushReduction(tid, d)
 	}
 	out, err := e.lead.ExecDecoded(tid, d)
 	if err != nil || len(e.live) > 1 {

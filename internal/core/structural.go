@@ -9,19 +9,19 @@ import (
 
 // Structural co-simulation: when Config.StructuralNetworks is set, every
 // reduction instruction is also pushed through the structural pipelined
-// network models of internal/network (the modal trees and the resolver),
-// advanced one clock per simulated cycle. Each emerging result is checked
-// against the functional value and against the modeled latency; any
-// mismatch aborts the simulation with an error. This cross-validates the
-// instruction-level timing constants (b, r) against the register-by-
-// register hardware model they were derived from.
+// network model of internal/network (network.Bank: the modal trees and the
+// resolver), advanced one clock per simulated cycle. Each emerging result is
+// checked against the value the machine delivers for that instruction
+// (machine.Reduce) and against the modeled latency; any mismatch aborts the
+// simulation with an error. This cross-validates the machine's fold kernels
+// against the register-by-register hardware model, and the instruction-level
+// timing constants (b, r) against the pipeline depths they were derived from.
 
 // expectedResult is a value the structural network must produce.
 type expectedResult struct {
-	due    int64 // exact cycle the result must emerge
-	value  int64
-	vector []bool
-	desc   string
+	due   int64 // exact cycle the result must emerge
+	value int64 // machine.Reduce's value; RFIRST's is the winning PE
+	desc  string
 }
 
 // structState holds the co-simulation state.
@@ -38,97 +38,39 @@ func newStructState(pes, arity int, width uint) *structState {
 	}
 }
 
-// reduceOpFor maps ISA reductions onto network units.
-func reduceOpFor(op isa.Op) network.ReduceOp {
-	switch op {
-	case isa.ROR:
-		return network.ROpOr
-	case isa.RAND:
-		return network.ROpAnd
-	case isa.RMAX:
-		return network.ROpMax
-	case isa.RMIN:
-		return network.ROpMin
-	case isa.RMAXU:
-		return network.ROpMaxU
-	case isa.RMINU:
-		return network.ROpMinU
-	case isa.RSUM:
-		return network.ROpSum
-	case isa.RCOUNT:
-		return network.ROpCount
-	case isa.RANY:
-		return network.ROpAny
-	case isa.RFIRST:
-		return network.ROpFirst
-	}
-	panic(fmt.Sprintf("core: %v is not a reduction", op))
-}
-
-// pushReduction gathers the operands of a reduction issuing this cycle for
-// thread tid and starts it through the structural network. Must be called
-// before machine.Exec (RFIRST overwrites flag state).
-func (e *engine) pushReduction(tid int, in isa.Inst) {
+// pushReduction gathers the operands of reduction d issuing this cycle for
+// thread tid, starts it through the structural network, and records the
+// value the machine delivers for it. Must be called before the machine
+// executes d (RFIRST overwrites flag state).
+func (e *engine) pushReduction(tid int, d *isa.Decoded) {
 	st := e.structural
 	pes := e.cfg.Machine.PEs
-	width := e.cfg.Machine.Width
-	ones := int64(1)<<width - 1
+	in := d.Inst
 
 	maskVec := make([]bool, pes)
 	for pe := 0; pe < pes; pe++ {
 		maskVec[pe] = e.lead.Flag(tid, pe, in.Mask)
 	}
-	rop := reduceOpFor(in.Op)
 	tag := st.nextTag
 	st.nextTag++
-	due := e.cycle + int64(st.bank.Latency())
-	desc := fmt.Sprintf("t%d %v @%d", tid, in, e.cycle)
-
-	switch rop {
-	case network.ROpCount, network.ROpAny, network.ROpFirst:
+	switch d.Reduce {
+	case isa.ReduceCount, isa.ReduceAny, isa.ReduceFirst:
 		flags := make([]bool, pes)
 		for pe := 0; pe < pes; pe++ {
 			flags[pe] = e.lead.Flag(tid, pe, in.Ra)
 		}
-		st.bank.PushFlags(rop, tag, flags, maskVec)
-		exp := expectedResult{due: due, desc: desc}
-		switch rop {
-		case network.ROpCount:
-			exp.value = network.CountResponders(flags, maskVec) & ones
-		case network.ROpAny:
-			if network.AnyResponder(flags, maskVec) {
-				exp.value = 1
-			}
-		case network.ROpFirst:
-			exp.vector = network.FirstResponder(flags, maskVec)
-		}
-		st.expected[tag] = exp
+		st.bank.PushFlags(d.Reduce, tag, flags, maskVec)
 	default:
 		vals := make([]int64, pes)
-		signedVals := make([]int64, pes)
 		for pe := 0; pe < pes; pe++ {
 			vals[pe] = e.lead.Parallel(tid, pe, in.Ra)
-			signedVals[pe] = vals[pe] << (64 - width) >> (64 - width)
 		}
-		st.bank.PushValues(rop, tag, vals, maskVec)
-		var want int64
-		switch rop {
-		case network.ROpOr:
-			want = network.ReduceOr(vals, maskVec)
-		case network.ROpAnd:
-			want = network.ReduceAnd(vals, maskVec, width)
-		case network.ROpMax:
-			want = network.ReduceMax(signedVals, maskVec, width) & ones
-		case network.ROpMin:
-			want = network.ReduceMin(signedVals, maskVec, width) & ones
-		case network.ROpMaxU:
-			want = network.ReduceMaxU(vals, maskVec)
-		case network.ROpMinU:
-			want = network.ReduceMinU(vals, maskVec, width)
-		case network.ROpSum:
-			want = network.ReduceSum(signedVals, maskVec, width) & ones
-		}
-		st.expected[tag] = expectedResult{due: due, value: want, desc: desc}
+		st.bank.PushValues(d.Reduce, tag, vals, maskVec)
+	}
+	st.expected[tag] = expectedResult{
+		due:   e.cycle + int64(st.bank.Latency()),
+		value: e.lead.Reduce(tid, d),
+		desc:  fmt.Sprintf("t%d %v @%d", tid, in, e.cycle),
 	}
 }
 
@@ -139,25 +81,21 @@ func (e *engine) stepStructural() error {
 	for _, res := range st.bank.Step() {
 		exp, ok := st.expected[res.Tag]
 		if !ok {
-			return fmt.Errorf("core: structural network produced untracked result (tag %d, op %v)", res.Tag, res.Op)
+			return fmt.Errorf("core: structural network produced untracked result (tag %d, kind %d)", res.Tag, res.Kind)
 		}
 		delete(st.expected, res.Tag)
 		if e.cycle != exp.due {
 			return fmt.Errorf("core: %s emerged from the structural network at cycle %d, modeled %d", exp.desc, e.cycle, exp.due)
 		}
-		if exp.vector != nil {
-			if res.Vector == nil {
-				return fmt.Errorf("core: %s: expected resolver vector, got scalar", exp.desc)
+		got := res.Value
+		if res.Kind == isa.ReduceFirst {
+			var err error
+			if got, err = winner(res.Vector); err != nil {
+				return fmt.Errorf("core: %s: %v", exp.desc, err)
 			}
-			for i := range exp.vector {
-				if res.Vector[i] != exp.vector[i] {
-					return fmt.Errorf("core: %s: resolver bit %d = %v, functional model says %v", exp.desc, i, res.Vector[i], exp.vector[i])
-				}
-			}
-			continue
 		}
-		if res.Value != exp.value {
-			return fmt.Errorf("core: %s: structural result %d, functional %d", exp.desc, res.Value, exp.value)
+		if got != exp.value {
+			return fmt.Errorf("core: %s: structural result %d, machine %d", exp.desc, got, exp.value)
 		}
 	}
 	return nil
@@ -170,4 +108,20 @@ func (e *engine) structuralDrained() error {
 		return nil
 	}
 	return fmt.Errorf("core: %d reduction(s) never emerged from the structural network", len(e.structural.expected))
+}
+
+// winner decodes the resolver's one-hot output into the winning PE, or the
+// PE count when no bit is set.
+func winner(vec []bool) (int64, error) {
+	w := int64(len(vec))
+	for i, b := range vec {
+		if !b {
+			continue
+		}
+		if w != int64(len(vec)) {
+			return 0, fmt.Errorf("resolver output sets PEs %d and %d", w, i)
+		}
+		w = int64(i)
+	}
+	return w, nil
 }

@@ -17,8 +17,8 @@ type D13Row struct {
 // D13Validation runs the entire kernel suite with structural network
 // co-simulation enabled: every reduction instruction is simultaneously
 // pushed through the register-accurate pipelined tree models
-// (network.Bank) and must emerge with the functional value at exactly the
-// modeled latency. Any disagreement fails the run, so a completed table is
+// (network.Bank) and must emerge with the value the machine delivers
+// (machine.Reduce) at exactly the modeled latency. Any disagreement fails the run, so a completed table is
 // the proof artifact that the instruction-level timing constants (b, r)
 // and the structural hardware model agree.
 func D13Validation(pes int, seed int64) ([]D13Row, error) {

@@ -77,10 +77,10 @@ type Block struct {
 // BlockStats summarizes a built block program, for introspection and the
 // fusion-catalog tests.
 type BlockStats struct {
-	Blocks    int // basic blocks
-	BlockOps  int // dispatch units across all blocks
-	Fused     int // fused superinstructions among them
-	FusedOps  int // micro-ops covered by fused superinstructions
+	Blocks     int // basic blocks
+	BlockOps   int // dispatch units across all blocks
+	Fused      int // fused superinstructions among them
+	FusedOps   int // micro-ops covered by fused superinstructions
 	CoveredOps int // micro-ops inside any block (terminators excluded)
 }
 

@@ -20,10 +20,10 @@ func TestBuildBlocksLeadersAndTerminators(t *testing.T) {
 		/* 1 */ {Op: ADD, Rd: 2, Ra: 1, Rb: 1},
 		/* 2 */ {Op: BEQ, Rd: 1, Ra: 2, Imm: 6}, // terminator; 6 is a leader
 		/* 3 */ {Op: SUB, Rd: 3, Ra: 2, Rb: 1}, // leader (fall-through of 2)
-		/* 4 */ {Op: TSPAWN, Rd: 4, Imm: 8},    // terminator; 8 is a leader
+		/* 4 */ {Op: TSPAWN, Rd: 4, Imm: 8}, // terminator; 8 is a leader
 		/* 5 */ {Op: XOR, Rd: 5, Ra: 3, Rb: 1}, // leader (fall-through of 4)
-		/* 6 */ {Op: OR, Rd: 6, Ra: 5, Rb: 1},  // leader (branch target): new block
-		/* 7 */ {Op: J, Imm: 10},               // terminator
+		/* 6 */ {Op: OR, Rd: 6, Ra: 5, Rb: 1}, // leader (branch target): new block
+		/* 7 */ {Op: J, Imm: 10}, // terminator
 		/* 8 */ {Op: AND, Rd: 7, Ra: 6, Rb: 1}, // leader (spawn target)
 		/* 9 */ {Op: ADD, Rd: 8, Ra: 7, Rb: 1},
 		/* 10 */ {Op: HALT}, // terminator

@@ -107,8 +107,8 @@ func (m *Machine) execFusedCompareFlag(t int, c, f *isa.Decoded) {
 
 // execFusedCompareCount merges a parallel compare with the response
 // counter consuming its result: one pass computes and stores the compare
-// flag per PE while counting responders of the reduction, then the scalar
-// result is written exactly as the single-step RCOUNT/RANY would.
+// flag per PE while counting responders of the reduction, then writes the
+// response counter's value exactly as the single-step RCOUNT/RANY would.
 func (m *Machine) execFusedCompareCount(t int, c, r *isa.Decoded) {
 	p := m.cfg.PEs
 	base := t * p
@@ -142,13 +142,5 @@ func (m *Machine) execFusedCompareCount(t int, c, r *isa.Decoded) {
 			n++
 		}
 	}
-	if r.Reduce == isa.ReduceCount {
-		m.SetScalar(t, rin.Rd, m.mask(n))
-	} else {
-		v := int64(0)
-		if n > 0 {
-			v = 1
-		}
-		m.SetScalar(t, rin.Rd, v)
-	}
+	m.SetScalar(t, rin.Rd, m.countValue(r.Reduce, n))
 }

@@ -166,18 +166,12 @@ type Machine struct {
 	leafBuf []int64
 
 	// satAdd is the saturating node adder for the configured width, built
-	// once so reduction dispatch allocates no closures.
+	// once so the reference interpreter allocates no closures.
 	satAdd network.CombineFunc
 
 	// satLo, satHi are the width's saturating-sum bounds, hoisted for the
 	// specialized fold kernels.
 	satLo, satHi int64
-
-	// Per-ReduceKind dispatch tables (identity element and tree-node
-	// function), built once at New so execReduction is a pair of array
-	// loads instead of opcode switches.
-	reduceIdent [isa.NumReduceKinds]int64
-	reduceComb  [isa.NumReduceKinds]network.CombineFunc
 
 	// eng is the sharded worker pool, or nil for the serial engine.
 	eng *engine
@@ -223,31 +217,11 @@ func NewDecoded(cfg Config, dp *isa.DecodedProgram) (*Machine, error) {
 	return m, nil
 }
 
-// initReduceTables builds the per-ReduceKind dispatch tables and the
-// saturating-sum bounds for the configured width — once per machine, so
-// execReduction is a pair of array loads instead of opcode switches.
+// initReduceTables builds the saturating-sum node adder and bounds for the
+// configured width, once per machine.
 func (m *Machine) initReduceTables() {
 	m.satAdd = network.SatAdd(m.cfg.Width)
 	m.satLo, m.satHi = network.SatLimits(m.cfg.Width)
-	w := m.cfg.Width
-	m.reduceIdent = [isa.NumReduceKinds]int64{
-		isa.ReduceOr:   network.OrIdentity(),
-		isa.ReduceAnd:  network.OrIdentity(), // De Morgan: folds as OR
-		isa.ReduceMaxS: network.MaxIdentitySigned(w),
-		isa.ReduceMinS: network.MinIdentitySigned(w),
-		isa.ReduceMaxU: network.MaxIdentityUnsigned(),
-		isa.ReduceMinU: network.MinIdentityUnsigned(w),
-		isa.ReduceSum:  0,
-	}
-	m.reduceComb = [isa.NumReduceKinds]network.CombineFunc{
-		isa.ReduceOr:   network.CombineOr,
-		isa.ReduceAnd:  network.CombineOr, // De Morgan: folds as OR
-		isa.ReduceMaxS: network.CombineMax,
-		isa.ReduceMinS: network.CombineMin,
-		isa.ReduceMaxU: network.CombineMax,
-		isa.ReduceMinU: network.CombineMin,
-		isa.ReduceSum:  m.satAdd,
-	}
 }
 
 // Reset restores power-on state without reallocating the flat files: all
@@ -953,60 +927,73 @@ func (m *Machine) execParallelRange(t int, d *isa.Decoded, lo, hi int) (trapPE, 
 	return
 }
 
-// execReduction applies a reduction micro-op. The mask flag selects the
-// responders. Both engines fold the leaf vector with the exact binary-tree
-// topology of the hardware units (network.FoldInPlace); the sharded engine
-// folds aligned power-of-two shards to subtree roots and merges them, which
-// the FoldInPlace sharding contract guarantees is bit-identical — including
-// for the node-saturating sum.
-func (m *Machine) execReduction(t int, d *isa.Decoded) {
+// Reduce returns the value reduction micro-op d of thread t delivers,
+// without writing it: the scalar rd receives (RCOUNT's count wrapped to the
+// data width, RANY 0 or 1), or, for RFIRST, the winning PE (PEs when none
+// responds). The mask flag selects the responders. Both engines fold the
+// leaf vector with the exact binary-tree topology of the hardware units;
+// the sharded engine folds aligned power-of-two shards to subtree roots and
+// merges them, which the network.FoldInPlace sharding contract guarantees
+// is bit-identical — including for the node-saturating sum. Reduce touches
+// no architectural state, so the structural co-simulation can ask for the
+// value of any reduction, s0 and f0 destinations included.
+func (m *Machine) Reduce(t int, d *isa.Decoded) int64 {
 	p := m.cfg.PEs
-	in := &d.Inst
 	switch d.Reduce {
 	case isa.ReduceCount, isa.ReduceAny:
-		var n int64
 		if m.eng != nil {
-			n = m.eng.count(m, t, d)
-		} else {
-			n = m.respCountRange(t, d, 0, p)
+			return m.countValue(d.Reduce, m.eng.count(m, t, d))
 		}
-		if d.Reduce == isa.ReduceCount {
-			m.SetScalar(t, in.Rd, m.mask(n))
-		} else {
-			v := int64(0)
-			if n > 0 {
-				v = 1
-			}
-			m.SetScalar(t, in.Rd, v)
-		}
-
+		return m.countValue(d.Reduce, m.respCountRange(t, d, 0, p))
 	case isa.ReduceFirst:
-		// The resolver output is a parallel value written back into every
-		// PE's flag register, regardless of mask: non-responders receive
-		// zero, exactly one responder receives one.
 		if m.eng != nil {
-			winner := m.eng.first(m, t, d)
-			m.eng.firstWrite(m, t, d, winner)
-		} else {
-			winner := int(m.respFirstRange(t, d, 0, p))
-			m.rfirstWriteRange(t, d, winner, 0, p)
+			return int64(m.eng.first(m, t, d))
 		}
+		return m.respFirstRange(t, d, 0, p)
+	}
+	// Value reductions over parallel register ra.
+	var root int64
+	if m.eng != nil {
+		root = m.eng.reduce(m, t, d)
+	} else {
+		m.reduceLeavesRange(t, d, 0, p)
+		root = m.foldLeaves(d, m.leafBuf[:p])
+	}
+	if d.Reduce == isa.ReduceAnd {
+		// De Morgan: the logic unit inverts at the leaves, ORs up the
+		// tree, and inverts the root.
+		root = ^root
+	}
+	return m.mask(root)
+}
 
-	default:
-		// Value reductions over parallel register ra.
-		var root int64
-		if m.eng != nil {
-			root = m.eng.reduce(m, t, d)
-		} else {
-			m.reduceLeavesRange(t, d, 0, p)
-			root = m.foldLeaves(d, m.leafBuf[:p])
-		}
-		if d.Reduce == isa.ReduceAnd {
-			// De Morgan: the logic unit inverts at the leaves, ORs up the
-			// tree, and inverts the root.
-			root = ^root & (int64(1)<<m.cfg.Width - 1)
-		}
-		m.SetScalar(t, in.Rd, m.mask(root))
+// countValue is what the response counter delivers for n responders:
+// RCOUNT the count wrapped to the data width, RANY 1 when n > 0.
+func (m *Machine) countValue(k isa.ReduceKind, n int64) int64 {
+	if k == isa.ReduceCount {
+		return m.mask(n)
+	}
+	if n > 0 {
+		return 1
+	}
+	return 0
+}
+
+// execReduction applies a reduction micro-op: it writes Reduce's value to
+// scalar rd, or for RFIRST the resolver output to flag rd.
+func (m *Machine) execReduction(t int, d *isa.Decoded) {
+	v := m.Reduce(t, d)
+	if d.Reduce != isa.ReduceFirst {
+		m.SetScalar(t, d.Inst.Rd, v)
+		return
+	}
+	// The resolver output is a parallel value written back into every PE's
+	// flag register, regardless of mask: non-responders receive zero,
+	// exactly one responder receives one.
+	if m.eng != nil {
+		m.eng.firstWrite(m, t, d, int(v))
+	} else {
+		m.rfirstWriteRange(t, d, int(v), 0, m.cfg.PEs)
 	}
 }
 
@@ -1073,7 +1060,7 @@ func (m *Machine) reduceLeavesRange(t int, d *isa.Decoded, lo, hi int) {
 	ones := int64(1)<<m.cfg.Width - 1
 
 	kind := reduceLeafKind[d.Reduce]
-	ident := m.reduceIdent[d.Reduce]
+	ident := network.Identity(d.Reduce, m.cfg.Width)
 
 	// Register-major layout: the source register and mask flag planes are
 	// contiguous over [lo, hi), so these loops are sequential streams. The
@@ -1119,9 +1106,7 @@ func (m *Machine) foldLeaves(d *isa.Decoded, buf []int64) int64 {
 		return network.FoldInPlaceMax(buf)
 	case isa.ReduceMinS, isa.ReduceMinU:
 		return network.FoldInPlaceMin(buf)
-	case isa.ReduceSum:
+	default: // isa.ReduceSum
 		return network.FoldInPlaceSatAdd(buf, m.satLo, m.satHi)
-	default:
-		return network.FoldInPlace(buf, m.reduceComb[d.Reduce])
 	}
 }

@@ -444,6 +444,49 @@ func TestSaturatingSumReduction(t *testing.T) {
 	}
 }
 
+// TestResponseCounterWrapsAtWidth: with 2^Width or more responders RCOUNT
+// writes the count modulo 2^Width, while RANY is 1 from the unwrapped count
+// (256 responders at width 8 count 0 yet some respond). The single-step
+// path on both engines, Reduce, and the fused compare→count kernel agree.
+func TestResponseCounterWrapsAtWidth(t *testing.T) {
+	const src = `
+		pceq f1, p0, p0   ; every PE responds
+		rcount s1, f1
+		pceq f2, p0, p0
+		rany s2, f2
+		halt
+	`
+	check := func(name string, m *Machine, pes int) {
+		t.Helper()
+		if got, want := m.Scalar(0, 1), int64(pes%256); got != want {
+			t.Errorf("%s pes=%d: rcount = %d, want %d", name, pes, got, want)
+		}
+		if got := m.Scalar(0, 2); got != 1 {
+			t.Errorf("%s pes=%d: rany = %d, want 1", name, pes, got)
+		}
+	}
+	for _, pes := range []int{256, 300} {
+		for _, eng := range []Engine{EngineSerial, EngineParallel} {
+			m := newMachine(t, Config{PEs: pes, Threads: 1, Width: 8, Engine: eng}, src)
+			run(t, m)
+			check(eng.String(), m, pes)
+			prog := m.Program()
+			if got, want := m.Reduce(0, dec(prog[1])), int64(pes%256); got != want {
+				t.Errorf("%v pes=%d: Reduce(rcount) = %d, want %d", eng, pes, got, want)
+			}
+			if got := m.Reduce(0, dec(prog[3])); got != 1 {
+				t.Errorf("%v pes=%d: Reduce(rany) = %d, want 1", eng, pes, got)
+			}
+			m.Close()
+		}
+		m := newMachine(t, Config{PEs: pes, Threads: 1, Width: 8, Engine: EngineSerial}, src)
+		prog := m.Program()
+		m.ExecFused(0, []*isa.Decoded{dec(prog[0]), dec(prog[1])})
+		m.ExecFused(0, []*isa.Decoded{dec(prog[2]), dec(prog[3])})
+		check("fused", m, pes)
+	}
+}
+
 func TestResponderIteration(t *testing.T) {
 	// Classic ASC idiom: iterate responders one at a time with
 	// RFIRST + FANDN, accumulating values via masked ROR.

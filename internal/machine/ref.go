@@ -530,25 +530,26 @@ func (m *Machine) refReduceLeaves(t int, in isa.Inst) {
 	ones := int64(1)<<w - 1
 
 	var kind int
-	var ident int64
+	var unit isa.ReduceKind
 	switch in.Op {
 	case isa.ROR:
-		kind, ident = leafRaw, network.OrIdentity()
+		kind, unit = leafRaw, isa.ReduceOr
 	case isa.RAND:
-		kind, ident = leafInverted, network.OrIdentity()
+		kind, unit = leafInverted, isa.ReduceAnd
 	case isa.RMAX:
-		kind, ident = leafSigned, network.MaxIdentitySigned(w)
+		kind, unit = leafSigned, isa.ReduceMaxS
 	case isa.RMIN:
-		kind, ident = leafSigned, network.MinIdentitySigned(w)
+		kind, unit = leafSigned, isa.ReduceMinS
 	case isa.RMAXU:
-		kind, ident = leafRaw, network.MaxIdentityUnsigned()
+		kind, unit = leafRaw, isa.ReduceMaxU
 	case isa.RMINU:
-		kind, ident = leafRaw, network.MinIdentityUnsigned(w)
+		kind, unit = leafRaw, isa.ReduceMinU
 	case isa.RSUM:
-		kind, ident = leafSigned, 0
+		kind, unit = leafSigned, isa.ReduceSum
 	default:
 		panic(fmt.Sprintf("machine: %v is not a reduction", in.Op))
 	}
+	ident := network.Identity(unit, w)
 
 	for pe := 0; pe < m.cfg.PEs; pe++ {
 		if !(mk == 0 || m.flags[base*nF+mk*p+pe]) {

@@ -1,54 +1,25 @@
 package network
 
-import "fmt"
+import (
+	"fmt"
 
-// ReduceOp selects a reduction network unit and its mode bits.
-type ReduceOp uint8
-
-const (
-	// ROpOr uses the logic unit (OR tree).
-	ROpOr ReduceOp = iota
-	// ROpAnd uses the logic unit with the bypassable inverters engaged
-	// (De Morgan).
-	ROpAnd
-	// ROpMax, ROpMin, ROpMaxU, ROpMinU use the maximum/minimum unit.
-	ROpMax
-	ROpMin
-	ROpMaxU
-	ROpMinU
-	// ROpSum uses the saturating sum unit.
-	ROpSum
-	// ROpCount and ROpAny use the response counter (exact count; some/none
-	// is count != 0, derived at the root).
-	ROpCount
-	ROpAny
-	// ROpFirst uses the multiple response resolver; its result is a
-	// parallel vector, not a scalar.
-	ROpFirst
+	"repro/internal/isa"
 )
-
-func (op ReduceOp) String() string {
-	names := [...]string{"or", "and", "max", "min", "maxu", "minu", "sum", "count", "any", "first"}
-	if int(op) < len(names) {
-		return names[op]
-	}
-	return fmt.Sprintf("rop(%d)", uint8(op))
-}
 
 // taggedOp identifies an operation travelling through a unit's pipeline;
 // the mode bits ride along with the data, which is how one pipelined tree
 // serves different operations from different threads in consecutive cycles.
 type taggedOp struct {
-	op  ReduceOp
-	tag int64
+	kind isa.ReduceKind
+	tag  int64
 }
 
 // BankResult is one value emerging from the reduction network.
 type BankResult struct {
-	Op     ReduceOp
+	Kind   isa.ReduceKind
 	Tag    int64
 	Value  int64  // scalar result (every unit except the resolver)
-	Vector []bool // resolver result (ROpFirst only)
+	Vector []bool // resolver result (isa.ReduceFirst only)
 }
 
 // modalTree is a pipelined binary reduction tree whose node function is
@@ -62,10 +33,10 @@ type modalTree struct {
 	levels   [][]int64
 	occupied []bool
 	ops      []taggedOp
-	dispatch func(op ReduceOp, width uint, a, b int64) int64
+	dispatch func(k isa.ReduceKind, width uint, a, b int64) int64
 }
 
-func newModalTree(p int, width uint, dispatch func(op ReduceOp, width uint, a, b int64) int64) *modalTree {
+func newModalTree(p int, width uint, dispatch func(k isa.ReduceKind, width uint, a, b int64) int64) *modalTree {
 	depth := ReductionLatency(p)
 	t := &modalTree{p: p, width: width, depth: depth, dispatch: dispatch}
 	w := p
@@ -82,14 +53,14 @@ func newModalTree(p int, width uint, dispatch func(op ReduceOp, width uint, a, b
 func (t *modalTree) step(in []int64, op taggedOp) (out BankResult, ok bool) {
 	if t.occupied[t.depth-1] {
 		top := t.ops[t.depth-1]
-		out = BankResult{Op: top.op, Tag: top.tag, Value: t.levels[t.depth-1][0]}
+		out = BankResult{Kind: top.kind, Tag: top.tag, Value: t.levels[t.depth-1][0]}
 		ok = true
 	}
 	for l := t.depth - 1; l >= 1; l-- {
 		if t.occupied[l-1] {
 			opl := t.ops[l-1]
 			combineRow(t.levels[l], t.levels[l-1], func(a, b int64) int64 {
-				return t.dispatch(opl.op, t.width, a, b)
+				return t.dispatch(opl.kind, t.width, a, b)
 			})
 			t.ops[l] = opl
 		}
@@ -100,7 +71,7 @@ func (t *modalTree) step(in []int64, op taggedOp) (out BankResult, ok bool) {
 			panic(fmt.Sprintf("network: modalTree input length %d, want %d", len(in), t.p))
 		}
 		combineRow(t.levels[0], in, func(a, b int64) int64 {
-			return t.dispatch(op.op, t.width, a, b)
+			return t.dispatch(op.kind, t.width, a, b)
 		})
 		t.ops[0] = op
 		t.occupied[0] = true
@@ -166,49 +137,33 @@ func (bk *Bank) Latency() int { return bk.b + 1 + bk.r }
 
 // PushValues starts a value reduction (or/and/max/min/maxu/minu/sum) over
 // the masked leaves. vals holds width-bit patterns; non-responders are
-// replaced by the unit's identity at the PE gating logic, exactly as in
-// ReduceOr and friends.
-func (bk *Bank) PushValues(op ReduceOp, tag int64, vals []int64, mask []bool) {
+// replaced by the unit's Identity at the PE gating logic.
+func (bk *Bank) PushValues(k isa.ReduceKind, tag int64, vals []int64, mask []bool) {
 	if len(vals) != bk.p || len(mask) != bk.p {
 		panic("network: Bank.PushValues length mismatch")
 	}
-	var identity int64
-	switch op {
-	case ROpOr:
-		identity = OrIdentity()
-	case ROpAnd:
-		identity = 0 // inverted domain: OR identity
-	case ROpMax:
-		identity = MaxIdentitySigned(bk.width) & (int64(1)<<bk.width - 1)
-	case ROpMin:
-		identity = MinIdentitySigned(bk.width)
-	case ROpMaxU:
-		identity = MaxIdentityUnsigned()
-	case ROpMinU:
-		identity = MinIdentityUnsigned(bk.width)
-	case ROpSum:
-		identity = 0
-	default:
-		panic("network: PushValues with flag op " + op.String())
+	if k == isa.ReduceCount || k == isa.ReduceAny || k == isa.ReduceFirst {
+		panic(fmt.Sprintf("network: PushValues with flag reduction %d", k))
 	}
-	leavesVec := make([]int64, bk.p)
 	ones := int64(1)<<bk.width - 1
+	identity := Identity(k, bk.width) & ones
+	leavesVec := make([]int64, bk.p)
 	for i, v := range vals {
 		switch {
 		case !mask[i]:
 			leavesVec[i] = identity
-		case op == ROpAnd:
+		case k == isa.ReduceAnd:
 			leavesVec[i] = ^v & ones // input inverters
 		default:
 			leavesVec[i] = v & ones
 		}
 	}
-	bk.push(frontEntry{taggedOp: taggedOp{op: op, tag: tag}, leaves: leavesVec})
+	bk.push(frontEntry{taggedOp: taggedOp{kind: k, tag: tag}, leaves: leavesVec})
 }
 
 // PushFlags starts a flag reduction (count/any/first) over flag values
 // gated by mask.
-func (bk *Bank) PushFlags(op ReduceOp, tag int64, flags, mask []bool) {
+func (bk *Bank) PushFlags(k isa.ReduceKind, tag int64, flags, mask []bool) {
 	if len(flags) != bk.p || len(mask) != bk.p {
 		panic("network: Bank.PushFlags length mismatch")
 	}
@@ -216,19 +171,19 @@ func (bk *Bank) PushFlags(op ReduceOp, tag int64, flags, mask []bool) {
 	for i := range flags {
 		responders[i] = flags[i] && mask[i]
 	}
-	switch op {
-	case ROpCount, ROpAny:
+	switch k {
+	case isa.ReduceCount, isa.ReduceAny:
 		leavesVec := make([]int64, bk.p)
 		for i, rsp := range responders {
 			if rsp {
 				leavesVec[i] = 1
 			}
 		}
-		bk.push(frontEntry{taggedOp: taggedOp{op: op, tag: tag}, leaves: leavesVec})
-	case ROpFirst:
-		bk.push(frontEntry{taggedOp: taggedOp{op: op, tag: tag}, flagIn: responders})
+		bk.push(frontEntry{taggedOp: taggedOp{kind: k, tag: tag}, leaves: leavesVec})
+	case isa.ReduceFirst:
+		bk.push(frontEntry{taggedOp: taggedOp{kind: k, tag: tag}, flagIn: responders})
 	default:
-		panic("network: PushFlags with value op " + op.String())
+		panic(fmt.Sprintf("network: PushFlags with value reduction %d", k))
 	}
 }
 
@@ -261,16 +216,16 @@ func (bk *Bank) Step() []BankResult {
 			keep = append(keep, f)
 			continue
 		}
-		switch f.op {
-		case ROpOr, ROpAnd:
+		switch f.kind {
+		case isa.ReduceOr, isa.ReduceAnd:
 			feedLogic, feedLogicOp = f.leaves, f.taggedOp
-		case ROpMax, ROpMin, ROpMaxU, ROpMinU:
+		case isa.ReduceMaxS, isa.ReduceMinS, isa.ReduceMaxU, isa.ReduceMinU:
 			feedMaxMin, feedMaxMinOp = f.leaves, f.taggedOp
-		case ROpSum:
+		case isa.ReduceSum:
 			feedSum, feedSumOp = f.leaves, f.taggedOp
-		case ROpCount, ROpAny:
+		case isa.ReduceCount, isa.ReduceAny:
 			feedCount, feedCountOp = f.leaves, f.taggedOp
-		case ROpFirst:
+		case isa.ReduceFirst:
 			feedRes = f.flagIn
 			bk.resQueue = append(bk.resQueue, f.taggedOp)
 		}
@@ -279,7 +234,7 @@ func (bk *Bank) Step() []BankResult {
 
 	ones := int64(1)<<bk.width - 1
 	if out, ok := bk.logicT.step(feedLogic, feedLogicOp); ok {
-		if out.Op == ROpAnd {
+		if out.Kind == isa.ReduceAnd {
 			out.Value = ^out.Value & ones // output inverters
 		}
 		results = append(results, out)
@@ -292,7 +247,7 @@ func (bk *Bank) Step() []BankResult {
 		results = append(results, out)
 	}
 	if out, ok := bk.countT.step(feedCount, feedCountOp); ok {
-		if out.Op == ROpAny && out.Value != 0 {
+		if out.Kind == isa.ReduceAny && out.Value != 0 {
 			out.Value = 1
 		}
 		out.Value &= ones // the count wraps at Width bits, like RCOUNT
@@ -301,52 +256,52 @@ func (bk *Bank) Step() []BankResult {
 	if vec, ok := bk.resolver.Step(feedRes); ok {
 		op := bk.resQueue[0]
 		bk.resQueue = bk.resQueue[1:]
-		results = append(results, BankResult{Op: op.op, Tag: op.tag, Vector: vec})
+		results = append(results, BankResult{Kind: op.kind, Tag: op.tag, Vector: vec})
 	}
 	return results
 }
 
-func dispatchLogic(op ReduceOp, width uint, a, b int64) int64 {
+func dispatchLogic(k isa.ReduceKind, width uint, a, b int64) int64 {
 	// The logic unit is an OR tree; AND is handled by the bypassable
 	// inverters outside the tree, so inside it is always OR.
 	return a | b
 }
 
-func dispatchMaxMin(op ReduceOp, width uint, a, b int64) int64 {
+func dispatchMaxMin(k isa.ReduceKind, width uint, a, b int64) int64 {
 	sa := a << (64 - width) >> (64 - width)
 	sb := b << (64 - width) >> (64 - width)
-	switch op {
-	case ROpMax:
+	switch k {
+	case isa.ReduceMaxS:
 		if sa > sb {
 			return a
 		}
 		return b
-	case ROpMin:
+	case isa.ReduceMinS:
 		if sa < sb {
 			return a
 		}
 		return b
-	case ROpMaxU:
+	case isa.ReduceMaxU:
 		if a > b {
 			return a
 		}
 		return b
-	case ROpMinU:
+	case isa.ReduceMinU:
 		if a < b {
 			return a
 		}
 		return b
 	}
-	panic("network: bad max/min op " + op.String())
+	panic(fmt.Sprintf("network: bad max/min reduction %d", k))
 }
 
-func dispatchSum(op ReduceOp, width uint, a, b int64) int64 {
+func dispatchSum(k isa.ReduceKind, width uint, a, b int64) int64 {
 	// Sign-extend the width-masked partial sums before saturating.
 	sa := a << (64 - width) >> (64 - width)
 	sb := b << (64 - width) >> (64 - width)
 	return SatAdd(width)(sa, sb) & (int64(1)<<width - 1)
 }
 
-func dispatchCount(op ReduceOp, width uint, a, b int64) int64 {
+func dispatchCount(k isa.ReduceKind, width uint, a, b int64) int64 {
 	return a + b // responder bits cannot overflow a count tree
 }

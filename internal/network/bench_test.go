@@ -1,6 +1,10 @@
 package network
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/isa"
+)
 
 // Micro-benchmarks for the structural network primitives: these bound the
 // host-side cost of structural co-simulation (ns per simulated network
@@ -36,30 +40,11 @@ func BenchmarkBankStep(b *testing.B) {
 				vals[i] = int64(i)
 				mask[i] = true
 			}
-			ops := []ReduceOp{ROpMax, ROpSum, ROpOr, ROpMin}
+			kinds := []isa.ReduceKind{isa.ReduceMaxS, isa.ReduceSum, isa.ReduceOr, isa.ReduceMinS}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				bk.PushValues(ops[i%len(ops)], int64(i), vals, mask)
+				bk.PushValues(kinds[i%len(kinds)], int64(i), vals, mask)
 				bk.Step()
-			}
-		})
-	}
-}
-
-func BenchmarkFalkoffMax(b *testing.B) {
-	b.ReportAllocs()
-	for _, p := range []int{16, 256, 4096} {
-		b.Run(sizeName(p), func(b *testing.B) {
-			b.ReportAllocs()
-			vals := make([]int64, p)
-			mask := make([]bool, p)
-			for i := range vals {
-				vals[i] = int64(i * 37 % 251)
-				mask[i] = true
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				FalkoffMax(vals, mask, 8)
 			}
 		})
 	}

@@ -3,6 +3,8 @@ package network
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/isa"
 )
 
 // TestFoldInPlaceSharding pins the contract the sharded parallel execution
@@ -45,9 +47,9 @@ func TestFoldInPlaceSharding(t *testing.T) {
 	}
 }
 
-// TestFoldInPlaceMatchesTree: FoldInPlace agrees with the structural
-// Bank's saturating sum tree for random vectors (treeFold already does via
-// the Reduce* tests; this covers the exported primitive directly).
+// TestFoldInPlaceMatchesTree: the generic FoldInPlace agrees with the
+// structural Bank's saturating sum tree for random vectors
+// (TestBankMatchesFunctional covers the specialized kernels).
 func TestFoldInPlaceMatchesTree(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	mask := make([]bool, 70)
@@ -61,7 +63,7 @@ func TestFoldInPlaceMatchesTree(t *testing.T) {
 			vals[i] = int64(r.Intn(200)) - 100
 		}
 		bk := NewBank(n, 4, 8)
-		res, _ := drainOne(t, bk, func() { bk.PushValues(ROpSum, 0, vals, mask[:n]) })
+		res, _ := drainOne(t, bk, func() { bk.PushValues(isa.ReduceSum, 0, vals, mask[:n]) })
 		if got := FoldInPlace(append([]int64(nil), vals...), SatAdd(8)) & 0xff; got != res.Value {
 			t.Fatalf("n=%d FoldInPlace %d != structural tree %d", n, got, res.Value)
 		}

@@ -18,11 +18,13 @@
 // Two model granularities are provided. The structural model is Bank
 // (bank.go): every reduction unit behind the broadcast stages, with a
 // register file per tree level, stepped one cycle at a time. It is the
-// ground truth for latency and initiation rate, and the core's structural
-// co-simulation replays every reduction through it. The functional helpers
-// (FoldInPlace*, ReduceOr, ReduceMax, ...) compute the same results
-// combinationally and are what the instruction-level simulator calls, with
-// latencies taken from BroadcastLatency and ReductionLatency.
+// ground truth for latency and initiation rate. The in-place folds
+// (FoldInPlace*, reduce.go) compute a tree's root combinationally; the
+// machine's reduction instructions fold through them, with latencies taken
+// from BroadcastLatency and ReductionLatency. Reductions are named by
+// isa.ReduceKind, and the masked-off leaf of every tree is Identity. The
+// core's structural co-simulation replays every reduction through Bank and
+// checks each result against the value the machine computed.
 package network
 
 import "fmt"

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/isa"
 )
 
 func TestBroadcastLatency(t *testing.T) {
@@ -78,8 +80,8 @@ func TestResolverNoResponders(t *testing.T) {
 	}
 }
 
-// Property: the structural resolver equals FirstResponder for random inputs
-// and sizes, including non-powers of two.
+// Property: the structural resolver isolates the lowest-indexed responder
+// for random inputs and sizes, including non-powers of two.
 func TestResolverMatchesFunctional(t *testing.T) {
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
@@ -98,14 +100,10 @@ func TestResolverMatchesFunctional(t *testing.T) {
 		if !ok {
 			return false
 		}
-		allTrue := make([]bool, p)
-		for i := range allTrue {
-			allTrue[i] = true
-		}
-		want := FirstResponder(in, allTrue)
-		for i := range want {
-			if out[i] != want[i] {
-				t.Logf("p=%d i=%d got %v want %v in=%v", p, i, out[i], want[i], in)
+		first := foldResult(isa.ReduceFirst, nil, in, allMask(p), 8)
+		for i := range out {
+			if out[i] != (int64(i) == first) {
+				t.Logf("p=%d i=%d got %v want first=%d in=%v", p, i, out[i], first, in)
 				return false
 			}
 		}
@@ -116,61 +114,49 @@ func TestResolverMatchesFunctional(t *testing.T) {
 	}
 }
 
-// Property: functional reductions agree with a naive sequential fold for
+// Property: the fold path agrees with a naive sequential fold for
 // order-insensitive operations.
 func TestFunctionalMatchesSequentialFold(t *testing.T) {
 	const width = 16
+	const ones = int64(1)<<width - 1
 	f := func(seed int64) bool {
 		rnd := rand.New(rand.NewSource(seed))
 		p := 1 + rnd.Intn(200)
 		vals := make([]int64, p)
 		mask := make([]bool, p)
-		any := false
 		for i := range vals {
-			vals[i] = int64(rnd.Intn(1<<width)) - 1<<(width-1)
+			vals[i] = int64(rnd.Intn(1 << width))
 			mask[i] = rnd.Intn(2) == 0
-			any = any || mask[i]
 		}
-		var or, and, max, min int64
-		or = 0
-		and = int64(1)<<width - 1
-		max = MaxIdentitySigned(width)
-		min = MinIdentitySigned(width)
+		or, and := int64(0), ones
+		max, min := Identity(isa.ReduceMaxS, width), Identity(isa.ReduceMinS, width)
 		for i, v := range vals {
 			if !mask[i] {
 				continue
 			}
-			uv := v & (int64(1)<<width - 1)
-			or |= uv
-			and &= uv
-			if v > max {
-				max = v
+			or |= v
+			and &= v
+			sv := v << (64 - width) >> (64 - width)
+			if sv > max {
+				max = sv
 			}
-			if v < min {
-				min = v
+			if sv < min {
+				min = sv
 			}
 		}
-		// Functional values: present sign bits the same way the machine
-		// would (OR/AND operate on the unsigned bit pattern).
-		uvals := make([]int64, p)
-		for i, v := range vals {
-			uvals[i] = v & (int64(1)<<width - 1)
-		}
-		if got := ReduceOr(uvals, mask); got != or {
-			t.Logf("or: got %d want %d", got, or)
-			return false
-		}
-		if got := ReduceAnd(uvals, mask, width); got != and {
-			t.Logf("and: got %d want %d (any=%v)", got, and, any)
-			return false
-		}
-		if got := ReduceMax(vals, mask, width); got != max {
-			t.Logf("max: got %d want %d", got, max)
-			return false
-		}
-		if got := ReduceMin(vals, mask, width); got != min {
-			t.Logf("min: got %d want %d", got, min)
-			return false
+		for _, c := range []struct {
+			k    isa.ReduceKind
+			want int64
+		}{
+			{isa.ReduceOr, or},
+			{isa.ReduceAnd, and},
+			{isa.ReduceMaxS, max & ones},
+			{isa.ReduceMinS, min & ones},
+		} {
+			if got := foldResult(c.k, vals, nil, mask, width); got != c.want {
+				t.Logf("kind %d: got %d want %d", c.k, got, c.want)
+				return false
+			}
 		}
 		return true
 	}
@@ -181,26 +167,17 @@ func TestFunctionalMatchesSequentialFold(t *testing.T) {
 
 func TestSaturatingSum(t *testing.T) {
 	const width = 8 // range [-128, 127]
-	allTrue := func(n int) []bool {
-		m := make([]bool, n)
-		for i := range m {
-			m[i] = true
-		}
-		return m
-	}
+	lo, hi := SatLimits(width)
 	// All positive overflow saturates high.
-	vals := []int64{100, 100, 100, 100}
-	if got := ReduceSum(vals, allTrue(4), width); got != 127 {
+	if got := FoldInPlaceSatAdd([]int64{100, 100, 100, 100}, lo, hi); got != 127 {
 		t.Errorf("positive saturation: got %d, want 127", got)
 	}
 	// All negative saturates low.
-	vals = []int64{-100, -100, -100, -100}
-	if got := ReduceSum(vals, allTrue(4), width); got != -128 {
+	if got := FoldInPlaceSatAdd([]int64{-100, -100, -100, -100}, lo, hi); got != -128 {
 		t.Errorf("negative saturation: got %d, want -128", got)
 	}
 	// Non-overflowing sums are exact.
-	vals = []int64{1, 2, 3, 4, 5, 6, 7, 8}
-	if got := ReduceSum(vals, allTrue(8), width); got != 36 {
+	if got := FoldInPlaceSatAdd([]int64{1, 2, 3, 4, 5, 6, 7, 8}, lo, hi); got != 36 {
 		t.Errorf("exact sum: got %d, want 36", got)
 	}
 }
@@ -214,14 +191,12 @@ func TestSaturatingSumBounds(t *testing.T) {
 		rnd := rand.New(rand.NewSource(seed))
 		p := 1 + rnd.Intn(64)
 		vals := make([]int64, p)
-		mask := make([]bool, p)
 		exact := int64(0)
 		for i := range vals {
 			vals[i] = int64(rnd.Intn(256)) - 128
-			mask[i] = true
 			exact += vals[i]
 		}
-		got := ReduceSum(vals, mask, width)
+		got := FoldInPlaceSatAdd(append([]int64(nil), vals...), lo, hi)
 		if got < lo || got > hi {
 			t.Logf("sum %d out of range [%d, %d]", got, lo, hi)
 			return false
@@ -249,48 +224,67 @@ func TestSaturatingSumBounds(t *testing.T) {
 	}
 }
 
+// TestCountAndAny drives the response counter: RCOUNT is the exact number
+// of responders (flag AND mask), RANY whether there is one.
 func TestCountAndAny(t *testing.T) {
 	flags := []bool{true, false, true, true, false}
 	mask := []bool{true, true, true, false, true}
-	if got := CountResponders(flags, mask); got != 2 {
-		t.Errorf("count = %d, want 2", got)
-	}
-	if !AnyResponder(flags, mask) {
-		t.Error("any = false, want true")
-	}
 	none := make([]bool, 5)
-	if AnyResponder(none, mask) {
-		t.Error("any of none = true")
-	}
-	if got := CountResponders(none, mask); got != 0 {
-		t.Errorf("count of none = %d", got)
+	for _, c := range []struct {
+		k     isa.ReduceKind
+		flags []bool
+		want  int64
+	}{
+		{isa.ReduceCount, flags, 2},
+		{isa.ReduceAny, flags, 1},
+		{isa.ReduceCount, none, 0},
+		{isa.ReduceAny, none, 0},
+	} {
+		bk := NewBank(5, 4, 8)
+		res, _ := drainOne(t, bk, func() { bk.PushFlags(c.k, 0, c.flags, mask) })
+		if res.Value != c.want {
+			t.Errorf("kind %d over %v = %d, want %d", c.k, c.flags, res.Value, c.want)
+		}
 	}
 }
 
+// TestZeroResponderIdentities: with no responders every unit returns its
+// identity, through Bank and through the fold path alike. Signed results
+// are read back sign-extended.
 func TestZeroResponderIdentities(t *testing.T) {
 	const width = 8
 	vals := []int64{1, 2, 3, 4}
+	flags := allMask(4)
 	mask := make([]bool, 4)
-	if got := ReduceOr(vals, mask); got != 0 {
-		t.Errorf("or identity = %d", got)
-	}
-	if got := ReduceAnd(vals, mask, width); got != 255 {
-		t.Errorf("and identity = %d, want 255", got)
-	}
-	if got := ReduceMax(vals, mask, width); got != -128 {
-		t.Errorf("max identity = %d, want -128", got)
-	}
-	if got := ReduceMin(vals, mask, width); got != 127 {
-		t.Errorf("min identity = %d, want 127", got)
-	}
-	if got := ReduceMaxU(vals, mask); got != 0 {
-		t.Errorf("maxu identity = %d, want 0", got)
-	}
-	if got := ReduceMinU(vals, mask, width); got != 255 {
-		t.Errorf("minu identity = %d, want 255", got)
-	}
-	if got := ReduceSum(vals, mask, width); got != 0 {
-		t.Errorf("sum identity = %d, want 0", got)
+	for _, c := range []struct {
+		k      isa.ReduceKind
+		want   int64
+		signed bool
+	}{
+		{isa.ReduceOr, 0, false},
+		{isa.ReduceAnd, 255, false},
+		{isa.ReduceMaxS, -128, true},
+		{isa.ReduceMinS, 127, true},
+		{isa.ReduceMaxU, 0, false},
+		{isa.ReduceMinU, 255, false},
+		{isa.ReduceSum, 0, true},
+		{isa.ReduceCount, 0, false},
+		{isa.ReduceAny, 0, false},
+		{isa.ReduceFirst, 4, false}, // no winner: the PE count
+	} {
+		bk := NewBank(4, 4, width)
+		res, _ := drainOne(t, bk, func() { pushKind(bk, c.k, vals, flags, mask) })
+		for name, got := range map[string]int64{
+			"bank": bankValue(res),
+			"fold": foldResult(c.k, vals, flags, mask, width),
+		} {
+			if c.signed {
+				got = got << (64 - width) >> (64 - width)
+			}
+			if got != c.want {
+				t.Errorf("%s: kind %d identity = %d, want %d", name, c.k, got, c.want)
+			}
+		}
 	}
 }
 

@@ -1,42 +1,34 @@
 package network
 
-// Functional (combinational) reduction semantics. The instruction-level
-// simulator uses these for architectural results, with timing supplied by
-// BroadcastLatency/ReductionLatency. Each function is defined to match the
-// corresponding structural tree exactly, including the handling of PEs that
-// are not responders: a non-responder's leaf injects the operation's
-// identity element, which is what the masking gates in front of the tree
-// produce in hardware.
+import "repro/internal/isa"
+
+// The reduction units' node functions and their in-place folds. The
+// machine's reduction instructions fold through the specialized
+// FoldInPlace* kernels and machine.ExecRef through the generic FoldInPlace.
+// Every fold has the exact pairwise topology of Bank's register-per-level
+// trees, which matters for the node-saturating sum.
 //
-// Values are carried as int64. The machine layer is responsible for
-// presenting operands in comparable form (sign- or zero-extended from the
-// configured data width) and for masking results back to the width.
+// Values are carried as int64. Callers present operands in comparable form
+// (sign- or zero-extended from the configured data width) and mask results
+// back to the width.
 
-// Identity elements injected at masked-off leaves, exported so the machine's
-// allocation-free reduction paths materialize the same leaf vectors the
-// masking gates produce in hardware.
-
-// OrIdentity is the masked-off leaf of the OR tree.
-func OrIdentity() int64 { return 0 }
-
-// AndIdentity is the masked-off leaf of the AND reduction (all ones).
-func AndIdentity(width uint) int64 { return int64(1)<<width - 1 }
-
-// MaxIdentitySigned is the masked-off leaf of the signed maximum unit.
-func MaxIdentitySigned(width uint) int64 {
-	return -(int64(1) << (width - 1)) // most negative representable
+// Identity returns the leaf a masked-off PE injects into the tree of
+// reduction kind k at a data width: what the masking gates in front of the
+// hardware tree produce. Leaves are in the tree's own domain: RAND's leaves
+// are inverted and fold through the OR tree, so its identity is the OR
+// identity 0, and the signed max/min identities are sign-extended. The
+// response counter's identity is 0 too.
+func Identity(k isa.ReduceKind, width uint) int64 {
+	switch k {
+	case isa.ReduceMaxS:
+		return -(int64(1) << (width - 1)) // most negative representable
+	case isa.ReduceMinS:
+		return int64(1)<<(width-1) - 1 // most positive representable
+	case isa.ReduceMinU:
+		return int64(1)<<width - 1 // all ones
+	}
+	return 0
 }
-
-// MinIdentitySigned is the masked-off leaf of the signed minimum unit.
-func MinIdentitySigned(width uint) int64 {
-	return int64(1)<<(width-1) - 1 // most positive representable
-}
-
-// MaxIdentityUnsigned is the masked-off leaf of the unsigned maximum unit.
-func MaxIdentityUnsigned() int64 { return 0 }
-
-// MinIdentityUnsigned is the masked-off leaf of the unsigned minimum unit.
-func MinIdentityUnsigned(width uint) int64 { return int64(1)<<width - 1 }
 
 // SatLimits returns the saturating bounds of the sum unit for a data width.
 func SatLimits(width uint) (lo, hi int64) {
@@ -58,19 +50,11 @@ func SatAdd(width uint) CombineFunc {
 	}
 }
 
-// treeFold reduces vals with combine using the same binary-tree topology as
-// Bank's pipelined trees, so that functional and structural results agree
-// even for non-associative-under-saturation operations like SatAdd.
-func treeFold(vals []int64, combine CombineFunc) int64 {
-	// Fold in place over one scratch copy: combineRow writes dst[i] from
-	// src[2i], src[2i+1], and i <= 2i, so the prefix overwrite is safe.
-	return FoldInPlace(append([]int64(nil), vals...), combine)
-}
-
 // FoldInPlace reduces buf with combine using the exact binary-tree topology
 // of Bank's trees (pairs (2i, 2i+1) at every level, odd tails passed through),
-// clobbering buf's prefix as scratch. It never allocates, which makes it the
-// hot-path primitive behind the machine's reduction instructions.
+// clobbering buf's prefix as scratch. It never allocates. machine.ExecRef
+// folds through it; the machine's instructions use the specialized kernels
+// below.
 //
 // Sharding contract: the fold of a leaf vector can be computed piecewise.
 // Split the vector into contiguous blocks of S = 2^k leaves, aligned at
@@ -98,8 +82,7 @@ func FoldInPlace(buf []int64, combine CombineFunc) int64 {
 // passed through) is identical, so results are bit-identical to the
 // generic fold — including node-level saturation — while the hot path
 // pays no indirect call per tree node. The machine's reduction
-// instructions dispatch here once per instruction; the generic
-// CombineFunc form remains for structural models and uncommon folds.
+// instructions dispatch here once per instruction.
 
 // FoldInPlaceOr reduces buf through the OR tree (logic unit).
 func FoldInPlaceOr(buf []int64) int64 {
@@ -182,9 +165,8 @@ func FoldInPlaceSatAdd(buf []int64, lo, hi int64) int64 {
 	return buf[0]
 }
 
-// Combine functions of the reduction units, exported so callers (the
-// machine's execution engines) can drive FoldInPlace without allocating
-// closures per instruction. CombineMax/CombineMin use plain int64 compares:
+// Combine functions of the reduction units, exported so machine.ExecRef
+// can drive FoldInPlace without allocating closures per instruction. CombineMax/CombineMin use plain int64 compares:
 // they serve both the signed trees (operands sign-extended) and the unsigned
 // trees (operands zero-extended, hence non-negative and order-preserving).
 
@@ -205,127 +187,4 @@ func CombineMin(a, b int64) int64 {
 		return a
 	}
 	return b
-}
-
-// leaves materializes the masked leaf vector: vals[i] where mask[i], else
-// the identity element.
-func leaves(vals []int64, mask []bool, identity int64) []int64 {
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		if mask[i] {
-			out[i] = v
-		} else {
-			out[i] = identity
-		}
-	}
-	return out
-}
-
-// ReduceOr returns the bitwise OR of vals over responders in mask.
-// With zero responders the result is 0 (the OR identity).
-func ReduceOr(vals []int64, mask []bool) int64 {
-	return treeFold(leaves(vals, mask, OrIdentity()), func(a, b int64) int64 { return a | b })
-}
-
-// ReduceAnd returns the bitwise AND of vals over responders, computed the
-// way the logic unit does: inverters, OR tree, inverters (De Morgan). With
-// zero responders the result is the all-ones word for the width.
-func ReduceAnd(vals []int64, mask []bool, width uint) int64 {
-	ones := AndIdentity(width)
-	inverted := make([]int64, len(vals))
-	for i, v := range vals {
-		if mask[i] {
-			inverted[i] = ^v & ones
-		} else {
-			inverted[i] = 0 // identity of the OR tree
-		}
-	}
-	or := treeFold(inverted, func(a, b int64) int64 { return a | b })
-	return ^or & ones
-}
-
-// ReduceMax returns the signed maximum over responders. With zero
-// responders it returns the most negative representable value.
-func ReduceMax(vals []int64, mask []bool, width uint) int64 {
-	return treeFold(leaves(vals, mask, MaxIdentitySigned(width)), func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-// ReduceMin returns the signed minimum over responders. With zero
-// responders it returns the most positive representable value.
-func ReduceMin(vals []int64, mask []bool, width uint) int64 {
-	return treeFold(leaves(vals, mask, MinIdentitySigned(width)), func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
-
-// ReduceMaxU returns the unsigned maximum over responders (vals must be
-// zero-extended). With zero responders it returns 0.
-func ReduceMaxU(vals []int64, mask []bool) int64 {
-	return treeFold(leaves(vals, mask, MaxIdentityUnsigned()), func(a, b int64) int64 {
-		if a > b {
-			return a
-		}
-		return b
-	})
-}
-
-// ReduceMinU returns the unsigned minimum over responders. With zero
-// responders it returns the all-ones word.
-func ReduceMinU(vals []int64, mask []bool, width uint) int64 {
-	return treeFold(leaves(vals, mask, MinIdentityUnsigned(width)), func(a, b int64) int64 {
-		if a < b {
-			return a
-		}
-		return b
-	})
-}
-
-// ReduceSum returns the saturating sum over responders, folding with the
-// exact tree topology of the sum unit (node-level saturation).
-func ReduceSum(vals []int64, mask []bool, width uint) int64 {
-	return treeFold(leaves(vals, mask, 0), SatAdd(width))
-}
-
-// CountResponders returns the exact number of responders: flags[i] AND
-// mask[i] (the response counter of section 6.4).
-func CountResponders(flags, mask []bool) int64 {
-	n := int64(0)
-	for i, f := range flags {
-		if f && mask[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// AnyResponder reports whether any responder exists (the some/none test
-// required by the ASC model).
-func AnyResponder(flags, mask []bool) bool {
-	for i, f := range flags {
-		if f && mask[i] {
-			return true
-		}
-	}
-	return false
-}
-
-// FirstResponder returns the resolver output: a vector with exactly one bit
-// set, at the lowest-indexed responder, or all zeros if there are none.
-func FirstResponder(flags, mask []bool) []bool {
-	out := make([]bool, len(flags))
-	for i, f := range flags {
-		if f && mask[i] {
-			out[i] = true
-			return out
-		}
-	}
-	return out
 }

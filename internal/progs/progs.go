@@ -33,6 +33,20 @@ type Instance struct {
 
 func mask(v int64, width uint) int64 { return v & (int64(1)<<width - 1) }
 
+// satSum is the sum unit's result (RSUM) over the responders in resp, as a
+// width-bit pattern: non-responders inject 0 and the adder tree saturates
+// at every node.
+func satSum(vals []int64, resp []bool, width uint) int64 {
+	leaves := make([]int64, len(vals))
+	for i, v := range vals {
+		if resp[i] {
+			leaves[i] = v
+		}
+	}
+	lo, hi := network.SatLimits(width)
+	return mask(network.FoldInPlaceSatAdd(leaves, lo, hi), width)
+}
+
 // MaxSearch finds the maximum value across all PEs with a single RMAX —
 // the canonical associative search operation.
 func MaxSearch(p int, seed int64) Instance {
@@ -169,7 +183,7 @@ func CountAndSum(p int, seed int64) Instance {
 			wantCount++
 		}
 	}
-	wantSum := mask(network.ReduceSum(vals, maskVec, width), width)
+	wantSum := satSum(vals, maskVec, width)
 	return Instance{
 		Name:  "count-and-sum",
 		Width: width,
@@ -325,7 +339,7 @@ func ImageSum(p, block int, seed int64) Instance {
 			wantMax = s
 		}
 	}
-	wantSum := mask(network.ReduceSum(sums, allPEs, width), width)
+	wantSum := satSum(sums, allPEs, width)
 	src := fmt.Sprintf(`
 		li s1, %d         ; pixels per block
 		pli p1, 0         ; address

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/machine"
-	"repro/internal/network"
 )
 
 // TrackCorrelation is the classic ASC motivating application (air traffic
@@ -188,7 +187,7 @@ func DbSelect(p int, seed int64) Instance {
 			}
 		}
 	}
-	wantSum := network.ReduceSum(salaries, maskVec, width) & (1<<width - 1)
+	wantSum := satSum(salaries, maskVec, width)
 	src := `
 		plw p1, 0(p0)     ; age
 		pli p7, 1
