@@ -13,8 +13,9 @@ import (
 // BenchmarkFrontEnd is the front-end scheduling layer row: host ns per
 // simulated cycle at 16 PEs for one lane (a Processor) and eight lanes (a
 // Gang; ns per lockstep cycle, all lanes together), on the per-cycle
-// 16-thread reduction chain and on the single-threaded chain, which the
-// block plane dispatches. The same single-threaded chain with the block
+// reduction chain with 16, 8, and 4 threads live out of 16 contexts (the
+// mix the mt16-long workload serves) and on the single-threaded chain,
+// which the block plane dispatches. The same single-threaded chain with the block
 // plane off is the block plane's A/B baseline. Each op resets, reloads, and
 // runs one job to halt.
 //
@@ -27,6 +28,8 @@ func BenchmarkFrontEnd(b *testing.B) {
 		blocks  core.BlocksMode
 	}{
 		{"mt-reduction-16t", progs.MTReduction(16, 16, 64), 16, core.BlocksAuto},
+		{"mt-reduction-8t", progs.MTReduction(16, 8, 64), 16, core.BlocksAuto},
+		{"mt-reduction-4t", progs.MTReduction(16, 4, 64), 16, core.BlocksAuto},
 		{"mt-reduction-1t", progs.MTReduction(16, 1, 1024), 1, core.BlocksAuto},
 		{"mt-reduction-1t-blocksoff", progs.MTReduction(16, 1, 1024), 1, core.BlocksOff},
 	}

@@ -30,21 +30,23 @@ const (
 	oracleLocalWords  = 16 // small, so register-based PLW/PSW addresses trap
 	oracleScalarWords = 64
 	oraclePrograms    = 160 // programs per default TestOracle run
+	oracleMultiLive   = 48  // multi-live programs per default TestOracle run
 )
 
 // oracleCase is one generated program with its machine shape and one
-// randomized architectural input per gang lane. The shape byte selects the
-// PE count (bits 0-1), data width (bits 2-3), the TSPAWN/TEXIT prologue
-// (bit 4), and the broadcast arity (bits 5-7); the seed draws the program
-// and the inputs.
+// randomized architectural input per gang lane. The shape selects the PE
+// count (bits 0-1), data width (bits 2-3), the TSPAWN/TEXIT prologue
+// (bit 4), the broadcast arity (bits 5-7), and a multi-live prologue of
+// 2-4 workers (bits 8-9, nonzero; overrides bit 4); the seed draws the
+// program and the inputs.
 type oracleCase struct {
-	seed     int64
-	shape    uint8
-	prologue bool
-	cfg      Config // solo configuration: serial engine, blocks on
-	prog     []isa.Inst
-	dp       *isa.DecodedProgram
-	in       [oracleLanes]laneInput
+	seed    int64
+	shape   uint16
+	workers int    // threads the prologue spawns: 0 (no prologue), 1, or 2-4 (multi-live)
+	cfg     Config // solo configuration: serial engine, blocks on
+	prog    []isa.Inst
+	dp      *isa.DecodedProgram
+	in      [oracleLanes]laneInput
 
 	want [oracleLanes]*laneRun // oracle results, filled lazily
 	solo [oracleLanes]*laneRun // solo-tier results, filled lazily
@@ -74,11 +76,13 @@ type laneRun struct {
 }
 
 // oracleCoverage counts the behaviours a default run must reach.
+// contended counts multi-live programs whose solo run saw more than one
+// thread ready for the issue slot.
 type oracleCoverage struct {
-	programs, traps, peels, blockRuns, restores int
+	programs, traps, peels, blockRuns, restores, contended int
 }
 
-func newOracleCase(seed int64, shape uint8) *oracleCase {
+func newOracleCase(seed int64, shape uint16) *oracleCase {
 	r := rand.New(rand.NewSource(seed))
 	mc := machine.Config{
 		PEs:            [4]int{5, 32, 67, 300}[shape&3],
@@ -88,15 +92,19 @@ func newOracleCase(seed int64, shape uint8) *oracleCase {
 		ScalarMemWords: oracleScalarWords,
 		Engine:         machine.EngineSerial,
 	}
-	c := &oracleCase{seed: seed, shape: shape, prologue: shape&16 != 0}
-	if c.prologue {
-		mc.Threads = 2
+	c := &oracleCase{seed: seed, shape: shape}
+	if shape&16 != 0 {
+		c.workers = 1
 	}
+	if k := int(shape >> 8 & 3); k != 0 {
+		c.workers = k + 1
+	}
+	mc.Threads = 1 + c.workers
 	c.cfg = Config{Machine: mc, Arity: 2 + int(shape>>5)%6}
 	for i := range c.in {
 		c.in[i] = newLaneInput(r, mc.PEs)
 	}
-	return c.withProg(genProgram(r, c.prologue))
+	return c.withProg(genProgram(r, c.workers))
 }
 
 // withProg returns a copy of c running prog, with empty result caches.
@@ -105,7 +113,7 @@ func (c *oracleCase) withProg(prog []isa.Inst) *oracleCase {
 	if err != nil {
 		panic(fmt.Sprintf("oracle: generated program does not decode: %v", err))
 	}
-	return &oracleCase{seed: c.seed, shape: c.shape, prologue: c.prologue, cfg: c.cfg, prog: prog, dp: dp, in: c.in}
+	return &oracleCase{seed: c.seed, shape: c.shape, workers: c.workers, cfg: c.cfg, prog: prog, dp: dp, in: c.in}
 }
 
 func newLaneInput(r *rand.Rand, pes int) laneInput {
@@ -172,14 +180,22 @@ func (in *laneInput) apply(m *machine.Machine) {
 }
 
 // genProgram draws a terminating program: a forward-only body over every
-// instruction class, then HALT. With the prologue, thread 0 spawns the body
-// on thread 1 and exits, so the body runs on nonzero per-thread planes.
-func genProgram(r *rand.Rand, prologue bool) []isa.Inst {
+// instruction class, then HALT. With a prologue, thread 0 spawns the body
+// on workers threads and exits, so the body runs on nonzero per-thread
+// planes. With several workers (multi-live) they run concurrently, so the
+// body must not depend on the schedule: it mixes the thread id into its
+// registers, draws no store (scalar and local memory are shared) and no
+// instruction that can trap, and ends in TEXIT; the run ends when the last
+// worker exits. Per-thread registers and planes are private, so the final
+// state is the same for every interleaving.
+func genProgram(r *rand.Rand, workers int) []isa.Inst {
 	var prog []isa.Inst
-	if prologue {
-		prog = append(prog,
-			isa.Inst{Op: isa.TSPAWN, Rd: uint8(r.Intn(isa.NumScalarRegs)), Imm: 2},
-			isa.Inst{Op: isa.TEXIT})
+	multi := workers > 1
+	if workers > 0 {
+		for i := 0; i < workers; i++ {
+			prog = append(prog, isa.Inst{Op: isa.TSPAWN, Rd: uint8(r.Intn(isa.NumScalarRegs)), Imm: int32(workers + 1)})
+		}
+		prog = append(prog, isa.Inst{Op: isa.TEXIT})
 		// TSPAWN clears thread 1's registers and flags, so the body first
 		// loads some from the lane's randomized scalar and local memory.
 		for i := 0; i < 4; i++ {
@@ -191,19 +207,37 @@ func genProgram(r *rand.Rand, prologue bool) []isa.Inst {
 			prog = append(prog, isa.Inst{Op: isa.PCLT, Rd: uint8(1 + r.Intn(isa.NumFlagRegs-1)),
 				Ra: uint8(r.Intn(isa.NumParallelRegs)), Rb: uint8(r.Intn(isa.NumParallelRegs))})
 		}
+		if multi {
+			id, dst := uint8(1+r.Intn(isa.NumScalarRegs-1)), uint8(1+r.Intn(isa.NumScalarRegs-1))
+			prog = append(prog, isa.Inst{Op: isa.TID, Rd: id}, isa.Inst{Op: isa.ADD, Rd: dst, Ra: dst, Rb: id})
+		}
 	}
 	n := 8 + r.Intn(48)
 	for i := 0; i < n; i++ {
-		prog = append(prog, genInst(r).Canonical())
+		in := genInst(r)
+		for multi && sharedOrTrapping(in) {
+			in = genInst(r)
+		}
+		prog = append(prog, in.Canonical())
 	}
-	prog = append(prog, isa.Inst{Op: isa.HALT})
-	halt := len(prog) - 1
+	last := isa.Inst{Op: isa.HALT}
+	if multi {
+		last = isa.Inst{Op: isa.TEXIT}
+	}
+	prog = append(prog, last)
+	end := len(prog) - 1
 	for at, in := range prog {
 		if hasTarget(in) && in.Op != isa.TSPAWN {
-			prog[at].Imm = int32(at + 1 + r.Intn(min(halt-at, 8))) // in (at, halt]
+			prog[at].Imm = int32(at + 1 + r.Intn(min(end-at, 8))) // in (at, end]
 		}
 	}
 	return prog
+}
+
+// sharedOrTrapping reports whether a genInst draw writes shared memory or
+// can trap: a multi-live body draws again.
+func sharedOrTrapping(in isa.Inst) bool {
+	return in.Op == isa.SW || in.Op == isa.PSW || in.Op == isa.PLW && in.Ra != 0
 }
 
 // hasTarget reports whether in carries a static PC target in Imm.
@@ -262,8 +296,9 @@ func genInst(r *rand.Rand) isa.Inst {
 }
 
 // oracle steps lane's input through machine.ExecRef on a serial machine,
-// always running the lowest active thread (the bodies never synchronize,
-// so only the prologue's spawn-then-exit order is observable).
+// always running the lowest active thread (the bodies never synchronize
+// and, when several run at once, never share state, so only the
+// prologue's spawn-then-exit order is observable).
 func (c *oracleCase) oracle(lane int) *laneRun {
 	if c.want[lane] != nil {
 		return c.want[lane]
@@ -283,7 +318,7 @@ func (c *oracleCase) oracle(lane int) *laneRun {
 				t, active = u, active+1
 			}
 		}
-		if pc := m.PC(t); pc >= len(c.prog) || steps > 2*len(c.prog) {
+		if pc := m.PC(t); pc >= len(c.prog) || steps > 2*len(c.prog)*c.cfg.Machine.Threads {
 			runErr = fmt.Errorf("oracle: forward-only program did not halt (pc %d)", pc)
 		} else {
 			if _, _, _, ok := c.dp.Blocks().Lookup(pc); ok && active == 1 {
@@ -376,13 +411,18 @@ var oracleTiers = []oracleTier{
 			// A lane whose path issues an instruction inside a block takes
 			// the block plane unless it traps first. Terminators (control
 			// flow, thread management, HALT) lie outside every block, so a
-			// path of terminators alone never engages it.
-			if want := c.oracle(i); want.inBlock && want.err == nil && runs[i].stats.BlockDispatches == 0 {
+			// path of terminators alone never engages it. Multi-live
+			// workers overlap, so when one runs alone depends on the
+			// schedule, not on the oracle's order.
+			if want := c.oracle(i); want.inBlock && want.err == nil && c.workers < 2 && runs[i].stats.BlockDispatches == 0 {
 				return nil, fmt.Errorf("lane %d: block plane never engaged (fallbacks %v)", i, runs[i].stats.BlockFallbacks)
 			}
 		}
 		if c.solo[0].stats.BlockDispatches > 0 {
 			cov.blockRuns++
+		}
+		if c.workers > 1 && c.solo[0].stats.Contention > 0 {
+			cov.contended++
 		}
 		return runs, nil
 	}},
@@ -543,11 +583,11 @@ func (c *oracleCase) without(i int) *oracleCase {
 }
 
 // shrink greedily drops instructions (never the prologue or the final
-// HALT) while tr still fails.
+// HALT or TEXIT) while tr still fails.
 func (c *oracleCase) shrink(tr oracleTier) *oracleCase {
 	first := 0
-	if c.prologue {
-		first = 2
+	if c.workers > 0 {
+		first = c.workers + 1
 	}
 	for changed := true; changed; {
 		changed = false
@@ -562,7 +602,7 @@ func (c *oracleCase) shrink(tr oracleTier) *oracleCase {
 
 // runOracleCase checks every tier on the program (seed, shape) and fails
 // t with a shrunk reproducer on the first mismatch.
-func runOracleCase(t *testing.T, seed int64, shape uint8, cov *oracleCoverage) {
+func runOracleCase(t *testing.T, seed int64, shape uint16, cov *oracleCoverage) {
 	t.Helper()
 	c := newOracleCase(seed, shape)
 	cov.programs++
@@ -576,24 +616,28 @@ func runOracleCase(t *testing.T, seed int64, shape uint8, cov *oracleCoverage) {
 			for pc, in := range s.prog {
 				fmt.Fprintf(&asm, "%4d  %v\n", pc, in)
 			}
-			t.Fatalf("oracle: seed %d shape %#02x (%d PEs, width %d, %d threads, arity %d) tier %s: %v\nshrunk to %d instructions (%v):\n%s",
-				seed, shape, c.cfg.Machine.PEs, c.cfg.Machine.Width, c.cfg.Machine.Threads, c.cfg.Arity,
+			t.Fatalf("oracle: seed %d shape %#03x (%d PEs, width %d, %d threads, %d workers, arity %d) tier %s: %v\nshrunk to %d instructions (%v):\n%s",
+				seed, shape, c.cfg.Machine.PEs, c.cfg.Machine.Width, c.cfg.Machine.Threads, c.workers, c.cfg.Arity,
 				tr.name, err, len(s.prog), s.check(tr, &oracleCoverage{}), asm.String())
 		}
 	}
 }
 
-// TestOracle sends oraclePrograms generated programs through every tier
-// and requires the run to have reached traps, gang peels, the block plane,
-// and mid-run restores.
+// TestOracle sends oraclePrograms generated programs, then oracleMultiLive
+// multi-live ones, through every tier and requires the run to have reached
+// traps, gang peels, the block plane, mid-run restores, and multi-live
+// programs whose workers contended for the issue slot.
 func TestOracle(t *testing.T) {
 	var cov oracleCoverage
 	for i := 0; i < oraclePrograms; i++ {
-		runOracleCase(t, int64(i), uint8(i*29+3), &cov)
+		runOracleCase(t, int64(i), uint16(uint8(i*29+3)), &cov)
+	}
+	for i := 0; i < oracleMultiLive; i++ {
+		runOracleCase(t, int64(oraclePrograms+i), uint16(uint8(i*29+3))|uint16(1+i%3)<<8, &cov)
 	}
 	t.Logf("oracle coverage: %+v", cov)
 	for name, n := range map[string]int{"trapping program": cov.traps, "gang peel": cov.peels,
-		"block-plane run": cov.blockRuns, "mid-run restore": cov.restores} {
+		"block-plane run": cov.blockRuns, "mid-run restore": cov.restores, "contended multi-live program": cov.contended} {
 		if n == 0 {
 			t.Errorf("no %s in %d programs: the generator lost coverage", name, cov.programs)
 		}
@@ -604,10 +648,10 @@ func TestOracle(t *testing.T) {
 //
 //	go test -fuzz=FuzzOracle ./internal/core
 func FuzzOracle(f *testing.F) {
-	for _, shape := range []uint8{0x00, 0x13, 0x2e, 0x5a, 0xb7, 0xfd} {
+	for _, shape := range []uint16{0x00, 0x13, 0x2e, 0x5a, 0xb7, 0xfd, 0x113, 0x22e, 0x3b7} {
 		f.Add(int64(shape)*7919, shape)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, shape uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, shape uint16) {
 		runOracleCase(t, seed, shape, &oracleCoverage{})
 	})
 }
