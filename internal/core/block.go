@@ -26,6 +26,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 )
@@ -73,28 +75,17 @@ const (
 )
 
 // soleActive finds the single active thread, if there is exactly one.
-// The closed form needs the machine view (idle attribution, anyActive)
-// and the front-end view (fetch arbitration) to agree on one thread.
+// The closed form needs the machine view (idle attribution, the idle
+// test) and the front-end view (fetch arbitration) to agree on one
+// thread. Both are bitmasks, so the check is O(1) however many threads
+// are live.
 func (e *engine) soleActive() (int, soleState) {
-	tid, nm, nf := -1, 0, 0
-	for t := 0; t < e.cfg.Machine.Threads; t++ {
-		ma := e.lead.ThreadActive(t)
-		fa := e.front.Active(t)
-		if ma {
-			nm++
-		}
-		if fa {
-			nf++
-		}
-		if ma && fa {
-			tid = t
-		}
-		if nm > 1 || nf > 1 {
-			return -1, soleMany
-		}
+	m, f := e.mActive, e.front.ActiveMask()
+	if m&(m-1) != 0 || f&(f-1) != 0 {
+		return -1, soleMany
 	}
-	if tid >= 0 && nm == 1 && nf == 1 {
-		return tid, soleOne
+	if m != 0 && m == f {
+		return bits.TrailingZeros64(m), soleOne
 	}
 	// At most one thread on each side but no agreement: a drain or
 	// half-stopped state (e.g. post-HALT completion wind-down) that the
@@ -185,7 +176,7 @@ func (e *engine) dispatchOne(tid int, stopAt int64) (blockStep, error) {
 	// control-flow, thread, or blocking micro-op): in-block ops produce the
 	// same fall-through Outcome on every lane, so peelDivergent finds
 	// nothing; it runs as the enforcement of that invariant.
-	e.front.PopHead(tid)
+	e.popHead(tid)
 	e.accountStall(eligible, issueC, minIssue, kind, free)
 	out, err := e.lead.ExecDecoded(tid, d)
 	if err != nil || len(e.live) > 1 {
@@ -244,7 +235,7 @@ func (e *engine) dispatchFused(tid int, bo *isa.BlockOp, stopAt int64) bool {
 	}
 	for j, d := range bo.Ops {
 		c := issueC + int64(j)
-		h := e.front.PopHead(tid)
+		h := e.popHead(tid)
 		mi, kd := e.sb.MinIssue(tid, d)
 		e.accountStall(h.EligibleAt(), c, mi, kd, 0)
 		e.record(tid, d, c)

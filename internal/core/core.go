@@ -272,6 +272,8 @@ func (p *Processor) SetProgram(prog []isa.Inst) error {
 // the microarchitectural state: instruction buffers refetch from the
 // restored PCs, the scoreboard empties (no instructions are in flight at a
 // quiescent point), and any structural co-simulation state is discarded.
+// Reviving the lanes invalidates the ready set, so every thread is
+// re-classified on the next Step.
 func (p *Processor) Restore(data []byte) error {
 	m := p.Machine()
 	if err := m.Restore(data); err != nil {

@@ -10,10 +10,17 @@
 // a predict-not-taken policy; when an issued instruction redirects (taken
 // branch, jump, or thread start) the thread's buffer is flushed and fetch
 // resumes at the new target after the redirect resolves.
+//
+// Thread sets are uint64 bitmasks, bit t for thread t (at most 64
+// contexts): the active set, the threads Fetch refilled from empty, and
+// the ready set the schedulers pick from. Readiness itself is the caller's
+// classification; the schedulers only choose among the threads it offers,
+// like the hardware's priority encoder over ready contexts.
 package cu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 )
@@ -33,8 +40,8 @@ func (c *Config) Validate() error {
 	if c.FetchWidth == 0 {
 		c.FetchWidth = 1
 	}
-	if c.Threads < 1 {
-		return fmt.Errorf("cu: Threads must be >= 1, got %d", c.Threads)
+	if c.Threads < 1 || c.Threads > 64 {
+		return fmt.Errorf("cu: Threads must be in [1, 64], got %d", c.Threads)
 	}
 	if c.BufferDepth < 1 || c.FetchWidth < 1 {
 		return fmt.Errorf("cu: BufferDepth and FetchWidth must be >= 1")
@@ -55,10 +62,9 @@ type Fetched struct {
 // during f+1, SR at f+2.
 func (f Fetched) EligibleAt() int64 { return f.FetchCycle + 2 }
 
-// threadCtl is one row of the thread status table: the thread's fetch PC,
-// state, and instruction buffer (section 6.3).
+// threadCtl is one row of the thread status table: the thread's fetch PC
+// and instruction buffer (section 6.3); its state is its bit in CU.active.
 type threadCtl struct {
-	active    bool
 	fetchPC   int
 	fetchHold int64 // no fetch before this cycle (redirect/spawn resolution)
 	buffer    []Fetched
@@ -69,6 +75,7 @@ type CU struct {
 	cfg     Config
 	prog    *isa.DecodedProgram
 	threads []threadCtl
+	active  uint64 // bit t: context t is live in the thread status table
 
 	fetchRR int // round-robin pointer for fetch arbitration
 	schedRR int // rotating-priority pointer for issue selection
@@ -110,7 +117,7 @@ func (c *CU) Reset(prog *isa.DecodedProgram) {
 // no earlier than cycle firstFetch.
 func (c *CU) StartThread(tid, pc int, firstFetch int64) {
 	t := &c.threads[tid]
-	t.active = true
+	c.active |= 1 << tid
 	t.fetchPC = pc
 	t.fetchHold = firstFetch
 	t.buffer = t.buffer[:0]
@@ -118,28 +125,37 @@ func (c *CU) StartThread(tid, pc int, firstFetch int64) {
 
 // StopThread frees a context (TEXIT or HALT).
 func (c *CU) StopThread(tid int) {
-	t := &c.threads[tid]
-	t.active = false
-	t.buffer = t.buffer[:0]
+	c.active &^= 1 << tid
+	c.threads[tid].buffer = c.threads[tid].buffer[:0]
 }
 
 // Active reports whether the context is live in the thread status table.
-func (c *CU) Active(tid int) bool { return c.threads[tid].active }
+func (c *CU) Active(tid int) bool { return c.active>>tid&1 != 0 }
+
+// ActiveMask returns the live contexts as a bitmask.
+func (c *CU) ActiveMask() uint64 { return c.active }
 
 // Fetch runs the fetch unit for one cycle: up to FetchWidth instructions are
-// fetched for active threads with buffer space, round-robin starting after
-// the last thread served.
-func (c *CU) Fetch(cycle int64) {
+// fetched for active threads with buffer space, one per thread, scanning
+// round-robin from the thread after fetchRR. fetchRR moves to each thread
+// as it is served, inside the scan, so with FetchWidth >= 2 the next slot
+// goes to the thread two past the one just served, and the thread in
+// between waits for a later cycle. It returns the threads whose buffer
+// this cycle refilled from empty: their head appeared.
+func (c *CU) Fetch(cycle int64) (refilled uint64) {
 	n := len(c.threads)
 	slots := c.cfg.FetchWidth
 	for scan := 0; scan < n && slots > 0; scan++ {
 		tid := (c.fetchRR + 1 + scan) % n
 		t := &c.threads[tid]
-		if !t.active || t.fetchHold > cycle || len(t.buffer) >= c.cfg.BufferDepth {
+		if c.active>>tid&1 == 0 || t.fetchHold > cycle || len(t.buffer) >= c.cfg.BufferDepth {
 			continue
 		}
 		if t.fetchPC < 0 || t.fetchPC >= c.prog.Len() {
 			continue // ran past the end; a redirect or halt must intervene
+		}
+		if len(t.buffer) == 0 {
+			refilled |= 1 << tid
 		}
 		t.buffer = append(t.buffer, Fetched{PC: t.fetchPC, D: c.prog.At(t.fetchPC), FetchCycle: cycle})
 		t.fetchPC++
@@ -147,6 +163,7 @@ func (c *CU) Fetch(cycle int64) {
 		c.Fetches++
 		slots--
 	}
+	return refilled
 }
 
 // FetchRun replays the fetch unit for thread tid alone over the cycle
@@ -158,7 +175,7 @@ func (c *CU) Fetch(cycle int64) {
 // caller must ensure tid is the only active thread over the span.
 func (c *CU) FetchRun(tid int, from, to int64) {
 	t := &c.threads[tid]
-	if !t.active {
+	if !c.Active(tid) {
 		return
 	}
 	cyc := from
@@ -186,7 +203,7 @@ func (c *CU) FetchRun(tid int, from, to int64) {
 // is buffered and eligible before issuing it in one shot.
 func (c *CU) Entry(tid, i int) (Fetched, bool) {
 	t := &c.threads[tid]
-	if !t.active || i >= len(t.buffer) {
+	if !c.Active(tid) || i >= len(t.buffer) {
 		return Fetched{}, false
 	}
 	return t.buffer[i], true
@@ -202,7 +219,7 @@ func (c *CU) MarkPicked(tid int) { c.schedRR = tid }
 // Head returns the next instruction in program order for tid, if buffered.
 func (c *CU) Head(tid int) (Fetched, bool) {
 	t := &c.threads[tid]
-	if !t.active || len(t.buffer) == 0 {
+	if !c.Active(tid) || len(t.buffer) == 0 {
 		return Fetched{}, false
 	}
 	return t.buffer[0], true
@@ -233,29 +250,32 @@ func (c *CU) Redirect(tid, newPC int, resumeFetch int64) {
 // BufferLen returns the occupancy of tid's instruction buffer.
 func (c *CU) BufferLen(tid int) int { return len(c.threads[tid].buffer) }
 
-// PickRotating selects one thread from ready using the rotating priority
-// policy: the scan starts just after the thread that issued most recently,
-// which guarantees every ready thread issues within Threads cycles
-// (fairness, section 6.3). It returns -1 if ready is empty.
-func (c *CU) PickRotating(ready func(tid int) bool) int {
-	n := len(c.threads)
-	for scan := 0; scan < n; scan++ {
-		tid := (c.schedRR + 1 + scan) % n
-		if c.threads[tid].active && ready(tid) {
-			c.schedRR = tid
-			return tid
-		}
+// PickRotating selects one active thread from the ready bitmask using the
+// rotating priority policy: the first ready thread after the one picked
+// most recently, wrapping around, which guarantees every ready thread
+// issues within Threads cycles (fairness, section 6.3). The pick becomes
+// the new rotation point, as with MarkPicked. It returns -1 (and leaves
+// the rotation alone) if no active thread is ready.
+func (c *CU) PickRotating(ready uint64) int {
+	ready &= c.active
+	if ready == 0 {
+		return -1
 	}
-	return -1
+	// Bits above schedRR first; a shift of 64 clears the mask, wrapping.
+	tid := bits.TrailingZeros64(ready)
+	if after := ready >> (c.schedRR + 1) << (c.schedRR + 1); after != 0 {
+		tid = bits.TrailingZeros64(after)
+	}
+	c.schedRR = tid
+	return tid
 }
 
-// PickFixed selects the lowest-numbered ready thread (a deliberately unfair
-// baseline policy for the scheduler ablation experiment).
-func (c *CU) PickFixed(ready func(tid int) bool) int {
-	for tid := range c.threads {
-		if c.threads[tid].active && ready(tid) {
-			return tid
-		}
+// PickFixed selects the lowest-numbered active thread in the ready bitmask
+// (a deliberately unfair baseline policy for the scheduler ablation
+// experiment), or -1 if there is none. It does not move the rotation.
+func (c *CU) PickFixed(ready uint64) int {
+	if ready &= c.active; ready != 0 {
+		return bits.TrailingZeros64(ready)
 	}
 	return -1
 }
