@@ -22,36 +22,42 @@ import (
 // occupancy, scoreboard) is derived and rebuilds naturally when simulation
 // resumes from a quiescent point.
 //
-// The image is a sequence of little-endian 64-bit words:
+// The image (version 2) is little-endian. Bookkeeping is 64-bit words,
+// each register and memory word takes w = Width/8 bytes, and each flag
+// register is a bit plane of ⌈PEs/8⌉ bytes (PE i at bit i%8 of byte i/8):
 //
 //	header   magic, version, fingerprint, halted (0 or 1)
-//	threads  per thread: state, pc, NumScalarRegs sregs, mailbox length n, n words
-//	planes   per thread, per PE: NumParallelRegs pregs, NumFlagRegs flags (0 or 1)
+//	threads  per thread: state, pc, s1..s15 (w each), mailbox length n, n values (w each)
+//	pregs    per thread, per register p1..p15: a plane of PEs values (w each)
+//	flags    per thread, per register f1..f7: a bit plane, padding bits zero
 //	memory   PEs*LocalMemWords local words (PE-major), ScalarMemWords scalar words
 //
-// The planes keep the original [thread][pe][reg] nesting, so the image is
-// unchanged by the register-major layout of the flat files.
+// s0, p0 and f0 are hardwired (writes are dropped, reads never touch their
+// storage), so they are not stored. The planes are the flat register-major
+// files in order. No stored word can exceed the width, so every image
+// Restore accepts is canonical: it re-encodes to exactly its bytes.
 
 const (
 	snapMagic   = 0x4d544153 // "MTAS"
-	snapVersion = 1
+	snapVersion = 2
 
 	snapHeaderWords = 4
-	// snapRowWords is one PE's slice of one thread's register and flag files.
-	snapRowWords = isa.NumParallelRegs + isa.NumFlagRegs
-	snapRowBytes = 8 * snapRowWords
-	// snapChunk is WriteSnapshot's buffer size. It holds many PE rows, so
-	// a writer sees few, large writes.
+	// snapChunk is WriteSnapshot's buffer size. It holds many planes at
+	// paper scale, so a writer sees few, large writes.
 	snapChunk = 32 << 10
 )
 
-var errSnapTruncated = errors.New("machine: truncated snapshot")
+var (
+	errSnapTruncated = errors.New("machine: truncated snapshot")
+	// ErrSnapshotVersion reports an image in another format version, which
+	// no machine restores.
+	ErrSnapshotVersion = errors.New("machine: snapshot version mismatch")
+)
 
 // fingerprint hashes the configuration and program so a snapshot cannot be
-// restored into an incompatible machine. Config.Engine is deliberately
-// excluded: the host engine is architecturally invisible, so snapshots move
-// freely between serial and sharded machines (the differential tests rely
-// on byte-identical images across engines).
+// restored into an incompatible machine. Config.Engine is excluded: the
+// host engine is architecturally invisible, so images are byte-identical
+// across engines and move freely between them.
 func (m *Machine) fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -59,13 +65,10 @@ func (m *Machine) fingerprint() uint64 {
 		binary.LittleEndian.PutUint64(buf[:], v)
 		h.Write(buf[:])
 	}
-	put(uint64(m.cfg.PEs))
-	put(uint64(m.cfg.Threads))
-	put(uint64(m.cfg.Width))
-	put(uint64(m.cfg.LocalMemWords))
-	put(uint64(m.cfg.ScalarMemWords))
-	put(uint64(m.cfg.MailboxCap))
-	put(uint64(len(m.prog)))
+	for _, v := range [...]int{m.cfg.PEs, m.cfg.Threads, int(m.cfg.Width), m.cfg.LocalMemWords,
+		m.cfg.ScalarMemWords, m.cfg.MailboxCap, len(m.prog)} {
+		put(uint64(v))
+	}
 	for _, in := range m.prog {
 		w, err := in.Encode()
 		if err != nil {
@@ -78,39 +81,47 @@ func (m *Machine) fingerprint() uint64 {
 	return h.Sum64()
 }
 
-// snapshotWords is the length of the machine's current image in words.
-func (m *Machine) snapshotWords() int {
-	n := snapHeaderWords
-	for t := range m.threads {
-		n += 3 + isa.NumScalarRegs + len(m.threads[t].mailbox)
-	}
-	return n + m.cfg.Threads*m.cfg.PEs*snapRowWords + len(m.localMem) + len(m.scalarMem)
+// flagPlaneBytes is the size of one flag register's bit plane.
+func flagPlaneBytes(pes int) int { return (pes + 7) / 8 }
+
+// SnapshotLen is the byte length of the image of a machine with validated
+// configuration cfg whose mailboxes hold mailboxed values in all; with
+// cfg.Threads*cfg.MailboxCap it is the largest image the machine can make.
+func SnapshotLen(cfg Config, mailboxed int) int {
+	w := int(cfg.Width / 8)
+	threads := cfg.Threads * (3*8 + (isa.NumScalarRegs-1)*w)
+	planes := cfg.Threads * ((isa.NumParallelRegs-1)*cfg.PEs*w + (isa.NumFlagRegs-1)*flagPlaneBytes(cfg.PEs))
+	return 8*snapHeaderWords + threads + mailboxed*w + planes + (cfg.PEs*cfg.LocalMemWords+cfg.ScalarMemWords)*w
 }
 
 // Snapshot returns the serialized architectural state, encoded into one
 // exactly sized allocation.
 func (m *Machine) Snapshot() []byte {
-	buf := make([]byte, 8*m.snapshotWords())
-	m.encode(&snapEncoder{buf: buf})
+	mailboxed := 0
+	for t := range m.threads {
+		mailboxed += len(m.threads[t].mailbox)
+	}
+	buf := make([]byte, SnapshotLen(m.cfg, mailboxed))
+	m.encode(&snapEncoder{buf: buf, k: int(m.cfg.Width / 8)})
 	return buf
 }
 
 // WriteSnapshot streams the serialized architectural state to w through a
-// fixed-size buffer, so the encoding allocates nothing proportional to the
-// image. The bytes written equal Snapshot(). It returns the first error w
-// reports.
+// fixed-size buffer, allocating nothing proportional to the image. The
+// bytes written equal Snapshot(). It returns the first error w reports.
 func (m *Machine) WriteSnapshot(w io.Writer) error {
-	return m.encode(&snapEncoder{buf: make([]byte, snapChunk), w: w})
+	return m.encode(&snapEncoder{buf: make([]byte, snapChunk), w: w, k: int(m.cfg.Width / 8)})
 }
 
-// snapEncoder fills buf with image words. With a writer, buf is a chunk that
-// is flushed whenever the next piece would not fit; without one, buf is
-// sized to hold the whole image and is never flushed.
+// snapEncoder fills buf with the image. With a writer, buf is a chunk
+// flushed whenever the next piece would not fit; without one, it holds the
+// whole image.
 type snapEncoder struct {
 	buf []byte
 	n   int
 	w   io.Writer
 	err error
+	k   int // bytes per stored register or memory word
 }
 
 func (e *snapEncoder) flush() {
@@ -120,38 +131,62 @@ func (e *snapEncoder) flush() {
 	e.n = 0
 }
 
-// next returns the following k bytes of the buffer, flushing first if they
-// would not fit. k is at most one PE row.
-func (e *snapEncoder) next(k int) []byte {
+// room flushes unless k more bytes fit, and returns the free space.
+func (e *snapEncoder) room(k int) []byte {
 	if e.n+k > len(e.buf) {
 		e.flush()
 	}
-	b := e.buf[e.n : e.n+k]
-	e.n += k
-	return b
+	return e.buf[e.n:]
 }
 
+// word encodes one 64-bit bookkeeping word.
 func (e *snapEncoder) word(v int64) {
-	binary.LittleEndian.PutUint64(e.next(8), uint64(v))
+	binary.LittleEndian.PutUint64(e.room(8), uint64(v))
+	e.n += 8
 }
 
-// words encodes vs in as many chunk-sized pieces as it takes.
-func (e *snapEncoder) words(vs []int64) {
+// vals encodes vs at k bytes each, in chunk-sized pieces.
+func (e *snapEncoder) vals(vs []int64) {
 	for len(vs) > 0 {
-		if e.n+8 > len(e.buf) {
-			e.flush()
+		b := e.room(e.k)
+		c := min(len(b)/e.k, len(vs))
+		switch e.k {
+		case 1:
+			for i, v := range vs[:c] {
+				b[i] = byte(v)
+			}
+		case 2:
+			for i, v := range vs[:c] {
+				binary.LittleEndian.PutUint16(b[2*i:], uint16(v))
+			}
+		default:
+			for i, v := range vs[:c] {
+				binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
+			}
 		}
-		k := min((len(e.buf)-e.n)/8, len(vs))
-		b := e.buf[e.n : e.n+8*k]
-		for i, v := range vs[:k] {
-			binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
-		}
-		e.n += 8 * k
-		vs = vs[k:]
+		e.n += e.k * c
+		vs = vs[c:]
 	}
 }
 
-func b2w(b bool) int64 {
+// bits encodes fs as a bit plane, eight flags to a byte, in chunk-sized
+// pieces.
+func (e *snapEncoder) bits(fs []bool) {
+	for len(fs) > 0 {
+		b := e.room(1)
+		b = b[:min(len(b), flagPlaneBytes(len(fs)))]
+		clear(b)
+		c := min(8*len(b), len(fs))
+		for i, f := range fs[:c] {
+			b[i>>3] |= bit(f) << (i & 7)
+		}
+		e.n += len(b)
+		fs = fs[c:]
+	}
+}
+
+// bit is 1 for true and 0 for false, without a branch.
+func bit(b bool) byte {
 	if b {
 		return 1
 	}
@@ -162,57 +197,50 @@ func (m *Machine) encode(e *snapEncoder) error {
 	e.word(snapMagic)
 	e.word(snapVersion)
 	e.word(int64(m.fingerprint()))
-	e.word(b2w(m.halted))
+	e.word(int64(bit(m.halted)))
 	for t := range m.threads {
 		th := &m.threads[t]
 		e.word(int64(th.state))
 		e.word(int64(th.pc))
-		e.words(th.sregs[:])
+		e.vals(th.sregs[1:])
 		e.word(int64(len(th.mailbox)))
-		e.words(th.mailbox)
+		e.vals(th.mailbox)
 	}
-	p := m.cfg.PEs
-	for t := 0; t < m.cfg.Threads; t++ {
-		pregs := m.pregs[t*isa.NumParallelRegs*p : (t+1)*isa.NumParallelRegs*p]
-		flags := m.flags[t*isa.NumFlagRegs*p : (t+1)*isa.NumFlagRegs*p]
-		for pe := 0; pe < p; pe++ {
-			row := e.next(snapRowBytes)
-			for r := 0; r < isa.NumParallelRegs; r++ {
-				binary.LittleEndian.PutUint64(row[8*r:], uint64(pregs[r*p+pe]))
-			}
-			row = row[8*isa.NumParallelRegs:]
-			for r := 0; r < isa.NumFlagRegs; r++ {
-				binary.LittleEndian.PutUint64(row[8*r:], uint64(b2w(flags[r*p+pe])))
-			}
+	p, nP := m.cfg.PEs, isa.NumParallelRegs
+	for t := range m.threads {
+		e.vals(m.pregs[(t*nP+1)*p : (t+1)*nP*p])
+	}
+	for i := p; i < len(m.flags); i += p {
+		if i/p%isa.NumFlagRegs != 0 {
+			e.bits(m.flags[i : i+p])
 		}
 	}
-	e.words(m.localMem)
-	e.words(m.scalarMem)
+	e.vals(m.localMem)
+	e.vals(m.scalarMem)
 	if e.w != nil {
 		e.flush()
 	}
 	return e.err
 }
 
-// SnapshotInfo is the decoded header of a snapshot image, exposed so the
-// serving tier can cheaply validate an envelope (version, machine/program
-// fingerprint) before committing a warm machine to a full Restore.
+// SnapshotInfo is the decoded header of a snapshot image, so the serving
+// tier can cheaply validate an envelope before a full Restore.
 type SnapshotInfo struct {
 	Version     int64
 	Fingerprint uint64
-	Halted      bool
 }
 
-// snapWord reads the image word at byte offset off, which the caller has
-// bounds-checked.
+// snapWord reads the 64-bit word at byte offset off, bounds-checked by the
+// caller.
 func snapWord(data []byte, off int) int64 {
 	return int64(binary.LittleEndian.Uint64(data[off:]))
 }
 
 // InspectSnapshot decodes and validates the fixed header of a snapshot
 // image without touching any machine state. It rejects images that are too
-// short or carry the wrong magic/version; fingerprint compatibility is the
-// caller's to check (Restore enforces it again regardless).
+// short or carry the wrong magic, and images of another format version
+// with an error wrapping ErrSnapshotVersion; fingerprint compatibility is
+// the caller's to check (Restore enforces it again regardless).
 func InspectSnapshot(data []byte) (SnapshotInfo, error) {
 	if len(data) < 8*snapHeaderWords {
 		return SnapshotInfo{}, errSnapTruncated
@@ -220,13 +248,9 @@ func InspectSnapshot(data []byte) (SnapshotInfo, error) {
 	if v := snapWord(data, 0); v != snapMagic {
 		return SnapshotInfo{}, fmt.Errorf("machine: snapshot magic mismatch: %d != %d", v, snapMagic)
 	}
-	info := SnapshotInfo{
-		Version:     snapWord(data, 8),
-		Fingerprint: uint64(snapWord(data, 16)),
-		Halted:      snapWord(data, 24) != 0,
-	}
+	info := SnapshotInfo{Version: snapWord(data, 8), Fingerprint: uint64(snapWord(data, 16))}
 	if info.Version != snapVersion {
-		return SnapshotInfo{}, fmt.Errorf("machine: snapshot version mismatch: %d != %d", info.Version, snapVersion)
+		return SnapshotInfo{}, fmt.Errorf("%w: %d != %d", ErrSnapshotVersion, info.Version, snapVersion)
 	}
 	return info, nil
 }
@@ -234,64 +258,42 @@ func InspectSnapshot(data []byte) (SnapshotInfo, error) {
 // checkSnapshot validates an image against this machine without touching
 // its state. Header and thread records are checked in image order, then the
 // exact length, so a broken image reports the first defect a sequential
-// reader would meet. Only then are the words checked that must be
-// canonical for Snapshot to re-encode the image exactly: the halt bit,
-// thread states and PCs, and flags.
+// reader would meet. Then come the values that must be canonical for the
+// image to re-encode exactly: halt bit, thread states, PCs, padding bits.
 func (m *Machine) checkSnapshot(data []byte) error {
-	off := 0
-	word := func() (int64, error) {
-		if len(data)-off < 8 {
-			return 0, errSnapTruncated
-		}
-		off += 8
-		return snapWord(data, off-8), nil
-	}
-	for _, h := range [...]struct {
-		what string
-		want int64
-	}{{"magic", snapMagic}, {"version", snapVersion}, {"machine fingerprint", int64(m.fingerprint())}} {
-		v, err := word()
-		if err != nil {
-			return err
-		}
-		if v != h.want {
-			return fmt.Errorf("machine: snapshot %s mismatch: %d != %d", h.what, v, h.want)
-		}
-	}
-	halted, err := word()
+	info, err := InspectSnapshot(data)
 	if err != nil {
 		return err
 	}
-	var canon error // first non-canonical word, reported after the length check
-	if halted != 0 && halted != 1 {
+	if fp := m.fingerprint(); info.Fingerprint != fp {
+		return fmt.Errorf("machine: snapshot machine fingerprint mismatch: %d != %d", int64(info.Fingerprint), int64(fp))
+	}
+	var canon error // first non-canonical value, reported after the length check
+	if halted := snapWord(data, 24); halted != 0 && halted != 1 {
 		canon = fmt.Errorf("machine: snapshot halt flag %d is not 0 or 1", halted)
 	}
+	k := int(m.cfg.Width / 8)
+	off, mailboxed := 8*snapHeaderWords, 0
 	for t := range m.threads {
-		state, err := word()
-		if err != nil {
-			return err
+		if len(data)-off < 24+k*(isa.NumScalarRegs-1) {
+			return errSnapTruncated
 		}
-		pc, err := word()
-		if err != nil {
-			return err
-		}
+		state, pc := snapWord(data, off), snapWord(data, off+8)
 		if canon == nil && state != int64(ThreadFree) && state != int64(ThreadActive) {
 			canon = fmt.Errorf("machine: snapshot thread %d state %d invalid", t, state)
 		}
 		if canon == nil && (pc < 0 || pc > int64(len(m.prog))) {
 			canon = fmt.Errorf("machine: snapshot thread %d pc %d out of program bounds [0, %d]", t, pc, len(m.prog))
 		}
-		off += 8 * isa.NumScalarRegs
-		n, err := word()
-		if err != nil {
-			return err
-		}
+		off += 16 + k*(isa.NumScalarRegs-1)
+		n := snapWord(data, off)
 		if n < 0 || n > int64(m.cfg.MailboxCap) {
 			return fmt.Errorf("machine: snapshot mailbox length %d out of range", n)
 		}
-		off += 8 * int(n)
+		off += 8 + k*int(n)
+		mailboxed += int(n)
 	}
-	end := off + 8*(m.cfg.Threads*m.cfg.PEs*snapRowWords+len(m.localMem)+len(m.scalarMem))
+	end := SnapshotLen(m.cfg, mailboxed)
 	switch {
 	case len(data) < end:
 		return errSnapTruncated
@@ -300,27 +302,35 @@ func (m *Machine) checkSnapshot(data []byte) error {
 	case canon != nil:
 		return canon
 	}
-	for i := 0; i < m.cfg.Threads*m.cfg.PEs; i++ {
-		flags := (*[8 * isa.NumFlagRegs]byte)(data[off+8*(i*snapRowWords+isa.NumParallelRegs):])
-		var bits uint64
-		for f := 0; f < len(flags); f += 8 {
-			bits |= binary.LittleEndian.Uint64(flags[f:])
-		}
-		if bits > 1 {
-			return fmt.Errorf("machine: snapshot thread %d PE %d has a flag word that is not 0 or 1", i/m.cfg.PEs, i%m.cfg.PEs)
+	fb, nf, pad := flagPlaneBytes(m.cfg.PEs), isa.NumFlagRegs-1, m.cfg.PEs%8
+	last := end - k*(len(m.localMem)+len(m.scalarMem)) - m.cfg.Threads*nf*fb + fb - 1
+	for j := 0; pad != 0 && j < m.cfg.Threads*nf; j++ {
+		if data[last+j*fb]>>pad != 0 {
+			return fmt.Errorf("machine: snapshot thread %d f%d plane has padding bits set", j/nf, j%nf+1)
 		}
 	}
 	return nil
 }
 
-// getWords decodes len(dst) words starting at byte offset off and returns
-// the offset after them.
-func getWords(dst []int64, data []byte, off int) int {
-	src := data[off : off+8*len(dst)]
-	for i := range dst {
-		dst[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
+// getVals decodes len(dst) values of k bytes each from byte offset off and
+// returns the offset after them.
+func getVals(dst []int64, data []byte, off, k int) int {
+	src := data[off : off+k*len(dst)]
+	switch k {
+	case 1:
+		for i := range dst {
+			dst[i] = int64(src[i])
+		}
+	case 2:
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint16(src[2*i:]))
+		}
+	default:
+		for i := range dst {
+			dst[i] = int64(binary.LittleEndian.Uint32(src[4*i:]))
+		}
 	}
-	return off + 8*len(dst)
+	return off + len(src)
 }
 
 // Restore loads a snapshot into this machine. The machine must have been
@@ -332,38 +342,29 @@ func (m *Machine) Restore(data []byte) error {
 		return err
 	}
 	m.halted = snapWord(data, 24) == 1
+	k := int(m.cfg.Width / 8)
 	off := 8 * snapHeaderWords
 	for t := range m.threads {
 		th := &m.threads[t]
-		th.state = ThreadState(snapWord(data, off))
-		th.pc = int(snapWord(data, off+8))
-		off = getWords(th.sregs[:], data, off+16)
+		th.state, th.pc = ThreadState(snapWord(data, off)), int(snapWord(data, off+8))
+		off = getVals(th.sregs[1:], data, off+16, k)
 		n := int(snapWord(data, off))
 		th.mailbox = append(th.mailbox[:0], make([]int64, n)...)
-		off = getWords(th.mailbox, data, off+8)
+		off = getVals(th.mailbox, data, off+8, k)
 	}
-	// Plane-major: each register plane fills sequentially, gathering its
-	// word from every PE row of the thread.
-	p := m.cfg.PEs
-	for t := 0; t < m.cfg.Threads; t++ {
-		rows := data[off : off+snapRowBytes*p]
-		for r := 0; r < isa.NumParallelRegs; r++ {
-			dst := m.pregs[(t*isa.NumParallelRegs+r)*p:][:p]
-			src := rows[8*r:]
-			for pe := range dst {
-				dst[pe] = int64(binary.LittleEndian.Uint64(src[snapRowBytes*pe:]))
-			}
-		}
-		for r := 0; r < isa.NumFlagRegs; r++ {
-			dst := m.flags[(t*isa.NumFlagRegs+r)*p:][:p]
-			src := rows[8*(isa.NumParallelRegs+r):]
-			for pe := range dst {
-				dst[pe] = src[snapRowBytes*pe] != 0 // validated as 0 or 1
-			}
-		}
-		off += snapRowBytes * p
+	p, nP := m.cfg.PEs, isa.NumParallelRegs
+	for t := range m.threads {
+		off = getVals(m.pregs[(t*nP+1)*p:(t+1)*nP*p], data, off, k)
 	}
-	off = getWords(m.localMem, data, off)
-	getWords(m.scalarMem, data, off)
+	for i := p; i < len(m.flags); i += p {
+		if i/p%isa.NumFlagRegs != 0 {
+			for pe := range p {
+				m.flags[i+pe] = data[off+pe>>3]>>(pe&7)&1 != 0
+			}
+			off += flagPlaneBytes(p)
+		}
+	}
+	off = getVals(m.localMem, data, off, k)
+	getVals(m.scalarMem, data, off, k)
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"strings"
@@ -139,15 +140,17 @@ func TestSnapshotRejectsMismatchedMachine(t *testing.T) {
 }
 
 // randomizeState fills m's registers, flags, memories, and one mailbox
-// with seeded values, so a machine differs from its reset state everywhere.
+// with seeded values inside the data width, so a machine differs from its
+// reset state everywhere.
 func randomizeState(m *Machine, r *rand.Rand) {
+	word := func() int64 { return r.Int63n(1 << m.cfg.Width) }
 	for tid := 0; tid < m.cfg.Threads; tid++ {
 		for reg := uint8(1); reg < isa.NumScalarRegs; reg++ {
-			m.SetScalar(tid, reg, r.Int63n(1<<16))
+			m.SetScalar(tid, reg, word())
 		}
 		for pe := 0; pe < m.cfg.PEs; pe++ {
 			for reg := uint8(1); reg < isa.NumParallelRegs; reg++ {
-				m.SetParallel(tid, pe, reg, r.Int63n(1<<16))
+				m.SetParallel(tid, pe, reg, word())
 			}
 			for fl := uint8(1); fl < isa.NumFlagRegs; fl++ {
 				m.SetFlag(tid, pe, fl, r.Intn(2) == 0)
@@ -155,33 +158,57 @@ func randomizeState(m *Machine, r *rand.Rand) {
 		}
 	}
 	for i := range m.localMem {
-		m.localMem[i] = r.Int63n(1 << 16)
+		m.localMem[i] = word()
 	}
 	for i := range m.scalarMem {
-		m.scalarMem[i] = r.Int63n(1 << 16)
+		m.scalarMem[i] = word()
 	}
 	m.threads[1].state = ThreadActive
 	m.threads[1].pc = r.Intn(len(m.prog))
-	m.threads[1].mailbox = append(m.threads[1].mailbox[:0], r.Int63n(1<<16))
+	m.threads[1].mailbox = append(m.threads[1].mailbox[:0], word())
+}
+
+// v1Image is a well-formed image of m's configuration and program in
+// format version 1, which stored every value, flag and hardwired register
+// as a 64-bit word with the planes nested [thread][pe][reg]. It holds a
+// machine with every thread free at pc 0 and all state zero.
+func v1Image(m *Machine) []byte {
+	words := snapHeaderWords + m.cfg.Threads*(3+isa.NumScalarRegs) +
+		m.cfg.Threads*m.cfg.PEs*(isa.NumParallelRegs+isa.NumFlagRegs) + len(m.localMem) + len(m.scalarMem)
+	img := make([]byte, 8*words)
+	for i, w := range []uint64{snapMagic, 1, m.fingerprint()} {
+		binary.LittleEndian.PutUint64(img[8*i:], w)
+	}
+	return img
 }
 
 // corruptSnapshots derives broken images from m's valid image, each with
-// the error Restore must report for it.
+// the error Restore must report for it. m's PE count must not be a multiple
+// of 8, so its flag planes have padding bits.
 func corruptSnapshots(m *Machine) []struct {
 	name string
 	img  []byte
 	want string
 } {
 	snap := m.Snapshot()
-	putWord := func(i int, v int64) []byte {
+	put := func(off int, v int64) []byte {
 		b := bytes.Clone(snap)
-		binary.LittleEndian.PutUint64(b[8*i:], uint64(v))
+		binary.LittleEndian.PutUint64(b[off:], uint64(v))
 		return b
 	}
-	// Thread 0's mailbox length follows its state, pc, and scalar
-	// registers; thread 0's first PE row starts the planes.
-	mbox := snapHeaderWords + 2 + isa.NumScalarRegs
-	planes := len(snap)/8 - m.cfg.Threads*m.cfg.PEs*snapRowWords - len(m.localMem) - len(m.scalarMem)
+	orByte := func(off int, v byte) []byte {
+		b := bytes.Clone(snap)
+		b[off] |= v
+		return b
+	}
+	// Byte offsets from the layout. Thread 0's mailbox length follows its
+	// state, pc and s1..s15. The flag planes end where the memories begin,
+	// and the register planes end where the flag planes begin.
+	k, p, threads := int(m.cfg.Width/8), m.cfg.PEs, m.cfg.Threads
+	mbox := 8*snapHeaderWords + 16 + k*(isa.NumScalarRegs-1)
+	fb := flagPlaneBytes(p)
+	flags := len(snap) - k*(len(m.localMem)+len(m.scalarMem)) - threads*(isa.NumFlagRegs-1)*fb
+	pregs := flags - threads*(isa.NumParallelRegs-1)*p*k
 	return []struct {
 		name string
 		img  []byte
@@ -189,19 +216,23 @@ func corruptSnapshots(m *Machine) []struct {
 	}{
 		{"empty", nil, "machine: truncated snapshot"},
 		{"truncated header", snap[:20], "machine: truncated snapshot"},
-		{"truncated thread record", snap[:8*(mbox-3)], "machine: truncated snapshot"},
+		{"truncated thread record", snap[:mbox-3], "machine: truncated snapshot"},
+		{"truncated register plane", snap[:pregs+p*k+1], "machine: truncated snapshot"},
 		{"truncated image", snap[:len(snap)-5], "machine: truncated snapshot"},
 		{"trailing bytes", append(bytes.Clone(snap), 0, 0, 0, 0, 0, 0, 0, 0, 9), "machine: snapshot has 9 trailing bytes"},
-		{"wrong magic", putWord(0, 0x12345678), "machine: snapshot magic mismatch: 305419896 != 1297367379"},
-		{"wrong version", putWord(1, 2), "machine: snapshot version mismatch: 2 != 1"},
-		{"wrong fingerprint", putWord(2, 42), "machine: snapshot machine fingerprint mismatch: 42 != "},
-		{"mailbox length negative", putWord(mbox, -1), "machine: snapshot mailbox length -1 out of range"},
-		{"mailbox length over cap", putWord(mbox, 1<<40), "machine: snapshot mailbox length 1099511627776 out of range"},
-		{"mailbox length over image", putWord(mbox, int64(m.cfg.MailboxCap))[:8*(mbox+2)], "machine: truncated snapshot"},
-		{"halt flag not a bit", putWord(3, 2), "machine: snapshot halt flag 2 is not 0 or 1"},
-		{"thread state invalid", putWord(snapHeaderWords, 256), "machine: snapshot thread 0 state 256 invalid"},
-		{"pc out of bounds", putWord(snapHeaderWords+1, 99), "machine: snapshot thread 0 pc 99 out of program bounds [0, 7]"},
-		{"flag not a bit", putWord(planes+snapRowWords+isa.NumParallelRegs+1, 3), "machine: snapshot thread 0 PE 1 has a flag word that is not 0 or 1"},
+		{"wrong magic", put(0, 0x12345678), "machine: snapshot magic mismatch: 305419896 != 1297367379"},
+		{"wrong version", put(8, 3), "machine: snapshot version mismatch: 3 != 2"},
+		{"version 1 image", v1Image(m), "machine: snapshot version mismatch: 1 != 2"},
+		{"wrong fingerprint", put(16, 42), "machine: snapshot machine fingerprint mismatch: 42 != "},
+		{"mailbox length negative", put(mbox, -1), "machine: snapshot mailbox length -1 out of range"},
+		{"mailbox length over cap", put(mbox, 1<<40), "machine: snapshot mailbox length 1099511627776 out of range"},
+		{"mailbox length over image", put(mbox, int64(m.cfg.MailboxCap))[:mbox+8+k], "machine: truncated snapshot"},
+		{"halt flag not a bit", put(24, 2), "machine: snapshot halt flag 2 is not 0 or 1"},
+		{"thread state invalid", put(8*snapHeaderWords, 256), "machine: snapshot thread 0 state 256 invalid"},
+		{"pc out of bounds", put(8*snapHeaderWords+8, 99), "machine: snapshot thread 0 pc 99 out of program bounds [0, 7]"},
+		{"flag padding bit", orByte(flags+fb-1, 1<<(p%8)), "machine: snapshot thread 0 f1 plane has padding bits set"},
+		{"flag not a bit", orByte(len(snap)-k*(len(m.localMem)+len(m.scalarMem))-1, 0xff),
+			fmt.Sprintf("machine: snapshot thread %d f%d plane has padding bits set", threads-1, isa.NumFlagRegs-1)},
 	}
 }
 
@@ -229,51 +260,64 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	}
 }
 
-// Property: snapshot/restore is the identity on random machine states.
+// Property: snapshot/restore is the identity on random machine states, at
+// every data width (each packs words differently) and at a PE count whose
+// flag planes span two bytes with padding.
 func TestSnapshotIdentityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		m := snapMachine(t)
-		randomizeState(m, rand.New(rand.NewSource(seed)))
-		snap := m.Snapshot()
-		m2 := snapMachine(t)
-		if err := m2.Restore(snap); err != nil {
-			t.Log(err)
-			return false
-		}
-		// Snapshot of the restored machine must be byte-identical.
-		return bytes.Equal(m2.Snapshot(), snap)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
+	for _, w := range []uint{8, 16, 32} {
+		t.Run(fmt.Sprintf("width=%d", w), func(t *testing.T) {
+			cfg := Config{PEs: 12, Threads: 4, Width: w, LocalMemWords: 8}
+			f := func(seed int64) bool {
+				m := snapMachineCfg(t, cfg)
+				randomizeState(m, rand.New(rand.NewSource(seed)))
+				snap := m.Snapshot()
+				m2 := snapMachineCfg(t, cfg)
+				if err := m2.Restore(snap); err != nil {
+					t.Log(err)
+					return false
+				}
+				// Snapshot of the restored machine must be byte-identical.
+				return bytes.Equal(m2.Snapshot(), snap)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 // FuzzRestore: Restore never panics on arbitrary bytes, a rejected image
 // leaves the machine untouched, and an accepted one re-encodes to exactly
-// the bytes restored.
+// the bytes restored. Every input is offered to a machine of each data
+// width; the fingerprint lets at most one of them accept it.
 func FuzzRestore(f *testing.F) {
-	// A small machine keeps images short enough for the fuzzer to explore.
-	cfg := Config{PEs: 2, Threads: 2, Width: 16, LocalMemWords: 2, ScalarMemWords: 4, MailboxCap: 2}
-	src := snapMachineCfg(f, cfg)
-	f.Add(src.Snapshot())
-	randomizeState(src, rand.New(rand.NewSource(3)))
-	f.Add(src.Snapshot())
-	for _, tc := range corruptSnapshots(src) {
-		f.Add(tc.img)
-	}
-	// One machine across inputs, so a rejection is checked against
-	// whatever state the last accepted image left.
-	m := snapMachineCfg(f, cfg)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		before := m.Snapshot()
-		if err := m.Restore(data); err != nil {
-			if !bytes.Equal(m.Snapshot(), before) {
-				t.Fatalf("rejected image (%v) changed the machine's state", err)
-			}
-			return
+	var ms []*Machine
+	for _, w := range []uint{8, 16, 32} {
+		// A small machine keeps images short enough for the fuzzer to explore.
+		cfg := Config{PEs: 2, Threads: 2, Width: w, LocalMemWords: 2, ScalarMemWords: 4, MailboxCap: 2}
+		src := snapMachineCfg(f, cfg)
+		f.Add(src.Snapshot())
+		randomizeState(src, rand.New(rand.NewSource(3)))
+		f.Add(src.Snapshot())
+		for _, tc := range corruptSnapshots(src) {
+			f.Add(tc.img)
 		}
-		if !bytes.Equal(m.Snapshot(), data) {
-			t.Fatal("accepted image does not re-encode to the same bytes")
+		// One machine per width across inputs, so a rejection is checked
+		// against whatever state the last accepted image left.
+		ms = append(ms, snapMachineCfg(f, cfg))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, m := range ms {
+			before := m.Snapshot()
+			if err := m.Restore(data); err != nil {
+				if !bytes.Equal(m.Snapshot(), before) {
+					t.Fatalf("width %d: rejected image (%v) changed the machine's state", m.cfg.Width, err)
+				}
+				continue
+			}
+			if !bytes.Equal(m.Snapshot(), data) {
+				t.Fatalf("width %d: accepted image does not re-encode to the same bytes", m.cfg.Width)
+			}
 		}
 	})
 }
@@ -324,14 +368,32 @@ func goldenMachine(t testing.TB, pes int) *Machine {
 // TestSnapshotImageGolden pins the snapshot byte format: the SHA-256 of the
 // golden machine's image at two PE counts. The larger one spans several
 // encoder chunks. A change here breaks every stored envelope and every
-// served stateDigest.
+// served stateDigest. Spot checks at byte offsets worked out by hand from
+// the layout anchor the 4-PE image independently of the encoder.
 func TestSnapshotImageGolden(t *testing.T) {
+	img := goldenMachine(t, 4).Snapshot()
+	for _, c := range []struct {
+		what string
+		off  int
+		want []byte
+	}{
+		{"thread 0 s1 = 37", 32 + 16, []byte{37, 0}},
+		{"thread 1 mailbox = [7, 0xbeef]", 32 + 54 + 46, []byte{2, 0, 0, 0, 0, 0, 0, 0, 7, 0, 0xef, 0xbe}},
+		{"thread 0 p1 plane starts 0x5a5d", 32 + 3*54 + 4, []byte{0x5d, 0x5a}},
+		{"thread 0 f1, f2, f3 planes", 32 + 3*54 + 4 + 3*15*4*2, []byte{0, 0, 0x0f}},
+		{"scalar word 0 = -50 at width 16", len(img) - 40*2, []byte{0xce, 0xff}},
+	} {
+		if got := img[c.off : c.off+len(c.want)]; !bytes.Equal(got, c.want) {
+			t.Errorf("%s: bytes at %d are % x, want % x", c.what, c.off, got, c.want)
+		}
+	}
+
 	for _, tc := range []struct {
 		pes  int
 		want string
 	}{
-		{4, "5cc885ed0d9185b8c89d132c95f84d4cf19526b0ed109a3d36921d60e9ebb9bd"},
-		{300, "0560858efd0fddb86ed8b863ab973fccbf238b59b6010032501837ca28fe5dd4"},
+		{4, "5fdb0583e896e176ab2f82d71596ecc3f0d05bba8c598fb690b684a75cf3b30f"},
+		{300, "4da0ec713c2ba430e2e145a1b80e96341af43b91ec2d7a02d8a9e099e4673fa2"},
 	} {
 		m := goldenMachine(t, tc.pes)
 		img := m.Snapshot()
@@ -367,10 +429,56 @@ func TestWriteSnapshotReportsWriterError(t *testing.T) {
 	}
 }
 
+// TestSnapshotSize pins the image length at the wide-session shape (1024
+// PEs, 4 threads, width 16, 64 local words, 4096 scalar words, empty
+// mailboxes) to its closed form, and to at most a quarter of the version-1
+// image, which stored every value, flag and hardwired register in 8 bytes.
+func TestSnapshotSize(t *testing.T) {
+	const pes, threads, w, local, scalar = 1024, 4, 2, 64, 4096
+	m := snapMachineCfg(t, Config{PEs: pes, Threads: threads, Width: 8 * w, LocalMemWords: local, ScalarMemWords: scalar})
+	want := 8*4 + // header
+		threads*(8+8+15*w+8) + // state, pc, s1..s15, mailbox length
+		threads*15*pes*w + // p1..p15 planes
+		threads*7*pes/8 + // f1..f7 bit planes
+		(pes*local+scalar)*w // memories
+	v1 := 8 * (4 + threads*(2+16+1) + threads*pes*(16+8) + pes*local + scalar)
+	if want != 265976 || v1 != 1344128 {
+		t.Fatalf("closed forms give %d (v2) and %d (v1) bytes", want, v1)
+	}
+	if got := len(m.Snapshot()); got != want {
+		t.Errorf("image is %d bytes, want %d", got, want)
+	}
+	if 4*want > v1 {
+		t.Errorf("image %d bytes is more than a quarter of version 1's %d", want, v1)
+	}
+	if got := SnapshotLen(m.cfg, threads*m.cfg.MailboxCap); got != want+threads*m.cfg.MailboxCap*w {
+		t.Errorf("largest image %d bytes, want %d", got, want+threads*m.cfg.MailboxCap*w)
+	}
+}
+
+// TestWriteSnapshotMatchesSnapshot: the streamed image equals Snapshot's
+// at every width, with encoder chunk boundaries falling inside register
+// planes, flag planes and memories.
+func TestWriteSnapshotMatchesSnapshot(t *testing.T) {
+	for _, w := range []uint{8, 16, 32} {
+		for _, pes := range []int{2731, 40961} {
+			m := snapMachineCfg(t, Config{PEs: pes, Threads: 2, Width: w, LocalMemWords: 3, ScalarMemWords: 5})
+			randomizeState(m, rand.New(rand.NewSource(int64(pes))))
+			var buf bytes.Buffer
+			if err := m.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), m.Snapshot()) {
+				t.Errorf("width %d, %d PEs: streamed image differs from Snapshot", w, pes)
+			}
+		}
+	}
+}
+
 // TestWriteSnapshotAllocs: streaming an image into a hash allocates a fixed
 // number of times, independent of the machine's size.
 func TestWriteSnapshotAllocs(t *testing.T) {
-	m := codecMachine(t)
+	m := codecMachine(t, 32)
 	h := sha256.New()
 	allocs := testing.AllocsPerRun(10, func() {
 		h.Reset()
@@ -383,16 +491,22 @@ func TestWriteSnapshotAllocs(t *testing.T) {
 	}
 }
 
-// codecMachine is a wide machine (1024 PEs, 4 threads, 64 local words) with
-// random state: the image a wide session checkpoints.
-func codecMachine(t testing.TB) *Machine {
-	m := snapMachineCfg(t, Config{PEs: 1024, Threads: 4, Width: 32, LocalMemWords: 64})
+// codecMachine is a wide machine (1024 PEs, 4 threads, 64 local words) of
+// the given data width with random state: at width 16, the image a wide
+// session checkpoints.
+func codecMachine(t testing.TB, width uint) *Machine {
+	m := snapMachineCfg(t, Config{PEs: 1024, Threads: 4, Width: width, LocalMemWords: 64})
 	randomizeState(m, rand.New(rand.NewSource(4)))
 	return m
 }
 
 func BenchmarkSnapshotCodec(b *testing.B) {
-	m := codecMachine(b)
+	for _, w := range []uint{16, 32} {
+		b.Run(fmt.Sprintf("width=%d", w), func(b *testing.B) { benchmarkSnapshotCodec(b, codecMachine(b, w)) })
+	}
+}
+
+func benchmarkSnapshotCodec(b *testing.B, m *Machine) {
 	img := m.Snapshot()
 	b.Run("Snapshot", func(b *testing.B) {
 		b.SetBytes(int64(len(img)))
