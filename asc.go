@@ -175,6 +175,9 @@ type Geometry struct {
 	// memories, per-thread register and flag files, scalar registers and
 	// memory, and the reduction-tree leaf buffer.
 	FootprintWords int64
+	// SnapshotBytes is the length of the largest snapshot image the machine
+	// can produce: Processor.Snapshot with every mailbox full.
+	SnapshotBytes int64
 }
 
 // Geometry resolves the configuration's defaults and sizes its flat state
@@ -201,11 +204,14 @@ func (c Config) Geometry() (Geometry, error) {
 	total = addWords(total, scalarRegs, &ok)
 	total = addWords(total, int64(g.ScalarMemWords), &ok)
 	total = addWords(total, int64(g.PEs), &ok) // reduction-tree leaf buffer
-	if !ok {
+	// An image takes under 8 bytes per footprint word, plus its header, so
+	// this bound also keeps SnapshotBytes from overflowing.
+	if !ok || total > math.MaxInt64/16 {
 		return Geometry{}, fmt.Errorf("asc: machine footprint overflows int64 words (PEs=%d Threads=%d LocalMemWords=%d)",
 			g.PEs, g.Threads, g.LocalMemWords)
 	}
 	g.FootprintWords = total
+	g.SnapshotBytes = int64(machine.SnapshotLen(mc, mc.Threads*mc.MailboxCap))
 	return g, nil
 }
 

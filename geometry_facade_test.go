@@ -25,6 +25,13 @@ func TestGeometryDefaults(t *testing.T) {
 	if g.FootprintWords != want {
 		t.Errorf("FootprintWords = %d, want %d", g.FootprintWords, want)
 	}
+	// Header, 16 thread records with s1..s15 and 4 mailbox values in one
+	// byte each, p1..p15 planes of 16 bytes, f1..f7 bit planes of 2 bytes,
+	// and the memories at one byte a word.
+	wantImg := int64(32 + 16*(24+15+4) + 16*15*16 + 16*7*2 + 16*1024 + 4096)
+	if g.SnapshotBytes != wantImg {
+		t.Errorf("SnapshotBytes = %d, want %d", g.SnapshotBytes, wantImg)
+	}
 }
 
 // TestGeometryRejectsHostileConfigs is the regression test for the

@@ -14,8 +14,8 @@
 //   - Seal/Verify: the envelope's own integrity digest (Sum) detects
 //     corruption or tampering in transit.
 //   - Validate: schema version, digest shape, config-key agreement, and
-//     the snapshot image's header (magic/version) reject structurally
-//     broken envelopes.
+//     the snapshot image's header (magic) reject structurally broken
+//     envelopes. An image in another format version is a StaleError.
 //   - Resolve: the program digest must resolve in the content-addressed
 //     cache, or recompile from the embedded source to the *same* digest.
 //     Anything else is a StaleError ("stale_snapshot:"), mapped to HTTP
@@ -32,6 +32,7 @@ import (
 	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	asc "repro"
@@ -57,8 +58,9 @@ func ArchKey(cfg asc.Config) string {
 	return cfg.Key()
 }
 
-// StaleError reports an envelope whose program digest can no longer be
-// honored: the artifact was evicted from the cache and the embedded source
+// StaleError reports an envelope that can no longer be honored: its
+// snapshot image is in a format version this build does not restore, or
+// its program artifact was evicted from the cache and the embedded source
 // is missing or no longer compiles to the same digest (a cache-key version
 // bump, a tampered envelope). The serving tier maps it to HTTP 409 with
 // the machine-readable "stale_snapshot:" marker.
@@ -80,15 +82,12 @@ func (e *StaleError) Error() string {
 func Pack(sessionID string, req client.RunRequest, digest string, snapshot []byte,
 	consumed, remaining, checkpoints, every int64, stats asc.Stats) *client.SnapshotEnvelope {
 
-	req.LocalMem = nil
-	req.ScalarMem = nil
-	req.Trace = false
 	env := &client.SnapshotEnvelope{
 		Version:               Version,
 		SessionID:             sessionID,
 		Digest:                digest,
 		ConfigKey:             ArchKey(req.Config.ASC()),
-		Request:               req,
+		Request:               stripped(req),
 		Snapshot:              snapshot,
 		ConsumedCycles:        consumed,
 		RemainingCycles:       remaining,
@@ -98,6 +97,32 @@ func Pack(sessionID string, req client.RunRequest, digest string, snapshot []byt
 	}
 	Seal(env)
 	return env
+}
+
+// stripped is req as an envelope carries it: without memory images and
+// trace flag.
+func stripped(req client.RunRequest) client.RunRequest {
+	req.LocalMem = nil
+	req.ScalarMem = nil
+	req.Trace = false
+	return req
+}
+
+// envelopeSlack bounds the bytes of a resume request body other than the
+// stripped request and the snapshot's base64: the wrapper, keys, session
+// id, digests, config key, and budget counters and folded statistics at
+// their widest. TestResumeBytesBound checks it against such an envelope.
+const envelopeSlack = 8 << 10
+
+// ResumeBytes bounds the length of the resume request body
+// ({"envelope": ...}) that carries any envelope of a session of req whose
+// snapshot images are at most image bytes long (asc.Geometry's
+// SnapshotBytes).
+func ResumeBytes(req client.RunRequest, image int64) int64 {
+	// A RunRequest has only strings, numbers and slices of them, so
+	// encoding it cannot fail.
+	data, _ := json.Marshal(stripped(req))
+	return int64(len(data)) + (image+2)/3*4 + envelopeSlack
 }
 
 // Seal computes and stores the envelope's integrity digest over every
@@ -163,8 +188,9 @@ func Verify(env *client.SnapshotEnvelope) error {
 // Validate rejects structurally broken envelopes before any cache or
 // machine state is consulted: integrity digest, schema version, program
 // digest shape, config-key agreement with the embedded request, snapshot
-// image header, and a positive remaining budget. It does not resolve the
-// program (Resolve) or check machine-fingerprint compatibility (Restore).
+// image header, and a positive remaining budget. An image of another
+// format version is a StaleError. It does not resolve the program
+// (Resolve) or check machine-fingerprint compatibility (Restore).
 func Validate(env *client.SnapshotEnvelope) error {
 	if env == nil {
 		return fmt.Errorf("missing envelope")
@@ -187,7 +213,9 @@ func Validate(env *client.SnapshotEnvelope) error {
 	if len(env.Request.LocalMem) != 0 || len(env.Request.ScalarMem) != 0 {
 		return fmt.Errorf("envelope request carries memory images (the snapshot owns all state)")
 	}
-	if _, err := machine.InspectSnapshot(env.Snapshot); err != nil {
+	if _, err := machine.InspectSnapshot(env.Snapshot); errors.Is(err, machine.ErrSnapshotVersion) {
+		return &StaleError{Digest: env.Digest, Reason: fmt.Sprintf("snapshot image cannot be restored by this build (%v); resubmit from source", err)}
+	} else if err != nil {
 		return err
 	}
 	if env.RemainingCycles < 1 {

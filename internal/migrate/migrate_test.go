@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	asc "repro"
 	"repro/client"
 	"repro/internal/migrate"
+	"repro/internal/pipeline"
 	"repro/internal/progcache"
 )
 
@@ -111,6 +113,10 @@ func TestValidateRejections(t *testing.T) {
 		{"config key mismatch", func(e *client.SnapshotEnvelope) { e.Request.Config.PEs = 16 }, "does not match"},
 		{"memory image", func(e *client.SnapshotEnvelope) { e.Request.ScalarMem = []int64{1} }, "memory images"},
 		{"truncated snapshot", func(e *client.SnapshotEnvelope) { e.Snapshot = e.Snapshot[:8] }, "snapshot"},
+		{"image version", func(e *client.SnapshotEnvelope) {
+			e.Snapshot = bytes.Clone(e.Snapshot)
+			e.Snapshot[8] = 1 // the version word: an image of format version 1
+		}, "stale_snapshot: "},
 		{"spent budget", func(e *client.SnapshotEnvelope) { e.RemainingCycles = 0 }, "no remaining cycle budget"},
 	}
 	for _, tc := range cases {
@@ -126,6 +132,10 @@ func TestValidateRejections(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+			var stale *migrate.StaleError
+			if errors.As(err, &stale) != (tc.name == "image version") {
+				t.Errorf("error %q: StaleError %v, want it only for an image of another version", err, stale != nil)
 			}
 		})
 	}
@@ -270,6 +280,46 @@ func TestCrossEngineResumeBitIdentical(t *testing.T) {
 		t.Errorf("merged instruction mix (%d/%d/%d/%d) diverges from uninterrupted (%d/%d/%d/%d)",
 			merged.Instructions, merged.Scalar, merged.Parallel, merged.Reduction,
 			want.Instructions, want.Scalar, want.Parallel, want.Reduction)
+	}
+}
+
+// TestResumeBytesBound checks ResumeBytes against the widest envelope a
+// session can mint: a hostile source, 64 threads, every counter and cause
+// at the int64 maximum, and a snapshot of exactly the bounded length.
+func TestResumeBytesBound(t *testing.T) {
+	const most = math.MaxInt64
+	req := client.RunRequest{
+		Asm:       hostileSource + strings.Repeat("\u2028<>&\"", 100),
+		Config:    client.MachineConfig{PEs: 4096, Threads: 64, Width: 32, LocalMemWords: 1024, Arity: 16, SeqMul: true, FixedPriority: true, SMT: true},
+		LocalMem:  [][]int64{make([]int64, 4096)},
+		ScalarMem: make([]int64, 4096),
+		MaxCycles: most, TimeoutMs: most, DumpScalar: most, DumpLocal: most,
+	}
+	stats := asc.Stats{
+		Cycles: most, Instructions: most, Scalar: most, Parallel: most, Reduction: most,
+		IdleCycles: most, Contention: most, Fetches: most, Flushes: most,
+		IdleByCause: map[string]int64{}, StallByCause: map[string]int64{},
+		PerThread: make([]int64, 64),
+	}
+	for i := range stats.PerThread {
+		stats.PerThread[i] = most
+	}
+	for h := pipeline.HazardKind(0); h <= pipeline.HazardFetch; h++ {
+		stats.IdleByCause[h.String()] = most
+		stats.StallByCause[h.String()] = most
+	}
+	for _, image := range []int64{0, 1, 2, 3, 1001} {
+		env := migrate.Pack("s"+strings.Repeat("f", 64), req, strings.Repeat("ab", 32), make([]byte, image),
+			most, most, most, most, stats)
+		body, err := json.Marshal(client.ResumeRequest{Envelope: env})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := migrate.ResumeBytes(req, image)
+		if int64(len(body)) > bound {
+			t.Errorf("image %d B: resume body is %d bytes, bound says %d", image, len(body), bound)
+		}
+		t.Logf("image %d B: resume body %d bytes, bound %d", image, len(body), bound)
 	}
 }
 

@@ -330,6 +330,11 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "sessions do not support trace (trace state is not part of the snapshot); use /v1/run")
 		return
 	}
+	if err := s.checkEnvelopeFits(&req); err != nil {
+		tr.SetError()
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	if !s.sessionLane.admit(w, tr, log, 1) {
 		return
 	}
@@ -346,6 +351,25 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	log.Info("session started", "session_id", sid, "resumable", req.Resumable,
 		"checkpoint_every", req.CheckpointEveryCycles)
 	s.serveSegment(ctx, w, tr, log, solo{req: &req.RunRequest, sess: sess})
+}
+
+// checkEnvelopeFits refuses a session that could mint an envelope (it is
+// resumable or checkpoints periodically) whose resume request would exceed
+// this server's own body limit: no backend configured like it could accept
+// that envelope. The request has passed validate.
+func (s *Server) checkEnvelopeFits(req *client.SessionRequest) error {
+	if !req.Resumable && req.CheckpointEveryCycles == 0 {
+		return nil
+	}
+	g, err := req.Config.ASC().Geometry()
+	if err != nil {
+		return fmt.Errorf("invalid machine config: %w", err)
+	}
+	if n := migrate.ResumeBytes(req.RunRequest, g.SnapshotBytes); n > s.cfg.MaxBodyBytes {
+		return fmt.Errorf("envelope_too_large: this session's envelope could need a %d-byte resume body, over the server's %d-byte request body limit; use fewer PEs, threads or local memory words, or a narrower width",
+			n, s.cfg.MaxBodyBytes)
+	}
+	return nil
 }
 
 // serveSegment runs one admitted session segment and writes its outcome.
@@ -431,7 +455,12 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request, sid
 	}
 	if err := migrate.Validate(env); err != nil {
 		tr.SetError()
-		writeError(w, http.StatusBadRequest, "invalid envelope: %v", err)
+		var stale *migrate.StaleError
+		if errors.As(err, &stale) {
+			writeError(w, http.StatusConflict, "%v", err)
+		} else {
+			writeError(w, http.StatusBadRequest, "invalid envelope: %v", err)
+		}
 		return
 	}
 	if err := s.validate(&env.Request); err != nil {

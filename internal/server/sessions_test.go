@@ -3,16 +3,19 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	asc "repro"
 	"repro/client"
 	"repro/internal/migrate"
 	"repro/internal/progcache"
@@ -336,6 +339,112 @@ func TestSessionStaleSnapshot409(t *testing.T) {
 	// The intact envelope still resumes fine afterwards.
 	if res, err := cb.ResumeSession(env).Resume(context.Background()); err != nil || res.State != "completed" {
 		t.Fatalf("intact resume after stale rejection: res %+v err %v", res, err)
+	}
+}
+
+// TestSessionStaleImageVersion409: an envelope whose snapshot image is in
+// another format version (here a version-1 header, resealed so the
+// envelope itself is intact) gets the typed 409 stale_snapshot, not a 400;
+// the same envelope with its own image resumes.
+func TestSessionStaleImageVersion409(t *testing.T) {
+	_, c, _ := newSessionTestServer(t, server.Config{Workers: 2})
+	req, want := longSession(500)
+	cfg := req.Config.ASC()
+	prog, _, err := asc.CompileASCL(req.ASCL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := asc.New(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := migrate.Pack("s-image-v1", req, progcache.RequestDigest(req.ASCL, "", cfg), p.Snapshot(),
+		0, 1_000_000, 0, 0, asc.Stats{})
+
+	v1 := *env
+	v1.Snapshot = bytes.Clone(env.Snapshot)
+	binary.LittleEndian.PutUint64(v1.Snapshot[8:], 1) // the image's version word
+	migrate.Seal(&v1)
+	_, err = c.ResumeSession(&v1).Resume(context.Background())
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusConflict || !strings.HasPrefix(ae.Message, "stale_snapshot:") {
+		t.Fatalf("resume of a version-1 image returned %v, want a 409 starting stale_snapshot:", err)
+	}
+
+	res, err := c.ResumeSession(env).Resume(context.Background())
+	if err != nil || res.State != "completed" || res.Result.ScalarMem[0] != want {
+		t.Fatalf("intact envelope: res %+v err %v, want completed with %d", res, err, want)
+	}
+}
+
+// TestSessionEnvelopeSizeAdmission: a default server refuses, with a typed
+// 400 naming both sizes, a session whose envelope could outgrow its own
+// request body limit. The largest config it accepts mints envelopes that a
+// fresh default server resumes.
+func TestSessionEnvelopeSizeAdmission(t *testing.T) {
+	const limit = 8 << 20 // server.Config's default MaxBodyBytes
+	_, ca, urlA := newSessionTestServer(t, server.Config{Workers: 2})
+	_, cb, _ := newSessionTestServer(t, server.Config{Workers: 2})
+
+	const iters = 2000
+	req, _ := longSession(iters)
+	withLocal := func(words int) client.RunRequest {
+		r := req
+		r.Config = client.MachineConfig{PEs: 1024, Threads: 1, Width: 32, LocalMemWords: words}
+		return r
+	}
+	bound := func(words int) int64 {
+		r := withLocal(words)
+		g, err := r.Config.ASC().Geometry()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return migrate.ResumeBytes(r, g.SnapshotBytes)
+	}
+	// The largest local memory whose envelopes fit, by bisection.
+	lo, hi := 1, 1<<16
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; bound(mid) <= limit {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+
+	_, err := ca.NewSession(withLocal(hi)).Run(context.Background())
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
+		t.Fatalf("session with %d local words returned %v, want 400", hi, err)
+	}
+	for _, part := range []string{"envelope_too_large: ", strconv.FormatInt(bound(hi), 10), strconv.Itoa(limit)} {
+		if !strings.Contains(ae.Message, part) {
+			t.Errorf("refusal %q does not name %q", ae.Message, part)
+		}
+	}
+
+	res, err := ca.NewSession(withLocal(lo), client.WithCheckpointEvery(10_000)).Run(context.Background())
+	if err != nil || res.State != "completed" || res.Checkpoints < 1 {
+		t.Fatalf("session with %d local words: res %+v err %v, want completed with checkpoints", lo, res, err)
+	}
+	var st client.SessionStatus
+	getJSON(t, urlA+"/v1/sessions/"+res.SessionID, &st)
+	if st.Envelope == nil {
+		t.Fatal("no exported envelope")
+	}
+	body, err := json.Marshal(client.ResumeRequest{Envelope: st.Envelope})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := int64(len(body)); n > bound(lo) || n < limit*9/10 {
+		t.Errorf("resume body %d bytes, want within the bound %d and near the %d limit", n, bound(lo), limit)
+	}
+	resumed, err := cb.ResumeSession(st.Envelope).Resume(context.Background())
+	if err != nil || resumed.State != "completed" {
+		t.Fatalf("resume on a fresh default server: res %+v err %v", resumed, err)
+	}
+	if resumed.StateDigest != res.StateDigest || resumed.Result.ScalarMem[0] != int64(iters)*523776 {
+		t.Errorf("resumed run ends in %s with %d, want %s with %d", resumed.StateDigest,
+			resumed.Result.ScalarMem[0], res.StateDigest, int64(iters)*523776)
 	}
 }
 
