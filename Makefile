@@ -104,7 +104,7 @@ HOTPATH_FILES = internal/machine/machine.go internal/machine/engine.go \
 	internal/pipeline/scoreboard.go internal/core/core.go \
 	internal/core/engine.go internal/core/gang.go \
 	internal/core/block.go internal/machine/gang.go \
-	internal/isa/blocks.go internal/machine/execblock.go
+	internal/isa/blocks.go internal/machine/kernels.go
 
 hotpath-lint:
 	@grep -nE '\.Info\(\)|scalarALUOp|parallelALUOp' $(HOTPATH_FILES); status=$$?; \

@@ -5,9 +5,9 @@
 // first binding threshold, and the fetch unit serves only that thread.
 // runBlock exploits this to dispatch a whole basic block (isa.BuildBlocks)
 // per entry: singleton micro-ops issue via the closed form on every live
-// lane, and fused superinstructions execute in one machine.ExecFused call
-// per lane with per-constituent accounting replayed at their back-to-back
-// issue cycles. Every counter the generic path maintains (cycles, stalls by
+// lane, and fused superinstructions execute in one machine.ExecFusedLanes
+// call over every live lane, with per-constituent accounting replayed at
+// their back-to-back issue cycles. Every counter the generic path maintains (cycles, stalls by
 // kind, idle by kind, fetches, contention, completion drain) is updated
 // identically, so the golden cycle tests hold with the block plane on or
 // off, for one lane or many.
@@ -18,7 +18,7 @@
 // every block (terminators: control flow and thread management), and a
 // pending deadlock-window expiry (the per-cycle path owns that error).
 // Per-lane traps and divergence need no fallback: a singleton goes
-// through the same execRest/peelDivergent pair as the generic issue, and fused
+// through the same exec/peelDivergent pair as the generic issue, and fused
 // kernels are trap-free and outcome-free by construction.
 //
 // This file is in the hot-path lint set: dispatch keys on precomputed
@@ -29,6 +29,7 @@ import (
 	"math/bits"
 
 	"repro/internal/isa"
+	"repro/internal/machine"
 	"repro/internal/pipeline"
 )
 
@@ -116,17 +117,17 @@ func (e *engine) accountGap(tid int, eligible, minIssue int64, kind pipeline.Haz
 	}
 	if el := min(until, eligible); el > c {
 		e.stats.IdleCycles += el - c
-		e.stats.IdleByKind[pipeline.HazardFetch] += el - c
+		e.idleByKind[pipeline.HazardFetch] += el - c
 		c = el
 	}
 	if m := min(until, minIssue); m > c {
 		e.stats.IdleCycles += m - c
-		e.stats.IdleByKind[kind] += m - c
+		e.idleByKind[kind] += m - c
 		c = m
 	}
 	if f := min(until, free); f > c {
 		e.stats.IdleCycles += f - c
-		e.stats.IdleByKind[pipeline.HazardStructural] += f - c
+		e.idleByKind[pipeline.HazardStructural] += f - c
 	}
 	e.front.FetchRun(tid, e.cycle, until-1)
 	e.cycle = until
@@ -178,11 +179,9 @@ func (e *engine) dispatchOne(tid int, stopAt int64) (blockStep, error) {
 	// nothing; it runs as the enforcement of that invariant.
 	e.popHead(tid)
 	e.accountStall(eligible, issueC, minIssue, kind, free)
-	out, err := e.lead.ExecDecoded(tid, d)
-	if err != nil || len(e.live) > 1 {
-		if out, err = e.execRest(tid, d, out, err); err != nil {
-			return stepIssued, err
-		}
+	out, err := e.exec(tid, d)
+	if err != nil {
+		return stepIssued, err
 	}
 	e.record(tid, d, issueC)
 	e.peelDivergent(out)
@@ -226,13 +225,11 @@ func (e *engine) dispatchFused(tid int, bo *isa.BlockOp, stopAt int64) bool {
 	}
 	e.accountGap(tid, eligible, minIssue, kind, 0, issueC)
 
-	// One architectural call per lane for the whole superinstruction
-	// (accounting below reads no machine state), then the per-constituent
-	// issue bookkeeping at cycles issueC..issueC+k-1, exactly as the
-	// generic path would have recorded it.
-	for _, li := range e.live {
-		e.lanes[li].ExecFused(tid, bo.Ops)
-	}
+	// One architectural call for the whole superinstruction on every live
+	// lane (accounting below reads no machine state), then the
+	// per-constituent issue bookkeeping at cycles issueC..issueC+k-1,
+	// exactly as the generic path would have recorded it.
+	machine.ExecFusedLanes(e.lanes, e.live, tid, bo.Ops)
 	for j, d := range bo.Ops {
 		c := issueC + int64(j)
 		h := e.popHead(tid)

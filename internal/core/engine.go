@@ -19,7 +19,7 @@
 //     group peel with the op still pending (blockingStatus);
 //   - post-execute: a machine.Outcome (branch direction, halt, exit, spawn)
 //     that differs from the larger agreeing group's — those lanes executed
-//     the op and peel with it counted (execRest, peelDivergent).
+//     the op and peel with it counted (settle, peelDivergent).
 //
 // A lane that traps leaves at once with solo semantics: the trapping
 // instruction is popped and its stall recorded, but it is never counted.
@@ -75,15 +75,17 @@ type engine struct {
 	// the indices of lanes still executing in lockstep and lead caches
 	// lanes[live[0]] (nil once none is live): every front-end decision
 	// reads the leader, and it changes only when the live set does. res[i]
-	// is filled when lane i leaves (peel, trap, or run end). liveBuf and
-	// outBuf are scratch for the multi-lane paths, reused so Step never
-	// allocates.
+	// is filled when lane i leaves (peel, trap, or run end). outBuf and
+	// trapBuf are machine.ExecLanes' per-lane results, indexed like live;
+	// liveBuf is scratch for the multi-lane paths. All are reused so Step
+	// never allocates.
 	lanes   []*machine.Machine
 	live    []int
 	lead    *machine.Machine
 	res     []LaneResult
 	liveBuf []int
 	outBuf  []machine.Outcome
+	trapBuf []error
 	split   bool // outBuf disagrees: peelDivergent has lanes to peel
 
 	cycle         int64
@@ -97,9 +99,13 @@ type engine struct {
 	peMulFree, peDivFree int64
 
 	// stats is the shared lockstep accounting: the front end behaves for
-	// every lane exactly as it would solo, so the numbers are per-job.
-	stats Stats
-	trace []InstRecord
+	// every lane exactly as it would solo, so the numbers are per-job. The
+	// per-hazard counters live in fixed arrays, so the hot path never
+	// writes a map; finish builds Stats.IdleByKind and StallByKind.
+	stats       Stats
+	idleByKind  [pipeline.NumHazardKinds]int64
+	stallByKind [pipeline.NumHazardKinds]int64
+	trace       []InstRecord
 
 	// The ready set (refreshReady). Bit t of each mask is thread t;
 	// machine.Config caps Threads at 64. views[t] caches thread t's head,
@@ -186,7 +192,8 @@ func (e *engine) init(cfg Config, dp *isa.DecodedProgram, newLanes func(machine.
 	e.sb = pipeline.NewScoreboard(params, cfg.Machine.Threads)
 	e.live = make([]int, 0, len(lanes))
 	e.liveBuf = make([]int, 0, len(lanes))
-	e.outBuf = make([]machine.Outcome, 0, len(lanes))
+	e.outBuf = make([]machine.Outcome, len(lanes))
+	e.trapBuf = make([]error, len(lanes))
 	e.res = make([]LaneResult, len(lanes))
 	e.views = make([]headView, cfg.Machine.Threads)
 	if cfg.Blocks != BlocksOff && !cfg.SMT && !cfg.StructuralNetworks && cfg.TraceDepth == 0 {
@@ -203,11 +210,8 @@ func (e *engine) restart() {
 	e.cycle, e.lastIssue, e.maxCompletion = 0, 0, 0
 	e.halted = false
 	e.cuMulFree, e.cuDivFree, e.peMulFree, e.peDivFree = 0, 0, 0, 0
-	e.stats = Stats{
-		PerThread:   make([]int64, e.cfg.Machine.Threads),
-		IdleByKind:  make(map[pipeline.HazardKind]int64),
-		StallByKind: make(map[pipeline.HazardKind]int64),
-	}
+	e.stats = Stats{PerThread: make([]int64, e.cfg.Machine.Threads)}
+	e.idleByKind, e.stallByKind = [pipeline.NumHazardKinds]int64{}, [pipeline.NumHazardKinds]int64{}
 	e.trace = nil
 	e.ready, e.blockHeads, e.classified = 0, 0, 0
 	e.wheel = [wheelSlots]uint64{}
@@ -518,7 +522,7 @@ func (e *engine) Step() (bool, error) {
 			}
 		}
 		if best.kind != pipeline.HazardNone {
-			e.stats.IdleByKind[best.kind]++
+			e.idleByKind[best.kind]++
 		}
 		if e.cycle-e.lastIssue > e.cfg.DeadlockWindow {
 			return false, fmt.Errorf("core: no instruction issued for %d cycles (deadlock at cycle %d)", e.cfg.DeadlockWindow, e.cycle)
@@ -595,11 +599,9 @@ func (e *engine) issue(tid int) error {
 	if e.structural != nil && d.Class == isa.ClassReduction {
 		e.pushReduction(tid, d)
 	}
-	out, err := e.lead.ExecDecoded(tid, d)
-	if err != nil || len(e.live) > 1 {
-		if out, err = e.execRest(tid, d, out, err); err != nil {
-			return err
-		}
+	out, err := e.exec(tid, d)
+	if err != nil {
+		return err
 	}
 	e.record(tid, d, e.cycle)
 	e.peelDivergent(out)
@@ -661,45 +663,52 @@ func (e *engine) accountStall(eligible, issueC, minIssue int64, kind pipeline.Ha
 		kind = pipeline.HazardStructural
 	}
 	if kind != pipeline.HazardNone {
-		e.stats.StallByKind[kind] += stall
+		e.stallByKind[kind] += stall
 	}
 }
 
-// execRest completes the execution of micro-op d of thread tid across the
-// live lanes, given the leader's result (callers run the leader first and
-// call this only when that result is a trap or other lanes are live, so
-// the one-lane path costs one direct call). It returns the outcome the
-// front end follows. A lane that traps is finalized at once, before the
-// shared accounting, so its statistics exclude d — exactly what a solo run
-// records. When no lane survives, the first trap is returned. With several
-// survivors the reference outcome is the larger agreeing group's (a tie
-// keeps the group holding the earliest lane); when they disagree, outBuf
-// keeps every survivor's outcome for peelDivergent.
-func (e *engine) execRest(tid int, d *isa.Decoded, leadOut machine.Outcome, leadErr error) (machine.Outcome, error) {
-	out := e.outBuf[:0]
+// exec runs micro-op d of thread tid on every live lane in one
+// machine.ExecLanes call and returns the outcome the front end follows.
+// Lanes in lockstep need no more; a trap or a divergence goes through
+// settle.
+func (e *engine) exec(tid int, d *isa.Decoded) (machine.Outcome, error) {
+	n := len(e.live)
+	outs, traps := e.outBuf[:n], e.trapBuf[:n]
+	if machine.ExecLanes(e.lanes, e.live, tid, d, outs, traps) {
+		return outs[0], nil
+	}
+	return e.settle(outs, traps)
+}
+
+// settle resolves the lanes' results of one micro-op. A lane that trapped
+// is finalized at once, before the shared accounting, so its statistics
+// exclude the op — exactly what a solo run records. When no lane survives,
+// the first trap is returned. With several survivors the reference outcome
+// is the larger agreeing group's (a tie keeps the group holding the
+// earliest lane); when they disagree, outBuf keeps every survivor's
+// outcome, aligned with the new live set, for peelDivergent.
+func (e *engine) settle(outs []machine.Outcome, traps []error) (machine.Outcome, error) {
 	keep := e.liveBuf[:0]
 	var trap error
 	split := false
+	n := 0
 	for k, li := range e.live {
-		o, err := leadOut, leadErr
-		if k > 0 {
-			o, err = e.lanes[li].ExecDecoded(tid, d)
-		}
-		if err != nil {
+		if err := traps[k]; err != nil {
 			e.finalize(li, err)
 			if trap == nil {
 				trap = err
 			}
 			continue
 		}
-		split = split || (len(out) > 0 && o != out[0])
-		out = append(out, o)
+		split = split || (n > 0 && outs[k] != outs[0])
+		outs[n] = outs[k]
+		n++
 		keep = append(keep, li)
 	}
-	e.outBuf = out
+	out := outs[:n]
 	if trap != nil {
 		e.setLive(keep)
-		if len(keep) == 0 {
+		if n == 0 {
 			return machine.Outcome{}, trap
 		}
 	}
@@ -819,9 +828,12 @@ func (e *engine) run(ctx context.Context, maxCycles int64) error {
 }
 
 // finish returns the shared statistics with the drain rule applied. The
-// slice and maps alias the engine's; laneStats deep-copies them.
+// per-thread slice aliases the engine's (laneStats copies it); the
+// per-hazard maps are built fresh and hold the nonzero kinds only.
 func (e *engine) finish() Stats {
 	s := e.stats
+	s.IdleByKind = kindCounts(&e.idleByKind)
+	s.StallByKind = kindCounts(&e.stallByKind)
 	s.Cycles = e.cycle
 	if e.maxCompletion+1 > s.Cycles {
 		s.Cycles = e.maxCompletion + 1
@@ -839,4 +851,16 @@ func (e *engine) finish() Stats {
 		s.BlockFallbacks[fallbackReasons[i]] = v
 	}
 	return s
+}
+
+// kindCounts is the map form of a per-hazard counter array: one entry per
+// nonzero kind.
+func kindCounts(c *[pipeline.NumHazardKinds]int64) map[pipeline.HazardKind]int64 {
+	m := make(map[pipeline.HazardKind]int64)
+	for k, v := range c {
+		if v != 0 {
+			m[pipeline.HazardKind(k)] = v
+		}
+	}
+	return m
 }

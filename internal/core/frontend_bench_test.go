@@ -11,13 +11,13 @@ import (
 )
 
 // BenchmarkFrontEnd is the front-end scheduling layer row: host ns per
-// simulated cycle at 16 PEs for one lane (a Processor) and eight lanes (a
-// Gang; ns per lockstep cycle, all lanes together), on the per-cycle
-// reduction chain with 16, 8, and 4 threads live out of 16 contexts (the
-// mix the mt16-long workload serves) and on the single-threaded chain,
-// which the block plane dispatches. The same single-threaded chain with the block
-// plane off is the block plane's A/B baseline. Each op resets, reloads, and
-// runs one job to halt.
+// simulated cycle at 16 PEs for one lane (a Processor) and 8 and 32 lanes
+// (a Gang; ns per lockstep cycle, all lanes together; 32 is the gang-batch
+// workload's batch size), on the per-cycle reduction chain with 16, 8, and
+// 4 threads live out of 16 contexts (the mix the mt16-long workload serves)
+// and on the single-threaded chain, which the block plane dispatches. The
+// same single-threaded chain with the block plane off is the block plane's
+// A/B baseline. Each op resets, reloads, and runs one job to halt.
 //
 //	go test ./internal/core -run '^$' -bench FrontEnd -benchmem
 func BenchmarkFrontEnd(b *testing.B) {
@@ -43,7 +43,7 @@ func BenchmarkFrontEnd(b *testing.B) {
 			b.Fatal(err)
 		}
 		cfg := core.Config{Machine: k.ins.MachineConfig(16, k.threads), Arity: 4, Blocks: k.blocks}
-		for _, lanes := range []int{1, 8} {
+		for _, lanes := range []int{1, 8, 32} {
 			b.Run(fmt.Sprintf("%s/lanes=%d", k.name, lanes), func(b *testing.B) {
 				run := frontEndJob(b, cfg, dp, k.ins, lanes)
 				run() // warm: blocks built, buffers sized

@@ -18,7 +18,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/isa"
@@ -102,12 +101,10 @@ func (g *Gang) RunContext(ctx context.Context, maxCycles int64) []LaneResult {
 	return g.res
 }
 
-// laneStats deep-copies the shared statistics for one departing lane.
+// laneStats copies the shared statistics for one departing lane.
 func (e *engine) laneStats() Stats {
 	s := e.finish()
 	s.PerThread = slices.Clone(s.PerThread)
-	s.IdleByKind = maps.Clone(s.IdleByKind)
-	s.StallByKind = maps.Clone(s.StallByKind)
 	return s
 }
 

@@ -552,4 +552,66 @@ func TestGangStepZeroAlloc(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("gang Step allocates %.2f/cycle, want 0", avg)
 	}
+
+	// A 32-lane gang on a search-fold loop — the lane-wide kernels behind
+	// ALU, compare, flag, count and sum ops plus a branch, each lane with
+	// its own data — through the per-cycle Step and a block-dispatching
+	// window (fused superinstructions included).
+	const fold = `
+		li s1, 30000
+		li s3, 40
+		plw p1, 0(p0)
+	loop:
+		padd p3, p3, p1
+		pcgt f1, p3, s3
+		fand f2, f1, f1
+		rcount s4, f1
+		add s5, s5, s4
+		rsum s2, p3
+		add s6, s6, s2
+		addi s1, s1, -1
+		bnez s1, loop
+		halt
+	`
+	fcfg := Config{Machine: machine.Config{PEs: 16, Threads: 1, Width: 16, LocalMemWords: 4}, Arity: 4}
+	for _, blocks := range []BlocksMode{BlocksOff, BlocksAuto} {
+		fcfg.Blocks = blocks
+		fg, _ := buildGangAsm(t, fcfg, fold, 32)
+		for j := 0; j < fg.Lanes(); j++ {
+			rows := make([][]int64, 16)
+			for pe := range rows {
+				rows[pe] = []int64{int64((pe + j) % 5)}
+			}
+			if err := fg.Lane(j).LoadLocalMem(rows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		window := func() {
+			stopAt := fg.cycle + cancelCheckWindow
+			for fg.cycle < stopAt {
+				ran := false
+				if fg.blocks != nil {
+					var err error
+					if ran, err = fg.runBlock(stopAt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !ran {
+					if more, err := fg.Step(); err != nil || !more {
+						t.Fatalf("run ended inside the window: %v", err)
+					}
+				}
+			}
+		}
+		window()
+		if avg := testing.AllocsPerRun(10, window); avg != 0 {
+			t.Errorf("32-lane search-fold window (blocks %v) allocates %.2f, want 0", blocks, avg)
+		}
+		if fg.LiveLanes() != 32 {
+			t.Fatalf("blocks %v: %d lanes live, want 32", blocks, fg.LiveLanes())
+		}
+		if blocks == BlocksAuto && fg.blockDispatches == 0 {
+			t.Fatal("block plane never engaged; the fused half is vacuous")
+		}
+	}
 }

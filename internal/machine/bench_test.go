@@ -62,3 +62,84 @@ func BenchmarkExecEngines(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkExecLanes is the lane-wide kernel row: host ns per lane-PE-op
+// of one ExecLanes call, by op class, at 16 PEs for one lane (a solo
+// machine) and 32 lanes (a gang plane), each lane holding its own data.
+// The scalar class is the control unit's share of a gang op (an ADD per
+// lane), reported per lane-PE-op like the rest so the classes compare.
+//
+//	go test ./internal/machine -run '^$' -bench ExecLanes -benchmem
+func BenchmarkExecLanes(b *testing.B) {
+	classes := []struct {
+		name string
+		ops  []isa.Inst
+	}{
+		{"alu", []isa.Inst{
+			{Op: isa.PADD, Rd: 3, Ra: 3, Rb: 1},
+			{Op: isa.PSUB, Rd: 4, Ra: 1, Rb: 2, SB: true, Mask: 1},
+			{Op: isa.PMUL, Rd: 5, Ra: 1, Rb: 2},
+		}},
+		{"compare", []isa.Inst{
+			{Op: isa.PCGT, Rd: 2, Ra: 3, Rb: 3, SB: true},
+			{Op: isa.PCEQ, Rd: 3, Ra: 1, Rb: 2},
+		}},
+		{"flag", []isa.Inst{
+			{Op: isa.FAND, Rd: 4, Ra: 1, Rb: 2},
+			{Op: isa.FANDN, Rd: 5, Ra: 4, Rb: 1, Mask: 2},
+		}},
+		{"reduction", []isa.Inst{
+			{Op: isa.RCOUNT, Rd: 4, Ra: 1},
+			{Op: isa.RMAX, Rd: 5, Ra: 3, Mask: 1},
+			{Op: isa.RSUM, Rd: 6, Ra: 3},
+		}},
+		{"scalar", []isa.Inst{{Op: isa.ADD, Rd: 7, Ra: 7, Rb: 2}}},
+	}
+	const pes, span = 16, 1 << 12
+	nops, _ := isa.DecodeProgram(make([]isa.Inst, span))
+	for _, lanes := range []int{1, 32} {
+		gang, err := NewGangLanes(Config{PEs: pes, Threads: 1, Width: 16, LocalMemWords: 4}, nops, lanes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		live := make([]int, lanes)
+		for j, m := range gang {
+			live[j] = j
+			rows := make([][]int64, pes)
+			for pe := range rows {
+				rows[pe] = []int64{int64((pe*7 + j*3) % 23)}
+			}
+			if err := m.LoadLocalMem(rows); err != nil {
+				b.Fatal(err)
+			}
+			m.SetScalar(0, 2, int64(5+j%7))
+			for _, in := range []isa.Inst{{Op: isa.PLW, Rd: 1}, {Op: isa.PIDX, Rd: 3}, {Op: isa.PCLT, Rd: 1, Ra: 1, Rb: 2, SB: true}} {
+				if _, err := m.ExecDecoded(0, dec(in)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		outs, traps := make([]Outcome, lanes), make([]error, lanes)
+		for _, c := range classes {
+			ds := make([]*isa.Decoded, len(c.ops))
+			for i, in := range c.ops {
+				ds[i] = dec(in)
+			}
+			b.Run(fmt.Sprintf("%s/pes=%d/lanes=%d", c.name, pes, lanes), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if i%(span/4) == 0 {
+						for _, m := range gang {
+							m.SetPC(0, 0)
+						}
+					}
+					for _, d := range ds {
+						ExecLanes(gang, live, 0, d, outs, traps)
+					}
+				}
+				laneOps := float64(b.N) * float64(len(ds)*lanes*pes)
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/laneOps, "ns/lane-PE-op")
+			})
+		}
+	}
+}

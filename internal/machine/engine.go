@@ -231,16 +231,15 @@ func (e *engine) runShard(s int) {
 		pe, addr := m.execParallelRange(e.jobT, e.jobD, lo, hi)
 		e.trapPE[s], e.trapAddr[s] = int64(pe), int64(addr)
 	case jobCount:
-		e.acc[s] = m.respCountRange(e.jobT, e.jobD, lo, hi)
+		e.acc[s] = m.countRange(e.jobT, e.jobD, lo, hi)
 	case jobFirst:
-		e.acc[s] = m.respFirstRange(e.jobT, e.jobD, lo, hi)
+		e.acc[s] = int64(m.firstRange(e.jobT, e.jobD, lo, hi))
 	case jobFirstWrite:
 		m.rfirstWriteRange(e.jobT, e.jobD, e.jobArg, lo, hi)
 	case jobReduce:
-		// Fold this shard's leaves to its subtree root. Aligned
-		// power-of-two shards make leafBuf[lo:hi] exactly one subtree.
-		m.reduceLeavesRange(e.jobT, e.jobD, lo, hi)
-		e.acc[s] = m.foldLeaves(e.jobD, m.leafBuf[lo:hi])
+		// Fold this shard to its subtree root. Aligned power-of-two
+		// shards make [lo, hi) exactly one subtree of the sum's tree.
+		e.acc[s] = m.reduceRange(e.jobT, e.jobD, lo, hi)
 	}
 }
 
@@ -286,9 +285,9 @@ func (e *engine) firstWrite(m *Machine, t int, d *isa.Decoded, winner int) {
 	e.run(m, jobFirstWrite, t, d, winner)
 }
 
-// reduce runs a value reduction: shards fold to subtree roots, and folding
-// the roots completes the global tree bit-identically.
+// reduce runs a value reduction: shards fold to subtree roots, and merging
+// the roots completes the global value bit-identically.
 func (e *engine) reduce(m *Machine, t int, d *isa.Decoded) int64 {
 	e.run(m, jobReduce, t, d, 0)
-	return m.foldLeaves(d, e.acc[:e.nsh])
+	return m.mergeRoots(d.Reduce, e.acc[:e.nsh])
 }

@@ -4,21 +4,28 @@
 // flat state files are contiguous sub-slices of planes shared by the whole
 // gang. This is the register-major AoS→SoA transform applied one level up:
 // where a single machine lays registers out [thread][reg][pe], the gang
-// plane is [job][thread][reg][pe], so the per-micro-op lane loop streams
-// one contiguous block per job instead of chasing N scattered heaps.
+// plane is [job][thread][reg][pe] (thread contexts and memories likewise
+// [job][...]), so the per-micro-op lane loop streams one contiguous block
+// per job instead of chasing N scattered heaps.
 //
-// Lanes reuse every functional semantic of Machine verbatim — ExecDecoded,
-// the specialized fold kernels, the lowest-PE trap rule, Snapshot/Restore —
-// because they ARE Machines; only the allocation strategy differs. Lanes
-// always use the serial engine: gang parallelism is across jobs, not across
-// PEs, and the paper-scale arrays the gang targets are far below the
-// sharding threshold anyway.
+// ExecLanes is the broadcast of one micro-op across the plane: it decides
+// the op once and runs the op-specialized PE kernel (kernels.go) over
+// every live lane, filling caller-owned outcome and trap buffers. A
+// solo machine is its one-lane case (ExecDecoded), and a fused
+// superinstruction runs the same way (ExecFusedLanes). Lanes always
+// use the serial engine: gang parallelism is across jobs, not across PEs,
+// and the paper-scale arrays the gang targets are far below the sharding
+// threshold anyway.
+//
+// This file is in the hot-path lint set: dispatch keys on precomputed
+// micro-op selector fields only.
 package machine
 
 import (
 	"fmt"
 
 	"repro/internal/isa"
+	"repro/internal/network"
 )
 
 // NewGangLanes builds n serial machines for one decoded program through
@@ -55,19 +62,185 @@ func newLanes(cfg Config, dp *isa.DecodedProgram, n int) []*Machine {
 	locals := make([]int64, n*localL)
 	scalars := make([]int64, n*scalarL)
 	leaves := make([]int64, n*leafL)
+	threads := make([]thread, n*cfg.Threads)
+	w, satAdd := newWidth(cfg.Width), network.SatAdd(cfg.Width)
 
 	lanes := make([]*Machine, n)
 	for j := range lanes {
 		m := &Machine{cfg: cfg, dec: dp, prog: dp.Insts()}
-		m.threads = make([]thread, cfg.Threads)
+		m.threads = threads[j*cfg.Threads : (j+1)*cfg.Threads : (j+1)*cfg.Threads]
 		m.pregs = pregs[j*regL : (j+1)*regL : (j+1)*regL]
 		m.flags = flags[j*flagL : (j+1)*flagL : (j+1)*flagL]
 		m.localMem = locals[j*localL : (j+1)*localL : (j+1)*localL]
 		m.scalarMem = scalars[j*scalarL : (j+1)*scalarL : (j+1)*scalarL]
 		m.leafBuf = leaves[j*leafL : (j+1)*leafL : (j+1)*leafL]
-		m.initReduceTables()
+		m.w, m.satAdd = w, satAdd
+		for t := range m.threads {
+			m.clearFlags(t)
+		}
 		m.threads[0].state = ThreadActive
 		lanes[j] = m
 	}
 	return lanes
+}
+
+// ExecLanes runs micro-op d of thread t on every lane lanes[li], li in
+// live, writing lane live[k]'s outcome to outs[k] and its trap, or nil, to
+// traps[k]. Each lane's effects, outcome, and trap (the lowest faulting PE
+// for PLW/PSW) are exactly those of running d on that lane alone; the
+// caller must pass a non-empty live set and ensure t is active and not
+// blocked on every lane. It
+// reports whether the lanes stayed in lockstep: no lane trapped and every
+// outcome equals outs[0]. PE-array ops run lane-wide through the kernels;
+// control-unit ops run per lane, since their outcomes are data-dependent.
+func ExecLanes(lanes []*Machine, live []int, t int, d *isa.Decoded, outs []Outcome, traps []error) (agree bool) {
+	outs, traps = outs[:len(live)], traps[:len(live)]
+	agree = true
+	if d.Kind != isa.ExecParallel && d.Kind != isa.ExecReduction {
+		for k, li := range live {
+			err := lanes[li].execScalar(t, d, &outs[k])
+			traps[k] = err
+			agree = agree && err == nil && outs[k] == outs[0]
+		}
+		return agree
+	}
+	peLanes(lanes, live, t, d, traps)
+	// PE-array ops fall through, so the lanes that did not trap agree
+	// exactly when their PCs do.
+	for k, li := range live {
+		m := lanes[li]
+		outs[k] = Outcome{NextPC: m.threads[t].pc + 1, Spawned: -1}
+		if traps[k] == nil {
+			traps[k] = m.advance(t, d, &outs[k])
+		}
+		agree = agree && traps[k] == nil && outs[k].NextPC == outs[0].NextPC
+	}
+	return agree
+}
+
+// ExecFusedLanes applies a fused superinstruction of thread t on every
+// live lane and advances each lane's PC past its constituents. The
+// constituents must come from a fused isa.BlockOp: parallel and reduction
+// micro-ops that are trap-free and fall through by construction, so there
+// is no outcome to report. Each constituent runs over every lane before
+// the next starts; lanes are independent, so this is the program order of
+// each lane.
+func ExecFusedLanes(lanes []*Machine, live []int, t int, ops []*isa.Decoded) {
+	for _, d := range ops {
+		peLanes(lanes, live, t, d, nil)
+	}
+	for _, li := range live {
+		lanes[li].threads[t].pc += len(ops)
+	}
+}
+
+// peLanes applies PE-array micro-op d of thread t on every live lane,
+// leaving lane live[k]'s trap, or nil, in traps[k]. Callers whose ops
+// cannot trap pass nil traps. A machine on the sharded engine (only ever a
+// solo lane) goes through its engine instead.
+func peLanes(lanes []*Machine, live []int, t int, d *isa.Decoded, traps []error) {
+	switch {
+	case d.Kind == isa.ExecReduction:
+		for _, li := range live {
+			lanes[li].execReduction(t, d)
+		}
+	case d.Par == isa.ParLoad || d.Par == isa.ParStore || lanes[live[0]].eng != nil:
+		for k, li := range live {
+			if err := lanes[li].execParallel(t, d); traps != nil {
+				traps[k] = err
+			}
+		}
+		return
+	default:
+		parallelLanes(lanes, live, t, d, 0, lanes[live[0]].cfg.PEs)
+	}
+	clear(traps)
+}
+
+// parallelLanes applies parallel micro-op d of thread t, other than the
+// trapping PLW and PSW, on PEs [lo, hi) of every lane in live — the
+// lane-wide form of the PE array's broadcast: the op is decided once, and
+// each lane runs its kernel over the lane's own planes. The sharded engine
+// runs it on one lane and its shard's range.
+func parallelLanes(lanes []*Machine, live []int, t int, d *isa.Decoded, lo, hi int) {
+	in := &d.Inst
+	if in.Rd == 0 {
+		return // every op here writes only rd: p0 and f0 drop it
+	}
+	w := lanes[live[0]].w
+	switch d.Par {
+	case isa.ParIdx:
+		for _, li := range live {
+			m := lanes[li]
+			dst, mask := m.pregPlane(t, in.Rd, lo, hi), m.flagPlane(t, in.Mask, lo, hi)
+			for i := range dst {
+				if mask[i] {
+					dst[i] = int64(lo+i) & w.ones
+				}
+			}
+		}
+
+	case isa.ParImm:
+		v := int64(in.Imm) & w.ones
+		for _, li := range live {
+			m := lanes[li]
+			dst, mask := m.pregPlane(t, in.Rd, lo, hi), m.flagPlane(t, in.Mask, lo, hi)
+			for i := range dst {
+				if mask[i] {
+					dst[i] = v
+				}
+			}
+		}
+
+	case isa.ParCompare:
+		for _, li := range live {
+			m := lanes[li]
+			dst, a, mask := m.flagPlane(t, in.Rd, lo, hi), m.pregPlane(t, in.Ra, lo, hi), m.flagPlane(t, in.Mask, lo, hi)
+			if in.SB {
+				cmpVS(d.Cond, w, dst, a, m.Scalar(t, in.Rb), mask)
+			} else {
+				cmpVV(d.Cond, w, dst, a, m.pregPlane(t, in.Rb, lo, hi), mask)
+			}
+		}
+
+	case isa.ParFlag:
+		// Only the operands the function reads are formed: the unused
+		// register fields may hold any value. Unread ones alias the mask.
+		ops := flagOperands[d.Flag]
+		for _, li := range live {
+			m := lanes[li]
+			mask := m.flagPlane(t, in.Mask, lo, hi)
+			a, b := mask, mask
+			if ops > 0 {
+				a = m.flagPlane(t, in.Ra, lo, hi)
+			}
+			if ops > 1 {
+				b = m.flagPlane(t, in.Rb, lo, hi)
+			}
+			flagOp(d.Flag, m.flagPlane(t, in.Rd, lo, hi), a, b, mask)
+		}
+
+	default: // isa.ParALU: register, broadcast, or immediate B
+		imm := int64(in.Imm) & w.ones
+		for _, li := range live {
+			m := lanes[li]
+			dst, a, mask := m.pregPlane(t, in.Rd, lo, hi), m.pregPlane(t, in.Ra, lo, hi), m.flagPlane(t, in.Mask, lo, hi)
+			switch {
+			case d.ImmB:
+				aluVS(d.ALU, w, dst, a, imm, mask)
+			case in.SB:
+				aluVS(d.ALU, w, dst, a, m.Scalar(t, in.Rb), mask)
+			default:
+				aluVV(d.ALU, w, dst, a, m.pregPlane(t, in.Rb, lo, hi), mask)
+			}
+		}
+	}
+}
+
+// ExecFused applies all architectural effects of a fused superinstruction
+// for thread t and advances the PC past its constituents: ExecFusedLanes'
+// one-lane case.
+func (m *Machine) ExecFused(t int, ops []*isa.Decoded) {
+	lanes := [1]*Machine{m}
+	ExecFusedLanes(lanes[:], soloLive, t, ops)
 }

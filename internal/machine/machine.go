@@ -22,12 +22,19 @@
 // and ignore writes; flag f0 reads as one (the "all PEs active" mask) and
 // ignores writes.
 //
-// Host execution engines: parallel-class and reduction instructions can run
-// either on a single-goroutine serial loop or on a sharded worker pool that
-// splits the PE range across host cores (Config.Engine; see engine.go).
-// The two engines are bit-identical — reductions fold with the exact binary
-// tree topology in both (network.FoldInPlace and its sharding contract),
-// and PE state layout is flat so shards stream contiguous memory.
+// Host execution engines: every parallel-class and reduction micro-op runs
+// through op-specialized PE kernels (kernels.go), one tight loop per ALU
+// op, compare condition, flag function and reduction kind over a range of
+// PEs. ExecLanes is the one entry point: it decides a micro-op once and
+// runs it over every live lane of a gang plane (gang.go), and a solo
+// machine is its one-lane case. A solo machine's PE range can instead be
+// split across host cores by a sharded worker pool (Config.Engine; see
+// engine.go), which runs the same range kernels on each shard. The engines
+// are bit-identical: OR, AND, MAX and MIN are associative and fold in one
+// masked pass, and the node-saturating sum folds with the exact binary
+// tree topology in both (network.FoldInPlace and its sharding contract).
+// PE state layout is flat and register-major, so kernels, shards and lanes
+// stream contiguous memory.
 package machine
 
 import (
@@ -110,26 +117,6 @@ type thread struct {
 	mailbox []int64
 }
 
-// leaf transform kinds for reduceLeavesRange, indexed by isa.ReduceKind.
-const (
-	leafRaw = iota
-	leafSigned
-	leafInverted
-)
-
-// reduceLeafKind maps a value reduction to how responder values enter the
-// tree: raw bit patterns, sign-extended, or inverted (RAND's De Morgan
-// leaves). Count/any/first entries are unused.
-var reduceLeafKind = [isa.NumReduceKinds]uint8{
-	isa.ReduceOr:   leafRaw,
-	isa.ReduceAnd:  leafInverted,
-	isa.ReduceMaxS: leafSigned,
-	isa.ReduceMinS: leafSigned,
-	isa.ReduceMaxU: leafRaw,
-	isa.ReduceMinU: leafRaw,
-	isa.ReduceSum:  leafSigned,
-}
-
 // Machine is the complete architectural state.
 type Machine struct {
 	cfg  Config
@@ -145,8 +132,11 @@ type Machine struct {
 	//   flags[(t*isa.NumFlagRegs+r)*PEs + pe]
 	// Register-major planes: for a fixed register, consecutive PEs are
 	// consecutive in memory, so the PE-array inner loops (parallel ops,
-	// reduction leaf gathering) stream sequentially instead of striding
-	// a cache line per PE.
+	// reductions) stream sequentially instead of striding a cache line
+	// per PE. The hardwired registers are stored as their constant value —
+	// every p0 plane all zero, every f0 plane all one (clearFlags) — and
+	// no write ever reaches them, so the kernels read them like any other
+	// register.
 	pregs []int64
 	flags []bool
 
@@ -159,19 +149,18 @@ type Machine struct {
 
 	halted bool
 
-	// leafBuf is the reduction tree's leaf vector, reused across instructions
+	// leafBuf is the sum tree's leaf vector, reused across instructions
 	// (the machine is not safe for concurrent use; neither is the simulator
 	// around it). Under the sharded engine each shard fills and folds its
 	// own disjoint sub-slice.
 	leafBuf []int64
 
+	// w holds the data width's constants for the PE kernels.
+	w width
+
 	// satAdd is the saturating node adder for the configured width, built
 	// once so the reference interpreter allocates no closures.
 	satAdd network.CombineFunc
-
-	// satLo, satHi are the width's saturating-sum bounds, hoisted for the
-	// specialized fold kernels.
-	satLo, satHi int64
 
 	// eng is the sharded worker pool, or nil for the serial engine.
 	eng *engine
@@ -217,17 +206,10 @@ func NewDecoded(cfg Config, dp *isa.DecodedProgram) (*Machine, error) {
 	return m, nil
 }
 
-// initReduceTables builds the saturating-sum node adder and bounds for the
-// configured width, once per machine.
-func (m *Machine) initReduceTables() {
-	m.satAdd = network.SatAdd(m.cfg.Width)
-	m.satLo, m.satHi = network.SatLimits(m.cfg.Width)
-}
-
 // Reset restores power-on state without reallocating the flat files: all
-// registers, flags, and memories are zeroed, mailboxes emptied, the halt
-// flag cleared, and thread 0 left active at PC 0 — exactly the state New
-// produces. The host engine (worker pool) is retained, so a pooled machine
+// registers, flags (f0 aside), and memories are zeroed, mailboxes emptied,
+// the halt flag cleared, and thread 0 left active at PC 0 — exactly the
+// state New produces. The host engine (worker pool) is retained, so a pooled machine
 // resumes at full speed; Snapshot of a reset machine is byte-identical to
 // that of a freshly constructed one.
 func (m *Machine) Reset() {
@@ -239,7 +221,9 @@ func (m *Machine) Reset() {
 		th.mailbox = th.mailbox[:0]
 	}
 	clear(m.pregs)
-	clear(m.flags)
+	for t := range m.threads {
+		m.clearFlags(t)
+	}
 	clear(m.localMem)
 	clear(m.scalarMem)
 	m.halted = false
@@ -316,13 +300,10 @@ func (m *Machine) PC(t int) int { return m.threads[t].pc }
 func (m *Machine) SetPC(t, pc int) { m.threads[t].pc = pc }
 
 // mask returns v truncated to the data width.
-func (m *Machine) mask(v int64) int64 { return v & (int64(1)<<m.cfg.Width - 1) }
+func (m *Machine) mask(v int64) int64 { return v & m.w.ones }
 
 // signed sign-extends a width-masked bit pattern.
-func (m *Machine) signed(v int64) int64 {
-	shift := 64 - m.cfg.Width
-	return v << shift >> shift
-}
+func (m *Machine) signed(v int64) int64 { return m.w.sx(v) }
 
 // Scalar returns the value of scalar register r in thread t (bit pattern).
 func (m *Machine) Scalar(t int, r uint8) int64 {
@@ -370,16 +351,6 @@ func (m *Machine) SetFlag(t, pe int, r uint8, v bool) {
 		return
 	}
 	m.flags[(t*isa.NumFlagRegs+int(r))*m.cfg.PEs+pe] = v
-}
-
-// flagAt reads flag r at per-PE flag base fb = t*nF*PEs + pe (f0
-// hardwired to one). Hot-loop
-// twin of Flag for callers that precompute t*NumFlagRegs*PEs + pe.
-func (m *Machine) flagAt(fb, r int) bool {
-	if r == 0 {
-		return true
-	}
-	return m.flags[fb+r*m.cfg.PEs]
 }
 
 // LoadLocalMem initializes PE local memory: data[pe][w] -> word w of PE pe.
@@ -478,10 +449,33 @@ func (m *Machine) trap(t int, in isa.Inst, format string, args ...any) error {
 // blocked. It applies all architectural effects immediately; the timing
 // layers replay program order per thread, so this matches the in-order
 // pipeline with forwarding. Dispatch is entirely on the precomputed
-// selectors — no per-cycle opcode decoding.
+// selectors — no per-cycle opcode decoding. It is ExecLanes' one-lane
+// case.
 func (m *Machine) ExecDecoded(t int, d *isa.Decoded) (Outcome, error) {
+	lanes, outs, traps := [1]*Machine{m}, [1]Outcome{}, [1]error{}
+	ExecLanes(lanes[:], soloLive, t, d, outs[:], traps[:])
+	return outs[0], traps[0]
+}
+
+// soloLive is the live set of a one-lane call.
+var soloLive = []int{0}
+
+// advance moves thread t's PC to out.NextPC, trapping when a thread that
+// keeps running would leave the program.
+func (m *Machine) advance(t int, d *isa.Decoded, out *Outcome) error {
+	m.threads[t].pc = out.NextPC
+	if (out.NextPC < 0 || out.NextPC > m.dec.Len()) && !out.Halt && !out.Exited {
+		return m.trap(t, d.Inst, "next pc %d out of program bounds [0, %d]", out.NextPC, m.dec.Len())
+	}
+	return nil
+}
+
+// execScalar executes a micro-op of the control unit — scalar datapath,
+// control flow, thread management, or halt — for thread t, writing its
+// outcome to out.
+func (m *Machine) execScalar(t int, d *isa.Decoded, out *Outcome) error {
 	th := &m.threads[t]
-	out := Outcome{NextPC: th.pc + 1, Spawned: -1}
+	*out = Outcome{NextPC: th.pc + 1, Spawned: -1}
 	in := &d.Inst
 
 	switch d.Kind {
@@ -498,10 +492,10 @@ func (m *Machine) ExecDecoded(t int, d *isa.Decoded) (Outcome, error) {
 		} else {
 			b = m.Scalar(t, in.Rb)
 		}
-		m.SetScalar(t, in.Rd, m.alu(d.ALU, a, b))
+		m.SetScalar(t, in.Rd, aluFns[d.ALU](a, b, m.w))
 
 	case isa.ExecBranch:
-		if m.condTrue(d.Cond, m.Scalar(t, in.Rd), m.Scalar(t, in.Ra)) {
+		if condFns[d.Cond](m.Scalar(t, in.Rd), m.Scalar(t, in.Ra), m.w) {
 			out.NextPC = int(in.Imm)
 			out.Redirect = true
 		}
@@ -519,77 +513,31 @@ func (m *Machine) ExecDecoded(t int, d *isa.Decoded) (Outcome, error) {
 		out.Redirect = true
 
 	case isa.ExecThread:
-		if err := m.execThreadOp(t, d, &out); err != nil {
-			return out, err
+		if err := m.execThreadOp(t, d, out); err != nil {
+			return err
 		}
 
 	case isa.ExecScalarLoad:
 		addr := int(m.signed(m.Scalar(t, in.Ra))) + int(in.Imm)
 		if addr < 0 || addr >= m.cfg.ScalarMemWords {
-			return out, m.trap(t, *in, "scalar load address %d out of [0, %d)", addr, m.cfg.ScalarMemWords)
+			return m.trap(t, *in, "scalar load address %d out of [0, %d)", addr, m.cfg.ScalarMemWords)
 		}
 		m.SetScalar(t, in.Rd, m.scalarMem[addr])
 
 	case isa.ExecScalarStore:
 		addr := int(m.signed(m.Scalar(t, in.Ra))) + int(in.Imm)
 		if addr < 0 || addr >= m.cfg.ScalarMemWords {
-			return out, m.trap(t, *in, "scalar store address %d out of [0, %d)", addr, m.cfg.ScalarMemWords)
+			return m.trap(t, *in, "scalar store address %d out of [0, %d)", addr, m.cfg.ScalarMemWords)
 		}
 		m.scalarMem[addr] = m.Scalar(t, in.Rd)
 
 	case isa.ExecLUI:
 		m.SetScalar(t, in.Rd, int64(uint16(in.Imm))<<16)
 
-	case isa.ExecParallel:
-		if err := m.execParallel(t, d); err != nil {
-			return out, err
-		}
-
-	case isa.ExecReduction:
-		m.execReduction(t, d)
-
 	default:
-		return out, m.trap(t, *in, "unimplemented opcode")
+		return m.trap(t, *in, "unimplemented opcode")
 	}
-
-	th.pc = out.NextPC
-	if !out.Halt && !out.Exited {
-		if out.NextPC < 0 || out.NextPC > m.dec.Len() {
-			return out, m.trap(t, *in, "next pc %d out of program bounds [0, %d]", out.NextPC, m.dec.Len())
-		}
-	}
-	return out, nil
-}
-
-// condTrue evaluates a decoded comparison on two width-masked bit
-// patterns — shared by branches and parallel compares.
-func (m *Machine) condTrue(c isa.Cond, a, b int64) bool {
-	switch c {
-	case isa.CondEQ:
-		return a == b
-	case isa.CondNE:
-		return a != b
-	case isa.CondLTU:
-		return a < b
-	case isa.CondLEU:
-		return a <= b
-	case isa.CondGTU:
-		return a > b
-	case isa.CondGEU:
-		return a >= b
-	}
-	sa, sb := m.signed(a), m.signed(b)
-	switch c {
-	case isa.CondLT:
-		return sa < sb
-	case isa.CondLE:
-		return sa <= sb
-	case isa.CondGT:
-		return sa > sb
-	case isa.CondGE:
-		return sa >= sb
-	}
-	panic(fmt.Sprintf("machine: unknown condition %d", c))
+	return m.advance(t, d, out)
 }
 
 func (m *Machine) execThreadOp(t int, d *isa.Decoded, out *Outcome) error {
@@ -623,8 +571,7 @@ func (m *Machine) execThreadOp(t int, d *isa.Decoded, out *Outcome) error {
 		nt.mailbox = nil
 		pb := spawned * m.cfg.PEs * isa.NumParallelRegs
 		clear(m.pregs[pb : pb+m.cfg.PEs*isa.NumParallelRegs])
-		fb := spawned * m.cfg.PEs * isa.NumFlagRegs
-		clear(m.flags[fb : fb+m.cfg.PEs*isa.NumFlagRegs])
+		m.clearFlags(spawned)
 		m.SetScalar(t, in.Rd, int64(spawned))
 		out.Spawned = spawned
 
@@ -664,65 +611,6 @@ func (m *Machine) execThreadOp(t int, d *isa.Decoded, out *Outcome) error {
 	return nil
 }
 
-// alu computes one ALU operation on width-masked bit patterns. The decode
-// plane guarantees op is a valid selector, so there is no error path.
-// Division by zero follows the RISC-V convention: quotient is all ones,
-// remainder is the dividend. There is no divide trap.
-func (m *Machine) alu(op isa.ALUOp, a, b int64) int64 {
-	sa, sb := m.signed(a), m.signed(b)
-	shift := uint(b) % 64
-	switch op {
-	case isa.ALUAdd:
-		return m.mask(a + b)
-	case isa.ALUSub:
-		return m.mask(a - b)
-	case isa.ALUAnd:
-		return a & b
-	case isa.ALUOr:
-		return a | b
-	case isa.ALUXor:
-		return a ^ b
-	case isa.ALUSll:
-		if shift >= m.cfg.Width {
-			return 0
-		}
-		return m.mask(a << shift)
-	case isa.ALUSrl:
-		if shift >= m.cfg.Width {
-			return 0
-		}
-		return a >> shift
-	case isa.ALUSra:
-		if shift >= m.cfg.Width {
-			shift = m.cfg.Width - 1
-		}
-		return m.mask(sa >> shift)
-	case isa.ALUSlt:
-		if sa < sb {
-			return 1
-		}
-		return 0
-	case isa.ALUSltu:
-		if a < b {
-			return 1
-		}
-		return 0
-	case isa.ALUMul:
-		return m.mask(sa * sb)
-	case isa.ALUDiv:
-		if sb == 0 {
-			return m.mask(-1)
-		}
-		return m.mask(sa / sb)
-	case isa.ALUMod:
-		if sb == 0 {
-			return m.mask(sa)
-		}
-		return m.mask(sa % sb)
-	}
-	panic(fmt.Sprintf("machine: unknown alu op %d", op))
-}
-
 // execParallel applies a parallel-class micro-op on every responder PE, on
 // whichever host engine is active.
 //
@@ -751,232 +639,112 @@ func (m *Machine) execParallel(t int, d *isa.Decoded) error {
 // execParallelRange applies a parallel-class micro-op on responder PEs in
 // [lo, hi). It returns the lowest faulting PE in the range and the faulting
 // address, or (-1, 0). The decode plane has already validated the op, so
-// the body is a tight loop over flat state with no error paths except
-// memory bounds. Ranges touch only their own PEs' registers, flags, and
-// local memory rows (plus read-only scalar state), so disjoint ranges are
-// safe to run concurrently.
+// there are no error paths except memory bounds. Ranges touch only their
+// own PEs' registers, flags, and local memory rows (plus read-only scalar
+// state), so disjoint ranges are safe to run concurrently.
 func (m *Machine) execParallelRange(t int, d *isa.Decoded, lo, hi int) (trapPE, trapAddr int) {
-	trapPE, trapAddr = -1, 0
+	if d.Par == isa.ParLoad || d.Par == isa.ParStore {
+		return m.localRange(t, d, lo, hi)
+	}
+	lanes := [1]*Machine{m}
+	parallelLanes(lanes[:], soloLive, t, d, lo, hi)
+	return -1, 0
+}
+
+// localRange runs PLW or PSW over responder PEs in [lo, hi): the address
+// is the sign-extended ra plus the immediate, and a PE whose address falls
+// outside its local memory faults without touching it.
+func (m *Machine) localRange(t int, d *isa.Decoded, lo, hi int) (trapPE, trapAddr int) {
+	trapPE = -1
 	in := &d.Inst
-	p := m.cfg.PEs
-	base := t * p
-	const nP, nF = isa.NumParallelRegs, isa.NumFlagRegs
-	mk := int(in.Mask)
-	rd, ra, rb := int(in.Rd), int(in.Ra), int(in.Rb)
-
-	switch d.Par {
-	case isa.ParIdx:
-		if rd == 0 {
-			return
+	lmw, imm, w := m.cfg.LocalMemWords, int(in.Imm), m.w
+	addrs := m.pregPlane(t, in.Ra, lo, hi)
+	mask := m.flagPlane(t, in.Mask, lo, hi)
+	// rd is PLW's destination and PSW's source; PLW into p0 loads nothing.
+	var regs []int64
+	if d.Par == isa.ParStore || in.Rd != 0 {
+		regs = m.pregPlane(t, in.Rd, lo, hi)[:len(addrs)]
+	}
+	for i, a := range addrs {
+		if !mask[i] {
+			continue
 		}
-		for pe := lo; pe < hi; pe++ {
-			if mk == 0 || m.flags[base*nF+mk*p+pe] {
-				m.pregs[base*nP+rd*p+pe] = m.mask(int64(pe))
+		addr := int(w.sx(a)) + imm
+		if addr < 0 || addr >= lmw {
+			if trapPE < 0 {
+				trapPE, trapAddr = lo+i, addr
 			}
+			continue
 		}
-
-	case isa.ParImm:
-		if rd == 0 {
-			return
-		}
-		v := m.mask(int64(in.Imm))
-		for pe := lo; pe < hi; pe++ {
-			if mk == 0 || m.flags[base*nF+mk*p+pe] {
-				m.pregs[base*nP+rd*p+pe] = v
-			}
-		}
-
-	case isa.ParLoad:
-		lmw := m.cfg.LocalMemWords
-		imm := int(in.Imm)
-		for pe := lo; pe < hi; pe++ {
-			if !(mk == 0 || m.flags[base*nF+mk*p+pe]) {
-				continue
-			}
-			var av int64
-			if ra != 0 {
-				av = m.pregs[base*nP+ra*p+pe]
-			}
-			addr := int(m.signed(av)) + imm
-			if addr < 0 || addr >= lmw {
-				if trapPE < 0 {
-					trapPE, trapAddr = pe, addr
-				}
-				continue
-			}
-			if rd != 0 {
-				m.pregs[base*nP+rd*p+pe] = m.localMem[pe*lmw+addr]
-			}
-		}
-
-	case isa.ParStore:
-		lmw := m.cfg.LocalMemWords
-		imm := int(in.Imm)
-		for pe := lo; pe < hi; pe++ {
-			if !(mk == 0 || m.flags[base*nF+mk*p+pe]) {
-				continue
-			}
-			var av int64
-			if ra != 0 {
-				av = m.pregs[base*nP+ra*p+pe]
-			}
-			addr := int(m.signed(av)) + imm
-			if addr < 0 || addr >= lmw {
-				if trapPE < 0 {
-					trapPE, trapAddr = pe, addr
-				}
-				continue
-			}
-			var dv int64
-			if rd != 0 {
-				dv = m.pregs[base*nP+rd*p+pe]
-			}
-			m.localMem[pe*lmw+addr] = dv
-		}
-
-	case isa.ParCompare:
-		// Parallel comparison producing a flag.
-		if rd == 0 {
-			return
-		}
-		var sb int64
-		if in.SB {
-			sb = m.Scalar(t, in.Rb)
-		}
-		for pe := lo; pe < hi; pe++ {
-			fb := base*nF + pe
-			if !(mk == 0 || m.flags[fb+mk*p]) {
-				continue
-			}
-			var a, b int64
-			if ra != 0 {
-				a = m.pregs[base*nP+ra*p+pe]
-			}
-			if in.SB {
-				b = sb
-			} else if rb != 0 {
-				b = m.pregs[base*nP+rb*p+pe]
-			}
-			m.flags[fb+rd*p] = m.condTrue(d.Cond, a, b)
-		}
-
-	case isa.ParFlag:
-		// Flag logic. Operands are read lazily per function: FNOT/FMOV/
-		// FSET/FCLR have no B (or A) operand, and their unused register
-		// fields may hold any value.
-		if rd == 0 {
-			return
-		}
-		for pe := lo; pe < hi; pe++ {
-			fb := base*nF + pe
-			if !(mk == 0 || m.flags[fb+mk*p]) {
-				continue
-			}
-			var v bool
-			switch d.Flag {
-			case isa.FlagAnd:
-				v = m.flagAt(fb, ra) && m.flagAt(fb, rb)
-			case isa.FlagOr:
-				v = m.flagAt(fb, ra) || m.flagAt(fb, rb)
-			case isa.FlagXor:
-				v = m.flagAt(fb, ra) != m.flagAt(fb, rb)
-			case isa.FlagAndNot:
-				v = m.flagAt(fb, ra) && !m.flagAt(fb, rb)
-			case isa.FlagNot:
-				v = !m.flagAt(fb, ra)
-			case isa.FlagMov:
-				v = m.flagAt(fb, ra)
-			case isa.FlagSet:
-				v = true
-			case isa.FlagClr:
-				v = false
-			}
-			m.flags[fb+rd*p] = v
-		}
-
-	default:
-		// Parallel ALU, register/broadcast/immediate forms (ParALU).
-		if rd == 0 {
-			return
-		}
-		op := d.ALU
-		immForm := d.ImmB
-		var bc int64
-		if immForm {
-			bc = m.mask(int64(in.Imm))
-		} else if in.SB {
-			bc = m.Scalar(t, in.Rb)
-		}
-		for pe := lo; pe < hi; pe++ {
-			if !(mk == 0 || m.flags[base*nF+mk*p+pe]) {
-				continue
-			}
-			pb := base*nP + pe
-			var a, b int64
-			if ra != 0 {
-				a = m.pregs[pb+ra*p]
-			}
-			if immForm || in.SB {
-				b = bc
-			} else if rb != 0 {
-				b = m.pregs[pb+rb*p]
-			}
-			m.pregs[pb+rd*p] = m.alu(op, a, b)
+		word := &m.localMem[(lo+i)*lmw+addr]
+		switch {
+		case d.Par == isa.ParStore:
+			*word = regs[i]
+		case regs != nil:
+			regs[i] = *word
 		}
 	}
 	return
 }
 
+// pregPlane returns parallel register r of thread t over PEs [lo, hi).
+func (m *Machine) pregPlane(t int, r uint8, lo, hi int) []int64 {
+	o := (t*isa.NumParallelRegs + int(r)) * m.cfg.PEs
+	return m.pregs[o+lo : o+hi]
+}
+
+// flagPlane returns flag register r of thread t over PEs [lo, hi).
+func (m *Machine) flagPlane(t int, r uint8, lo, hi int) []bool {
+	o := (t*isa.NumFlagRegs + int(r)) * m.cfg.PEs
+	return m.flags[o+lo : o+hi]
+}
+
+// clearFlags zeroes thread t's flag file, then sets its f0 plane to the
+// hardwired one.
+func (m *Machine) clearFlags(t int) {
+	p := m.cfg.PEs
+	f := m.flags[t*isa.NumFlagRegs*p : (t+1)*isa.NumFlagRegs*p]
+	clear(f[p:])
+	for i := range f[:p] {
+		f[i] = true
+	}
+}
+
 // Reduce returns the value reduction micro-op d of thread t delivers,
 // without writing it: the scalar rd receives (RCOUNT's count wrapped to the
 // data width, RANY 0 or 1), or, for RFIRST, the winning PE (PEs when none
-// responds). The mask flag selects the responders. Both engines fold the
-// leaf vector with the exact binary-tree topology of the hardware units;
-// the sharded engine folds aligned power-of-two shards to subtree roots and
+// responds). The mask flag selects the responders. OR, AND, MAX and MIN
+// fold in one masked pass; the node-saturating sum folds its leaf vector
+// with the exact binary-tree topology of the hardware unit, and the
+// sharded engine folds aligned power-of-two shards to subtree roots and
 // merges them, which the network.FoldInPlace sharding contract guarantees
-// is bit-identical — including for the node-saturating sum. Reduce touches
-// no architectural state, so the structural co-simulation can ask for the
-// value of any reduction, s0 and f0 destinations included.
+// is bit-identical. Reduce touches no architectural state, so the
+// structural co-simulation can ask for the value of any reduction, s0 and
+// f0 destinations included.
 func (m *Machine) Reduce(t int, d *isa.Decoded) int64 {
 	p := m.cfg.PEs
 	switch d.Reduce {
 	case isa.ReduceCount, isa.ReduceAny:
+		var n int64
 		if m.eng != nil {
-			return m.countValue(d.Reduce, m.eng.count(m, t, d))
+			n = m.eng.count(m, t, d)
+		} else {
+			n = m.countRange(t, d, 0, p)
 		}
-		return m.countValue(d.Reduce, m.respCountRange(t, d, 0, p))
+		if d.Reduce == isa.ReduceCount {
+			return m.mask(n)
+		}
+		return b2i(n > 0)
 	case isa.ReduceFirst:
 		if m.eng != nil {
 			return int64(m.eng.first(m, t, d))
 		}
-		return m.respFirstRange(t, d, 0, p)
+		return int64(m.firstRange(t, d, 0, p))
 	}
-	// Value reductions over parallel register ra.
-	var root int64
 	if m.eng != nil {
-		root = m.eng.reduce(m, t, d)
-	} else {
-		m.reduceLeavesRange(t, d, 0, p)
-		root = m.foldLeaves(d, m.leafBuf[:p])
+		return m.mask(m.eng.reduce(m, t, d))
 	}
-	if d.Reduce == isa.ReduceAnd {
-		// De Morgan: the logic unit inverts at the leaves, ORs up the
-		// tree, and inverts the root.
-		root = ^root
-	}
-	return m.mask(root)
-}
-
-// countValue is what the response counter delivers for n responders:
-// RCOUNT the count wrapped to the data width, RANY 1 when n > 0.
-func (m *Machine) countValue(k isa.ReduceKind, n int64) int64 {
-	if k == isa.ReduceCount {
-		return m.mask(n)
-	}
-	if n > 0 {
-		return 1
-	}
-	return 0
+	return m.mask(m.reduceRange(t, d, 0, p))
 }
 
 // execReduction applies a reduction micro-op: it writes Reduce's value to
@@ -997,116 +765,54 @@ func (m *Machine) execReduction(t int, d *isa.Decoded) {
 	}
 }
 
-// respCountRange counts responders (flag Ra AND mask) among PEs in [lo, hi)
-// — the response counter of section 6.4, as a range so shards can count
+// countRange counts responders (flag ra AND mask) among PEs in [lo, hi) —
+// the response counter of section 6.4, as a range so shards can count
 // privately and sum.
-func (m *Machine) respCountRange(t int, d *isa.Decoded, lo, hi int) int64 {
-	p := m.cfg.PEs
-	base := t * p
-	const nF = isa.NumFlagRegs
-	ra, mk := int(d.Inst.Ra), int(d.Inst.Mask)
-	var n int64
-	for pe := lo; pe < hi; pe++ {
-		fb := base*nF + pe
-		if (ra == 0 || m.flags[fb+ra*p]) && (mk == 0 || m.flags[fb+mk*p]) {
-			n++
-		}
-	}
-	return n
+func (m *Machine) countRange(t int, d *isa.Decoded, lo, hi int) int64 {
+	return countResp(m.flagPlane(t, d.Inst.Ra, lo, hi), m.flagPlane(t, d.Inst.Mask, lo, hi))
 }
 
-// respFirstRange returns the lowest responder index in [lo, hi), or the PE
-// count as a "no responder" sentinel so a min-merge across shards yields the
-// global resolver output.
-func (m *Machine) respFirstRange(t int, d *isa.Decoded, lo, hi int) int64 {
-	p := m.cfg.PEs
-	base := t * p
-	const nF = isa.NumFlagRegs
-	ra, mk := int(d.Inst.Ra), int(d.Inst.Mask)
-	for pe := lo; pe < hi; pe++ {
-		fb := base*nF + pe
-		if (ra == 0 || m.flags[fb+ra*p]) && (mk == 0 || m.flags[fb+mk*p]) {
-			return int64(pe)
-		}
+// firstRange returns the lowest responder index in [lo, hi), or the PE
+// count as a "no responder" sentinel so a min-merge across shards yields
+// the global resolver output.
+func (m *Machine) firstRange(t int, d *isa.Decoded, lo, hi int) int {
+	if i := firstResp(m.flagPlane(t, d.Inst.Ra, lo, hi), m.flagPlane(t, d.Inst.Mask, lo, hi)); i < hi-lo {
+		return lo + i
 	}
-	return int64(m.cfg.PEs)
+	return m.cfg.PEs
 }
 
 // rfirstWriteRange writes the resolver output for PEs in [lo, hi): flag Rd
 // becomes one only at the winning PE (mask-independent, like the hardware
 // resolver bus). A winner outside [0, PEs) clears the whole range.
 func (m *Machine) rfirstWriteRange(t int, d *isa.Decoded, winner, lo, hi int) {
-	rd := int(d.Inst.Rd)
-	if rd == 0 {
+	if d.Inst.Rd == 0 {
 		return // f0 writes are dropped
 	}
-	p := m.cfg.PEs
-	base := t * p
-	const nF = isa.NumFlagRegs
-	for pe := lo; pe < hi; pe++ {
-		m.flags[base*nF+rd*p+pe] = pe == winner
+	dst := m.flagPlane(t, d.Inst.Rd, lo, hi)
+	for i := range dst {
+		dst[i] = lo+i == winner
 	}
 }
 
-// reduceLeavesRange materializes the reduction tree's leaf vector for PEs in
-// [lo, hi) into m.leafBuf: responders contribute their (transformed)
-// register value, non-responders the unit's identity element — exactly what
-// the masking gates in front of the hardware tree inject.
-func (m *Machine) reduceLeavesRange(t int, d *isa.Decoded, lo, hi int) {
-	p := m.cfg.PEs
-	base := t * p
-	const nP, nF = isa.NumParallelRegs, isa.NumFlagRegs
-	ra, mk := int(d.Inst.Ra), int(d.Inst.Mask)
-	ones := int64(1)<<m.cfg.Width - 1
-
-	kind := reduceLeafKind[d.Reduce]
-	ident := network.Identity(d.Reduce, m.cfg.Width)
-
-	// Register-major layout: the source register and mask flag planes are
-	// contiguous over [lo, hi), so these loops are sequential streams. The
-	// transform switch is loop-invariant and hoisted; p0 reads as zero and
-	// f0 (mask 0) as all-responders, so those legs drop the indexing.
-	out := m.leafBuf[lo:hi]
-	var vals []int64
-	if ra != 0 {
-		vals = m.pregs[base*nP+ra*p+lo : base*nP+ra*p+hi]
+// reduceRange folds value reduction d over PEs [lo, hi) to its subtree
+// root, in the leaf domain (sign-extended for the signed kinds, not yet
+// masked). The sum's leaves go through leafBuf[lo:hi].
+func (m *Machine) reduceRange(t int, d *isa.Decoded, lo, hi int) int64 {
+	v, resp := m.pregPlane(t, d.Inst.Ra, lo, hi), m.flagPlane(t, d.Inst.Mask, lo, hi)
+	if d.Reduce == isa.ReduceSum {
+		return sumTree(m.w, v, resp, m.leafBuf[lo:hi])
 	}
-	var resp []bool
-	if mk != 0 {
-		resp = m.flags[base*nF+mk*p+lo : base*nF+mk*p+hi]
-	}
-	sh := 64 - m.cfg.Width
-	for i := range out {
-		var v int64
-		if vals != nil {
-			v = vals[i]
-		}
-		switch kind {
-		case leafSigned:
-			v = v << sh >> sh
-		case leafInverted:
-			v = ^v & ones
-		}
-		if resp != nil && !resp[i] {
-			v = ident
-		}
-		out[i] = v
-	}
+	return foldValue(d.Reduce, m.w, v, resp)
 }
 
-// foldLeaves reduces a leaf vector through the tree for d's reduction
-// kind, dispatching once per instruction to a fold kernel with the node
-// function inlined (bit-identical to the generic network.FoldInPlace —
-// same pairwise topology — without an indirect call per tree node).
-func (m *Machine) foldLeaves(d *isa.Decoded, buf []int64) int64 {
-	switch d.Reduce {
-	case isa.ReduceOr, isa.ReduceAnd: // RAND folds as OR (De Morgan)
-		return network.FoldInPlaceOr(buf)
-	case isa.ReduceMaxS, isa.ReduceMaxU:
-		return network.FoldInPlaceMax(buf)
-	case isa.ReduceMinS, isa.ReduceMinU:
-		return network.FoldInPlaceMin(buf)
-	default: // isa.ReduceSum
-		return network.FoldInPlaceSatAdd(buf, m.satLo, m.satHi)
+// mergeRoots folds per-shard subtree roots of reduction k to the global
+// root: the sum through the top of the exact tree, the others in one pass
+// under the all-one f0 plane.
+func (m *Machine) mergeRoots(k isa.ReduceKind, roots []int64) int64 {
+	if k == isa.ReduceSum {
+		lo, hi := network.SatLimits(m.w.bits)
+		return network.FoldInPlaceSatAdd(roots, lo, hi)
 	}
+	return foldValue(k, m.w, roots, m.flagPlane(0, 0, 0, len(roots)))
 }

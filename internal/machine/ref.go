@@ -144,7 +144,7 @@ func (m *Machine) ExecRef(t int, in isa.Inst) (Outcome, error) {
 		} else {
 			b = m.Scalar(t, in.Rb)
 		}
-		m.SetScalar(t, in.Rd, m.alu(scalarALUOp(in.Op), a, b))
+		m.SetScalar(t, in.Rd, m.refALU(scalarALUOp(in.Op), a, b))
 
 	case info.Class == isa.ClassParallel:
 		if err := m.refExecParallel(t, in); err != nil {
@@ -217,8 +217,7 @@ func (m *Machine) refExecThreadOp(t int, in isa.Inst, out *Outcome) error {
 		nt.mailbox = nil
 		pb := spawned * m.cfg.PEs * isa.NumParallelRegs
 		clear(m.pregs[pb : pb+m.cfg.PEs*isa.NumParallelRegs])
-		fb := spawned * m.cfg.PEs * isa.NumFlagRegs
-		clear(m.flags[fb : fb+m.cfg.PEs*isa.NumFlagRegs])
+		m.clearFlags(spawned)
 		m.SetScalar(t, in.Rd, int64(spawned))
 		out.Spawned = spawned
 
@@ -393,17 +392,17 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 			var v bool
 			switch in.Op {
 			case isa.FAND:
-				v = m.flagAt(fb, ra) && m.flagAt(fb, rb)
+				v = m.refFlag(fb, ra) && m.refFlag(fb, rb)
 			case isa.FOR:
-				v = m.flagAt(fb, ra) || m.flagAt(fb, rb)
+				v = m.refFlag(fb, ra) || m.refFlag(fb, rb)
 			case isa.FXOR:
-				v = m.flagAt(fb, ra) != m.flagAt(fb, rb)
+				v = m.refFlag(fb, ra) != m.refFlag(fb, rb)
 			case isa.FANDN:
-				v = m.flagAt(fb, ra) && !m.flagAt(fb, rb)
+				v = m.refFlag(fb, ra) && !m.refFlag(fb, rb)
 			case isa.FNOT:
-				v = !m.flagAt(fb, ra)
+				v = !m.refFlag(fb, ra)
 			case isa.FMOV:
-				v = m.flagAt(fb, ra)
+				v = m.refFlag(fb, ra)
 			case isa.FSET:
 				v = true
 			case isa.FCLR:
@@ -438,7 +437,7 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 			} else if rb != 0 {
 				b = m.pregs[pb+rb*p]
 			}
-			m.pregs[pb+rd*p] = m.alu(op, a, b)
+			m.pregs[pb+rd*p] = m.refALU(op, a, b)
 		}
 	}
 	return
@@ -583,3 +582,78 @@ func (m *Machine) refCombineFor(op isa.Op) network.CombineFunc {
 	}
 	panic(fmt.Sprintf("machine: %v is not a value reduction", op))
 }
+
+// refALU computes one ALU operation on width-masked bit patterns, written
+// independently of the PE kernels (kernels.go) so the oracle checks them.
+// Division by zero follows the RISC-V convention: quotient is all ones,
+// remainder is the dividend. There is no divide trap.
+func (m *Machine) refALU(op isa.ALUOp, a, b int64) int64 {
+	sa, sb := m.signed(a), m.signed(b)
+	shift := uint(b) % 64
+	switch op {
+	case isa.ALUAdd:
+		return m.mask(a + b)
+	case isa.ALUSub:
+		return m.mask(a - b)
+	case isa.ALUAnd:
+		return a & b
+	case isa.ALUOr:
+		return a | b
+	case isa.ALUXor:
+		return a ^ b
+	case isa.ALUSll:
+		if shift >= m.cfg.Width {
+			return 0
+		}
+		return m.mask(a << shift)
+	case isa.ALUSrl:
+		if shift >= m.cfg.Width {
+			return 0
+		}
+		return a >> shift
+	case isa.ALUSra:
+		if shift >= m.cfg.Width {
+			shift = m.cfg.Width - 1
+		}
+		return m.mask(sa >> shift)
+	case isa.ALUSlt:
+		if sa < sb {
+			return 1
+		}
+		return 0
+	case isa.ALUSltu:
+		if a < b {
+			return 1
+		}
+		return 0
+	case isa.ALUMul:
+		return m.mask(sa * sb)
+	case isa.ALUDiv:
+		if sb == 0 {
+			return m.mask(-1)
+		}
+		return m.mask(sa / sb)
+	case isa.ALUMod:
+		if sb == 0 {
+			return m.mask(sa)
+		}
+		return m.mask(sa % sb)
+	}
+	panic(fmt.Sprintf("machine: unknown alu op %d", op))
+}
+
+// refFlag reads flag r at per-PE flag base fb = t*nF*PEs + pe (f0
+// hardwired to one).
+func (m *Machine) refFlag(fb, r int) bool {
+	if r == 0 {
+		return true
+	}
+	return m.flags[fb+r*m.cfg.PEs]
+}
+
+// leaf transform kinds for refReduceLeaves.
+const (
+	leafRaw = iota
+	leafSigned
+	leafInverted
+)

@@ -227,7 +227,12 @@ const (
 	HazardSync
 	// HazardFetch: the instruction buffer had not yet been filled/decoded.
 	HazardFetch
+
+	numHazardKinds
 )
+
+// NumHazardKinds sizes per-kind counter arrays.
+const NumHazardKinds = int(numHazardKinds)
 
 var hazardNames = map[HazardKind]string{
 	HazardNone:               "none",
