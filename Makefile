@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build fmt-check vet test race bench bench-smoke bench-engines obs-demo fleet-smoke trace-demo apicheck apiupdate hotpath-lint bench-test fuzz-smoke check
+.PHONY: build fmt-check vet test race bench bench-smoke obs-demo fleet-smoke trace-demo apicheck apiupdate hotpath-lint bench-test fuzz-smoke check
 
 build:
 	$(GO) build ./...
@@ -19,11 +19,9 @@ vet:
 test:
 	$(GO) test ./...
 
-# Concurrency-heavy packages must stay clean under the race detector:
-# the sharded parallel engine is exercised with Engine forced to parallel
-# even on single-core hosts (the parallel-engine and mid-run-restore tiers
-# of the differential harness, internal/core/oracle_test.go), and the
-# serving stack runs concurrent compile->simulate round trips.
+# Concurrency-heavy packages must stay clean under the race detector: the
+# serving stack runs concurrent compile->simulate round trips, and the
+# core's checkpoint request crosses goroutines.
 race:
 	$(GO) test -race ./internal/machine/... ./internal/core/... ./internal/server/... ./internal/pool/... ./internal/obs/... ./internal/gateway/... ./internal/migrate/... ./client/...
 
@@ -64,10 +62,6 @@ fleet-smoke:
 trace-demo:
 	sh scripts/trace_demo.sh
 
-# Serial-vs-parallel host engine comparison.
-bench-engines:
-	$(GO) test -bench 'BenchmarkLargeArray|BenchmarkExecEngines' -benchtime 10x -run '^$$' . ./internal/machine/
-
 # API surface guard: the exported surface of the public packages (repro
 # and repro/client), as rendered by `go doc -all`, must match the golden
 # files under docs/api/. A diff here means the v1 contract moved — see
@@ -99,7 +93,7 @@ apiupdate:
 # Inst-based Timeline renderer are deliberately outside the lint set.
 # A listed file that no longer exists fails the lint (grep exits 2), so
 # a rename or deletion cannot silently drop a file from the set.
-HOTPATH_FILES = internal/machine/machine.go internal/machine/engine.go \
+HOTPATH_FILES = internal/machine/machine.go \
 	internal/cu/cu.go internal/pipeline/pipeline.go \
 	internal/pipeline/scoreboard.go internal/core/core.go \
 	internal/core/engine.go internal/core/gang.go \

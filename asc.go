@@ -24,18 +24,14 @@
 // fine-grain multithreading with a rotating-priority scheduler that hides
 // those hazards when enough threads are runnable.
 //
-// # Host execution engines
+// # Host execution
 //
-// Config.Engine selects how the simulator executes the PE array on the
-// host: EngineSerial runs every PE on one goroutine; EngineParallel shards
-// the PE range across a persistent worker pool, barrier-synced per
-// parallel/reduction instruction, with per-shard reduction partials merged
-// along the exact binary-tree topology of the hardware units. The default,
-// EngineAuto, uses the sharded engine only when the host has more than one
-// CPU and the array is large (>= 256 PEs), so paper-scale 16-PE runs never
-// pay barrier overhead. The choice is architecturally invisible: engines
-// are bit-identical (snapshots and cycle counts match exactly), so it is
-// purely a host-performance knob for wide-array sweeps.
+// Like the paper's PE array, which applies each broadcast instruction in
+// lockstep, a Processor decodes each parallel or reduction instruction
+// once and applies it to every PE with one op-specialized loop, on the
+// goroutine that calls Run. There is one host engine; host parallelism
+// comes from running several Processors at once. Config.Engine is kept
+// only so existing configurations build, and selects nothing.
 package asc
 
 import (
@@ -84,10 +80,10 @@ type Config struct {
 	// TraceDepth keeps the most recent N instruction records for pipeline
 	// diagrams (0 = off, -1 = keep all).
 	TraceDepth int
-	// Engine picks the host execution engine for the PE array: EngineAuto
-	// (default; sharded when the host is multi-core and PEs >= 256),
-	// EngineSerial, or EngineParallel. Architecturally invisible — results
-	// and cycle counts are bit-identical across engines.
+	// Engine is ignored: every Processor runs the one serial host engine.
+	// Only EngineAuto (the zero value) and EngineSerial are valid.
+	//
+	// Deprecated: leave Engine unset.
 	Engine Engine
 	// Blocks selects the block-dispatch tier: BlocksAuto (default)
 	// dispatches straight-line basic blocks — with hot associative idioms
@@ -110,18 +106,20 @@ const (
 	BlocksOff = core.BlocksOff
 )
 
-// Engine selects the host-side execution strategy for parallel and
-// reduction instructions; see the package comment.
+// Engine names the host execution engine; there is one (see the package
+// comment).
+//
+// Deprecated: Config.Engine selects nothing.
 type Engine = machine.Engine
 
-// Host execution engines for Config.Engine.
+// The valid values of Config.Engine. Both run the one serial host engine.
+//
+// Deprecated: leave Config.Engine unset.
 const (
-	// EngineAuto shards large arrays on multi-core hosts, else serial.
+	// EngineAuto is the zero value.
 	EngineAuto = machine.EngineAuto
-	// EngineSerial always executes the PE array on a single goroutine.
+	// EngineSerial is equivalent to EngineAuto.
 	EngineSerial = machine.EngineSerial
-	// EngineParallel always shards the PE array over a worker pool.
-	EngineParallel = machine.EngineParallel
 )
 
 // normalized resolves the zero-value defaults (the paper's prototype) so
@@ -148,14 +146,13 @@ func (c Config) normalized() Config {
 // Key returns a canonical fingerprint of the configuration after default
 // resolution: two Configs with equal Keys build architecturally identical
 // processors. The serving pool (internal/pool) keys warm-machine reuse on
-// it. Engine is included even though it is architecturally invisible, so a
-// request that pins a host engine never receives a machine built with
-// another.
+// it. Engine is left out: it selects nothing, so configurations that
+// differ only in Engine build the same processor.
 func (c Config) Key() string {
 	n := c.normalized()
-	return fmt.Sprintf("pes=%d threads=%d width=%d lmem=%d arity=%d seqmul=%t fixed=%t smt=%t trace=%d engine=%s blocks=%s",
+	return fmt.Sprintf("pes=%d threads=%d width=%d lmem=%d arity=%d seqmul=%t fixed=%t smt=%t trace=%d blocks=%s",
 		n.PEs, n.Threads, n.Width, n.LocalMemWords, n.Arity,
-		n.SeqMul, n.FixedPriority, n.SMT, n.TraceDepth, n.Engine, n.Blocks)
+		n.SeqMul, n.FixedPriority, n.SMT, n.TraceDepth, n.Blocks)
 }
 
 // Geometry is the memory geometry of the machine a Config builds, after
@@ -459,10 +456,10 @@ func (p *Processor) Config() Config { return p.cfg }
 
 // Reset returns the processor to power-on state — all registers, flags,
 // memories, thread contexts, pipeline state, and statistics — without
-// reallocating the flat state files or restarting the host engine's worker
-// pool, then reloads the program's data segment. A reset processor produces
-// snapshots and results identical to a freshly built one; the serving pool
-// uses it to recycle warm machines between requests.
+// reallocating the flat state files, then reloads the program's data
+// segment. A reset processor produces snapshots and results identical to a
+// freshly built one; the serving pool uses it to recycle warm machines
+// between requests.
 func (p *Processor) Reset() error {
 	p.core.Reset()
 	return p.prog.loadData(p.core.Machine())

@@ -340,11 +340,9 @@ func BenchmarkASCLCompiler(b *testing.B) {
 	b.ReportMetric(worst, "worst-cycle-ratio")
 }
 
-// BenchmarkLargeArray compares the host execution engines on wide PE
-// arrays: a multithreaded reduction kernel at 256 and 1024 PEs on the
-// serial loop vs. the sharded worker pool. The engines are bit-identical
-// (the model-cycles metric must match between the two variants of each
-// size); ns/op is the host-side payoff of sharding on multi-core machines.
+// BenchmarkLargeArray runs a multithreaded reduction kernel on wide PE
+// arrays (256 and 1024 PEs): ns/op is the host cost of a whole wide-array
+// job, construction included, and model-cycles its simulated length.
 func BenchmarkLargeArray(b *testing.B) {
 	for _, pes := range []int{256, 1024} {
 		ins := progs.MTReduction(pes, 8, 20)
@@ -352,28 +350,25 @@ func BenchmarkLargeArray(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, engine := range []Engine{EngineSerial, EngineParallel} {
-			b.Run(fmt.Sprintf("pes=%d/%v", pes, engine), func(b *testing.B) {
-				b.ReportAllocs()
-				var cycles int64
-				for i := 0; i < b.N; i++ {
-					p, err := New(Config{PEs: pes, Threads: 8, Width: ins.Width, Engine: engine}, prog)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := p.LoadLocalMem(ins.LocalMem); err != nil {
-						b.Fatal(err)
-					}
-					stats, err := p.Run(0)
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles = stats.Cycles
-					p.core.Machine().Close()
+		b.Run(fmt.Sprintf("pes=%d", pes), func(b *testing.B) {
+			b.ReportAllocs()
+			var cycles int64
+			for i := 0; i < b.N; i++ {
+				p, err := New(Config{PEs: pes, Threads: 8, Width: ins.Width}, prog)
+				if err != nil {
+					b.Fatal(err)
 				}
-				b.ReportMetric(float64(cycles), "model-cycles")
-			})
-		}
+				if err := p.LoadLocalMem(ins.LocalMem); err != nil {
+					b.Fatal(err)
+				}
+				stats, err := p.Run(0)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cycles = stats.Cycles
+			}
+			b.ReportMetric(float64(cycles), "model-cycles")
+		})
 	}
 }
 

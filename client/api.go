@@ -30,8 +30,6 @@ type MachineConfig struct {
 }
 
 // ASC converts the wire config into the simulator facade configuration.
-// The host execution engine is left at EngineAuto: it is architecturally
-// invisible, so the server picks it per machine size.
 func (c MachineConfig) ASC() asc.Config {
 	return asc.Config{
 		PEs: c.PEs, Threads: c.Threads, Width: c.Width,

@@ -74,7 +74,7 @@ type SnapshotEnvelope struct {
 	Digest string `json:"digest"`
 
 	// ConfigKey is the engine-agnostic architectural fingerprint
-	// (migrate.ArchKey) of the machine configuration. Snapshots are
+	// (progcache.ArchKey) of the machine configuration. Snapshots are
 	// engine-portable, so the key deliberately excludes the host engine
 	// and trace depth.
 	ConfigKey string `json:"configKey"`

@@ -17,10 +17,7 @@
 //     stalls.
 //
 // Both reuse the functional machine, so all three machine models compute
-// identical architectural results — including the choice of host execution
-// engine (machine.Config.Engine), which plumbs straight through: wide-array
-// baseline sweeps can run on the sharded engine with bit-identical cycle
-// counts.
+// identical architectural results.
 package baseline
 
 import (

@@ -272,7 +272,7 @@ func (e *engine) runBlock(stopAt int64) (ran bool, err error) {
 	progressed := false
 	for oi := opIdx; oi < len(blk.Ops); oi++ {
 		bo := &blk.Ops[oi]
-		if len(bo.Ops) > 1 && sub == 0 && e.blockFuse && e.dispatchFused(tid, bo, stopAt) {
+		if len(bo.Ops) > 1 && sub == 0 && e.dispatchFused(tid, bo, stopAt) {
 			progressed = true
 			continue
 		}

@@ -7,14 +7,13 @@ import (
 
 	"repro/internal/asm"
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/progs"
 )
 
 // runKernel assembles and runs one associative kernel instance with the
 // block plane on or off, checks the kernel's own result invariant, and
 // returns the run statistics and terminal architectural snapshot.
-func runKernel(t *testing.T, ins progs.Instance, pes int, eng machine.Engine, off bool) (core.Stats, []byte) {
+func runKernel(t *testing.T, ins progs.Instance, pes int, off bool) (core.Stats, []byte) {
 	t.Helper()
 	prog, err := asm.Assemble(ins.Source)
 	if err != nil {
@@ -26,7 +25,6 @@ func runKernel(t *testing.T, ins progs.Instance, pes int, eng machine.Engine, of
 	}
 	cfg := core.Config{}
 	cfg.Machine = ins.MachineConfig(pes, threads)
-	cfg.Machine.Engine = eng
 	if off {
 		cfg.Blocks = core.BlocksOff
 	}
@@ -34,7 +32,6 @@ func runKernel(t *testing.T, ins progs.Instance, pes int, eng machine.Engine, of
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Machine().Close()
 	if err := p.Machine().LoadLocalMem(ins.LocalMem); err != nil {
 		t.Fatal(err)
 	}
@@ -52,39 +49,37 @@ func runKernel(t *testing.T, ins progs.Instance, pes int, eng machine.Engine, of
 }
 
 // TestBlockKernelsOnOffIdentical pins the block plane against the full
-// associative kernel library on both host engines: blocks-on must be
-// cycle-for-cycle identical to blocks-off — same cycles, instructions,
-// idle slots, fetches, and flushes, and a bit-identical snapshot — and
-// the single-threaded kernels must actually take the block path (a
-// silently disengaged fast path would pass the identity check for free).
+// associative kernel library: blocks-on must be cycle-for-cycle identical
+// to blocks-off — same cycles, instructions, idle slots, fetches, and
+// flushes, and a bit-identical snapshot — and the single-threaded kernels
+// must actually take the block path (a silently disengaged fast path would
+// pass the identity check for free).
 func TestBlockKernelsOnOffIdentical(t *testing.T) {
-	for _, eng := range []machine.Engine{machine.EngineSerial, machine.EngineParallel} {
-		for _, ins := range []progs.Instance{
-			progs.MaxSearch(16, 1),
-			progs.ResponderSum(16, 2),
-			progs.CountAndSum(16, 3),
-			progs.MST(16, 4),
-			progs.StringSearch(16, 4, 5),
-			progs.ImageSum(16, 16, 6),
-			progs.MTReduction(16, 4, 8),
-		} {
-			on, snapOn := runKernel(t, ins, 16, eng, false)
-			off, snapOff := runKernel(t, ins, 16, eng, true)
-			if on.Cycles != off.Cycles || on.Instructions != off.Instructions ||
-				on.IdleCycles != off.IdleCycles || on.Fetches != off.Fetches || on.Flushes != off.Flushes {
-				t.Fatalf("%s (engine %v): stats mismatch\n on: cycles=%d inst=%d idle=%d fetches=%d\noff: cycles=%d inst=%d idle=%d fetches=%d",
-					ins.Name, eng, on.Cycles, on.Instructions, on.IdleCycles, on.Fetches,
-					off.Cycles, off.Instructions, off.IdleCycles, off.Fetches)
-			}
-			if !bytes.Equal(snapOn, snapOff) {
-				t.Fatalf("%s (engine %v): snapshots differ between blocks on and off", ins.Name, eng)
-			}
-			if ins.Threads <= 1 && on.BlockDispatches == 0 {
-				t.Fatalf("%s (engine %v): block plane never engaged (fallbacks %v)", ins.Name, eng, on.BlockFallbacks)
-			}
-			if off.BlockDispatches != 0 {
-				t.Fatalf("%s (engine %v): blocks-off run counted %d dispatches", ins.Name, eng, off.BlockDispatches)
-			}
+	for _, ins := range []progs.Instance{
+		progs.MaxSearch(16, 1),
+		progs.ResponderSum(16, 2),
+		progs.CountAndSum(16, 3),
+		progs.MST(16, 4),
+		progs.StringSearch(16, 4, 5),
+		progs.ImageSum(16, 16, 6),
+		progs.MTReduction(16, 4, 8),
+	} {
+		on, snapOn := runKernel(t, ins, 16, false)
+		off, snapOff := runKernel(t, ins, 16, true)
+		if on.Cycles != off.Cycles || on.Instructions != off.Instructions ||
+			on.IdleCycles != off.IdleCycles || on.Fetches != off.Fetches || on.Flushes != off.Flushes {
+			t.Fatalf("%s: stats mismatch\n on: cycles=%d inst=%d idle=%d fetches=%d\noff: cycles=%d inst=%d idle=%d fetches=%d",
+				ins.Name, on.Cycles, on.Instructions, on.IdleCycles, on.Fetches,
+				off.Cycles, off.Instructions, off.IdleCycles, off.Fetches)
+		}
+		if !bytes.Equal(snapOn, snapOff) {
+			t.Fatalf("%s: snapshots differ between blocks on and off", ins.Name)
+		}
+		if ins.Threads <= 1 && on.BlockDispatches == 0 {
+			t.Fatalf("%s: block plane never engaged (fallbacks %v)", ins.Name, on.BlockFallbacks)
+		}
+		if off.BlockDispatches != 0 {
+			t.Fatalf("%s: blocks-off run counted %d dispatches", ins.Name, off.BlockDispatches)
 		}
 	}
 }

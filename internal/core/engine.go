@@ -122,12 +122,9 @@ type engine struct {
 	views      []headView
 
 	// Block-dispatch tier (block.go). blocks is nil when the tier is off
-	// or the configuration excludes it; blockFuse additionally allows
-	// fused superinstruction kernels (serial engine only — the sharded
-	// engine executes constituents individually, which the singleton
-	// dispatch path already covers).
+	// or the configuration excludes it; when on, it also runs fused
+	// superinstructions.
 	blocks          *isa.BlockProgram
-	blockFuse       bool
 	blockDispatches int64
 	blockFallbacks  [numFallbacks]int64
 
@@ -198,7 +195,6 @@ func (e *engine) init(cfg Config, dp *isa.DecodedProgram, newLanes func(machine.
 	e.views = make([]headView, cfg.Machine.Threads)
 	if cfg.Blocks != BlocksOff && !cfg.SMT && !cfg.StructuralNetworks && cfg.TraceDepth == 0 {
 		e.blocks = dp.Blocks()
-		e.blockFuse = !lanes[0].EngineParallelActive()
 	}
 	e.restart()
 	return nil
@@ -269,8 +265,8 @@ func (e *engine) Cycle() int64 { return e.cycle }
 
 // Reset returns the engine to power-on state — every lane's architectural
 // state, front end, scoreboard, sequential-unit reservations, statistics,
-// and trace — without reallocating the flat register/flag/memory files or
-// restarting a host engine's worker pool. A reset engine behaves
+// and trace — without reallocating the flat register/flag/memory files.
+// A reset engine behaves
 // identically to a freshly constructed one; the serving pool relies on
 // this to reuse warm machines and gangs across requests.
 func (e *engine) Reset() {

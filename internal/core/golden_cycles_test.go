@@ -73,7 +73,6 @@ func TestCycleAccountingGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("core.New: %v", err)
 			}
-			defer p.Machine().Close()
 			if err := p.Machine().LoadLocalMem(tc.ins.LocalMem); err != nil {
 				t.Fatal(err)
 			}

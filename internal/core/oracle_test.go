@@ -6,9 +6,9 @@ package core
 // machine. Every tier must leave each lane's architectural snapshot
 // byte-identical to the oracle's and stop with the oracle's trap text, if
 // any. Tiers that model the same timing must also report equal Stats:
-// blocks on vs off (minus the block counters), the parallel vs the serial
-// host engine, and gang lanes that finish in lockstep vs solo runs. On a
-// failure the program is shrunk greedily and printed as assembly.
+// blocks on vs off (minus the block counters), and gang lanes that finish
+// in lockstep vs solo runs. On a failure the program is shrunk greedily
+// and printed as assembly.
 
 import (
 	"bytes"
@@ -307,7 +307,6 @@ func (c *oracleCase) oracle(lane int) *laneRun {
 	if err != nil {
 		panic(err)
 	}
-	defer m.Close()
 	c.in[lane].apply(m)
 	var runErr error
 	inBlock := false
@@ -343,7 +342,6 @@ func (c *oracleCase) proc(cfg Config) *Processor {
 // runSolo runs lane's input on a fresh processor built from cfg.
 func (c *oracleCase) runSolo(cfg Config, lane int) laneRun {
 	p := c.proc(cfg)
-	defer p.Machine().Close()
 	c.in[lane].apply(p.Machine())
 	st, err := p.Run(oracleBudget)
 	return laneRun{lane: lane, snap: p.Snapshot(), err: err, stats: &st}
@@ -429,9 +427,6 @@ var oracleTiers = []oracleTier{
 	{"blocks-off", noBlocks, func(c *oracleCase, _ *oracleCoverage) ([]laneRun, error) {
 		return c.variant(func(cfg *Config) { cfg.Blocks = BlocksOff })
 	}},
-	{"parallel-engine", soloTiming, func(c *oracleCase, _ *oracleCoverage) ([]laneRun, error) {
-		return c.variant(func(cfg *Config) { cfg.Machine.Engine = machine.EngineParallel })
-	}},
 	{"smt", anyTiming, func(c *oracleCase, _ *oracleCoverage) ([]laneRun, error) {
 		return c.variant(func(cfg *Config) { cfg.SMT = true })
 	}},
@@ -475,16 +470,9 @@ var oracleTiers = []oracleTier{
 		return runs, nil
 	}},
 	{"mid-run-restore", anyTiming, func(c *oracleCase, cov *oracleCoverage) ([]laneRun, error) {
-		// Step a seed-chosen share of the solo run on one engine, then
-		// finish from its snapshot on a fresh processor on the other.
-		from, to := c.cfg, c.cfg
-		if c.seed&1 == 0 {
-			from.Machine.Engine = machine.EngineParallel
-		} else {
-			to.Machine.Engine = machine.EngineParallel
-		}
-		a := c.proc(from)
-		defer a.Machine().Close()
+		// Step a seed-chosen share of the solo run, then finish from its
+		// snapshot on a fresh processor.
+		a := c.proc(c.cfg)
 		c.in[0].apply(a.Machine())
 		stopAt := 1 + uint64(c.seed)%uint64(max(c.soloRun(0).stats.Cycles-1, 1))
 		for cycle := uint64(0); cycle < stopAt; cycle++ {
@@ -493,8 +481,7 @@ var oracleTiers = []oracleTier{
 			}
 		}
 		cov.restores++
-		b := c.proc(to)
-		defer b.Machine().Close()
+		b := c.proc(c.cfg)
 		if err := b.Restore(a.Snapshot()); err != nil {
 			panic(err)
 		}

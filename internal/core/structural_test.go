@@ -108,7 +108,7 @@ func TestStructuralCoSimSMT(t *testing.T) {
 
 // TestStructuralCoSimCountWraps: at width 8 with 256 and 300 responders the
 // response counter's RCOUNT wraps to count mod 256 and RANY is 1, in the
-// structural bank and the machine alike, on both host engines.
+// structural bank and the machine alike.
 func TestStructuralCoSimCountWraps(t *testing.T) {
 	prog, err := asm.Assemble(`
 		pceq f1, p0, p0   ; every PE responds
@@ -120,26 +120,23 @@ func TestStructuralCoSimCountWraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pes := range []int{256, 300} {
-		for _, eng := range []machine.Engine{machine.EngineSerial, machine.EngineParallel} {
-			p, err := New(Config{
-				Machine:            machine.Config{PEs: pes, Threads: 1, Width: 8, Engine: eng},
-				Arity:              4,
-				StructuralNetworks: true,
-			}, prog.Insts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := p.Run(100000); err != nil {
-				t.Fatalf("pes=%d %v: structural co-simulation failed: %v", pes, eng, err)
-			}
-			m := p.Machine()
-			if got, want := m.Scalar(0, 1), int64(pes%256); got != want {
-				t.Errorf("pes=%d %v: rcount = %d, want %d", pes, eng, got, want)
-			}
-			if got := m.Scalar(0, 2); got != 1 {
-				t.Errorf("pes=%d %v: rany = %d, want 1", pes, eng, got)
-			}
-			m.Close()
+		p, err := New(Config{
+			Machine:            machine.Config{PEs: pes, Threads: 1, Width: 8},
+			Arity:              4,
+			StructuralNetworks: true,
+		}, prog.Insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Run(100000); err != nil {
+			t.Fatalf("pes=%d: structural co-simulation failed: %v", pes, err)
+		}
+		m := p.Machine()
+		if got, want := m.Scalar(0, 1), int64(pes%256); got != want {
+			t.Errorf("pes=%d: rcount = %d, want %d", pes, got, want)
+		}
+		if got := m.Scalar(0, 2); got != 1 {
+			t.Errorf("pes=%d: rany = %d, want 1", pes, got)
 		}
 	}
 }

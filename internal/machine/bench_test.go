@@ -9,13 +9,12 @@ import (
 
 // benchMachine builds a machine primed with per-PE data and a responder
 // pattern, for driving single instructions through ExecDecoded.
-func benchMachine(b *testing.B, pes int, engine Engine) *Machine {
+func benchMachine(b *testing.B, pes int) *Machine {
 	b.Helper()
-	m, err := New(Config{PEs: pes, Threads: 2, Width: 16, LocalMemWords: 64, Engine: engine}, []isa.Inst{{Op: isa.NOP}})
+	m, err := New(Config{PEs: pes, Threads: 2, Width: 16, LocalMemWords: 64}, []isa.Inst{{Op: isa.NOP}})
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Cleanup(m.Close)
 	if _, err := m.ExecDecoded(0, dec(isa.Inst{Op: isa.PIDX, Rd: 1})); err != nil {
 		b.Fatal(err)
 	}
@@ -28,11 +27,11 @@ func benchMachine(b *testing.B, pes int, engine Engine) *Machine {
 	return m
 }
 
-// BenchmarkExecEngines measures single-instruction latency of the serial
-// and sharded engines across PE counts, for the three hot instruction
-// shapes: parallel ALU, value reduction (exact tree fold), and the
-// responder count. All paths must report 0 allocs/op.
-func BenchmarkExecEngines(b *testing.B) {
+// BenchmarkExecArray measures single-instruction latency across PE
+// counts, for the three hot instruction shapes: parallel ALU, value
+// reduction (exact tree fold), and the responder count. All paths must
+// report 0 allocs/op.
+func BenchmarkExecArray(b *testing.B) {
 	insts := []struct {
 		name string
 		in   isa.Inst
@@ -42,23 +41,18 @@ func BenchmarkExecEngines(b *testing.B) {
 		{"RCOUNT", isa.Inst{Op: isa.RCOUNT, Rd: 3, Ra: 1}},
 	}
 	for _, pes := range []int{16, 256, 1024, 4096} {
-		for _, engine := range []Engine{EngineSerial, EngineParallel} {
-			if engine == EngineParallel && pes < AutoParallelThreshold {
-				continue
-			}
-			m := benchMachine(b, pes, engine)
-			for _, tc := range insts {
-				d := dec(tc.in)
-				b.Run(fmt.Sprintf("%s/pes=%d/%v", tc.name, pes, engine), func(b *testing.B) {
-					b.ReportAllocs()
-					for i := 0; i < b.N; i++ {
-						m.SetPC(0, 0)
-						if _, err := m.ExecDecoded(0, d); err != nil {
-							b.Fatal(err)
-						}
+		m := benchMachine(b, pes)
+		for _, tc := range insts {
+			d := dec(tc.in)
+			b.Run(fmt.Sprintf("%s/pes=%d", tc.name, pes), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m.SetPC(0, 0)
+					if _, err := m.ExecDecoded(0, d); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -36,12 +36,10 @@ func TestDecodedDifferentialThreads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer dm.Close()
 	ref, err := New(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ref.Close()
 	for i, step := range script {
 		do, derr := dm.ExecDecoded(step.th, dec(step.in))
 		ro, rerr := ref.ExecRef(step.th, step.in)

@@ -12,10 +12,7 @@
 // the op once and runs the op-specialized PE kernel (kernels.go) over
 // every live lane, filling caller-owned outcome and trap buffers. A
 // solo machine is its one-lane case (ExecDecoded), and a fused
-// superinstruction runs the same way (ExecFusedLanes). Lanes always
-// use the serial engine: gang parallelism is across jobs, not across PEs,
-// and the paper-scale arrays the gang targets are far below the sharding
-// threshold anyway.
+// superinstruction runs the same way (ExecFusedLanes).
 //
 // This file is in the hot-path lint set: dispatch keys on precomputed
 // micro-op selector fields only.
@@ -28,17 +25,14 @@ import (
 	"repro/internal/network"
 )
 
-// NewGangLanes builds n serial machines for one decoded program through
-// the shared plane allocator (newLanes). Each lane behaves exactly like an
-// independently constructed serial machine; the shared backing is
-// invisible to it.
+// NewGangLanes builds n machines for one decoded program through the
+// shared plane allocator (newLanes). Each lane behaves exactly like an
+// independently constructed machine; the shared backing is invisible to
+// it.
 func NewGangLanes(cfg Config, dp *isa.DecodedProgram, n int) ([]*Machine, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("machine: gang needs at least 1 lane, got %d", n)
 	}
-	// Gang lanes are serial by construction; Engine is architecturally
-	// invisible, so overriding it here never changes results.
-	cfg.Engine = EngineSerial
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -136,33 +130,31 @@ func ExecFusedLanes(lanes []*Machine, live []int, t int, ops []*isa.Decoded) {
 
 // peLanes applies PE-array micro-op d of thread t on every live lane,
 // leaving lane live[k]'s trap, or nil, in traps[k]. Callers whose ops
-// cannot trap pass nil traps. A machine on the sharded engine (only ever a
-// solo lane) goes through its engine instead.
+// cannot trap pass nil traps.
 func peLanes(lanes []*Machine, live []int, t int, d *isa.Decoded, traps []error) {
 	switch {
 	case d.Kind == isa.ExecReduction:
 		for _, li := range live {
 			lanes[li].execReduction(t, d)
 		}
-	case d.Par == isa.ParLoad || d.Par == isa.ParStore || lanes[live[0]].eng != nil:
+	case d.Par == isa.ParLoad || d.Par == isa.ParStore:
 		for k, li := range live {
-			if err := lanes[li].execParallel(t, d); traps != nil {
+			if err := lanes[li].execLocal(t, d); traps != nil {
 				traps[k] = err
 			}
 		}
 		return
 	default:
-		parallelLanes(lanes, live, t, d, 0, lanes[live[0]].cfg.PEs)
+		parallelLanes(lanes, live, t, d)
 	}
 	clear(traps)
 }
 
 // parallelLanes applies parallel micro-op d of thread t, other than the
-// trapping PLW and PSW, on PEs [lo, hi) of every lane in live — the
-// lane-wide form of the PE array's broadcast: the op is decided once, and
-// each lane runs its kernel over the lane's own planes. The sharded engine
-// runs it on one lane and its shard's range.
-func parallelLanes(lanes []*Machine, live []int, t int, d *isa.Decoded, lo, hi int) {
+// trapping PLW and PSW, on every PE of every lane in live — the lane-wide
+// form of the PE array's broadcast: the op is decided once, and each lane
+// runs its kernel over the lane's own planes.
+func parallelLanes(lanes []*Machine, live []int, t int, d *isa.Decoded) {
 	in := &d.Inst
 	if in.Rd == 0 {
 		return // every op here writes only rd: p0 and f0 drop it
@@ -172,10 +164,10 @@ func parallelLanes(lanes []*Machine, live []int, t int, d *isa.Decoded, lo, hi i
 	case isa.ParIdx:
 		for _, li := range live {
 			m := lanes[li]
-			dst, mask := m.pregPlane(t, in.Rd, lo, hi), m.flagPlane(t, in.Mask, lo, hi)
+			dst, mask := m.pregPlane(t, in.Rd), m.flagPlane(t, in.Mask)
 			for i := range dst {
 				if mask[i] {
-					dst[i] = int64(lo+i) & w.ones
+					dst[i] = int64(i) & w.ones
 				}
 			}
 		}
@@ -184,7 +176,7 @@ func parallelLanes(lanes []*Machine, live []int, t int, d *isa.Decoded, lo, hi i
 		v := int64(in.Imm) & w.ones
 		for _, li := range live {
 			m := lanes[li]
-			dst, mask := m.pregPlane(t, in.Rd, lo, hi), m.flagPlane(t, in.Mask, lo, hi)
+			dst, mask := m.pregPlane(t, in.Rd), m.flagPlane(t, in.Mask)
 			for i := range dst {
 				if mask[i] {
 					dst[i] = v
@@ -195,11 +187,11 @@ func parallelLanes(lanes []*Machine, live []int, t int, d *isa.Decoded, lo, hi i
 	case isa.ParCompare:
 		for _, li := range live {
 			m := lanes[li]
-			dst, a, mask := m.flagPlane(t, in.Rd, lo, hi), m.pregPlane(t, in.Ra, lo, hi), m.flagPlane(t, in.Mask, lo, hi)
+			dst, a, mask := m.flagPlane(t, in.Rd), m.pregPlane(t, in.Ra), m.flagPlane(t, in.Mask)
 			if in.SB {
 				cmpVS(d.Cond, w, dst, a, m.Scalar(t, in.Rb), mask)
 			} else {
-				cmpVV(d.Cond, w, dst, a, m.pregPlane(t, in.Rb, lo, hi), mask)
+				cmpVV(d.Cond, w, dst, a, m.pregPlane(t, in.Rb), mask)
 			}
 		}
 
@@ -209,29 +201,29 @@ func parallelLanes(lanes []*Machine, live []int, t int, d *isa.Decoded, lo, hi i
 		ops := flagOperands[d.Flag]
 		for _, li := range live {
 			m := lanes[li]
-			mask := m.flagPlane(t, in.Mask, lo, hi)
+			mask := m.flagPlane(t, in.Mask)
 			a, b := mask, mask
 			if ops > 0 {
-				a = m.flagPlane(t, in.Ra, lo, hi)
+				a = m.flagPlane(t, in.Ra)
 			}
 			if ops > 1 {
-				b = m.flagPlane(t, in.Rb, lo, hi)
+				b = m.flagPlane(t, in.Rb)
 			}
-			flagOp(d.Flag, m.flagPlane(t, in.Rd, lo, hi), a, b, mask)
+			flagOp(d.Flag, m.flagPlane(t, in.Rd), a, b, mask)
 		}
 
 	default: // isa.ParALU: register, broadcast, or immediate B
 		imm := int64(in.Imm) & w.ones
 		for _, li := range live {
 			m := lanes[li]
-			dst, a, mask := m.pregPlane(t, in.Rd, lo, hi), m.pregPlane(t, in.Ra, lo, hi), m.flagPlane(t, in.Mask, lo, hi)
+			dst, a, mask := m.pregPlane(t, in.Rd), m.pregPlane(t, in.Ra), m.flagPlane(t, in.Mask)
 			switch {
 			case d.ImmB:
 				aluVS(d.ALU, w, dst, a, imm, mask)
 			case in.SB:
 				aluVS(d.ALU, w, dst, a, m.Scalar(t, in.Rb), mask)
 			default:
-				aluVV(d.ALU, w, dst, a, m.pregPlane(t, in.Rb, lo, hi), mask)
+				aluVV(d.ALU, w, dst, a, m.pregPlane(t, in.Rb), mask)
 			}
 		}
 	}

@@ -4,8 +4,7 @@
 // the loop — so no PE pays for a decision the instruction already made.
 // The loops take operand planes as slices (register-major layout: one
 // register of one thread over consecutive PEs), so the same kernel serves
-// a whole serial array, one shard of the sharded engine, and each lane of
-// a gang.
+// a solo machine and each lane of a gang.
 //
 // The hardwired registers are stored as their constant planes — p0 all
 // zero, f0 all one — so a kernel never tests a register index per PE, and
@@ -327,10 +326,9 @@ func flagOp(fn isa.FlagFn, dst, a, b, mask []bool) {
 // Reductions. OR, AND, MAX and MIN are associative and commutative, so a
 // single masked pass yields exactly what the hardware tree computes: the
 // non-responders' identity elements drop out. Each returns the value in
-// its leaf domain (sign-extended for the signed kinds), which is also what
-// the sharded engine merges: applying a fold to per-shard roots under the
-// f0 plane gives the global value, because sign extension is idempotent.
-// Only the node-saturating sum depends on the tree's topology (sumTree).
+// its leaf domain (sign-extended for the signed kinds); Reduce masks it to
+// the data width. Only the node-saturating sum depends on the tree's
+// topology (sumTree).
 
 func foldOr(v []int64, resp []bool) int64 {
 	var acc int64

@@ -266,3 +266,53 @@ func TestExecFusedLanesMatchesRef(t *testing.T) {
 		}
 	}
 }
+
+// TestExecZeroAlloc verifies the hot path runs without any heap allocation
+// per instruction, for parallel ALU/compare/memory ops and for every
+// reduction class, on a 256-PE array.
+func TestExecZeroAlloc(t *testing.T) {
+	prog := []isa.Inst{{Op: isa.NOP}}
+	cases := []struct {
+		name string
+		in   isa.Inst
+	}{
+		{"PADD", isa.Inst{Op: isa.PADD, Rd: 3, Ra: 1, Rb: 2}},
+		{"PADDI_masked", isa.Inst{Op: isa.PADDI, Rd: 3, Ra: 1, Imm: 5, Mask: 1}},
+		{"PMUL_broadcast", isa.Inst{Op: isa.PMUL, Rd: 3, Ra: 1, Rb: 4, SB: true}},
+		{"PCLT", isa.Inst{Op: isa.PCLT, Rd: 2, Ra: 1, Rb: 2}},
+		{"FANDN", isa.Inst{Op: isa.FANDN, Rd: 2, Ra: 1, Rb: 2}},
+		{"PLW", isa.Inst{Op: isa.PLW, Rd: 1, Ra: 0, Imm: 3}},
+		{"PSW", isa.Inst{Op: isa.PSW, Rd: 1, Ra: 0, Imm: 3}},
+		{"RSUM", isa.Inst{Op: isa.RSUM, Rd: 2, Ra: 1}},
+		{"RAND", isa.Inst{Op: isa.RAND, Rd: 2, Ra: 1}},
+		{"RMAX", isa.Inst{Op: isa.RMAX, Rd: 2, Ra: 1, Mask: 1}},
+		{"RMINU", isa.Inst{Op: isa.RMINU, Rd: 2, Ra: 1}},
+		{"RCOUNT", isa.Inst{Op: isa.RCOUNT, Rd: 2, Ra: 1}},
+		{"RANY", isa.Inst{Op: isa.RANY, Rd: 2, Ra: 1}},
+		{"RFIRST", isa.Inst{Op: isa.RFIRST, Rd: 2, Ra: 1}},
+	}
+	m, err := New(Config{PEs: 256, Threads: 2, Width: 8, LocalMemWords: 64}, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Give the responder flags some structure.
+	if _, err := m.ExecDecoded(0, dec(isa.Inst{Op: isa.PIDX, Rd: 1})); err != nil {
+		t.Fatal(err)
+	}
+	m.SetPC(0, 0)
+	if _, err := m.ExecDecoded(0, dec(isa.Inst{Op: isa.PCLT, Rd: 1, Ra: 1, Rb: 2})); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		d := dec(tc.in)
+		allocs := testing.AllocsPerRun(200, func() {
+			m.SetPC(0, 0)
+			if _, err := m.ExecDecoded(0, d); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocs per ExecDecoded, want 0", tc.name, allocs)
+		}
+	}
+}

@@ -22,24 +22,22 @@
 // and ignore writes; flag f0 reads as one (the "all PEs active" mask) and
 // ignores writes.
 //
-// Host execution engines: every parallel-class and reduction micro-op runs
-// through op-specialized PE kernels (kernels.go), one tight loop per ALU
-// op, compare condition, flag function and reduction kind over a range of
-// PEs. ExecLanes is the one entry point: it decides a micro-op once and
-// runs it over every live lane of a gang plane (gang.go), and a solo
-// machine is its one-lane case. A solo machine's PE range can instead be
-// split across host cores by a sharded worker pool (Config.Engine; see
-// engine.go), which runs the same range kernels on each shard. The engines
-// are bit-identical: OR, AND, MAX and MIN are associative and fold in one
-// masked pass, and the node-saturating sum folds with the exact binary
-// tree topology in both (network.FoldInPlace and its sharding contract).
-// PE state layout is flat and register-major, so kernels, shards and lanes
-// stream contiguous memory.
+// Host execution: the PE array is one broadcast unit, so the host runs it
+// the same way — each parallel-class and reduction micro-op is decided
+// once and applied to every PE by an op-specialized kernel (kernels.go),
+// one tight loop per ALU op, compare condition, flag function and
+// reduction kind, on the calling goroutine. ExecLanes is the one entry
+// point: it runs a micro-op over every live lane of a gang plane
+// (gang.go), and a solo machine is its one-lane case. Host parallelism
+// comes from running many machines at once (the serving stack's
+// concurrent jobs), never from splitting one array. OR, AND, MAX and MIN
+// fold in one masked pass; the node-saturating sum folds with the exact
+// binary-tree topology of the hardware unit. PE state layout is flat and
+// register-major, so kernels and lanes stream contiguous memory.
 package machine
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/isa"
 	"repro/internal/network"
@@ -47,14 +45,32 @@ import (
 
 // Config holds the architectural parameters of a machine instance.
 type Config struct {
-	PEs            int    // number of processing elements (p)
-	Threads        int    // hardware thread contexts (T)
-	Width          uint   // data width in bits: 8 (paper prototype), 16, or 32
-	LocalMemWords  int    // PE local memory size in words
-	ScalarMemWords int    // control-unit data memory size in words
-	MailboxCap     int    // per-thread mailbox depth for TSEND/TRECV
-	Engine         Engine // host execution engine (architecturally invisible)
+	PEs            int  // number of processing elements (p)
+	Threads        int  // hardware thread contexts (T)
+	Width          uint // data width in bits: 8 (paper prototype), 16, or 32
+	LocalMemWords  int  // PE local memory size in words
+	ScalarMemWords int  // control-unit data memory size in words
+	MailboxCap     int  // per-thread mailbox depth for TSEND/TRECV
+
+	// Deprecated: Engine selects nothing; every machine runs the one
+	// serial engine. Validate accepts only EngineAuto and EngineSerial.
+	Engine Engine
 }
+
+// Engine names the host execution engine. There is one: a machine runs
+// its PE array on the calling goroutine (see the package comment).
+//
+// Deprecated: Config.Engine selects nothing. EngineAuto and EngineSerial
+// remain valid values so existing configurations still build; Validate
+// rejects any other.
+type Engine uint8
+
+const (
+	// EngineAuto is the zero value; it runs the one serial engine.
+	EngineAuto Engine = iota
+	// EngineSerial runs the one serial engine, like EngineAuto.
+	EngineSerial
+)
 
 // Validate checks the configuration and fills defaults for zero fields.
 func (c *Config) Validate() error {
@@ -93,7 +109,7 @@ func (c *Config) Validate() error {
 	if c.MailboxCap < 1 {
 		return fmt.Errorf("machine: MailboxCap must be >= 1")
 	}
-	if c.Engine > EngineParallel {
+	if c.Engine > EngineSerial {
 		return fmt.Errorf("machine: unknown engine %d", c.Engine)
 	}
 	return nil
@@ -125,7 +141,7 @@ type Machine struct {
 
 	threads []thread
 
-	// PE state, stored flat so host-side shards stream contiguous memory.
+	// PE state, stored flat so the kernels stream contiguous memory.
 	// The register files are split between threads at the hardware level
 	// (section 6.2); the flat index keeps that [thread][pe][reg] order:
 	//   pregs[(t*isa.NumParallelRegs+r)*PEs + pe]
@@ -151,8 +167,7 @@ type Machine struct {
 
 	// leafBuf is the sum tree's leaf vector, reused across instructions
 	// (the machine is not safe for concurrent use; neither is the simulator
-	// around it). Under the sharded engine each shard fills and folds its
-	// own disjoint sub-slice.
+	// around it).
 	leafBuf []int64
 
 	// w holds the data width's constants for the PE kernels.
@@ -161,9 +176,6 @@ type Machine struct {
 	// satAdd is the saturating node adder for the configured width, built
 	// once so the reference interpreter allocates no closures.
 	satAdd network.CombineFunc
-
-	// eng is the sharded worker pool, or nil for the serial engine.
-	eng *engine
 }
 
 // New builds a machine with the given configuration and program. The
@@ -185,32 +197,13 @@ func NewDecoded(cfg Config, dp *isa.DecodedProgram) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := newLanes(cfg, dp, 1)[0]
-
-	useParallel := false
-	switch cfg.Engine {
-	case EngineParallel:
-		useParallel = cfg.PEs > 1
-	case EngineAuto:
-		useParallel = cfg.PEs >= AutoParallelThreshold && runtime.GOMAXPROCS(0) > 1
-	}
-	if useParallel {
-		if m.eng = newEngine(cfg.PEs); m.eng != nil {
-			// The pool never retains the machine between instructions, so
-			// an abandoned machine stays collectable and the finalizer
-			// releases its worker goroutines.
-			runtime.SetFinalizer(m, (*Machine).Close)
-		}
-	}
-
-	return m, nil
+	return newLanes(cfg, dp, 1)[0], nil
 }
 
 // Reset restores power-on state without reallocating the flat files: all
 // registers, flags (f0 aside), and memories are zeroed, mailboxes emptied,
 // the halt flag cleared, and thread 0 left active at PC 0 — exactly the
-// state New produces. The host engine (worker pool) is retained, so a pooled machine
-// resumes at full speed; Snapshot of a reset machine is byte-identical to
+// state New produces, so Snapshot of a reset machine is byte-identical to
 // that of a freshly constructed one.
 func (m *Machine) Reset() {
 	for t := range m.threads {
@@ -251,20 +244,6 @@ func (m *Machine) SetDecoded(dp *isa.DecodedProgram) {
 	m.prog = dp.Insts()
 	m.Reset()
 }
-
-// Close stops the sharded engine's worker pool; it is a no-op for serial
-// machines and safe to call more than once. New installs Close as a
-// finalizer, so calling it explicitly is optional — but a closed machine
-// must not execute further parallel or reduction instructions.
-func (m *Machine) Close() {
-	if m.eng != nil {
-		m.eng.stop()
-	}
-}
-
-// EngineParallelActive reports whether the sharded engine is actually in
-// use (EngineParallel requested, or EngineAuto resolved to it).
-func (m *Machine) EngineParallelActive() bool { return m.eng != nil }
 
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
@@ -611,92 +590,62 @@ func (m *Machine) execThreadOp(t int, d *isa.Decoded, out *Outcome) error {
 	return nil
 }
 
-// execParallel applies a parallel-class micro-op on every responder PE, on
-// whichever host engine is active.
-//
-// Trap semantics for PLW/PSW are deterministic under sharding: every
-// non-trapping responder executes its access, and the trap reports the
-// lowest-numbered faulting PE — the same result whether PEs run serially or
-// split across shards. (In hardware all PEs operate in lockstep, so "the
-// PEs before the fault ran, the ones after did not" has no meaning anyway.)
-func (m *Machine) execParallel(t int, d *isa.Decoded) error {
-	var trapPE, trapAddr int
-	if m.eng != nil {
-		trapPE, trapAddr = m.eng.parallel(m, t, d)
-	} else {
-		trapPE, trapAddr = m.execParallelRange(t, d, 0, m.cfg.PEs)
-	}
-	if trapPE >= 0 {
-		verb := "load"
-		if d.Par == isa.ParStore {
-			verb = "store"
-		}
-		return m.trap(t, d.Inst, "PE %d local %s address %d out of [0, %d)", trapPE, verb, trapAddr, m.cfg.LocalMemWords)
-	}
-	return nil
-}
-
-// execParallelRange applies a parallel-class micro-op on responder PEs in
-// [lo, hi). It returns the lowest faulting PE in the range and the faulting
-// address, or (-1, 0). The decode plane has already validated the op, so
-// there are no error paths except memory bounds. Ranges touch only their
-// own PEs' registers, flags, and local memory rows (plus read-only scalar
-// state), so disjoint ranges are safe to run concurrently.
-func (m *Machine) execParallelRange(t int, d *isa.Decoded, lo, hi int) (trapPE, trapAddr int) {
-	if d.Par == isa.ParLoad || d.Par == isa.ParStore {
-		return m.localRange(t, d, lo, hi)
-	}
-	lanes := [1]*Machine{m}
-	parallelLanes(lanes[:], soloLive, t, d, lo, hi)
-	return -1, 0
-}
-
-// localRange runs PLW or PSW over responder PEs in [lo, hi): the address
-// is the sign-extended ra plus the immediate, and a PE whose address falls
-// outside its local memory faults without touching it.
-func (m *Machine) localRange(t int, d *isa.Decoded, lo, hi int) (trapPE, trapAddr int) {
-	trapPE = -1
+// execLocal runs PLW or PSW over every responder PE: the address is the
+// sign-extended ra plus the immediate, and a PE whose address falls
+// outside its local memory faults without touching it. The trap rule is
+// deterministic: every non-faulting responder executes its access, and the
+// trap reports the lowest-numbered faulting PE. (In hardware all PEs
+// operate in lockstep, so "the PEs before the fault ran, the ones after
+// did not" has no meaning anyway.)
+func (m *Machine) execLocal(t int, d *isa.Decoded) error {
+	trapPE, trapAddr := -1, 0
 	in := &d.Inst
 	lmw, imm, w := m.cfg.LocalMemWords, int(in.Imm), m.w
-	addrs := m.pregPlane(t, in.Ra, lo, hi)
-	mask := m.flagPlane(t, in.Mask, lo, hi)
+	addrs, mask := m.pregPlane(t, in.Ra), m.flagPlane(t, in.Mask)
 	// rd is PLW's destination and PSW's source; PLW into p0 loads nothing.
 	var regs []int64
 	if d.Par == isa.ParStore || in.Rd != 0 {
-		regs = m.pregPlane(t, in.Rd, lo, hi)[:len(addrs)]
+		regs = m.pregPlane(t, in.Rd)
 	}
-	for i, a := range addrs {
-		if !mask[i] {
+	for pe, a := range addrs {
+		if !mask[pe] {
 			continue
 		}
 		addr := int(w.sx(a)) + imm
 		if addr < 0 || addr >= lmw {
 			if trapPE < 0 {
-				trapPE, trapAddr = lo+i, addr
+				trapPE, trapAddr = pe, addr
 			}
 			continue
 		}
-		word := &m.localMem[(lo+i)*lmw+addr]
+		word := &m.localMem[pe*lmw+addr]
 		switch {
 		case d.Par == isa.ParStore:
-			*word = regs[i]
+			*word = regs[pe]
 		case regs != nil:
-			regs[i] = *word
+			regs[pe] = *word
 		}
 	}
-	return
+	if trapPE < 0 {
+		return nil
+	}
+	verb := "load"
+	if d.Par == isa.ParStore {
+		verb = "store"
+	}
+	return m.trap(t, d.Inst, "PE %d local %s address %d out of [0, %d)", trapPE, verb, trapAddr, lmw)
 }
 
-// pregPlane returns parallel register r of thread t over PEs [lo, hi).
-func (m *Machine) pregPlane(t int, r uint8, lo, hi int) []int64 {
+// pregPlane returns parallel register r of thread t over every PE.
+func (m *Machine) pregPlane(t int, r uint8) []int64 {
 	o := (t*isa.NumParallelRegs + int(r)) * m.cfg.PEs
-	return m.pregs[o+lo : o+hi]
+	return m.pregs[o : o+m.cfg.PEs]
 }
 
-// flagPlane returns flag register r of thread t over PEs [lo, hi).
-func (m *Machine) flagPlane(t int, r uint8, lo, hi int) []bool {
+// flagPlane returns flag register r of thread t over every PE.
+func (m *Machine) flagPlane(t int, r uint8) []bool {
 	o := (t*isa.NumFlagRegs + int(r)) * m.cfg.PEs
-	return m.flags[o+lo : o+hi]
+	return m.flags[o : o+m.cfg.PEs]
 }
 
 // clearFlags zeroes thread t's flag file, then sets its f0 plane to the
@@ -715,36 +664,22 @@ func (m *Machine) clearFlags(t int) {
 // data width, RANY 0 or 1), or, for RFIRST, the winning PE (PEs when none
 // responds). The mask flag selects the responders. OR, AND, MAX and MIN
 // fold in one masked pass; the node-saturating sum folds its leaf vector
-// with the exact binary-tree topology of the hardware unit, and the
-// sharded engine folds aligned power-of-two shards to subtree roots and
-// merges them, which the network.FoldInPlace sharding contract guarantees
-// is bit-identical. Reduce touches no architectural state, so the
-// structural co-simulation can ask for the value of any reduction, s0 and
-// f0 destinations included.
+// with the exact binary-tree topology of the hardware unit. Reduce touches
+// no architectural state, so the structural co-simulation can ask for the
+// value of any reduction, s0 and f0 destinations included.
 func (m *Machine) Reduce(t int, d *isa.Decoded) int64 {
-	p := m.cfg.PEs
+	resp := m.flagPlane(t, d.Inst.Mask)
 	switch d.Reduce {
-	case isa.ReduceCount, isa.ReduceAny:
-		var n int64
-		if m.eng != nil {
-			n = m.eng.count(m, t, d)
-		} else {
-			n = m.countRange(t, d, 0, p)
-		}
-		if d.Reduce == isa.ReduceCount {
-			return m.mask(n)
-		}
-		return b2i(n > 0)
+	case isa.ReduceCount:
+		return m.mask(countResp(m.flagPlane(t, d.Inst.Ra), resp))
+	case isa.ReduceAny:
+		return b2i(firstResp(m.flagPlane(t, d.Inst.Ra), resp) < len(resp))
 	case isa.ReduceFirst:
-		if m.eng != nil {
-			return int64(m.eng.first(m, t, d))
-		}
-		return int64(m.firstRange(t, d, 0, p))
+		return int64(firstResp(m.flagPlane(t, d.Inst.Ra), resp))
+	case isa.ReduceSum:
+		return m.mask(sumTree(m.w, m.pregPlane(t, d.Inst.Ra), resp, m.leafBuf))
 	}
-	if m.eng != nil {
-		return m.mask(m.eng.reduce(m, t, d))
-	}
-	return m.mask(m.reduceRange(t, d, 0, p))
+	return m.mask(foldValue(d.Reduce, m.w, m.pregPlane(t, d.Inst.Ra), resp))
 }
 
 // execReduction applies a reduction micro-op: it writes Reduce's value to
@@ -757,62 +692,13 @@ func (m *Machine) execReduction(t int, d *isa.Decoded) {
 	}
 	// The resolver output is a parallel value written back into every PE's
 	// flag register, regardless of mask: non-responders receive zero,
-	// exactly one responder receives one.
-	if m.eng != nil {
-		m.eng.firstWrite(m, t, d, int(v))
-	} else {
-		m.rfirstWriteRange(t, d, int(v), 0, m.cfg.PEs)
-	}
-}
-
-// countRange counts responders (flag ra AND mask) among PEs in [lo, hi) —
-// the response counter of section 6.4, as a range so shards can count
-// privately and sum.
-func (m *Machine) countRange(t int, d *isa.Decoded, lo, hi int) int64 {
-	return countResp(m.flagPlane(t, d.Inst.Ra, lo, hi), m.flagPlane(t, d.Inst.Mask, lo, hi))
-}
-
-// firstRange returns the lowest responder index in [lo, hi), or the PE
-// count as a "no responder" sentinel so a min-merge across shards yields
-// the global resolver output.
-func (m *Machine) firstRange(t int, d *isa.Decoded, lo, hi int) int {
-	if i := firstResp(m.flagPlane(t, d.Inst.Ra, lo, hi), m.flagPlane(t, d.Inst.Mask, lo, hi)); i < hi-lo {
-		return lo + i
-	}
-	return m.cfg.PEs
-}
-
-// rfirstWriteRange writes the resolver output for PEs in [lo, hi): flag Rd
-// becomes one only at the winning PE (mask-independent, like the hardware
-// resolver bus). A winner outside [0, PEs) clears the whole range.
-func (m *Machine) rfirstWriteRange(t int, d *isa.Decoded, winner, lo, hi int) {
+	// exactly one responder receives one. Writes to f0 are dropped.
 	if d.Inst.Rd == 0 {
-		return // f0 writes are dropped
+		return
 	}
-	dst := m.flagPlane(t, d.Inst.Rd, lo, hi)
-	for i := range dst {
-		dst[i] = lo+i == winner
+	dst := m.flagPlane(t, d.Inst.Rd)
+	clear(dst)
+	if v < int64(len(dst)) {
+		dst[v] = true
 	}
-}
-
-// reduceRange folds value reduction d over PEs [lo, hi) to its subtree
-// root, in the leaf domain (sign-extended for the signed kinds, not yet
-// masked). The sum's leaves go through leafBuf[lo:hi].
-func (m *Machine) reduceRange(t int, d *isa.Decoded, lo, hi int) int64 {
-	v, resp := m.pregPlane(t, d.Inst.Ra, lo, hi), m.flagPlane(t, d.Inst.Mask, lo, hi)
-	if d.Reduce == isa.ReduceSum {
-		return sumTree(m.w, v, resp, m.leafBuf[lo:hi])
-	}
-	return foldValue(d.Reduce, m.w, v, resp)
-}
-
-// mergeRoots folds per-shard subtree roots of reduction k to the global
-// root: the sum through the top of the exact tree, the others in one pass
-// under the all-one f0 plane.
-func (m *Machine) mergeRoots(k isa.ReduceKind, roots []int64) int64 {
-	if k == isa.ReduceSum {
-		lo, hi := network.SatLimits(m.w.bits)
-		return network.FoldInPlaceSatAdd(roots, lo, hi)
-	}
-	return foldValue(k, m.w, roots, m.flagPlane(0, 0, 0, len(roots)))
 }

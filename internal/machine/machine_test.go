@@ -447,7 +447,7 @@ func TestSaturatingSumReduction(t *testing.T) {
 // TestResponseCounterWrapsAtWidth: with 2^Width or more responders RCOUNT
 // writes the count modulo 2^Width, while RANY is 1 from the unwrapped count
 // (256 responders at width 8 count 0 yet some respond). The single-step
-// path on both engines, Reduce, and the fused compare→count kernel agree.
+// path, Reduce, and the fused compare→count kernel agree.
 func TestResponseCounterWrapsAtWidth(t *testing.T) {
 	const src = `
 		pceq f1, p0, p0   ; every PE responds
@@ -466,21 +466,17 @@ func TestResponseCounterWrapsAtWidth(t *testing.T) {
 		}
 	}
 	for _, pes := range []int{256, 300} {
-		for _, eng := range []Engine{EngineSerial, EngineParallel} {
-			m := newMachine(t, Config{PEs: pes, Threads: 1, Width: 8, Engine: eng}, src)
-			run(t, m)
-			check(eng.String(), m, pes)
-			prog := m.Program()
-			if got, want := m.Reduce(0, dec(prog[1])), int64(pes%256); got != want {
-				t.Errorf("%v pes=%d: Reduce(rcount) = %d, want %d", eng, pes, got, want)
-			}
-			if got := m.Reduce(0, dec(prog[3])); got != 1 {
-				t.Errorf("%v pes=%d: Reduce(rany) = %d, want 1", eng, pes, got)
-			}
-			m.Close()
-		}
-		m := newMachine(t, Config{PEs: pes, Threads: 1, Width: 8, Engine: EngineSerial}, src)
+		m := newMachine(t, Config{PEs: pes, Threads: 1, Width: 8}, src)
+		run(t, m)
+		check("exec", m, pes)
 		prog := m.Program()
+		if got, want := m.Reduce(0, dec(prog[1])), int64(pes%256); got != want {
+			t.Errorf("pes=%d: Reduce(rcount) = %d, want %d", pes, got, want)
+		}
+		if got := m.Reduce(0, dec(prog[3])); got != 1 {
+			t.Errorf("pes=%d: Reduce(rany) = %d, want 1", pes, got)
+		}
+		m = newMachine(t, Config{PEs: pes, Threads: 1, Width: 8}, src)
 		m.ExecFused(0, []*isa.Decoded{dec(prog[0]), dec(prog[1])})
 		m.ExecFused(0, []*isa.Decoded{dec(prog[2]), dec(prog[3])})
 		check("fused", m, pes)
@@ -801,5 +797,23 @@ func TestWidth32(t *testing.T) {
 	run(t, m)
 	if got := m.Scalar(0, 3); got != 0x66666 {
 		t.Errorf("32-bit add = %#x, want 0x66666", got)
+	}
+}
+
+// TestValidateRejectsUnknownEngine: Config.Engine selects nothing, and
+// Validate accepts only its two remaining values, EngineAuto and
+// EngineSerial.
+func TestValidateRejectsUnknownEngine(t *testing.T) {
+	for _, e := range []Engine{EngineAuto, EngineSerial} {
+		c := Config{Engine: e}
+		if err := c.Validate(); err != nil {
+			t.Errorf("Validate(Engine %d) = %v, want nil", e, err)
+		}
+	}
+	for _, e := range []Engine{2, 9} {
+		c := Config{Engine: e}
+		if err := c.Validate(); err == nil {
+			t.Errorf("Validate accepted unknown engine %d", e)
+		}
 	}
 }

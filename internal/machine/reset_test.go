@@ -32,39 +32,26 @@ worker:
 
 // TestResetMatchesFreshSnapshot pins the pool's core contract: after an
 // arbitrary run, Reset restores power-on state exactly, so a reset machine
-// is snapshot-identical to a freshly constructed one — on both host
-// engines, and across them (the engine is architecturally invisible).
+// is snapshot-identical to a freshly constructed one.
 func TestResetMatchesFreshSnapshot(t *testing.T) {
-	engines := []Engine{EngineSerial, EngineParallel}
-	freshSnaps := make([][]byte, len(engines))
-	resetSnaps := make([][]byte, len(engines))
-	for i, eng := range engines {
-		cfg := Config{PEs: 64, Threads: 4, Width: 16, LocalMemWords: 32, Engine: eng}
-		m := newMachine(t, cfg, dirtySrc)
-		fresh := m.Snapshot()
-		run(t, m)
-		if bytes.Equal(m.Snapshot(), fresh) {
-			t.Fatalf("engine %v: program left no architectural trace; test is vacuous", eng)
-		}
-		m.Reset()
-		got := m.Snapshot()
-		if !bytes.Equal(got, fresh) {
-			t.Errorf("engine %v: reset snapshot differs from fresh snapshot", eng)
-		}
-		// A reset machine must also run to the same final state again.
-		run(t, m)
-		rerun := m.Snapshot()
-		m2 := newMachine(t, cfg, dirtySrc)
-		run(t, m2)
-		if !bytes.Equal(rerun, m2.Snapshot()) {
-			t.Errorf("engine %v: rerun after reset diverges from a fresh run", eng)
-		}
-		freshSnaps[i], resetSnaps[i] = fresh, got
+	cfg := Config{PEs: 64, Threads: 4, Width: 16, LocalMemWords: 32}
+	m := newMachine(t, cfg, dirtySrc)
+	fresh := m.Snapshot()
+	run(t, m)
+	if bytes.Equal(m.Snapshot(), fresh) {
+		t.Fatal("program left no architectural trace; test is vacuous")
 	}
-	// Cross-engine: snapshots exclude the host engine, so a reset parallel
-	// machine matches a fresh serial one byte for byte.
-	if !bytes.Equal(resetSnaps[1], freshSnaps[0]) {
-		t.Error("reset parallel-engine snapshot differs from fresh serial-engine snapshot")
+	m.Reset()
+	if !bytes.Equal(m.Snapshot(), fresh) {
+		t.Error("reset snapshot differs from fresh snapshot")
+	}
+	// A reset machine must also run to the same final state again.
+	run(t, m)
+	rerun := m.Snapshot()
+	m2 := newMachine(t, cfg, dirtySrc)
+	run(t, m2)
+	if !bytes.Equal(rerun, m2.Snapshot()) {
+		t.Error("rerun after reset diverges from a fresh run")
 	}
 }
 

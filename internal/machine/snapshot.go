@@ -55,9 +55,8 @@ var (
 )
 
 // fingerprint hashes the configuration and program so a snapshot cannot be
-// restored into an incompatible machine. Config.Engine is excluded: the
-// host engine is architecturally invisible, so images are byte-identical
-// across engines and move freely between them.
+// restored into an incompatible machine. Config.Engine is excluded: it
+// selects nothing.
 func (m *Machine) fingerprint() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -150,22 +149,44 @@ func (e *snapEncoder) vals(vs []int64) {
 	for len(vs) > 0 {
 		b := e.room(e.k)
 		c := min(len(b)/e.k, len(vs))
-		switch e.k {
-		case 1:
-			for i, v := range vs[:c] {
-				b[i] = byte(v)
-			}
-		case 2:
-			for i, v := range vs[:c] {
-				binary.LittleEndian.PutUint16(b[2*i:], uint16(v))
-			}
-		default:
-			for i, v := range vs[:c] {
-				binary.LittleEndian.PutUint32(b[4*i:], uint32(v))
-			}
-		}
+		putVals(b, vs[:c], e.k)
 		e.n += e.k * c
 		vs = vs[c:]
+	}
+}
+
+// putVals stores vs into b at k bytes each, little-endian, with one
+// 64-bit store per 8/k values; b holds at least k*len(vs) bytes.
+func putVals(b []byte, vs []int64, k int) {
+	i := 0
+	switch k {
+	case 1:
+		for ; i+8 <= len(vs); i += 8 {
+			v := vs[i : i+8 : i+8]
+			binary.LittleEndian.PutUint64(b[i:], uint64(uint8(v[0]))|uint64(uint8(v[1]))<<8|
+				uint64(uint8(v[2]))<<16|uint64(uint8(v[3]))<<24|uint64(uint8(v[4]))<<32|
+				uint64(uint8(v[5]))<<40|uint64(uint8(v[6]))<<48|uint64(uint8(v[7]))<<56)
+		}
+		for ; i < len(vs); i++ {
+			b[i] = byte(vs[i])
+		}
+	case 2:
+		for ; i+4 <= len(vs); i += 4 {
+			v := vs[i : i+4 : i+4]
+			binary.LittleEndian.PutUint64(b[2*i:], uint64(uint16(v[0]))|uint64(uint16(v[1]))<<16|
+				uint64(uint16(v[2]))<<32|uint64(uint16(v[3]))<<48)
+		}
+		for ; i < len(vs); i++ {
+			binary.LittleEndian.PutUint16(b[2*i:], uint16(vs[i]))
+		}
+	default:
+		for ; i+2 <= len(vs); i += 2 {
+			v := vs[i : i+2 : i+2]
+			binary.LittleEndian.PutUint64(b[4*i:], uint64(uint32(v[0]))|uint64(uint32(v[1]))<<32)
+		}
+		for ; i < len(vs); i++ {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(vs[i]))
+		}
 	}
 }
 
@@ -175,13 +196,42 @@ func (e *snapEncoder) bits(fs []bool) {
 	for len(fs) > 0 {
 		b := e.room(1)
 		b = b[:min(len(b), flagPlaneBytes(len(fs)))]
-		clear(b)
 		c := min(8*len(b), len(fs))
-		for i, f := range fs[:c] {
-			b[i>>3] |= bit(f) << (i & 7)
-		}
+		putBits(b, fs[:c])
 		e.n += len(b)
 		fs = fs[c:]
+	}
+}
+
+// putBits packs fs into b, eight flags to a byte with PE i at bit i%8 of
+// byte i/8, and zeroes the padding bits of a short last byte; b holds
+// exactly ⌈len(fs)/8⌉ bytes.
+func putBits(b []byte, fs []bool) {
+	i := 0
+	for ; i+8 <= len(fs); i += 8 {
+		f := fs[i : i+8 : i+8]
+		b[i>>3] = bit(f[0]) | bit(f[1])<<1 | bit(f[2])<<2 | bit(f[3])<<3 |
+			bit(f[4])<<4 | bit(f[5])<<5 | bit(f[6])<<6 | bit(f[7])<<7
+	}
+	if i < len(fs) {
+		var x byte
+		for j, f := range fs[i:] {
+			x |= bit(f) << j
+		}
+		b[i>>3] = x
+	}
+}
+
+// getBits unpacks len(dst) flags from the bit plane src (putBits' layout).
+func getBits(dst []bool, src []byte) {
+	i := 0
+	for ; i+8 <= len(dst); i += 8 {
+		x, d := src[i>>3], dst[i:i+8:i+8]
+		d[0], d[1], d[2], d[3] = x&1 != 0, x&2 != 0, x&4 != 0, x&8 != 0
+		d[4], d[5], d[6], d[7] = x&16 != 0, x&32 != 0, x&64 != 0, x&128 != 0
+	}
+	for ; i < len(dst); i++ {
+		dst[i] = src[i>>3]>>(i&7)&1 != 0
 	}
 }
 
@@ -312,21 +362,35 @@ func (m *Machine) checkSnapshot(data []byte) error {
 	return nil
 }
 
-// getVals decodes len(dst) values of k bytes each from byte offset off and
-// returns the offset after them.
+// getVals decodes len(dst) values of k bytes each from byte offset off,
+// with one 64-bit load per 8/k values, and returns the offset after them.
 func getVals(dst []int64, data []byte, off, k int) int {
 	src := data[off : off+k*len(dst)]
+	i := 0
 	switch k {
 	case 1:
-		for i := range dst {
+		for ; i+8 <= len(dst); i += 8 {
+			x, d := binary.LittleEndian.Uint64(src[i:]), dst[i:i+8:i+8]
+			d[0], d[1], d[2], d[3] = int64(x&0xff), int64(x>>8&0xff), int64(x>>16&0xff), int64(x>>24&0xff)
+			d[4], d[5], d[6], d[7] = int64(x>>32&0xff), int64(x>>40&0xff), int64(x>>48&0xff), int64(x>>56)
+		}
+		for ; i < len(dst); i++ {
 			dst[i] = int64(src[i])
 		}
 	case 2:
-		for i := range dst {
+		for ; i+4 <= len(dst); i += 4 {
+			x, d := binary.LittleEndian.Uint64(src[2*i:]), dst[i:i+4:i+4]
+			d[0], d[1], d[2], d[3] = int64(x&0xffff), int64(x>>16&0xffff), int64(x>>32&0xffff), int64(x>>48)
+		}
+		for ; i < len(dst); i++ {
 			dst[i] = int64(binary.LittleEndian.Uint16(src[2*i:]))
 		}
 	default:
-		for i := range dst {
+		for ; i+2 <= len(dst); i += 2 {
+			x, d := binary.LittleEndian.Uint64(src[4*i:]), dst[i:i+2:i+2]
+			d[0], d[1] = int64(x&0xffffffff), int64(x>>32)
+		}
+		for ; i < len(dst); i++ {
 			dst[i] = int64(binary.LittleEndian.Uint32(src[4*i:]))
 		}
 	}
@@ -358,9 +422,7 @@ func (m *Machine) Restore(data []byte) error {
 	}
 	for i := p; i < len(m.flags); i += p {
 		if i/p%isa.NumFlagRegs != 0 {
-			for pe := range p {
-				m.flags[i+pe] = data[off+pe>>3]>>(pe&7)&1 != 0
-			}
+			getBits(m.flags[i:i+p], data[off:off+flagPlaneBytes(p)])
 			off += flagPlaneBytes(p)
 		}
 	}

@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -141,5 +143,66 @@ func TestLoadImagesRejectOversize(t *testing.T) {
 	// Extra PE rows beyond the array are ignored.
 	if err := m.LoadLocalMem([][]int64{{1}, {2}, {3}}); err != nil {
 		t.Errorf("extra rows should be ignored: %v", err)
+	}
+}
+
+// TestEngineTrapDeterminism pins the deterministic trap rule: when several
+// PEs fault on a parallel memory access, the trap reports the lowest
+// faulting PE and every non-faulting responder still executes — exactly
+// what the reference interpreter does.
+func TestEngineTrapDeterminism(t *testing.T) {
+	r := rand.New(rand.NewSource(42))
+	cfg := Config{PEs: 67, Threads: 1, Width: 16, LocalMemWords: 32}
+	// p1 := pe index; f1 := pe >= 50; the store to p1-55 faults for
+	// responders 50..54 (negative addresses), and responders 55..66, which
+	// come after the first fault, still store.
+	prog := []isa.Inst{
+		{Op: isa.PIDX, Rd: 1},
+		{Op: isa.PCGE, Rd: 1, Ra: 1, Rb: 2, SB: true},
+		{Op: isa.PSW, Rd: 1, Ra: 1, Imm: -55, Mask: 1},
+	}
+	mem := make([][]int64, cfg.PEs)
+	for pe := range mem {
+		mem[pe] = make([]int64, cfg.LocalMemWords)
+		for w := range mem[pe] {
+			mem[pe][w] = r.Int63()
+		}
+	}
+	var snaps [2][]byte
+	for i, ref := range []bool{false, true} {
+		m, err := New(cfg, prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LoadLocalMem(mem); err != nil {
+			t.Fatal(err)
+		}
+		m.SetScalar(0, 2, 50)
+		for j, in := range prog {
+			if ref {
+				_, err = m.ExecRef(0, in)
+			} else {
+				_, err = m.ExecDecoded(0, dec(in))
+			}
+			if j < len(prog)-1 && err != nil {
+				t.Fatal(err)
+			}
+		}
+		te, ok := err.(*TrapError)
+		if !ok {
+			t.Fatalf("ref=%t: expected trap, got %v", ref, err)
+		}
+		if want := "PE 50 local store address -5 out of [0, 32)"; te.Msg != want {
+			t.Fatalf("ref=%t: trap message %q, want %q", ref, te.Msg, want)
+		}
+		for pe := 55; pe < cfg.PEs; pe++ {
+			if got := m.LocalMem(pe, pe-55); got != int64(pe) {
+				t.Fatalf("ref=%t: PE %d stored %d, want %d", ref, pe, got, pe)
+			}
+		}
+		snaps[i] = m.Snapshot()
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Fatal("post-trap snapshot differs from the reference interpreter's")
 	}
 }

@@ -45,19 +45,6 @@ import (
 // accepts.
 const Version = 1
 
-// ArchKey is the engine-agnostic architectural fingerprint of a machine
-// configuration: asc.Config.Key with the host-only Engine, TraceDepth,
-// and Blocks knobs zeroed, exactly the normalization progcache applies.
-// Snapshots are engine-portable (machine fingerprints exclude the engine,
-// and the block-dispatch tier is architecturally invisible), so envelopes
-// move freely between serial, parallel, and block-dispatching backends.
-func ArchKey(cfg asc.Config) string {
-	cfg.Engine = asc.EngineAuto
-	cfg.TraceDepth = 0
-	cfg.Blocks = asc.BlocksAuto
-	return cfg.Key()
-}
-
 // StaleError reports an envelope that can no longer be honored: its
 // snapshot image is in a format version this build does not restore, or
 // its program artifact was evicted from the cache and the embedded source
@@ -86,7 +73,7 @@ func Pack(sessionID string, req client.RunRequest, digest string, snapshot []byt
 		Version:               Version,
 		SessionID:             sessionID,
 		Digest:                digest,
-		ConfigKey:             ArchKey(req.Config.ASC()),
+		ConfigKey:             progcache.ArchKey(req.Config.ASC()),
 		Request:               stripped(req),
 		Snapshot:              snapshot,
 		ConsumedCycles:        consumed,
@@ -207,7 +194,7 @@ func Validate(env *client.SnapshotEnvelope) error {
 	if !progcache.ValidDigest(env.Digest) {
 		return fmt.Errorf("malformed program digest %q", progcache.ShortDigest(env.Digest))
 	}
-	if want := ArchKey(env.Request.Config.ASC()); env.ConfigKey != want {
+	if want := progcache.ArchKey(env.Request.Config.ASC()); env.ConfigKey != want {
 		return fmt.Errorf("envelope config key %q does not match its request config %q", env.ConfigKey, want)
 	}
 	if len(env.Request.LocalMem) != 0 || len(env.Request.ScalarMem) != 0 {

@@ -50,9 +50,7 @@ func compileLong(t *testing.T) (*asc.Program, string) {
 func mintMid(t *testing.T, budget int64) (*client.SnapshotEnvelope, asc.Stats) {
 	t.Helper()
 	prog, digest := compileLong(t)
-	cfg := wireConfig().ASC()
-	cfg.Engine = asc.EngineSerial
-	p, err := asc.New(cfg, prog)
+	p, err := asc.New(wireConfig().ASC(), prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,19 +219,16 @@ func addStats(a, b asc.Stats) asc.Stats {
 	return a
 }
 
-// TestCrossEngineResumeBitIdentical is the migration invariant at machine
-// level: suspend a serial-engine run mid-flight into an envelope, resume it
-// on a parallel-engine machine, and the final architectural snapshot is
-// byte-identical to an uninterrupted run's — with the merged cycle and
-// instruction accounting equal as well.
-func TestCrossEngineResumeBitIdentical(t *testing.T) {
+// TestMidRunResumeBitIdentical is the migration invariant at machine
+// level: suspend a run mid-flight into an envelope, resume it on a fresh
+// machine, and the final architectural snapshot is byte-identical to an
+// uninterrupted run's — with the merged cycle and instruction accounting
+// equal as well.
+func TestMidRunResumeBitIdentical(t *testing.T) {
 	prog, _ := compileLong(t)
-	serialCfg := wireConfig().ASC()
-	serialCfg.Engine = asc.EngineSerial
-	parallelCfg := wireConfig().ASC()
-	parallelCfg.Engine = asc.EngineParallel
+	cfg := wireConfig().ASC()
 
-	a, err := asc.New(serialCfg, prog)
+	a, err := asc.New(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +247,12 @@ func TestCrossEngineResumeBitIdentical(t *testing.T) {
 		t.Fatalf("stats wire round trip lost data: %+v vs %+v", got, s1)
 	}
 
-	b, err := asc.New(parallelCfg, prog)
+	b, err := asc.New(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Restore(env.Snapshot); err != nil {
-		t.Fatalf("restore on parallel engine: %v", err)
+		t.Fatalf("restore on a fresh machine: %v", err)
 	}
 	s2, err := b.Run(env.RemainingCycles)
 	if err != nil {
@@ -266,7 +261,7 @@ func TestCrossEngineResumeBitIdentical(t *testing.T) {
 	gotSnap := b.Snapshot()
 
 	if !bytes.Equal(wantSnap, gotSnap) {
-		t.Fatalf("final snapshots diverge after cross-engine resume (%d vs %d bytes)", len(wantSnap), len(gotSnap))
+		t.Fatalf("final snapshots diverge after a mid-run resume (%d vs %d bytes)", len(wantSnap), len(gotSnap))
 	}
 	if got := b.ScalarMem(0); got != 56000 {
 		t.Errorf("resumed result = %d, want 56000", got)

@@ -7,10 +7,10 @@ import (
 	"repro/internal/isa"
 )
 
-// TestFoldInPlaceSharding pins the contract the sharded parallel execution
-// engine relies on: folding aligned power-of-two blocks independently and
-// then folding the block roots gives bit-identical results to the global
-// fold — even for the node-saturating sum, which is not associative.
+// TestFoldInPlaceSharding pins a property of the tree topology: folding
+// aligned power-of-two blocks independently and then folding the block
+// roots gives bit-identical results to the global fold — even for the
+// node-saturating sum, which is not associative.
 func TestFoldInPlaceSharding(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	combines := map[string]CombineFunc{

@@ -56,16 +56,13 @@ func SatAdd(width uint) CombineFunc {
 // folds through it; the machine's instructions use the specialized kernels
 // below.
 //
-// Sharding contract: the fold of a leaf vector can be computed piecewise.
-// Split the vector into contiguous blocks of S = 2^k leaves, aligned at
-// multiples of S (the final block may be short); FoldInPlace of each block
-// yields exactly the level-k internal nodes of the global tree, and
-// FoldInPlace over those block roots (in order) equals FoldInPlace over the
-// whole vector. This holds for any CombineFunc, including node-saturating
-// SatAdd, because aligned power-of-two blocks coincide with whole subtrees.
-// The sharded parallel execution engine in internal/machine relies on this
-// to merge per-shard partial accumulators bit-identically to the serial
-// fold; TestFoldInPlaceSharding pins the property.
+// Because the topology is fixed, the node-saturating SatAdd, which is not
+// associative, saturates exactly where the hardware tree does: the
+// machine's sum kernel (sumTree, through FoldInPlaceSatAdd) relies on
+// this. The fold can also be computed piecewise: FoldInPlace over the
+// roots of aligned blocks of 2^k leaves equals FoldInPlace over the whole
+// vector, because such blocks are whole subtrees (TestFoldInPlaceSharding
+// pins the property).
 func FoldInPlace(buf []int64, combine CombineFunc) int64 {
 	if len(buf) == 0 {
 		panic("network: FoldInPlace of empty slice")

@@ -91,9 +91,8 @@ func (p *Pool) Get(cfg asc.Config, prog *asc.Program) (*asc.Processor, bool, err
 		if err := proc.SetProgram(prog); err != nil {
 			// A program-load failure (e.g. a .data segment larger than
 			// scalar memory) does not invalidate the machine: re-park it
-			// warm instead of dropping it with its engine worker pool
-			// still running. The checkout never produced a usable
-			// processor, so it counts as neither a hit nor a miss.
+			// warm instead of dropping it. The checkout never produced a
+			// usable processor, so it counts as neither a hit nor a miss.
 			p.Put(proc)
 			return nil, false, err
 		}
@@ -150,8 +149,7 @@ func (p *Pool) addBuildTime(key string, d time.Duration) {
 }
 
 // Put parks a processor for reuse under the configuration it was built
-// with. When the idle cap is reached the machine is dropped instead (its
-// engine worker pool, if any, is released by the machine finalizer). The
+// with. When the idle cap is reached the machine is dropped instead. The
 // machine's state may be arbitrarily dirty; Get cleans it on the way out.
 func (p *Pool) Put(proc *asc.Processor) {
 	key := proc.Config().Key()

@@ -108,9 +108,8 @@ func TestRecycledMachineIsClean(t *testing.T) {
 
 // TestSetProgramFailureReparks checks that a warm machine whose program
 // load fails (a .data segment larger than scalar memory) is re-parked for
-// the next request instead of being dropped with its engine worker pool
-// still running, and that the failed checkout counts as neither a hit nor
-// a miss.
+// the next request instead of being dropped, and that the failed checkout
+// counts as neither a hit nor a miss.
 func TestSetProgramFailureReparks(t *testing.T) {
 	p := New(2)
 	cfg := asc.Config{PEs: 4, Width: 32}

@@ -25,6 +25,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
+	"strings"
 	"sync"
 
 	asc "repro"
@@ -52,11 +53,9 @@ type Stats struct {
 
 // Key fingerprints a compilation input: the source kind ("ascl" or "asm"),
 // the source text, and the architectural configuration key of the machine
-// it targets. The config key is the normalized architectural fingerprint
-// (asc.Config.Key with the host-only Engine, TraceDepth, and Blocks knobs
-// zeroed), so jobs that differ only in host engine, trace opt-in, or
-// block-dispatch mode share one entry, while a future
-// configuration-dependent compiler keeps correctness.
+// it targets. The config key is ArchKey, so jobs that differ only in host
+// engine, trace opt-in, or block-dispatch mode share one entry, while a
+// future configuration-dependent compiler keeps correctness.
 //
 // The "v4" version prefix invalidates keys minted before the block plane:
 // cached Programs now lazily carry their block-compiled form (basic
@@ -67,9 +66,6 @@ type Stats struct {
 // form). Bump the prefix whenever the shape of the cached artifact
 // changes.
 func Key(kind, source string, cfg asc.Config) string {
-	cfg.Engine = asc.EngineAuto
-	cfg.TraceDepth = 0
-	cfg.Blocks = asc.BlocksAuto
 	h := sha256.New()
 	h.Write([]byte("v4"))
 	h.Write([]byte{0})
@@ -77,8 +73,28 @@ func Key(kind, source string, cfg asc.Config) string {
 	h.Write([]byte{0})
 	h.Write([]byte(source))
 	h.Write([]byte{0})
-	h.Write([]byte(cfg.Key()))
+	h.Write(archKey(cfg))
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// ArchKey is the normalized architectural fingerprint of a machine
+// configuration: asc.Config.Key with the host-only TraceDepth and Blocks
+// knobs zeroed. Program digests hash it and snapshot envelopes carry it
+// (ConfigKey), so its text is wire format shared by every build: it keeps
+// the constant "engine=auto" field that Config.Key printed while
+// Config.Engine still selected a host engine, and envelopes sealed by
+// earlier builds keep resolving.
+func ArchKey(cfg asc.Config) string { return string(archKey(cfg)) }
+
+// archKey renders ArchKey into one exactly sized buffer.
+func archKey(cfg asc.Config) []byte {
+	const engine = " engine=auto"
+	cfg.TraceDepth = 0
+	cfg.Blocks = asc.BlocksAuto
+	k := cfg.Key()
+	i := strings.LastIndex(k, " blocks=")
+	b := make([]byte, 0, len(k)+len(engine))
+	return append(append(append(b, k[:i]...), engine...), k[i:]...)
 }
 
 // RequestDigest fingerprints a run request's compilation input — exactly

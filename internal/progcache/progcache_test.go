@@ -37,7 +37,7 @@ func TestKeyContentAddressing(t *testing.T) {
 	// compiler: the same source on the same architecture shares one entry.
 	traced := base
 	traced.TraceDepth = 64
-	traced.Engine = asc.EngineParallel
+	traced.Engine = asc.EngineSerial
 	if k != Key("asm", "halt", traced) {
 		t.Error("host-only knobs (Engine, TraceDepth) changed the key")
 	}
@@ -45,6 +45,20 @@ func TestKeyContentAddressing(t *testing.T) {
 	// must share an entry.
 	if Key("asm", "halt", asc.Config{}) != Key("asm", "halt", asc.Config{PEs: 16, Threads: 16, Width: 8, LocalMemWords: 1024, Arity: 4}) {
 		t.Error("zero config and explicit prototype defaults produced different keys")
+	}
+}
+
+// TestArchKeyWireText pins ArchKey's text: envelopes carry it, and
+// program digests hash it, across builds.
+func TestArchKeyWireText(t *testing.T) {
+	const want = "pes=16 threads=16 width=8 lmem=1024 arity=4 seqmul=false fixed=false smt=false trace=0 engine=auto blocks=auto"
+	for _, cfg := range []asc.Config{{}, {Engine: asc.EngineSerial, TraceDepth: 8, Blocks: asc.BlocksOff}} {
+		if got := ArchKey(cfg); got != want {
+			t.Errorf("ArchKey(%+v) = %q, want %q", cfg, got, want)
+		}
+	}
+	if got, want := Key("asm", "halt", asc.Config{PEs: 16, Width: 32}), "8752ac0ce367e47d80c463d18ba4a518d3d3782077d24613b880800ff629265c"; got != want {
+		t.Errorf("program digest = %s, want %s (the digest envelopes carry must not move)", got, want)
 	}
 }
 

@@ -102,8 +102,30 @@ func TestConfigKey(t *testing.T) {
 	if (Config{}).Key() == (Config{SMT: true}).Key() {
 		t.Error("SMT must be part of the key")
 	}
-	if (Config{Engine: EngineSerial}).Key() == (Config{Engine: EngineParallel}).Key() {
-		t.Error("pinned host engines must produce different keys")
+}
+
+// TestConfigKeyIgnoresEngine: Engine selects nothing, so a configuration
+// that names EngineSerial shares its pool key with the default one.
+func TestConfigKeyIgnoresEngine(t *testing.T) {
+	if (Config{Engine: EngineAuto}).Key() != (Config{Engine: EngineSerial}).Key() {
+		t.Error("EngineAuto and EngineSerial configs must share one key")
+	}
+}
+
+// TestConfigRejectsUnknownEngine: EngineAuto and EngineSerial are the only
+// valid Engine values; New and Geometry refuse any other.
+func TestConfigRejectsUnknownEngine(t *testing.T) {
+	bad := Config{Engine: Engine(2)}
+	if _, err := bad.Geometry(); err == nil {
+		t.Error("Geometry accepted Engine(2)")
+	}
+	if _, err := New(bad, MustAssemble("halt")); err == nil {
+		t.Error("New accepted Engine(2)")
+	}
+	for _, e := range []Engine{EngineAuto, EngineSerial} {
+		if _, err := New(Config{Engine: e}, MustAssemble("halt")); err != nil {
+			t.Errorf("New(Engine %d): %v", e, err)
+		}
 	}
 }
 
