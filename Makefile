@@ -122,7 +122,8 @@ bench-test:
 FUZZ_TARGETS = FuzzOracle:./internal/core FuzzEnvelope:./internal/migrate \
 	FuzzRestore:./internal/machine FuzzCompile:./internal/ascl \
 	FuzzAssemble:./internal/asm FuzzDecode:./internal/asm \
-	FuzzRequest:./internal/server FuzzParseText:./internal/obs
+	FuzzRequest:./internal/server FuzzParseText:./internal/obs \
+	FuzzWireDecode:./internal/wire
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -14,6 +14,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // Client is an HTTP client for an ascd daemon (or an ascgw gateway — the
@@ -220,21 +222,30 @@ func (c *Client) doOnce(ctx context.Context, method, path, id, tp string, body [
 			RequestID:  resp.Header.Get("X-Request-Id"),
 			RetryAfter: parseRetryAfter(resp.Header.Get("Retry-After")),
 		}
-		var eb errorBody
-		if json.Unmarshal(data, &eb) == nil && eb.Error != "" {
-			ae.Message = eb.Error
-		} else {
+		// One decode reads both the error text and, for the drain
+		// handshake (a 503 answered to an in-flight resumable session),
+		// the snapshot envelope.
+		var sd SessionDraining
+		if !wire.Decode(data, &sd) {
+			// Not canonical: encoding/json reads the two parts apart, so a
+			// malformed envelope still leaves the error text.
+			var eb errorBody
+			if json.Unmarshal(data, &eb) != nil {
+				eb.Error = ""
+			}
+			if json.Unmarshal(data, &sd) != nil {
+				sd.Envelope = nil
+			}
+			sd.Error = eb.Error
+		}
+		ae.Message = sd.Error
+		if ae.Message == "" {
 			ae.Message = strings.TrimSpace(string(data))
 		}
-		// The drain handshake: a 503 answered to an in-flight resumable
-		// session carries the snapshot envelope in the error body.
-		var sd SessionDraining
-		if json.Unmarshal(data, &sd) == nil && sd.Envelope != nil {
-			ae.Envelope = sd.Envelope
-		}
+		ae.Envelope = sd.Envelope
 		return ae
 	}
-	if out == nil {
+	if out == nil || wire.Decode(data, out) {
 		return nil
 	}
 	if err := json.Unmarshal(data, out); err != nil {

@@ -280,7 +280,8 @@ func (e *engine) Reset() {
 	e.restart()
 }
 
-// SetDecoded retargets every lane at an already-decoded program and Resets.
+// SetDecoded retargets every lane at an already-decoded program and
+// Resets, clearing each lane's state once.
 func (e *engine) SetDecoded(dp *isa.DecodedProgram) {
 	for _, m := range e.lanes {
 		m.SetDecoded(dp)

@@ -21,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/progcache"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 // Config sizes the gateway. Backends is required; zero fields take
@@ -364,12 +365,22 @@ func (g *Gateway) request(w http.ResponseWriter, r *http.Request, name, allow st
 		writeError(w, http.StatusBadRequest, "reading request: %v", err)
 		return id, tr, log, nil, false
 	}
-	if err := json.Unmarshal(body, v); err != nil {
+	if err := unmarshal(body, v); err != nil {
 		tr.SetError()
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return id, tr, log, nil, false
 	}
 	return id, tr, log, body, true
+}
+
+// unmarshal is json.Unmarshal behind internal/wire's one-pass decoder:
+// wire decodes the canonical bodies ascd and the client send, and
+// encoding/json everything else, so results and errors stay its own.
+func unmarshal(data []byte, v any) error {
+	if wire.Decode(data, v) {
+		return nil
+	}
+	return json.Unmarshal(data, v)
 }
 
 // admit performs the drain/in-flight admission dance shared by every
@@ -837,7 +848,7 @@ func (g *Gateway) routeGroup(ctx context.Context, req *client.BatchRequest, grp 
 			Error string `json:"error"`
 		}
 		msg := strings.TrimSpace(string(resp.body))
-		if json.Unmarshal(resp.body, &eb) == nil && eb.Error != "" {
+		if unmarshal(resp.body, &eb) == nil && eb.Error != "" {
 			msg = eb.Error
 		}
 		csp.EndErr(msg)
@@ -845,7 +856,7 @@ func (g *Gateway) routeGroup(ctx context.Context, req *client.BatchRequest, grp 
 		return
 	}
 	var bres client.BatchResult
-	if err := json.Unmarshal(resp.body, &bres); err != nil || len(bres.Jobs) != len(grp.idxs) {
+	if err := unmarshal(resp.body, &bres); err != nil || len(bres.Jobs) != len(grp.idxs) {
 		csp.EndErr("malformed batch response")
 		g.failGroup(outcomes, grp, http.StatusBadGateway,
 			fmt.Sprintf("backend %s returned a malformed batch response", backend))
@@ -1004,7 +1015,7 @@ func (g *Gateway) fetchBackendTraces(ctx context.Context, traceID string) []*dtr
 	halves := make([][]*dtrace.FinishedTrace, len(g.cfg.Backends))
 	g.getAll(ctx, "/debug/traces?trace="+url.QueryEscape(traceID), "", func(i int, body []byte) {
 		var dump dtrace.TraceDump
-		if json.Unmarshal(body, &dump) == nil {
+		if unmarshal(body, &dump) == nil {
 			halves[i] = dump.Traces
 		}
 	})

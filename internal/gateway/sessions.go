@@ -119,7 +119,7 @@ func (g *Gateway) migrationRecord(sid string) *migRecord {
 // nil for an ordinary (envelope-less) 503.
 func parseDraining(body []byte) *client.SnapshotEnvelope {
 	var sd client.SessionDraining
-	if json.Unmarshal(body, &sd) == nil && sd.Envelope != nil {
+	if unmarshal(body, &sd) == nil && sd.Envelope != nil {
 		return sd.Envelope
 	}
 	return nil
@@ -174,8 +174,11 @@ func sessionIDFromResult(r *backendResponse) string {
 	if r.status != http.StatusOK {
 		return ""
 	}
-	var sr client.SessionResult
-	if json.Unmarshal(r.body, &sr) == nil {
+	// Only the id is read: the decoder skips the result and envelope.
+	var sr struct {
+		SessionID string `json:"sessionId"`
+	}
+	if unmarshal(r.body, &sr) == nil {
 		return sr.SessionID
 	}
 	return ""
@@ -308,7 +311,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 func (g *Gateway) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	lists := make([]client.SessionList, len(g.cfg.Backends))
 	g.getAll(r.Context(), "/v1/sessions", dtrace.RequestID(r), func(i int, body []byte) {
-		json.Unmarshal(body, &lists[i])
+		unmarshal(body, &lists[i])
 	})
 	out := client.SessionList{Sessions: []client.SessionStatus{}}
 	for _, l := range lists {
@@ -449,7 +452,7 @@ func (g *Gateway) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	}
 	dsp.End()
 	var dr client.DrainResult
-	if err := json.Unmarshal(resp.body, &dr); err != nil {
+	if err := unmarshal(resp.body, &dr); err != nil {
 		tr.SetError()
 		writeError(w, http.StatusBadGateway, "backend %s returned a malformed drain result", backendLabel(backend))
 		return
@@ -504,7 +507,7 @@ func (g *Gateway) rescueSession(ctx context.Context, backend, sid, id string, lo
 		return ms
 	}
 	var status client.SessionStatus
-	if err := json.Unmarshal(st.body, &status); err != nil || status.Envelope == nil {
+	if err := unmarshal(st.body, &status); err != nil || status.Envelope == nil {
 		ms.Outcome = "failed"
 		ms.Error = "drained backend exported no envelope for this session"
 		return ms

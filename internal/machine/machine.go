@@ -234,15 +234,16 @@ func (m *Machine) SetProgram(prog []isa.Inst) error {
 		return err
 	}
 	m.SetDecoded(dp)
+	m.Reset()
 	return nil
 }
 
-// SetDecoded retargets the machine at an already-decoded program and
-// Resets it (see SetProgram).
+// SetDecoded retargets the machine at an already-decoded program without
+// resetting it: the caller Resets before the machine runs, once, however
+// many machines it retargets (see SetProgram).
 func (m *Machine) SetDecoded(dp *isa.DecodedProgram) {
 	m.dec = dp
 	m.prog = dp.Insts()
-	m.Reset()
 }
 
 // Config returns the machine configuration.

@@ -22,6 +22,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -40,6 +41,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/progcache"
+	"repro/internal/wire"
 )
 
 // Config sizes the serving core. Zero fields take defaults.
@@ -359,7 +361,7 @@ func (s *Server) request(w http.ResponseWriter, r *http.Request, name, allow str
 		return nil, log, false
 	}
 	tr, log = s.tracer.StartRequest(w, r, name, id, log)
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(v); err != nil {
+	if err := s.decodeBody(w, r, v); err != nil {
 		log.Warn("request rejected", "reason", "bad request body", "error", err.Error())
 		tr.SetError()
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
@@ -367,6 +369,45 @@ func (s *Server) request(w http.ResponseWriter, r *http.Request, name, allow str
 	}
 	return tr, log, true
 }
+
+// bodies recycles request-body buffers. Neither decoder keeps a reference
+// into the bytes it decodes, so a buffer is free once its body is decoded.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody bounds the capacity of a buffer kept for reuse.
+const maxPooledBody = 4 << 20
+
+// decodeBody reads the body, bounded by MaxBodyBytes, and decodes it into
+// v in one pass (internal/wire). A body wire declines, or one whose read
+// failed or tripped the limit, goes to encoding/json's stream decoder as
+// the bytes read followed by the read error: the stream it read before,
+// so every refusal and its text stay as they were.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	buf := bodies.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodies.Put(buf)
+		}
+	}()
+	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	_, rerr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if rerr == nil && wire.Decode(buf.Bytes(), v) {
+		return nil
+	}
+	var rd io.Reader = bytes.NewReader(buf.Bytes())
+	if rerr != nil {
+		rd = io.MultiReader(rd, errReader{rerr})
+	}
+	return json.NewDecoder(rd).Decode(v)
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // observeLatency records a request duration, attaching a trace-id exemplar
 // when the request's trace is sampled — sampled traces are the ones
