@@ -1,12 +1,15 @@
 package asm
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
 )
 
-// FuzzAssemble: the assembler must never panic on arbitrary input.
+// FuzzAssemble: the assembler must never panic on arbitrary input, and the
+// listing of whatever it accepts must assemble back to the same instructions.
 func FuzzAssemble(f *testing.F) {
 	seeds := []string{
 		"add s1, s2, s3",
@@ -33,6 +36,18 @@ func FuzzAssemble(f *testing.F) {
 			if _, derr := isa.Decode(w); derr != nil {
 				t.Fatalf("emitted undecodable word %d: %#08x (%v)", i, w, derr)
 			}
+		}
+		var listing strings.Builder
+		for _, in := range prog.Insts {
+			listing.WriteString(in.String())
+			listing.WriteByte('\n')
+		}
+		again, err := Assemble(listing.String())
+		if err != nil {
+			t.Fatalf("listing does not reassemble: %v\n%s", err, listing.String())
+		}
+		if !slices.Equal(again.Insts, prog.Insts) {
+			t.Fatalf("listing reassembles to %v, want %v", again.Insts, prog.Insts)
 		}
 	})
 }
