@@ -360,12 +360,13 @@ func need(n int, mnem string, want int, ops []string) error {
 
 func (a *assembler) real(n int, op isa.Op, ops []string, mask uint8) error {
 	info := isa.Lookup(op)
-	in := isa.Inst{Op: op, Mask: mask}
 	if mask != 0 && !info.ReadsMask {
 		return &Error{Line: n, Msg: fmt.Sprintf("%s does not accept a mask", info.Name)}
 	}
-	idx := len(a.prog.Insts) // address of the instruction being emitted
-
+	syntax := op.Syntax()
+	if len(ops) != len(syntax) {
+		return need(n, info.Name, len(syntax), ops)
+	}
 	reg := func(kind isa.RegKind, tok string) (uint8, error) {
 		r, ok := parseReg(kind, tok)
 		if !ok {
@@ -373,227 +374,36 @@ func (a *assembler) real(n int, op isa.Op, ops []string, mask uint8) error {
 		}
 		return r, nil
 	}
-
-	switch info.Format {
-	case isa.FormatN:
-		if len(ops) != 0 {
-			return need(n, info.Name, 0, ops)
-		}
-
-	case isa.FormatR, isa.FormatPR:
-		want := 0
-		if info.DstKind != isa.KindNone {
-			want++
-		}
-		if info.SrcAKind != isa.KindNone {
-			want++
-		}
-		if info.SrcBKind != isa.KindNone {
-			want++
-		}
-		if len(ops) != want {
-			return need(n, info.Name, want, ops)
-		}
-		i := 0
+	in := isa.Inst{Op: op, Mask: mask}
+	for i, o := range syntax {
+		tok := ops[i]
 		var err error
-		if info.DstKind != isa.KindNone {
-			if in.Rd, err = reg(info.DstKind, ops[i]); err != nil {
-				return err
+		switch o.Field {
+		case isa.FieldRd:
+			in.Rd, err = reg(o.Kind, tok)
+		case isa.FieldRa:
+			in.Ra, err = reg(o.Kind, tok)
+		case isa.FieldRb:
+			if r, ok := parseReg(isa.KindScalar, tok); ok && o.Broadcast {
+				in.Rb, in.SB = r, true
+			} else {
+				in.Rb, err = reg(o.Kind, tok)
 			}
-			i++
+		case isa.FieldImm:
+			if o.Label {
+				in.Imm, err = a.immOrLabel(n, len(a.prog.Insts), tok)
+			} else {
+				var v int64
+				v, err = a.evalInt(n, tok)
+				in.Imm = int32(v)
+			}
+		case isa.FieldMem:
+			in.Ra, in.Imm, err = a.memOperand(n, o.Kind, tok)
 		}
-		if info.SrcAKind != isa.KindNone {
-			if in.Ra, err = reg(info.SrcAKind, ops[i]); err != nil {
-				return err
-			}
-			i++
-		}
-		if info.SrcBKind != isa.KindNone {
-			tok := ops[i]
-			if info.Format == isa.FormatPR {
-				// Parallel B operand may be a scalar register (broadcast).
-				if r, ok := parseReg(isa.KindScalar, tok); ok && info.SrcBKind == isa.KindParallel {
-					in.Rb, in.SB = r, true
-					break
-				}
-			}
-			if in.Rb, err = reg(info.SrcBKind, tok); err != nil {
-				return err
-			}
-		}
-
-	case isa.FormatI:
-		switch {
-		case info.IsLoad: // lw rd, imm(ra)
-			if len(ops) != 2 {
-				return need(n, info.Name, 2, ops)
-			}
-			rd, err := reg(isa.KindScalar, ops[0])
-			if err != nil {
-				return err
-			}
-			ra, imm, err := a.memOperand(n, isa.KindScalar, ops[1])
-			if err != nil {
-				return err
-			}
-			in.Rd, in.Ra, in.Imm = rd, ra, imm
-		case info.IsStore: // sw rd, imm(ra) — stored value travels in the Rd field
-			if len(ops) != 2 {
-				return need(n, info.Name, 2, ops)
-			}
-			rv, err := reg(isa.KindScalar, ops[0])
-			if err != nil {
-				return err
-			}
-			ra, imm, err := a.memOperand(n, isa.KindScalar, ops[1])
-			if err != nil {
-				return err
-			}
-			in.Rd, in.Ra, in.Imm = rv, ra, imm
-		case info.IsBranch: // beq rd, ra, target
-			if len(ops) != 3 {
-				return need(n, info.Name, 3, ops)
-			}
-			rd, err := reg(isa.KindScalar, ops[0])
-			if err != nil {
-				return err
-			}
-			ra, err := reg(isa.KindScalar, ops[1])
-			if err != nil {
-				return err
-			}
-			in.Rd, in.Ra = rd, ra
-			a.emit(n, in)
-			imm, err := a.immOrLabel(n, idx, ops[2])
-			if err != nil {
-				return err
-			}
-			a.prog.Insts[idx].Imm = imm
-			return nil
-		case op == isa.TSPAWN: // tspawn rd, target
-			if len(ops) != 2 {
-				return need(n, info.Name, 2, ops)
-			}
-			rd, err := reg(isa.KindScalar, ops[0])
-			if err != nil {
-				return err
-			}
-			in.Rd = rd
-			a.emit(n, in)
-			imm, err := a.immOrLabel(n, idx, ops[1])
-			if err != nil {
-				return err
-			}
-			a.prog.Insts[idx].Imm = imm
-			return nil
-		case op == isa.LUI: // lui rd, imm
-			if len(ops) != 2 {
-				return need(n, info.Name, 2, ops)
-			}
-			rd, err := reg(isa.KindScalar, ops[0])
-			if err != nil {
-				return err
-			}
-			v, err := a.evalInt(n, ops[1])
-			if err != nil {
-				return err
-			}
-			in.Rd, in.Imm = rd, int32(v)
-		default: // addi rd, ra, imm
-			if len(ops) != 3 {
-				return need(n, info.Name, 3, ops)
-			}
-			rd, err := reg(isa.KindScalar, ops[0])
-			if err != nil {
-				return err
-			}
-			ra, err := reg(isa.KindScalar, ops[1])
-			if err != nil {
-				return err
-			}
-			in.Rd, in.Ra = rd, ra
-			a.emit(n, in)
-			imm, err := a.immOrLabel(n, idx, ops[2])
-			if err != nil {
-				return err
-			}
-			a.prog.Insts[idx].Imm = imm
-			return nil
-		}
-
-	case isa.FormatPI:
-		switch {
-		case info.IsLoad: // plw pd, imm(pa)
-			if len(ops) != 2 {
-				return need(n, info.Name, 2, ops)
-			}
-			rd, err := reg(isa.KindParallel, ops[0])
-			if err != nil {
-				return err
-			}
-			ra, imm, err := a.memOperand(n, isa.KindParallel, ops[1])
-			if err != nil {
-				return err
-			}
-			in.Rd, in.Ra, in.Imm = rd, ra, imm
-		case info.IsStore: // psw pd, imm(pa) — stored value travels in the Rd field
-			if len(ops) != 2 {
-				return need(n, info.Name, 2, ops)
-			}
-			rv, err := reg(isa.KindParallel, ops[0])
-			if err != nil {
-				return err
-			}
-			ra, imm, err := a.memOperand(n, isa.KindParallel, ops[1])
-			if err != nil {
-				return err
-			}
-			in.Rd, in.Ra, in.Imm = rv, ra, imm
-		case op == isa.PLI: // pli pd, imm
-			if len(ops) != 2 {
-				return need(n, info.Name, 2, ops)
-			}
-			rd, err := reg(isa.KindParallel, ops[0])
-			if err != nil {
-				return err
-			}
-			v, err := a.evalInt(n, ops[1])
-			if err != nil {
-				return err
-			}
-			in.Rd, in.Imm = rd, int32(v)
-		default: // paddi pd, pa, imm
-			if len(ops) != 3 {
-				return need(n, info.Name, 3, ops)
-			}
-			rd, err := reg(isa.KindParallel, ops[0])
-			if err != nil {
-				return err
-			}
-			ra, err := reg(isa.KindParallel, ops[1])
-			if err != nil {
-				return err
-			}
-			v, err := a.evalInt(n, ops[2])
-			if err != nil {
-				return err
-			}
-			in.Rd, in.Ra, in.Imm = rd, ra, int32(v)
-		}
-
-	case isa.FormatJ:
-		if len(ops) != 1 {
-			return need(n, info.Name, 1, ops)
-		}
-		a.emit(n, in)
-		imm, err := a.immOrLabel(n, idx, ops[0])
 		if err != nil {
 			return err
 		}
-		a.prog.Insts[idx].Imm = imm
-		return nil
 	}
-
 	a.emit(n, in)
 	return nil
 }

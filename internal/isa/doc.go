@@ -35,8 +35,13 @@ travels in the rd field.
 
 ## Instructions
 
-| Mnemonic | Opcode | Format | Path | Writes | Reads | Notes |
-|---|---|---|---|---|---|---|
+The Syntax column is each instruction's assembly form: sD, pA, fB and so on
+name the rd, ra and rb fields in the scalar, parallel or flag register file;
+"imm|label" is an immediate a code label may stand for; "?fM" is the
+optional mask.
+
+| Mnemonic | Syntax | Opcode | Format | Path | Writes | Reads | Notes |
+|---|---|---|---|---|---|---|---|
 `)
 	classNames := map[Class]string{
 		ClassScalar:    "scalar",
@@ -50,21 +55,12 @@ travels in the rd field.
 	for op := Op(0); int(op) < NumOps; op++ {
 		info := Lookup(op)
 		writes := "—"
-		if info.DstKind != KindNone {
-			writes = info.DstKind.String()
+		if w, ok := (Inst{Op: op}).Writes(); ok {
+			writes = w.Kind.String()
 		}
 		var reads []string
-		if info.SrcAKind != KindNone {
-			reads = append(reads, info.SrcAKind.String())
-		}
-		if info.SrcBKind != KindNone {
-			reads = append(reads, info.SrcBKind.String())
-		}
-		if info.IsBranch {
-			reads = []string{"scalar", "scalar"}
-		}
-		if info.IsStore {
-			reads = append(reads, writesKindForStore(info).String())
+		for _, r := range (Inst{Op: op}).Reads(nil) {
+			reads = append(reads, r.Kind.String())
 		}
 		readsStr := "—"
 		if len(reads) > 0 {
@@ -101,8 +97,8 @@ travels in the rd field.
 		if info.IsHalt {
 			notes = append(notes, "stops the machine")
 		}
-		fmt.Fprintf(&b, "| `%s` | %d | %s | %s | %s | %s | %s |\n",
-			info.Name, uint8(op), formatNames[info.Format], classNames[info.Class],
+		fmt.Fprintf(&b, "| `%s` | `%s` | %d | %s | %s | %s | %s | %s |\n",
+			info.Name, syntaxForm(op), uint8(op), formatNames[info.Format], classNames[info.Class],
 			writes, readsStr, strings.Join(notes, "; "))
 	}
 	b.WriteString(`
@@ -129,9 +125,32 @@ broadcast-reduction hazards of the paper's Figure 2.
 	return b.String()
 }
 
-func writesKindForStore(info Info) RegKind {
-	if info.Class == ClassParallel {
-		return KindParallel
+// syntaxForm renders op's assembly form with placeholders, e.g.
+// "padd pD, pA, pB|sB ?fM" or "sw sD, imm(sA)", with each "|" escaped for
+// the Markdown table.
+func syntaxForm(op Op) string {
+	s := listing(op, func(o Operand) string {
+		reg := regName(o.Kind, 0)[:1] // "s", "p" or "f"
+		switch o.Field {
+		case FieldRd:
+			return reg + "D"
+		case FieldRa:
+			return reg + "A"
+		case FieldRb:
+			if o.Broadcast {
+				return reg + "B\\|sB"
+			}
+			return reg + "B"
+		case FieldMem:
+			return "imm(" + reg + "A)"
+		}
+		if o.Label {
+			return "imm\\|label"
+		}
+		return "imm"
+	})
+	if Lookup(op).ReadsMask {
+		s += " ?fM"
 	}
-	return KindScalar
+	return s
 }

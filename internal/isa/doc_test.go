@@ -1,6 +1,7 @@
 package isa
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -17,5 +18,17 @@ func TestReferenceCoversEveryOpcode(t *testing.T) {
 		if !strings.Contains(ref, frag) {
 			t.Errorf("reference missing section %q", frag)
 		}
+	}
+}
+
+// TestReferenceMatchesDocs keeps the committed docs/ISA.md in step with
+// Reference; regenerate it with `go run ./cmd/ascasm -isadoc > docs/ISA.md`.
+func TestReferenceMatchesDocs(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/ISA.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(doc) != Reference() {
+		t.Error("docs/ISA.md is stale: regenerate it with `go run ./cmd/ascasm -isadoc > docs/ISA.md`")
 	}
 }

@@ -1,9 +1,6 @@
 package isa
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Inst is a decoded instruction. It is the unit the assembler emits and the
 // simulator executes. The zero value is NOP.
@@ -51,89 +48,26 @@ func regName(kind RegKind, idx uint8) string {
 // String renders the instruction in assembler syntax.
 func (in Inst) String() string {
 	info := in.Info()
-	var b strings.Builder
-	b.WriteString(info.Name)
-	args := make([]string, 0, 4)
-	switch info.Format {
-	case FormatN:
-		// no operands
-	case FormatR:
-		if info.DstKind != KindNone {
-			args = append(args, regName(info.DstKind, in.Rd))
-		}
-		if info.SrcAKind != KindNone {
-			args = append(args, regName(info.SrcAKind, in.Ra))
-		}
-		if info.SrcBKind != KindNone {
-			args = append(args, regName(info.SrcBKind, in.Rb))
-		}
-	case FormatPR:
-		if info.DstKind != KindNone {
-			args = append(args, regName(info.DstKind, in.Rd))
-		}
-		if info.SrcAKind != KindNone {
-			args = append(args, regName(info.SrcAKind, in.Ra))
-		}
-		if info.SrcBKind != KindNone {
-			if in.SB {
-				args = append(args, regName(KindScalar, in.Rb))
-			} else {
-				args = append(args, regName(info.SrcBKind, in.Rb))
+	s := listing(in.Op, func(o Operand) string {
+		switch o.Field {
+		case FieldRd:
+			return regName(o.Kind, in.Rd)
+		case FieldRa:
+			return regName(o.Kind, in.Ra)
+		case FieldRb:
+			if in.SrcBIsScalar() {
+				return regName(KindScalar, in.Rb)
 			}
+			return regName(o.Kind, in.Rb)
+		case FieldMem:
+			return fmt.Sprintf("%d(%s)", in.Imm, regName(o.Kind, in.Ra))
 		}
-	case FormatI:
-		if info.IsBranch {
-			args = append(args,
-				regName(KindScalar, in.Rd),
-				regName(KindScalar, in.Ra),
-				fmt.Sprintf("%d", in.Imm))
-		} else if info.IsStore {
-			// sw sD, imm(sA): the stored value travels in the Rd field.
-			args = append(args,
-				regName(KindScalar, in.Rd),
-				fmt.Sprintf("%d(%s)", in.Imm, regName(KindScalar, in.Ra)))
-		} else if info.IsLoad {
-			args = append(args,
-				regName(KindScalar, in.Rd),
-				fmt.Sprintf("%d(%s)", in.Imm, regName(KindScalar, in.Ra)))
-		} else {
-			if info.DstKind != KindNone {
-				args = append(args, regName(info.DstKind, in.Rd))
-			}
-			if info.SrcAKind != KindNone {
-				args = append(args, regName(info.SrcAKind, in.Ra))
-			}
-			args = append(args, fmt.Sprintf("%d", in.Imm))
-		}
-	case FormatPI:
-		if info.IsStore {
-			args = append(args,
-				regName(KindParallel, in.Rd),
-				fmt.Sprintf("%d(%s)", in.Imm, regName(KindParallel, in.Ra)))
-		} else if info.IsLoad {
-			args = append(args,
-				regName(KindParallel, in.Rd),
-				fmt.Sprintf("%d(%s)", in.Imm, regName(KindParallel, in.Ra)))
-		} else {
-			if info.DstKind != KindNone {
-				args = append(args, regName(info.DstKind, in.Rd))
-			}
-			if info.SrcAKind != KindNone {
-				args = append(args, regName(info.SrcAKind, in.Ra))
-			}
-			args = append(args, fmt.Sprintf("%d", in.Imm))
-		}
-	case FormatJ:
-		args = append(args, fmt.Sprintf("%d", in.Imm))
-	}
-	if len(args) > 0 {
-		b.WriteByte(' ')
-		b.WriteString(strings.Join(args, ", "))
-	}
+		return fmt.Sprintf("%d", in.Imm)
+	})
 	if info.ReadsMask && in.Mask != 0 {
-		fmt.Fprintf(&b, " ?f%d", in.Mask)
+		s += fmt.Sprintf(" ?f%d", in.Mask)
 	}
-	return b.String()
+	return s
 }
 
 // RegRef names one architectural register.
