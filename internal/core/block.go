@@ -160,13 +160,13 @@ func (e *engine) dispatchOne(tid int, stopAt int64) (blockStep, error) {
 	if issueC >= stopAt {
 		// The issue lands at or past the stop cycle: account the idle
 		// prefix up to stopAt and leave the op buffered.
-		if stopAt-1-e.lastIssue > e.cfg.DeadlockWindow {
+		if stopAt-1-e.lastIssue > deadlockWindow {
 			return stepBail, nil
 		}
 		e.accountGap(tid, eligible, minIssue, kind, free, stopAt)
 		return stepStopped, nil
 	}
-	if issueC-1-e.lastIssue > e.cfg.DeadlockWindow {
+	if issueC-1-e.lastIssue > deadlockWindow {
 		// The generic path would raise the deadlock error inside this
 		// idle span; let it.
 		return stepBail, nil
@@ -209,7 +209,7 @@ func (e *engine) dispatchFused(tid int, bo *isa.BlockOp, stopAt int64) bool {
 	minIssue, kind := e.sb.MinIssue(tid, bo.Ops[0])
 	// Fusible ops never use a sequential unit (no mul/div), so free == 0.
 	issueC := max(e.cycle, eligible, minIssue)
-	if issueC+int64(k) > stopAt || issueC-1-e.lastIssue > e.cfg.DeadlockWindow {
+	if issueC+int64(k) > stopAt || issueC-1-e.lastIssue > deadlockWindow {
 		return false
 	}
 	for j := 1; j < k; j++ {

@@ -47,10 +47,6 @@ type Config struct {
 	// Arity is the broadcast tree arity k (default 4).
 	Arity int
 
-	// Front end.
-	BufferDepth int
-	FetchWidth  int
-
 	// Functional units.
 	SeqMul     bool // sequential multiplier instead of pipelined hard blocks
 	MulLatency int  // 0 = default (2 pipelined; data width if sequential)
@@ -82,11 +78,11 @@ type Config struct {
 	// BlocksOff forces the per-cycle path. Architecturally invisible
 	// either way — cycle accounting is bit-identical.
 	Blocks BlocksMode
-
-	// DeadlockWindow aborts the run if no instruction issues for this many
-	// consecutive cycles while threads remain (0 = default 100000).
-	DeadlockWindow int64
 }
+
+// deadlockWindow aborts a run when no instruction issues for this many
+// consecutive cycles while threads remain.
+const deadlockWindow = 100000
 
 // Params validates the configuration, filling defaults in place, and
 // returns the derived pipeline timing parameters.

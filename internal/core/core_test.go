@@ -364,13 +364,11 @@ func TestThreadCommunicationPipelined(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	cfg := paperCfg(1)
-	cfg.DeadlockWindow = 500
-	p := build(t, cfg, `
+	p := build(t, paperCfg(1), `
 		trecv s1    ; nobody ever sends
 		halt
 	`)
-	if _, err := p.Run(100000); err == nil || !strings.Contains(err.Error(), "deadlock") {
+	if _, err := p.Run(200000); err == nil || !strings.Contains(err.Error(), "deadlock") {
 		t.Errorf("expected deadlock error, got %v", err)
 	}
 }

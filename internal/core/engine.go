@@ -169,21 +169,15 @@ func (e *engine) init(cfg Config, dp *isa.DecodedProgram, newLanes func(machine.
 	if err != nil {
 		return err
 	}
-	if cfg.SMT && cfg.FetchWidth == 0 {
+	fetchWidth := 1
+	if cfg.SMT {
 		// Dual issue consumes up to two instructions per cycle; a
 		// single-ported instruction fetch would starve the second port.
-		cfg.FetchWidth = 2
+		fetchWidth = 2
 	}
-	front, err := cu.New(cu.Config{
-		Threads:     cfg.Machine.Threads,
-		BufferDepth: cfg.BufferDepth,
-		FetchWidth:  cfg.FetchWidth,
-	}, dp)
+	front, err := cu.New(cu.Config{Threads: cfg.Machine.Threads, FetchWidth: fetchWidth}, dp)
 	if err != nil {
 		return err
-	}
-	if cfg.DeadlockWindow == 0 {
-		cfg.DeadlockWindow = 100000
 	}
 	e.cfg, e.params, e.lanes, e.front = cfg, params, lanes, front
 	e.sb = pipeline.NewScoreboard(params, cfg.Machine.Threads)
@@ -521,8 +515,8 @@ func (e *engine) Step() (bool, error) {
 		if best.kind != pipeline.HazardNone {
 			e.idleByKind[best.kind]++
 		}
-		if e.cycle-e.lastIssue > e.cfg.DeadlockWindow {
-			return false, fmt.Errorf("core: no instruction issued for %d cycles (deadlock at cycle %d)", e.cfg.DeadlockWindow, e.cycle)
+		if e.cycle-e.lastIssue > deadlockWindow {
+			return false, fmt.Errorf("core: no instruction issued for %d cycles (deadlock at cycle %d)", deadlockWindow, e.cycle)
 		}
 	}
 

@@ -89,7 +89,7 @@ func foldResult(k isa.ReduceKind, vals []int64, flags, mask []bool, width uint) 
 	case isa.ReduceMaxS, isa.ReduceMaxU:
 		root = FoldInPlaceMax(leaves)
 	case isa.ReduceMinS, isa.ReduceMinU:
-		root = FoldInPlaceMin(leaves)
+		root = FoldInPlace(leaves, CombineMin)
 	case isa.ReduceSum:
 		lo, hi := SatLimits(width)
 		root = FoldInPlaceSatAdd(leaves, lo, hi)

@@ -98,7 +98,6 @@ func TestSpecializedFoldsMatchGeneric(t *testing.T) {
 	}{
 		{"or", CombineOr, FoldInPlaceOr},
 		{"max", CombineMax, FoldInPlaceMax},
-		{"min", CombineMin, FoldInPlaceMin},
 		{"satadd", SatAdd(8), func(buf []int64) int64 { return FoldInPlaceSatAdd(buf, lo, hi) }},
 	}
 	for trial := 0; trial < 300; trial++ {

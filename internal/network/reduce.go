@@ -119,26 +119,6 @@ func FoldInPlaceMax(buf []int64) int64 {
 	return buf[0]
 }
 
-// FoldInPlaceMin reduces buf through the compare-select minimum tree.
-func FoldInPlaceMin(buf []int64) int64 {
-	if len(buf) == 0 {
-		panic("network: FoldInPlaceMin of empty slice")
-	}
-	for n := len(buf); n > 1; n = (n + 1) / 2 {
-		for i := 0; i < n/2; i++ {
-			a, b := buf[2*i], buf[2*i+1]
-			if b < a {
-				a = b
-			}
-			buf[i] = a
-		}
-		if n%2 == 1 {
-			buf[n/2] = buf[n-1]
-		}
-	}
-	return buf[0]
-}
-
 // FoldInPlaceSatAdd reduces buf through the sum unit's saturating adder
 // tree; lo and hi are the SatLimits of the data width.
 func FoldInPlaceSatAdd(buf []int64, lo, hi int64) int64 {
