@@ -576,23 +576,6 @@ func (a *assembler) pseudo(n int, mnem string, ops []string, mask uint8) (bool, 
 	return false, nil
 }
 
-// FromWords reconstructs a Program from binary instruction words, the
-// inverse of assembling: useful for loading .hex images produced by
-// ascasm or by external tools.
-func FromWords(words []uint32) (*Program, error) {
-	p := &Program{Labels: map[string]int{}}
-	for i, w := range words {
-		in, err := isa.Decode(w)
-		if err != nil {
-			return nil, fmt.Errorf("asm: word %d: %w", i, err)
-		}
-		p.Insts = append(p.Insts, in)
-		p.Words = append(p.Words, w)
-		p.Lines = append(p.Lines, i+1)
-	}
-	return p, nil
-}
-
 // Disassemble renders a program listing with addresses and labels.
 func Disassemble(p *Program) string {
 	byAddr := make(map[int][]string)

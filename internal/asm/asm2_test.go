@@ -2,6 +2,8 @@ package asm
 
 import (
 	"testing"
+
+	"repro/internal/isa"
 )
 
 func TestAsciiDirective(t *testing.T) {
@@ -47,7 +49,7 @@ func TestAsciiErrors(t *testing.T) {
 	}
 }
 
-func TestFromWordsRoundTrip(t *testing.T) {
+func TestAssembledWordsDecode(t *testing.T) {
 	src := `
 		li s1, 7
 		padd p1, p2, s1 ?f2
@@ -56,22 +58,19 @@ func TestFromWordsRoundTrip(t *testing.T) {
 		halt
 	`
 	p := MustAssemble(src)
-	q, err := FromWords(p.Words)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(q.Insts) != len(p.Insts) {
-		t.Fatalf("length %d != %d", len(q.Insts), len(p.Insts))
-	}
-	for i := range p.Insts {
-		if q.Insts[i] != p.Insts[i] {
-			t.Errorf("inst %d: %v != %v", i, q.Insts[i], p.Insts[i])
+	for i, w := range p.Words {
+		in, err := isa.Decode(w)
+		if err != nil {
+			t.Fatalf("word %d: %v", i, err)
+		}
+		if in != p.Insts[i] {
+			t.Errorf("inst %d: %v != %v", i, in, p.Insts[i])
 		}
 	}
 }
 
-func TestFromWordsRejectsGarbage(t *testing.T) {
-	if _, err := FromWords([]uint32{0xff000000}); err == nil {
+func TestDecodeRejectsGarbage(t *testing.T) {
+	if _, err := isa.Decode(0xff000000); err == nil {
 		t.Error("invalid opcode accepted")
 	}
 }

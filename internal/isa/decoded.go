@@ -152,7 +152,7 @@ const NumReduceKinds = int(numReduceKinds)
 // consults them. Decoded values are immutable once built; consumers hold
 // pointers into a DecodedProgram's backing slice.
 type Decoded struct {
-	Inst Inst  // the original instruction (operand fields, trace rendering)
+	Inst Inst  // the canonical instruction (operand fields, trace rendering)
 	Info *Info // opcode metadata, pointing into the static table
 
 	Kind  ExecKind
@@ -311,13 +311,16 @@ func regFileSize(kind RegKind) uint8 {
 }
 
 // DecodeInst decodes one instruction: selector classification, operand
-// read/write set computation, and register-range validation. Static
+// read/write set computation, and register-range validation. The micro-op
+// holds the canonical instruction, so every field its opcode does not use
+// is zero (a flag field names f0, a register field s0 or p0). Static
 // control-flow targets need the surrounding program and are checked by
 // DecodeProgram only. The fast path allocates nothing.
 func DecodeInst(in Inst) (Decoded, error) {
 	if !Valid(in.Op) {
 		return Decoded{}, &ProgramError{PC: -1, Inst: in, Msg: fmt.Sprintf("undefined opcode %d", uint8(in.Op))}
 	}
+	in = in.Canonical()
 	d := templates[in.Op]
 	d.Inst = in
 

@@ -16,8 +16,9 @@ thread: 16 scalar registers (s0 reads as zero), 16 parallel registers per PE
 (p0 reads as zero), 8 one-bit flag registers per PE (f0 reads as one).
 Parallel, flag, and reduction instructions carry a 3-bit mask field naming
 the flag register that gates execution ("?fN" in assembly, default f0 = all
-PEs). On FormatPR instructions the SB bit selects a scalar register as
-operand B, broadcast to the PE array.
+PEs). Where operand B is a parallel register ("pB|sB" in the Syntax
+column), the SB bit selects a scalar register in its place, broadcast to
+the PE array; every other instruction leaves SB clear.
 
 ## Encodings
 

@@ -10,25 +10,32 @@ type Inst struct {
 	Ra   uint8 // source A register index
 	Rb   uint8 // source B register index
 	Mask uint8 // flag register gating parallel/reduction execution (0 = all PEs)
-	SB   bool  // FormatPR only: operand B is a scalar register, broadcast to PEs
+	SB   bool  // a Broadcast operand B names a scalar register, broadcast to PEs
 	Imm  int32 // sign-extended immediate (FormatI: 16-bit; FormatPI: 13-bit; FormatJ: 24-bit target)
 }
 
 // Info returns the opcode metadata.
 func (in Inst) Info() Info { return Lookup(in.Op) }
 
+// kind returns the register file o names in this instruction: a Broadcast
+// operand names the scalar file when SB is set.
+func (in Inst) kind(o Operand) RegKind {
+	if o.Broadcast && in.SB {
+		return KindScalar
+	}
+	return o.Kind
+}
+
 // SrcBIsScalar reports whether operand B reads the scalar register file:
-// either the opcode is scalar-class, or a parallel op with the SB
-// (scalar broadcast) bit set.
+// either the opcode is scalar-class, or its B operand is a parallel
+// register with the SB (scalar broadcast) bit set.
 func (in Inst) SrcBIsScalar() bool {
-	info := in.Info()
-	if info.SrcBKind == KindNone {
-		return false
+	for _, o := range in.Op.Syntax() {
+		if o.Field == FieldRb {
+			return in.kind(o) == KindScalar
+		}
 	}
-	if info.Format == FormatPR && in.SB {
-		return true
-	}
-	return info.SrcBKind == KindScalar
+	return false
 }
 
 // regName formats a register index for a given kind.
@@ -55,10 +62,7 @@ func (in Inst) String() string {
 		case FieldRa:
 			return regName(o.Kind, in.Ra)
 		case FieldRb:
-			if in.SrcBIsScalar() {
-				return regName(KindScalar, in.Rb)
-			}
-			return regName(o.Kind, in.Rb)
+			return regName(in.kind(o), in.Rb)
 		case FieldMem:
 			return fmt.Sprintf("%d(%s)", in.Imm, regName(o.Kind, in.Ra))
 		}
@@ -79,30 +83,26 @@ type RegRef struct {
 func (r RegRef) String() string { return regName(r.Kind, r.Idx) }
 
 // Reads appends the registers this instruction reads to dst and returns the
-// result. Hardwired registers (s0, p0, f0) are included; callers that track
-// dependences should skip index 0 themselves if they model the hardwiring.
-// The gating mask flag is included when it is not f0.
+// result: its register operands in source order, a memory operand's base
+// first, and the rd operand only when it is a source (a store's value or a
+// branch's comparand). Hardwired registers (s0, p0, f0) are included;
+// callers that track dependences should skip index 0 themselves if they
+// model the hardwiring. The gating mask flag is included when it is not f0.
 func (in Inst) Reads(dst []RegRef) []RegRef {
 	info := in.Info()
-	switch {
-	case info.IsBranch:
-		dst = append(dst, RegRef{KindScalar, in.Rd}, RegRef{KindScalar, in.Ra})
-	case info.IsStore:
-		valKind := KindScalar
-		if info.Class == ClassParallel {
-			valKind = KindParallel
-		}
-		dst = append(dst, RegRef{info.SrcAKind, in.Ra}, RegRef{valKind, in.Rd})
-	default:
-		if info.SrcAKind != KindNone {
-			dst = append(dst, RegRef{info.SrcAKind, in.Ra})
-		}
-		if info.SrcBKind != KindNone {
-			kind := info.SrcBKind
-			if in.SrcBIsScalar() {
-				kind = KindScalar
-			}
-			dst = append(dst, RegRef{kind, in.Rb})
+	ops := in.Op.Syntax()
+	if n := len(ops); n > 0 && ops[n-1].Field == FieldMem {
+		dst = append(dst, RegRef{ops[n-1].Kind, in.Ra})
+		ops = ops[:n-1]
+	}
+	for _, o := range ops {
+		switch {
+		case o.Field == FieldRd && info.DstKind == KindNone:
+			dst = append(dst, RegRef{o.Kind, in.Rd})
+		case o.Field == FieldRa:
+			dst = append(dst, RegRef{o.Kind, in.Ra})
+		case o.Field == FieldRb:
+			dst = append(dst, RegRef{in.kind(o), in.Rb})
 		}
 	}
 	if info.ReadsMask && in.Mask != 0 {
@@ -123,14 +123,59 @@ func (in Inst) Writes() (RegRef, bool) {
 	return RegRef{info.DstKind, in.Rd}, true
 }
 
-// Binary encoding layout (32-bit word):
-//
-//	FormatN:  op[31:24]
-//	FormatR:  op[31:24] rd[23:20] ra[19:16] rb[15:12]
-//	FormatPR: op[31:24] rd[23:20] ra[19:16] rb[15:12] mask[11:9] sb[8]
-//	FormatI:  op[31:24] rd[23:20] ra[19:16] imm16[15:0]
-//	FormatPI: op[31:24] rd[23:20] ra[19:16] mask[15:13] imm13[12:0]
-//	FormatJ:  op[31:24] target24[23:0]
+// keep holds, per opcode, an Inst whose fields the opcode uses are all ones
+// (SB true) and whose other fields are zero: the operands of Op.Syntax plus
+// the mask of a masked op. SB is kept only beside a Broadcast operand.
+var keep = func() (k [numOps]Inst) {
+	for op := range k {
+		kp := &k[op]
+		for _, o := range Op(op).Syntax() {
+			switch o.Field {
+			case FieldRd:
+				kp.Rd = 0xff
+			case FieldRa:
+				kp.Ra = 0xff
+			case FieldRb:
+				kp.Rb, kp.SB = 0xff, o.Broadcast
+			case FieldImm:
+				kp.Imm = -1
+			case FieldMem:
+				kp.Ra, kp.Imm = 0xff, -1
+			}
+		}
+		if infos[op].ReadsMask {
+			kp.Mask = 0xff
+		}
+	}
+	return k
+}()
+
+// Canonical clears the fields op does not use, so that an arbitrary Inst
+// compares equal to its encode/decode round trip. The assembler emits and
+// DecodeInst executes canonical instructions.
+func (in Inst) Canonical() Inst {
+	k := &keep[in.Op]
+	return Inst{Op: in.Op, Rd: in.Rd & k.Rd, Ra: in.Ra & k.Ra, Rb: in.Rb & k.Rb,
+		Mask: in.Mask & k.Mask, SB: in.SB && k.SB, Imm: in.Imm & k.Imm}
+}
+
+// layout places the fields that move with the format in a 32-bit word. The
+// opcode sits at bits 31:24 and rd, ra and rb at 23:20, 19:16 and 15:12 in
+// every format; a field a format has no place for is kept by none of its
+// opcodes. The Encodings table of Reference draws each format.
+type layout struct {
+	maskAt  uint8 // low bit of the 3-bit mask field
+	sbAt    uint8 // the SB bit
+	immBits uint8 // width of the sign-extended immediate at the low bits
+}
+
+var layouts = [...]layout{
+	FormatPR: {maskAt: 9, sbAt: 8},
+	FormatI:  {immBits: 16},
+	FormatPI: {maskAt: 13, immBits: 13},
+	FormatJ:  {immBits: 24},
+}
+
 const (
 	// Immediate ranges.
 	MaxImm16 = 1<<15 - 1
@@ -152,110 +197,64 @@ func (e *EncodeError) Error() string {
 	return fmt.Sprintf("isa: cannot encode %s: field %s value %d out of range", e.Inst, e.Field, e.Value)
 }
 
-// Encode packs the instruction into a 32-bit word.
+// StrayBitsError reports a word that sets bits outside the fields its
+// opcode uses, so that no instruction encodes to it.
+type StrayBitsError struct {
+	Word  uint32
+	Inst  Inst   // the instruction the word's used fields hold
+	Stray uint32 // the bits no field of the opcode accounts for
+}
+
+func (e *StrayBitsError) Error() string {
+	return fmt.Sprintf("isa: word %#08x (%s) sets stray bits %#08x", e.Word, e.Inst, e.Stray)
+}
+
+// Encode packs the canonical form of the instruction into a 32-bit word.
+// Only the fields the opcode uses must fit their encoding.
 func (in Inst) Encode() (uint32, error) {
-	info := in.Info()
-	w := uint32(in.Op) << 24
-	checkReg := func(name string, v uint8, limit uint8) error {
-		if v >= limit {
-			return &EncodeError{Inst: in, Field: name, Value: int64(v)}
-		}
-		return nil
+	c := in.Canonical()
+	l := layouts[c.Info().Format]
+	sh := 32 - l.immBits // the immediate fits if sign-extending its low bits restores it
+	field, v := "", int64(0)
+	switch {
+	case c.Rd >= 16:
+		field, v = "rd", int64(c.Rd)
+	case c.Ra >= 16:
+		field, v = "ra", int64(c.Ra)
+	case c.Rb >= 16:
+		field, v = "rb", int64(c.Rb)
+	case c.Mask >= 8:
+		field, v = "mask", int64(c.Mask)
+	case c.Imm<<sh>>sh != c.Imm:
+		field, v = fmt.Sprintf("imm%d", l.immBits), int64(c.Imm)
 	}
-	if err := checkReg("rd", in.Rd, 16); err != nil {
-		return 0, err
+	if field != "" {
+		return 0, &EncodeError{Inst: in, Field: field, Value: v}
 	}
-	if err := checkReg("ra", in.Ra, 16); err != nil {
-		return 0, err
-	}
-	if err := checkReg("rb", in.Rb, 16); err != nil {
-		return 0, err
-	}
-	if err := checkReg("mask", in.Mask, 8); err != nil {
-		return 0, err
-	}
-	switch info.Format {
-	case FormatN:
-		// opcode only
-	case FormatR:
-		w |= uint32(in.Rd)<<20 | uint32(in.Ra)<<16 | uint32(in.Rb)<<12
-	case FormatPR:
-		w |= uint32(in.Rd)<<20 | uint32(in.Ra)<<16 | uint32(in.Rb)<<12 | uint32(in.Mask)<<9
-		if in.SB {
-			w |= 1 << 8
-		}
-	case FormatI:
-		if in.Imm < MinImm16 || in.Imm > MaxImm16 {
-			return 0, &EncodeError{Inst: in, Field: "imm16", Value: int64(in.Imm)}
-		}
-		w |= uint32(in.Rd)<<20 | uint32(in.Ra)<<16 | uint32(uint16(in.Imm))
-	case FormatPI:
-		if in.Imm < MinImm13 || in.Imm > MaxImm13 {
-			return 0, &EncodeError{Inst: in, Field: "imm13", Value: int64(in.Imm)}
-		}
-		w |= uint32(in.Rd)<<20 | uint32(in.Ra)<<16 | uint32(in.Mask)<<13 | (uint32(in.Imm) & 0x1fff)
-	case FormatJ:
-		if in.Imm < MinImm24 || in.Imm > MaxImm24 {
-			return 0, &EncodeError{Inst: in, Field: "imm24", Value: int64(in.Imm)}
-		}
-		w |= uint32(in.Imm) & 0xffffff
+	w := uint32(c.Op)<<24 | uint32(c.Rd)<<20 | uint32(c.Ra)<<16 | uint32(c.Rb)<<12 |
+		uint32(c.Mask)<<l.maskAt | uint32(c.Imm)&(1<<l.immBits-1)
+	if c.SB {
+		w |= 1 << l.sbAt
 	}
 	return w, nil
 }
 
-// Decode unpacks a 32-bit word into an instruction.
+// Decode unpacks a 32-bit word into a canonical instruction. A word decodes
+// if and only if it is the encoding of that instruction: an undefined
+// opcode is an error, and so is a set bit outside the opcode's fields
+// (*StrayBitsError).
 func Decode(w uint32) (Inst, error) {
 	op := Op(w >> 24)
 	if !Valid(op) {
 		return Inst{}, fmt.Errorf("isa: invalid opcode %d in word %#08x", uint8(op), w)
 	}
-	info := infos[op]
-	in := Inst{Op: op}
-	switch info.Format {
-	case FormatN:
-	case FormatR:
-		in.Rd = uint8(w >> 20 & 0xf)
-		in.Ra = uint8(w >> 16 & 0xf)
-		in.Rb = uint8(w >> 12 & 0xf)
-	case FormatPR:
-		in.Rd = uint8(w >> 20 & 0xf)
-		in.Ra = uint8(w >> 16 & 0xf)
-		in.Rb = uint8(w >> 12 & 0xf)
-		in.Mask = uint8(w >> 9 & 0x7)
-		in.SB = w>>8&1 == 1
-	case FormatI:
-		in.Rd = uint8(w >> 20 & 0xf)
-		in.Ra = uint8(w >> 16 & 0xf)
-		in.Imm = int32(int16(uint16(w))) // sign-extend 16 bits
-	case FormatPI:
-		in.Rd = uint8(w >> 20 & 0xf)
-		in.Ra = uint8(w >> 16 & 0xf)
-		in.Mask = uint8(w >> 13 & 0x7)
-		in.Imm = int32(w&0x1fff) << 19 >> 19 // sign-extend 13 bits
-	case FormatJ:
-		in.Imm = int32(w&0xffffff) << 8 >> 8 // sign-extend 24 bits
+	l := layouts[infos[op].Format]
+	sh := 32 - l.immBits
+	in := Inst{Op: op, Rd: uint8(w >> 20 & 0xf), Ra: uint8(w >> 16 & 0xf), Rb: uint8(w >> 12 & 0xf),
+		Mask: uint8(w >> l.maskAt & 7), SB: w>>l.sbAt&1 == 1, Imm: int32(w) << sh >> sh}.Canonical()
+	enc, _ := in.Encode() // fields cut from a word always fit
+	if enc != w {
+		return Inst{}, &StrayBitsError{Word: w, Inst: in, Stray: w &^ enc}
 	}
 	return in, nil
-}
-
-// Canonical clears fields that are not part of op's format so that an
-// arbitrary Inst compares equal to its encode/decode round trip. It is used
-// by property tests and by the assembler to normalize emitted instructions.
-func (in Inst) Canonical() Inst {
-	info := in.Info()
-	out := Inst{Op: in.Op}
-	switch info.Format {
-	case FormatN:
-	case FormatR:
-		out.Rd, out.Ra, out.Rb = in.Rd, in.Ra, in.Rb
-	case FormatPR:
-		out.Rd, out.Ra, out.Rb, out.Mask, out.SB = in.Rd, in.Ra, in.Rb, in.Mask&7, in.SB
-	case FormatI:
-		out.Rd, out.Ra, out.Imm = in.Rd, in.Ra, in.Imm
-	case FormatPI:
-		out.Rd, out.Ra, out.Mask, out.Imm = in.Rd, in.Ra, in.Mask&7, in.Imm
-	case FormatJ:
-		out.Imm = in.Imm
-	}
-	return out
 }

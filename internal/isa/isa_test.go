@@ -1,7 +1,9 @@
 package isa
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -110,41 +112,52 @@ func TestEncodeBoundaryValues(t *testing.T) {
 	}
 }
 
-// randomInst builds a random, encodable instruction.
+// randomInst builds a random instruction whose used fields are encodable;
+// the fields its opcode does not use hold arbitrary values.
 func randomInst(r *rand.Rand) Inst {
-	for {
-		op := Op(r.Intn(NumOps))
-		if !Valid(op) {
-			continue
-		}
-		in := Inst{
-			Op:   op,
-			Rd:   uint8(r.Intn(16)),
-			Ra:   uint8(r.Intn(16)),
-			Rb:   uint8(r.Intn(16)),
-			Mask: uint8(r.Intn(8)),
-			SB:   r.Intn(2) == 1,
-		}
-		switch Lookup(op).Format {
-		case FormatI:
-			in.Imm = int32(r.Intn(MaxImm16-MinImm16+1)) + MinImm16
-		case FormatPI:
-			in.Imm = int32(r.Intn(MaxImm13-MinImm13+1)) + MinImm13
-		case FormatJ:
-			in.Imm = int32(r.Intn(1 << 20))
-		}
-		return in.Canonical()
+	op := Op(r.Intn(NumOps))
+	in := Inst{
+		Op:   op,
+		Rd:   uint8(r.Intn(256)),
+		Ra:   uint8(r.Intn(256)),
+		Rb:   uint8(r.Intn(256)),
+		Mask: uint8(r.Intn(256)),
+		SB:   r.Intn(2) == 1,
+		Imm:  int32(r.Uint32()),
 	}
+	for _, o := range op.Syntax() {
+		switch o.Field {
+		case FieldRd:
+			in.Rd %= 16
+		case FieldRa, FieldMem:
+			in.Ra %= 16
+		case FieldRb:
+			in.Rb %= 16
+		}
+	}
+	if Lookup(op).ReadsMask {
+		in.Mask %= 8
+	}
+	switch Lookup(op).Format {
+	case FormatI:
+		in.Imm = int32(r.Intn(MaxImm16-MinImm16+1)) + MinImm16
+	case FormatPI:
+		in.Imm = int32(r.Intn(MaxImm13-MinImm13+1)) + MinImm13
+	case FormatJ:
+		in.Imm = int32(r.Intn(MaxImm24-MinImm24+1)) + MinImm24
+	}
+	return in
 }
 
-// Property: encode/decode is the identity on canonical instructions.
+// Property: encoding drops exactly the fields the opcode does not use, and
+// decoding restores the rest: Decode(Encode(in)) == in.Canonical().
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		in := randomInst(r)
 		w, err := in.Encode()
 		if err != nil {
-			t.Logf("encode %v: %v", in, err)
+			t.Logf("encode %+v: %v", in, err)
 			return false
 		}
 		out, err := Decode(w)
@@ -152,34 +165,63 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			t.Logf("decode %#08x: %v", w, err)
 			return false
 		}
-		return out == in
+		if out != in.Canonical() {
+			t.Logf("%+v -> %#08x -> %+v, want %+v", in, w, out, in.Canonical())
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: decoding any word either fails or yields an instruction that
-// re-encodes to a word decoding to the same instruction (decode is stable).
+// Property: a word decodes if and only if it is the encoding of the
+// instruction it decodes to; a rejected word with a defined opcode names
+// the bits the encoding lacks.
 func TestDecodeStability(t *testing.T) {
 	f := func(w uint32) bool {
 		in, err := Decode(w)
 		if err != nil {
-			return true // invalid opcodes may be rejected
+			var stray *StrayBitsError
+			if !errors.As(err, &stray) {
+				return !Valid(Op(w >> 24)) // only an undefined opcode fails otherwise
+			}
+			enc, eerr := stray.Inst.Encode()
+			return eerr == nil && stray.Stray != 0 && enc|stray.Stray == w && enc&stray.Stray == 0
 		}
 		w2, err := in.Encode()
 		if err != nil {
 			t.Logf("re-encode %v: %v", in, err)
 			return false
 		}
-		in2, err := Decode(w2)
-		if err != nil {
-			return false
-		}
-		return in2 == in
+		return w2 == w && in == in.Canonical()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A flag op's B operand is a flag register, so the SB bit is not part of
+// its encoding: Decode rejects fand f3, f5, f6 with SB set (0x43356100),
+// and DecodeInst clears a stray SB, so the hazard reads name f6, the
+// register the machine reads.
+func TestFlagOpSBIsStray(t *testing.T) {
+	_, err := Decode(0x43356100)
+	var stray *StrayBitsError
+	if !errors.As(err, &stray) || stray.Stray != 1<<8 {
+		t.Fatalf("Decode(0x43356100) error = %v, want stray bits 0x100", err)
+	}
+	d, err := DecodeInst(Inst{Op: FAND, Rd: 3, Ra: 5, Rb: 6, SB: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []RegRef{{KindFlag, 5}, {KindFlag, 6}}
+	if got := d.Reads[:d.NumReads]; !slices.Equal(got, want) {
+		t.Errorf("reads = %v, want %v", got, want)
+	}
+	if d.Inst.SB {
+		t.Error("micro-op keeps SB on a flag op")
 	}
 }
 
@@ -222,5 +264,8 @@ func TestSrcBIsScalar(t *testing.T) {
 	}
 	if (Inst{Op: RMAX}).SrcBIsScalar() {
 		t.Error("RMAX has no B operand")
+	}
+	if (Inst{Op: FAND, SB: true}).SrcBIsScalar() {
+		t.Error("FAND's B is a flag register, whatever SB says")
 	}
 }

@@ -196,20 +196,11 @@ func parallelLanes(lanes []*Machine, live []int, t int, d *isa.Decoded) {
 		}
 
 	case isa.ParFlag:
-		// Only the operands the function reads are formed: the unused
-		// register fields may hold any value. Unread ones alias the mask.
-		ops := flagOperands[d.Flag]
+		// An operand the function does not read is f0 in the canonical
+		// micro-op, so forming its plane is safe.
 		for _, li := range live {
 			m := lanes[li]
-			mask := m.flagPlane(t, in.Mask)
-			a, b := mask, mask
-			if ops > 0 {
-				a = m.flagPlane(t, in.Ra)
-			}
-			if ops > 1 {
-				b = m.flagPlane(t, in.Rb)
-			}
-			flagOp(d.Flag, m.flagPlane(t, in.Rd), a, b, mask)
+			flagOp(d.Flag, m.flagPlane(t, in.Rd), m.flagPlane(t, in.Ra), m.flagPlane(t, in.Rb), m.flagPlane(t, in.Mask))
 		}
 
 	default: // isa.ParALU: register, broadcast, or immediate B

@@ -121,14 +121,6 @@ func flagMov(a, _ bool) bool    { return a }
 func flagSet(_, _ bool) bool    { return true }
 func flagClr(_, _ bool) bool    { return false }
 
-// flagOperands is how many register operands (ra, then rb) each flag
-// function reads. The unused fields may hold any value, so their planes
-// must never be formed.
-var flagOperands = [...]uint8{
-	isa.FlagAnd: 2, isa.FlagOr: 2, isa.FlagXor: 2, isa.FlagAndNot: 2,
-	isa.FlagNot: 1, isa.FlagMov: 1, isa.FlagSet: 0, isa.FlagClr: 0,
-}
-
 // The loop shapes. Each is small enough to inline, and its function
 // argument is a constant at every call site below, so each call site
 // compiles to a loop with the element function inlined. Operands are
