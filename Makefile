@@ -123,7 +123,7 @@ FUZZ_TARGETS = FuzzOracle:./internal/core FuzzEnvelope:./internal/migrate \
 	FuzzRestore:./internal/machine FuzzCompile:./internal/ascl \
 	FuzzAssemble:./internal/asm FuzzDecode:./internal/asm \
 	FuzzRequest:./internal/server FuzzParseText:./internal/obs \
-	FuzzWireDecode:./internal/wire
+	FuzzWireDecode:./internal/wire FuzzWireEncode:./internal/wire
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

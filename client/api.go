@@ -67,6 +67,13 @@ type RunRequest struct {
 	// The server bounds the number of retained instruction records, so the
 	// diagram covers the most recent instructions of a long run.
 	Trace bool `json:"trace,omitempty"`
+
+	// StateDigest asks a session (POST /v1/sessions) for the SHA-256 of
+	// its final architectural snapshot in SessionResult.StateDigest, the
+	// byte-identity witness of a migrated run. Hashing the image costs
+	// host time, so it is off unless asked for; a resumed leg honours the
+	// original request's choice. /v1/run and /v1/batch refuse it.
+	StateDigest bool `json:"stateDigest,omitempty"`
 }
 
 // Trace is the per-job diagnostic rendering returned when

@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/wire"
@@ -153,7 +154,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	var buf []byte
 	if body != nil {
 		var err error
-		if buf, err = json.Marshal(body); err != nil {
+		if buf, err = wire.Marshal(body); err != nil {
 			return err
 		}
 	}
@@ -181,6 +182,14 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 		}
 	}
 }
+
+// responses recycles response-body buffers. Neither decoder keeps a
+// reference into the bytes it decodes, so a buffer is free once doOnce
+// returns.
+var responses = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledResponse bounds the capacity of a buffer kept for reuse.
+const maxPooledResponse = 4 << 20
 
 // doOnce is a single HTTP attempt carrying the call's fixed identity.
 func (c *Client) doOnce(ctx context.Context, method, path, id, tp string, body []byte, out any) error {
@@ -212,10 +221,17 @@ func (c *Client) doOnce(ctx context.Context, method, path, id, tp string, body [
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
+	buf := responses.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledResponse {
+			responses.Put(buf)
+		}
+	}()
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, 64<<20)); err != nil {
 		return err
 	}
+	data := buf.Bytes()
 	if resp.StatusCode/100 != 2 {
 		ae := &APIError{
 			Status:     resp.StatusCode,

@@ -58,7 +58,7 @@ type SimStats struct {
 // internal/migrate validates all three before any machine state is
 // touched.
 type SnapshotEnvelope struct {
-	// Version is the envelope schema version; currently 1.
+	// Version is the envelope schema version; currently 2.
 	Version int `json:"version"`
 
 	// SessionID names the session across backends; the resume path adopts
@@ -135,8 +135,9 @@ type SessionResult struct {
 	// Checkpoints counts envelopes minted across the session's lifetime.
 	Checkpoints int64 `json:"checkpoints"`
 	// StateDigest is the SHA-256 of the final architectural snapshot on
-	// completion — the byte-identity witness the migration tests compare
-	// against an uninterrupted run.
+	// completion, when the request set RunRequest.StateDigest — the
+	// byte-identity witness the migration tests compare against an
+	// uninterrupted run.
 	StateDigest string `json:"stateDigest,omitempty"`
 }
 

@@ -307,10 +307,11 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	}
 }
 
+// writeJSON writes v as json.Encoder would: its encoding and a newline.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	wire.Write(w, v)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -817,7 +818,7 @@ func (g *Gateway) routeGroup(ctx context.Context, req *client.BatchRequest, grp 
 	for si, i := range grp.idxs {
 		sub.Jobs[si] = req.Jobs[i]
 	}
-	body, err := json.Marshal(&sub)
+	body, err := wire.Marshal(&sub)
 	if err != nil {
 		csp.EndErr(err.Error())
 		g.failGroup(outcomes, grp, http.StatusInternalServerError, fmt.Sprintf("encoding sub-batch: %v", err))
@@ -1003,7 +1004,7 @@ func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(&dump)
+	wire.Write(w, &dump)
 }
 
 // fetchBackendTraces asks every backend for its retained half of one

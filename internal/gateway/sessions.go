@@ -18,7 +18,6 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -27,6 +26,7 @@ import (
 
 	"repro/client"
 	"repro/internal/dtrace"
+	"repro/internal/wire"
 )
 
 // sessionTableCap bounds the session→backend routing table and the
@@ -204,7 +204,7 @@ func (g *Gateway) migrateSession(ctx context.Context, env *client.SnapshotEnvelo
 	h.jobs, h.hint = 1, 0
 	exclude := from
 	for n := 0; n < g.cfg.MaxMigrations; n++ {
-		body, err := json.Marshal(&client.ResumeRequest{Envelope: env})
+		body, err := wire.Marshal(&client.ResumeRequest{Envelope: env})
 		if err != nil {
 			break
 		}
@@ -285,7 +285,7 @@ func (g *Gateway) migrateSession(ctx context.Context, env *client.SnapshotEnvelo
 	g.settleMigration(env.SessionID, "failed", "", "no backend could resume the session")
 	msp.SetAttr(dtrace.Bool("failed", true))
 	h.log.Warn("session migration exhausted", "session_id", env.SessionID, "from", from)
-	data, _ := json.Marshal(&client.SessionDraining{
+	data, _ := wire.Marshal(&client.SessionDraining{
 		Error:    "no backend could resume the session; retry the attached envelope later",
 		Envelope: env,
 	})
@@ -433,7 +433,7 @@ func (g *Gateway) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	// resumable session into an envelope, and answers the blocked client
 	// POSTs with drain handshakes (which our in-flight session handlers are
 	// catching and migrating right now).
-	body, _ := json.Marshal(&client.DrainRequest{TimeoutMs: req.TimeoutMs})
+	body, _ := wire.Marshal(&client.DrainRequest{TimeoutMs: req.TimeoutMs})
 	a, parent := dtrace.FromContext(ctx)
 	dsp := a.StartSpan("backend_drain", parent, dtrace.Str("backend", backendLabel(backend)))
 	resp, err := g.forward(ctx, http.MethodPost, backend, "/v1/admin/drain", id, a.Traceparent(dsp), body)

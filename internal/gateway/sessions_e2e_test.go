@@ -95,6 +95,7 @@ func TestGatewaySessionMigration(t *testing.T) {
 		// simulates this single-threaded reduction loop several times
 		// faster in wall-clock.
 		reqs[i], wants[i] = longSessionJob(600_000 + 7*i)
+		reqs[i].StateDigest = true
 		res, err := f.c.NewSession(reqs[i]).Run(ctx)
 		if err != nil {
 			t.Fatalf("uninterrupted reference %d: %v", i, err)

@@ -40,14 +40,27 @@ func TestReferenceMatchesDocs(t *testing.T) {
 // row's format, setting a listed field to all ones sets exactly the row's
 // bits for it, or none when the opcode does not use the field; some opcode
 // uses each listed field; and no opcode sets a bit the row does not list.
+// A register field is set to the top register of its operand's file, so
+// a flag operand leaves the field's top bit clear.
 func TestEncodingsTableMatchesEncode(t *testing.T) {
 	ref := Reference()
 	table := ref[strings.Index(ref, "## Encodings"):strings.Index(ref, "## Instructions")]
 	formats := map[string]Format{"N": FormatN, "R": FormatR, "PR": FormatPR, "I": FormatI, "PI": FormatPI, "J": FormatJ}
+	// top is the highest register op's operand in field f may name; 15
+	// when op has no such operand (Encode drops the field).
+	top := func(op Op, f Field) uint8 {
+		for _, o := range op.Syntax() {
+			if o.Field == f || f == FieldRa && o.Field == FieldMem {
+				return regFileSize(o.Kind) - 1
+			}
+		}
+		return 15
+	}
+	regs := map[string]Field{"rd": FieldRd, "ra": FieldRa, "rb": FieldRb}
 	ones := map[string]func(*Inst){
-		"rd":       func(in *Inst) { in.Rd = 15 },
-		"ra":       func(in *Inst) { in.Ra = 15 },
-		"rb":       func(in *Inst) { in.Rb = 15 },
+		"rd":       func(in *Inst) { in.Rd = top(in.Op, FieldRd) },
+		"ra":       func(in *Inst) { in.Ra = top(in.Op, FieldRa) },
+		"rb":       func(in *Inst) { in.Rb = top(in.Op, FieldRb) },
 		"mask":     func(in *Inst) { in.Mask = 7 },
 		"sb":       func(in *Inst) { in.SB = true },
 		"imm16":    func(in *Inst) { in.Imm = -1 },
@@ -102,12 +115,16 @@ func TestEncodingsTableMatchesEncode(t *testing.T) {
 			for _, op := range ops {
 				in := Inst{Op: op}
 				set(&in)
+				want := bits
+				if f, ok := regs[m[1]]; ok {
+					want = uint32(top(op, f)) << lo
+				}
 				switch diff := encode(in) ^ encode(Inst{Op: op}); diff {
 				case 0:
-				case bits:
-					used = true
+				case want:
+					used = used || want == bits
 				default:
-					t.Errorf("%s: setting %s of %s sets bits %#08x, want %#08x", cells[1], m[1], op, diff, bits)
+					t.Errorf("%s: setting %s of %s sets bits %#08x, want %#08x", cells[1], m[1], op, diff, want)
 				}
 			}
 			if !used {
@@ -116,7 +133,7 @@ func TestEncodingsTableMatchesEncode(t *testing.T) {
 			listed |= bits
 		}
 		for _, op := range ops {
-			w := encode(Inst{Op: op, Rd: 15, Ra: 15, Rb: 15, Mask: 7, SB: true, Imm: -1})
+			w := encode(Inst{Op: op, Rd: top(op, FieldRd), Ra: top(op, FieldRa), Rb: top(op, FieldRb), Mask: 7, SB: true, Imm: -1})
 			if w&^listed != 0 {
 				t.Errorf("%s: %s sets bits %#08x the row does not list", cells[1], op, w&^listed)
 			}

@@ -197,6 +197,20 @@ func (e *EncodeError) Error() string {
 	return fmt.Sprintf("isa: cannot encode %s: field %s value %d out of range", e.Inst, e.Field, e.Value)
 }
 
+// RegisterError reports a word whose 4-bit register field names a
+// register its operand's file does not have (f8..f15), so that no
+// instruction encodes to it.
+type RegisterError struct {
+	Word  uint32
+	Inst  Inst   // the instruction the word's fields hold
+	Field string // "rd", "ra" or "rb"
+	Value int64
+}
+
+func (e *RegisterError) Error() string {
+	return fmt.Sprintf("isa: word %#08x (%s): field %s names register %d, outside its file", e.Word, e.Inst, e.Field, e.Value)
+}
+
 // StrayBitsError reports a word that sets bits outside the fields its
 // opcode uses, so that no instruction encodes to it.
 type StrayBitsError struct {
@@ -209,23 +223,42 @@ func (e *StrayBitsError) Error() string {
 	return fmt.Sprintf("isa: word %#08x (%s) sets stray bits %#08x", e.Word, e.Inst, e.Stray)
 }
 
+// badRegister returns the first register operand of the instruction, in
+// source order, that its file (Syntax; the scalar file for a broadcast)
+// does not have.
+func (in Inst) badRegister() (field string, idx uint8, bad bool) {
+	for _, o := range in.Op.Syntax() {
+		switch o.Field {
+		case FieldRd:
+			field, idx = "rd", in.Rd
+		case FieldRa, FieldMem:
+			field, idx = "ra", in.Ra
+		case FieldRb:
+			field, idx = "rb", in.Rb
+		default:
+			continue
+		}
+		if idx >= regFileSize(in.kind(o)) {
+			return field, idx, true
+		}
+	}
+	return "", 0, false
+}
+
 // Encode packs the canonical form of the instruction into a 32-bit word.
-// Only the fields the opcode uses must fit their encoding.
+// Only the fields the opcode uses must fit their encoding: each register
+// names a register of its operand's file, the mask a flag register, and
+// the immediate fits its width.
 func (in Inst) Encode() (uint32, error) {
 	c := in.Canonical()
 	l := layouts[c.Info().Format]
 	sh := 32 - l.immBits // the immediate fits if sign-extending its low bits restores it
 	field, v := "", int64(0)
-	switch {
-	case c.Rd >= 16:
-		field, v = "rd", int64(c.Rd)
-	case c.Ra >= 16:
-		field, v = "ra", int64(c.Ra)
-	case c.Rb >= 16:
-		field, v = "rb", int64(c.Rb)
-	case c.Mask >= 8:
+	if f, idx, bad := c.badRegister(); bad {
+		field, v = f, int64(idx)
+	} else if c.Mask >= NumFlagRegs {
 		field, v = "mask", int64(c.Mask)
-	case c.Imm<<sh>>sh != c.Imm:
+	} else if c.Imm<<sh>>sh != c.Imm {
 		field, v = fmt.Sprintf("imm%d", l.immBits), int64(c.Imm)
 	}
 	if field != "" {
@@ -241,8 +274,9 @@ func (in Inst) Encode() (uint32, error) {
 
 // Decode unpacks a 32-bit word into a canonical instruction. A word decodes
 // if and only if it is the encoding of that instruction: an undefined
-// opcode is an error, and so is a set bit outside the opcode's fields
-// (*StrayBitsError).
+// opcode is an error, and so are a register field naming a register its
+// file does not have (*RegisterError) and a set bit outside the opcode's
+// fields (*StrayBitsError).
 func Decode(w uint32) (Inst, error) {
 	op := Op(w >> 24)
 	if !Valid(op) {
@@ -252,7 +286,10 @@ func Decode(w uint32) (Inst, error) {
 	sh := 32 - l.immBits
 	in := Inst{Op: op, Rd: uint8(w >> 20 & 0xf), Ra: uint8(w >> 16 & 0xf), Rb: uint8(w >> 12 & 0xf),
 		Mask: uint8(w >> l.maskAt & 7), SB: w>>l.sbAt&1 == 1, Imm: int32(w) << sh >> sh}.Canonical()
-	enc, _ := in.Encode() // fields cut from a word always fit
+	if field, idx, bad := in.badRegister(); bad {
+		return Inst{}, &RegisterError{Word: w, Inst: in, Field: field, Value: int64(idx)}
+	}
+	enc, _ := in.Encode() // every other field cut from a word fits
 	if enc != w {
 		return Inst{}, &StrayBitsError{Word: w, Inst: in, Stray: w &^ enc}
 	}

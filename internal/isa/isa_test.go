@@ -126,13 +126,13 @@ func randomInst(r *rand.Rand) Inst {
 		Imm:  int32(r.Uint32()),
 	}
 	for _, o := range op.Syntax() {
-		switch o.Field {
+		switch n := regFileSize(in.kind(o)); o.Field {
 		case FieldRd:
-			in.Rd %= 16
+			in.Rd %= n
 		case FieldRa, FieldMem:
-			in.Ra %= 16
+			in.Ra %= n
 		case FieldRb:
-			in.Rb %= 16
+			in.Rb %= n
 		}
 	}
 	if Lookup(op).ReadsMask {
@@ -177,14 +177,21 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 // Property: a word decodes if and only if it is the encoding of the
-// instruction it decodes to; a rejected word with a defined opcode names
-// the bits the encoding lacks.
+// instruction it decodes to, and that instruction is a valid micro-op. A
+// rejected word with a defined opcode either names a register its file
+// lacks, which DecodeInst refuses too, or names the bits the encoding
+// lacks.
 func TestDecodeStability(t *testing.T) {
 	f := func(w uint32) bool {
 		in, err := Decode(w)
 		if err != nil {
 			var stray *StrayBitsError
-			if !errors.As(err, &stray) {
+			var reg *RegisterError
+			switch {
+			case errors.As(err, &reg):
+				_, derr := DecodeInst(reg.Inst)
+				return derr != nil && uint32(reg.Value) == w>>map[string]int{"rd": 20, "ra": 16, "rb": 12}[reg.Field]&0xf
+			case !errors.As(err, &stray):
 				return !Valid(Op(w >> 24)) // only an undefined opcode fails otherwise
 			}
 			enc, eerr := stray.Inst.Encode()
@@ -195,10 +202,41 @@ func TestDecodeStability(t *testing.T) {
 			t.Logf("re-encode %v: %v", in, err)
 			return false
 		}
+		if _, err := DecodeInst(in); err != nil {
+			t.Logf("%#08x decodes to %v, which DecodeInst refuses: %v", w, in, err)
+			return false
+		}
 		return w2 == w && in == in.Canonical()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A register field is bounded by its operand's file, not by its 4 bits:
+// fand names flag registers, and the flag file has 8, so f15 neither
+// encodes nor decodes.
+func TestRegisterFieldBoundedByFile(t *testing.T) {
+	_, err := Inst{Op: FAND, Rd: 15, Ra: 5, Rb: 6}.Encode()
+	var ee *EncodeError
+	if !errors.As(err, &ee) || ee.Field != "rd" || ee.Value != 15 {
+		t.Errorf("Encode(fand f15, f5, f6) error = %v, want rd 15 out of range", err)
+	}
+	_, err = Inst{Op: FAND, Rd: 1, Ra: 5, Rb: 8}.Encode()
+	if !errors.As(err, &ee) || ee.Field != "rb" || ee.Value != 8 {
+		t.Errorf("Encode(fand f1, f5, f8) error = %v, want rb 8 out of range", err)
+	}
+	_, err = Decode(0x43f56000)
+	var reg *RegisterError
+	if !errors.As(err, &reg) || reg.Field != "rd" || reg.Value != 15 || reg.Inst != (Inst{Op: FAND, Rd: 15, Ra: 5, Rb: 6}) {
+		t.Errorf("Decode(0x43f56000) error = %v, want a RegisterError for rd 15 of fand f15, f5, f6", err)
+	}
+	w, err := Inst{Op: FAND, Rd: 7, Ra: 5, Rb: 6}.Encode()
+	if err != nil || w != 0x43756000 {
+		t.Fatalf("Encode(fand f7, f5, f6) = %#08x, %v", w, err)
+	}
+	if in, err := Decode(w); err != nil || in != (Inst{Op: FAND, Rd: 7, Ra: 5, Rb: 6}) {
+		t.Errorf("Decode(%#08x) = %v, %v", w, in, err)
 	}
 }
 

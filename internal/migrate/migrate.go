@@ -11,10 +11,12 @@
 // Three layers of validation run before any machine state is touched, each
 // with a distinct failure mode:
 //
+//   - Validate first checks the schema version: an envelope of another
+//     version is a StaleError, since its Sum is defined differently.
 //   - Seal/Verify: the envelope's own integrity digest (Sum) detects
 //     corruption or tampering in transit.
-//   - Validate: schema version, digest shape, config-key agreement, and
-//     the snapshot image's header (magic) reject structurally broken
+//   - Validate then checks digest shape, config-key agreement, and the
+//     snapshot image's header (magic), rejecting structurally broken
 //     envelopes. An image in another format version is a StaleError.
 //   - Resolve: the program digest must resolve in the content-addressed
 //     cache, or recompile from the embedded source to the *same* digest.
@@ -27,11 +29,9 @@
 package migrate
 
 import (
-	"bytes"
 	"crypto/sha256"
-	"encoding/base64"
+	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 
@@ -39,18 +39,21 @@ import (
 	"repro/client"
 	"repro/internal/machine"
 	"repro/internal/progcache"
+	"repro/internal/wire"
 )
 
 // Version is the snapshot-envelope schema version this package mints and
-// accepts.
-const Version = 1
+// accepts. Version 2 hashes the raw snapshot image into Sum (see sum);
+// version 1 hashed its base64 text.
+const Version = 2
 
-// StaleError reports an envelope that can no longer be honored: its
-// snapshot image is in a format version this build does not restore, or
-// its program artifact was evicted from the cache and the embedded source
-// is missing or no longer compiles to the same digest (a cache-key version
-// bump, a tampered envelope). The serving tier maps it to HTTP 409 with
-// the machine-readable "stale_snapshot:" marker.
+// StaleError reports an envelope that can no longer be honored: it is of
+// another envelope version, its snapshot image is in a format version
+// this build does not restore, or its program artifact was evicted from
+// the cache and the embedded source is missing or no longer compiles to
+// the same digest (a cache-key version bump, a tampered envelope). The
+// serving tier maps it to HTTP 409 with the machine-readable
+// "stale_snapshot:" marker.
 type StaleError struct {
 	Digest string
 	Reason string
@@ -108,7 +111,7 @@ const envelopeSlack = 8 << 10
 func ResumeBytes(req client.RunRequest, image int64) int64 {
 	// A RunRequest has only strings, numbers and slices of them, so
 	// encoding it cannot fail.
-	data, _ := json.Marshal(stripped(req))
+	data, _ := wire.Marshal(stripped(req))
 	return int64(len(data)) + (image+2)/3*4 + envelopeSlack
 }
 
@@ -119,44 +122,32 @@ func Seal(env *client.SnapshotEnvelope) {
 	env.Sum = sum(env)
 }
 
-// sum is the canonical envelope digest: SHA-256 of the JSON encoding with
-// Sum cleared. Struct-field order makes Go's JSON encoding deterministic,
-// so equal envelopes hash equally on every backend.
-//
-// The snapshot is most of an envelope, so the encoding is never built
-// whole: the envelope is marshaled with Snapshot nil, and the hash reads
-// that text with the snapshot's base64 (encoding/json's form of []byte)
-// streamed in place of the null. The first `"snapshot":null` in the text
-// is the envelope's own key: inside JSON strings quotes are escaped, and
-// no field encoded before it has a key of that name. Hash writes never
-// fail, so their errors are not checked.
+// sum is the canonical envelope digest: SHA-256 over the JSON encoding
+// of the envelope with Sum empty and Snapshot null, then the snapshot's
+// length as 8 little-endian bytes, then the snapshot's raw bytes.
+// Struct-field order makes Go's JSON encoding deterministic, so equal
+// envelopes hash equally on every backend. The image, most of an
+// envelope, is hashed as it is, never re-encoded; the length keeps the
+// JSON text and the image apart. Hash writes never fail, so their errors
+// are not checked.
 func sum(env *client.SnapshotEnvelope) string {
 	e := *env
 	e.Sum = ""
 	e.Snapshot = nil
-	data, err := json.Marshal(&e)
 	h := sha256.New()
-	switch {
-	case err != nil:
+	if data, err := wire.Marshal(&e); err != nil {
 		// Only unmarshalable field types could trip this, and the envelope
 		// has none; hash the error text so the sum still never matches.
 		h.Write([]byte(err.Error()))
-	case env.Snapshot == nil:
+	} else {
 		h.Write(data)
-	default:
-		i := bytes.Index(data, snapshotNull) + len(snapshotNull) - len("null")
-		h.Write(data[:i])
-		h.Write([]byte{'"'})
-		b64 := base64.NewEncoder(base64.StdEncoding, h)
-		b64.Write(env.Snapshot)
-		b64.Close()
-		h.Write([]byte{'"'})
-		h.Write(data[i+len("null"):])
 	}
+	var n [8]byte
+	binary.LittleEndian.PutUint64(n[:], uint64(len(env.Snapshot)))
+	h.Write(n[:])
+	h.Write(env.Snapshot)
 	return hex.EncodeToString(h.Sum(nil))
 }
-
-var snapshotNull = []byte(`"snapshot":null`)
 
 // Verify checks the envelope's integrity digest. Envelopes sealed by older
 // peers without a Sum are accepted (the field is optional on the wire);
@@ -173,20 +164,23 @@ func Verify(env *client.SnapshotEnvelope) error {
 }
 
 // Validate rejects structurally broken envelopes before any cache or
-// machine state is consulted: integrity digest, schema version, program
+// machine state is consulted: schema version, integrity digest, program
 // digest shape, config-key agreement with the embedded request, snapshot
-// image header, and a positive remaining budget. An image of another
-// format version is a StaleError. It does not resolve the program
-// (Resolve) or check machine-fingerprint compatibility (Restore).
+// image header, and a positive remaining budget. An envelope of another
+// version, or an image of another format version, is a StaleError; the
+// version comes first because another version's Sum is not this one's.
+// It does not resolve the program (Resolve) or check machine-fingerprint
+// compatibility (Restore).
 func Validate(env *client.SnapshotEnvelope) error {
 	if env == nil {
 		return fmt.Errorf("missing envelope")
 	}
+	if env.Version != Version {
+		return &StaleError{Digest: env.Digest, Reason: fmt.Sprintf(
+			"unsupported envelope version %d (this build reads version %d); resubmit from source", env.Version, Version)}
+	}
 	if err := Verify(env); err != nil {
 		return err
-	}
-	if env.Version != Version {
-		return fmt.Errorf("unsupported envelope version %d (want %d)", env.Version, Version)
 	}
 	if env.SessionID == "" {
 		return fmt.Errorf("envelope has no session id")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -103,25 +104,29 @@ func TestValidateRejections(t *testing.T) {
 		name   string
 		mutate func(*client.SnapshotEnvelope)
 		want   string
+		stale  bool
 	}{
-		{"tampered", func(e *client.SnapshotEnvelope) { e.RemainingCycles++; e.Sum = base.Sum }, "integrity digest"},
-		{"version", func(e *client.SnapshotEnvelope) { e.Version = 99 }, "unsupported envelope version"},
-		{"no session id", func(e *client.SnapshotEnvelope) { e.SessionID = "" }, "no session id"},
-		{"malformed digest", func(e *client.SnapshotEnvelope) { e.Digest = "nope" }, "malformed program digest"},
-		{"config key mismatch", func(e *client.SnapshotEnvelope) { e.Request.Config.PEs = 16 }, "does not match"},
-		{"memory image", func(e *client.SnapshotEnvelope) { e.Request.ScalarMem = []int64{1} }, "memory images"},
-		{"truncated snapshot", func(e *client.SnapshotEnvelope) { e.Snapshot = e.Snapshot[:8] }, "snapshot"},
+		{"tampered", func(e *client.SnapshotEnvelope) { e.RemainingCycles++; e.Sum = base.Sum }, "integrity digest", false},
+		{"version", func(e *client.SnapshotEnvelope) { e.Version = 99 }, "unsupported envelope version", true},
+		// Another version's Sum is defined differently: the version check
+		// comes before the digest, so an old envelope is stale, not corrupt.
+		{"version before sum", func(e *client.SnapshotEnvelope) { e.Version = 1; e.Sum = base.Sum }, "unsupported envelope version 1", true},
+		{"no session id", func(e *client.SnapshotEnvelope) { e.SessionID = "" }, "no session id", false},
+		{"malformed digest", func(e *client.SnapshotEnvelope) { e.Digest = "nope" }, "malformed program digest", false},
+		{"config key mismatch", func(e *client.SnapshotEnvelope) { e.Request.Config.PEs = 16 }, "does not match", false},
+		{"memory image", func(e *client.SnapshotEnvelope) { e.Request.ScalarMem = []int64{1} }, "memory images", false},
+		{"truncated snapshot", func(e *client.SnapshotEnvelope) { e.Snapshot = e.Snapshot[:8] }, "snapshot", false},
 		{"image version", func(e *client.SnapshotEnvelope) {
 			e.Snapshot = bytes.Clone(e.Snapshot)
 			e.Snapshot[8] = 1 // the version word: an image of format version 1
-		}, "stale_snapshot: "},
-		{"spent budget", func(e *client.SnapshotEnvelope) { e.RemainingCycles = 0 }, "no remaining cycle budget"},
+		}, "stale_snapshot: ", true},
+		{"spent budget", func(e *client.SnapshotEnvelope) { e.RemainingCycles = 0 }, "no remaining cycle budget", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			env := *base
 			tc.mutate(&env)
-			if tc.name != "tampered" {
+			if tc.name != "tampered" && tc.name != "version before sum" {
 				migrate.Seal(&env)
 			}
 			err := migrate.Validate(&env)
@@ -132,8 +137,8 @@ func TestValidateRejections(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 			var stale *migrate.StaleError
-			if errors.As(err, &stale) != (tc.name == "image version") {
-				t.Errorf("error %q: StaleError %v, want it only for an image of another version", err, stale != nil)
+			if errors.As(err, &stale) != tc.stale {
+				t.Errorf("error %q: StaleError %v, want %v", err, stale != nil, tc.stale)
 			}
 		})
 	}
@@ -350,16 +355,17 @@ func goldenEnvelope() *client.SnapshotEnvelope {
 // TestEnvelopeSumGolden pins the envelope integrity digest: envelopes
 // sealed by any backend version must verify on every other.
 func TestEnvelopeSumGolden(t *testing.T) {
-	const want = "e7b0b6f832a1de41913140373bf5f7146302f37adf7265a3a6ed03305951f413"
+	const want = "7c816ba209a44cae1c80605b236bfb404c77cacc403db576877c2535277451d2"
 	if got := goldenEnvelope().Sum; got != want {
 		t.Errorf("golden envelope sum = %s, want %s", got, want)
 	}
 }
 
-// TestSumMatchesMarshal checks the streamed digest against its definition,
-// SHA-256 of json.Marshal of the envelope with Sum cleared, on envelopes
-// with hostile strings, a "snapshot" map key, and nil, empty, and
-// odd-length snapshots (every base64 padding case).
+// TestSumMatchesMarshal checks the digest against its definition: SHA-256
+// of json.Marshal of the envelope with Sum cleared and Snapshot null, then
+// the snapshot's length as 8 little-endian bytes, then its raw bytes. It
+// runs on envelopes with hostile strings, a "snapshot" map key, and nil,
+// empty, and odd-length snapshots.
 func TestSumMatchesMarshal(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	strs := []string{"", hostileSource, `"snapshot":null`, `,"snapshot":"",`, "<>&  ", "\\\"", "\x00\x1f\xff"}
@@ -383,11 +389,13 @@ func TestSumMatchesMarshal(t *testing.T) {
 		migrate.Seal(env)
 		plain := *env
 		plain.Sum = ""
+		plain.Snapshot = nil
 		data, err := json.Marshal(&plain)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := sha256.Sum256(data)
+		data = binary.LittleEndian.AppendUint64(data, uint64(len(env.Snapshot)))
+		want := sha256.Sum256(append(data, env.Snapshot...))
 		if env.Sum != hex.EncodeToString(want[:]) {
 			t.Fatalf("envelope %d: sum %s disagrees with the hash of its JSON encoding %x", i, env.Sum, want)
 		}

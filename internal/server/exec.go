@@ -297,19 +297,21 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 	if sess == nil {
 		return out
 	}
-	// The byte-identity witness: resumed-after-migration snapshots must
-	// hash identically to an uninterrupted run's. The snapshot streams
-	// into the hash, so the witness allocates nothing proportional to the
-	// machine; hash.Hash writes never fail.
-	h := sha256.New()
-	_ = proc.WriteSnapshot(h)
 	out.sess = &client.SessionResult{
 		SessionID:   sess.id,
 		State:       sessCompleted,
 		Result:      out.result,
 		Resumed:     r.env != nil,
 		Checkpoints: sess.checkpoints,
-		StateDigest: hex.EncodeToString(h.Sum(nil)),
+	}
+	if req.StateDigest {
+		// The byte-identity witness, on request: resumed-after-migration
+		// snapshots must hash identically to an uninterrupted run's. The
+		// snapshot streams into the hash, so the witness allocates nothing
+		// proportional to the machine; hash.Hash writes never fail.
+		h := sha256.New()
+		_ = proc.WriteSnapshot(h)
+		out.sess.StateDigest = hex.EncodeToString(h.Sum(nil))
 	}
 	sess.complete(out.sess, baseConsumed+proc.Cycle())
 	s.parkSession(sess.id)

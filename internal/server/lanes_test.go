@@ -106,7 +106,9 @@ func TestLanesAgree(t *testing.T) {
 		t.Errorf("asc_gang_divergence_peels_total = %v, want >= 1 (the peel lane did not peel)", v)
 	}
 
-	resp, raw := postJSON(t, urlA+"/v1/sessions", client.SessionRequest{RunRequest: job(0)})
+	digested := job(0)
+	digested.StateDigest = true
+	resp, raw := postJSON(t, urlA+"/v1/sessions", client.SessionRequest{RunRequest: digested})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("non-resumable session: status %d: %s", resp.StatusCode, raw)
 	}
@@ -117,7 +119,7 @@ func TestLanesAgree(t *testing.T) {
 	sameStats("non-resumable session", plain.Result, want)
 
 	// Resumable: run on A, checkpoint mid-flight, resume on B.
-	sess := c.NewSession(job(0))
+	sess := c.NewSession(digested)
 	done := make(chan error, 1)
 	go func() {
 		_, err := sess.Run(ctx)

@@ -339,10 +339,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
+// writeJSON writes v as json.Encoder would: its encoding and a newline.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	wire.Write(w, v)
 }
 
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
@@ -431,7 +432,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := s.validate(&req); err != nil {
+	if err := s.validateJob(&req); err != nil {
 		log.Warn("job rejected", "reason", "validation", "error", err.Error())
 		tr.SetError()
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -490,6 +491,22 @@ func sourceKind(req *client.RunRequest) string {
 		return "ascl"
 	}
 	return "asm"
+}
+
+// errStateDigest refuses stateDigest outside a session, so the option
+// never silently does nothing.
+var errStateDigest = errors.New("stateDigest is a session option (the digest of a session's final snapshot); use /v1/sessions")
+
+// validateJob is validate for a /v1/run job or a /v1/batch job, which
+// cannot ask for a state digest.
+func (s *Server) validateJob(req *client.RunRequest) error {
+	if err := s.validate(req); err != nil {
+		return err
+	}
+	if req.StateDigest {
+		return errStateDigest
+	}
+	return nil
 }
 
 // validate enforces the request invariants that do not need a machine.
@@ -783,7 +800,7 @@ func (s *Server) planBatch(req *client.BatchRequest, outcomes []jobOutcome) (gro
 	var order []string
 	for i := range req.Jobs {
 		j := &req.Jobs[i]
-		if err := s.validate(j); err != nil {
+		if err := s.validateJob(j); err != nil {
 			outcomes[i] = jobOutcome{status: http.StatusBadRequest, errMsg: err.Error()}
 			s.batchLane.release(1)
 			continue

@@ -3,7 +3,9 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -115,6 +117,7 @@ func waitRunningSession(t *testing.T, baseURL string) string {
 func TestSessionRunsToCompletion(t *testing.T) {
 	_, c, url := newSessionTestServer(t, server.Config{Workers: 2})
 	req, want := longSession(500)
+	req.StateDigest = true
 	res, err := c.NewSession(req).Run(context.Background())
 	if err != nil {
 		t.Fatalf("session run: %v", err)
@@ -150,6 +153,7 @@ func TestSessionCheckpointResumeCrossServer(t *testing.T) {
 	_, cb, urlB := newSessionTestServer(t, server.Config{Workers: 2})
 
 	req, want := longSession(150_000)
+	req.StateDigest = true
 
 	// Reference: uninterrupted on B's twin server (same binary, warm pool
 	// irrelevant — state digests are host-independent).
@@ -377,6 +381,102 @@ func TestSessionStaleImageVersion409(t *testing.T) {
 	}
 }
 
+// TestSessionStaleEnvelopeVersion409: an envelope of version 1, sealed
+// under version 1's digest (SHA-256 of the whole envelope's JSON, the
+// snapshot as base64), gets the typed 409 stale_snapshot on resume: not a
+// digest mismatch, and not a 400.
+func TestSessionStaleEnvelopeVersion409(t *testing.T) {
+	_, c, url := newSessionTestServer(t, server.Config{Workers: 2})
+	req, _ := longSession(500)
+	cfg := req.Config.ASC()
+	prog, _, err := asc.CompileASCL(req.ASCL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := asc.New(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := migrate.Pack("s-envelope-v1", req, progcache.RequestDigest(req.ASCL, "", cfg), p.Snapshot(),
+		0, 1_000_000, 0, 0, asc.Stats{})
+	env.Version, env.Sum = 1, ""
+	data, err := json.Marshal(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.Sum256(data)
+	env.Sum = hex.EncodeToString(h[:])
+
+	resp, body := postJSON(t, url+"/v1/sessions/"+env.SessionID+"/resume", client.ResumeRequest{Envelope: env})
+	if resp.StatusCode != http.StatusConflict || !strings.Contains(string(body), `"error":"stale_snapshot: `) {
+		t.Fatalf("resume of a version-1 envelope: status %d %s, want a 409 stale_snapshot", resp.StatusCode, body)
+	}
+	_, err = c.ResumeSession(env).Resume(context.Background())
+	var ae *client.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusConflict || !strings.Contains(ae.Message, "envelope version 1") {
+		t.Fatalf("client resume of a version-1 envelope returned %v, want a 409 naming the version", err)
+	}
+}
+
+// TestSessionStateDigestOptIn: a session reports stateDigest only when its
+// request asks for it, and a migrated leg honours the original request's
+// choice, which travels in the envelope. /v1/run and /v1/batch refuse the
+// option with a 400.
+func TestSessionStateDigestOptIn(t *testing.T) {
+	_, c, urlA := newSessionTestServer(t, server.Config{Workers: 2})
+	_, cb, _ := newSessionTestServer(t, server.Config{Workers: 2})
+	req, want := longSession(500)
+	resp, raw := postJSON(t, urlA+"/v1/sessions", client.SessionRequest{RunRequest: req})
+	if resp.StatusCode != http.StatusOK || bytes.Contains(raw, []byte("stateDigest")) {
+		t.Fatalf("session without the option: status %d %s, want 200 without stateDigest", resp.StatusCode, raw)
+	}
+
+	long, _ := longSession(150_000)
+	long.StateDigest = true
+	ref, err := c.NewSession(long).Run(context.Background())
+	if err != nil || len(ref.StateDigest) != 64 {
+		t.Fatalf("reference session: res %+v err %v, want a sha256 stateDigest", ref, err)
+	}
+	sess := c.NewSession(long)
+	done := make(chan error, 1)
+	go func() {
+		_, err := sess.Run(context.Background())
+		done <- err
+	}()
+	sid := waitRunningSession(t, urlA)
+	if resp, body := postJSON(t, urlA+"/v1/sessions/"+sid+"/checkpoint", struct{}{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("checkpoint: status %d: %s", resp.StatusCode, body)
+	}
+	if err := <-done; !errors.Is(err, client.ErrSessionSuspended) {
+		t.Fatalf("checkpointed run returned %v, want ErrSessionSuspended", err)
+	}
+	env := sess.Envelope()
+	if !env.Request.StateDigest {
+		t.Fatal("the envelope's request dropped stateDigest")
+	}
+	res, err := cb.ResumeSession(env).Resume(context.Background())
+	if err != nil || !res.Resumed || res.StateDigest != ref.StateDigest {
+		t.Fatalf("migrated leg: res %+v err %v, want resumed with stateDigest %s", res, err, ref.StateDigest)
+	}
+
+	req.StateDigest = true
+	if _, err := c.Run(context.Background(), req); apiStatus(t, err) != http.StatusBadRequest {
+		t.Errorf("/v1/run with stateDigest: %v, want 400", err)
+	}
+	plain := req
+	plain.StateDigest = false
+	br, err := c.RunBatch(context.Background(), client.BatchRequest{Jobs: []client.RunRequest{req, plain}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j := br.Jobs[0]; j.Status != http.StatusBadRequest || !strings.Contains(j.Error, "stateDigest") {
+		t.Errorf("batch job with stateDigest: %+v, want a 400 naming the option", j)
+	}
+	if j := br.Jobs[1]; j.Result == nil || j.Result.ScalarMem[0] != want {
+		t.Errorf("batch job without it: %+v, want a result of %d", j, want)
+	}
+}
+
 // TestSessionEnvelopeSizeAdmission: a default server refuses, with a typed
 // 400 naming both sizes, a session whose envelope could outgrow its own
 // request body limit. The largest config it accepts mints envelopes that a
@@ -388,6 +488,7 @@ func TestSessionEnvelopeSizeAdmission(t *testing.T) {
 
 	const iters = 2000
 	req, _ := longSession(iters)
+	req.StateDigest = true
 	withLocal := func(words int) client.RunRequest {
 		r := req
 		r.Config = client.MachineConfig{PEs: 1024, Threads: 1, Width: 32, LocalMemWords: words}

@@ -36,7 +36,8 @@ const maxDepth = 32
 // session id of a session result, still skips the rest of it.
 const minDepth = 8
 
-// plan is the decode recipe of one Go type, built once by reflection.
+// plan is the recipe of one Go type, built once by reflection: Decode
+// reads a JSON value by it and Append writes one.
 type plan struct {
 	kind   kind
 	typ    reflect.Type
@@ -47,20 +48,21 @@ type plan struct {
 
 // field is one JSON key of a struct plan.
 type field struct {
-	name  string
-	index []int // reflect field path; longer than 1 for a promoted field
-	plan  *plan
+	name      string
+	index     []int // reflect field path; longer than 1 for a promoted field
+	plan      *plan
+	omitEmpty bool // the ",omitempty" option
 }
 
-// root is the cached plan of a decode target.
+// root is the cached plan of a decode target or an encoded value.
 type root struct {
 	plan *plan
 	// depth is the deepest container nesting a value of the type holds,
 	// and at least minDepth; the decoder refuses input nested deeper,
 	// skipped values included, so skipping never recurses without bound.
 	depth int
-	// ok is false when some reachable type is outside what the decoder
-	// reproduces exactly; Decode then always declines.
+	// ok is false when some reachable type is outside what Decode and
+	// Append reproduce exactly; both then always decline.
 	ok bool
 }
 
@@ -69,8 +71,11 @@ var (
 
 	int64sType        = reflect.TypeFor[[]int64]()
 	rowsType          = reflect.TypeFor[[][]int64]()
+	numberType        = reflect.TypeFor[json.Number]()
 	unmarshalerType   = reflect.TypeFor[json.Unmarshaler]()
 	textUnmarshalType = reflect.TypeFor[encoding.TextUnmarshaler]()
+	marshalerType     = reflect.TypeFor[json.Marshaler]()
+	textMarshalType   = reflect.TypeFor[encoding.TextMarshaler]()
 )
 
 // rootFor returns the cached root plan of t, building it on first use.
@@ -92,12 +97,20 @@ type builder struct {
 	bad   bool
 }
 
-// customDecoding reports whether encoding/json would hand t's values to
-// a method of t instead of decoding them itself.
-func customDecoding(t reflect.Type) bool {
+// custom reports whether encoding/json would hand t's values to a method
+// of t, in either direction, instead of coding them itself, or treats t
+// specially (json.Number).
+func custom(t reflect.Type) bool {
+	if t == numberType {
+		return true
+	}
 	pt := reflect.PointerTo(t)
-	return t.Implements(unmarshalerType) || pt.Implements(unmarshalerType) ||
-		t.Implements(textUnmarshalType) || pt.Implements(textUnmarshalType)
+	for _, m := range []reflect.Type{unmarshalerType, textUnmarshalType, marshalerType, textMarshalType} {
+		if t.Implements(m) || pt.Implements(m) {
+			return true
+		}
+	}
+	return false
 }
 
 func (b *builder) build(t reflect.Type) *plan {
@@ -106,7 +119,7 @@ func (b *builder) build(t reflect.Type) *plan {
 	}
 	p := &plan{typ: t}
 	b.plans[t] = p
-	if customDecoding(t) {
+	if custom(t) {
 		b.bad = true
 		return p
 	}
@@ -134,12 +147,13 @@ func (b *builder) build(t reflect.Type) *plan {
 	case reflect.Slice:
 		if t.Elem().Kind() == reflect.Uint8 {
 			p.kind = kBytes
+			b.bad = b.bad || custom(t.Elem())
 		} else {
 			p.kind, p.elem = kSlice, b.build(t.Elem())
 		}
 	case reflect.Map:
 		kt := t.Key()
-		if kt.Kind() != reflect.String || customDecoding(kt) {
+		if kt.Kind() != reflect.String || custom(kt) {
 			b.bad = true
 		}
 		p.kind, p.elem = kMap, b.build(t.Elem())
@@ -162,10 +176,11 @@ func (b *builder) build(t reflect.Type) *plan {
 	return p
 }
 
-// fields appends t's JSON fields to p, promoting untagged embedded
-// structs the way encoding/json does. Anything subtler than that (an
-// embedded pointer, a ",string" option, an unusual tag name) marks the
-// plan unsupported rather than guessing.
+// fields appends t's JSON fields to p, in encoding/json's order,
+// promoting untagged embedded structs the way encoding/json does.
+// Anything subtler than that (an embedded pointer, a ",string" or
+// ",omitzero" option, an unusual tag name) marks the plan unsupported
+// rather than guessing.
 func (b *builder) fields(p *plan, t reflect.Type, index []int) {
 	for i := 0; i < t.NumField(); i++ {
 		sf := t.Field(i)
@@ -174,7 +189,8 @@ func (b *builder) fields(p *plan, t reflect.Type, index []int) {
 			continue
 		}
 		name, opts, _ := strings.Cut(tag, ",")
-		if strings.Contains(","+opts+",", ",string,") {
+		opts = "," + opts + ","
+		if strings.Contains(opts, ",string,") || strings.Contains(opts, ",omitzero,") {
 			b.bad = true
 		}
 		path := append(index[:len(index):len(index)], i)
@@ -187,6 +203,8 @@ func (b *builder) fields(p *plan, t reflect.Type, index []int) {
 				b.fields(p, sf.Type, path)
 				continue
 			case !sf.IsExported():
+				// encoding/json keeps a named unexported embedded struct.
+				b.bad = b.bad || sf.Type.Kind() == reflect.Struct
 				continue
 			}
 		} else if !sf.IsExported() {
@@ -198,7 +216,8 @@ func (b *builder) fields(p *plan, t reflect.Type, index []int) {
 		if !sf.IsExported() || !plainName(name) {
 			b.bad = true
 		}
-		p.fields = append(p.fields, field{name: name, index: path, plan: b.build(sf.Type)})
+		p.fields = append(p.fields, field{name: name, index: path, plan: b.build(sf.Type),
+			omitEmpty: strings.Contains(opts, ",omitempty,")})
 	}
 }
 

@@ -1,6 +1,8 @@
-// Package wire decodes the JSON bodies of the v1 wire in one pass without
-// per-value reflection. It is the fast path in front of encoding/json on
-// the hot wire routes of ascd, ascgw and the client.
+// Package wire decodes and encodes the JSON bodies of the v1 wire in one
+// pass without per-value reflection. It is the fast path in front of
+// encoding/json on the hot wire routes of ascd, ascgw and the client. One
+// plan per Go type serves both directions; Append (encode.go) writes
+// exactly json.Marshal's bytes or declines.
 //
 // Decode accepts only canonical input, the shape encoding/json itself
 // emits: exact-case known keys without escapes, no duplicate keys, string

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	asc "repro"
@@ -386,6 +388,249 @@ func BenchmarkWireDecode(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(body.data)), "ns/byte")
+			})
+		}
+	}
+}
+
+// encodes are hot values of every type the wire encodes: request, batch,
+// session and resume bodies, session results and statuses, the drain
+// handshake, and the error body.
+func encodes(tb testing.TB) []any {
+	env := envelope(tb, 16)
+	res := client.RunResult{
+		Cycles: 1234, Instructions: 999, IPC: 0.8095623987034035, ScalarOps: 3,
+		ScalarMem: []int64{-1, 0, 1 << 40}, LocalMem: [][]int64{{1, 2}, {}, nil, {-3}},
+		Asm: "a <b> & \"c\"\n\t\u00f6", PoolHit: true, BlockCacheHit: true,
+		Trace: &client.Trace{Diagram: "IF ID\n", Stats: "stalls: 0"},
+	}
+	sess := sessionRequest(16)
+	sess.StateDigest = true
+	return []any{
+		sessionRequest(16),
+		&sess,
+		client.ResumeRequest{Envelope: env},
+		&client.ResumeRequest{},
+		batchRequest(4, 16),
+		client.BatchRequest{},
+		client.BatchResult{Jobs: []client.BatchJobResult{{Result: &res}, {Error: "queue full", Status: 429}}, Completed: 1, Failed: 1},
+		res,
+		client.SessionResult{SessionID: env.SessionID, State: "suspended", Reason: "requested", Envelope: env, Checkpoints: 2},
+		&client.SessionResult{SessionID: "s", State: "completed", Result: &res, Resumed: true, StateDigest: "00ff"},
+		client.SessionStatus{SessionID: "s", State: "completed", Envelope: env, Result: &client.SessionResult{Result: &res}},
+		client.SessionList{Sessions: []client.SessionStatus{{SessionID: "a"}, {SessionID: "b", Error: "x"}}},
+		client.SessionList{},
+		client.SessionDraining{Error: "draining: session suspended", Envelope: env},
+		client.RunRequest{ASCL: "parallel v = pread(0);\nwrite(0, sumval(v));", LocalMem: [][]int64{{}}, ScalarMem: []int64{}},
+		map[string]string{"error": "decoding request: <bad> & \u2028"},
+		map[string]string{},
+		(*client.RunRequest)(nil),
+		nil,
+	}
+}
+
+// sameEncoding checks Append against json.Marshal on v: Append may
+// decline only a value encoding/json refuses, and otherwise appends
+// exactly json.Marshal's bytes after what dst held.
+func sameEncoding(t *testing.T, v any) {
+	t.Helper()
+	want, err := json.Marshal(v)
+	prefix := []byte("prefix")
+	got, ok := wire.Append(prefix, v)
+	switch {
+	case !ok && err == nil:
+		t.Fatalf("%T: Append declined a value json.Marshal encodes as %.200q", v, want)
+	case ok && err != nil:
+		t.Fatalf("%T: Append encoded a value json.Marshal refuses (%v): %.200q", v, err, got)
+	case !ok:
+		if string(got) != "prefix" {
+			t.Fatalf("%T: declined but changed dst to %.200q", v, got)
+		}
+	case string(got[:len(prefix)]) != "prefix" || !bytes.Equal(got[len(prefix):], want):
+		t.Fatalf("%T: Append wrote\n%.300q\njson.Marshal\n%.300q", v, got, want)
+	}
+	sameOutput(t, v)
+}
+
+// sameOutput checks Marshal against json.Marshal and Write against
+// json.Encoder on v, whether Append encodes it or not.
+func sameOutput(t *testing.T, v any) {
+	t.Helper()
+	want, err := json.Marshal(v)
+	if m, merr := wire.Marshal(v); (merr == nil) != (err == nil) || !bytes.Equal(m, want) {
+		t.Fatalf("%T: Marshal returned %.200q (%v), json.Marshal %.200q (%v)", v, m, merr, want, err)
+	}
+	var w, enc bytes.Buffer
+	werr := wire.Write(&w, v)
+	eerr := json.NewEncoder(&enc).Encode(v)
+	if (werr == nil) != (eerr == nil) || !bytes.Equal(w.Bytes(), enc.Bytes()) {
+		t.Fatalf("%T: Write wrote %.200q (%v), json.Encoder %.200q (%v)", v, w.Bytes(), werr, enc.Bytes(), eerr)
+	}
+}
+
+func TestAppendMatchesMarshal(t *testing.T) {
+	for _, v := range encodes(t) {
+		sameEncoding(t, v)
+	}
+}
+
+// TestAppendEdges pins what encoding/json writes in a way that is easy to
+// get wrong: string escapes, float formats, omitempty, nil against empty,
+// and promoted fields.
+func TestAppendEdges(t *testing.T) {
+	strs := []string{"", "plain", "<>&", "\"\\/", "\x00\x01\b\f\n\r\t\x1f\x7f", "\u2028\u2029\u2027\u202a",
+		"\xff", "a\xc3", "\xed\xa0\x80", "\u00f6\U0001f600\U0010ffff", "\ufffd", hostile}
+	floats := []float64{0, math.Copysign(0, -1), 1, -1.5, 0.1, 1e20, 1e21, 123456789e13, 1e-6, 9.99e-7, 1e-7,
+		5e-324, math.MaxFloat64, -math.SmallestNonzeroFloat64, 0.8095623987034035, 1.0 / 3}
+	for _, s := range strs {
+		sameEncoding(t, s)
+		sameEncoding(t, map[string]string{s: s, "error": s})
+		sameEncoding(t, client.RunRequest{Asm: s, ASCL: s})
+		sameEncoding(t, client.SnapshotEnvelope{SessionID: s, Snapshot: []byte(s)})
+	}
+	for _, f := range floats {
+		sameEncoding(t, f)
+		sameEncoding(t, float32(f))
+		sameEncoding(t, client.RunResult{IPC: f})
+	}
+	for _, f := range []float32{1e-6, 9.99e-7, 1e21, 1e20, 3.4028235e38, 1.1754944e-38} {
+		sameEncoding(t, f)
+	}
+	type inner struct {
+		A int `json:"a,omitempty"`
+		B string
+	}
+	type all struct {
+		inner
+		P  *int            `json:"p,omitempty"`
+		S  []string        `json:"s,omitempty"`
+		M  map[string]bool `json:"m,omitempty"`
+		U  uint64          `json:"u,omitempty"`
+		F  float32         `json:"f,omitempty"`
+		T  bool            `json:"t,omitempty"`
+		Q  string          `json:"q,omitempty"`
+		I  inner           `json:"i,omitempty"`
+		Y  []byte
+		Z  [][]int64
+		N  []int64
+		X  int8 `json:"-"`
+		D  int  `json:"-,"`
+		u  int
+		MS map[string][]int64
+	}
+	one := 1
+	for _, v := range []all{
+		{},
+		{inner: inner{A: 1, B: "b"}, P: &one, S: []string{}, M: map[string]bool{}, U: math.MaxUint64, F: 1.5,
+			T: true, Q: "q", Y: []byte{}, Z: [][]int64{}, N: []int64{}, X: 3, D: 4, u: 5, MS: map[string][]int64{}},
+		{S: []string{"a", ""}, M: map[string]bool{"b": true, "a": false, "": true}, Y: []byte{0xff, 0, 1},
+			Z: [][]int64{nil, {}, {math.MinInt64, math.MaxInt64}}, N: []int64{-0, 7}, MS: map[string][]int64{"z": nil, "y": {1}}},
+	} {
+		sameEncoding(t, v)
+		sameEncoding(t, &v)
+		sameEncoding(t, []all{v, {}})
+	}
+}
+
+// TestAppendDeclines lists values Append leaves to encoding/json, which
+// encodes some of them and refuses others.
+func TestAppendDeclines(t *testing.T) {
+	type node struct {
+		Next *node `json:"next"`
+	}
+	cyclic := &node{}
+	cyclic.Next = cyclic
+	for _, v := range []any{
+		struct{ X any }{X: 1},
+		struct{ T time.Time }{},
+		struct{ R json.RawMessage }{R: json.RawMessage(`{}`)},
+		struct{ N json.Number }{N: "1"},
+		struct {
+			A int `json:"a,string"`
+		}{},
+		struct {
+			A int `json:"a,omitzero"`
+		}{},
+		struct{ A [2]int }{},
+		map[int]string{1: "a"},
+		math.NaN(),
+		client.RunResult{IPC: math.Inf(1)},
+		[]float64{1, math.Inf(-1)},
+		cyclic,
+		make(chan int),
+	} {
+		if out, ok := wire.Append(nil, v); ok {
+			t.Errorf("%T: Append encoded %q, want it declined", v, out)
+		}
+		sameOutput(t, v)
+	}
+}
+
+// hostile is a string with every class of character encoding/json escapes.
+const hostile = "; \"quoted\" \"snapshot\":\"\" <a>&amp; \u2028 \\ end\n\thalt\n\x00\xff"
+
+// FuzzWireEncode holds Append to json.Marshal on every hot type: the
+// fuzzed body is decoded into each (as far as encoding/json gets), and the
+// fuzzed string and float are planted in string, key, byte and float
+// fields. Append must decline only what encoding/json refuses, and
+// otherwise write its exact bytes.
+func FuzzWireEncode(f *testing.F) {
+	for _, data := range canonical(f) {
+		f.Add(data, "", 0.0)
+	}
+	for _, s := range []string{hostile, "\u2029", "\xed\xa0\x80", "<>&"} {
+		f.Add([]byte(`{"asm":"halt"}`), s, 1e21)
+	}
+	f.Add([]byte(`{"ipc":1e-7}`), "\u00f6", 1e-7)
+	f.Fuzz(func(t *testing.T, data []byte, s string, x float64) {
+		for _, nv := range hotTypes {
+			v := nv()
+			_ = json.Unmarshal(data, v)
+			sameEncoding(t, v)
+		}
+		res := client.RunResult{Asm: s, IPC: x, Trace: &client.Trace{Diagram: s, Stats: s}}
+		sameEncoding(t, &res)
+		sameEncoding(t, &client.SessionResult{SessionID: s, Result: &res, StateDigest: s})
+		sameEncoding(t, map[string]string{"error": s, s: s})
+		sameEncoding(t, &client.SessionDraining{Error: s, Envelope: &client.SnapshotEnvelope{
+			SessionID: s, Snapshot: []byte(s), Request: client.RunRequest{Asm: s},
+			Stats: client.SimStats{IdleByCause: map[string]int64{s: 1, "": 2}},
+		}})
+	})
+}
+
+// BenchmarkWireEncode is the wire encoding layer row: json.Marshal (the
+// former path) against Marshal (Append into a reused buffer, one copy
+// out), in ns per body byte and allocations, on the three bodies of
+// BenchmarkWireDecode.
+func BenchmarkWireEncode(b *testing.B) {
+	sess, batch := sessionRequest(1024), batchRequest(32, 16)
+	bodies := []struct {
+		name string
+		v    any
+	}{
+		{"session-1024x8", &sess},
+		{"resume-1024", &client.ResumeRequest{Envelope: envelope(b, 1024)}},
+		{"batch-32x16", &batch},
+	}
+	for _, body := range bodies {
+		size := len(marshal(b, body.v))
+		for _, enc := range []struct {
+			name   string
+			encode func(any) ([]byte, error)
+		}{
+			{"json", json.Marshal},
+			{"wire", wire.Marshal},
+		} {
+			b.Run(fmt.Sprintf("%s/%s", body.name, enc.name), func(b *testing.B) {
+				b.ReportAllocs()
+				b.SetBytes(int64(size))
+				for i := 0; i < b.N; i++ {
+					if _, err := enc.encode(body.v); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(size), "ns/byte")
 			})
 		}
 	}

@@ -179,7 +179,7 @@ wait_healthy $MGW_PORT
 # reliably lands mid-run. Distinct iteration counts give the two live
 # sessions distinct program digests, so they route independently.
 session_body() {
-	printf '{"ascl": "scalar n = %d; scalar acc = 0; parallel v = idx(); while (n > 0) { acc = acc + sumval(v); n = n - 1; } write(0, acc);", "config": {"pes": 8, "width": 32}, "dumpScalar": 1, "resumable": true}' "$1"
+	printf '{"ascl": "scalar n = %d; scalar acc = 0; parallel v = idx(); while (n > 0) { acc = acc + sumval(v); n = n - 1; } write(0, acc);", "config": {"pes": 8, "width": 32}, "dumpScalar": 1, "resumable": true, "stateDigest": true}' "$1"
 }
 state_digest() { sed -n 's/.*"stateDigest":"\([0-9a-f]\{64\}\)".*/\1/p' "$1"; }
 
