@@ -122,37 +122,21 @@ const (
 	EngineSerial = machine.EngineSerial
 )
 
-// normalized resolves the zero-value defaults (the paper's prototype) so
-// two configurations that build identical processors compare equal.
-func (c Config) normalized() Config {
-	if c.PEs == 0 {
-		c.PEs = 16
-	}
-	if c.Threads == 0 {
-		c.Threads = 16
-	}
-	if c.Width == 0 {
-		c.Width = 8
-	}
-	if c.LocalMemWords == 0 {
-		c.LocalMemWords = 1024
-	}
-	if c.Arity == 0 {
-		c.Arity = 4
-	}
-	return c
-}
-
 // Key returns a canonical fingerprint of the configuration after default
 // resolution: two Configs with equal Keys build architecturally identical
 // processors. The serving pool (internal/pool) keys warm-machine reuse on
 // it. Engine is left out: it selects nothing, so configurations that
 // differ only in Engine build the same processor.
 func (c Config) Key() string {
-	n := c.normalized()
+	cc := c.coreConfig()
+	// Params fills every default in place before it validates, so an
+	// invalid configuration keys on its resolved fields too; the error
+	// belongs to New.
+	_, _ = cc.Params()
+	mc := cc.Machine
 	return fmt.Sprintf("pes=%d threads=%d width=%d lmem=%d arity=%d seqmul=%t fixed=%t smt=%t trace=%d blocks=%s",
-		n.PEs, n.Threads, n.Width, n.LocalMemWords, n.Arity,
-		n.SeqMul, n.FixedPriority, n.SMT, n.TraceDepth, n.Blocks)
+		mc.PEs, mc.Threads, mc.Width, mc.LocalMemWords, cc.Arity,
+		c.SeqMul, c.FixedPriority, c.SMT, c.TraceDepth, c.Blocks)
 }
 
 // Geometry is the memory geometry of the machine a Config builds, after

@@ -126,8 +126,9 @@ type SessionResult struct {
 	Reason string `json:"reason,omitempty"`
 	// Result is the completed simulation; nil while suspended.
 	Result *RunResult `json:"result,omitempty"`
-	// Envelope is the latest checkpoint; always set when suspended, and
-	// also present on completion when periodic checkpoints ran.
+	// Envelope is the checkpoint to resume from; set only when suspended.
+	// A completed result carries none: GET /v1/sessions/{id} exports the
+	// session's latest checkpoint.
 	Envelope *SnapshotEnvelope `json:"envelope,omitempty"`
 	// Resumed reports that this segment continued from an envelope rather
 	// than starting fresh.

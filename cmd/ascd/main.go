@@ -1,6 +1,8 @@
 // ascd is the MTASC simulation-as-a-service daemon: it serves
 // compile-and-simulate jobs over HTTP/JSON through bounded admission
 // lanes, executing them on a pool of warm, recyclable simulator machines.
+// Two or more same-program jobs in one batch always run as one lockstep
+// gang.
 //
 // Usage:
 //
@@ -23,8 +25,6 @@
 //	                  compiled programs kept in the content-addressed
 //	                  cache (repeat submissions skip the compiler;
 //	                  negative disables)
-//	-gang-min-jobs N  minimum same-program batch jobs executed as one
-//	                  lockstep gang (negative disables ganging)
 //	-session-retain N parked session records (suspended envelopes and
 //	                  completed outcomes) kept for export (default 1024)
 //	-session-drain-wait D
@@ -83,7 +83,6 @@ func main() {
 	traceDepth := flag.Int("trace-depth", 512, "instruction records retained for trace-enabled jobs")
 	batchMaxJobs := flag.Int("batch-max-jobs", 64, "jobs accepted in one POST /v1/batch")
 	programCacheSize := flag.Int("program-cache-size", 128, "compiled programs kept in the content-addressed cache (negative = off)")
-	gangMinJobs := flag.Int("gang-min-jobs", 0, "minimum same-program batch jobs ganged into one lockstep run (0 = default 2, negative = off)")
 	sessionRetain := flag.Int("session-retain", 1024, "parked session records kept for export")
 	sessionDrainWait := flag.Duration("session-drain-wait", 10*time.Second, "drain budget for running sessions to reach a checkpoint")
 	traceSample := flag.Float64("trace-sample", 0, "head-sampling rate for distributed traces in [0,1]")
@@ -116,7 +115,6 @@ func main() {
 		TraceDepth:       *traceDepth,
 		BatchMaxJobs:     *batchMaxJobs,
 		ProgramCacheSize: *programCacheSize,
-		GangMinJobs:      *gangMinJobs,
 		SessionRetain:    *sessionRetain,
 		SessionDrainWait: *sessionDrainWait,
 		TraceSample:      *traceSample,

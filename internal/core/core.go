@@ -47,9 +47,9 @@ type Config struct {
 	// Arity is the broadcast tree arity k (default 4).
 	Arity int
 
-	// Functional units.
-	SeqMul     bool // sequential multiplier instead of pipelined hard blocks
-	MulLatency int  // 0 = default (2 pipelined; data width if sequential)
+	// SeqMul selects the sequential multiplier (latency = data width)
+	// instead of the 2-cycle pipelined hard blocks.
+	SeqMul bool
 
 	Scheduler SchedulerPolicy
 
@@ -85,15 +85,17 @@ type Config struct {
 const deadlockWindow = 100000
 
 // Params validates the configuration, filling defaults in place, and
-// returns the derived pipeline timing parameters.
+// returns the derived pipeline timing parameters. Every default is filled
+// even when validation fails, so an invalid configuration still resolves
+// to one canonical form.
 func (c *Config) Params() (pipeline.Params, error) {
+	if c.Arity == 0 {
+		c.Arity = 4
+	}
 	if err := c.Machine.Validate(); err != nil {
 		return pipeline.Params{}, err
 	}
 	mc := c.Machine
-	if c.Arity == 0 {
-		c.Arity = 4
-	}
 	if c.Arity < 2 || c.Arity > 64 {
 		return pipeline.Params{}, fmt.Errorf("core: Arity must be in [2, 64], got %d", c.Arity)
 	}
@@ -101,9 +103,6 @@ func (c *Config) Params() (pipeline.Params, error) {
 	if c.SeqMul {
 		p.SeqMul = true
 		p.MulLatency = int(mc.Width)
-	}
-	if c.MulLatency > 0 {
-		p.MulLatency = c.MulLatency
 	}
 	return p, p.Validate()
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/isa"
 	"repro/internal/machine"
+	"repro/internal/pipeline"
 )
 
 // TestSequentialUnitsNeverOverlap runs four threads whose heads contend
@@ -57,6 +58,15 @@ func TestSequentialUnitsNeverOverlap(t *testing.T) {
 	}
 }
 
+// withMulLatency gives p a multiplier latency no configuration sets (the
+// derived timing allows at most the 32-bit sequential multiplier's 32), by
+// rebuilding its timing parameters and scoreboard before the first cycle.
+func withMulLatency(p *Processor, lat int) *Processor {
+	p.params.MulLatency = lat
+	p.sb = pipeline.NewScoreboard(p.params, p.cfg.Machine.Threads)
+	return p
+}
+
 // TestStepAfterBlockPlaneStop mixes the two ways of advancing a processor:
 // Step a thread into a wait longer than the wake wheel's span, let Run's
 // block plane carry the clock past the wheel slot that re-checks the
@@ -72,10 +82,10 @@ func TestStepAfterBlockPlaneStop(t *testing.T) {
 		add s4, s3, s2
 		halt
 	`
-	cfg := Config{Machine: machine.Config{PEs: 16, Threads: 1, Width: 16}, MulLatency: 74}
-	want := mustRun(t, build(t, cfg, src))
+	cfg := Config{Machine: machine.Config{PEs: 16, Threads: 1, Width: 16}}
+	want := mustRun(t, withMulLatency(build(t, cfg, src), 74))
 
-	p := build(t, cfg, src)
+	p := withMulLatency(build(t, cfg, src), 74)
 	for p.Cycle() < 10 {
 		if _, err := p.Step(); err != nil {
 			t.Fatal(err)

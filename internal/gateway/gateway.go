@@ -57,14 +57,15 @@ type Config struct {
 	BatchMaxJobs        int
 	BackendBatchMaxJobs int
 
-	// Health checking: probe interval and timeout, consecutive failures
-	// to eject, consecutive successes to re-admit, and the probe backoff
-	// cap for ejected backends.
-	HealthInterval   time.Duration
-	HealthTimeout    time.Duration
-	HealthFailAfter  int
-	HealthRiseAfter  int
-	HealthMaxBackoff time.Duration
+	// Health checking: HealthInterval between probes of a healthy backend
+	// (default 2s), HealthTimeout per probe (default 1s), HealthFailAfter
+	// consecutive failures to eject (default 3) and HealthRiseAfter
+	// consecutive successes to re-admit (default 2), so a flapping node
+	// does not bounce in and out on every probe.
+	HealthInterval  time.Duration
+	HealthTimeout   time.Duration
+	HealthFailAfter int
+	HealthRiseAfter int
 
 	// ScrapeTimeout bounds each backend /metrics fetch during a fleet
 	// scrape (default 2s). It also bounds backend /debug/traces fetches
@@ -75,10 +76,6 @@ type Config struct {
 	// may take — each hop is a drain handshake answered by yet another
 	// draining successor (default 4).
 	MaxMigrations int
-	// DrainTimeout bounds a whole POST /v1/admin/drain walk — backend
-	// drain plus orphaned-session rescue — when the request does not set
-	// one (default 60s).
-	DrainTimeout time.Duration
 
 	// TraceSample is the deterministic head-sampling rate for distributed
 	// traces, in [0, 1] (default 0: retain only errored/slow/flagged
@@ -125,11 +122,20 @@ func (c *Config) fillDefaults() {
 	if c.ScrapeTimeout <= 0 {
 		c.ScrapeTimeout = 2 * time.Second
 	}
+	if c.HealthInterval <= 0 {
+		c.HealthInterval = 2 * time.Second
+	}
+	if c.HealthTimeout <= 0 {
+		c.HealthTimeout = time.Second
+	}
+	if c.HealthFailAfter <= 0 {
+		c.HealthFailAfter = 3
+	}
+	if c.HealthRiseAfter <= 0 {
+		c.HealthRiseAfter = 2
+	}
 	if c.MaxMigrations <= 0 {
 		c.MaxMigrations = 4
-	}
-	if c.DrainTimeout <= 0 {
-		c.DrainTimeout = 60 * time.Second
 	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = &http.Client{Transport: &http.Transport{
@@ -235,13 +241,7 @@ func New(cfg Config) (*Gateway, error) {
 	g.m.reg.NewGaugeFunc("asc_gw_inflight_requests", "Run and batch calls currently inside the gateway.",
 		func() float64 { return float64(g.inflight.Load()) })
 
-	g.check = newChecker(backends, healthConfig{
-		Interval:   cfg.HealthInterval,
-		Timeout:    cfg.HealthTimeout,
-		FailAfter:  cfg.HealthFailAfter,
-		RiseAfter:  cfg.HealthRiseAfter,
-		MaxBackoff: cfg.HealthMaxBackoff,
-	}, g.log, g.onHealthChange)
+	g.check = newChecker(cfg, g.onHealthChange)
 	go g.check.run()
 	return g, nil
 }

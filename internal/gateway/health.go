@@ -3,47 +3,15 @@ package gateway
 import (
 	"context"
 	"io"
-	"log/slog"
 	"net/http"
 	"sync"
 	"time"
 )
 
-// healthConfig shapes the checker. Zero fields take defaults.
-type healthConfig struct {
-	// Interval between probes of a healthy backend (default 2s).
-	Interval time.Duration
-	// Timeout bounds one probe (default 1s).
-	Timeout time.Duration
-	// FailAfter consecutive probe failures eject a backend (default 3).
-	FailAfter int
-	// RiseAfter consecutive probe successes re-admit an ejected backend
-	// (default 2), so a flapping node does not bounce in and out on every
-	// probe.
-	RiseAfter int
-	// MaxBackoff caps the probe interval for an ejected backend; after
-	// ejection the interval doubles per failed probe up to this (default
-	// 30s), so a long-dead node costs almost nothing to keep watching.
-	MaxBackoff time.Duration
-}
-
-func (c *healthConfig) fillDefaults() {
-	if c.Interval <= 0 {
-		c.Interval = 2 * time.Second
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = time.Second
-	}
-	if c.FailAfter <= 0 {
-		c.FailAfter = 3
-	}
-	if c.RiseAfter <= 0 {
-		c.RiseAfter = 2
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 30 * time.Second
-	}
-}
+// healthMaxBackoff caps the probe interval for an ejected backend: after
+// ejection the interval doubles per failed probe up to this, so a
+// long-dead node costs almost nothing to keep watching.
+const healthMaxBackoff = 30 * time.Second
 
 // backendHealth is one backend's probe state.
 type backendHealth struct {
@@ -57,17 +25,17 @@ type backendHealth struct {
 }
 
 // checker drives /healthz probes for every backend, maintaining the
-// healthy set the router picks from. A backend is ejected after FailAfter
-// consecutive failures — a refused connection, a timeout, or any non-200
-// (a draining ascd answers 503 "draining", which must stop routing as
-// fast as a dead node does) — and re-admitted after RiseAfter consecutive
-// successes. Proxy-observed transport failures feed in as probe failures
-// too (ReportFailure), so a crashed backend is usually ejected by the
-// very traffic that discovered it, not the next probe tick.
+// healthy set the router picks from. A backend is ejected after
+// HealthFailAfter consecutive failures — a refused connection, a timeout,
+// or any non-200 (a draining ascd answers 503 "draining", which must stop
+// routing as fast as a dead node does) — and re-admitted after
+// HealthRiseAfter consecutive successes. Proxy-observed transport
+// failures feed in as probe failures too (ReportFailure), so a crashed
+// backend is usually ejected by the very traffic that discovered it, not
+// the next probe tick.
 type checker struct {
-	cfg      healthConfig
+	cfg      Config
 	client   *http.Client
-	log      *slog.Logger
 	onChange func(name string, healthy bool)
 
 	mu    sync.Mutex
@@ -77,24 +45,22 @@ type checker struct {
 	done chan struct{}
 }
 
-// newChecker builds a checker for the named backends (addresses are base
-// URLs, e.g. "http://10.0.0.7:8642"). Backends start healthy — the fleet
-// must serve before the first probe round lands — and onChange fires on
-// every health transition.
-func newChecker(backends []string, cfg healthConfig, log *slog.Logger, onChange func(string, bool)) *checker {
-	cfg.fillDefaults()
+// newChecker builds a checker for cfg.Backends (base URLs, e.g.
+// "http://10.0.0.7:8642") from cfg's Health fields, with defaults filled.
+// Backends start healthy — the fleet must serve before the first probe
+// round lands — and onChange fires on every health transition.
+func newChecker(cfg Config, onChange func(string, bool)) *checker {
 	c := &checker{
 		cfg:      cfg,
-		client:   &http.Client{Timeout: cfg.Timeout},
-		log:      log,
+		client:   &http.Client{Timeout: cfg.HealthTimeout},
 		onChange: onChange,
-		state:    make(map[string]*backendHealth, len(backends)),
+		state:    make(map[string]*backendHealth, len(cfg.Backends)),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	now := time.Now()
-	for _, b := range backends {
-		c.state[b] = &backendHealth{healthy: true, backoff: cfg.Interval, nextDue: now}
+	for _, b := range cfg.Backends {
+		c.state[b] = &backendHealth{healthy: true, backoff: cfg.HealthInterval, nextDue: now}
 	}
 	return c
 }
@@ -104,7 +70,7 @@ func newChecker(backends []string, cfg healthConfig, log *slog.Logger, onChange 
 // probe.
 func (c *checker) run() {
 	defer close(c.done)
-	tick := time.NewTicker(c.cfg.Interval / 4)
+	tick := time.NewTicker(c.cfg.HealthInterval / 4)
 	defer tick.Stop()
 	for {
 		c.probeDue()
@@ -129,7 +95,7 @@ func (c *checker) probeDue() {
 	c.mu.Lock()
 	for name, st := range c.state {
 		if !now.Before(st.nextDue) {
-			st.nextDue = now.Add(c.cfg.Interval) // re-armed properly on completion
+			st.nextDue = now.Add(c.cfg.HealthInterval) // re-armed properly on completion
 			due = append(due, name)
 		}
 	}
@@ -147,7 +113,7 @@ func (c *checker) probeDue() {
 
 // probe is one GET /healthz; nil means the backend is serving.
 func (c *checker) probe(base string) error {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.HealthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/healthz", nil)
 	if err != nil {
@@ -186,33 +152,33 @@ func (c *checker) record(name string, err error) {
 	if err == nil {
 		st.lastErr, st.lastSeen = "", now
 		st.fails = 0
-		st.backoff = c.cfg.Interval
+		st.backoff = c.cfg.HealthInterval
 		if !st.healthy {
 			st.rises++
-			if st.rises >= c.cfg.RiseAfter {
+			if st.rises >= c.cfg.HealthRiseAfter {
 				st.healthy, st.rises = true, 0
 				t := true
 				transition = &t
 			}
 		}
-		st.nextDue = now.Add(c.cfg.Interval)
+		st.nextDue = now.Add(c.cfg.HealthInterval)
 	} else {
 		st.lastErr = err.Error()
 		st.rises = 0
 		if st.healthy {
 			st.fails++
-			if st.fails >= c.cfg.FailAfter {
+			if st.fails >= c.cfg.HealthFailAfter {
 				st.healthy, st.fails = false, 0
 				f := false
 				transition = &f
 			}
-			st.nextDue = now.Add(c.cfg.Interval)
+			st.nextDue = now.Add(c.cfg.HealthInterval)
 		} else {
 			// Ejected: back the probe interval off exponentially so a
 			// long-dead backend is cheap to watch, but never stop watching.
 			st.backoff *= 2
-			if st.backoff > c.cfg.MaxBackoff {
-				st.backoff = c.cfg.MaxBackoff
+			if st.backoff > healthMaxBackoff {
+				st.backoff = healthMaxBackoff
 			}
 			st.nextDue = now.Add(st.backoff)
 		}
@@ -220,9 +186,9 @@ func (c *checker) record(name string, err error) {
 	c.mu.Unlock()
 	if transition != nil {
 		if *transition {
-			c.log.Info("backend re-admitted", "backend", name)
+			c.cfg.Logger.Info("backend re-admitted", "backend", name)
 		} else {
-			c.log.Warn("backend ejected", "backend", name, "error", err.Error())
+			c.cfg.Logger.Warn("backend ejected", "backend", name, "error", err.Error())
 		}
 		c.onChange(name, *transition)
 	}

@@ -44,12 +44,14 @@ func TestCheckerEjectAndReadmit(t *testing.T) {
 
 	var mu sync.Mutex
 	var transitions []bool
-	c := newChecker([]string{hs.URL}, healthConfig{
-		Interval:  20 * time.Millisecond,
-		Timeout:   100 * time.Millisecond,
-		FailAfter: 3,
-		RiseAfter: 2,
-	}, discardLogger(), func(name string, healthy bool) {
+	c := newChecker(Config{
+		Backends:        []string{hs.URL},
+		HealthInterval:  20 * time.Millisecond,
+		HealthTimeout:   100 * time.Millisecond,
+		HealthFailAfter: 3,
+		HealthRiseAfter: 2,
+		Logger:          discardLogger(),
+	}, func(name string, healthy bool) {
 		mu.Lock()
 		transitions = append(transitions, healthy)
 		mu.Unlock()
@@ -87,12 +89,14 @@ func TestCheckerSingleBlipDoesNotEject(t *testing.T) {
 	}))
 	t.Cleanup(hs.Close)
 
-	c := newChecker([]string{hs.URL}, healthConfig{
-		Interval:  15 * time.Millisecond,
-		Timeout:   100 * time.Millisecond,
-		FailAfter: 3,
-		RiseAfter: 2,
-	}, discardLogger(), func(string, bool) {
+	c := newChecker(Config{
+		Backends:        []string{hs.URL},
+		HealthInterval:  15 * time.Millisecond,
+		HealthTimeout:   100 * time.Millisecond,
+		HealthFailAfter: 3,
+		HealthRiseAfter: 2,
+		Logger:          discardLogger(),
+	}, func(string, bool) {
 		t.Error("transition fired for a single blip")
 	})
 	go c.run()
@@ -107,11 +111,13 @@ func TestCheckerSingleBlipDoesNotEject(t *testing.T) {
 // TestReportFailure: proxy-observed transport failures count like failed
 // probes, so traffic ejects a dead backend without waiting for probes.
 func TestReportFailure(t *testing.T) {
-	c := newChecker([]string{"http://127.0.0.1:1"}, healthConfig{
-		Interval:  time.Hour, // probes effectively off; only reports drive state
-		FailAfter: 3,
-		RiseAfter: 2,
-	}, discardLogger(), func(string, bool) {})
+	c := newChecker(Config{
+		Backends:        []string{"http://127.0.0.1:1"},
+		HealthInterval:  time.Hour, // probes effectively off; only reports drive state
+		HealthFailAfter: 3,
+		HealthRiseAfter: 2,
+		Logger:          discardLogger(),
+	}, func(string, bool) {})
 	// No run(): drive entirely through ReportFailure.
 	for i := 0; i < 2; i++ {
 		c.ReportFailure("http://127.0.0.1:1", errors.New("connection refused"))

@@ -34,11 +34,9 @@ import (
 // miss degrades to 404 on GET, nothing else).
 const sessionTableCap = 4096
 
-// resumeSweeps bounds how many times one migration hop re-walks the
-// candidate set when every replica answered retryably (429, or 503 without
-// an envelope). Backoff escalates 50ms → 1s between sweeps, so a replica
-// whose session lane is briefly full gets several seconds to free one.
-const resumeSweeps = 8
+// drainTimeout bounds a whole POST /v1/admin/drain walk — backend drain
+// plus orphaned-session rescue — when the request does not set timeoutMs.
+const drainTimeout = 60 * time.Second
 
 // migRecord is one session's entry in the migration ledger.
 type migRecord struct {
@@ -187,11 +185,14 @@ func sessionIDFromResult(r *backendResponse) string {
 // migrateSession carries a suspended session's envelope to a ring
 // successor and resumes it there, retrying across successors (with
 // backoff) up to MaxMigrations envelope hops — a successor draining too
-// hands back a fresher envelope and the walk continues from it. On
-// success the terminal backend response is returned for relay; on
-// exhaustion the latest envelope is wrapped in a gateway-minted 503
-// handshake so the client still holds a resumable checkpoint instead of a
-// dead job. A nil response means ctx ended.
+// hands back a fresher envelope and the walk continues from it. While
+// some successor answers retryably (its session lane is full), the walk
+// keeps re-sweeping until ctx ends: the client request's or the admin
+// drain's deadline bounds it, since a busy successor frees a lane when a
+// session ends. On success the terminal backend response is returned for
+// relay; on exhaustion the latest envelope is wrapped in a gateway-minted
+// 503 handshake so the client still holds a resumable checkpoint instead
+// of a dead job. A nil response means ctx ended.
 func (g *Gateway) migrateSession(ctx context.Context, env *client.SnapshotEnvelope, from string, h *hop) (*backendResponse, string) {
 	start := time.Now()
 	a, parent := dtrace.FromContext(ctx)
@@ -211,13 +212,13 @@ func (g *Gateway) migrateSession(ctx context.Context, env *client.SnapshotEnvelo
 		h.path, h.body = "/v1/sessions/"+env.SessionID+"/resume", body
 		cands, _ := g.candidates(routingKey(&env.Request))
 		handshook := false
-		// Sweep the candidate set with escalating backoff: a replica
-		// answering 429/503 may just be briefly full (another migrated
-		// session holding a lane), so a single refusal is not exhaustion.
+		// Sweep the candidate set with backoff escalating 50ms → 1s: a
+		// replica answering 429/503 may just be full (another migrated
+		// session holding a lane), so no number of refusals is exhaustion.
 	sweeps:
-		for sweep := 0; sweep < resumeSweeps; sweep++ {
+		for sweep := 0; ; sweep++ {
 			if sweep > 0 {
-				wait := min(time.Duration(50<<(sweep-1))*time.Millisecond, time.Second)
+				wait := min(50*time.Millisecond<<min(sweep-1, 5), time.Second)
 				if !sleepCtx(ctx, max(wait, time.Duration(h.hint)*time.Second)) {
 					msp.SetAttr(dtrace.Bool("canceled", true))
 					return nil, ""
@@ -419,7 +420,7 @@ func (g *Gateway) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "backend %q is not configured on this gateway", req.Backend)
 		return
 	}
-	timeout := g.cfg.DrainTimeout
+	timeout := drainTimeout
 	if req.TimeoutMs > 0 {
 		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
 	}

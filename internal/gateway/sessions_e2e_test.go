@@ -96,6 +96,10 @@ func TestGatewaySessionMigration(t *testing.T) {
 		// faster in wall-clock.
 		reqs[i], wants[i] = longSessionJob(600_000 + 7*i)
 		reqs[i].StateDigest = true
+		// Two of these sharing a backend's CPUs with the race detector on
+		// and another package's tests running can outlast ascd's 30 s
+		// default wall-clock limit; ask for the 2 min cap instead.
+		reqs[i].TimeoutMs = 120_000
 		res, err := f.c.NewSession(reqs[i]).Run(ctx)
 		if err != nil {
 			t.Fatalf("uninterrupted reference %d: %v", i, err)
@@ -106,7 +110,10 @@ func TestGatewaySessionMigration(t *testing.T) {
 		refDigests[i] = res.StateDigest
 	}
 
-	// Live phase: the same three sessions in flight concurrently.
+	// Live phase: the same three sessions in flight concurrently. The
+	// drain may move two of them onto a survivor whose two session slots
+	// (Workers: 2) are then full; the gateway holds the third until a slot
+	// frees, and the client, which sets no timeout, waits for it.
 	type outcome struct {
 		i   int
 		res *client.SessionResult

@@ -14,7 +14,8 @@
 //   - Validate first checks the schema version: an envelope of another
 //     version is a StaleError, since its Sum is defined differently.
 //   - Seal/Verify: the envelope's own integrity digest (Sum) detects
-//     corruption or tampering in transit.
+//     corruption or tampering in transit. Sum is required: an envelope
+//     without one is refused like one whose Sum does not match.
 //   - Validate then checks digest shape, config-key agreement, and the
 //     snapshot image's header (magic), rejecting structurally broken
 //     envelopes. An image in another format version is a StaleError.
@@ -149,12 +150,13 @@ func sum(env *client.SnapshotEnvelope) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Verify checks the envelope's integrity digest. Envelopes sealed by older
-// peers without a Sum are accepted (the field is optional on the wire);
-// a present-but-wrong Sum is a hard failure.
+// Verify checks the envelope's integrity digest. Sum is required: every
+// envelope of this version is sealed when minted, so a missing Sum is a
+// hard failure, like a wrong one; accepting it would let anyone strip the
+// Sum and edit the envelope unchecked.
 func Verify(env *client.SnapshotEnvelope) error {
 	if env.Sum == "" {
-		return nil
+		return errors.New("envelope has no integrity digest (sum)")
 	}
 	if got := sum(env); got != env.Sum {
 		return fmt.Errorf("envelope integrity digest mismatch: body hashes to %s, sum says %s",

@@ -77,11 +77,16 @@ func TestSealVerify(t *testing.T) {
 	if err := migrate.Verify(&tampered); err == nil {
 		t.Fatal("tampered envelope passed verification")
 	}
-	// A sum-less envelope from an older peer is accepted.
-	unsealed := *env
-	unsealed.Sum = ""
-	if err := migrate.Verify(&unsealed); err != nil {
-		t.Fatalf("sum-less envelope rejected: %v", err)
+	// Stripping the sum does not get a tampered envelope through: Sum is
+	// required, so neither Verify nor Validate accepts it.
+	stripped := tampered
+	stripped.Stats.Instructions += 1000
+	stripped.Sum = ""
+	if err := migrate.Verify(&stripped); err == nil {
+		t.Fatal("sum-less envelope passed verification")
+	}
+	if err := migrate.Validate(&stripped); err == nil {
+		t.Fatal("tampered sum-less envelope passed validation")
 	}
 	// Re-sealing after a legitimate mutation restores integrity.
 	resealed := *env

@@ -42,14 +42,18 @@ type Stats struct {
 type Pool struct {
 	mu      sync.Mutex
 	maxIdle int
-	idle    map[string][]*asc.Processor
-	// idleGangs parks warm gangs separately from solo processors, keyed by
-	// config key plus lane count (a gang's state planes are sized at
-	// construction). A parked gang occupies one idle slot regardless of
-	// lane count: the cap bounds fleet entries, not simulated machines.
-	idleGangs map[string][]*asc.Gang
-	nIdle     int
-	byKey     map[string]*Stats // the only counters; Stats sums them
+	// idle is the one shelf: solo processors park under Config.Key() and
+	// gangs under gangKey, so the two kinds never share a key. A parked
+	// gang occupies one idle slot regardless of lane count: the cap
+	// bounds fleet entries, not simulated machines.
+	idle  map[string][]machine
+	nIdle int
+	byKey map[string]*Stats // the only counters; Stats sums them
+}
+
+// machine is what the shelf parks: an *asc.Processor or an *asc.Gang.
+type machine interface {
+	SetProgram(*asc.Program) error
 }
 
 // New builds a pool that parks at most maxIdle machines across all
@@ -57,10 +61,9 @@ type Pool struct {
 // every Put drops).
 func New(maxIdle int) *Pool {
 	return &Pool{
-		maxIdle:   maxIdle,
-		idle:      make(map[string][]*asc.Processor),
-		idleGangs: make(map[string][]*asc.Gang),
-		byKey:     make(map[string]*Stats),
+		maxIdle: maxIdle,
+		idle:    make(map[string][]machine),
+		byKey:   make(map[string]*Stats),
 	}
 }
 
@@ -75,42 +78,65 @@ func (p *Pool) keyStatsLocked(key string) *Stats {
 	return s
 }
 
-// Get returns a processor for cfg loaded with prog, and whether it was a
-// pool hit. On a hit the warm machine is reset and retargeted; on a miss a
-// processor is constructed. Either way the caller owns the processor until
-// it calls Put.
-func (p *Pool) Get(cfg asc.Config, prog *asc.Program) (*asc.Processor, bool, error) {
-	key := cfg.Key()
+// checkout pops a warm machine parked under key and retargets it at prog,
+// or builds one on a miss. A program-load failure (e.g. a .data segment
+// larger than scalar memory) does not invalidate the machine: it is
+// re-parked warm, and the checkout counts as neither a hit nor a miss.
+func (p *Pool) checkout(key string, prog *asc.Program, build func() (machine, error)) (machine, bool, error) {
 	p.mu.Lock()
-	if procs := p.idle[key]; len(procs) > 0 {
-		proc := procs[len(procs)-1]
-		procs[len(procs)-1] = nil
-		p.idle[key] = procs[:len(procs)-1]
+	if ms := p.idle[key]; len(ms) > 0 {
+		m := ms[len(ms)-1]
+		ms[len(ms)-1] = nil
+		p.idle[key] = ms[:len(ms)-1]
 		p.nIdle--
 		p.mu.Unlock()
-		if err := proc.SetProgram(prog); err != nil {
-			// A program-load failure (e.g. a .data segment larger than
-			// scalar memory) does not invalidate the machine: re-park it
-			// warm instead of dropping it. The checkout never produced a
-			// usable processor, so it counts as neither a hit nor a miss.
-			p.Put(proc)
+		if err := m.SetProgram(prog); err != nil {
+			p.park(key, m)
 			return nil, false, err
 		}
 		p.mu.Lock()
 		p.keyStatsLocked(key).Hits++
 		p.mu.Unlock()
-		return proc, true, nil
+		return m, true, nil
 	}
 	p.keyStatsLocked(key).Misses++
 	p.mu.Unlock()
 
 	start := time.Now()
-	proc, err := asc.New(cfg, prog)
+	m, err := build()
 	if err != nil {
 		return nil, false, err
 	}
-	p.addBuildTime(key, time.Since(start))
-	return proc, false, nil
+	p.mu.Lock()
+	p.keyStatsLocked(key).BuildNanos += int64(time.Since(start))
+	p.mu.Unlock()
+	return m, false, nil
+}
+
+// park shelves a machine under key for reuse, or drops it when the idle
+// cap is reached. The machine's state may be arbitrarily dirty; checkout
+// cleans it on the way out.
+func (p *Pool) park(key string, m machine) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.nIdle >= p.maxIdle {
+		p.keyStatsLocked(key).Evictions++
+		return
+	}
+	p.idle[key] = append(p.idle[key], m)
+	p.nIdle++
+}
+
+// Get returns a processor for cfg loaded with prog, and whether it was a
+// pool hit. On a hit the warm machine is reset and retargeted; on a miss a
+// processor is constructed. Either way the caller owns the processor until
+// it calls Put.
+func (p *Pool) Get(cfg asc.Config, prog *asc.Program) (*asc.Processor, bool, error) {
+	m, hit, err := p.checkout(cfg.Key(), prog, func() (machine, error) { return asc.New(cfg, prog) })
+	if err != nil {
+		return nil, false, err
+	}
+	return m.(*asc.Processor), hit, nil
 }
 
 // GetRestored is Get followed by restoring an architectural snapshot into
@@ -141,27 +167,9 @@ func (p *Pool) GetRestored(cfg asc.Config, prog *asc.Program, snapshot []byte) (
 	return proc, hit, nil
 }
 
-// addBuildTime accumulates the construction cost of one pool miss.
-func (p *Pool) addBuildTime(key string, d time.Duration) {
-	p.mu.Lock()
-	p.keyStatsLocked(key).BuildNanos += int64(d)
-	p.mu.Unlock()
-}
-
 // Put parks a processor for reuse under the configuration it was built
-// with. When the idle cap is reached the machine is dropped instead. The
-// machine's state may be arbitrarily dirty; Get cleans it on the way out.
-func (p *Pool) Put(proc *asc.Processor) {
-	key := proc.Config().Key()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.nIdle >= p.maxIdle {
-		p.keyStatsLocked(key).Evictions++
-		return
-	}
-	p.idle[key] = append(p.idle[key], proc)
-	p.nIdle++
-}
+// with. When the idle cap is reached the machine is dropped instead.
+func (p *Pool) Put(proc *asc.Processor) { p.park(proc.Config().Key(), proc) }
 
 // gangKey is the park/checkout key for gangs: the architectural key plus
 // the lane count, since a gang's shared state planes are sized when built.
@@ -174,51 +182,16 @@ func gangKey(cfg asc.Config, lanes int) string {
 // path. Hits and misses count in the same fleet statistics as solo
 // checkouts, under the gang's composite key.
 func (p *Pool) GetGang(cfg asc.Config, prog *asc.Program, lanes int) (*asc.Gang, bool, error) {
-	key := gangKey(cfg, lanes)
-	p.mu.Lock()
-	if gangs := p.idleGangs[key]; len(gangs) > 0 {
-		g := gangs[len(gangs)-1]
-		gangs[len(gangs)-1] = nil
-		p.idleGangs[key] = gangs[:len(gangs)-1]
-		p.nIdle--
-		p.mu.Unlock()
-		if err := g.SetProgram(prog); err != nil {
-			// Same contract as Get: a program-load failure leaves the gang
-			// intact, so re-park it; the checkout counts as neither hit nor
-			// miss.
-			p.PutGang(g)
-			return nil, false, err
-		}
-		p.mu.Lock()
-		p.keyStatsLocked(key).Hits++
-		p.mu.Unlock()
-		return g, true, nil
-	}
-	p.keyStatsLocked(key).Misses++
-	p.mu.Unlock()
-
-	start := time.Now()
-	g, err := asc.NewGang(cfg, prog, lanes)
+	m, hit, err := p.checkout(gangKey(cfg, lanes), prog, func() (machine, error) { return asc.NewGang(cfg, prog, lanes) })
 	if err != nil {
 		return nil, false, err
 	}
-	p.addBuildTime(key, time.Since(start))
-	return g, false, nil
+	return m.(*asc.Gang), hit, nil
 }
 
 // PutGang parks a gang for reuse, dropping it when the idle cap is reached,
 // exactly like Put.
-func (p *Pool) PutGang(g *asc.Gang) {
-	key := gangKey(g.Config(), g.Lanes())
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.nIdle >= p.maxIdle {
-		p.keyStatsLocked(key).Evictions++
-		return
-	}
-	p.idleGangs[key] = append(p.idleGangs[key], g)
-	p.nIdle++
-}
+func (p *Pool) PutGang(g *asc.Gang) { p.park(gangKey(g.Config(), g.Lanes()), g) }
 
 // Stats returns a snapshot of the fleet-wide pool counters: the sum of
 // StatsByKey.
@@ -235,15 +208,16 @@ func (p *Pool) Stats() Stats {
 }
 
 // StatsByKey returns a snapshot of the counters per machine-configuration
-// key (asc.Config.Key()), with Idle filled from the current parked count.
-// The serving layer exports these as labeled fleet metrics.
+// key (asc.Config.Key(), or a gang's composite key), with Idle filled from
+// the current parked count. The serving layer exports these as labeled
+// fleet metrics.
 func (p *Pool) StatsByKey() map[string]Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make(map[string]Stats, len(p.byKey))
 	for key, s := range p.byKey {
 		ks := *s
-		ks.Idle = len(p.idle[key]) + len(p.idleGangs[key])
+		ks.Idle = len(p.idle[key])
 		out[key] = ks
 	}
 	return out

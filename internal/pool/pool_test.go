@@ -342,6 +342,40 @@ func TestGangCheckout(t *testing.T) {
 	}
 }
 
+// TestSharedIdleCap pins the one shelf: a single maxIdle bounds solo
+// processors and gangs together, while hits, misses and evictions stay
+// with each machine's own key.
+func TestSharedIdleCap(t *testing.T) {
+	p := New(1)
+	cfg := asc.Config{PEs: 4, Width: 32}
+	proc, _, err := p.Get(cfg, sumProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _, err := p.GetGang(cfg, sumProg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Put(proc)
+	p.PutGang(g) // the processor holds the one slot: dropped
+	if s := p.Stats(); s.Idle != 1 || s.Evictions != 1 {
+		t.Errorf("stats = %+v, want 1 idle / 1 eviction", s)
+	}
+	if _, hit, err := p.GetGang(cfg, sumProg, 2); err != nil || hit {
+		t.Fatalf("GetGang after its gang was dropped: hit=%v err=%v, want a miss", hit, err)
+	}
+	if got, hit, err := p.Get(cfg, sumProg); err != nil || !hit || got != proc {
+		t.Fatalf("Get: hit=%v same=%v err=%v, want the parked processor back", hit, got == proc, err)
+	}
+	by := p.StatsByKey()
+	if ks := by[cfg.Key()]; ks.Hits != 1 || ks.Misses != 1 || ks.Evictions != 0 || ks.Idle != 0 {
+		t.Errorf("processor key stats = %+v, want hits=1 misses=1 evictions=0 idle=0", ks)
+	}
+	if ks := by[cfg.Key()+"|lanes=2"]; ks.Hits != 0 || ks.Misses != 2 || ks.Evictions != 1 || ks.Idle != 0 {
+		t.Errorf("gang key stats = %+v, want hits=0 misses=2 evictions=1 idle=0", ks)
+	}
+}
+
 // TestBuildTimeAccounting checks that BuildNanos accumulates construction
 // cost on misses only: hits recycle a warm machine and must not move it.
 func TestBuildTimeAccounting(t *testing.T) {

@@ -220,27 +220,30 @@ func TestGangBackpressureRetryAfter(t *testing.T) {
 	}
 }
 
-// TestGangDisabled pins the opt-out: GangMinJobs < 0 turns ganging off and
-// same-program batches fan out job-per-machine as before.
-func TestGangDisabled(t *testing.T) {
-	_, c := newTestServer(t, server.Config{Workers: 2, GangMinJobs: -1})
-	fast, want := sumRequest([]int64{1, 2, 3, 4})
-	batch, err := c.RunBatch(context.Background(), client.BatchRequest{
-		Jobs: []client.RunRequest{fast, fast, fast, fast},
-	})
+// TestBatchTracedJobsRunSolo: traced jobs never gang, so a batch of them
+// fans out one machine per job, and each job still returns its own result.
+func TestBatchTracedJobsRunSolo(t *testing.T) {
+	_, c := newTestServer(t, server.Config{Workers: 2})
+	jobs := make([]client.RunRequest, 4)
+	wants := make([]int64, len(jobs))
+	for i := range jobs {
+		jobs[i], wants[i] = sumRequest([]int64{int64(10 * i), 2, 3, 4})
+		jobs[i].Trace = true
+	}
+	batch, err := c.RunBatch(context.Background(), client.BatchRequest{Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if batch.Completed != 4 {
-		t.Fatalf("tally = %d/%d/%d, want 4/0/0", batch.Completed, batch.Failed, batch.Canceled)
+	if batch.Completed != len(jobs) {
+		t.Fatalf("tally = %d/%d/%d, want %d/0/0", batch.Completed, batch.Failed, batch.Canceled, len(jobs))
 	}
 	for i, jr := range batch.Jobs {
-		if jr.Result == nil || jr.Result.ScalarMem[0] != want {
-			t.Errorf("job %d result = %+v, want sum %d", i, jr.Result, want)
+		if jr.Result == nil || jr.Result.ScalarMem[0] != wants[i] {
+			t.Errorf("job %d result = %+v, want sum %d", i, jr.Result, wants[i])
 		}
 	}
 	_, body := httpGet(t, c.BaseURL+"/metrics", nil)
 	if v := counterValue(t, body, "asc_gang_jobs_total"); v != 0 {
-		t.Errorf("asc_gang_jobs_total = %v, want 0 with ganging disabled", v)
+		t.Errorf("asc_gang_jobs_total = %v, want 0: traced jobs must run solo", v)
 	}
 }

@@ -86,14 +86,6 @@ type Config struct {
 	// in entries (default 128; negative disables caching). Repeat
 	// submissions of a program skip the ASCL compiler and assembler.
 	ProgramCacheSize int
-	// GangMinJobs is the minimum number of same-program, same-config,
-	// same-limits jobs in one batch that get executed as a lockstep gang —
-	// one shared fetch/decode/issue pass driving all of them (default 2;
-	// negative disables ganging). Ganging is server-internal: the batch
-	// wire semantics and per-job results are unchanged. Jobs that opt into
-	// tracing or SMT always run solo.
-	GangMinJobs int
-
 	// SessionRetain bounds parked session records — suspended envelopes
 	// awaiting resume plus terminal results — kept for GET /v1/sessions
 	// (default 1024; the oldest parked records are evicted first).
@@ -163,12 +155,6 @@ func (c *Config) fillDefaults() {
 		c.ProgramCacheSize = 128
 	case c.ProgramCacheSize < 0:
 		c.ProgramCacheSize = 0 // disabled
-	}
-	switch {
-	case c.GangMinJobs == 0:
-		c.GangMinJobs = 2
-	case c.GangMinJobs < 0:
-		c.GangMinJobs = 0 // disabled
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -793,8 +779,10 @@ func rewriteBatchCancel(batchCtx context.Context, out jobOutcome) jobOutcome {
 // releasing its batch-lane charge, and partitions the rest into gang
 // groups and solo jobs. Jobs gang when they
 // share a program digest, an architectural configuration, and effective
-// run limits, and at least GangMinJobs of them agree; traced jobs and SMT
-// configurations always run solo.
+// run limits, and at least two of them agree: one shared
+// fetch/decode/issue pass then drives all of them. Ganging is
+// server-internal; per-job results are bit-identical to solo runs. Traced
+// jobs and SMT configurations always run solo.
 func (s *Server) planBatch(req *client.BatchRequest, outcomes []jobOutcome) (groups [][]int, singles []int) {
 	byKey := make(map[string][]int)
 	var order []string
@@ -805,7 +793,7 @@ func (s *Server) planBatch(req *client.BatchRequest, outcomes []jobOutcome) (gro
 			s.batchLane.release(1)
 			continue
 		}
-		if s.cfg.GangMinJobs < 2 || j.Trace || j.Config.ASC().SMT {
+		if j.Trace || j.Config.ASC().SMT {
 			singles = append(singles, i)
 			continue
 		}
@@ -818,7 +806,7 @@ func (s *Server) planBatch(req *client.BatchRequest, outcomes []jobOutcome) (gro
 	}
 	for _, key := range order {
 		grp := byKey[key]
-		if len(grp) >= s.cfg.GangMinJobs {
+		if len(grp) >= 2 {
 			groups = append(groups, grp)
 		} else {
 			singles = append(singles, grp...)

@@ -418,6 +418,33 @@ func TestSessionStaleEnvelopeVersion409(t *testing.T) {
 	}
 }
 
+// TestSessionResumeRequiresSum: an envelope edited and then stripped of
+// its sum is refused with a 400 "invalid envelope", never resumed with the
+// edited budget and statistics.
+func TestSessionResumeRequiresSum(t *testing.T) {
+	_, _, url := newSessionTestServer(t, server.Config{Workers: 2})
+	req, _ := longSession(500)
+	cfg := req.Config.ASC()
+	prog, _, err := asc.CompileASCL(req.ASCL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := asc.New(cfg, prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := migrate.Pack("s-no-sum", req, progcache.RequestDigest(req.ASCL, "", cfg), p.Snapshot(),
+		0, 1_000_000, 0, 0, asc.Stats{})
+	env.ConsumedCycles += 7
+	env.Stats.Instructions += 1000
+	env.Sum = ""
+
+	resp, body := postJSON(t, url+"/v1/sessions/"+env.SessionID+"/resume", client.ResumeRequest{Envelope: env})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "invalid envelope") {
+		t.Fatalf("resume of a sum-less envelope: status %d %s, want a 400 invalid envelope", resp.StatusCode, body)
+	}
+}
+
 // TestSessionStateDigestOptIn: a session reports stateDigest only when its
 // request asks for it, and a migrated leg honours the original request's
 // choice, which travels in the envelope. /v1/run and /v1/batch refuse the

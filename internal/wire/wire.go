@@ -58,9 +58,7 @@ type decoder struct {
 	i     int
 	limit int // deepest container nesting admitted
 
-	ints []int64 // the values of the int64 array being parsed
-	ends []int   // row ends of the [][]int64 being parsed; ^end for a null row
-	buf  []byte  // an escaped string's unescaped bytes
+	buf []byte // an escaped string's unescaped bytes
 }
 
 var decoders = sync.Pool{New: func() any { return new(decoder) }}
@@ -370,22 +368,28 @@ func (d *decoder) mapping(p *plan, v reflect.Value, depth int) bool {
 }
 
 // int64s decodes a JSON array of integers into *dst, one allocation of
-// exactly the parsed length.
+// exactly the parsed length: the array's commas up to its first closing
+// bracket count its elements before any is parsed.
 func (d *decoder) int64s(dst *[]int64, depth int) bool {
 	empty, ok := d.open('[', ']', depth)
 	if !ok {
 		return false
 	}
-	d.ints = d.ints[:0]
-	if !empty && !d.intList() {
-		return false
+	if empty {
+		*dst = make([]int64, 0) // encoding/json decodes [] to an empty slice, not nil
+		return true
 	}
-	*dst = d.parsed()
-	return true
+	n := 1
+	if end := bytes.IndexByte(d.data[d.i:], ']'); end >= 0 {
+		n += bytes.Count(d.data[d.i:d.i+end], comma)
+	}
+	*dst, ok = d.intList(make([]int64, 0, n))
+	return ok
 }
 
 // rows decodes a JSON array of integer arrays into *dst. All rows share
-// one backing array, each capped at its own length.
+// one backing array, each capped at its own length. The array's shape is
+// counted first, so the rows and their values take one allocation each.
 func (d *decoder) rows(dst *[][]int64, depth int) bool {
 	empty, ok := d.open('[', ']', depth)
 	if !ok {
@@ -395,55 +399,82 @@ func (d *decoder) rows(dst *[][]int64, depth int) bool {
 		*dst = make([][]int64, 0)
 		return true
 	}
-	d.ints, d.ends = d.ints[:0], d.ends[:0]
+	nrows, nints := d.shape()
+	out := make([][]int64, 0, nrows)
+	flat := make([]int64, 0, nints)
 	for more := true; more; {
 		d.ws()
 		if d.peek() == 'n' {
 			if !d.literal("null") {
 				return false
 			}
-			d.ends = append(d.ends, ^len(d.ints))
+			out = append(out, nil)
 		} else {
 			empty, ok := d.open('[', ']', depth+1)
-			if !ok || !empty && !d.intList() {
+			if !ok {
 				return false
 			}
-			d.ends = append(d.ends, len(d.ints))
+			start := len(flat)
+			if !empty {
+				if flat, ok = d.intList(flat); !ok {
+					return false
+				}
+			}
+			out = append(out, flat[start:len(flat):len(flat)])
 		}
 		if more, ok = d.next(']'); !ok {
 			return false
 		}
 	}
-	flat := d.parsed()
-	out := make([][]int64, len(d.ends))
-	start := 0
-	for r, end := range d.ends {
-		if end < 0 {
-			start = ^end
-			continue
-		}
-		out[r] = flat[start:end:end]
-		start = end
-	}
 	*dst = out
 	return true
 }
 
-// parsed returns a copy of d.ints in one allocation, non-nil even when
-// empty: encoding/json decodes [] to an empty slice, not nil. Growing a
-// nil slice skips the zeroing that make would do.
-func (d *decoder) parsed() []int64 {
-	if len(d.ints) == 0 {
-		return make([]int64, 0)
+// shape counts the rows and the integers of the non-empty array of
+// integer arrays whose opening bracket is consumed: it hops from row to
+// row with vectorised byte scans, then counts the commas of the whole
+// array in one more, since each row but the last adds a comma and each
+// integer but a row's first adds one. The counts are exact on canonical
+// input and only size allocations: parsing still checks every byte, so
+// on input it will refuse they may be anything.
+func (d *decoder) shape() (rows, ints int) {
+	data, k, filled := d.data, d.i, 0
+scan:
+	for k < len(data) {
+		switch data[k] {
+		case ' ', '\t', '\n', '\r', ',':
+			k++
+			continue
+		case '[':
+			n := bytes.IndexByte(data[k:], ']')
+			if n < 0 {
+				return rows + 1, 0
+			}
+			if n > 1 {
+				filled++
+			}
+			k += n + 1
+		case 'n':
+			k += len("null")
+		case ']':
+			break scan
+		default:
+			return rows, 0
+		}
+		rows++
 	}
-	return append([]int64(nil), d.ints...)
+	commas := bytes.Count(data[d.i:min(k, len(data))], comma)
+	return rows, max(commas-rows+1+filled, 0)
 }
 
+// comma is the separator that int64s and shape count.
+var comma = []byte{','}
+
 // intList appends the integers of a non-empty array, whose opening bracket
-// is consumed, to d.ints and consumes its closing bracket. A null element
-// is a zero, as encoding/json leaves it.
-func (d *decoder) intList() bool {
-	data, i, ints := d.data, d.i, d.ints
+// is consumed, to ints and consumes its closing bracket. A null element is
+// a zero, as encoding/json leaves it.
+func (d *decoder) intList(ints []int64) ([]int64, bool) {
+	data, i := d.data, d.i
 	for {
 		// The canonical element: at most 18 digits, always in range, and
 		// its separator right after them.
@@ -469,32 +500,32 @@ func (d *decoder) intList() bool {
 				}
 				ints, i = append(ints, v), k+1
 				if sep == ']' {
-					d.i, d.ints = i, ints
-					return true
+					d.i = i
+					return ints, true
 				}
 				continue
 			}
 		}
 		// Anything else: whitespace, a null, a 19-digit value, or an error.
-		d.i, d.ints = i, ints
+		d.i = i
 		d.ws()
 		if d.peek() == 'n' {
 			if !d.literal("null") {
-				return false
+				return nil, false
 			}
-			d.ints = append(d.ints, 0)
+			ints = append(ints, 0)
 		} else {
 			n, ok := d.int64()
 			if !ok {
-				return false
+				return nil, false
 			}
-			d.ints = append(d.ints, n)
+			ints = append(ints, n)
 		}
 		more, ok := d.next(']')
 		if !ok || !more {
-			return ok
+			return ints, ok
 		}
-		i, ints = d.i, d.ints
+		i = d.i
 	}
 }
 

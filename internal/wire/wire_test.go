@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -328,6 +329,29 @@ func TestRowsShareOneArray(t *testing.T) {
 			t.Errorf("row %d does not follow row %d in one backing array", i, i-1)
 		}
 		offset += len(r)
+	}
+}
+
+// TestDecodeColdAllocation checks that images decode into allocations of
+// their final size with no warm decoder to reuse (two collections empty
+// the pools), so what a body costs does not depend on the pools' state.
+func TestDecodeColdAllocation(t *testing.T) {
+	const n = 1 << 15
+	list := func(elem string) string { return strings.TrimSuffix(strings.Repeat(elem+",", n), ",") }
+	body := []byte(`{"localMem":[` + list("[]") + `],"scalarMem":[` + list("0") + `]}`)
+	want := uint64(n*24 + n*8) // the row headers and the scalar words
+	var v client.RunRequest
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ok := wire.Decode(body, &v)
+	runtime.ReadMemStats(&after)
+	if !ok || len(v.LocalMem) != n || len(v.ScalarMem) != n {
+		t.Fatalf("declined or misread: ok=%v, %d rows, %d words", ok, len(v.LocalMem), len(v.ScalarMem))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > want+want/8 {
+		t.Errorf("a cold decode allocated %d B, want about %d B", got, want)
 	}
 }
 
