@@ -121,8 +121,9 @@ type SessionResult struct {
 	SessionID string `json:"sessionId"`
 	// State is "completed" or "suspended".
 	State string `json:"state"`
-	// Reason qualifies a suspension: "requested" (explicit checkpoint) or
-	// "draining" (server drain).
+	// Reason qualifies a suspension: "requested" (explicit checkpoint),
+	// "draining" (server drain), "disconnected" (the client went away) or
+	// "deadline" (the segment ran into its wall-clock limit).
 	Reason string `json:"reason,omitempty"`
 	// Result is the completed simulation; nil while suspended.
 	Result *RunResult `json:"result,omitempty"`
@@ -158,7 +159,8 @@ type SessionStatus struct {
 	// State is "running", "suspended", "completed", or "failed".
 	State     string `json:"state"`
 	Resumable bool   `json:"resumable"`
-	// Reason qualifies a suspended state ("requested" or "draining").
+	// Reason qualifies a suspended state ("requested", "draining",
+	// "disconnected" or "deadline").
 	Reason          string `json:"reason,omitempty"`
 	ConsumedCycles  int64  `json:"consumedCycles"`
 	RemainingCycles int64  `json:"remainingCycles"`

@@ -70,60 +70,73 @@ import (
 	"repro/internal/server"
 )
 
+// options is ascd's command line: the serving core's configuration and
+// the process settings around it.
+type options struct {
+	cfg                 server.Config
+	addr, debugAddr     string
+	drainTimeout        time.Duration
+	logLevel, logFormat string
+}
+
+// parseFlags parses ascd's command line. Each server.Config flag takes its
+// default from server.DefaultConfig, so the defaults have one home and -h
+// prints the values the server runs with; -workers and -pool-idle keep 0,
+// which the server derives from the host CPU count.
+func parseFlags(args []string) (options, error) {
+	fs := flag.NewFlagSet("ascd", flag.ContinueOnError)
+	o := options{cfg: server.DefaultConfig()}
+	c := &o.cfg
+	c.Workers, c.PoolIdle = 0, 0
+	fs.StringVar(&o.addr, "addr", ":8642", "listen address")
+	fs.IntVar(&c.Workers, "workers", 0, "execution slots per admission lane (0 = host CPUs)")
+	fs.IntVar(&c.QueueDepth, "queue", c.QueueDepth, "jobs queued beyond the slots in the run and batch lanes")
+	fs.IntVar(&c.PoolIdle, "pool-idle", 0, "warm machines kept idle (0 = 2*workers)")
+	fs.Int64Var(&c.MaxCycles, "max-cycles", c.MaxCycles, "per-request cycle cap")
+	fs.DurationVar(&c.DefaultTimeout, "timeout", c.DefaultTimeout, "default per-request wall-clock limit")
+	fs.DurationVar(&c.MaxTimeout, "max-timeout", c.MaxTimeout, "cap on requested wall-clock limits")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "shutdown drain budget")
+	fs.Int64Var(&c.MaxBodyBytes, "max-body", c.MaxBodyBytes, "request body cap in bytes")
+	fs.IntVar(&c.TraceDepth, "trace-depth", c.TraceDepth, "instruction records retained for trace-enabled jobs")
+	fs.IntVar(&c.BatchMaxJobs, "batch-max-jobs", c.BatchMaxJobs, "jobs accepted in one POST /v1/batch")
+	fs.IntVar(&c.ProgramCacheSize, "program-cache-size", c.ProgramCacheSize, "compiled programs kept in the content-addressed cache (negative = off)")
+	fs.IntVar(&c.SessionRetain, "session-retain", c.SessionRetain, "parked session records kept for export")
+	fs.DurationVar(&c.SessionDrainWait, "session-drain-wait", c.SessionDrainWait, "drain budget for running sessions to reach a checkpoint")
+	fs.Float64Var(&c.TraceSample, "trace-sample", c.TraceSample, "head-sampling rate for distributed traces in [0,1]")
+	fs.DurationVar(&c.TraceSlow, "trace-slow", c.TraceSlow, "always keep traces at least this slow")
+	fs.IntVar(&c.TraceRing, "trace-ring", c.TraceRing, "finished traces retained for /debug/traces (negative = off)")
+	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error")
+	fs.StringVar(&o.logFormat, "log-format", "text", "log format: text or json")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "diagnostics listener (pprof + runtime metrics); empty = off")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if fs.NArg() != 0 {
+		fmt.Fprintln(fs.Output(), "usage: ascd [flags]")
+		fs.PrintDefaults()
+		return o, errors.New("unexpected arguments")
+	}
+	return o, nil
+}
+
 func main() {
-	addr := flag.String("addr", ":8642", "listen address")
-	workers := flag.Int("workers", 0, "execution slots per admission lane (0 = host CPUs)")
-	queue := flag.Int("queue", 64, "jobs queued beyond the slots in the run and batch lanes")
-	poolIdle := flag.Int("pool-idle", 0, "warm machines kept idle (0 = 2*workers)")
-	maxCycles := flag.Int64("max-cycles", 100_000_000, "per-request cycle cap")
-	timeout := flag.Duration("timeout", 30*time.Second, "default per-request wall-clock limit")
-	maxTimeout := flag.Duration("max-timeout", 2*time.Minute, "cap on requested wall-clock limits")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "shutdown drain budget")
-	maxBody := flag.Int64("max-body", 8<<20, "request body cap in bytes")
-	traceDepth := flag.Int("trace-depth", 512, "instruction records retained for trace-enabled jobs")
-	batchMaxJobs := flag.Int("batch-max-jobs", 64, "jobs accepted in one POST /v1/batch")
-	programCacheSize := flag.Int("program-cache-size", 128, "compiled programs kept in the content-addressed cache (negative = off)")
-	sessionRetain := flag.Int("session-retain", 1024, "parked session records kept for export")
-	sessionDrainWait := flag.Duration("session-drain-wait", 10*time.Second, "drain budget for running sessions to reach a checkpoint")
-	traceSample := flag.Float64("trace-sample", 0, "head-sampling rate for distributed traces in [0,1]")
-	traceSlow := flag.Duration("trace-slow", time.Second, "always keep traces at least this slow")
-	traceRing := flag.Int("trace-ring", 256, "finished traces retained for /debug/traces (negative = off)")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	logFormat := flag.String("log-format", "text", "log format: text or json")
-	debugAddr := flag.String("debug-addr", "", "diagnostics listener (pprof + runtime metrics); empty = off")
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: ascd [flags]")
-		flag.PrintDefaults()
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
 		os.Exit(2)
 	}
 
-	logger, err := buildLogger(*logLevel, *logFormat)
+	logger, err := buildLogger(o.logLevel, o.logFormat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ascd: %v\n", err)
 		os.Exit(2)
 	}
-
-	core := server.New(server.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		PoolIdle:         *poolIdle,
-		MaxCycles:        *maxCycles,
-		DefaultTimeout:   *timeout,
-		MaxTimeout:       *maxTimeout,
-		MaxBodyBytes:     *maxBody,
-		TraceDepth:       *traceDepth,
-		BatchMaxJobs:     *batchMaxJobs,
-		ProgramCacheSize: *programCacheSize,
-		SessionRetain:    *sessionRetain,
-		SessionDrainWait: *sessionDrainWait,
-		TraceSample:      *traceSample,
-		TraceSlow:        *traceSlow,
-		TraceRing:        *traceRing,
-		Logger:           logger,
-	})
+	o.cfg.Logger = logger
+	core := server.New(o.cfg)
 	hs := &http.Server{
-		Addr:    *addr,
+		Addr:    o.addr,
 		Handler: core.Handler(),
 		// Slow-client guards: a stalled peer must not pin a connection
 		// goroutine forever (slowloris). No WriteTimeout — responses
@@ -132,13 +145,13 @@ func main() {
 		IdleTimeout:       2 * time.Minute,
 	}
 
-	if *debugAddr != "" {
-		go runDebugListener(*debugAddr, logger)
+	if o.debugAddr != "" {
+		go runDebugListener(o.debugAddr, logger)
 	}
 
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Info("listening", "addr", *addr)
+		logger.Info("listening", "addr", o.addr)
 		errCh <- hs.ListenAndServe()
 	}()
 
@@ -149,10 +162,10 @@ func main() {
 		logger.Error("serve failed", "error", err.Error())
 		os.Exit(1)
 	case s := <-sig:
-		logger.Info("draining", "signal", s.String(), "budget", drainTimeout.String())
+		logger.Info("draining", "signal", s.String(), "budget", o.drainTimeout.String())
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	// Drain the admission lanes first so every admitted job completes,
 	// then close the HTTP side; new submissions get 503 throughout.

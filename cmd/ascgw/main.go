@@ -76,72 +76,83 @@ import (
 	"repro/internal/gateway"
 )
 
+// options is ascgw's command line: the gateway's configuration and the
+// process settings around it.
+type options struct {
+	cfg                 gateway.Config
+	addr                string
+	backends            string
+	drainTimeout        time.Duration
+	logLevel, logFormat string
+}
+
+// parseFlags parses ascgw's command line. Each gateway.Config flag takes
+// its default from gateway.DefaultConfig, so the defaults have one home
+// and -h prints the values the gateway runs with.
+func parseFlags(args []string) (options, error) {
+	fs := flag.NewFlagSet("ascgw", flag.ContinueOnError)
+	o := options{cfg: gateway.DefaultConfig()}
+	c := &o.cfg
+	fs.StringVar(&o.addr, "addr", ":8641", "listen address")
+	fs.StringVar(&o.backends, "backends", "", "comma-separated ascd base URLs (required)")
+	fs.IntVar(&c.Replicas, "replicas", c.Replicas, "virtual ring points per backend")
+	fs.Float64Var(&c.LoadFactor, "load-factor", c.LoadFactor, "bounded-load factor")
+	fs.IntVar(&c.MaxAttempts, "attempts", c.MaxAttempts, "distinct replicas tried before shedding")
+	fs.IntVar(&c.MaxInflight, "max-inflight", c.MaxInflight, "run+batch calls in flight through the gateway")
+	fs.Int64Var(&c.MaxBodyBytes, "max-body", c.MaxBodyBytes, "request body cap in bytes")
+	fs.IntVar(&c.BatchMaxJobs, "batch-max-jobs", c.BatchMaxJobs, "jobs accepted in one gateway batch")
+	fs.IntVar(&c.BackendBatchMaxJobs, "backend-batch-max-jobs", c.BackendBatchMaxJobs, "cap on forwarded sub-batches (match the backends' -batch-max-jobs)")
+	fs.DurationVar(&c.HealthInterval, "health-interval", c.HealthInterval, "health probe interval per backend")
+	fs.DurationVar(&c.HealthTimeout, "health-timeout", c.HealthTimeout, "single health probe timeout")
+	fs.IntVar(&c.HealthFailAfter, "health-failures", c.HealthFailAfter, "consecutive probe failures to eject a backend")
+	fs.IntVar(&c.HealthRiseAfter, "health-rises", c.HealthRiseAfter, "consecutive probe successes to re-admit a backend")
+	fs.DurationVar(&c.ScrapeTimeout, "scrape-timeout", c.ScrapeTimeout, "budget for each backend /metrics or /debug/traces fetch")
+	fs.Float64Var(&c.TraceSample, "trace-sample", c.TraceSample, "head-sampling rate for distributed traces in [0,1]")
+	fs.DurationVar(&c.TraceSlow, "trace-slow", c.TraceSlow, "always keep traces at least this slow")
+	fs.IntVar(&c.TraceRing, "trace-ring", c.TraceRing, "finished traces retained for /debug/traces (negative = off)")
+	fs.IntVar(&c.MaxMigrations, "max-migrations", c.MaxMigrations, "envelope hops tried per live session migration")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "shutdown drain budget")
+	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error")
+	fs.StringVar(&o.logFormat, "log-format", "text", "log format: text or json")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	if fs.NArg() != 0 {
+		fmt.Fprintln(fs.Output(), "usage: ascgw -backends LIST [flags]")
+		fs.PrintDefaults()
+		return o, errors.New("unexpected arguments")
+	}
+	return o, nil
+}
+
 func main() {
-	addr := flag.String("addr", ":8641", "listen address")
-	backends := flag.String("backends", "", "comma-separated ascd base URLs (required)")
-	replicas := flag.Int("replicas", 128, "virtual ring points per backend")
-	loadFactor := flag.Float64("load-factor", 1.25, "bounded-load factor")
-	attempts := flag.Int("attempts", 3, "distinct replicas tried before shedding")
-	maxInflight := flag.Int("max-inflight", 256, "run+batch calls in flight through the gateway")
-	maxBody := flag.Int64("max-body", 32<<20, "request body cap in bytes")
-	batchMaxJobs := flag.Int("batch-max-jobs", 256, "jobs accepted in one gateway batch")
-	backendBatchMaxJobs := flag.Int("backend-batch-max-jobs", 64, "cap on forwarded sub-batches (match the backends' -batch-max-jobs)")
-	healthInterval := flag.Duration("health-interval", 2*time.Second, "health probe interval per backend")
-	healthTimeout := flag.Duration("health-timeout", time.Second, "single health probe timeout")
-	healthFailures := flag.Int("health-failures", 3, "consecutive probe failures to eject a backend")
-	healthRises := flag.Int("health-rises", 2, "consecutive probe successes to re-admit a backend")
-	scrapeTimeout := flag.Duration("scrape-timeout", 2*time.Second, "budget for each backend /metrics or /debug/traces fetch")
-	traceSample := flag.Float64("trace-sample", 0, "head-sampling rate for distributed traces in [0,1]")
-	traceSlow := flag.Duration("trace-slow", time.Second, "always keep traces at least this slow")
-	traceRing := flag.Int("trace-ring", 256, "finished traces retained for /debug/traces (negative = off)")
-	maxMigrations := flag.Int("max-migrations", 4, "envelope hops tried per live session migration")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "shutdown drain budget")
-	logLevel := flag.String("log-level", "info", "log level: debug, info, warn, error")
-	logFormat := flag.String("log-format", "text", "log format: text or json")
-	flag.Parse()
-	if flag.NArg() != 0 {
-		fmt.Fprintln(os.Stderr, "usage: ascgw -backends LIST [flags]")
-		flag.PrintDefaults()
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
 		os.Exit(2)
 	}
-	if strings.TrimSpace(*backends) == "" {
+	if strings.TrimSpace(o.backends) == "" {
 		fmt.Fprintln(os.Stderr, "ascgw: -backends is required (comma-separated ascd base URLs)")
 		os.Exit(2)
 	}
 
-	logger, err := buildLogger(*logLevel, *logFormat)
+	logger, err := buildLogger(o.logLevel, o.logFormat)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ascgw: %v\n", err)
 		os.Exit(2)
 	}
-
-	gw, err := gateway.New(gateway.Config{
-		Backends:            strings.Split(*backends, ","),
-		Replicas:            *replicas,
-		LoadFactor:          *loadFactor,
-		MaxAttempts:         *attempts,
-		MaxInflight:         *maxInflight,
-		MaxBodyBytes:        *maxBody,
-		BatchMaxJobs:        *batchMaxJobs,
-		BackendBatchMaxJobs: *backendBatchMaxJobs,
-		HealthInterval:      *healthInterval,
-		HealthTimeout:       *healthTimeout,
-		HealthFailAfter:     *healthFailures,
-		HealthRiseAfter:     *healthRises,
-		ScrapeTimeout:       *scrapeTimeout,
-		TraceSample:         *traceSample,
-		TraceSlow:           *traceSlow,
-		TraceRing:           *traceRing,
-		MaxMigrations:       *maxMigrations,
-		Logger:              logger,
-	})
+	o.cfg.Backends = strings.Split(o.backends, ",")
+	o.cfg.Logger = logger
+	gw, err := gateway.New(o.cfg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ascgw: %v\n", err)
 		os.Exit(2)
 	}
 
 	hs := &http.Server{
-		Addr:    *addr,
+		Addr:    o.addr,
 		Handler: gw.Handler(),
 		// Slow-client guards as on ascd; no WriteTimeout because proxied
 		// responses legitimately take up to the simulation wall-clock limit.
@@ -151,7 +162,7 @@ func main() {
 
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Info("listening", "addr", *addr, "backends", *backends)
+		logger.Info("listening", "addr", o.addr, "backends", o.backends)
 		errCh <- hs.ListenAndServe()
 	}()
 
@@ -162,10 +173,10 @@ func main() {
 		logger.Error("serve failed", "error", err.Error())
 		os.Exit(1)
 	case s := <-sig:
-		logger.Info("draining", "signal", s.String(), "budget", drainTimeout.String())
+		logger.Info("draining", "signal", s.String(), "budget", o.drainTimeout.String())
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	if err := gw.Shutdown(ctx); err != nil {
 		logger.Error("drain incomplete", "error", err.Error())

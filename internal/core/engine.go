@@ -76,8 +76,9 @@ type engine struct {
 	// lanes[live[0]] (nil once none is live): every front-end decision
 	// reads the leader, and it changes only when the live set does. res[i]
 	// is filled when lane i leaves (peel, trap, or run end). outBuf and
-	// trapBuf are machine.ExecLanes' per-lane results, indexed like live;
-	// liveBuf is scratch for the multi-lane paths. All are reused so Step
+	// trapBuf are machine.ExecLanes' per-lane results, indexed like live
+	// (when the lanes agree, only outBuf[0] is written); liveBuf is
+	// scratch for the multi-lane paths. All are reused so Step
 	// never allocates.
 	lanes   []*machine.Machine
 	live    []int
@@ -264,9 +265,7 @@ func (e *engine) Cycle() int64 { return e.cycle }
 // identically to a freshly constructed one; the serving pool relies on
 // this to reuse warm machines and gangs across requests.
 func (e *engine) Reset() {
-	for _, m := range e.lanes {
-		m.Reset()
-	}
+	machine.ResetLanes(e.lanes)
 	e.front.Reset(e.lanes[0].Decoded())
 	for tid := 0; tid < e.cfg.Machine.Threads; tid++ {
 		e.sb.ClearThread(tid)

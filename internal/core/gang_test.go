@@ -615,3 +615,42 @@ func TestGangStepZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestGangLiveLanesSharePC pins the engine's side of machine.ExecLanes'
+// shared-PC precondition: after every cycle, every live lane holds each
+// thread in the leader's state and at the leader's PC, through spawns,
+// mailbox traffic, joins and a divergence peel.
+func TestGangLiveLanesSharePC(t *testing.T) {
+	mc := machine.Config{PEs: 4, Threads: 4, Width: 16}
+	cfg := Config{Machine: mc, Arity: 4}
+	g, _ := buildGangAsm(t, cfg, blockingDivergenceSrc, 4)
+	for i, mem := range [][]int64{{0}, {0}, {1}, {0}} {
+		if err := g.Lane(i).LoadScalarMem(mem); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for cycles := 0; ; cycles++ {
+		more, err := g.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(g.live) > 0 {
+			lead := g.lanes[g.live[0]]
+			for _, li := range g.live[1:] {
+				m := g.lanes[li]
+				for tid := range mc.Threads {
+					if m.ThreadActive(tid) != lead.ThreadActive(tid) || m.PC(tid) != lead.PC(tid) {
+						t.Fatalf("cycle %d: lane %d thread %d (active %v, pc %d) differs from the leader's (active %v, pc %d)",
+							cycles, li, tid, m.ThreadActive(tid), m.PC(tid), lead.ThreadActive(tid), lead.PC(tid))
+					}
+				}
+			}
+		}
+		if !more {
+			break
+		}
+	}
+	if res := g.res[2]; !res.Peeled {
+		t.Fatalf("lane 2 (divergent mailbox) not peeled: %+v", res)
+	}
+}

@@ -56,6 +56,12 @@ type Tracer struct {
 	ring      *ring
 }
 
+// The defaults New fills in for zero Options fields.
+const (
+	DefaultRingSize = 256
+	DefaultSlow     = time.Second
+)
+
 // New builds a Tracer. It returns nil (a valid, disabled tracer) when
 // opt.RingSize is negative.
 func New(opt Options) *Tracer {
@@ -63,10 +69,10 @@ func New(opt Options) *Tracer {
 		return nil
 	}
 	if opt.RingSize == 0 {
-		opt.RingSize = 256
+		opt.RingSize = DefaultRingSize
 	}
 	if opt.Slow <= 0 {
-		opt.Slow = time.Second
+		opt.Slow = DefaultSlow
 	}
 	var threshold uint64
 	switch {

@@ -137,6 +137,12 @@ func (c *Config) fillDefaults() {
 	if c.MaxMigrations <= 0 {
 		c.MaxMigrations = 4
 	}
+	if c.TraceSlow <= 0 {
+		c.TraceSlow = dtrace.DefaultSlow
+	}
+	if c.TraceRing == 0 {
+		c.TraceRing = dtrace.DefaultRingSize
+	}
 	if c.HTTPClient == nil {
 		c.HTTPClient = &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        256,
@@ -147,6 +153,15 @@ func (c *Config) fillDefaults() {
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+}
+
+// DefaultConfig returns the configuration a zero Config runs with: every
+// default filled in, so a command line can offer them as its flag
+// defaults instead of restating them.
+func DefaultConfig() Config {
+	var c Config
+	c.fillDefaults()
+	return c
 }
 
 // Gateway is the distributed serving tier's front: it speaks the same v1

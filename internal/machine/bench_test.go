@@ -60,6 +60,9 @@ func BenchmarkExecArray(b *testing.B) {
 // BenchmarkExecLanes is the lane-wide kernel row: host ns per lane-PE-op
 // of one ExecLanes call, by op class, at 16 PEs for one lane (a solo
 // machine) and 32 lanes (a gang plane), each lane holding its own data.
+// Two more shapes bracket the gang: 32 lanes with lane 16 peeled (a live
+// set with a hole, two runs), and one 512-PE lane, the same PE count as a
+// 32×16 gang in a single array — the reference the gang plane aims at.
 // The scalar class is the control unit's share of a gang op (an ADD per
 // lane), reported per lane-PE-op like the rest so the classes compare.
 //
@@ -89,16 +92,23 @@ func BenchmarkExecLanes(b *testing.B) {
 		}},
 		{"scalar", []isa.Inst{{Op: isa.ADD, Rd: 7, Ra: 7, Rb: 2}}},
 	}
-	const pes, span = 16, 1 << 12
+	const span = 1 << 12
 	nops, _ := isa.DecodeProgram(make([]isa.Inst, span))
-	for _, lanes := range []int{1, 32} {
+	shapes := []struct {
+		pes, lanes int
+		hole       bool
+	}{{16, 1, false}, {16, 32, false}, {16, 32, true}, {512, 1, false}}
+	for _, sh := range shapes {
+		pes, lanes := sh.pes, sh.lanes
 		gang, err := NewGangLanes(Config{PEs: pes, Threads: 1, Width: 16, LocalMemWords: 4}, nops, lanes)
 		if err != nil {
 			b.Fatal(err)
 		}
-		live := make([]int, lanes)
+		var live []int
 		for j, m := range gang {
-			live[j] = j
+			if !sh.hole || j != lanes/2 {
+				live = append(live, j)
+			}
 			rows := make([][]int64, pes)
 			for pe := range rows {
 				rows[pe] = []int64{int64((pe*7 + j*3) % 23)}
@@ -119,7 +129,11 @@ func BenchmarkExecLanes(b *testing.B) {
 			for i, in := range c.ops {
 				ds[i] = dec(in)
 			}
-			b.Run(fmt.Sprintf("%s/pes=%d/lanes=%d", c.name, pes, lanes), func(b *testing.B) {
+			name := fmt.Sprintf("%s/pes=%d/lanes=%d", c.name, pes, lanes)
+			if sh.hole {
+				name += "/hole"
+			}
+			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if i%(span/4) == 0 {
@@ -131,9 +145,46 @@ func BenchmarkExecLanes(b *testing.B) {
 						ExecLanes(gang, live, 0, d, outs, traps)
 					}
 				}
-				laneOps := float64(b.N) * float64(len(ds)*lanes*pes)
+				laneOps := float64(b.N) * float64(len(ds)*len(live)*pes)
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/laneOps, "ns/lane-PE-op")
 			})
 		}
+	}
+}
+
+// BenchmarkReset is the pool checkout's state-clearing row: host ns per
+// lane to return a gang plane to power-on state after a job that loaded a
+// word per PE and a few scalar words, at the gang-batch workload's
+// configuration (16 PEs, 16 threads, 1024 local and 4096 scalar words),
+// for a solo machine and a 32-lane gang (ResetLanes).
+//
+//	go test ./internal/machine -run '^$' -bench Reset -benchmem
+func BenchmarkReset(b *testing.B) {
+	cfg := Config{PEs: 16, Threads: 16, Width: 16, LocalMemWords: 1024, ScalarMemWords: 4096}
+	dp, _ := isa.DecodeProgram([]isa.Inst{{Op: isa.HALT}})
+	rows := make([][]int64, cfg.PEs)
+	for pe := range rows {
+		rows[pe] = []int64{int64(pe + 1)}
+	}
+	for _, lanes := range []int{1, 32} {
+		gang, err := NewGangLanes(cfg, dp, lanes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("pes=%d/lanes=%d", cfg.PEs, lanes), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, m := range gang {
+					if err := m.LoadLocalMem(rows); err != nil {
+						b.Fatal(err)
+					}
+					if err := m.LoadScalarMem([]int64{1000, 40, 0, 0}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				ResetLanes(gang)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*lanes), "ns/lane")
+		})
 	}
 }

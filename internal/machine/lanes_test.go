@@ -134,13 +134,66 @@ func seedLane(r *rand.Rand, t int, lane, ref *Machine) {
 	})
 }
 
+// liveSet is a live set of a gang of some size, named for test output.
+type liveSet struct {
+	name string
+	live []int
+}
+
+// liveSets lists the live sets the lane tests run at n lanes: every lane,
+// and, past one lane, the holes peels leave behind: all but a middle lane
+// (two runs), all but lane 0, and one middle survivor.
+func liveSets(n int) []liveSet {
+	all, holeMid, noFirst := []int{}, []int{}, []int{}
+	for j := range n {
+		all = append(all, j)
+		if j != n/2 {
+			holeMid = append(holeMid, j)
+		}
+		if j != 0 {
+			noFirst = append(noFirst, j)
+		}
+	}
+	sets := []liveSet{{"all", all}}
+	if n > 1 {
+		sets = append(sets, liveSet{"hole-mid", holeMid}, liveSet{"no-lane-0", noFirst}, liveSet{"one", []int{n / 2}})
+	}
+	return sets
+}
+
+// snapshots returns every lane's snapshot.
+func snapshots(lanes []*Machine) [][]byte {
+	out := make([][]byte, len(lanes))
+	for j, m := range lanes {
+		out[j] = m.Snapshot()
+	}
+	return out
+}
+
+// checkUntouched fails unless every lane outside live still has the
+// snapshot in before.
+func checkUntouched(t *testing.T, what string, lanes []*Machine, live []int, before [][]byte) {
+	t.Helper()
+	isLive := map[int]bool{}
+	for _, j := range live {
+		isLive[j] = true
+	}
+	for j, m := range lanes {
+		if !isLive[j] && !bytes.Equal(m.Snapshot(), before[j]) {
+			t.Fatalf("%s: lane %d is not live but its state changed", what, j)
+		}
+	}
+}
+
 // TestExecLanesMatchesRef is the lane-wide kernels' differential test.
 // Every parallel and reduction opcode, in every operand form laneVariants
 // lists, runs through one ExecLanes call over 1, 3 and 32 lanes at widths
-// 8, 16 and 32, each lane holding its own random state; each lane must
-// match the reference interpreter run on an identical machine alone: the
-// same outcome, the same trap text (lowest faulting PE included), and the
-// same snapshot bytes.
+// 8, 16 and 32, each lane holding its own random state; at width 16 the
+// holed live sets liveSets lists run too (how a live set splits into runs
+// does not depend on the width). Each live lane must match the reference
+// interpreter run on an identical machine alone: the same outcome, the
+// same trap text (lowest faulting PE included), and the same snapshot
+// bytes. Every lane outside the live set must be left byte-unchanged.
 func TestExecLanesMatchesRef(t *testing.T) {
 	ops := peOps()
 	if len(ops) < 50 {
@@ -154,68 +207,92 @@ func TestExecLanesMatchesRef(t *testing.T) {
 	for _, width := range []uint{8, 16, 32} {
 		for _, n := range []int{1, 3, 32} {
 			t.Run(fmt.Sprintf("w%d/lanes=%d", width, n), func(t *testing.T) {
-				cfg := Config{PEs: 13, Threads: 2, Width: width, LocalMemWords: 6, ScalarMemWords: 4}
-				r := rand.New(rand.NewSource(int64(width)*100 + int64(n)))
-				lanes, err := NewGangLanes(cfg, dp, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				refs := make([]*Machine, n)
-				live := make([]int, n)
-				for j := range refs {
-					if refs[j], err = New(cfg, prog); err != nil {
-						t.Fatal(err)
+				for _, ls := range liveSets(n) {
+					if width != 16 && ls.name != "all" {
+						continue
 					}
-					live[j] = j
+					t.Run(ls.name, func(t *testing.T) {
+						execLanesMatchRef(t, ops, prog, dp, width, n, ls.live)
+					})
 				}
-				outs, traps := make([]Outcome, n), make([]error, n)
-				checked, trapped := 0, 0
-				for oi, op := range ops {
-					// Each opcode's variants run back to back on thread
-					// tid from one fresh random state; they write only
-					// rd 0, 2, 3 and 4, so the address plane p6 and the
-					// mask flag f5 stay as seeded.
-					tid := oi % 2
-					for j := range refs {
-						seedLane(r, tid, lanes[j], refs[j])
-					}
-					for _, in := range laneVariants(op) {
-						d := dec(in)
-						for j := range refs {
-							lanes[j].SetPC(tid, 1)
-							refs[j].SetPC(tid, 1)
-						}
-						ExecLanes(lanes, live, tid, d, outs, traps)
-						for j, ref := range refs {
-							want, wantErr := ref.ExecRef(tid, in)
-							if fmt.Sprint(traps[j]) != fmt.Sprint(wantErr) {
-								t.Fatalf("%v lane %d: trap %v, reference %v", in, j, traps[j], wantErr)
-							}
-							if wantErr != nil {
-								trapped++
-							} else if outs[j] != want {
-								t.Fatalf("%v lane %d: outcome %+v, reference %+v", in, j, outs[j], want)
-							}
-							if !bytes.Equal(lanes[j].Snapshot(), ref.Snapshot()) {
-								t.Fatalf("%v lane %d: state differs from the reference", in, j)
-							}
-							checked++
-						}
-					}
-				}
-				if trapped == 0 {
-					t.Fatal("no lane trapped: PLW/PSW bounds are not exercised")
-				}
-				t.Logf("%d lane-ops checked, %d trapped", checked, trapped)
 			})
 		}
 	}
 }
 
+// execLanesMatchRef is one TestExecLanesMatchesRef case: n lanes at the
+// given width, with live the live set.
+func execLanesMatchRef(t *testing.T, ops []isa.Op, prog []isa.Inst, dp *isa.DecodedProgram, width uint, n int, live []int) {
+	cfg := Config{PEs: 13, Threads: 2, Width: width, LocalMemWords: 6, ScalarMemWords: 4}
+	r := rand.New(rand.NewSource(int64(width)*100 + int64(n)))
+	lanes, err := NewGangLanes(cfg, dp, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs := make([]*Machine, n)
+	for j := range refs {
+		if refs[j], err = New(cfg, prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outs, traps := make([]Outcome, n), make([]error, n)
+	checked, trapped := 0, 0
+	for oi, op := range ops {
+		// Each opcode's variants run back to back on thread tid from one
+		// fresh random state; they write only rd 0, 2, 3 and 4, so the
+		// address plane p6 and the mask flag f5 stay as seeded.
+		tid := oi % 2
+		for j := range refs {
+			seedLane(r, tid, lanes[j], refs[j])
+		}
+		before := snapshots(lanes)
+		for _, in := range laneVariants(op) {
+			d := dec(in)
+			for _, j := range live {
+				lanes[j].SetPC(tid, 1)
+				refs[j].SetPC(tid, 1)
+			}
+			agree := ExecLanes(lanes, live, tid, d, outs, traps)
+			anyTrap := false
+			for k, j := range live {
+				ref := refs[j]
+				want, wantErr := ref.ExecRef(tid, in)
+				got, gotErr := outs[0], error(nil)
+				if !agree {
+					got, gotErr = outs[k], traps[k]
+				}
+				if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+					t.Fatalf("%v lane %d: trap %v, reference %v", in, j, gotErr, wantErr)
+				}
+				if wantErr != nil {
+					trapped++
+					anyTrap = true
+				} else if got != want {
+					t.Fatalf("%v lane %d: outcome %+v, reference %+v", in, j, got, want)
+				}
+				if !bytes.Equal(lanes[j].Snapshot(), ref.Snapshot()) {
+					t.Fatalf("%v lane %d: state differs from the reference", in, j)
+				}
+				checked++
+			}
+			if agree == anyTrap {
+				t.Fatalf("%v: ExecLanes reported agreement %v with a trap %v", in, agree, anyTrap)
+			}
+		}
+		checkUntouched(t, op.String(), lanes, live, before)
+	}
+	if trapped == 0 {
+		t.Fatal("no lane trapped: PLW/PSW bounds are not exercised")
+	}
+	t.Logf("%d lane-ops checked, %d trapped", checked, trapped)
+}
+
 // TestExecFusedLanesMatchesRef runs the fusion shapes — compare feeding flag
 // logic, compare feeding the response counter, and a generic ALU run —
-// through ExecFusedLanes on 32 lanes and checks each lane against the
-// reference interpreter stepping the constituents in order.
+// through ExecFusedLanes on 3 and 32 lanes with every live set liveSets
+// lists, and checks each live lane against the reference interpreter
+// stepping the constituents in order, and every other lane for being left
+// unchanged.
 func TestExecFusedLanesMatchesRef(t *testing.T) {
 	groups := [][]isa.Inst{
 		{{Op: isa.PCGT, Rd: 1, Ra: 3, Rb: 4, SB: true}, {Op: isa.FAND, Rd: 2, Ra: 1, Rb: 1}},
@@ -223,45 +300,49 @@ func TestExecFusedLanesMatchesRef(t *testing.T) {
 		{{Op: isa.PCEQ, Rd: 1, Ra: 1, Rb: 4, SB: true}, {Op: isa.RCOUNT, Rd: 5, Ra: 1}},
 		{{Op: isa.PADD, Rd: 3, Ra: 3, Rb: 1}, {Op: isa.PCGE, Rd: 4, Ra: 3, Rb: 2}, {Op: isa.RSUM, Rd: 6, Ra: 3, Mask: 4}},
 	}
-	const n = 32
 	cfg := Config{PEs: 16, Threads: 1, Width: 16, LocalMemWords: 4, ScalarMemWords: 4}
 	prog := make([]isa.Inst, 8)
 	dp, err := isa.DecodeProgram(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lanes, err := NewGangLanes(cfg, dp, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := make([]*Machine, n)
-	live := make([]int, n)
-	for j := range refs {
-		if refs[j], err = New(cfg, prog); err != nil {
-			t.Fatal(err)
-		}
-		live[j] = j
-	}
-	r := rand.New(rand.NewSource(7))
-	for gi, g := range groups {
-		ds := make([]*isa.Decoded, len(g))
-		for i, in := range g {
-			ds[i] = dec(in)
-		}
-		for j := range refs {
-			seedLane(r, 0, lanes[j], refs[j])
-			lanes[j].SetPC(0, 0)
-			refs[j].SetPC(0, 0)
-		}
-		ExecFusedLanes(lanes, live, 0, ds)
-		for j, ref := range refs {
-			for _, in := range g {
-				if _, err := ref.ExecRef(0, in); err != nil {
+	for _, n := range []int{3, 32} {
+		for _, ls := range liveSets(n) {
+			lanes, err := NewGangLanes(cfg, dp, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refs := make([]*Machine, n)
+			for j := range refs {
+				if refs[j], err = New(cfg, prog); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if !bytes.Equal(lanes[j].Snapshot(), ref.Snapshot()) {
-				t.Fatalf("group %d lane %d: fused state differs from the reference", gi, j)
+			r := rand.New(rand.NewSource(7))
+			for gi, g := range groups {
+				ds := make([]*isa.Decoded, len(g))
+				for i, in := range g {
+					ds[i] = dec(in)
+				}
+				for j := range refs {
+					seedLane(r, 0, lanes[j], refs[j])
+					lanes[j].SetPC(0, 0)
+					refs[j].SetPC(0, 0)
+				}
+				before := snapshots(lanes)
+				ExecFusedLanes(lanes, ls.live, 0, ds)
+				for _, j := range ls.live {
+					ref := refs[j]
+					for _, in := range g {
+						if _, err := ref.ExecRef(0, in); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if !bytes.Equal(lanes[j].Snapshot(), ref.Snapshot()) {
+						t.Fatalf("lanes=%d/%s group %d lane %d: fused state differs from the reference", n, ls.name, gi, j)
+					}
+				}
+				checkUntouched(t, fmt.Sprintf("lanes=%d/%s group %d", n, ls.name, gi), lanes, ls.live, before)
 			}
 		}
 	}

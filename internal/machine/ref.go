@@ -132,6 +132,7 @@ func (m *Machine) ExecRef(t int, in isa.Inst) (Outcome, error) {
 			return out, m.trap(t, in, "scalar store address %d out of [0, %d)", addr, m.cfg.ScalarMemWords)
 		}
 		m.scalarMem[addr] = m.Scalar(t, in.Rd)
+		m.scalarHi = max(m.scalarHi, addr+1)
 
 	case in.Op == isa.LUI:
 		m.SetScalar(t, in.Rd, int64(uint16(in.Imm))<<16)
@@ -215,8 +216,9 @@ func (m *Machine) refExecThreadOp(t int, in isa.Inst, out *Outcome) error {
 		nt.pc = target
 		nt.sregs = [isa.NumScalarRegs]int64{}
 		nt.mailbox = nil
-		pb := spawned * m.cfg.PEs * isa.NumParallelRegs
-		clear(m.pregs[pb : pb+m.cfg.PEs*isa.NumParallelRegs])
+		for r := range isa.NumParallelRegs {
+			clear(m.pregPlane(spawned, uint8(r)))
+		}
 		m.clearFlags(spawned)
 		m.SetScalar(t, in.Rd, int64(spawned))
 		out.Spawned = spawned
@@ -279,9 +281,6 @@ func (m *Machine) refExecParallel(t int, in isa.Inst) error {
 func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, trapAddr int) {
 	trapPE, trapAddr = -1, 0
 	info := in.Info()
-	p := m.cfg.PEs
-	base := t * p
-	const nP, nF = isa.NumParallelRegs, isa.NumFlagRegs
 	mk := int(in.Mask)
 	rd, ra, rb := int(in.Rd), int(in.Ra), int(in.Rb)
 
@@ -291,8 +290,8 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 			return
 		}
 		for pe := lo; pe < hi; pe++ {
-			if mk == 0 || m.flags[base*nF+mk*p+pe] {
-				m.pregs[base*nP+rd*p+pe] = m.mask(int64(pe))
+			if mk == 0 || m.flagPlane(t, uint8(mk))[pe] {
+				m.pregPlane(t, uint8(rd))[pe] = m.mask(int64(pe))
 			}
 		}
 
@@ -302,8 +301,8 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 		}
 		v := m.mask(int64(in.Imm))
 		for pe := lo; pe < hi; pe++ {
-			if mk == 0 || m.flags[base*nF+mk*p+pe] {
-				m.pregs[base*nP+rd*p+pe] = v
+			if mk == 0 || m.flagPlane(t, uint8(mk))[pe] {
+				m.pregPlane(t, uint8(rd))[pe] = v
 			}
 		}
 
@@ -311,12 +310,12 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 		lmw := m.cfg.LocalMemWords
 		imm := int(in.Imm)
 		for pe := lo; pe < hi; pe++ {
-			if !(mk == 0 || m.flags[base*nF+mk*p+pe]) {
+			if !(mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
 				continue
 			}
 			var av int64
 			if ra != 0 {
-				av = m.pregs[base*nP+ra*p+pe]
+				av = m.pregPlane(t, uint8(ra))[pe]
 			}
 			addr := int(m.signed(av)) + imm
 			if addr < 0 || addr >= lmw {
@@ -326,7 +325,7 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 				continue
 			}
 			if rd != 0 {
-				m.pregs[base*nP+rd*p+pe] = m.localMem[pe*lmw+addr]
+				m.pregPlane(t, uint8(rd))[pe] = m.localMem[pe*lmw+addr]
 			}
 		}
 
@@ -334,12 +333,12 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 		lmw := m.cfg.LocalMemWords
 		imm := int(in.Imm)
 		for pe := lo; pe < hi; pe++ {
-			if !(mk == 0 || m.flags[base*nF+mk*p+pe]) {
+			if !(mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
 				continue
 			}
 			var av int64
 			if ra != 0 {
-				av = m.pregs[base*nP+ra*p+pe]
+				av = m.pregPlane(t, uint8(ra))[pe]
 			}
 			addr := int(m.signed(av)) + imm
 			if addr < 0 || addr >= lmw {
@@ -350,9 +349,10 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 			}
 			var dv int64
 			if rd != 0 {
-				dv = m.pregs[base*nP+rd*p+pe]
+				dv = m.pregPlane(t, uint8(rd))[pe]
 			}
 			m.localMem[pe*lmw+addr] = dv
+			m.localHi = max(m.localHi, addr+1)
 		}
 
 	case info.DstKind == isa.KindFlag && info.SrcAKind == isa.KindParallel:
@@ -364,20 +364,19 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 			sb = m.Scalar(t, in.Rb)
 		}
 		for pe := lo; pe < hi; pe++ {
-			fb := base*nF + pe
-			if !(mk == 0 || m.flags[fb+mk*p]) {
+			if !(mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
 				continue
 			}
 			var a, b int64
 			if ra != 0 {
-				a = m.pregs[base*nP+ra*p+pe]
+				a = m.pregPlane(t, uint8(ra))[pe]
 			}
 			if in.SB {
 				b = sb
 			} else if rb != 0 {
-				b = m.pregs[base*nP+rb*p+pe]
+				b = m.pregPlane(t, uint8(rb))[pe]
 			}
-			m.flags[fb+rd*p] = m.refCompare(in.Op, a, b)
+			m.flagPlane(t, uint8(rd))[pe] = m.refCompare(in.Op, a, b)
 		}
 
 	case info.DstKind == isa.KindFlag:
@@ -385,30 +384,29 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 			return
 		}
 		for pe := lo; pe < hi; pe++ {
-			fb := base*nF + pe
-			if !(mk == 0 || m.flags[fb+mk*p]) {
+			if !(mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
 				continue
 			}
 			var v bool
 			switch in.Op {
 			case isa.FAND:
-				v = m.refFlag(fb, ra) && m.refFlag(fb, rb)
+				v = m.refFlag(t, pe, ra) && m.refFlag(t, pe, rb)
 			case isa.FOR:
-				v = m.refFlag(fb, ra) || m.refFlag(fb, rb)
+				v = m.refFlag(t, pe, ra) || m.refFlag(t, pe, rb)
 			case isa.FXOR:
-				v = m.refFlag(fb, ra) != m.refFlag(fb, rb)
+				v = m.refFlag(t, pe, ra) != m.refFlag(t, pe, rb)
 			case isa.FANDN:
-				v = m.refFlag(fb, ra) && !m.refFlag(fb, rb)
+				v = m.refFlag(t, pe, ra) && !m.refFlag(t, pe, rb)
 			case isa.FNOT:
-				v = !m.refFlag(fb, ra)
+				v = !m.refFlag(t, pe, ra)
 			case isa.FMOV:
-				v = m.refFlag(fb, ra)
+				v = m.refFlag(t, pe, ra)
 			case isa.FSET:
 				v = true
 			case isa.FCLR:
 				v = false
 			}
-			m.flags[fb+rd*p] = v
+			m.flagPlane(t, uint8(rd))[pe] = v
 		}
 
 	default:
@@ -424,20 +422,19 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 			bc = m.Scalar(t, in.Rb)
 		}
 		for pe := lo; pe < hi; pe++ {
-			if !(mk == 0 || m.flags[base*nF+mk*p+pe]) {
+			if !(mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
 				continue
 			}
-			pb := base*nP + pe
 			var a, b int64
 			if ra != 0 {
-				a = m.pregs[pb+ra*p]
+				a = m.pregPlane(t, uint8(ra))[pe]
 			}
 			if immForm || in.SB {
 				b = bc
 			} else if rb != 0 {
-				b = m.pregs[pb+rb*p]
+				b = m.pregPlane(t, uint8(rb))[pe]
 			}
-			m.pregs[pb+rd*p] = m.refALU(op, a, b)
+			m.pregPlane(t, uint8(rd))[pe] = m.refALU(op, a, b)
 		}
 	}
 	return
@@ -472,16 +469,13 @@ func (m *Machine) refCompare(op isa.Op, a, b int64) bool {
 
 func (m *Machine) refExecReduction(t int, in isa.Inst) {
 	p := m.cfg.PEs
-	base := t * p
-	const nF = isa.NumFlagRegs
 	ra, mk := int(in.Ra), int(in.Mask)
 
 	switch in.Op {
 	case isa.RCOUNT, isa.RANY:
 		var n int64
 		for pe := 0; pe < p; pe++ {
-			fb := base*nF + pe
-			if (ra == 0 || m.flags[fb+ra*p]) && (mk == 0 || m.flags[fb+mk*p]) {
+			if (ra == 0 || m.flagPlane(t, uint8(ra))[pe]) && (mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
 				n++
 			}
 		}
@@ -498,15 +492,14 @@ func (m *Machine) refExecReduction(t int, in isa.Inst) {
 	case isa.RFIRST:
 		winner := p
 		for pe := 0; pe < p; pe++ {
-			fb := base*nF + pe
-			if (ra == 0 || m.flags[fb+ra*p]) && (mk == 0 || m.flags[fb+mk*p]) {
+			if (ra == 0 || m.flagPlane(t, uint8(ra))[pe]) && (mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
 				winner = pe
 				break
 			}
 		}
 		if rd := int(in.Rd); rd != 0 {
 			for pe := 0; pe < p; pe++ {
-				m.flags[base*nF+rd*p+pe] = pe == winner
+				m.flagPlane(t, uint8(rd))[pe] = pe == winner
 			}
 		}
 
@@ -521,9 +514,6 @@ func (m *Machine) refExecReduction(t int, in isa.Inst) {
 }
 
 func (m *Machine) refReduceLeaves(t int, in isa.Inst) {
-	p := m.cfg.PEs
-	base := t * p
-	const nP, nF = isa.NumParallelRegs, isa.NumFlagRegs
 	ra, mk := int(in.Ra), int(in.Mask)
 	w := m.cfg.Width
 	ones := int64(1)<<w - 1
@@ -551,13 +541,13 @@ func (m *Machine) refReduceLeaves(t int, in isa.Inst) {
 	ident := network.Identity(unit, w)
 
 	for pe := 0; pe < m.cfg.PEs; pe++ {
-		if !(mk == 0 || m.flags[base*nF+mk*p+pe]) {
+		if !(mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
 			m.leafBuf[pe] = ident
 			continue
 		}
 		var v int64
 		if ra != 0 {
-			v = m.pregs[base*nP+ra*p+pe]
+			v = m.pregPlane(t, uint8(ra))[pe]
 		}
 		switch kind {
 		case leafSigned:
@@ -642,13 +632,12 @@ func (m *Machine) refALU(op isa.ALUOp, a, b int64) int64 {
 	panic(fmt.Sprintf("machine: unknown alu op %d", op))
 }
 
-// refFlag reads flag r at per-PE flag base fb = t*nF*PEs + pe (f0
-// hardwired to one).
-func (m *Machine) refFlag(fb, r int) bool {
+// refFlag reads flag r of PE pe in thread t (f0 hardwired to one).
+func (m *Machine) refFlag(t, pe, r int) bool {
 	if r == 0 {
 		return true
 	}
-	return m.flags[fb+r*m.cfg.PEs]
+	return m.flagPlane(t, uint8(r))[pe]
 }
 
 // leaf transform kinds for refReduceLeaves.

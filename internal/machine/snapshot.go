@@ -33,8 +33,9 @@ import (
 //	memory   PEs*LocalMemWords local words (PE-major), ScalarMemWords scalar words
 //
 // s0, p0 and f0 are hardwired (writes are dropped, reads never touch their
-// storage), so they are not stored. The planes are the flat register-major
-// files in order. No stored word can exceed the width, so every image
+// storage), so they are not stored. The planes are the machine's own PE
+// vectors (pregPlane, flagPlane) in [thread][reg] order, so a gang lane's
+// image is that of a solo machine in the same state. No stored word can exceed the width, so every image
 // Restore accepts is canonical: it re-encodes to exactly its bytes.
 
 const (
@@ -256,13 +257,14 @@ func (m *Machine) encode(e *snapEncoder) error {
 		e.word(int64(len(th.mailbox)))
 		e.vals(th.mailbox)
 	}
-	p, nP := m.cfg.PEs, isa.NumParallelRegs
 	for t := range m.threads {
-		e.vals(m.pregs[(t*nP+1)*p : (t+1)*nP*p])
+		for r := uint8(1); r < isa.NumParallelRegs; r++ {
+			e.vals(m.pregPlane(t, r))
+		}
 	}
-	for i := p; i < len(m.flags); i += p {
-		if i/p%isa.NumFlagRegs != 0 {
-			e.bits(m.flags[i : i+p])
+	for t := range m.threads {
+		for r := uint8(1); r < isa.NumFlagRegs; r++ {
+			e.bits(m.flagPlane(t, r))
 		}
 	}
 	e.vals(m.localMem)
@@ -400,7 +402,8 @@ func getVals(dst []int64, data []byte, off, k int) int {
 // Restore loads a snapshot into this machine. The machine must have been
 // built with the same configuration and program as the one that produced
 // the snapshot. The whole image is validated before any state changes, so
-// a rejected image leaves the machine exactly as it was.
+// a rejected image leaves the machine exactly as it was. A restored image
+// may hold any word, so both memories are dirty throughout afterwards.
 func (m *Machine) Restore(data []byte) error {
 	if err := m.checkSnapshot(data); err != nil {
 		return err
@@ -416,17 +419,20 @@ func (m *Machine) Restore(data []byte) error {
 		th.mailbox = append(th.mailbox[:0], make([]int64, n)...)
 		off = getVals(th.mailbox, data, off+8, k)
 	}
-	p, nP := m.cfg.PEs, isa.NumParallelRegs
 	for t := range m.threads {
-		off = getVals(m.pregs[(t*nP+1)*p:(t+1)*nP*p], data, off, k)
+		for r := uint8(1); r < isa.NumParallelRegs; r++ {
+			off = getVals(m.pregPlane(t, r), data, off, k)
+		}
 	}
-	for i := p; i < len(m.flags); i += p {
-		if i/p%isa.NumFlagRegs != 0 {
-			getBits(m.flags[i:i+p], data[off:off+flagPlaneBytes(p)])
-			off += flagPlaneBytes(p)
+	fb := flagPlaneBytes(m.cfg.PEs)
+	for t := range m.threads {
+		for r := uint8(1); r < isa.NumFlagRegs; r++ {
+			getBits(m.flagPlane(t, r), data[off:off+fb])
+			off += fb
 		}
 	}
 	off = getVals(m.localMem, data, off, k)
 	getVals(m.scalarMem, data, off, k)
+	m.localHi, m.scalarHi = m.cfg.LocalMemWords, m.cfg.ScalarMemWords
 	return nil
 }

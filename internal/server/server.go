@@ -156,9 +156,24 @@ func (c *Config) fillDefaults() {
 	case c.ProgramCacheSize < 0:
 		c.ProgramCacheSize = 0 // disabled
 	}
+	if c.TraceSlow <= 0 {
+		c.TraceSlow = dtrace.DefaultSlow
+	}
+	if c.TraceRing == 0 {
+		c.TraceRing = dtrace.DefaultRingSize
+	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+}
+
+// DefaultConfig returns the configuration a zero Config runs with: every
+// default filled in, so a command line can offer them as its flag
+// defaults instead of restating them.
+func DefaultConfig() Config {
+	var c Config
+	c.fillDefaults()
+	return c
 }
 
 // jobOutcome is what the executor hands back to a lane's handler.

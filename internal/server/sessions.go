@@ -56,6 +56,7 @@ const (
 	reasonDraining     = "draining"
 	reasonRequested    = "requested"
 	reasonDisconnected = "disconnected"
+	reasonDeadline     = "deadline"
 )
 
 // session is one registered session: the registry entry a drain walks and

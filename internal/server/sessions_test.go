@@ -677,3 +677,57 @@ func TestSessionConcurrentResumeConflict(t *testing.T) {
 		t.Errorf("unexpected outcome mix: ok=%d conflict=%d", okN, conflictN)
 	}
 }
+
+// TestSessionDeadlineSuspends pins the wall-clock rule for resumable
+// sessions: a segment that runs into its timeoutMs answers 200 suspended
+// with reason "deadline" and an envelope instead of a 504, and resuming
+// envelope after envelope finishes the job with the state digest of an
+// uninterrupted run.
+func TestSessionDeadlineSuspends(t *testing.T) {
+	_, _, url := newSessionTestServer(t, server.Config{Workers: 2})
+	_, cRef, _ := newSessionTestServer(t, server.Config{Workers: 2})
+	req, want := longSession(150_000)
+	req.StateDigest = true
+	ref, err := cRef.NewSession(req).Run(context.Background())
+	if err != nil {
+		t.Fatalf("uninterrupted reference: %v", err)
+	}
+
+	req.TimeoutMs = 10
+	decode := func(resp *http.Response, raw []byte) client.SessionResult {
+		t.Helper()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, want 200: %s", resp.StatusCode, raw)
+		}
+		var res client.SessionResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	res := decode(postJSON(t, url+"/v1/sessions", client.SessionRequest{RunRequest: req, Resumable: true}))
+	if res.State != "suspended" || res.Reason != "deadline" || res.Envelope == nil {
+		t.Fatalf("first segment: state %q reason %q envelope %v, want suspended/deadline with an envelope",
+			res.State, res.Reason, res.Envelope != nil)
+	}
+	segments := 1
+	for res.State == "suspended" {
+		if res.Reason != "deadline" || res.Envelope == nil {
+			t.Fatalf("segment %d: reason %q, envelope %v", segments, res.Reason, res.Envelope != nil)
+		}
+		if segments++; segments > 5000 {
+			t.Fatal("the session made no headway across deadline suspensions")
+		}
+		res = decode(postJSON(t, url+"/v1/sessions/"+res.SessionID+"/resume", client.ResumeRequest{Envelope: res.Envelope}))
+	}
+	if res.State != "completed" || res.Result == nil {
+		t.Fatalf("final state %q, want completed", res.State)
+	}
+	if got := res.Result.ScalarMem[0]; got != want {
+		t.Errorf("result %d, want %d", got, want)
+	}
+	if res.StateDigest != ref.StateDigest {
+		t.Errorf("state digest after %d segments %s, want %s (uninterrupted)", segments, res.StateDigest, ref.StateDigest)
+	}
+	t.Logf("%d segments", segments)
+}
