@@ -13,17 +13,22 @@ fmt-check:
 	  echo "fmt-check: gofmt would reformat:"; echo "$$out"; exit 1; \
 	fi; echo "fmt-check: gofmt-clean"
 
+# The benchmark is its own module (bench/go.mod), so the root `go vet
+# ./...` never reaches it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet .
 
 test:
 	$(GO) test ./...
 
 # Concurrency-heavy packages must stay clean under the race detector: the
-# serving stack runs concurrent compile->simulate round trips, and the
-# core's checkpoint request crosses goroutines.
+# serving stack runs concurrent compile->simulate round trips, the core's
+# checkpoint request crosses goroutines, and the program cache's LRU, the
+# trace ring and wire's pooled decoders and plan cache are shared by every
+# request.
 race:
-	$(GO) test -race ./internal/machine/... ./internal/core/... ./internal/server/... ./internal/pool/... ./internal/obs/... ./internal/gateway/... ./internal/migrate/... ./client/...
+	$(GO) test -race ./internal/machine/... ./internal/core/... ./internal/server/... ./internal/pool/... ./internal/obs/... ./internal/gateway/... ./internal/migrate/... ./internal/progcache/... ./internal/dtrace/... ./internal/wire/... ./client/...
 
 bench:
 	$(GO) test -bench . -benchtime 10x -run '^$$' ./...

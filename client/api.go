@@ -181,11 +181,6 @@ type Metrics struct {
 	LatencyOverflow int64 `json:"latencyOverflow"`
 }
 
-// errorBody is the JSON body of every non-2xx response.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
 // APIError is a non-2xx response from the daemon.
 type APIError struct {
 	Status  int    // HTTP status code

@@ -5,7 +5,6 @@ import (
 	"context"
 	crand "crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -240,19 +239,11 @@ func (c *Client) doOnce(ctx context.Context, method, path, id, tp string, body [
 		}
 		// One decode reads both the error text and, for the drain
 		// handshake (a 503 answered to an in-flight resumable session),
-		// the snapshot envelope.
+		// the snapshot envelope. A mistyped envelope is dropped; the error
+		// text, which encoding/json still decodes past it, stays.
 		var sd SessionDraining
-		if !wire.Decode(data, &sd) {
-			// Not canonical: encoding/json reads the two parts apart, so a
-			// malformed envelope still leaves the error text.
-			var eb errorBody
-			if json.Unmarshal(data, &eb) != nil {
-				eb.Error = ""
-			}
-			if json.Unmarshal(data, &sd) != nil {
-				sd.Envelope = nil
-			}
-			sd.Error = eb.Error
+		if wire.Unmarshal(data, &sd) != nil {
+			sd.Envelope = nil
 		}
 		ae.Message = sd.Error
 		if ae.Message == "" {
@@ -261,10 +252,10 @@ func (c *Client) doOnce(ctx context.Context, method, path, id, tp string, body [
 		ae.Envelope = sd.Envelope
 		return ae
 	}
-	if out == nil || wire.Decode(data, out) {
+	if out == nil {
 		return nil
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := wire.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("ascd: decoding %s response: %w", path, err)
 	}
 	return nil

@@ -3,7 +3,6 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -376,27 +375,15 @@ func (g *Gateway) request(w http.ResponseWriter, r *http.Request, name, allow st
 		return id, tr, log, nil, false
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
-	if err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "reading request: %v", err)
-		return id, tr, log, nil, false
+	if err == nil {
+		err = wire.Unmarshal(body, v)
 	}
-	if err := unmarshal(body, v); err != nil {
+	if err != nil {
 		tr.SetError()
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return id, tr, log, nil, false
 	}
 	return id, tr, log, body, true
-}
-
-// unmarshal is json.Unmarshal behind internal/wire's one-pass decoder:
-// wire decodes the canonical bodies ascd and the client send, and
-// encoding/json everything else, so results and errors stay its own.
-func unmarshal(data []byte, v any) error {
-	if wire.Decode(data, v) {
-		return nil
-	}
-	return json.Unmarshal(data, v)
 }
 
 // admit performs the drain/in-flight admission dance shared by every
@@ -864,7 +851,7 @@ func (g *Gateway) routeGroup(ctx context.Context, req *client.BatchRequest, grp 
 			Error string `json:"error"`
 		}
 		msg := strings.TrimSpace(string(resp.body))
-		if unmarshal(resp.body, &eb) == nil && eb.Error != "" {
+		if wire.Unmarshal(resp.body, &eb) == nil && eb.Error != "" {
 			msg = eb.Error
 		}
 		csp.EndErr(msg)
@@ -872,7 +859,7 @@ func (g *Gateway) routeGroup(ctx context.Context, req *client.BatchRequest, grp 
 		return
 	}
 	var bres client.BatchResult
-	if err := unmarshal(resp.body, &bres); err != nil || len(bres.Jobs) != len(grp.idxs) {
+	if err := wire.Unmarshal(resp.body, &bres); err != nil || len(bres.Jobs) != len(grp.idxs) {
 		csp.EndErr("malformed batch response")
 		g.failGroup(outcomes, grp, http.StatusBadGateway,
 			fmt.Sprintf("backend %s returned a malformed batch response", backend))
@@ -927,18 +914,13 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	asJSON := server.WantsJSON(r)
 	sum := asJSON || r.URL.Query().Get("view") == "fleet"
 
-	own, err := g.ownFamilies()
-	if err != nil {
-		http.Error(w, fmt.Sprintf("rendering gateway metrics: %v", err), http.StatusInternalServerError)
-		return
-	}
 	scraped := make([][]*obs.ParsedFamily, len(g.cfg.Backends))
 	ok := make([]bool, len(g.cfg.Backends))
 	g.getAll(r.Context(), "/metrics", "", func(i int, body []byte) {
 		fams, err := obs.ParseText(string(body))
 		scraped[i], ok[i] = fams, err == nil
 	})
-	merged := own
+	merged := g.m.reg.Families()
 	var failed []string
 	for i, b := range g.cfg.Backends {
 		if !ok[i] {
@@ -1031,7 +1013,7 @@ func (g *Gateway) fetchBackendTraces(ctx context.Context, traceID string) []*dtr
 	halves := make([][]*dtrace.FinishedTrace, len(g.cfg.Backends))
 	g.getAll(ctx, "/debug/traces?trace="+url.QueryEscape(traceID), "", func(i int, body []byte) {
 		var dump dtrace.TraceDump
-		if unmarshal(body, &dump) == nil {
+		if wire.Unmarshal(body, &dump) == nil {
 			halves[i] = dump.Traces
 		}
 	})
@@ -1059,16 +1041,6 @@ func (g *Gateway) getAll(ctx context.Context, path, id string, each func(i int, 
 		}()
 	}
 	wg.Wait()
-}
-
-// ownFamilies renders and re-parses the gateway's registry so its series
-// merge through the same path as backend scrapes.
-func (g *Gateway) ownFamilies() ([]*obs.ParsedFamily, error) {
-	var b strings.Builder
-	if err := g.m.reg.WritePrometheus(&b); err != nil {
-		return nil, err
-	}
-	return obs.ParseText(b.String())
 }
 
 // backendLabel strips the scheme from a backend URL for label values:

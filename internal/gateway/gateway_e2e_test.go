@@ -592,3 +592,97 @@ func TestGatewayBatchGroupFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestBodyParity: ascd and ascgw read and decode request bodies
+// alike, so a body that is not exactly one JSON value, or one over the
+// body limit, gets the same 400 and the same error text from either tier.
+func TestRequestBodyParity(t *testing.T) {
+	f := newFleet(t, 1, func(c *gateway.Config) { c.MaxBodyBytes = server.DefaultConfig().MaxBodyBytes })
+	post := func(base, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(base+"/v1/run", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(b)
+	}
+	oversized := `{"asm":"halt` + strings.Repeat(" ", int(server.DefaultConfig().MaxBodyBytes)) + `"}`
+	for _, body := range []string{`{"asm":"halt"} x`, `{"asm":"halt"}{"asm":"nop"}`, oversized} {
+		dStatus, dBody := post(f.nodes[0].hs.URL, body)
+		gStatus, gBody := post(f.gwHS.URL, body)
+		name := body[:min(len(body), 40)]
+		if dStatus != http.StatusBadRequest || gStatus != http.StatusBadRequest {
+			t.Errorf("body %q: ascd %d, ascgw %d, want 400 from both", name, dStatus, gStatus)
+		}
+		if dBody != gBody {
+			t.Errorf("body %q: the tiers disagree:\nascd  %s\nascgw %s", name, dBody, gBody)
+		}
+	}
+}
+
+// TestGatewayFleetViewValues: the fleet view renders backend scrapes
+// through obs.WriteFamilies, which prints an integral counter as digits
+// and keeps a declared family that has no samples, in both views.
+func TestGatewayFleetViewValues(t *testing.T) {
+	const scrape = "# HELP asc_sim_cycles_total Simulated machine cycles across all jobs.\n" +
+		"# TYPE asc_sim_cycles_total counter\n" +
+		"asc_sim_cycles_total 1234567\n" +
+		"# HELP asc_sessions_total Finished session segments by outcome.\n" +
+		"# TYPE asc_sessions_total counter\n"
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/metrics" {
+			w.Header().Set("Content-Type", obs.ContentType)
+			io.WriteString(w, scrape)
+			return
+		}
+		io.WriteString(w, "ok\n")
+	}))
+	t.Cleanup(backend.Close)
+	gw, err := gateway.New(gateway.Config{
+		Backends: []string{backend.URL},
+		Logger:   slog.New(slog.NewTextHandler(io.Discard, nil)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gwHS := httptest.NewServer(gw.Handler())
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		gw.Shutdown(ctx)
+		gwHS.Close()
+	})
+	label := strings.TrimPrefix(backend.URL, "http://")
+	for view, want := range map[string]string{
+		"/metrics?view=fleet": "asc_sim_cycles_total 1234567\n",
+		"/metrics":            `asc_sim_cycles_total{backend="` + label + `"} 1234567` + "\n",
+	} {
+		resp, err := http.Get(gwHS.URL + view)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(b)
+		if !strings.Contains(text, "# asc-gw-fleet-scrape: 1/1 backends merged") {
+			t.Fatalf("%s: the backend was not merged:\n%s", view, text)
+		}
+		if !strings.Contains(text, want) {
+			t.Errorf("%s lacks %q:\n%s", view, want, text)
+		}
+		if !strings.Contains(text, "# TYPE asc_sessions_total counter\n") {
+			t.Errorf("%s drops the backend family with no samples:\n%s", view, text)
+		}
+		if _, err := obs.ParseText(text); err != nil {
+			t.Errorf("%s does not parse: %v", view, err)
+		}
+	}
+}

@@ -117,7 +117,7 @@ func (g *Gateway) migrationRecord(sid string) *migRecord {
 // nil for an ordinary (envelope-less) 503.
 func parseDraining(body []byte) *client.SnapshotEnvelope {
 	var sd client.SessionDraining
-	if unmarshal(body, &sd) == nil && sd.Envelope != nil {
+	if wire.Unmarshal(body, &sd) == nil && sd.Envelope != nil {
 		return sd.Envelope
 	}
 	return nil
@@ -176,7 +176,7 @@ func sessionIDFromResult(r *backendResponse) string {
 	var sr struct {
 		SessionID string `json:"sessionId"`
 	}
-	if unmarshal(r.body, &sr) == nil {
+	if wire.Unmarshal(r.body, &sr) == nil {
 		return sr.SessionID
 	}
 	return ""
@@ -312,7 +312,7 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 func (g *Gateway) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	lists := make([]client.SessionList, len(g.cfg.Backends))
 	g.getAll(r.Context(), "/v1/sessions", dtrace.RequestID(r), func(i int, body []byte) {
-		unmarshal(body, &lists[i])
+		wire.Unmarshal(body, &lists[i])
 	})
 	out := client.SessionList{Sessions: []client.SessionStatus{}}
 	for _, l := range lists {
@@ -453,7 +453,7 @@ func (g *Gateway) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	}
 	dsp.End()
 	var dr client.DrainResult
-	if err := unmarshal(resp.body, &dr); err != nil {
+	if err := wire.Unmarshal(resp.body, &dr); err != nil {
 		tr.SetError()
 		writeError(w, http.StatusBadGateway, "backend %s returned a malformed drain result", backendLabel(backend))
 		return
@@ -508,7 +508,7 @@ func (g *Gateway) rescueSession(ctx context.Context, backend, sid, id string, lo
 		return ms
 	}
 	var status client.SessionStatus
-	if err := unmarshal(st.body, &status); err != nil || status.Envelope == nil {
+	if err := wire.Unmarshal(st.body, &status); err != nil || status.Envelope == nil {
 		ms.Outcome = "failed"
 		ms.Error = "drained backend exported no envelope for this session"
 		return ms

@@ -16,9 +16,11 @@
 //   - Seal/Verify: the envelope's own integrity digest (Sum) detects
 //     corruption or tampering in transit. Sum is required: an envelope
 //     without one is refused like one whose Sum does not match.
-//   - Validate then checks digest shape, config-key agreement, and the
-//     snapshot image's header (magic), rejecting structurally broken
-//     envelopes. An image in another format version is a StaleError.
+//   - Validate then checks digest shape, config-key agreement, the
+//     fields Pack never mints (memory images, a trace flag, negative
+//     counters), and the snapshot image's header (magic), rejecting
+//     structurally broken envelopes. An image in another format version
+//     is a StaleError.
 //   - Resolve: the program digest must resolve in the content-addressed
 //     cache, or recompile from the embedded source to the *same* digest.
 //     Anything else is a StaleError ("stale_snapshot:"), mapped to HTTP
@@ -35,6 +37,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"slices"
 
 	asc "repro"
 	"repro/client"
@@ -167,8 +170,11 @@ func Verify(env *client.SnapshotEnvelope) error {
 
 // Validate rejects structurally broken envelopes before any cache or
 // machine state is consulted: schema version, integrity digest, program
-// digest shape, config-key agreement with the embedded request, snapshot
-// image header, and a positive remaining budget. An envelope of another
+// digest shape, config-key agreement with the embedded request, no memory
+// images or trace flag in it, no negative counter or statistic, snapshot
+// image header, and a positive remaining budget. The integrity digest is
+// no authentication (any client can recompute it), so Validate itself
+// refuses the field values Pack never mints. An envelope of another
 // version, or an image of another format version, is a StaleError; the
 // version comes first because another version's Sum is not this one's.
 // It does not resolve the program (Resolve) or check machine-fingerprint
@@ -196,6 +202,12 @@ func Validate(env *client.SnapshotEnvelope) error {
 	if len(env.Request.LocalMem) != 0 || len(env.Request.ScalarMem) != 0 {
 		return fmt.Errorf("envelope request carries memory images (the snapshot owns all state)")
 	}
+	if env.Request.Trace {
+		return errors.New("envelope request asks for trace (sessions do not support trace)")
+	}
+	if err := counters(env); err != nil {
+		return err
+	}
 	if _, err := machine.InspectSnapshot(env.Snapshot); errors.Is(err, machine.ErrSnapshotVersion) {
 		return &StaleError{Digest: env.Digest, Reason: fmt.Sprintf("snapshot image cannot be restored by this build (%v); resubmit from source", err)}
 	} else if err != nil {
@@ -203,6 +215,24 @@ func Validate(env *client.SnapshotEnvelope) error {
 	}
 	if env.RemainingCycles < 1 {
 		return fmt.Errorf("envelope has no remaining cycle budget (%d)", env.RemainingCycles)
+	}
+	return nil
+}
+
+// counters refuses a negative budget counter or statistic: Pack mints
+// none, and a resume would carry one into the session's result.
+func counters(env *client.SnapshotEnvelope) error {
+	st := env.Stats
+	vals := append([]int64{env.ConsumedCycles, env.Checkpoints, env.CheckpointEveryCycles,
+		st.Cycles, st.Instructions, st.ScalarOps, st.ParallelOps, st.ReductionOps,
+		st.IdleCycles, st.Contention, st.Fetches, st.Flushes}, st.PerThread...)
+	for _, causes := range []map[string]int64{st.IdleByCause, st.StallByCause} {
+		for _, v := range causes {
+			vals = append(vals, v)
+		}
+	}
+	if slices.Min(vals) < 0 {
+		return errors.New("envelope has a negative counter (consumedCycles, checkpoints, checkpointEveryCycles, or stats)")
 	}
 	return nil
 }

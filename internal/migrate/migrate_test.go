@@ -149,6 +149,57 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestValidateRefusesHostileSealed: the sum is an integrity digest anyone
+// can recompute, so a client can seal field values Pack never mints.
+// Validate must refuse each of them, correctly sealed, as a plain (400)
+// error rather than a StaleError.
+func TestValidateRefusesHostileSealed(t *testing.T) {
+	base, _ := mintMid(t, 1_000_000)
+	if err := migrate.Validate(base); err != nil {
+		t.Fatalf("valid envelope rejected: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(*client.SnapshotEnvelope)
+		want   string
+	}{
+		{"trace", func(e *client.SnapshotEnvelope) { e.Request.Trace = true }, "trace"},
+		{"consumed", func(e *client.SnapshotEnvelope) { e.ConsumedCycles = -1 }, "negative counter"},
+		{"checkpoints", func(e *client.SnapshotEnvelope) { e.Checkpoints = -3 }, "negative counter"},
+		{"cadence", func(e *client.SnapshotEnvelope) { e.CheckpointEveryCycles = -100 }, "negative counter"},
+		{"cycles", func(e *client.SnapshotEnvelope) { e.Stats.Cycles = -5 }, "negative counter"},
+		{"instructions", func(e *client.SnapshotEnvelope) { e.Stats.Instructions = -1 }, "negative counter"},
+		{"scalar ops", func(e *client.SnapshotEnvelope) { e.Stats.ScalarOps = -1 }, "negative counter"},
+		{"parallel ops", func(e *client.SnapshotEnvelope) { e.Stats.ParallelOps = -1 }, "negative counter"},
+		{"reduction ops", func(e *client.SnapshotEnvelope) { e.Stats.ReductionOps = -1 }, "negative counter"},
+		{"idle", func(e *client.SnapshotEnvelope) { e.Stats.IdleCycles = -1 }, "negative counter"},
+		{"contention", func(e *client.SnapshotEnvelope) { e.Stats.Contention = -1 }, "negative counter"},
+		{"fetches", func(e *client.SnapshotEnvelope) { e.Stats.Fetches = -1 }, "negative counter"},
+		{"flushes", func(e *client.SnapshotEnvelope) { e.Stats.Flushes = -1 }, "negative counter"},
+		{"idle cause", func(e *client.SnapshotEnvelope) { e.Stats.IdleByCause = map[string]int64{"reduction": -2} }, "negative counter"},
+		{"stall cause", func(e *client.SnapshotEnvelope) { e.Stats.StallByCause = map[string]int64{"raw": -2} }, "negative counter"},
+		{"per thread", func(e *client.SnapshotEnvelope) { e.Stats.PerThread = []int64{4, -1} }, "negative counter"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			env := *base // each mutation replaces a field, never edits base's maps or slices
+			tc.mutate(&env)
+			migrate.Seal(&env)
+			err := migrate.Validate(&env)
+			if err == nil {
+				t.Fatal("hostile sealed envelope accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+			var stale *migrate.StaleError
+			if errors.As(err, &stale) {
+				t.Errorf("error %q is a StaleError (409), want a plain error (400)", err)
+			}
+		})
+	}
+}
+
 func TestResolve(t *testing.T) {
 	env, _ := mintMid(t, 1_000_000)
 	prog, digest := compileLong(t)

@@ -1,10 +1,11 @@
 // Package obs is a dependency-free metrics core for the serving stack: a
 // registry of counters, gauges, and histograms (each optionally with
 // labeled children) that renders the Prometheus text exposition format
-// v0.0.4. It exists so ascd can export the simulator's paper-relevant
-// signals — stall cycles by hazard kind, reduction-tree occupancy, request
-// latency — to a standard scraper without pulling a client library into
-// the module.
+// v0.0.4 through one renderer, WriteFamilies, and reads it back through
+// one parser, ParseText. It exists so ascd can export the simulator's
+// paper-relevant signals — stall cycles by hazard kind, reduction-tree
+// occupancy, request latency — to a standard scraper without pulling a
+// client library into the module.
 //
 // Instruments are created through a Registry and are safe for concurrent
 // use. Values that live outside the registry (pool statistics, runtime
@@ -14,7 +15,6 @@ package obs
 import (
 	"fmt"
 	"regexp"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,7 +50,6 @@ type family struct {
 
 	mu       sync.Mutex
 	children map[string]any // *Counter, *Gauge, or *Histogram, keyed by joined label values
-	order    []string
 	fn       func() float64 // value callback for NewGaugeFunc families
 }
 
@@ -110,7 +109,6 @@ func (f *family) child(values []string, mk func() any) any {
 	}
 	c := mk()
 	f.children[key] = c
-	f.order = append(f.order, key)
 	return c
 }
 
@@ -206,24 +204,4 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 // NewHistogramVec registers a histogram family with labeled children.
 func (r *Registry) NewHistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
 	return &HistogramVec{f: r.register(name, help, "histogram", labels, bounds, nil)}
-}
-
-// snapshotFamilies returns the families sorted by name after running the
-// collect callbacks.
-func (r *Registry) snapshotFamilies() []*family {
-	r.mu.Lock()
-	collectors := append([]func(){}, r.collectors...)
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-	// Collectors run outside the registry lock: they only touch family
-	// children, and running them unlocked keeps a slow callback from
-	// blocking registration.
-	for _, fn := range collectors {
-		fn()
-	}
-	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
-	return fams
 }

@@ -8,12 +8,12 @@ import (
 )
 
 // This file is the read side of the exposition format: a strict parser for
-// the text this package renders, plus helpers to relabel, merge, and
-// re-render parsed families. ascgw uses it to serve a fleet-wide /metrics:
-// each backend's scrape is parsed, tagged with a backend label (or summed
-// across backends), merged with the gateway's own registry output, and
-// rendered back out; ascd and ascgw both project their JSON /metrics view
-// from parsed families.
+// the text this package renders, plus helpers to relabel and merge parsed
+// families. ascgw uses it to serve a fleet-wide /metrics: each backend's
+// scrape is parsed, tagged with a backend label (or summed across
+// backends), merged with the gateway's own Registry.Families, and rendered
+// back out through WriteFamilies; ascd and ascgw both project their JSON
+// /metrics view from parsed families.
 
 // ParsedSample is one sample line of a parsed exposition: the full sample
 // name (histogram samples keep their _bucket/_sum/_count suffix), its
@@ -516,35 +516,4 @@ func (f *ParsedFamily) SumSamples() {
 		out = append(out, s)
 	}
 	f.Samples = out
-}
-
-// WriteFamilies renders families back into text exposition form, sorted
-// by family name, with HELP/TYPE lines preceding samples — the same shape
-// WritePrometheus produces, so output from a merge parses again.
-func WriteFamilies(b *strings.Builder, fams []*ParsedFamily) {
-	sorted := append([]*ParsedFamily(nil), fams...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Name < sorted[j].Name })
-	for _, f := range sorted {
-		if len(f.Samples) == 0 {
-			continue
-		}
-		// HELP always precedes TYPE, even when empty: ParseText (and strict
-		// scrapers) require the pair in that order.
-		fmt.Fprintf(b, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
-		fmt.Fprintf(b, "# TYPE %s %s\n", f.Name, f.Type)
-		for _, s := range f.Samples {
-			b.WriteString(s.Name)
-			if len(s.Labels) > 0 {
-				b.WriteByte('{')
-				for i, l := range s.Labels {
-					if i > 0 {
-						b.WriteByte(',')
-					}
-					fmt.Fprintf(b, `%s="%s"`, l.Name, escapeLabel(l.Value))
-				}
-				b.WriteByte('}')
-			}
-			fmt.Fprintf(b, " %s%s\n", formatFloat(s.Value), exemplarString(s.Exemplar))
-		}
-	}
 }

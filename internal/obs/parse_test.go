@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -43,6 +45,61 @@ func TestParseRoundTrip(t *testing.T) {
 	if _, err := ParseText(b.String()); err != nil {
 		t.Errorf("re-rendered exposition does not parse: %v", err)
 	}
+}
+
+// TestFamiliesMatchParse holds Registry.Families to its contract on the
+// values the exponent form used to hide: counters, gauge funcs and an
+// integral histogram sum of at least 1e6 print as digits, a counter past
+// 2^53 prints as the float64 it rounds to, and a vec with no children
+// keeps its HELP and TYPE. ParseText of the rendering must be exactly
+// Families, and WriteFamilies of it must be the rendering again.
+func TestFamiliesMatchParse(t *testing.T) {
+	reg := NewRegistry()
+	reg.NewCounter("asc_sim_cycles_total", "Cycles.").Add(1234567)
+	reg.NewCounter("asc_big_total", "Past 2^53.").Add(1<<53 + 1)
+	reg.NewGaugeFunc("asc_heap_bytes", "Heap.", func() float64 { return 3e9 })
+	reg.NewCounterVec("asc_empty_total", "No children yet.", "kind")
+	h := reg.NewHistogram("asc_gang_size_jobs", "Lanes per gang.", []float64{1, 1e6})
+	h.Observe(1_000_000)
+	h.Observe(32)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	text := b.String()
+	for _, want := range []string{
+		"asc_sim_cycles_total 1234567\n",
+		"asc_big_total 9.007199254740992e+15\n",
+		"asc_heap_bytes 3000000000\n",
+		"# HELP asc_empty_total No children yet.\n# TYPE asc_empty_total counter\n",
+		`asc_gang_size_jobs_bucket{le="1e+06"} 2` + "\n",
+		"asc_gang_size_jobs_sum 1000032\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("exposition lacks %q:\n%s", want, text)
+		}
+	}
+	fams, err := ParseText(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Families(); !reflect.DeepEqual(got, fams) {
+		t.Errorf("Families differs from ParseText(WritePrometheus()):\n got %s\nwant %s", dump(got), dump(fams))
+	}
+	var again strings.Builder
+	WriteFamilies(&again, fams)
+	if again.String() != text {
+		t.Errorf("WriteFamilies changed the text:\n--- in ---\n%s\n--- out ---\n%s", text, again.String())
+	}
+}
+
+// dump prints families with their samples for a failure message.
+func dump(fams []*ParsedFamily) string {
+	var b strings.Builder
+	for _, f := range fams {
+		fmt.Fprintf(&b, "%+v\n", *f)
+	}
+	return b.String()
 }
 
 // TestParseHistogramAttachment checks that _bucket/_sum/_count samples

@@ -3,8 +3,9 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -14,14 +15,12 @@ import (
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
 
 // WritePrometheus runs the collect callbacks and renders every family in
-// Prometheus text exposition format v0.0.4: families sorted by name,
-// HELP/TYPE lines before samples, histogram buckets cumulative and
-// terminated by +Inf.
+// Prometheus text exposition format v0.0.4 through WriteFamilies:
+// families sorted by name, HELP/TYPE lines before samples, histogram
+// buckets cumulative and terminated by +Inf.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	var b strings.Builder
-	for _, f := range r.snapshotFamilies() {
-		f.render(&b)
-	}
+	WriteFamilies(&b, r.Families())
 	_, err := io.WriteString(w, b.String())
 	return err
 }
@@ -32,123 +31,153 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	r.WritePrometheus(w)
 }
 
-func (f *family) render(b *strings.Builder) {
-	fmt.Fprintf(b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-	fmt.Fprintf(b, "# TYPE %s %s\n", f.name, f.typ)
+// Families runs the collect callbacks and returns the registry as parsed
+// families, sorted by name with each family's children sorted by label
+// values: exactly what ParseText reads back from WritePrometheus. A family
+// with no children yet keeps its HELP and TYPE and has no samples.
+func (r *Registry) Families() []*ParsedFamily {
+	r.mu.Lock()
+	collectors := slices.Clone(r.collectors)
+	fams := make([]*family, 0, len(r.families))
+	for _, f := range r.families {
+		fams = append(fams, f)
+	}
+	r.mu.Unlock()
+	// Collectors run outside the registry lock: they only touch family
+	// children, and running them unlocked keeps a slow callback from
+	// blocking registration.
+	for _, fn := range collectors {
+		fn()
+	}
+	out := make([]*ParsedFamily, len(fams))
+	for i, f := range fams {
+		out[i] = f.parsed()
+	}
+	slices.SortFunc(out, byName)
+	return out
+}
+
+func byName(a, b *ParsedFamily) int { return strings.Compare(a.Name, b.Name) }
+
+// parsed is one family as ParseText would read its rendering.
+func (f *family) parsed() *ParsedFamily {
+	p := &ParsedFamily{Name: f.name, Help: f.help, Type: f.typ}
 	if f.fn != nil {
-		fmt.Fprintf(b, "%s %s\n", f.name, formatFloat(f.fn()))
-		return
+		p.Samples = []ParsedSample{{Name: f.name, Value: f.fn()}}
+		return p
 	}
 	f.mu.Lock()
-	keys := append([]string(nil), f.order...)
+	keys := make([]string, 0, len(f.children))
+	for k := range f.children {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
 	children := make([]any, len(keys))
 	for i, k := range keys {
 		children[i] = f.children[k]
 	}
 	f.mu.Unlock()
-	// Deterministic output: children sorted by label-value tuple.
-	idx := make([]int, len(keys))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(i, j int) bool { return keys[idx[i]] < keys[idx[j]] })
-	for _, i := range idx {
-		values := []string(nil)
-		if keys[i] != "" || len(f.labels) > 0 {
-			values = strings.Split(keys[i], childKeySep)
+	for i, key := range keys {
+		var labels []Label
+		if len(f.labels) > 0 {
+			values := strings.Split(key, childKeySep)
+			for j, name := range f.labels {
+				labels = append(labels, Label{Name: name, Value: values[j]})
+			}
 		}
 		switch c := children[i].(type) {
-		case *Counter:
-			fmt.Fprintf(b, "%s%s %d\n", f.name, labelString(f.labels, values, "", ""), c.Value())
-		case *Gauge:
-			fmt.Fprintf(b, "%s%s %d\n", f.name, labelString(f.labels, values, "", ""), c.Value())
+		case interface{ Value() int64 }: // *Counter or *Gauge
+			p.Samples = append(p.Samples, ParsedSample{Name: f.name, Labels: labels, Value: float64(c.Value())})
 		case *Histogram:
 			counts, total, sum, exemplars := c.snapshot()
-			exemplarAt := func(bi int) *Exemplar {
-				if exemplars == nil {
-					return nil
-				}
-				return exemplars[bi]
-			}
 			var cum int64
-			for bi, bound := range c.bounds {
-				cum += counts[bi]
-				fmt.Fprintf(b, "%s_bucket%s %d%s\n", f.name,
-					labelString(f.labels, values, "le", formatFloat(bound)), cum,
-					exemplarString(exemplarAt(bi)))
+			for bi, n := range counts {
+				le := "+Inf"
+				if bi < len(c.bounds) {
+					le = formatFloat(c.bounds[bi])
+				}
+				cum += n
+				s := ParsedSample{Name: f.name + "_bucket", Value: float64(cum),
+					Labels: append(append([]Label(nil), labels...), Label{Name: "le", Value: le})}
+				if exemplars != nil {
+					s.Exemplar = exemplars[bi]
+				}
+				p.Samples = append(p.Samples, s)
 			}
-			fmt.Fprintf(b, "%s_bucket%s %d%s\n", f.name,
-				labelString(f.labels, values, "le", "+Inf"), total,
-				exemplarString(exemplarAt(len(c.bounds))))
-			fmt.Fprintf(b, "%s_sum%s %s\n", f.name, labelString(f.labels, values, "", ""), formatFloat(sum))
-			fmt.Fprintf(b, "%s_count%s %d\n", f.name, labelString(f.labels, values, "", ""), total)
+			p.Samples = append(p.Samples,
+				ParsedSample{Name: f.name + "_sum", Labels: labels, Value: sum},
+				ParsedSample{Name: f.name + "_count", Labels: labels, Value: float64(total)})
+		}
+	}
+	return p
+}
+
+// WriteFamilies renders families in text exposition form, sorted by
+// family name, with HELP/TYPE lines preceding samples. It is the one
+// renderer: WritePrometheus renders a registry's Families through it, and
+// ascgw renders merged backend scrapes through it, so any text it writes
+// parses again. A family with no samples keeps its HELP and TYPE lines.
+func WriteFamilies(b *strings.Builder, fams []*ParsedFamily) {
+	sorted := slices.Clone(fams)
+	slices.SortFunc(sorted, byName)
+	for _, f := range sorted {
+		// HELP always precedes TYPE, even when empty: ParseText (and strict
+		// scrapers) require the pair in that order.
+		fmt.Fprintf(b, "# HELP %s %s\n", f.Name, escapeHelp(f.Help))
+		fmt.Fprintf(b, "# TYPE %s %s\n", f.Name, f.Type)
+		for _, s := range f.Samples {
+			b.WriteString(s.Name)
+			writeLabels(b, s.Labels)
+			b.WriteByte(' ')
+			b.WriteString(formatValue(s.Value))
+			writeExemplar(b, s.Exemplar)
+			b.WriteByte('\n')
 		}
 	}
 }
 
-// labelString renders {k="v",...}, appending the extra pair (for histogram
-// le labels) when extraName is non-empty; it returns "" when there are no
-// labels at all.
-func labelString(names, values []string, extraName, extraValue string) string {
-	if len(names) == 0 && extraName == "" {
-		return ""
+// writeLabels renders {k="v",...}, or nothing when there are no labels.
+func writeLabels(b *strings.Builder, labels []Label) {
+	if len(labels) == 0 {
+		return
 	}
-	var b strings.Builder
 	b.WriteByte('{')
-	for i, n := range names {
+	for i, l := range labels {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		v := ""
-		if i < len(values) {
-			v = values[i]
-		}
-		fmt.Fprintf(&b, `%s="%s"`, n, escapeLabel(v))
-	}
-	if extraName != "" {
-		if len(names) > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `%s="%s"`, extraName, extraValue)
+		b.WriteString(l.Name)
+		b.WriteString(`="`)
+		b.WriteString(escapeLabel(l.Value))
+		b.WriteByte('"')
 	}
 	b.WriteByte('}')
-	return b.String()
 }
 
-// exemplarString renders an OpenMetrics exemplar suffix — a space, `#`,
+// writeExemplar renders an OpenMetrics exemplar suffix — a space, `#`,
 // the exemplar label set, the observed value, and (when present) the
 // observation timestamp:
 //
 //	asc_request_duration_seconds_bucket{le="0.05"} 12 # {trace_id="4bf9…"} 0.043 1754524800.125
 //
-// Returns "" for a nil exemplar so sample lines without exemplars render
-// exactly as before. The timestamp uses fixed-point shortest form
-// (formatTs) so the text round-trips through ParseText/WriteFamilies.
-func exemplarString(ex *Exemplar) string {
+// It writes nothing for a nil exemplar. The timestamp prints in
+// shortest-round-trip fixed-point form ("1754524800.125"), the
+// OpenMetrics timestamp shape, so the text round-trips through ParseText.
+func writeExemplar(b *strings.Builder, ex *Exemplar) {
 	if ex == nil {
-		return ""
+		return
 	}
-	var b strings.Builder
-	b.WriteString(" # {")
-	for i, l := range ex.Labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, `%s="%s"`, l.Name, escapeLabel(l.Value))
+	b.WriteString(" # ")
+	if len(ex.Labels) == 0 {
+		b.WriteString("{}")
 	}
-	b.WriteString("} ")
-	b.WriteString(formatFloat(ex.Value))
+	writeLabels(b, ex.Labels)
+	b.WriteByte(' ')
+	b.WriteString(formatValue(ex.Value))
 	if ex.Ts != 0 {
 		b.WriteByte(' ')
-		b.WriteString(formatTs(ex.Ts))
+		b.WriteString(strconv.FormatFloat(ex.Ts, 'f', -1, 64))
 	}
-	return b.String()
-}
-
-// formatTs renders an exemplar timestamp as shortest-round-trip
-// fixed-point decimal ("1754524800.125"), the OpenMetrics timestamp shape.
-func formatTs(ts float64) string {
-	return strconv.FormatFloat(ts, 'f', -1, 64)
 }
 
 // escapeLabel escapes a label value per the exposition format: backslash,
@@ -165,8 +194,21 @@ func escapeHelp(h string) string {
 	return strings.ReplaceAll(h, "\n", `\n`)
 }
 
-// formatFloat renders a sample or bound value: integers without a decimal
-// point, everything else in Go's shortest-round-trip form.
+// formatValue renders a sample or exemplar value: an integral value below
+// 2^53 in magnitude as plain digits (every such value is exact in a
+// float64), anything else in Go's shortest-round-trip form. A larger
+// integral value, such as a counter past 2^53, prints rounded to the
+// float64 every reader parses it into.
+func formatValue(v float64) string {
+	if v == math.Trunc(v) && math.Abs(v) < 1<<53 {
+		return strconv.FormatInt(int64(v), 10)
+	}
+	return formatFloat(v)
+}
+
+// formatFloat renders a histogram bucket bound, the text of its le label:
+// Go's shortest-round-trip form. The text is part of the series identity,
+// so it never changes with the value formatting above.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

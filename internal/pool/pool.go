@@ -1,7 +1,7 @@
 // Package pool maintains a fleet of warm asc.Processor instances keyed by
 // machine configuration, so a stream of simulation requests that repeat
 // configurations never pays processor construction cost (flat state file
-// allocation, worker-pool spin-up) more than once per distinct config.
+// allocation) more than once per distinct config.
 //
 // The contract with the simulator that makes this safe is
 // asc.Processor.Reset/SetProgram: a recycled machine is retargeted at the

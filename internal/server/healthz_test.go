@@ -146,3 +146,36 @@ func TestRequestIDEveryRoute(t *testing.T) {
 		}
 	}
 }
+
+// TestDrainBody pins the body rules of POST /v1/admin/drain: an empty
+// body drains with the defaults, and a body that is not exactly one JSON
+// value is refused like any other request body.
+func TestDrainBody(t *testing.T) {
+	for _, tc := range []struct {
+		name, body string
+		want       int
+	}{
+		{"empty", "", http.StatusOK},
+		{"malformed", `{"timeoutMs":`, http.StatusBadRequest},
+		{"trailing data", `{"timeoutMs": 1} {"timeoutMs": 2}`, http.StatusBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := server.New(server.Config{Workers: 1})
+			hs := httptest.NewServer(s.Handler())
+			t.Cleanup(func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+				defer cancel()
+				s.Shutdown(ctx)
+				hs.Close()
+			})
+			resp, err := http.Post(hs.URL+"/v1/admin/drain", "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("drain with body %q: status %d, want %d", tc.body, resp.StatusCode, tc.want)
+			}
+		})
+	}
+}

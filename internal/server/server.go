@@ -24,14 +24,12 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync"
 	"time"
 
@@ -379,11 +377,9 @@ var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 // maxPooledBody bounds the capacity of a buffer kept for reuse.
 const maxPooledBody = 4 << 20
 
-// decodeBody reads the body, bounded by MaxBodyBytes, and decodes it into
-// v in one pass (internal/wire). A body wire declines, or one whose read
-// failed or tripped the limit, goes to encoding/json's stream decoder as
-// the bytes read followed by the read error: the stream it read before,
-// so every refusal and its text stay as they were.
+// decodeBody reads the body, bounded by MaxBodyBytes, into a pooled buffer
+// and decodes it into v with wire.Unmarshal: a body that fails to read,
+// trips the limit, or is not exactly one JSON value is an error.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 	buf := bodies.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -395,21 +391,11 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error
 	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
 		buf.Grow(int(n) + bytes.MinRead)
 	}
-	_, rerr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if rerr == nil && wire.Decode(buf.Bytes(), v) {
-		return nil
+	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
+		return err
 	}
-	var rd io.Reader = bytes.NewReader(buf.Bytes())
-	if rerr != nil {
-		rd = io.MultiReader(rd, errReader{rerr})
-	}
-	return json.NewDecoder(rd).Decode(v)
+	return wire.Unmarshal(buf.Bytes(), v)
 }
-
-// errReader fails every read with err.
-type errReader struct{ err error }
-
-func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // observeLatency records a request duration, attaching a trace-id exemplar
 // when the request's trace is sampled — sampled traces are the ones
@@ -535,23 +521,17 @@ func (s *Server) validate(req *client.RunRequest) error {
 // handleMetrics serves the Prometheus text exposition by default; the
 // pre-obs JSON shape stays available through content negotiation
 // (Accept: application/json or ?format=json) for existing dashboards.
-// The JSON view is a projection of the same exposition (MetricsView), so
-// it can never disagree with it; new signals land only in the exposition
-// (see docs/OBSERVABILITY.md for the deprecation note).
+// The JSON view is a projection of the same families (Registry.Families
+// through MetricsView), so it can never disagree with it; new signals
+// land only in the exposition (see docs/OBSERVABILITY.md for the
+// deprecation note).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if !WantsJSON(r) {
 		w.Header().Set("Content-Type", obs.ContentType)
 		s.m.reg.WritePrometheus(w)
 		return
 	}
-	var b strings.Builder
-	s.m.reg.WritePrometheus(&b)
-	fams, err := obs.ParseText(b.String())
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "projecting metrics: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, MetricsView(fams))
+	writeJSON(w, http.StatusOK, MetricsView(s.m.reg.Families()))
 }
 
 // progDigest is the content digest of a request's compilation input — the

@@ -25,13 +25,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -41,6 +42,7 @@ import (
 	"repro/internal/dtrace"
 	"repro/internal/migrate"
 	"repro/internal/progcache"
+	"repro/internal/wire"
 )
 
 // Session states.
@@ -222,11 +224,15 @@ func (s *Server) lookupSession(id string) *session {
 	return s.sessions[id]
 }
 
-// parkSession enters id into the eviction FIFO once its segment has ended,
-// evicting the oldest non-running records beyond the retention cap.
+// parkSession moves id to the back of the eviction FIFO once its segment
+// has ended (a session is in it once), evicting the oldest non-running
+// records beyond the retention cap.
 func (s *Server) parkSession(id string) {
 	s.sessMu.Lock()
 	defer s.sessMu.Unlock()
+	if i := slices.Index(s.sessOrder, id); i >= 0 {
+		s.sessOrder = slices.Delete(s.sessOrder, i, i+1)
+	}
 	s.sessOrder = append(s.sessOrder, id)
 	for len(s.sessOrder) > s.cfg.SessionRetain {
 		old := s.sessOrder[0]
@@ -590,9 +596,13 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
+	// An empty (or all-whitespace) body drains with the defaults.
 	var req client.DrainRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil && len(bytes.TrimSpace(body)) > 0 {
+		err = wire.Unmarshal(body, &req)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
 		return
 	}

@@ -731,3 +731,33 @@ func TestSessionDeadlineSuspends(t *testing.T) {
 	}
 	t.Logf("%d segments", segments)
 }
+
+// TestSessionRetainCountsParksOnce pins the retention FIFO: a session that
+// suspends, resumes and suspends again is one parked record, so with
+// SessionRetain 1 its second park must not evict it.
+func TestSessionRetainCountsParksOnce(t *testing.T) {
+	_, _, url := newSessionTestServer(t, server.Config{Workers: 2, SessionRetain: 1})
+	req, _ := longSession(150_000)
+	req.TimeoutMs = 10 // each segment suspends at its deadline
+	segment := func(resp *http.Response, raw []byte) client.SessionResult {
+		t.Helper()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, want 200: %s", resp.StatusCode, raw)
+		}
+		var res client.SessionResult
+		if err := json.Unmarshal(raw, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.State != "suspended" || res.Envelope == nil {
+			t.Fatalf("state %q (envelope %v), want suspended with an envelope", res.State, res.Envelope != nil)
+		}
+		return res
+	}
+	first := segment(postJSON(t, url+"/v1/sessions", client.SessionRequest{RunRequest: req, Resumable: true}))
+	second := segment(postJSON(t, url+"/v1/sessions/"+first.SessionID+"/resume", client.ResumeRequest{Envelope: first.Envelope}))
+	var st client.SessionStatus
+	getJSON(t, url+"/v1/sessions/"+second.SessionID, &st)
+	if st.State != "suspended" || st.Envelope == nil {
+		t.Errorf("after the second park: state %q (envelope %v), want the suspended record", st.State, st.Envelope != nil)
+	}
+}

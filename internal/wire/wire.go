@@ -10,15 +10,19 @@
 // in range for integer fields, base64 byte strings without escapes, and
 // one value followed only by whitespace. Unknown keys are skipped, but no
 // value may nest deeper than the target type can. On any other input it
-// declines, with the target zeroed, and the caller runs encoding/json on
-// the same bytes: every error text and every first-value-only rule stays
-// encoding/json's. On input it accepts, the decoded value is the one
-// encoding/json would produce (FuzzWireDecode holds the two to that).
+// declines, with the target zeroed. Unmarshal, the one JSON body decoder
+// of ascd, ascgw and the client, then runs json.Unmarshal on the same
+// bytes, so every error text stays encoding/json's and both paths keep
+// the one-value rule: a body is exactly one JSON value, and anything but
+// whitespace after it is an error. On input Decode accepts, the decoded
+// value is the one encoding/json would produce (FuzzWireDecode holds the
+// two to that).
 package wire
 
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/json"
 	"reflect"
 	"strconv"
 	"sync"
@@ -49,6 +53,15 @@ func Decode(data []byte, v any) bool {
 		e.SetZero()
 	}
 	return ok
+}
+
+// Unmarshal is json.Unmarshal into a zeroed v, in one pass when Decode
+// accepts data.
+func Unmarshal(data []byte, v any) error {
+	if Decode(data, v) {
+		return nil
+	}
+	return json.Unmarshal(data, v)
 }
 
 // decoder is the state of one Decode: the input, the read position, and
