@@ -25,10 +25,10 @@ test:
 # Concurrency-heavy packages must stay clean under the race detector: the
 # serving stack runs concurrent compile->simulate round trips, the core's
 # checkpoint request crosses goroutines, and the program cache's LRU, the
-# trace ring and wire's pooled decoders and plan cache are shared by every
-# request.
+# trace ring, wire's pooled decoders, bodies and plan cache, and the
+# serving shell's drain gate are shared by every request.
 race:
-	$(GO) test -race ./internal/machine/... ./internal/core/... ./internal/server/... ./internal/pool/... ./internal/obs/... ./internal/gateway/... ./internal/migrate/... ./internal/progcache/... ./internal/dtrace/... ./internal/wire/... ./client/...
+	$(GO) test -race ./internal/machine/... ./internal/core/... ./internal/server/... ./internal/pool/... ./internal/obs/... ./internal/gateway/... ./internal/migrate/... ./internal/progcache/... ./internal/dtrace/... ./internal/wire/... ./internal/shell/... ./client/...
 
 bench:
 	$(GO) test -bench . -benchtime 10x -run '^$$' ./...
@@ -127,8 +127,9 @@ bench-test:
 FUZZ_TARGETS = FuzzOracle:./internal/core FuzzEnvelope:./internal/migrate \
 	FuzzRestore:./internal/machine FuzzCompile:./internal/ascl \
 	FuzzAssemble:./internal/asm FuzzDecode:./internal/asm \
-	FuzzRequest:./internal/server FuzzParseText:./internal/obs \
-	FuzzWireDecode:./internal/wire FuzzWireEncode:./internal/wire
+	FuzzRequest:./internal/server FuzzGateway:./internal/gateway \
+	FuzzParseText:./internal/obs FuzzWireDecode:./internal/wire \
+	FuzzWireEncode:./internal/wire
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/wire"
@@ -182,14 +181,6 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 	}
 }
 
-// responses recycles response-body buffers. Neither decoder keeps a
-// reference into the bytes it decodes, so a buffer is free once doOnce
-// returns.
-var responses = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledResponse bounds the capacity of a buffer kept for reuse.
-const maxPooledResponse = 4 << 20
-
 // doOnce is a single HTTP attempt carrying the call's fixed identity.
 func (c *Client) doOnce(ctx context.Context, method, path, id, tp string, body []byte, out any) error {
 	if c.timeout > 0 {
@@ -220,17 +211,14 @@ func (c *Client) doOnce(ctx context.Context, method, path, id, tp string, body [
 		return err
 	}
 	defer resp.Body.Close()
-	buf := responses.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledResponse {
-			responses.Put(buf)
-		}
-	}()
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, 64<<20)); err != nil {
+	// Neither decoder keeps a reference into the bytes it decodes, so the
+	// body is free once doOnce returns.
+	raw, err := wire.ReadBody(resp.Body, resp.ContentLength, 64<<20)
+	if err != nil {
 		return err
 	}
-	data := buf.Bytes()
+	defer raw.Release()
+	data := raw.Bytes()
 	if resp.StatusCode/100 != 2 {
 		ae := &APIError{
 			Status:     resp.StatusCode,

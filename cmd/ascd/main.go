@@ -54,29 +54,23 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/server"
+	"repro/internal/shell"
 )
 
 // options is ascd's command line: the serving core's configuration and
 // the process settings around it.
 type options struct {
-	cfg                 server.Config
-	addr, debugAddr     string
-	drainTimeout        time.Duration
-	logLevel, logFormat string
+	cfg       server.Config
+	d         shell.Daemon
+	debugAddr string
 }
 
 // parseFlags parses ascd's command line. Each server.Config flag takes its
@@ -88,14 +82,12 @@ func parseFlags(args []string) (options, error) {
 	o := options{cfg: server.DefaultConfig()}
 	c := &o.cfg
 	c.Workers, c.PoolIdle = 0, 0
-	fs.StringVar(&o.addr, "addr", ":8642", "listen address")
 	fs.IntVar(&c.Workers, "workers", 0, "execution slots per admission lane (0 = host CPUs)")
 	fs.IntVar(&c.QueueDepth, "queue", c.QueueDepth, "jobs queued beyond the slots in the run and batch lanes")
 	fs.IntVar(&c.PoolIdle, "pool-idle", 0, "warm machines kept idle (0 = 2*workers)")
 	fs.Int64Var(&c.MaxCycles, "max-cycles", c.MaxCycles, "per-request cycle cap")
 	fs.DurationVar(&c.DefaultTimeout, "timeout", c.DefaultTimeout, "default per-request wall-clock limit")
 	fs.DurationVar(&c.MaxTimeout, "max-timeout", c.MaxTimeout, "cap on requested wall-clock limits")
-	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "shutdown drain budget")
 	fs.Int64Var(&c.MaxBodyBytes, "max-body", c.MaxBodyBytes, "request body cap in bytes")
 	fs.IntVar(&c.TraceDepth, "trace-depth", c.TraceDepth, "instruction records retained for trace-enabled jobs")
 	fs.IntVar(&c.BatchMaxJobs, "batch-max-jobs", c.BatchMaxJobs, "jobs accepted in one POST /v1/batch")
@@ -105,95 +97,19 @@ func parseFlags(args []string) (options, error) {
 	fs.Float64Var(&c.TraceSample, "trace-sample", c.TraceSample, "head-sampling rate for distributed traces in [0,1]")
 	fs.DurationVar(&c.TraceSlow, "trace-slow", c.TraceSlow, "always keep traces at least this slow")
 	fs.IntVar(&c.TraceRing, "trace-ring", c.TraceRing, "finished traces retained for /debug/traces (negative = off)")
-	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error")
-	fs.StringVar(&o.logFormat, "log-format", "text", "log format: text or json")
 	fs.StringVar(&o.debugAddr, "debug-addr", "", "diagnostics listener (pprof + runtime metrics); empty = off")
-	if err := fs.Parse(args); err != nil {
-		return o, err
-	}
-	if fs.NArg() != 0 {
-		fmt.Fprintln(fs.Output(), "usage: ascd [flags]")
-		fs.PrintDefaults()
-		return o, errors.New("unexpected arguments")
-	}
-	return o, nil
+	return o, o.d.Parse(fs, args, ":8642", "ascd [flags]")
 }
 
 func main() {
 	o, err := parseFlags(os.Args[1:])
-	if errors.Is(err, flag.ErrHelp) {
-		os.Exit(0)
-	}
-	if err != nil {
-		os.Exit(2)
-	}
-
-	logger, err := buildLogger(o.logLevel, o.logFormat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ascd: %v\n", err)
-		os.Exit(2)
-	}
-	o.cfg.Logger = logger
-	core := server.New(o.cfg)
-	hs := &http.Server{
-		Addr:    o.addr,
-		Handler: core.Handler(),
-		// Slow-client guards: a stalled peer must not pin a connection
-		// goroutine forever (slowloris). No WriteTimeout — responses
-		// legitimately take up to the simulation wall-clock limit.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	if o.debugAddr != "" {
-		go runDebugListener(o.debugAddr, logger)
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Info("listening", "addr", o.addr)
-		errCh <- hs.ListenAndServe()
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		logger.Error("serve failed", "error", err.Error())
-		os.Exit(1)
-	case s := <-sig:
-		logger.Info("draining", "signal", s.String(), "budget", o.drainTimeout.String())
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-	defer cancel()
-	// Drain the admission lanes first so every admitted job completes,
-	// then close the HTTP side; new submissions get 503 throughout.
-	if err := core.Shutdown(ctx); err != nil {
-		logger.Error("drain incomplete", "error", err.Error())
-	}
-	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Error("http shutdown", "error", err.Error())
-	}
-	logger.Info("drained, bye")
-}
-
-// buildLogger assembles the slog handler from the -log-level/-log-format
-// flags, writing to stderr.
-func buildLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("bad -log-format %q: want text or json", format)
-	}
+	os.Exit(o.d.Run("ascd", err, func(logger *slog.Logger) (shell.Tier, error) {
+		o.cfg.Logger = logger
+		if o.debugAddr != "" {
+			go runDebugListener(o.debugAddr, logger)
+		}
+		return server.New(o.cfg), nil
+	}))
 }
 
 // runDebugListener serves the opt-in diagnostics surface on its own

@@ -61,29 +61,22 @@
 package main
 
 import (
-	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
 	"repro/internal/gateway"
+	"repro/internal/shell"
 )
 
 // options is ascgw's command line: the gateway's configuration and the
 // process settings around it.
 type options struct {
-	cfg                 gateway.Config
-	addr                string
-	backends            string
-	drainTimeout        time.Duration
-	logLevel, logFormat string
+	cfg      gateway.Config
+	d        shell.Daemon
+	backends string
 }
 
 // parseFlags parses ascgw's command line. Each gateway.Config flag takes
@@ -93,7 +86,6 @@ func parseFlags(args []string) (options, error) {
 	fs := flag.NewFlagSet("ascgw", flag.ContinueOnError)
 	o := options{cfg: gateway.DefaultConfig()}
 	c := &o.cfg
-	fs.StringVar(&o.addr, "addr", ":8641", "listen address")
 	fs.StringVar(&o.backends, "backends", "", "comma-separated ascd base URLs (required)")
 	fs.IntVar(&c.Replicas, "replicas", c.Replicas, "virtual ring points per backend")
 	fs.Float64Var(&c.LoadFactor, "load-factor", c.LoadFactor, "bounded-load factor")
@@ -111,96 +103,17 @@ func parseFlags(args []string) (options, error) {
 	fs.DurationVar(&c.TraceSlow, "trace-slow", c.TraceSlow, "always keep traces at least this slow")
 	fs.IntVar(&c.TraceRing, "trace-ring", c.TraceRing, "finished traces retained for /debug/traces (negative = off)")
 	fs.IntVar(&c.MaxMigrations, "max-migrations", c.MaxMigrations, "envelope hops tried per live session migration")
-	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "shutdown drain budget")
-	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug, info, warn, error")
-	fs.StringVar(&o.logFormat, "log-format", "text", "log format: text or json")
-	if err := fs.Parse(args); err != nil {
-		return o, err
-	}
-	if fs.NArg() != 0 {
-		fmt.Fprintln(fs.Output(), "usage: ascgw -backends LIST [flags]")
-		fs.PrintDefaults()
-		return o, errors.New("unexpected arguments")
-	}
-	return o, nil
+	return o, o.d.Parse(fs, args, ":8641", "ascgw -backends LIST [flags]")
 }
 
 func main() {
 	o, err := parseFlags(os.Args[1:])
-	if errors.Is(err, flag.ErrHelp) {
-		os.Exit(0)
-	}
-	if err != nil {
-		os.Exit(2)
-	}
-	if strings.TrimSpace(o.backends) == "" {
-		fmt.Fprintln(os.Stderr, "ascgw: -backends is required (comma-separated ascd base URLs)")
-		os.Exit(2)
-	}
-
-	logger, err := buildLogger(o.logLevel, o.logFormat)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ascgw: %v\n", err)
-		os.Exit(2)
-	}
-	o.cfg.Backends = strings.Split(o.backends, ",")
-	o.cfg.Logger = logger
-	gw, err := gateway.New(o.cfg)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "ascgw: %v\n", err)
-		os.Exit(2)
-	}
-
-	hs := &http.Server{
-		Addr:    o.addr,
-		Handler: gw.Handler(),
-		// Slow-client guards as on ascd; no WriteTimeout because proxied
-		// responses legitimately take up to the simulation wall-clock limit.
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-	}
-
-	errCh := make(chan error, 1)
-	go func() {
-		logger.Info("listening", "addr", o.addr, "backends", o.backends)
-		errCh <- hs.ListenAndServe()
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		logger.Error("serve failed", "error", err.Error())
-		os.Exit(1)
-	case s := <-sig:
-		logger.Info("draining", "signal", s.String(), "budget", o.drainTimeout.String())
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
-	defer cancel()
-	if err := gw.Shutdown(ctx); err != nil {
-		logger.Error("drain incomplete", "error", err.Error())
-	}
-	if err := hs.Shutdown(ctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Error("http shutdown", "error", err.Error())
-	}
-	logger.Info("drained, bye")
-}
-
-// buildLogger assembles the slog handler from the -log-level/-log-format
-// flags, writing to stderr.
-func buildLogger(level, format string) (*slog.Logger, error) {
-	var lvl slog.Level
-	if err := lvl.UnmarshalText([]byte(level)); err != nil {
-		return nil, fmt.Errorf("bad -log-level %q: %w", level, err)
-	}
-	opts := &slog.HandlerOptions{Level: lvl}
-	switch format {
-	case "text":
-		return slog.New(slog.NewTextHandler(os.Stderr, opts)), nil
-	case "json":
-		return slog.New(slog.NewJSONHandler(os.Stderr, opts)), nil
-	default:
-		return nil, fmt.Errorf("bad -log-format %q: want text or json", format)
-	}
+	os.Exit(o.d.Run("ascgw", err, func(logger *slog.Logger) (shell.Tier, error) {
+		if strings.TrimSpace(o.backends) == "" {
+			return nil, errors.New("-backends is required (comma-separated ascd base URLs)")
+		}
+		o.cfg.Backends = strings.Split(o.backends, ",")
+		o.cfg.Logger = logger
+		return gateway.New(o.cfg)
+	}))
 }

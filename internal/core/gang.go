@@ -82,9 +82,6 @@ func (g *Gang) Lanes() int { return len(g.lanes) }
 // results).
 func (g *Gang) Lane(i int) *machine.Machine { return g.lanes[i] }
 
-// LiveLanes returns how many lanes are still executing in lockstep.
-func (g *Gang) LiveLanes() int { return len(g.live) }
-
 // Run simulates until every lane has finished, peeled, or trapped, or until
 // maxCycles elapse (0 = no limit).
 func (g *Gang) Run(maxCycles int64) []LaneResult {

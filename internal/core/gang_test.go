@@ -429,8 +429,8 @@ func TestGangResetReuse(t *testing.T) {
 	}
 
 	g.Reset()
-	if g.LiveLanes() != 3 {
-		t.Fatalf("live lanes after Reset = %d, want 3", g.LiveLanes())
+	if len(g.live) != 3 {
+		t.Fatalf("live lanes after Reset = %d, want 3", len(g.live))
 	}
 	load()
 	res = g.Run(100000)
@@ -607,8 +607,8 @@ func TestGangStepZeroAlloc(t *testing.T) {
 		if avg := testing.AllocsPerRun(10, window); avg != 0 {
 			t.Errorf("32-lane search-fold window (blocks %v) allocates %.2f, want 0", blocks, avg)
 		}
-		if fg.LiveLanes() != 32 {
-			t.Fatalf("blocks %v: %d lanes live, want 32", blocks, fg.LiveLanes())
+		if len(fg.live) != 32 {
+			t.Fatalf("blocks %v: %d lanes live, want 32", blocks, len(fg.live))
 		}
 		if blocks == BlocksAuto && fg.blockDispatches == 0 {
 			t.Fatal("block plane never engaged; the fused half is vacuous")

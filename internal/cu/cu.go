@@ -247,9 +247,6 @@ func (c *CU) Redirect(tid, newPC int, resumeFetch int64) {
 	t.fetchHold = resumeFetch
 }
 
-// BufferLen returns the occupancy of tid's instruction buffer.
-func (c *CU) BufferLen(tid int) int { return len(c.threads[tid].buffer) }
-
 // PickRotating selects one active thread from the ready bitmask using the
 // rotating priority policy: the first ready thread after the one picked
 // most recently, wrapping around, which guarantees every ready thread

@@ -26,12 +26,12 @@ func TestFetchFillsBufferInOrder(t *testing.T) {
 	for cycle := int64(0); cycle < 4; cycle++ {
 		c.Fetch(cycle)
 	}
-	if got := c.BufferLen(0); got != 4 {
+	if got := bufferLen(c, 0); got != 4 {
 		t.Fatalf("buffer len = %d, want 4 (full)", got)
 	}
 	// Buffer full: further fetches are held.
 	c.Fetch(4)
-	if got := c.BufferLen(0); got != 4 {
+	if got := bufferLen(c, 0); got != 4 {
 		t.Errorf("overfilled buffer: %d", got)
 	}
 	head, ok := c.Head(0)
@@ -61,7 +61,7 @@ func TestFetchRoundRobinAcrossThreads(t *testing.T) {
 		c.Fetch(cycle)
 	}
 	for tid := 0; tid < 4; tid++ {
-		if got := c.BufferLen(tid); got != 1 {
+		if got := bufferLen(c, tid); got != 1 {
 			t.Errorf("thread %d buffer = %d, want 1 (fair round robin)", tid, got)
 		}
 	}
@@ -74,7 +74,7 @@ func TestFetchWidth(t *testing.T) {
 	c, _ := New(Config{Threads: 4, BufferDepth: 4, FetchWidth: 2}, prog(20))
 	c.StartThread(1, 0, 0)
 	c.Fetch(0)
-	total := c.BufferLen(0) + c.BufferLen(1)
+	total := bufferLen(c, 0) + bufferLen(c, 1)
 	if total != 2 {
 		t.Errorf("fetched %d instructions in one cycle, want 2", total)
 	}
@@ -96,7 +96,7 @@ func TestFetchWidthSkipsAfterServed(t *testing.T) {
 		c.Fetch(int64(cycle))
 		var got [4]int
 		for tid := range got {
-			got[tid] = c.BufferLen(tid)
+			got[tid] = bufferLen(c, tid)
 		}
 		if got != w {
 			t.Fatalf("after cycle %d buffers = %v, want %v", cycle, got, w)
@@ -126,11 +126,11 @@ func TestFetchHold(t *testing.T) {
 	c, _ := New(Config{Threads: 1}, prog(10))
 	c.StartThread(0, 0, 5)
 	c.Fetch(4)
-	if c.BufferLen(0) != 0 {
+	if bufferLen(c, 0) != 0 {
 		t.Error("fetched before hold expired")
 	}
 	c.Fetch(5)
-	if c.BufferLen(0) != 1 {
+	if bufferLen(c, 0) != 1 {
 		t.Error("did not fetch once hold expired")
 	}
 }
@@ -141,14 +141,14 @@ func TestRedirectFlushes(t *testing.T) {
 		c.Fetch(cycle)
 	}
 	c.Redirect(0, 7, 6)
-	if c.BufferLen(0) != 0 {
+	if bufferLen(c, 0) != 0 {
 		t.Error("redirect did not flush the buffer")
 	}
 	if c.Flushes != 3 {
 		t.Errorf("flush counter = %d, want 3", c.Flushes)
 	}
 	c.Fetch(5)
-	if c.BufferLen(0) != 0 {
+	if bufferLen(c, 0) != 0 {
 		t.Error("fetched before redirect resume cycle")
 	}
 	c.Fetch(6)
@@ -163,7 +163,7 @@ func TestFetchStopsAtProgramEnd(t *testing.T) {
 	for cycle := int64(0); cycle < 5; cycle++ {
 		c.Fetch(cycle)
 	}
-	if got := c.BufferLen(0); got != 2 {
+	if got := bufferLen(c, 0); got != 2 {
 		t.Errorf("buffer len = %d, want 2 (no fetch past the end)", got)
 	}
 }
@@ -315,3 +315,6 @@ func indexOf(s, sub string) int {
 	}
 	return -1
 }
+
+// bufferLen is the occupancy of tid's instruction buffer.
+func bufferLen(c *CU, tid int) int { return len(c.threads[tid].buffer) }

@@ -3,6 +3,7 @@ package dtrace
 import (
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -370,7 +371,7 @@ func TestHandler(t *testing.T) {
 	a.Finish()
 
 	rec := httptest.NewRecorder()
-	tr.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
+	serve(tr, rec, httptest.NewRequest("GET", "/debug/traces", nil))
 	var dump TraceDump
 	if err := json.Unmarshal(rec.Body.Bytes(), &dump); err != nil {
 		t.Fatalf("bad JSON: %v", err)
@@ -380,20 +381,20 @@ func TestHandler(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	tr.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?trace=nope", nil))
+	serve(tr, rec, httptest.NewRequest("GET", "/debug/traces?trace=nope", nil))
 	json.Unmarshal(rec.Body.Bytes(), &dump)
 	if len(dump.Traces) != 0 {
 		t.Fatal("trace filter must exclude non-matching ids")
 	}
 
 	rec = httptest.NewRecorder()
-	tr.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces?min_ms=abc", nil))
+	serve(tr, rec, httptest.NewRequest("GET", "/debug/traces?min_ms=abc", nil))
 	if rec.Code != 400 {
 		t.Fatalf("bad min_ms should 400, got %d", rec.Code)
 	}
 
 	rec = httptest.NewRecorder()
-	tr.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/debug/traces", nil))
+	serve(tr, rec, httptest.NewRequest("POST", "/debug/traces", nil))
 	if rec.Code != 405 {
 		t.Fatalf("POST should 405, got %d", rec.Code)
 	}
@@ -401,7 +402,7 @@ func TestHandler(t *testing.T) {
 	// A nil tracer serves an empty dump rather than panicking.
 	var nilTr *Tracer
 	rec = httptest.NewRecorder()
-	nilTr.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
+	serve(nilTr, rec, httptest.NewRequest("GET", "/debug/traces", nil))
 	if err := json.Unmarshal(rec.Body.Bytes(), &dump); err != nil || len(dump.Traces) != 0 {
 		t.Fatalf("nil tracer dump: err=%v traces=%d", err, len(dump.Traces))
 	}
@@ -421,3 +422,6 @@ func TestValidID(t *testing.T) {
 		}
 	}
 }
+
+// serve answers one /debug/traces request as ascd does.
+func serve(tr *Tracer, w http.ResponseWriter, r *http.Request) { Serve(w, r, "ascd", tr, nil) }

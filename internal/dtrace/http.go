@@ -1,14 +1,16 @@
 package dtrace
 
 import (
-	"encoding/json"
+	"context"
 	"fmt"
-	"log/slog"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
+
+	"repro/internal/wire"
 )
 
 // TraceDump is the GET /debug/traces response body.
@@ -17,41 +19,56 @@ type TraceDump struct {
 	Traces  []*FinishedTrace `json:"traces"`
 }
 
-// Handler serves the tracer's ring as JSON:
+// Serve answers GET /debug/traces for the tier named service from tr's
+// ring:
 //
 //	GET /debug/traces                  newest traces (limit 64)
 //	GET /debug/traces?trace=<id>       one trace by id
 //	GET /debug/traces?error=1          errored traces only
 //	GET /debug/traces?min_ms=250       traces at least 250ms long
 //	GET /debug/traces?limit=10         cap the result set
+//	...&format=waterfall               the traces as text waterfalls
 //
-// A nil tracer serves an empty dump, so the endpoint can be mounted
-// unconditionally.
-func (tr *Tracer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET required", http.StatusMethodNotAllowed)
-			return
+// With remote non-nil, a trace query stitches tr's half of that trace with
+// the halves remote returns (ascgw fetches them from every backend) into
+// one fleet-wide trace. A nil tracer serves an empty dump, so the endpoint
+// can be mounted unconditionally.
+func Serve(w http.ResponseWriter, r *http.Request, service string, tr *Tracer,
+	remote func(ctx context.Context, traceID string) []*FinishedTrace) {
+	if r.Method != http.MethodGet {
+		wire.WriteError(w, http.StatusMethodNotAllowed, "GET required")
+		return
+	}
+	f, err := filterFromQuery(r)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	dump := TraceDump{Service: service, Traces: []*FinishedTrace{}}
+	switch {
+	case remote != nil && f.TraceID != "":
+		if st := Stitch(tr.Lookup(f.TraceID), remote(r.Context(), f.TraceID)...); st != nil {
+			dump.Traces = append(dump.Traces, st)
 		}
-		f, err := FilterFromQuery(r)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
+	case tr != nil:
+		dump.Traces = tr.List(f)
+	}
+	if r.URL.Query().Get("format") == "waterfall" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		if len(dump.Traces) == 0 {
+			io.WriteString(w, Waterfall(nil))
 		}
-		dump := TraceDump{Traces: []*FinishedTrace{}}
-		if tr != nil {
-			dump.Service = tr.service
-			dump.Traces = tr.List(f)
+		for _, t := range dump.Traces {
+			io.WriteString(w, Waterfall(t))
 		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(&dump)
-	})
+		return
+	}
+	wire.WriteJSON(w, http.StatusOK, &dump)
 }
 
-// FilterFromQuery builds a Filter from /debug/traces query parameters
-// (trace, error, min_ms, limit). Shared by ascd's endpoint and the
-// gateway's stitched variant.
-func FilterFromQuery(r *http.Request) (Filter, error) {
+// filterFromQuery builds a Filter from /debug/traces query parameters
+// (trace, error, min_ms, limit).
+func filterFromQuery(r *http.Request) (Filter, error) {
 	q := r.URL.Query()
 	f := Filter{TraceID: q.Get("trace")}
 	if v := q.Get("error"); v != "" {
@@ -220,36 +237,11 @@ func ValidID(id string) bool {
 // NewID returns a fresh 16-hex-character random id.
 func NewID() string { return newHex(8) }
 
-// RequestID resolves the id for a request: a valid inbound X-Request-Id
-// (set by ascgw or any fronting proxy) is adopted, so one id threads
-// through gateway and backend logs; anything else gets a fresh id. Below
-// WithRequestID it returns the id the wrapper resolved.
-func RequestID(r *http.Request) string {
-	if id := r.Header.Get("X-Request-Id"); ValidID(id) {
-		return id
-	}
-	return NewID()
-}
-
-// StartRequest begins the distributed trace for one HTTP request: a valid
-// inbound traceparent (from ascgw or any W3C-propagating client) is
-// adopted, anything else mints a fresh trace. The trace id is echoed in
-// X-Trace-Id and threaded through the returned logger, so a log line, an
-// exemplar, and GET /debug/traces?trace=<id> all meet at the same id.
-// With tracing disabled it returns a nil trace and log unchanged.
-func (tr *Tracer) StartRequest(w http.ResponseWriter, r *http.Request, name, id string, log *slog.Logger) (*Active, *slog.Logger) {
-	a := tr.StartTrace(r.Header.Get("traceparent"), name, id)
-	if a == nil {
-		return nil, log
-	}
-	w.Header().Set("X-Trace-Id", a.TraceID())
-	return a, log.With("trace_id", a.TraceID(), "span_id", a.Root().ID())
-}
-
 // WithRequestID resolves a request's id once, before any route runs, and
-// echoes it in the response's X-Request-Id header. A fresh id is also
-// written back to the request header, so every handler below reads the
-// same id with RequestID.
+// echoes it in the response's X-Request-Id header: a valid inbound id (set
+// by ascgw or any fronting proxy) is adopted, so one id threads through
+// gateway and backend logs; anything else gets a fresh id, written back to
+// the request header, so every handler below reads the same id there.
 func WithRequestID(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")

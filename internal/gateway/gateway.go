@@ -20,6 +20,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/progcache"
 	"repro/internal/server"
+	"repro/internal/shell"
 	"repro/internal/wire"
 )
 
@@ -170,12 +171,11 @@ func DefaultConfig() Config {
 // caches, warm pools, and gang grouping keep their hit rates through
 // scale-out. Create it with New, mount Handler, stop it with Shutdown.
 type Gateway struct {
-	cfg    Config
-	ring   *Ring
-	check  *checker
-	m      *gwMetrics
-	log    *slog.Logger
-	tracer *dtrace.Tracer
+	cfg   Config
+	ring  *Ring
+	check *checker
+	m     *gwMetrics
+	sh    shell.Shell
 
 	inflight atomic.Int64             // admitted run/batch handler calls
 	loads    map[string]*atomic.Int64 // per-backend in-flight jobs (bounded-load signal)
@@ -189,10 +189,6 @@ type Gateway struct {
 	drained     map[string]bool
 	migMu       sync.Mutex
 	migLedger   map[string]*migRecord
-
-	mu       sync.RWMutex
-	draining bool
-	wg       sync.WaitGroup
 }
 
 // New builds a gateway over the configured backends and starts its
@@ -224,20 +220,24 @@ func New(cfg Config) (*Gateway, error) {
 	cfg.Backends = backends
 
 	g := &Gateway{
-		cfg:  cfg,
-		ring: NewRing(cfg.Replicas),
-		m:    newGwMetrics(),
-		log:  cfg.Logger,
-		tracer: dtrace.New(dtrace.Options{
+		cfg:         cfg,
+		ring:        NewRing(cfg.Replicas),
+		m:           newGwMetrics(),
+		loads:       make(map[string]*atomic.Int64, len(backends)),
+		sessBackend: make(map[string]string),
+		drained:     make(map[string]bool),
+		migLedger:   make(map[string]*migRecord),
+	}
+	g.sh = shell.Shell{
+		Log: cfg.Logger,
+		Tracer: dtrace.New(dtrace.Options{
 			Service:  "ascgw",
 			Sample:   cfg.TraceSample,
 			Slow:     cfg.TraceSlow,
 			RingSize: cfg.TraceRing,
 		}),
-		loads:       make(map[string]*atomic.Int64, len(backends)),
-		sessBackend: make(map[string]string),
-		drained:     make(map[string]bool),
-		migLedger:   make(map[string]*migRecord),
+		MaxBody: cfg.MaxBodyBytes,
+		Latency: g.m.latency,
 	}
 	for _, b := range backends {
 		g.ring.Add(b)
@@ -288,12 +288,11 @@ func (g *Gateway) Handler() http.Handler {
 	mux.HandleFunc("/v1/admin/drain", g.handleAdminDrain)
 	mux.HandleFunc("/metrics", g.handleMetrics)
 	mux.HandleFunc("/healthz", g.handleHealthz)
-	mux.HandleFunc("/debug/traces", g.handleTraces)
+	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
+		dtrace.Serve(w, r, "ascgw", g.sh.Tracer, g.fetchBackendTraces)
+	})
 	return dtrace.WithRequestID(mux)
 }
-
-// Tracer exposes the gateway's tracer; nil when disabled.
-func (g *Gateway) Tracer() *dtrace.Tracer { return g.tracer }
 
 // Registry exposes the gateway's own metrics registry.
 func (g *Gateway) Registry() *obs.Registry { return g.m.reg }
@@ -301,35 +300,10 @@ func (g *Gateway) Registry() *obs.Registry { return g.m.reg }
 // Shutdown stops admission (new submissions get 503), waits for in-flight
 // requests up to ctx's deadline, and stops the health checker. Idempotent.
 func (g *Gateway) Shutdown(ctx context.Context) error {
-	g.mu.Lock()
-	already := g.draining
-	g.draining = true
-	g.mu.Unlock()
-	if !already {
+	if g.sh.Gate.Close() {
 		g.check.Stop()
 	}
-	done := make(chan struct{})
-	go func() {
-		g.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("gateway: shutdown: %w", ctx.Err())
-	}
-}
-
-// writeJSON writes v as json.Encoder would: its encoding and a newline.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	wire.Write(w, v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	return g.sh.Gate.Wait(ctx)
 }
 
 // retryAfterSeconds derives the gateway's shed hint from current load:
@@ -357,67 +331,42 @@ func (g *Gateway) retryAfterSeconds(floorHint int) int {
 
 func (g *Gateway) writeUnavailable(w http.ResponseWriter, status int, floorHint int, format string, args ...any) {
 	w.Header().Set("Retry-After", strconv.Itoa(g.retryAfterSeconds(floorHint)))
-	writeError(w, status, format, args...)
-}
-
-// request runs the prelude every POST handler shares: it reads the
-// request id, starts the trace, checks the method, and reads the bounded
-// body, decoding it into v. The raw body comes back for proxying. ok=false
-// means the refusal has been written; the caller still finishes tr, which
-// is nil-safe. The id is forwarded to every backend attempt, so one id
-// follows a job through gateway and backend logs end to end.
-func (g *Gateway) request(w http.ResponseWriter, r *http.Request, name, allow string, v any) (id string, tr *dtrace.Active, log *slog.Logger, body []byte, ok bool) {
-	id = dtrace.RequestID(r)
-	tr, log = g.tracer.StartRequest(w, r, name, id, g.log.With("request_id", id))
-	if r.Method != http.MethodPost {
-		tr.SetError()
-		writeError(w, http.StatusMethodNotAllowed, "%s required", allow)
-		return id, tr, log, nil, false
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, g.cfg.MaxBodyBytes))
-	if err == nil {
-		err = wire.Unmarshal(body, v)
-	}
-	if err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return id, tr, log, nil, false
-	}
-	return id, tr, log, body, true
+	wire.WriteError(w, status, format, args...)
 }
 
 // admit performs the drain/in-flight admission dance shared by every
 // proxying handler. It returns false after writing the refusal and
-// marking tr errored; on true the caller owns one wg slot and one inflight
-// unit and must call release with the returned start time.
+// marking tr errored; on true the caller owns one gate unit and one
+// inflight unit and must call release with the returned start time.
 func (g *Gateway) admit(w http.ResponseWriter, tr *dtrace.Active, route string) (start time.Time, ok bool) {
-	g.mu.RLock()
-	if g.draining {
-		g.mu.RUnlock()
+	ok, draining := g.sh.Gate.Admit(1, func() bool {
+		if g.inflight.Load() >= int64(g.cfg.MaxInflight) {
+			return false
+		}
+		g.inflight.Add(1)
+		return true
+	})
+	switch {
+	case draining:
 		g.m.sheds.With(route, "draining").Inc()
 		tr.SetError()
 		g.writeUnavailable(w, http.StatusServiceUnavailable, 0, "gateway is shutting down")
-		return start, false
-	}
-	if g.inflight.Load() >= int64(g.cfg.MaxInflight) {
-		g.mu.RUnlock()
+	case !ok:
 		g.m.sheds.With(route, "inflight").Inc()
 		tr.SetError()
 		g.writeUnavailable(w, http.StatusTooManyRequests, 0, "gateway at capacity (%d in flight)", g.cfg.MaxInflight)
-		return start, false
+	default:
+		g.m.requests.With(route).Inc()
+		start = time.Now()
 	}
-	g.inflight.Add(1)
-	g.wg.Add(1)
-	g.mu.RUnlock()
-	g.m.requests.With(route).Inc()
-	return time.Now(), true
+	return start, ok
 }
 
 // release records an admitted request's latency and returns its slot.
 func (g *Gateway) release(tr *dtrace.Active, start time.Time) {
-	g.observeLatency(tr, time.Since(start).Seconds())
+	g.sh.ObserveLatency(tr, time.Since(start).Seconds())
 	g.inflight.Add(-1)
-	g.wg.Done()
+	g.sh.Gate.Done(1)
 }
 
 // routingKey is what a job hashes on: the pre-submit program digest
@@ -462,7 +411,8 @@ func (g *Gateway) candidates(key string) (out []string, spilled bool) {
 // backendResponse is one proxied attempt's outcome.
 type backendResponse struct {
 	status     int
-	body       []byte
+	body       []byte     // raw's bytes, valid until raw.Release
+	raw        *wire.Body // nil for an answer the gateway minted
 	header     http.Header
 	retryAfter int                      // parsed Retry-After seconds on 429/503
 	handoff    *client.SnapshotEnvelope // the drain handshake's envelope, set by attempt
@@ -496,11 +446,11 @@ func (g *Gateway) forward(ctx context.Context, method, backend, path, id, tp str
 		return nil, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	raw, err := wire.ReadBody(resp.Body, resp.ContentLength, 256<<20)
 	if err != nil {
 		return nil, err
 	}
-	br := &backendResponse{status: resp.StatusCode, body: data, header: resp.Header}
+	br := &backendResponse{status: resp.StatusCode, body: raw.Bytes(), raw: raw, header: resp.Header}
 	if h := resp.Header.Get("Retry-After"); h != "" {
 		if secs, err := strconv.Atoi(strings.TrimSpace(h)); err == nil && secs > 0 {
 			br.retryAfter = secs
@@ -537,7 +487,8 @@ const (
 // the caller's): it charges the backend's load while the request is in
 // flight, forwards, reports transport failures to the health checker,
 // and classifies the answer, raising h.hint to a retryable answer's
-// Retry-After. Every proxy loop goes through it.
+// Retry-After. Only a terminal answer comes back whole; a handshake
+// carries just its envelope. Every proxy loop goes through it.
 func (g *Gateway) attempt(ctx context.Context, h *hop, parent *dtrace.Span, name, backend string, attrs ...dtrace.Attr) (*backendResponse, hopOutcome) {
 	label := backendLabel(backend)
 	a, _ := dtrace.FromContext(ctx)
@@ -562,20 +513,22 @@ func (g *Gateway) attempt(ctx context.Context, h *hop, parent *dtrace.Span, name
 	sp.SetAttr(dtrace.Int("status", int64(r.status)))
 	if r.status == http.StatusServiceUnavailable {
 		if r.handoff = parseDraining(r.body); r.handoff != nil {
+			r.raw.Release()
 			sp.SetAttr(dtrace.Str("outcome", "draining_handshake"))
 			sp.End()
-			return r, hopHandshake
+			return &backendResponse{handoff: r.handoff}, hopHandshake
 		}
 	}
 	// 429 (queue full) and 503 (draining or overloaded) are load
 	// statements about one node, not about the job: close the span with
 	// its status, not as an error.
 	if r.status == http.StatusTooManyRequests || r.status == http.StatusServiceUnavailable {
+		r.raw.Release()
 		g.m.backendRequests.With(label, "retryable").Inc()
 		sp.SetAttr(dtrace.Str("outcome", "retryable"))
 		sp.End()
 		h.hint = max(h.hint, r.retryAfter)
-		return r, hopRetry
+		return nil, hopRetry
 	}
 	g.m.backendRequests.With(label, "ok").Inc()
 	sp.End()
@@ -632,41 +585,29 @@ func (g *Gateway) proxyToFleet(ctx context.Context, key string, h *hop) (resp *b
 // not semantics.
 func (g *Gateway) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req client.RunRequest
-	id, tr, log, body, ok := g.request(w, r, "run", "POST", &req)
-	defer tr.Finish()
+	c, ok := g.sh.Request(w, r, shell.Route{Name: "run", Allow: "POST", Keep: true}, &req)
+	defer c.Finish()
 	if !ok {
 		return
 	}
-	start, ok := g.admit(w, tr, "run")
+	start, ok := g.admit(w, c.Tr, "run")
 	if !ok {
 		return
 	}
-	defer g.release(tr, start)
+	defer g.release(c.Tr, start)
 
-	ctx := dtrace.ContextWith(r.Context(), tr, tr.Root())
-	h := &hop{path: "/v1/run", id: id, body: body, jobs: 1, log: log}
+	ctx := dtrace.ContextWith(r.Context(), c.Tr, c.Tr.Root())
+	h := &hop{path: "/v1/run", id: c.ID, body: c.Body, jobs: 1, log: c.Log}
 	resp, backend := g.proxyToFleet(ctx, routingKey(&req), h)
 	if resp == nil {
-		tr.SetError()
+		c.Tr.SetError()
 		if r.Context().Err() == nil { // otherwise the client is gone: nothing useful can be written
-			g.shedRun(w, log, h.hint)
+			g.shedRun(w, c.Log, h.hint)
 		}
 		return
 	}
-	log.Debug("run routed", "backend", backend, "status", resp.status)
-	relay(w, tr, resp)
-}
-
-// observeLatency records gateway request latency, attaching a trace-id
-// exemplar when the request's trace is head-sampled (and therefore
-// retrievable from /debug/traces).
-func (g *Gateway) observeLatency(tr *dtrace.Active, seconds float64) {
-	if tr.Sampled() {
-		g.m.latency.ObserveWithExemplar(seconds, float64(time.Now().UnixMilli())/1000,
-			obs.Label{Name: "trace_id", Value: tr.TraceID()})
-		return
-	}
-	g.m.latency.Observe(seconds)
+	c.Log.Debug("run routed", "backend", backend, "status", resp.status)
+	relay(w, c.Tr, resp)
 }
 
 // shedRun emits the gateway's saturation response for a run that
@@ -685,8 +626,10 @@ func (g *Gateway) shedRun(w http.ResponseWriter, log *slog.Logger, hint int) {
 
 // relay copies a backend response to the client byte for byte, keeping
 // the backend's status, error shape, and Retry-After (results must be
-// bit-identical to a direct ascd call), and marks tr errored on a 4xx/5xx.
+// bit-identical to a direct ascd call), marks tr errored on a 4xx/5xx,
+// and releases the response.
 func relay(w http.ResponseWriter, tr *dtrace.Active, resp *backendResponse) {
+	defer resp.raw.Release()
 	if resp.status >= http.StatusBadRequest {
 		tr.SetError()
 	}
@@ -741,36 +684,36 @@ func (g *Gateway) splitBatch(req *client.BatchRequest) []batchGroup {
 // (HTTP 200, index-aligned outcome vector) survives any single backend.
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req client.BatchRequest
-	id, tr, log, _, ok := g.request(w, r, "batch", "POST", &req)
-	defer tr.Finish()
+	c, ok := g.sh.Request(w, r, shell.Route{Name: "batch", Allow: "POST"}, &req)
+	defer c.Finish()
 	if !ok {
 		return
 	}
 	if len(req.Jobs) == 0 {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "batch has no jobs")
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "batch has no jobs")
 		return
 	}
 	if len(req.Jobs) > g.cfg.BatchMaxJobs {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "batch has %d jobs, gateway cap is %d", len(req.Jobs), g.cfg.BatchMaxJobs)
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "batch has %d jobs, gateway cap is %d", len(req.Jobs), g.cfg.BatchMaxJobs)
 		return
 	}
 	if req.TimeoutMs < 0 {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "timeoutMs must be non-negative")
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "timeoutMs must be non-negative")
 		return
 	}
-	start, ok := g.admit(w, tr, "batch")
+	start, ok := g.admit(w, c.Tr, "batch")
 	if !ok {
 		return
 	}
-	defer g.release(tr, start)
+	defer g.release(c.Tr, start)
 
 	groups := g.splitBatch(&req)
-	tr.Root().SetAttr(dtrace.Int("jobs", int64(len(req.Jobs))), dtrace.Int("groups", int64(len(groups))))
-	log.Debug("batch split", "jobs", len(req.Jobs), "groups", len(groups))
-	batchCtx := dtrace.ContextWith(r.Context(), tr, tr.Root())
+	c.Tr.Root().SetAttr(dtrace.Int("jobs", int64(len(req.Jobs))), dtrace.Int("groups", int64(len(groups))))
+	c.Log.Debug("batch split", "jobs", len(req.Jobs), "groups", len(groups))
+	batchCtx := dtrace.ContextWith(r.Context(), c.Tr, c.Tr.Root())
 	outcomes := make([]client.BatchJobResult, len(req.Jobs))
 	var wg sync.WaitGroup
 	for _, grp := range groups {
@@ -779,12 +722,12 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		wg.Add(1)
 		go func(grp batchGroup) {
 			defer wg.Done()
-			g.routeGroup(batchCtx, &req, grp, outcomes, id, log)
+			g.routeGroup(batchCtx, &req, grp, outcomes, c.ID, c.Log)
 		}(grp)
 	}
 	wg.Wait()
 	if r.Context().Err() != nil {
-		tr.SetError()
+		c.Tr.SetError()
 		return // client gone
 	}
 
@@ -799,10 +742,10 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			res.Failed++
 		}
 	}
-	log.Info("batch completed", "jobs", len(req.Jobs), "groups", len(groups),
+	c.Log.Info("batch completed", "jobs", len(req.Jobs), "groups", len(groups),
 		"completed", res.Completed, "failed", res.Failed, "canceled", res.Canceled,
 		"duration", time.Since(start).String())
-	writeJSON(w, http.StatusOK, &res)
+	wire.WriteJSON(w, http.StatusOK, &res)
 }
 
 // routeGroup forwards one digest group as a sub-batch to its ring owner
@@ -843,6 +786,7 @@ func (g *Gateway) routeGroup(ctx context.Context, req *client.BatchRequest, grp 
 			fmt.Sprintf("no backend available for this job group; retry after %ds", secs))
 		return
 	}
+	defer resp.raw.Release()
 	if resp.status != http.StatusOK {
 		// The backend refused the whole sub-batch on non-load grounds
 		// (it cannot be 429/503 here — those retried). Surface its answer
@@ -883,20 +827,11 @@ func (g *Gateway) failGroup(outcomes []client.BatchJobResult, grp batchGroup, st
 // admitting and at least one backend is routable, so a load balancer in
 // front of several gateways treats a fleetless gateway as down.
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	g.mu.RLock()
-	draining := g.draining
-	g.mu.RUnlock()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	switch {
-	case draining:
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-	case g.check.HealthyCount() == 0:
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "no healthy backends")
-	default:
-		fmt.Fprintln(w, "ok")
+	down := ""
+	if g.check.HealthyCount() == 0 {
+		down = "no healthy backends"
 	}
+	g.sh.Gate.Health(w, down)
 }
 
 // handleMetrics serves the fleet-wide scrape: the gateway's own asc_gw_*
@@ -943,7 +878,7 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if asJSON {
-		writeJSON(w, http.StatusOK, server.MetricsView(merged))
+		wire.WriteJSON(w, http.StatusOK, server.MetricsView(merged))
 		return
 	}
 	var b strings.Builder
@@ -960,55 +895,11 @@ func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	io.WriteString(w, b.String())
 }
 
-// handleTraces serves distributed traces. Without a trace filter it lists
-// the gateway's own retained traces (newest first); with ?trace=<id> it
-// stitches the gateway's half with every backend's half of the same trace
-// — fetched live from each backend's /debug/traces — into one fleet-wide
-// trace whose waterfall spans both tiers. ?format=waterfall renders that
-// trace as text instead of JSON.
-func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET required", http.StatusMethodNotAllowed)
-		return
-	}
-	f, err := dtrace.FilterFromQuery(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	dump := dtrace.TraceDump{Service: "ascgw", Traces: []*dtrace.FinishedTrace{}}
-	if f.TraceID != "" {
-		var base *dtrace.FinishedTrace
-		if g.tracer != nil {
-			base = g.tracer.Lookup(f.TraceID)
-		}
-		remotes := g.fetchBackendTraces(r.Context(), f.TraceID)
-		if st := dtrace.Stitch(base, remotes...); st != nil {
-			dump.Traces = append(dump.Traces, st)
-		}
-	} else if g.tracer != nil {
-		dump.Traces = g.tracer.List(f)
-	}
-	if r.URL.Query().Get("format") == "waterfall" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if len(dump.Traces) == 0 {
-			io.WriteString(w, dtrace.Waterfall(nil))
-			return
-		}
-		for _, t := range dump.Traces {
-			io.WriteString(w, dtrace.Waterfall(t))
-		}
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	wire.Write(w, &dump)
-}
-
 // fetchBackendTraces asks every backend for its retained half of one
-// trace, bounded by ScrapeTimeout. Backends that never retained the trace
-// (or are down) simply contribute nothing — Stitch treats absence as an
-// orphaned-but-renderable tree, so a partial fleet still yields a usable
-// waterfall.
+// trace, bounded by ScrapeTimeout, for the gateway's /debug/traces to
+// stitch. Backends that never retained the trace (or are down) simply
+// contribute nothing — Stitch treats absence as an orphaned-but-renderable
+// tree, so a partial fleet still yields a usable waterfall.
 func (g *Gateway) fetchBackendTraces(ctx context.Context, traceID string) []*dtrace.FinishedTrace {
 	halves := make([][]*dtrace.FinishedTrace, len(g.cfg.Backends))
 	g.getAll(ctx, "/debug/traces?trace="+url.QueryEscape(traceID), "", func(i int, body []byte) {
@@ -1037,6 +928,7 @@ func (g *Gateway) getAll(ctx context.Context, path, id string, each func(i int, 
 			defer wg.Done()
 			if resp, err := g.forward(ctx, http.MethodGet, b, path, id, "", nil); err == nil && resp.status == http.StatusOK {
 				each(i, resp.body)
+				resp.raw.Release()
 			}
 		}()
 	}

@@ -26,6 +26,7 @@ import (
 
 	"repro/client"
 	"repro/internal/dtrace"
+	"repro/internal/shell"
 	"repro/internal/wire"
 )
 
@@ -132,25 +133,25 @@ func (g *Gateway) handleSessions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req client.SessionRequest
-	id, tr, log, body, ok := g.request(w, r, "session", "POST or GET", &req)
-	defer tr.Finish()
+	c, ok := g.sh.Request(w, r, shell.Route{Name: "session", Allow: "POST or GET", Keep: true}, &req)
+	defer c.Finish()
 	if !ok {
 		return
 	}
-	start, ok := g.admit(w, tr, "session")
+	start, ok := g.admit(w, c.Tr, "session")
 	if !ok {
 		return
 	}
-	defer g.release(tr, start)
+	defer g.release(c.Tr, start)
 
-	ctx := dtrace.ContextWith(r.Context(), tr, tr.Root())
-	h := &hop{path: "/v1/sessions", id: id, body: body, jobs: 1, log: log}
+	ctx := dtrace.ContextWith(r.Context(), c.Tr, c.Tr.Root())
+	h := &hop{path: "/v1/sessions", id: c.ID, body: c.Body, jobs: 1, log: c.Log}
 	resp, backend := g.proxyToFleet(ctx, routingKey(&req.RunRequest), h)
 	if resp == nil {
-		tr.SetError()
+		c.Tr.SetError()
 		if r.Context().Err() == nil { // otherwise the client is gone: nothing useful can be written
 			g.m.sheds.With("session", "saturated").Inc()
-			log.Warn("session shed", "reason", "all replicas backpressured")
+			c.Log.Warn("session shed", "reason", "all replicas backpressured")
 			g.writeUnavailable(w, http.StatusServiceUnavailable, h.hint, "no backend available for this session")
 		}
 		return
@@ -163,8 +164,8 @@ func (g *Gateway) handleSessions(w http.ResponseWriter, r *http.Request) {
 			g.m.migrations.With("restarted").Inc()
 		}
 	}
-	log.Debug("session routed", "backend", backend, "status", resp.status)
-	relay(w, tr, resp)
+	c.Log.Debug("session routed", "backend", backend, "status", resp.status)
+	relay(w, c.Tr, resp)
 }
 
 // sessionIDFromResult pulls the session id out of a 2xx session response.
@@ -311,14 +312,14 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 // handleSessionList concatenates every backend's GET /v1/sessions.
 func (g *Gateway) handleSessionList(w http.ResponseWriter, r *http.Request) {
 	lists := make([]client.SessionList, len(g.cfg.Backends))
-	g.getAll(r.Context(), "/v1/sessions", dtrace.RequestID(r), func(i int, body []byte) {
+	g.getAll(r.Context(), "/v1/sessions", r.Header.Get("X-Request-Id"), func(i int, body []byte) {
 		wire.Unmarshal(body, &lists[i])
 	})
 	out := client.SessionList{Sessions: []client.SessionStatus{}}
 	for _, l := range lists {
 		out.Sessions = append(out.Sessions, l.Sessions...)
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleSessionByID routes GET /v1/sessions/{id} to the backend the
@@ -332,30 +333,30 @@ func (g *Gateway) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 	// reject could otherwise smuggle a query or path into the forwarded
 	// URL.
 	if !dtrace.ValidID(sid) {
-		writeError(w, http.StatusNotFound, "unknown session")
+		wire.WriteError(w, http.StatusNotFound, "unknown session")
 		return
 	}
 	switch action {
 	case "":
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "GET required")
+			wire.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 			return
 		}
 		b := g.sessionBackend(sid)
 		if b == "" {
-			writeError(w, http.StatusNotFound, "session %s was not routed through this gateway", sid)
+			wire.WriteError(w, http.StatusNotFound, "session %s was not routed through this gateway", sid)
 			return
 		}
-		resp, err := g.forward(r.Context(), http.MethodGet, b, "/v1/sessions/"+sid, dtrace.RequestID(r), "", nil)
+		resp, err := g.forward(r.Context(), http.MethodGet, b, "/v1/sessions/"+sid, r.Header.Get("X-Request-Id"), "", nil)
 		if err != nil {
-			writeError(w, http.StatusBadGateway, "backend %s: %v", backendLabel(b), err)
+			wire.WriteError(w, http.StatusBadGateway, "backend %s: %v", backendLabel(b), err)
 			return
 		}
 		relay(w, nil, resp)
 	case "resume":
 		g.handleSessionResume(w, r, sid)
 	default:
-		writeError(w, http.StatusNotFound, "unknown session action %q", action)
+		wire.WriteError(w, http.StatusNotFound, "unknown session action %q", action)
 	}
 }
 
@@ -363,40 +364,40 @@ func (g *Gateway) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 // fleet via the same walk a drain migration uses.
 func (g *Gateway) handleSessionResume(w http.ResponseWriter, r *http.Request, sid string) {
 	var req client.ResumeRequest
-	id, tr, log, _, ok := g.request(w, r, "resume", "POST", &req)
-	defer tr.Finish()
+	c, ok := g.sh.Request(w, r, shell.Route{Name: "resume", Allow: "POST"}, &req)
+	defer c.Finish()
 	if !ok {
 		return
 	}
 	if req.Envelope == nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "resume requires an envelope")
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "resume requires an envelope")
 		return
 	}
 	if req.Envelope.SessionID != sid {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "envelope session id %q does not match path %q", req.Envelope.SessionID, sid)
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "envelope session id %q does not match path %q", req.Envelope.SessionID, sid)
 		return
 	}
-	start, ok := g.admit(w, tr, "session")
+	start, ok := g.admit(w, c.Tr, "session")
 	if !ok {
 		return
 	}
-	defer g.release(tr, start)
+	defer g.release(c.Tr, start)
 
 	g.claimMigration(sid)
-	ctx := dtrace.ContextWith(r.Context(), tr, tr.Root())
-	h := &hop{id: id, log: log}
+	ctx := dtrace.ContextWith(r.Context(), c.Tr, c.Tr.Root())
+	h := &hop{id: c.ID, log: c.Log}
 	resp, backend := g.migrateSession(ctx, req.Envelope, "", h)
 	if resp == nil {
-		tr.SetError()
+		c.Tr.SetError()
 		if r.Context().Err() == nil { // otherwise the client is gone: nothing useful can be written
 			g.writeUnavailable(w, http.StatusServiceUnavailable, h.hint, "no backend available to resume the session")
 		}
 		return
 	}
-	log.Debug("resume routed", "backend", backend, "status", resp.status)
-	relay(w, tr, resp)
+	c.Log.Debug("resume routed", "backend", backend, "status", resp.status)
+	relay(w, c.Tr, resp)
 }
 
 // handleAdminDrain serves POST /v1/admin/drain: drain one backend and
@@ -406,8 +407,8 @@ func (g *Gateway) handleSessionResume(w http.ResponseWriter, r *http.Request, si
 // failed.
 func (g *Gateway) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	var req client.DrainBackendRequest
-	id, tr, log, _, ok := g.request(w, r, "drain", "POST", &req)
-	defer tr.Finish()
+	c, ok := g.sh.Request(w, r, shell.Route{Name: "drain", Allow: "POST"}, &req)
+	defer c.Finish()
 	if !ok {
 		return
 	}
@@ -416,18 +417,18 @@ func (g *Gateway) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 		backend = "http://" + backend
 	}
 	if _, ok := g.loads[backend]; !ok {
-		tr.SetError()
-		writeError(w, http.StatusNotFound, "backend %q is not configured on this gateway", req.Backend)
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusNotFound, "backend %q is not configured on this gateway", req.Backend)
 		return
 	}
 	timeout := drainTimeout
 	if req.TimeoutMs > 0 {
 		timeout = time.Duration(req.TimeoutMs) * time.Millisecond
 	}
-	ctx, cancel := context.WithTimeout(dtrace.ContextWith(r.Context(), tr, tr.Root()), timeout)
+	ctx, cancel := context.WithTimeout(dtrace.ContextWith(r.Context(), c.Tr, c.Tr.Root()), timeout)
 	defer cancel()
 
-	log.Info("draining backend", "backend", backend)
+	c.Log.Info("draining backend", "backend", backend)
 	g.setDrained(backend)
 
 	// Ask the backend to drain: it stops admitting, suspends every live
@@ -437,28 +438,29 @@ func (g *Gateway) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 	body, _ := wire.Marshal(&client.DrainRequest{TimeoutMs: req.TimeoutMs})
 	a, parent := dtrace.FromContext(ctx)
 	dsp := a.StartSpan("backend_drain", parent, dtrace.Str("backend", backendLabel(backend)))
-	resp, err := g.forward(ctx, http.MethodPost, backend, "/v1/admin/drain", id, a.Traceparent(dsp), body)
+	resp, err := g.forward(ctx, http.MethodPost, backend, "/v1/admin/drain", c.ID, a.Traceparent(dsp), body)
 	if err != nil {
 		dsp.EndErr(err.Error())
-		tr.SetError()
-		writeError(w, http.StatusBadGateway, "draining backend %s: %v", backendLabel(backend), err)
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadGateway, "draining backend %s: %v", backendLabel(backend), err)
 		return
 	}
+	defer resp.raw.Release()
 	if resp.status != http.StatusOK {
 		dsp.EndErr(fmt.Sprintf("status %d", resp.status))
-		tr.SetError()
-		writeError(w, http.StatusBadGateway, "draining backend %s: status %d: %s",
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadGateway, "draining backend %s: status %d: %s",
 			backendLabel(backend), resp.status, strings.TrimSpace(string(resp.body)))
 		return
 	}
 	dsp.End()
 	var dr client.DrainResult
 	if err := wire.Unmarshal(resp.body, &dr); err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadGateway, "backend %s returned a malformed drain result", backendLabel(backend))
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadGateway, "backend %s returned a malformed drain result", backendLabel(backend))
 		return
 	}
-	log.Info("backend drained", "backend", backend,
+	c.Log.Info("backend drained", "backend", backend,
 		"suspended", len(dr.Suspended), "still_running", dr.Running)
 
 	// Give in-flight client-held sessions a beat to register their claims
@@ -473,7 +475,7 @@ func (g *Gateway) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 			// An in-flight request (or a prior walk) owns this one.
 			ms.Outcome, ms.To, ms.Error = rec.state, rec.to, rec.err
 		} else {
-			ms = g.rescueSession(ctx, backend, sid, id, log)
+			ms = g.rescueSession(ctx, backend, sid, c.ID, c.Log)
 		}
 		switch ms.Outcome {
 		case "migrated":
@@ -483,12 +485,12 @@ func (g *Gateway) handleAdminDrain(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Sessions = append(out.Sessions, ms)
 	}
-	log.Info("drain walk complete", "backend", backend,
+	c.Log.Info("drain walk complete", "backend", backend,
 		"migrated", out.Migrated, "failed", out.Failed, "sessions", len(out.Sessions))
 	if out.Failed > 0 {
-		tr.SetError()
+		c.Tr.SetError()
 	}
-	writeJSON(w, http.StatusOK, &out)
+	wire.WriteJSON(w, http.StatusOK, &out)
 }
 
 // rescueSession migrates one orphaned suspended session — one no in-flight

@@ -26,18 +26,6 @@ func (in Inst) kind(o Operand) RegKind {
 	return o.Kind
 }
 
-// SrcBIsScalar reports whether operand B reads the scalar register file:
-// either the opcode is scalar-class, or its B operand is a parallel
-// register with the SB (scalar broadcast) bit set.
-func (in Inst) SrcBIsScalar() bool {
-	for _, o := range in.Op.Syntax() {
-		if o.Field == FieldRb {
-			return in.kind(o) == KindScalar
-		}
-	}
-	return false
-}
-
 // regName formats a register index for a given kind.
 func regName(kind RegKind, idx uint8) string {
 	switch kind {

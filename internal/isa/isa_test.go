@@ -290,20 +290,32 @@ func TestStringFormats(t *testing.T) {
 	}
 }
 
+// srcBIsScalar reports whether operand B reads the scalar register file:
+// either the opcode is scalar-class, or its B operand is a parallel
+// register with the SB (scalar broadcast) bit set.
+func (in Inst) srcBIsScalar() bool {
+	for _, o := range in.Op.Syntax() {
+		if o.Field == FieldRb {
+			return in.kind(o) == KindScalar
+		}
+	}
+	return false
+}
+
 func TestSrcBIsScalar(t *testing.T) {
-	if (Inst{Op: PADD, SB: false}).SrcBIsScalar() {
+	if (Inst{Op: PADD, SB: false}).srcBIsScalar() {
 		t.Error("PADD without SB should read parallel B")
 	}
-	if !(Inst{Op: PADD, SB: true}).SrcBIsScalar() {
+	if !(Inst{Op: PADD, SB: true}).srcBIsScalar() {
 		t.Error("PADD with SB should read scalar B")
 	}
-	if !(Inst{Op: ADD}).SrcBIsScalar() {
+	if !(Inst{Op: ADD}).srcBIsScalar() {
 		t.Error("scalar ADD reads scalar B")
 	}
-	if (Inst{Op: RMAX}).SrcBIsScalar() {
+	if (Inst{Op: RMAX}).srcBIsScalar() {
 		t.Error("RMAX has no B operand")
 	}
-	if (Inst{Op: FAND, SB: true}).SrcBIsScalar() {
+	if (Inst{Op: FAND, SB: true}).srcBIsScalar() {
 		t.Error("FAND's B is a flag register, whatever SB says")
 	}
 }

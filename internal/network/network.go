@@ -36,12 +36,19 @@ func BroadcastLatency(p, k int) int {
 	if p < 1 || k < 2 {
 		panic(fmt.Sprintf("network: invalid broadcast tree p=%d k=%d", p, k))
 	}
+	return max(ceilLog(p, k), 1)
+}
+
+// ceilLog returns ceil(log_k p) for p >= 1, k >= 2. The power stops
+// growing once one more factor of k reaches p, so it never overflows, not
+// even for p near MaxInt.
+func ceilLog(p, k int) int {
 	d := 0
 	for n := 1; n < p; n *= k {
 		d++
-	}
-	if d < 1 {
-		d = 1
+		if n > (p-1)/k {
+			break
+		}
 	}
 	return d
 }
@@ -52,14 +59,7 @@ func ReductionLatency(p int) int {
 	if p < 1 {
 		panic(fmt.Sprintf("network: invalid reduction tree p=%d", p))
 	}
-	d := 0
-	for n := 1; n < p; n *= 2 {
-		d++
-	}
-	if d < 1 {
-		d = 1
-	}
-	return d
+	return max(ceilLog(p, 2), 1)
 }
 
 // BroadcastNodes returns the number of internal nodes (registers) in a k-ary

@@ -1,9 +1,12 @@
 package network
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/isa"
 )
@@ -35,6 +38,47 @@ func TestReductionLatency(t *testing.T) {
 	for _, c := range cases {
 		if got := ReductionLatency(c.p); got != c.want {
 			t.Errorf("ReductionLatency(%d) = %d, want %d", c.p, got, c.want)
+		}
+	}
+}
+
+// TestLatencyLogsExact pins b = ceil(log_k p) and r = ceil(log2 p) up to
+// MaxInt against a math/big reference, each call under a deadline: a
+// power that wraps past MaxInt stays below p and would spin forever.
+func TestLatencyLogsExact(t *testing.T) {
+	ceil := func(p, k int) int { // smallest d with k^d >= p
+		pow, d := big.NewInt(1), 0
+		for pow.Cmp(big.NewInt(int64(p))) < 0 {
+			pow.Mul(pow, big.NewInt(int64(k)))
+			d++
+		}
+		return max(d, 1)
+	}
+	within := func(name string, f func() int) (int, bool) {
+		got := make(chan int, 1)
+		go func() { got <- f() }()
+		select {
+		case v := <-got:
+			return v, true
+		case <-time.After(2 * time.Second):
+			t.Errorf("%s did not return within 2s", name)
+			return 0, false
+		}
+	}
+	for _, p := range []int{1, 2, 3, 16, 17, 1 << 62, 1<<62 + 1, math.MaxInt} {
+		for _, k := range []int{2, 3, 4, 64} {
+			if got, ok := within("BroadcastLatency", func() int { return BroadcastLatency(p, k) }); ok && got != ceil(p, k) {
+				t.Errorf("BroadcastLatency(%d, %d) = %d, want %d", p, k, got, ceil(p, k))
+			}
+		}
+		if got, ok := within("ReductionLatency", func() int { return ReductionLatency(p) }); ok && got != ceil(p, 2) {
+			t.Errorf("ReductionLatency(%d) = %d, want %d", p, got, ceil(p, 2))
+		}
+	}
+	// Hand-checked corners of the reference itself.
+	for _, c := range []struct{ p, k, want int }{{1 << 62, 2, 62}, {1<<62 + 1, 2, 63}, {math.MaxInt, 2, 63}, {math.MaxInt, 64, 11}, {17, 3, 3}} {
+		if got := ceil(c.p, c.k); got != c.want {
+			t.Errorf("reference ceil(log_%d %d) = %d, want %d", c.k, c.p, got, c.want)
 		}
 	}
 }

@@ -53,10 +53,30 @@ type family struct {
 	fn       func() float64 // value callback for NewGaugeFunc families
 }
 
-// childKeySep joins label values into a map key; it cannot appear in a
-// label value rendered from a Go string without also being escaped here,
-// so tuples never collide.
+// childKeySep joins label values into a map key. Each value is escaped
+// first (keyEscaper), so no value holds a bare separator and no value can
+// forge another tuple's key.
 const childKeySep = "\x1f"
+
+var (
+	keyEscaper   = strings.NewReplacer(`\`, `\\`, childKeySep, `\u`)
+	keyUnescaper = strings.NewReplacer(`\\`, `\`, `\u`, childKeySep)
+)
+
+// childKey is the map key of one label-value tuple.
+func childKey(values []string) string {
+	if len(values) == 1 {
+		return keyEscaper.Replace(values[0])
+	}
+	var b strings.Builder
+	for i, v := range values {
+		if i > 0 {
+			b.WriteString(childKeySep)
+		}
+		b.WriteString(keyEscaper.Replace(v))
+	}
+	return b.String()
+}
 
 func (r *Registry) register(name, help, typ string, labels []string, bounds []float64, fn func() float64) *family {
 	if !nameRE.MatchString(name) {
@@ -101,7 +121,7 @@ func (f *family) child(values []string, mk func() any) any {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("obs: metric %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
-	key := strings.Join(values, childKeySep)
+	key := childKey(values)
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if c, ok := f.children[key]; ok {

@@ -39,6 +39,48 @@ func TestVecChildIdentity(t *testing.T) {
 	}
 }
 
+// TestVecChildKeysUnforgeable: label values holding the key separator or
+// backslashes stay distinct children that render distinct samples, and a
+// one-label tuple cannot forge a two-label one, so the exposition parses
+// and round-trips every value.
+func TestVecChildKeysUnforgeable(t *testing.T) {
+	r := NewRegistry()
+	one := r.NewCounterVec("x_total", "x", "k")
+	one.With("a\x1fb").Inc()
+	one.With("a\x1fc").Inc()
+	one.With(`a\u`).Inc()
+	two := r.NewCounterVec("y_total", "y", "k", "l")
+	two.With("a\x1fb", "c").Inc()
+	two.With("a", "b\x1fc").Inc()
+	two.With(`a\`, "b").Inc()
+	var text strings.Builder
+	r.WritePrometheus(&text)
+	fams, err := ParseText(text.String())
+	if err != nil {
+		t.Fatalf("exposition does not parse: %v\n%s", err, text.String())
+	}
+	want := map[string][]string{
+		"x_total": {"k=\"a\x1fb\"", "k=\"a\x1fc\"", `k="a\\u"`},
+		"y_total": {"k=\"a\x1fb\",l=\"c\"", "k=\"a\",l=\"b\x1fc\"", `k="a\\",l="b"`},
+	}
+	for _, f := range fams {
+		got := map[string]bool{}
+		for _, s := range f.Samples {
+			var b strings.Builder
+			writeLabels(&b, s.Labels)
+			got[b.String()] = true
+		}
+		for _, w := range want[f.Name] {
+			if !got["{"+w+"}"] {
+				t.Errorf("%s lacks the sample {%s}; has %v", f.Name, w, got)
+			}
+		}
+		if len(f.Samples) != len(want[f.Name]) {
+			t.Errorf("%s has %d samples, want %d", f.Name, len(f.Samples), len(want[f.Name]))
+		}
+	}
+}
+
 func TestInvalidNamesPanic(t *testing.T) {
 	for _, name := range []string{"Bad", "9starts_with_digit", "has-dash", "has space", ""} {
 		func() {

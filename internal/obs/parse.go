@@ -455,11 +455,11 @@ func (s ParsedSample) WithLabel(name, value string) ParsedSample {
 }
 
 // labelKey is the sample's identity for merging: name plus sorted label
-// pairs.
+// pairs, values escaped as child keys are.
 func (s ParsedSample) labelKey() string {
 	pairs := make([]string, len(s.Labels))
 	for i, l := range s.Labels {
-		pairs[i] = l.Name + "\x1f" + l.Value
+		pairs[i] = l.Name + childKeySep + keyEscaper.Replace(l.Value)
 	}
 	sort.Strings(pairs)
 	return s.Name + "\x1e" + strings.Join(pairs, "\x1f\x1f")

@@ -82,7 +82,7 @@ func (f *family) parsed() *ParsedFamily {
 		if len(f.labels) > 0 {
 			values := strings.Split(key, childKeySep)
 			for j, name := range f.labels {
-				labels = append(labels, Label{Name: name, Value: values[j]})
+				labels = append(labels, Label{Name: name, Value: keyUnescaper.Replace(values[j])})
 			}
 		}
 		switch c := children[i].(type) {

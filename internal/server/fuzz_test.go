@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/client"
 	"repro/internal/dtrace"
+	"repro/internal/migrate"
 	"repro/internal/server"
 )
 
@@ -105,6 +107,20 @@ func FuzzRequest(f *testing.F) {
 	}
 	f.Add([]byte(`{`))
 	f.Add([]byte(`{"jobs": [{"asm": "halt"}], "timeoutMs": -1}`))
+	// A machine of more than 2^62 PEs, in each body and in an envelope
+	// sealed as any client can seal one: its tree depths must not spin.
+	huge := client.RunRequest{Asm: "halt", Config: client.MachineConfig{PEs: 1<<62 + 1}}
+	env := &client.SnapshotEnvelope{Version: migrate.Version, SessionID: "s1",
+		Digest: strings.Repeat("a", 64), ConfigKey: "forged", Request: huge, RemainingCycles: 1}
+	migrate.Seal(env)
+	for _, seed := range []any{
+		huge,
+		client.BatchRequest{Jobs: []client.RunRequest{huge}},
+		client.SessionRequest{RunRequest: huge, Resumable: true},
+		client.ResumeRequest{Envelope: env},
+	} {
+		f.Add(mustJSON(f, seed))
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, rt := range fuzzRoutes {

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/dtrace"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // lane is one admission lane: a bound on admitted, unfinished jobs over a
@@ -51,31 +52,30 @@ func (s *Server) newLane(noun, full string, rejected *obs.Counter, queue int) *l
 // with release as its jobs finish.
 func (l *lane) admit(w http.ResponseWriter, tr *dtrace.Active, log *slog.Logger, n int64) bool {
 	start := time.Now()
-	s := l.srv
-	s.mu.RLock()
-	if s.draining {
-		s.mu.RUnlock()
+	var cur int64
+	ok, draining := l.srv.sh.Gate.Admit(int(n), func() bool {
+		for {
+			cur = l.inflight.Load()
+			if cur+n > l.limit {
+				return false
+			}
+			if l.inflight.CompareAndSwap(cur, cur+n) {
+				return true
+			}
+		}
+	})
+	switch {
+	case draining:
 		log.Warn(l.noun+" rejected", "reason", "draining")
 		l.reject(w, tr, start, "draining", http.StatusServiceUnavailable, "server is draining")
-		return false
+	case !ok:
+		log.Warn(l.noun+" rejected", "reason", l.full, "inflight", cur, "jobs", n, "cap", l.limit)
+		l.reject(w, tr, start, "lane_full", http.StatusTooManyRequests,
+			fmt.Sprintf("%s (%d jobs in flight, cap %d)", l.full, cur, l.limit))
+	default:
+		tr.Record("admission", nil, start, time.Now(), dtrace.Str("outcome", "admitted"), dtrace.Int("jobs", n))
 	}
-	for {
-		cur := l.inflight.Load()
-		if cur+n > l.limit {
-			s.mu.RUnlock()
-			log.Warn(l.noun+" rejected", "reason", l.full, "inflight", cur, "jobs", n, "cap", l.limit)
-			l.reject(w, tr, start, "lane_full", http.StatusTooManyRequests,
-				fmt.Sprintf("%s (%d jobs in flight, cap %d)", l.full, cur, l.limit))
-			return false
-		}
-		if l.inflight.CompareAndSwap(cur, cur+n) {
-			break
-		}
-	}
-	s.wg.Add(int(n)) // under the RLock: Shutdown cannot start waiting yet
-	s.mu.RUnlock()
-	tr.Record("admission", nil, start, time.Now(), dtrace.Str("outcome", "admitted"), dtrace.Int("jobs", n))
-	return true
+	return ok
 }
 
 func (l *lane) reject(w http.ResponseWriter, tr *dtrace.Active, start time.Time, outcome string, status int, msg string) {
@@ -83,7 +83,7 @@ func (l *lane) reject(w http.ResponseWriter, tr *dtrace.Active, start time.Time,
 	tr.Record("admission", nil, start, time.Now(), dtrace.Str("outcome", outcome))
 	tr.SetError()
 	w.Header().Set("Retry-After", strconv.Itoa(l.srv.retryAfterSeconds()))
-	writeError(w, status, "%s", msg)
+	wire.WriteError(w, status, "%s", msg)
 }
 
 // slot waits for one execution slot and records the wait as the
@@ -108,7 +108,7 @@ func (l *lane) free() { <-l.slots }
 // release discharges n finished jobs.
 func (l *lane) release(n int64) {
 	l.inflight.Add(-n)
-	l.srv.wg.Add(-int(n))
+	l.srv.sh.Gate.Done(int(n))
 }
 
 // waiting is the number of admitted jobs not holding a slot. It is exact

@@ -22,7 +22,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -39,6 +38,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pool"
 	"repro/internal/progcache"
+	"repro/internal/shell"
 	"repro/internal/wire"
 )
 
@@ -200,18 +200,16 @@ func (out *jobOutcome) endSpan(sp *dtrace.Span) {
 // Server is the serving core. Create it with New, mount Handler, and stop
 // it with Shutdown.
 type Server struct {
-	cfg    Config
-	pool   *pool.Pool
-	progs  *progcache.Cache
-	m      *metrics
-	log    *slog.Logger
-	tracer *dtrace.Tracer
+	cfg   Config
+	pool  *pool.Pool
+	progs *progcache.Cache
+	m     *metrics
+	sh    shell.Shell
 
 	// The admission lanes (see lane). Every job runs on its handler's
-	// goroutine under one of them; wg counts admitted, unfinished jobs
-	// across all three, so Shutdown waits for every lane.
+	// goroutine under one of them; sh's gate counts admitted, unfinished
+	// jobs across all three, so Shutdown waits for every lane.
 	runLane, batchLane, sessionLane *lane
-	wg                              sync.WaitGroup
 
 	// Session registry: running and parked sessions, so a drain can walk
 	// them and a resume can adopt them. sessOrder is the parked-record
@@ -219,27 +217,28 @@ type Server struct {
 	sessMu    sync.Mutex
 	sessions  map[string]*session
 	sessOrder []string
-
-	mu       sync.RWMutex // guards draining against concurrent admissions
-	draining bool
 }
 
 // New builds a serving core.
 func New(cfg Config) *Server {
 	cfg.fillDefaults()
 	s := &Server{
-		cfg:   cfg,
-		pool:  pool.New(cfg.PoolIdle),
-		progs: progcache.New(cfg.ProgramCacheSize),
-		m:     newMetrics(),
-		log:   cfg.Logger,
-		tracer: dtrace.New(dtrace.Options{
+		cfg:      cfg,
+		pool:     pool.New(cfg.PoolIdle),
+		progs:    progcache.New(cfg.ProgramCacheSize),
+		m:        newMetrics(),
+		sessions: make(map[string]*session),
+	}
+	s.sh = shell.Shell{
+		Log: cfg.Logger,
+		Tracer: dtrace.New(dtrace.Options{
 			Service:  "ascd",
 			Sample:   cfg.TraceSample,
 			Slow:     cfg.TraceSlow,
 			RingSize: cfg.TraceRing,
 		}),
-		sessions: make(map[string]*session),
+		MaxBody: cfg.MaxBodyBytes,
+		Latency: s.m.latency,
 	}
 	// Each lane has Workers slots. /v1/run and batches may queue
 	// QueueDepth jobs beyond them; the session lane may not.
@@ -290,155 +289,52 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/sessions/", s.handleSessionByID)
 	mux.HandleFunc("/v1/admin/drain", s.handleDrain)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.Handle("/debug/traces", s.tracer.Handler())
+	// A draining server's /healthz answers 503 "draining": it still
+	// finishes admitted jobs, but routing tiers must stop sending it work.
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) { s.sh.Gate.Health(w, "") })
+	mux.HandleFunc("/debug/traces", func(w http.ResponseWriter, r *http.Request) {
+		dtrace.Serve(w, r, "ascd", s.sh.Tracer, nil)
+	})
 	return dtrace.WithRequestID(mux)
 }
-
-// Tracer exposes the server's tracer so embedders (and the fleet smoke
-// tooling) can inspect retained traces directly; nil when disabled.
-func (s *Server) Tracer() *dtrace.Tracer { return s.tracer }
-
-// handleHealthz reports liveness for load balancers and the ascgw health
-// checker. A draining server answers 503 "draining": it still finishes
-// in-flight jobs, but admits nothing new, so routing tiers must stop
-// sending it traffic immediately rather than on their next 503-from-run.
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	draining := s.draining
-	s.mu.RUnlock()
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if draining {
-		w.WriteHeader(http.StatusServiceUnavailable)
-		fmt.Fprintln(w, "draining")
-		return
-	}
-	fmt.Fprintln(w, "ok")
-}
-
-// Registry exposes the server's metrics registry so embedders can mount
-// it elsewhere or add their own instruments.
-func (s *Server) Registry() *obs.Registry { return s.m.reg }
 
 // Shutdown stops admission (new submissions get 503) and waits, up to
 // ctx's deadline, for every queued and in-flight job in every lane to
 // finish. It is idempotent.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.setDraining()
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return fmt.Errorf("server: shutdown: %w", ctx.Err())
-	}
-}
-
-// writeJSON writes v as json.Encoder would: its encoding and a newline.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	wire.Write(w, v)
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// request runs the prelude every POST handler shares: it checks the
-// method, starts the trace, and decodes the bounded body into v. allow
-// names the accepted methods in the 405 text. ok=false means the refusal
-// has been written; the caller still finishes tr, which is nil-safe.
-func (s *Server) request(w http.ResponseWriter, r *http.Request, name, allow string, v any) (tr *dtrace.Active, log *slog.Logger, ok bool) {
-	id := dtrace.RequestID(r)
-	log = s.log.With("request_id", id)
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "%s required", allow)
-		return nil, log, false
-	}
-	tr, log = s.tracer.StartRequest(w, r, name, id, log)
-	if err := s.decodeBody(w, r, v); err != nil {
-		log.Warn("request rejected", "reason", "bad request body", "error", err.Error())
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
-		return tr, log, false
-	}
-	return tr, log, true
-}
-
-// bodies recycles request-body buffers. Neither decoder keeps a reference
-// into the bytes it decodes, so a buffer is free once its body is decoded.
-var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// maxPooledBody bounds the capacity of a buffer kept for reuse.
-const maxPooledBody = 4 << 20
-
-// decodeBody reads the body, bounded by MaxBodyBytes, into a pooled buffer
-// and decodes it into v with wire.Unmarshal: a body that fails to read,
-// trips the limit, or is not exactly one JSON value is an error.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	buf := bodies.Get().(*bytes.Buffer)
-	buf.Reset()
-	defer func() {
-		if buf.Cap() <= maxPooledBody {
-			bodies.Put(buf)
-		}
-	}()
-	if n := r.ContentLength; n > 0 && n <= s.cfg.MaxBodyBytes {
-		buf.Grow(int(n) + bytes.MinRead)
-	}
-	if _, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)); err != nil {
-		return err
-	}
-	return wire.Unmarshal(buf.Bytes(), v)
-}
-
-// observeLatency records a request duration, attaching a trace-id exemplar
-// when the request's trace is sampled — sampled traces are the ones
-// guaranteed retrievable from /debug/traces, so the exemplar is a live
-// link from the histogram bucket to a full waterfall.
-func (s *Server) observeLatency(tr *dtrace.Active, seconds float64) {
-	if tr.Sampled() {
-		s.m.latency.ObserveWithExemplar(seconds, float64(time.Now().UnixMilli())/1000,
-			obs.Label{Name: "trace_id", Value: tr.TraceID()})
-		return
-	}
-	s.m.latency.Observe(seconds)
+	s.sh.Gate.Close()
+	return s.sh.Gate.Wait(ctx)
 }
 
 // handleRun admits a job into the run lane, waits for a slot, and runs it
 // on the handler's goroutine.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req client.RunRequest
-	tr, log, ok := s.request(w, r, "run", "POST", &req)
-	defer tr.Finish()
+	c, ok := s.sh.Request(w, r, shell.Route{Name: "run", Allow: "POST"}, &req)
+	defer c.Finish()
 	if !ok {
 		return
 	}
 	if err := s.validateJob(&req); err != nil {
-		log.Warn("job rejected", "reason", "validation", "error", err.Error())
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "%v", err)
+		c.Log.Warn("job rejected", "reason", "validation", "error", err.Error())
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	enqueued := time.Now()
-	if !s.runLane.admit(w, tr, log, 1) {
+	if !s.runLane.admit(w, c.Tr, c.Log, 1) {
 		return
 	}
 	s.m.requests.Inc()
-	log.Debug("job admitted", "source", sourceKind(&req), "trace", req.Trace)
+	c.Log.Debug("job admitted", "source", sourceKind(&req), "trace", req.Trace)
 
-	ctx := dtrace.ContextWith(r.Context(), tr, tr.Root())
-	if !s.runLane.slot(ctx, log) {
+	ctx := dtrace.ContextWith(r.Context(), c.Tr, c.Tr.Root())
+	if !s.runLane.slot(ctx, c.Log) {
 		// The client went away while the job was queued: it never starts,
 		// and nothing useful can be written.
 		s.runLane.release(1)
 		s.m.outcomes.With("canceled").Inc()
-		log.Info("job canceled", "reason", "client went away while queued")
+		c.Log.Info("job canceled", "reason", "client went away while queued")
 		return
 	}
 	s.m.running.Add(1)
@@ -451,7 +347,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case out.result != nil:
 		s.m.outcomes.With("completed").Inc()
-		log.Info("job completed",
+		c.Log.Info("job completed",
 			"cycles", out.stats.Cycles,
 			"instructions", out.stats.Instructions,
 			"ipc", out.stats.IPC(),
@@ -459,18 +355,18 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			"duration", elapsed.String())
 	case out.status == http.StatusRequestTimeout:
 		s.m.outcomes.With("canceled").Inc()
-		log.Info("job canceled", "reason", out.errMsg, "duration", elapsed.String())
+		c.Log.Info("job canceled", "reason", out.errMsg, "duration", elapsed.String())
 	default:
 		s.m.outcomes.With("failed").Inc()
-		log.Warn("job failed", "status", out.status, "error", out.errMsg, "duration", elapsed.String())
+		c.Log.Warn("job failed", "status", out.status, "error", out.errMsg, "duration", elapsed.String())
 	}
-	s.observeLatency(tr, time.Since(enqueued).Seconds())
+	s.sh.ObserveLatency(c.Tr, time.Since(enqueued).Seconds())
 	if out.result != nil {
-		writeJSON(w, http.StatusOK, out.result)
+		wire.WriteJSON(w, http.StatusOK, out.result)
 		return
 	}
-	tr.SetError()
-	writeError(w, out.status, "%s", out.errMsg)
+	c.Tr.SetError()
+	wire.WriteError(w, out.status, "%s", out.errMsg)
 }
 
 func sourceKind(req *client.RunRequest) string {
@@ -531,7 +427,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.m.reg.WritePrometheus(w)
 		return
 	}
-	writeJSON(w, http.StatusOK, MetricsView(s.m.reg.Families()))
+	wire.WriteJSON(w, http.StatusOK, MetricsView(s.m.reg.Families()))
 }
 
 // progDigest is the content digest of a request's compilation input — the
@@ -625,44 +521,44 @@ func (s *Server) effTimeout(req *client.RunRequest) time.Duration {
 // across 16 hardware threads.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req client.BatchRequest
-	tr, log, ok := s.request(w, r, "batch", "POST", &req)
-	defer tr.Finish()
+	c, ok := s.sh.Request(w, r, shell.Route{Name: "batch", Allow: "POST"}, &req)
+	defer c.Finish()
 	if !ok {
 		return
 	}
 	if len(req.Jobs) == 0 {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "batch has no jobs")
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "batch has no jobs")
 		return
 	}
 	if len(req.Jobs) > s.cfg.BatchMaxJobs {
-		log.Warn("batch rejected", "reason", "too many jobs", "jobs", len(req.Jobs), "cap", s.cfg.BatchMaxJobs)
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "batch has %d jobs, cap is %d", len(req.Jobs), s.cfg.BatchMaxJobs)
+		c.Log.Warn("batch rejected", "reason", "too many jobs", "jobs", len(req.Jobs), "cap", s.cfg.BatchMaxJobs)
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "batch has %d jobs, cap is %d", len(req.Jobs), s.cfg.BatchMaxJobs)
 		return
 	}
 	if req.TimeoutMs < 0 {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "timeoutMs must be non-negative")
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "timeoutMs must be non-negative")
 		return
 	}
 
 	// Whole-batch admission: every job is charged against the batch lane
 	// at once.
 	n := int64(len(req.Jobs))
-	if !s.batchLane.admit(w, tr, log, n) {
+	if !s.batchLane.admit(w, c.Tr, c.Log, n) {
 		return
 	}
 	s.m.batchRequests.Inc()
 	s.m.batchSize.Observe(float64(n))
 	start := time.Now()
-	log.Debug("batch admitted", "jobs", n, "timeout_ms", req.TimeoutMs)
+	c.Log.Debug("batch admitted", "jobs", n, "timeout_ms", req.TimeoutMs)
 
 	// The batch context layers the optional batch-level deadline over the
 	// HTTP request context. When it ends, unfinished jobs are canceled and
 	// the response carries the finished jobs' results alongside per-job
 	// canceled markers.
-	batchCtx := dtrace.ContextWith(r.Context(), tr, tr.Root())
+	batchCtx := dtrace.ContextWith(r.Context(), c.Tr, c.Tr.Root())
 	if req.TimeoutMs > 0 {
 		var cancel context.CancelFunc
 		batchCtx, cancel = context.WithTimeout(batchCtx, time.Duration(req.TimeoutMs)*time.Millisecond)
@@ -685,14 +581,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			jctx, sp := dtrace.Start(batchCtx, "job", dtrace.Int("index", int64(i)))
 			jobStart := time.Now()
 			out := canceledBeforeStart
-			if s.batchLane.slot(jctx, log) {
+			if s.batchLane.slot(jctx, c.Log) {
 				out = rewriteBatchCancel(batchCtx, s.execute(jctx, solo{req: &req.Jobs[i]}))
 				s.batchLane.free()
 			}
 			// Sub-jobs observe into the same request-duration histogram the
 			// single-run lane uses: one histogram answers "how long does a
 			// job take here" regardless of how it arrived.
-			s.observeLatency(tr, time.Since(jobStart).Seconds())
+			s.sh.ObserveLatency(c.Tr, time.Since(jobStart).Seconds())
 			out.endSpan(sp)
 			outcomes[i] = out
 		}(i)
@@ -705,7 +601,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			gangStart := time.Now()
 			// One slot drives every lane of the group: that is the gang's
 			// amortization.
-			if s.batchLane.slot(batchCtx, log) {
+			if s.batchLane.slot(batchCtx, c.Log) {
 				s.runGang(batchCtx, req.Jobs, grp, outcomes)
 				s.batchLane.free()
 			} else {
@@ -717,7 +613,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// group's.
 			sec := time.Since(gangStart).Seconds()
 			for range grp {
-				s.observeLatency(tr, sec)
+				s.sh.ObserveLatency(c.Tr, sec)
 			}
 		}(grp)
 	}
@@ -744,10 +640,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.m.batchLatency.Observe(time.Since(start).Seconds())
-	log.Info("batch completed",
+	c.Log.Info("batch completed",
 		"jobs", n, "completed", res.Completed, "failed", res.Failed,
 		"canceled", res.Canceled, "duration", time.Since(start).String())
-	writeJSON(w, http.StatusOK, &res)
+	wire.WriteJSON(w, http.StatusOK, &res)
 }
 
 // canceledBeforeStart is a batch job's outcome when the batch ended

@@ -25,11 +25,9 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"slices"
@@ -42,6 +40,7 @@ import (
 	"repro/internal/dtrace"
 	"repro/internal/migrate"
 	"repro/internal/progcache"
+	"repro/internal/shell"
 	"repro/internal/wire"
 )
 
@@ -290,7 +289,7 @@ func (s *Server) writeSessionOutcome(w http.ResponseWriter, tr *dtrace.Active, l
 		log.Info("session suspended", "session_id", out.draining.SessionID, "reason", reasonDraining,
 			"consumed_cycles", out.draining.ConsumedCycles, "remaining_cycles", out.draining.RemainingCycles)
 		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, client.SessionDraining{
+		wire.WriteJSON(w, http.StatusServiceUnavailable, client.SessionDraining{
 			Error:    "server draining: resume the attached envelope on another backend",
 			Envelope: out.draining,
 		})
@@ -298,14 +297,14 @@ func (s *Server) writeSessionOutcome(w http.ResponseWriter, tr *dtrace.Active, l
 		s.m.sessions.With("suspended").Inc()
 		log.Info("session suspended", "session_id", out.sess.SessionID, "reason", out.sess.Reason,
 			"consumed_cycles", out.sess.Envelope.ConsumedCycles, "remaining_cycles", out.sess.Envelope.RemainingCycles)
-		writeJSON(w, http.StatusOK, out.sess)
+		wire.WriteJSON(w, http.StatusOK, out.sess)
 	case out.sess != nil:
 		s.m.sessions.With("completed").Inc()
-		writeJSON(w, http.StatusOK, out.sess)
+		wire.WriteJSON(w, http.StatusOK, out.sess)
 	default:
 		s.m.sessions.With("failed").Inc()
 		tr.SetError()
-		writeError(w, out.status, "%s", out.errMsg)
+		wire.WriteError(w, out.status, "%s", out.errMsg)
 	}
 }
 
@@ -317,37 +316,37 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req client.SessionRequest
-	tr, log, ok := s.request(w, r, "session", "POST or GET", &req)
-	defer tr.Finish()
+	c, ok := s.sh.Request(w, r, shell.Route{Name: "session", Allow: "POST or GET"}, &req)
+	defer c.Finish()
 	if !ok {
 		return
 	}
 	if err := s.validate(&req.RunRequest); err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "%v", err)
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.CheckpointEveryCycles < 0 {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "checkpointEveryCycles must be non-negative")
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "checkpointEveryCycles must be non-negative")
 		return
 	}
 	if req.Trace {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "sessions do not support trace (trace state is not part of the snapshot); use /v1/run")
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "sessions do not support trace (trace state is not part of the snapshot); use /v1/run")
 		return
 	}
 	if err := s.checkEnvelopeFits(&req); err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "%v", err)
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !s.sessionLane.admit(w, tr, log, 1) {
+	if !s.sessionLane.admit(w, c.Tr, c.Log, 1) {
 		return
 	}
 	defer s.sessionLane.release(1)
-	ctx := dtrace.ContextWith(r.Context(), tr, tr.Root())
-	if !s.sessionLane.slot(ctx, log) {
+	ctx := dtrace.ContextWith(r.Context(), c.Tr, c.Tr.Root())
+	if !s.sessionLane.slot(ctx, c.Log) {
 		return // the client went away before the segment started
 	}
 	defer s.sessionLane.free()
@@ -355,9 +354,9 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	sid := "s" + dtrace.NewID()
 	sess := newSession(sid, req.Resumable, req.CheckpointEveryCycles)
 	s.registerSession(sess)
-	log.Info("session started", "session_id", sid, "resumable", req.Resumable,
+	c.Log.Info("session started", "session_id", sid, "resumable", req.Resumable,
 		"checkpoint_every", req.CheckpointEveryCycles)
-	s.serveSegment(ctx, w, tr, log, solo{req: &req.RunRequest, sess: sess})
+	s.serveSegment(ctx, w, c.Tr, c.Log, solo{req: &req.RunRequest, sess: sess})
 }
 
 // checkEnvelopeFits refuses a session that could mint an envelope (it is
@@ -385,15 +384,12 @@ func (s *Server) serveSegment(ctx context.Context, w http.ResponseWriter, tr *dt
 	// and registration walked the registry without seeing this session,
 	// so re-check and self-signal — the segment then suspends at its
 	// first poll boundary.
-	s.mu.RLock()
-	nowDraining := s.draining
-	s.mu.RUnlock()
-	if nowDraining {
+	if s.sh.Gate.Draining() {
 		job.sess.requestCheckpoint(reasonDraining)
 	}
 	start := time.Now()
 	out := s.execute(ctx, job)
-	s.observeLatency(tr, time.Since(start).Seconds())
+	s.sh.ObserveLatency(tr, time.Since(start).Seconds())
 	s.writeSessionOutcome(w, tr, log, out)
 }
 
@@ -408,7 +404,7 @@ func (s *Server) handleSessionList(w http.ResponseWriter) {
 	for _, sess := range list {
 		out.Sessions = append(out.Sessions, sess.status())
 	}
-	writeJSON(w, http.StatusOK, out)
+	wire.WriteJSON(w, http.StatusOK, out)
 }
 
 // handleSessionByID routes /v1/sessions/{id}[/resume|/checkpoint].
@@ -416,27 +412,27 @@ func (s *Server) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 	rest := strings.TrimPrefix(r.URL.Path, "/v1/sessions/")
 	sid, action, _ := strings.Cut(rest, "/")
 	if !dtrace.ValidID(sid) {
-		writeError(w, http.StatusNotFound, "unknown session")
+		wire.WriteError(w, http.StatusNotFound, "unknown session")
 		return
 	}
 	switch action {
 	case "":
 		if r.Method != http.MethodGet {
-			writeError(w, http.StatusMethodNotAllowed, "GET required")
+			wire.WriteError(w, http.StatusMethodNotAllowed, "GET required")
 			return
 		}
 		sess := s.lookupSession(sid)
 		if sess == nil {
-			writeError(w, http.StatusNotFound, "unknown session %s", sid)
+			wire.WriteError(w, http.StatusNotFound, "unknown session %s", sid)
 			return
 		}
-		writeJSON(w, http.StatusOK, sess.status())
+		wire.WriteJSON(w, http.StatusOK, sess.status())
 	case "resume":
 		s.handleSessionResume(w, r, sid)
 	case "checkpoint":
 		s.handleSessionCheckpoint(w, r, sid)
 	default:
-		writeError(w, http.StatusNotFound, "unknown session action %q", action)
+		wire.WriteError(w, http.StatusNotFound, "unknown session action %q", action)
 	}
 }
 
@@ -444,70 +440,72 @@ func (s *Server) handleSessionByID(w http.ResponseWriter, r *http.Request) {
 // the receiving end of a migration.
 func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request, sid string) {
 	var req client.ResumeRequest
-	tr, log, ok := s.request(w, r, "resume", "POST", &req)
-	defer tr.Finish()
+	c, ok := s.sh.Request(w, r, shell.Route{Name: "resume", Allow: "POST"}, &req)
+	defer c.Finish()
 	if !ok {
 		return
 	}
 	env := req.Envelope
 	if env == nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "resume requires an envelope")
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "resume requires an envelope")
 		return
 	}
 	if env.SessionID != sid {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "envelope session id %q does not match path %q", env.SessionID, sid)
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "envelope session id %q does not match path %q", env.SessionID, sid)
 		return
 	}
 	if err := migrate.Validate(env); err != nil {
-		tr.SetError()
+		c.Tr.SetError()
 		var stale *migrate.StaleError
 		if errors.As(err, &stale) {
-			writeError(w, http.StatusConflict, "%v", err)
+			wire.WriteError(w, http.StatusConflict, "%v", err)
 		} else {
-			writeError(w, http.StatusBadRequest, "invalid envelope: %v", err)
+			wire.WriteError(w, http.StatusBadRequest, "invalid envelope: %v", err)
 		}
 		return
 	}
 	if err := s.validate(&env.Request); err != nil {
-		tr.SetError()
-		writeError(w, http.StatusBadRequest, "envelope request: %v", err)
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusBadRequest, "envelope request: %v", err)
 		return
 	}
-	if !s.sessionLane.admit(w, tr, log, 1) {
+	if !s.sessionLane.admit(w, c.Tr, c.Log, 1) {
 		return
 	}
 	defer s.sessionLane.release(1)
-	ctx := dtrace.ContextWith(r.Context(), tr, tr.Root())
-	if !s.sessionLane.slot(ctx, log) {
+	ctx := dtrace.ContextWith(r.Context(), c.Tr, c.Tr.Root())
+	if !s.sessionLane.slot(ctx, c.Log) {
 		return // the client went away before the segment started
 	}
 	defer s.sessionLane.free()
 
 	sess, err := s.adoptSession(env)
 	if err != nil {
-		tr.SetError()
-		writeError(w, http.StatusConflict, "%v", err)
+		c.Tr.SetError()
+		wire.WriteError(w, http.StatusConflict, "%v", err)
 		return
 	}
 	s.m.resumedJobs.Inc()
-	log.Info("session resumed", "session_id", sid,
+	c.Log.Info("session resumed", "session_id", sid,
 		"consumed_cycles", env.ConsumedCycles, "remaining_cycles", env.RemainingCycles,
 		"digest", progcache.ShortDigest(env.Digest))
-	s.serveSegment(ctx, w, tr, log, solo{req: &env.Request, sess: sess, env: env})
+	s.serveSegment(ctx, w, c.Tr, c.Log, solo{req: &env.Request, sess: sess, env: env})
 }
 
 // handleSessionCheckpoint asks a running session to suspend and returns
 // its envelope once it has.
 func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request, sid string) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
+	var none struct{} // the request has no body, or an empty object
+	c, ok := s.sh.Request(w, r, shell.Route{Name: "checkpoint", Allow: "POST", EmptyOK: true}, &none)
+	defer c.Finish()
+	if !ok {
 		return
 	}
 	sess := s.lookupSession(sid)
 	if sess == nil {
-		writeError(w, http.StatusNotFound, "unknown session %s", sid)
+		wire.WriteError(w, http.StatusNotFound, "unknown session %s", sid)
 		return
 	}
 	settled, ok := sess.requestCheckpoint(reasonRequested)
@@ -526,20 +524,12 @@ func (s *Server) handleSessionCheckpoint(w http.ResponseWriter, r *http.Request,
 	case sessRunning:
 		// The checkpoint did not land within the wait (or the session is
 		// not resumable): report the live state without suspending.
-		writeJSON(w, http.StatusAccepted, st)
+		wire.WriteJSON(w, http.StatusAccepted, st)
 	case sessFailed:
-		writeError(w, http.StatusConflict, "session %s already failed: %s", sid, st.Error)
+		wire.WriteError(w, http.StatusConflict, "session %s already failed: %s", sid, st.Error)
 	default:
-		writeJSON(w, http.StatusOK, st)
+		wire.WriteJSON(w, http.StatusOK, st)
 	}
-}
-
-// setDraining stops admission in every lane (healthz answers 503, new
-// work is refused); admitted jobs still finish.
-func (s *Server) setDraining() {
-	s.mu.Lock()
-	s.draining = true
-	s.mu.Unlock()
 }
 
 // Drain puts the server into draining mode and suspends every running
@@ -552,7 +542,7 @@ func (s *Server) Drain(wait time.Duration) client.DrainResult {
 	if wait <= 0 {
 		wait = s.cfg.SessionDrainWait
 	}
-	s.setDraining()
+	s.sh.Gate.Close()
 	type waiter struct {
 		sess    *session
 		settled <-chan struct{}
@@ -585,27 +575,20 @@ func (s *Server) Drain(wait time.Duration) client.DrainResult {
 			res.Running++
 		}
 	}
-	s.log.Info("drain complete", "suspended", len(res.Suspended), "still_running", res.Running)
+	s.sh.Log.Info("drain complete", "suspended", len(res.Suspended), "still_running", res.Running)
 	return res
 }
 
 // handleDrain serves POST /v1/admin/drain: ascd's snapshot-export-on-drain
 // entry point, called by an operator or by ascgw's drain orchestration.
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	// An empty (or all-whitespace) body drains with the defaults.
+	// An empty body drains with the defaults.
 	var req client.DrainRequest
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err == nil && len(bytes.TrimSpace(body)) > 0 {
-		err = wire.Unmarshal(body, &req)
-	}
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	c, ok := s.sh.Request(w, r, shell.Route{Name: "drain", Allow: "POST", EmptyOK: true}, &req)
+	defer c.Finish()
+	if !ok {
 		return
 	}
 	wait := time.Duration(req.TimeoutMs) * time.Millisecond
-	writeJSON(w, http.StatusOK, s.Drain(wait))
+	wire.WriteJSON(w, http.StatusOK, s.Drain(wait))
 }

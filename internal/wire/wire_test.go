@@ -659,3 +659,19 @@ func BenchmarkWireEncode(b *testing.B) {
 		}
 	}
 }
+
+// TestReadBodyBounded: a body of exactly the limit reads whole, with or
+// without a size hint; one byte more is an error, not a truncated body.
+func TestReadBodyBounded(t *testing.T) {
+	const want = `{"asm":"halt"}`
+	for _, size := range []int64{-1, int64(len(want))} {
+		b, err := wire.ReadBody(strings.NewReader(want), size, int64(len(want)))
+		if err != nil || string(b.Bytes()) != want {
+			t.Fatalf("size %d: read %q, %v; want %q", size, b.Bytes(), err, want)
+		}
+		b.Release()
+	}
+	if _, err := wire.ReadBody(strings.NewReader(want), -1, int64(len(want))-1); err == nil {
+		t.Error("a body over the limit read without an error")
+	}
+}
