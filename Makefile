@@ -125,7 +125,8 @@ bench-test:
 # requires. Minimization is capped so a newly interesting large input
 # (snapshots, envelopes) does not stall the smoke run for a minute.
 FUZZ_TARGETS = FuzzOracle:./internal/core FuzzEnvelope:./internal/migrate \
-	FuzzRestore:./internal/machine FuzzCompile:./internal/ascl \
+	FuzzRestore:./internal/machine FuzzExecLanes:./internal/machine \
+	FuzzCompile:./internal/ascl \
 	FuzzAssemble:./internal/asm FuzzDecode:./internal/asm \
 	FuzzRequest:./internal/server FuzzGateway:./internal/gateway \
 	FuzzParseText:./internal/obs FuzzWireDecode:./internal/wire \

@@ -24,6 +24,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -34,7 +35,11 @@ import (
 	"time"
 
 	"repro/internal/dtrace"
+	"repro/internal/wire"
 )
+
+// maxDump bounds a trace dump fetched from a URL, in bytes.
+const maxDump = 64 << 20
 
 func main() {
 	traceID := flag.String("trace", "", "show only this trace id")
@@ -107,10 +112,17 @@ func read(src, traceID string) ([]byte, error) {
 			return nil, err
 		}
 		defer resp.Body.Close()
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+		// The CLI keeps the dump until it exits, so the body is never
+		// released to the pool.
+		body, err := wire.ReadBody(resp.Body, resp.ContentLength, maxDump)
+		var tooLarge *wire.TooLargeError
+		if errors.As(err, &tooLarge) {
+			return nil, fmt.Errorf("GET %s: trace dump larger than %d bytes", u, maxDump)
+		}
 		if err != nil {
 			return nil, err
 		}
+		data := body.Bytes()
 		if resp.StatusCode != http.StatusOK {
 			return nil, fmt.Errorf("GET %s: %s: %s", u, resp.Status, strings.TrimSpace(string(data)))
 		}

@@ -63,8 +63,11 @@ func BenchmarkExecArray(b *testing.B) {
 // Two more shapes bracket the gang: 32 lanes with lane 16 peeled (a live
 // set with a hole, two runs), and one 512-PE lane, the same PE count as a
 // 32×16 gang in a single array — the reference the gang plane aims at.
-// The scalar class is the control unit's share of a gang op (an ADD per
-// lane), reported per lane-PE-op like the rest so the classes compare.
+// A 1024-PE lane is the wide-array row. The scalar class is the control
+// unit's share of a gang op (an ADD per lane), reported per lane-PE-op
+// like the rest so the classes compare. The responder class is the
+// associative step loop — pick first, read, clear it — over f1's
+// responders, which a compare refills whenever they run out.
 //
 //	go test ./internal/machine -run '^$' -bench ExecLanes -benchmem
 func BenchmarkExecLanes(b *testing.B) {
@@ -91,13 +94,20 @@ func BenchmarkExecLanes(b *testing.B) {
 			{Op: isa.RSUM, Rd: 6, Ra: 3},
 		}},
 		{"scalar", []isa.Inst{{Op: isa.ADD, Rd: 7, Ra: 7, Rb: 2}}},
+		{"responder", []isa.Inst{
+			{Op: isa.RANY, Rd: 8, Ra: 1},
+			{Op: isa.RFIRST, Rd: 6, Ra: 1},
+			{Op: isa.ROR, Rd: 9, Ra: 3, Mask: 6},
+			{Op: isa.FANDN, Rd: 1, Ra: 1, Rb: 6},
+		}},
 	}
+	refill := dec(isa.Inst{Op: isa.PCLT, Rd: 1, Ra: 1, Rb: 2, SB: true})
 	const span = 1 << 12
 	nops, _ := isa.DecodeProgram(make([]isa.Inst, span))
 	shapes := []struct {
 		pes, lanes int
 		hole       bool
-	}{{16, 1, false}, {16, 32, false}, {16, 32, true}, {512, 1, false}}
+	}{{16, 1, false}, {16, 32, false}, {16, 32, true}, {512, 1, false}, {1024, 1, false}}
 	for _, sh := range shapes {
 		pes, lanes := sh.pes, sh.lanes
 		gang, err := NewGangLanes(Config{PEs: pes, Threads: 1, Width: 16, LocalMemWords: 4}, nops, lanes)
@@ -136,13 +146,16 @@ func BenchmarkExecLanes(b *testing.B) {
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if i%(span/4) == 0 {
+					if i%(span/8) == 0 {
 						for _, m := range gang {
 							m.SetPC(0, 0)
 						}
 					}
 					for _, d := range ds {
 						ExecLanes(gang, live, 0, d, outs, traps)
+					}
+					if c.name == "responder" && gang[live[0]].Scalar(0, 8) == 0 {
+						ExecLanes(gang, live, 0, refill, outs, traps)
 					}
 				}
 				laneOps := float64(b.N) * float64(len(ds)*len(live)*pes)

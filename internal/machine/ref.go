@@ -290,7 +290,7 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 			return
 		}
 		for pe := lo; pe < hi; pe++ {
-			if mk == 0 || m.flagPlane(t, uint8(mk))[pe] {
+			if mk == 0 || m.Flag(t, pe, uint8(mk)) {
 				m.pregPlane(t, uint8(rd))[pe] = m.mask(int64(pe))
 			}
 		}
@@ -301,7 +301,7 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 		}
 		v := m.mask(int64(in.Imm))
 		for pe := lo; pe < hi; pe++ {
-			if mk == 0 || m.flagPlane(t, uint8(mk))[pe] {
+			if mk == 0 || m.Flag(t, pe, uint8(mk)) {
 				m.pregPlane(t, uint8(rd))[pe] = v
 			}
 		}
@@ -310,7 +310,7 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 		lmw := m.cfg.LocalMemWords
 		imm := int(in.Imm)
 		for pe := lo; pe < hi; pe++ {
-			if !(mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
+			if !(mk == 0 || m.Flag(t, pe, uint8(mk))) {
 				continue
 			}
 			var av int64
@@ -333,7 +333,7 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 		lmw := m.cfg.LocalMemWords
 		imm := int(in.Imm)
 		for pe := lo; pe < hi; pe++ {
-			if !(mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
+			if !(mk == 0 || m.Flag(t, pe, uint8(mk))) {
 				continue
 			}
 			var av int64
@@ -364,7 +364,7 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 			sb = m.Scalar(t, in.Rb)
 		}
 		for pe := lo; pe < hi; pe++ {
-			if !(mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
+			if !(mk == 0 || m.Flag(t, pe, uint8(mk))) {
 				continue
 			}
 			var a, b int64
@@ -376,7 +376,7 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 			} else if rb != 0 {
 				b = m.pregPlane(t, uint8(rb))[pe]
 			}
-			m.flagPlane(t, uint8(rd))[pe] = m.refCompare(in.Op, a, b)
+			m.SetFlag(t, pe, uint8(rd), m.refCompare(in.Op, a, b))
 		}
 
 	case info.DstKind == isa.KindFlag:
@@ -384,7 +384,7 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 			return
 		}
 		for pe := lo; pe < hi; pe++ {
-			if !(mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
+			if !(mk == 0 || m.Flag(t, pe, uint8(mk))) {
 				continue
 			}
 			var v bool
@@ -406,7 +406,7 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 			case isa.FCLR:
 				v = false
 			}
-			m.flagPlane(t, uint8(rd))[pe] = v
+			m.SetFlag(t, pe, uint8(rd), v)
 		}
 
 	default:
@@ -422,7 +422,7 @@ func (m *Machine) refExecParallelRange(t int, in isa.Inst, lo, hi int) (trapPE, 
 			bc = m.Scalar(t, in.Rb)
 		}
 		for pe := lo; pe < hi; pe++ {
-			if !(mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
+			if !(mk == 0 || m.Flag(t, pe, uint8(mk))) {
 				continue
 			}
 			var a, b int64
@@ -475,7 +475,7 @@ func (m *Machine) refExecReduction(t int, in isa.Inst) {
 	case isa.RCOUNT, isa.RANY:
 		var n int64
 		for pe := 0; pe < p; pe++ {
-			if (ra == 0 || m.flagPlane(t, uint8(ra))[pe]) && (mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
+			if (ra == 0 || m.Flag(t, pe, uint8(ra))) && (mk == 0 || m.Flag(t, pe, uint8(mk))) {
 				n++
 			}
 		}
@@ -492,14 +492,14 @@ func (m *Machine) refExecReduction(t int, in isa.Inst) {
 	case isa.RFIRST:
 		winner := p
 		for pe := 0; pe < p; pe++ {
-			if (ra == 0 || m.flagPlane(t, uint8(ra))[pe]) && (mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
+			if (ra == 0 || m.Flag(t, pe, uint8(ra))) && (mk == 0 || m.Flag(t, pe, uint8(mk))) {
 				winner = pe
 				break
 			}
 		}
 		if rd := int(in.Rd); rd != 0 {
 			for pe := 0; pe < p; pe++ {
-				m.flagPlane(t, uint8(rd))[pe] = pe == winner
+				m.SetFlag(t, pe, uint8(rd), pe == winner)
 			}
 		}
 
@@ -541,7 +541,7 @@ func (m *Machine) refReduceLeaves(t int, in isa.Inst) {
 	ident := network.Identity(unit, w)
 
 	for pe := 0; pe < m.cfg.PEs; pe++ {
-		if !(mk == 0 || m.flagPlane(t, uint8(mk))[pe]) {
+		if !(mk == 0 || m.Flag(t, pe, uint8(mk))) {
 			m.leafBuf[pe] = ident
 			continue
 		}
@@ -632,13 +632,9 @@ func (m *Machine) refALU(op isa.ALUOp, a, b int64) int64 {
 	panic(fmt.Sprintf("machine: unknown alu op %d", op))
 }
 
-// refFlag reads flag r of PE pe in thread t (f0 hardwired to one).
-func (m *Machine) refFlag(t, pe, r int) bool {
-	if r == 0 {
-		return true
-	}
-	return m.flagPlane(t, uint8(r))[pe]
-}
+// refFlag reads flag r of PE pe in thread t (f0 hardwired to one) through
+// the exported accessor, like every flag access of the reference.
+func (m *Machine) refFlag(t, pe, r int) bool { return m.Flag(t, pe, uint8(r)) }
 
 // leaf transform kinds for refReduceLeaves.
 const (

@@ -34,8 +34,11 @@ import (
 //
 // s0, p0 and f0 are hardwired (writes are dropped, reads never touch their
 // storage), so they are not stored. The planes are the machine's own PE
-// vectors (pregPlane, flagPlane) in [thread][reg] order, so a gang lane's
-// image is that of a solo machine in the same state. No stored word can exceed the width, so every image
+// vectors (pregPlane, and its bits of each flagRow) in [thread][reg]
+// order, so a gang lane's image is that of a solo machine in the same
+// state. A flag plane is the little-endian byte order of the machine's
+// packed flag words, so a lane whose flags start on a word boundary copies
+// them whole. No stored word can exceed the width, so every image
 // Restore accepts is canonical: it re-encodes to exactly its bytes.
 
 const (
@@ -191,64 +194,48 @@ func putVals(b []byte, vs []int64, k int) {
 	}
 }
 
-// bits encodes fs as a bit plane, eight flags to a byte, in chunk-sized
-// pieces.
-func (e *snapEncoder) bits(fs []bool) {
-	for len(fs) > 0 {
-		b := e.room(1)
-		b = b[:min(len(b), flagPlaneBytes(len(fs)))]
-		c := min(8*len(b), len(fs))
-		putBits(b, fs[:c])
-		e.n += len(b)
-		fs = fs[c:]
-	}
-}
-
-// putBits packs fs into b, eight flags to a byte with PE i at bit i%8 of
-// byte i/8, and zeroes the padding bits of a short last byte; b holds
-// exactly ⌈len(fs)/8⌉ bytes.
-func putBits(b []byte, fs []bool) {
-	i := 0
-	for ; i+8 <= len(fs); i += 8 {
-		f := fs[i : i+8 : i+8]
-		b[i>>3] = bit(f[0]) | bit(f[1])<<1 | bit(f[2])<<2 | bit(f[3])<<3 |
-			bit(f[4])<<4 | bit(f[5])<<5 | bit(f[6])<<6 | bit(f[7])<<7
-	}
-	if i < len(fs) {
-		var x byte
-		for j, f := range fs[i:] {
-			x |= bit(f) << j
+// bits encodes the n flag bits of row that start at bit o as a bit plane,
+// eight flags to a byte, with the padding bits of a short last byte zero.
+// A lane whose bits start on a word boundary copies whole words; any
+// other shifts each word together from two (loadBits).
+func (e *snapEncoder) bits(row []uint64, o, n int) {
+	for i := 0; i < n; i += 64 {
+		c := min(n-i, 64)
+		v, nb := loadBits(row, o+i)&lowBits(c), (c+7)/8
+		b := e.room(nb)
+		if nb == 8 {
+			binary.LittleEndian.PutUint64(b, v)
+		} else {
+			for j := range nb {
+				b[j] = byte(v >> (8 * j))
+			}
 		}
-		b[i>>3] = x
+		e.n += nb
 	}
 }
 
-// getBits unpacks len(dst) flags from the bit plane src (putBits' layout).
-func getBits(dst []bool, src []byte) {
-	i := 0
-	for ; i+8 <= len(dst); i += 8 {
-		x, d := src[i>>3], dst[i:i+8:i+8]
-		d[0], d[1], d[2], d[3] = x&1 != 0, x&2 != 0, x&4 != 0, x&8 != 0
-		d[4], d[5], d[6], d[7] = x&16 != 0, x&32 != 0, x&64 != 0, x&128 != 0
+// setPlane decodes the bit plane src (bits' layout) into the n flag bits
+// of row that start at bit o, leaving the row's other bits as they were.
+func setPlane(row []uint64, o, n int, src []byte) {
+	for i := 0; i < n; i += 64 {
+		c := min(n-i, 64)
+		var v uint64
+		if b := src[i/8:]; c == 64 {
+			v = binary.LittleEndian.Uint64(b)
+		} else {
+			for j := range (c + 7) / 8 {
+				v |= uint64(b[j]) << (8 * j)
+			}
+		}
+		storeBits(row, o+i, v, lowBits(c))
 	}
-	for ; i < len(dst); i++ {
-		dst[i] = src[i>>3]>>(i&7)&1 != 0
-	}
-}
-
-// bit is 1 for true and 0 for false, without a branch.
-func bit(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
 }
 
 func (m *Machine) encode(e *snapEncoder) error {
 	e.word(snapMagic)
 	e.word(snapVersion)
 	e.word(int64(m.fingerprint()))
-	e.word(int64(bit(m.halted)))
+	e.word(b2i(m.halted))
 	for t := range m.threads {
 		th := &m.threads[t]
 		e.word(int64(th.state))
@@ -264,7 +251,7 @@ func (m *Machine) encode(e *snapEncoder) error {
 	}
 	for t := range m.threads {
 		for r := uint8(1); r < isa.NumFlagRegs; r++ {
-			e.bits(m.flagPlane(t, r))
+			e.bits(m.flagRow(t, r), m.off, m.cfg.PEs)
 		}
 	}
 	e.vals(m.localMem)
@@ -427,7 +414,7 @@ func (m *Machine) Restore(data []byte) error {
 	fb := flagPlaneBytes(m.cfg.PEs)
 	for t := range m.threads {
 		for r := uint8(1); r < isa.NumFlagRegs; r++ {
-			getBits(m.flagPlane(t, r), data[off:off+fb])
+			setPlane(m.flagRow(t, r), m.off, m.cfg.PEs, data[off:off+fb])
 			off += fb
 		}
 	}

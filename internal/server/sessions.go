@@ -25,7 +25,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -341,22 +340,14 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if !s.sessionLane.admit(w, c.Tr, c.Log, 1) {
-		return
-	}
-	defer s.sessionLane.release(1)
-	ctx := dtrace.ContextWith(r.Context(), c.Tr, c.Tr.Root())
-	if !s.sessionLane.slot(ctx, c.Log) {
-		return // the client went away before the segment started
-	}
-	defer s.sessionLane.free()
-
-	sid := "s" + dtrace.NewID()
-	sess := newSession(sid, req.Resumable, req.CheckpointEveryCycles)
-	s.registerSession(sess)
-	c.Log.Info("session started", "session_id", sid, "resumable", req.Resumable,
-		"checkpoint_every", req.CheckpointEveryCycles)
-	s.serveSegment(ctx, w, c.Tr, c.Log, solo{req: &req.RunRequest, sess: sess})
+	s.serveSegment(w, r, c, solo{req: &req.RunRequest}, func() *session {
+		sid := "s" + dtrace.NewID()
+		sess := newSession(sid, req.Resumable, req.CheckpointEveryCycles)
+		s.registerSession(sess)
+		c.Log.Info("session started", "session_id", sid, "resumable", req.Resumable,
+			"checkpoint_every", req.CheckpointEveryCycles)
+		return sess
+	})
 }
 
 // checkEnvelopeFits refuses a session that could mint an envelope (it is
@@ -378,8 +369,23 @@ func (s *Server) checkEnvelopeFits(req *client.SessionRequest) error {
 	return nil
 }
 
-// serveSegment runs one admitted session segment and writes its outcome.
-func (s *Server) serveSegment(ctx context.Context, w http.ResponseWriter, tr *dtrace.Active, log *slog.Logger, job solo) {
+// serveSegment runs one session segment, a fresh session's or a resumed
+// one's: it admits the segment on the session lane, waits for a slot,
+// opens the segment's session, then runs job with it and writes the
+// outcome. open returns nil when it has answered the request itself.
+func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request, c shell.Call, job solo, open func() *session) {
+	if !s.sessionLane.admit(w, c.Tr, c.Log, 1) {
+		return
+	}
+	defer s.sessionLane.release(1)
+	ctx := dtrace.ContextWith(r.Context(), c.Tr, c.Tr.Root())
+	if !s.sessionLane.slot(ctx, c.Log) {
+		return // the client went away before the segment started
+	}
+	defer s.sessionLane.free()
+	if job.sess = open(); job.sess == nil {
+		return
+	}
 	// Close the admission race: a drain that started between the guard
 	// and registration walked the registry without seeing this session,
 	// so re-check and self-signal — the segment then suspends at its
@@ -389,8 +395,8 @@ func (s *Server) serveSegment(ctx context.Context, w http.ResponseWriter, tr *dt
 	}
 	start := time.Now()
 	out := s.execute(ctx, job)
-	s.sh.ObserveLatency(tr, time.Since(start).Seconds())
-	s.writeSessionOutcome(w, tr, log, out)
+	s.sh.ObserveLatency(c.Tr, time.Since(start).Seconds())
+	s.writeSessionOutcome(w, c.Tr, c.Log, out)
 }
 
 func (s *Server) handleSessionList(w http.ResponseWriter) {
@@ -471,27 +477,19 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request, sid
 		wire.WriteError(w, http.StatusBadRequest, "envelope request: %v", err)
 		return
 	}
-	if !s.sessionLane.admit(w, c.Tr, c.Log, 1) {
-		return
-	}
-	defer s.sessionLane.release(1)
-	ctx := dtrace.ContextWith(r.Context(), c.Tr, c.Tr.Root())
-	if !s.sessionLane.slot(ctx, c.Log) {
-		return // the client went away before the segment started
-	}
-	defer s.sessionLane.free()
-
-	sess, err := s.adoptSession(env)
-	if err != nil {
-		c.Tr.SetError()
-		wire.WriteError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	s.m.resumedJobs.Inc()
-	c.Log.Info("session resumed", "session_id", sid,
-		"consumed_cycles", env.ConsumedCycles, "remaining_cycles", env.RemainingCycles,
-		"digest", progcache.ShortDigest(env.Digest))
-	s.serveSegment(ctx, w, c.Tr, c.Log, solo{req: &env.Request, sess: sess, env: env})
+	s.serveSegment(w, r, c, solo{req: &env.Request, env: env}, func() *session {
+		sess, err := s.adoptSession(env)
+		if err != nil {
+			c.Tr.SetError()
+			wire.WriteError(w, http.StatusConflict, "%v", err)
+			return nil
+		}
+		s.m.resumedJobs.Inc()
+		c.Log.Info("session resumed", "session_id", sid,
+			"consumed_cycles", env.ConsumedCycles, "remaining_cycles", env.RemainingCycles,
+			"digest", progcache.ShortDigest(env.Digest))
+		return sess
+	})
 }
 
 // handleSessionCheckpoint asks a running session to suspend and returns

@@ -34,9 +34,14 @@ var bodies = sync.Pool{New: func() any { return new(Body) }}
 // maxPooledBody bounds the capacity of a buffer kept for reuse.
 const maxPooledBody = 4 << 20
 
+// TooLargeError is ReadBody's error for a body of more than Limit bytes.
+type TooLargeError struct{ Limit int64 }
+
+func (e *TooLargeError) Error() string { return fmt.Sprintf("body larger than %d bytes", e.Limit) }
+
 // ReadBody reads r to its end into a pooled Body, pre-sized from size (a
 // Content-Length; <= 0 when unknown) when that is within limit. More than
-// limit bytes is an error.
+// limit bytes is a *TooLargeError.
 func ReadBody(r io.Reader, size, limit int64) (*Body, error) {
 	b := bodies.Get().(*Body)
 	b.buf.Reset()
@@ -45,7 +50,7 @@ func ReadBody(r io.Reader, size, limit int64) (*Body, error) {
 	}
 	_, err := b.buf.ReadFrom(io.LimitReader(r, limit+1))
 	if err == nil && int64(b.buf.Len()) > limit {
-		err = fmt.Errorf("body larger than %d bytes", limit)
+		err = &TooLargeError{Limit: limit}
 	}
 	if err != nil {
 		b.Release()
