@@ -193,6 +193,37 @@ func (p *parser) block() ([]stmt, error) {
 	return stmts, nil
 }
 
+// condBlock parses the "( cond ) block" that follows if, while, where and
+// foreach.
+func (p *parser) condBlock() (expr, []stmt, error) {
+	if err := p.expect("("); err != nil {
+		return nil, nil, err
+	}
+	cond, err := p.expression(0)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := p.expect(")"); err != nil {
+		return nil, nil, err
+	}
+	body, err := p.block()
+	return cond, body, err
+}
+
+// elseBlock parses the optional "kw block" that ends an if (kw "else") or
+// a where (kw "elsewhere"). An if after else chains: the nested if is the
+// else block.
+func (p *parser) elseBlock(kw string) ([]stmt, error) {
+	if !p.accept(kw) {
+		return nil, nil
+	}
+	if kw == "else" && p.cur().kind == tokKeyword && p.cur().text == "if" {
+		nested, err := p.statement()
+		return []stmt{nested}, err
+	}
+	return p.block()
+}
+
 func (p *parser) statement() (stmt, error) {
 	t := p.cur()
 	switch {
@@ -216,51 +247,19 @@ func (p *parser) statement() (stmt, error) {
 
 	case t.kind == tokKeyword && t.text == "if":
 		p.pos++
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
-		cond, err := p.expression(0)
+		cond, then, err := p.condBlock()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		then, err := p.block()
+		els, err := p.elseBlock("else")
 		if err != nil {
 			return nil, err
-		}
-		var els []stmt
-		if p.accept("else") {
-			if p.cur().kind == tokKeyword && p.cur().text == "if" {
-				// else-if chain: parse the nested if as the else block.
-				nested, err := p.statement()
-				if err != nil {
-					return nil, err
-				}
-				els = []stmt{nested}
-			} else {
-				els, err = p.block()
-				if err != nil {
-					return nil, err
-				}
-			}
 		}
 		return ifStmt{cond: cond, then: then, els: els, line: t.line}, nil
 
 	case t.kind == tokKeyword && t.text == "while":
 		p.pos++
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
-		cond, err := p.expression(0)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		body, err := p.block()
+		cond, body, err := p.condBlock()
 		if err != nil {
 			return nil, err
 		}
@@ -268,42 +267,19 @@ func (p *parser) statement() (stmt, error) {
 
 	case t.kind == tokKeyword && t.text == "where":
 		p.pos++
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
-		cond, err := p.expression(0)
+		cond, then, err := p.condBlock()
 		if err != nil {
 			return nil, err
 		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		then, err := p.block()
+		els, err := p.elseBlock("elsewhere")
 		if err != nil {
 			return nil, err
-		}
-		var els []stmt
-		if p.accept("elsewhere") {
-			els, err = p.block()
-			if err != nil {
-				return nil, err
-			}
 		}
 		return whereStmt{cond: cond, then: then, els: els, line: t.line}, nil
 
 	case t.kind == tokKeyword && t.text == "foreach":
 		p.pos++
-		if err := p.expect("("); err != nil {
-			return nil, err
-		}
-		cond, err := p.expression(0)
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		body, err := p.block()
+		cond, body, err := p.condBlock()
 		if err != nil {
 			return nil, err
 		}

@@ -146,9 +146,6 @@ func NewCoarseGrain(cfg machine.Config, arity int, prog []isa.Inst) (*CoarseGrai
 // Machine exposes the architectural state.
 func (c *CoarseGrain) Machine() *machine.Machine { return c.mach }
 
-// Params returns the derived timing parameters.
-func (c *CoarseGrain) Params() pipeline.Params { return c.params }
-
 // Run executes to completion (or maxCycles) with coarse-grain switching.
 func (c *CoarseGrain) Run(maxCycles int64) (Result, error) {
 	var res Result

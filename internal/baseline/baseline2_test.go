@@ -72,7 +72,7 @@ func TestCoarseGrainTrapSurfaces(t *testing.T) {
 
 func TestCoarseGrainParamsExposed(t *testing.T) {
 	cg, _ := NewCoarseGrain(mcfg(64, 2), 4, asm.MustAssemble("halt").Insts)
-	p := cg.Params()
+	p := cg.params
 	if p.B != 3 || p.R != 6 {
 		t.Errorf("params b=%d r=%d, want 3, 6", p.B, p.R)
 	}

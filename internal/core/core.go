@@ -248,20 +248,6 @@ func (p *Processor) RunContext(ctx context.Context, maxCycles int64) (Stats, err
 // them.
 func (p *Processor) RequestCheckpoint() { p.checkpointReq.Store(true) }
 
-// SetProgram retargets the processor at a new program and Resets it. The
-// program is decoded and validated like New; on error the processor is
-// left unchanged, still running the old program. The configuration (and
-// thus all allocated state) is unchanged, which is what lets a pooled
-// machine serve a stream of different programs.
-func (p *Processor) SetProgram(prog []isa.Inst) error {
-	dp, err := isa.DecodeProgram(prog)
-	if err != nil {
-		return err
-	}
-	p.SetDecoded(dp)
-	return nil
-}
-
 // Restore loads an architectural snapshot (machine.Snapshot) taken from an
 // identically configured machine at a quiescent point, and resynchronizes
 // the microarchitectural state: instruction buffers refetch from the

@@ -96,9 +96,6 @@ func New(cfg Config, prog *isa.DecodedProgram) (*CU, error) {
 	return c, nil
 }
 
-// Config returns the front-end configuration.
-func (c *CU) Config() Config { return c.cfg }
-
 // Reset returns the front end to power-on state on a (possibly new)
 // program: every context stopped and its buffer emptied, the round-robin
 // pointers rewound, the fetch/flush counters cleared, and thread 0 fetching

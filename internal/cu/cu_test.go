@@ -288,8 +288,8 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Config().BufferDepth != 4 || c.Config().FetchWidth != 1 {
-		t.Errorf("defaults = %+v", c.Config())
+	if c.cfg.BufferDepth != 4 || c.cfg.FetchWidth != 1 {
+		t.Errorf("defaults = %+v", c.cfg)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -83,6 +84,25 @@ func FuzzGateway(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte(`{`))
+	// A same-program batch with one job whose local-memory row outgrows a
+	// PE's local memory, and two jobs whose .data image outgrows scalar
+	// memory.
+	small := job
+	small.Config.LocalMemWords = 8
+	overlong := small
+	overlong.LocalMem = [][]int64{{1}, make([]int64, 9)}
+	bigData := client.RunRequest{Asm: ".data\n.word " + strings.Repeat("0, ", 4096) + "0\n.text\nhalt\n",
+		Config: client.MachineConfig{PEs: 4}}
+	for _, seed := range []any{
+		client.BatchRequest{Jobs: []client.RunRequest{small, small, overlong, small}},
+		client.BatchRequest{Jobs: []client.RunRequest{bigData, bigData}},
+	} {
+		b, err := json.Marshal(seed)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, rt := range gatewayRoutes {

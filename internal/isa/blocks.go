@@ -74,16 +74,6 @@ type Block struct {
 	Ops   []BlockOp
 }
 
-// BlockStats summarizes a built block program, for introspection and the
-// fusion-catalog tests.
-type BlockStats struct {
-	Blocks     int // basic blocks
-	BlockOps   int // dispatch units across all blocks
-	Fused      int // fused superinstructions among them
-	FusedOps   int // micro-ops covered by fused superinstructions
-	CoveredOps int // micro-ops inside any block (terminators excluded)
-}
-
 // blockLoc locates a pc inside the block structure: the containing block,
 // the block-op index, and the constituent offset within a fused op
 // (sub > 0 means pc is mid-superinstruction). block < 0 means the pc is a
@@ -100,7 +90,6 @@ type blockLoc struct {
 type BlockProgram struct {
 	blocks []Block
 	loc    []blockLoc
-	stats  BlockStats
 }
 
 // Lookup resolves a pc to its containing block, block-op index, and
@@ -119,9 +108,6 @@ func (bp *BlockProgram) Lookup(pc int) (b *Block, op, sub int, ok bool) {
 
 // Blocks returns the block list (for introspection and tests).
 func (bp *BlockProgram) Blocks() []Block { return bp.blocks }
-
-// Stats returns the build summary.
-func (bp *BlockProgram) Stats() BlockStats { return bp.stats }
 
 // terminator reports whether a micro-op ends a basic block: control flow
 // and thread management are dispatched by the per-cycle path only.
@@ -209,11 +195,6 @@ func (bp *BlockProgram) addBlock(dp *DecodedProgram, start, end int) {
 		for s := range ops {
 			bp.loc[pc+s] = blockLoc{block: id, op: opIdx, sub: int16(s)}
 		}
-		bp.stats.BlockOps++
-		if fuse != FuseNone {
-			bp.stats.Fused++
-			bp.stats.FusedOps += len(ops)
-		}
 	}
 
 	for pc := start; pc < end; {
@@ -242,12 +223,10 @@ func (bp *BlockProgram) addBlock(dp *DecodedProgram, start, end int) {
 		pc = next
 	}
 
-	bp.stats.Blocks++
-	bp.stats.CoveredOps += blk.N
 	bp.blocks = append(bp.blocks, blk)
 }
 
-// classifyFuse names the idiom of a fused group for the catalog stats.
+// classifyFuse names the idiom of a fused group.
 func classifyFuse(group []*Decoded) FuseKind {
 	last := group[len(group)-1]
 	if last.Kind == ExecReduction {

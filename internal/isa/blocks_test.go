@@ -208,8 +208,8 @@ func TestBlocksLazyBuild(t *testing.T) {
 	if dp.Blocks() != bp {
 		t.Fatal("Blocks() rebuilt instead of reusing the shared artifact")
 	}
-	if s := bp.Stats(); s.Blocks != 1 || s.CoveredOps != 1 {
-		t.Fatalf("unexpected stats %+v", s)
+	if blks := bp.Blocks(); len(blks) != 1 || blks[0].N != 1 {
+		t.Fatalf("unexpected blocks %+v", blks)
 	}
 }
 

@@ -10,8 +10,8 @@
 // internal/core; the baselines in internal/baseline reuse the same
 // functional core, so every machine model computes identical results.
 //
-// Programs are decoded once (isa.DecodeProgram) when loaded — New and
-// SetProgram validate and reject bad programs up front — and the per-cycle
+// Programs are decoded once (isa.DecodeProgram) when loaded — New
+// validates and rejects bad programs up front — and the per-cycle
 // paths dispatch on the precomputed selectors in isa.Decoded, never on raw
 // opcodes. The pre-decode-plane interpreter is retained in ref.go (ExecRef)
 // as the oracle for differential testing.
@@ -276,24 +276,10 @@ func (m *Machine) resetRest() {
 	m.threads[0].state = ThreadActive
 }
 
-// SetProgram retargets the machine at a new program without reallocating
-// any state. The program is decoded and validated like New; on success the
-// machine is Reset, so stale thread PCs from the old program can never
-// execute against the new one. On error the machine is left unchanged,
-// still running the old program.
-func (m *Machine) SetProgram(prog []isa.Inst) error {
-	dp, err := isa.DecodeProgram(prog)
-	if err != nil {
-		return err
-	}
-	m.SetDecoded(dp)
-	m.Reset()
-	return nil
-}
-
 // SetDecoded retargets the machine at an already-decoded program without
-// resetting it: the caller Resets before the machine runs, once, however
-// many machines it retargets (see SetProgram).
+// reallocating or resetting it: the caller Resets before the machine runs,
+// once, however many machines it retargets, so stale thread PCs from the
+// old program never execute against the new one.
 func (m *Machine) SetDecoded(dp *isa.DecodedProgram) {
 	m.dec = dp
 	m.prog = dp.Insts()
@@ -301,9 +287,6 @@ func (m *Machine) SetDecoded(dp *isa.DecodedProgram) {
 
 // Config returns the machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
-
-// Program returns the loaded program in raw instruction form.
-func (m *Machine) Program() []isa.Inst { return m.prog }
 
 // Decoded returns the loaded program in decoded micro-op form.
 func (m *Machine) Decoded() *isa.DecodedProgram { return m.dec }
@@ -397,16 +380,35 @@ func (m *Machine) flagBit(pe int) int {
 	return m.off + pe
 }
 
+// CheckLocalMem is LoadLocalMem's image check for a machine of c's
+// geometry, for callers that sort images before any machine exists: rows
+// beyond the PE count are ignored, and a row longer than a PE's local
+// memory is refused.
+func (c Config) CheckLocalMem(data [][]int64) error {
+	for pe, row := range data[:min(len(data), c.PEs)] {
+		if len(row) > c.LocalMemWords {
+			return fmt.Errorf("machine: local mem row %d has %d words, capacity %d", pe, len(row), c.LocalMemWords)
+		}
+	}
+	return nil
+}
+
+// CheckScalarMem is LoadScalarMem's image check for a machine of c's
+// geometry: an image longer than the scalar memory is refused.
+func (c Config) CheckScalarMem(data []int64) error {
+	if len(data) > c.ScalarMemWords {
+		return fmt.Errorf("machine: scalar mem image %d words, capacity %d", len(data), c.ScalarMemWords)
+	}
+	return nil
+}
+
 // LoadLocalMem initializes PE local memory: data[pe][w] -> word w of PE pe.
 // Rows beyond the PE count are ignored; short rows leave the tail zero.
 func (m *Machine) LoadLocalMem(data [][]int64) error {
-	for pe, row := range data {
-		if pe >= m.cfg.PEs {
-			break
-		}
-		if len(row) > m.cfg.LocalMemWords {
-			return fmt.Errorf("machine: local mem row %d has %d words, capacity %d", pe, len(row), m.cfg.LocalMemWords)
-		}
+	if err := m.cfg.CheckLocalMem(data); err != nil {
+		return err
+	}
+	for pe, row := range data[:min(len(data), m.cfg.PEs)] {
 		for w, v := range row {
 			m.localMem[pe*m.cfg.LocalMemWords+w] = m.mask(v)
 		}
@@ -420,8 +422,8 @@ func (m *Machine) LocalMem(pe, w int) int64 { return m.localMem[pe*m.cfg.LocalMe
 
 // LoadScalarMem initializes the control unit data memory from addr 0.
 func (m *Machine) LoadScalarMem(data []int64) error {
-	if len(data) > m.cfg.ScalarMemWords {
-		return fmt.Errorf("machine: scalar mem image %d words, capacity %d", len(data), m.cfg.ScalarMemWords)
+	if err := m.cfg.CheckScalarMem(data); err != nil {
+		return err
 	}
 	for i, v := range data {
 		m.scalarMem[i] = m.mask(v)

@@ -58,10 +58,10 @@ func run(t *testing.T, m *Machine) {
 				continue
 			}
 			pc := m.PC(tid)
-			if pc >= len(m.Program()) {
+			if pc >= len(m.prog) {
 				t.Fatalf("thread %d ran off the end of the program", tid)
 			}
-			in := m.Program()[pc]
+			in := m.prog[pc]
 			if m.BlockedDecoded(tid, dec(in)) {
 				continue
 			}
@@ -346,7 +346,7 @@ func TestLocalMemTrap(t *testing.T) {
 	`)
 	var err error
 	for !m.Halted() && err == nil {
-		_, err = m.ExecDecoded(0, dec(m.Program()[m.PC(0)]))
+		_, err = m.ExecDecoded(0, dec(m.prog[m.PC(0)]))
 	}
 	if err == nil {
 		t.Fatal("out-of-range local load did not trap")
@@ -469,7 +469,7 @@ func TestResponseCounterWrapsAtWidth(t *testing.T) {
 		m := newMachine(t, Config{PEs: pes, Threads: 1, Width: 8}, src)
 		run(t, m)
 		check("exec", m, pes)
-		prog := m.Program()
+		prog := m.prog
 		if got, want := m.Reduce(0, dec(prog[1])), int64(pes%256); got != want {
 			t.Errorf("pes=%d: Reduce(rcount) = %d, want %d", pes, got, want)
 		}
@@ -561,7 +561,7 @@ func TestSpawnExhaustion(t *testing.T) {
 	`)
 	// Step only thread 0 (the worker spins forever).
 	for i := 0; i < 3; i++ {
-		if _, err := m.ExecDecoded(0, dec(m.Program()[m.PC(0)])); err != nil {
+		if _, err := m.ExecDecoded(0, dec(m.prog[m.PC(0)])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -581,7 +581,7 @@ func TestMailboxBlocking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := m.Program()[0]
+	in := m.prog[0]
 	if !m.BlockedDecoded(0, dec(in)) {
 		t.Error("TRECV with empty mailbox should block")
 	}
@@ -612,14 +612,14 @@ func TestTJOINBlockedWhileAlive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ExecDecoded(0, dec(m.Program()[0])); err != nil { // spawn
+	if _, err := m.ExecDecoded(0, dec(m.prog[0])); err != nil { // spawn
 		t.Fatal(err)
 	}
-	join := m.Program()[1]
+	join := m.prog[1]
 	if !m.BlockedDecoded(0, dec(join)) {
 		t.Error("TJOIN should block while the target is active")
 	}
-	if _, err := m.ExecDecoded(1, dec(m.Program()[3])); err != nil { // worker texit
+	if _, err := m.ExecDecoded(1, dec(m.prog[3])); err != nil { // worker texit
 		t.Fatal(err)
 	}
 	if m.BlockedDecoded(0, dec(join)) {
@@ -634,7 +634,7 @@ func TestHaltedWhenAllThreadsExit(t *testing.T) {
 	if m.Halted() {
 		t.Fatal("halted before executing")
 	}
-	if _, err := m.ExecDecoded(0, dec(m.Program()[0])); err != nil {
+	if _, err := m.ExecDecoded(0, dec(m.prog[0])); err != nil {
 		t.Fatal(err)
 	}
 	if !m.Halted() {
@@ -644,7 +644,7 @@ func TestHaltedWhenAllThreadsExit(t *testing.T) {
 
 func TestPCOutOfBoundsTrap(t *testing.T) {
 	m := newMachine(t, cfg8(1), `nop`)
-	if _, err := m.ExecDecoded(0, dec(m.Program()[0])); err != nil {
+	if _, err := m.ExecDecoded(0, dec(m.prog[0])); err != nil {
 		t.Fatal(err)
 	}
 	// PC now == len(prog): allowed boundary (falls off the end is caught by

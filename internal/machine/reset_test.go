@@ -70,10 +70,10 @@ func TestResetAfterTrap(t *testing.T) {
 		sw s1, 4090(s1)   ; traps: address 4150 out of range
 		halt
 	`)
-	if _, err := m.ExecDecoded(0, dec(m.Program()[0])); err != nil {
+	if _, err := m.ExecDecoded(0, dec(m.prog[0])); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.ExecDecoded(0, dec(m.Program()[1])); err == nil {
+	if _, err := m.ExecDecoded(0, dec(m.prog[1])); err == nil {
 		t.Fatal("expected a trap")
 	}
 	m.Reset()
@@ -87,8 +87,9 @@ func TestResetAfterTrap(t *testing.T) {
 	}
 }
 
-// TestSetProgramReuse retargets one machine at a second program and checks
-// it computes the same result as a machine built for that program.
+// TestSetProgramReuse retargets one machine at a second program
+// (SetDecoded, then Reset, as the pool's checkout does) and checks it
+// computes the same result as a machine built for that program.
 func TestSetProgramReuse(t *testing.T) {
 	cfg := Config{PEs: 8, Threads: 2, Width: 16}
 	m := newMachine(t, cfg, dirtySrc)
@@ -103,7 +104,7 @@ func TestSetProgramReuse(t *testing.T) {
 	fresh := newMachine(t, cfg, src2)
 	run(t, fresh)
 
-	m.SetProgram(fresh.Program())
+	m.SetDecoded(fresh.dec)
 	m.Reset()
 	run(t, m)
 	if got, want := m.ScalarMem(0), fresh.ScalarMem(0); got != want {

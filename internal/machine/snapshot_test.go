@@ -45,7 +45,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	m := snapMachine(t)
 	// Execute a few instructions to build interesting state.
 	for i := 0; i < 4; i++ {
-		if _, err := m.ExecDecoded(0, dec(m.Program()[m.PC(0)])); err != nil {
+		if _, err := m.ExecDecoded(0, dec(m.prog[m.PC(0)])); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,7 +88,7 @@ func TestSnapshotResumeDeterminism(t *testing.T) {
 		for i := 0; i < steps && !m.Halted(); i++ {
 			tid := -1
 			for c := 0; c < m.Config().Threads; c++ {
-				if m.ThreadActive(c) && !m.BlockedDecoded(c, dec(m.Program()[m.PC(c)])) {
+				if m.ThreadActive(c) && !m.BlockedDecoded(c, dec(m.prog[m.PC(c)])) {
 					tid = c
 					break
 				}
@@ -96,7 +96,7 @@ func TestSnapshotResumeDeterminism(t *testing.T) {
 			if tid < 0 {
 				t.Fatal("deadlock")
 			}
-			if _, err := m.ExecDecoded(tid, dec(m.Program()[m.PC(tid)])); err != nil {
+			if _, err := m.ExecDecoded(tid, dec(m.prog[m.PC(tid)])); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -127,7 +127,7 @@ func TestSnapshotRejectsMismatchedMachine(t *testing.T) {
 	snap := m.Snapshot()
 
 	// Different PE count.
-	other, _ := New(Config{PEs: 8, Threads: 4, Width: 16, LocalMemWords: 8}, m.Program())
+	other, _ := New(Config{PEs: 8, Threads: 4, Width: 16, LocalMemWords: 8}, m.prog)
 	if err := other.Restore(snap); err == nil {
 		t.Error("snapshot accepted by a machine with a different PE count")
 	}

@@ -132,9 +132,6 @@ func NewResolver(p int) *Resolver {
 	return r
 }
 
-// Latency is the number of cycles between Step input and parallel output.
-func (r *Resolver) Latency() int { return r.depth }
-
 // Step advances one clock cycle. If in is non-nil it must have length p.
 // The return values are the first-responder vector emerging this cycle
 // (valid only until the next Step) and whether one emerged.

@@ -91,7 +91,7 @@ func TestResolverFindsFirst(t *testing.T) {
 	r.Step(in)
 	var out []bool
 	var ok bool
-	for c := 0; c < r.Latency(); c++ {
+	for c := 0; c < ReductionLatency(p); c++ {
 		out, ok = r.Step(nil)
 	}
 	if !ok {
@@ -111,7 +111,7 @@ func TestResolverNoResponders(t *testing.T) {
 	r.Step(make([]bool, p))
 	var out []bool
 	var ok bool
-	for c := 0; c < r.Latency(); c++ {
+	for c := 0; c < ReductionLatency(p); c++ {
 		out, ok = r.Step(nil)
 	}
 	if !ok {
@@ -138,7 +138,7 @@ func TestResolverMatchesFunctional(t *testing.T) {
 		r.Step(in)
 		var out []bool
 		var ok bool
-		for c := 0; c < r.Latency(); c++ {
+		for c := 0; c < ReductionLatency(p); c++ {
 			out, ok = r.Step(nil)
 		}
 		if !ok {

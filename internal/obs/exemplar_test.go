@@ -9,10 +9,10 @@ import (
 	"testing"
 )
 
-// exemplarRegistry is the deterministic fixture for the exemplar golden:
+// exemplarFamilies is the deterministic fixture for the exemplar golden:
 // histograms whose buckets carry trace-id exemplars, with and without
-// timestamps, plain and vec.
-func exemplarRegistry() *Registry {
+// timestamps, plain and labeled.
+func exemplarFamilies() []*ParsedFamily {
 	r := NewRegistry()
 	h := r.NewHistogram("test_duration_seconds", "Request latency.", []float64{0.1, 1, 10})
 	h.Observe(0.2) // no exemplar on this bucket
@@ -20,10 +20,15 @@ func exemplarRegistry() *Registry {
 	h.ObserveWithExemplar(5, 0, Label{Name: "trace_id", Value: "00f067aa0ba902b74bf92f3577b34da6"}) // ts omitted
 	h.ObserveWithExemplar(100, 1754524801, Label{Name: "trace_id", Value: "deadbeefdeadbeefdeadbeefdeadbeef"},
 		Label{Name: "request_id", Value: "req-42"}) // +Inf bucket, two labels
-	hv := r.NewHistogramVec("test_stage_seconds", "Stage latency.", []float64{0.5, 2}, "stage")
-	hv.With("compile").ObserveWithExemplar(0.25, 1754524800.5, Label{Name: "trace_id", Value: "cafecafecafecafecafecafecafecafe"})
-	hv.With("simulate").Observe(1)
-	return r
+	stages := labeledFamilies("stage", []string{"compile", "simulate"}, func(r *Registry, stage string) {
+		h := r.NewHistogram("test_stage_seconds", "Stage latency.", []float64{0.5, 2})
+		if stage == "compile" {
+			h.ObserveWithExemplar(0.25, 1754524800.5, Label{Name: "trace_id", Value: "cafecafecafecafecafecafecafecafe"})
+			return
+		}
+		h.Observe(1)
+	})
+	return MergeFamilies(r.Families(), stages)
 }
 
 // TestExemplarGolden pins the rendered exemplar syntax: each exemplar
@@ -31,9 +36,7 @@ func exemplarRegistry() *Registry {
 // exemplars render exactly as before, and the whole exposition parses.
 func TestExemplarGolden(t *testing.T) {
 	var b strings.Builder
-	if err := exemplarRegistry().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
+	WriteFamilies(&b, exemplarFamilies())
 	got := b.String()
 
 	golden := filepath.Join("testdata", "exemplar.golden")
@@ -59,9 +62,7 @@ func TestExemplarGolden(t *testing.T) {
 // value and timestamp intact.
 func TestExemplarParse(t *testing.T) {
 	var b strings.Builder
-	if err := exemplarRegistry().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
+	WriteFamilies(&b, exemplarFamilies())
 	fams, err := ParseText(b.String())
 	if err != nil {
 		t.Fatal(err)
@@ -160,21 +161,30 @@ func randomRegistry(t *testing.T, rng *rand.Rand) string {
 	if rng.Intn(2) == 0 {
 		// Zero children is a declared family with no samples, which
 		// WriteFamilies keeps like any other.
-		hv := r.NewHistogramVec("rt_hv_seconds", "Histogram vec.", []float64{0.5, 5}, "stage")
-		for j := 0; j < rng.Intn(5); j++ {
-			stage := []string{"compile", "exec", "peel"}[rng.Intn(3)]
-			if rng.Intn(2) == 0 {
-				hv.With(stage).ObserveWithExemplar(rng.Float64()*8, float64(rng.Int63n(2_000_000_000)),
-					Label{Name: "trace_id", Value: randHex(32)})
-			} else {
-				hv.With(stage).Observe(rng.Float64() * 8)
-			}
+		gv := r.NewGaugeVec("rt_gv", "Gauge vec.", "kind")
+		for j := 0; j < rng.Intn(3); j++ {
+			gv.With(labelVals[rng.Intn(len(labelVals))]).Set(int64(rng.Intn(50)))
 		}
 	}
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
+	var stages []string
+	for _, stage := range []string{"compile", "exec", "peel"} {
+		if rng.Intn(2) == 0 {
+			stages = append(stages, stage)
+		}
 	}
+	labeled := labeledFamilies("stage", stages, func(r *Registry, _ string) {
+		h := r.NewHistogram("rt_hv_seconds", "Labeled histogram.", []float64{0.5, 5})
+		for j := 0; j < rng.Intn(5); j++ {
+			if rng.Intn(2) == 0 {
+				h.ObserveWithExemplar(rng.Float64()*8, float64(rng.Int63n(2_000_000_000)),
+					Label{Name: "trace_id", Value: randHex(32)})
+			} else {
+				h.Observe(rng.Float64() * 8)
+			}
+		}
+	})
+	var b strings.Builder
+	WriteFamilies(&b, MergeFamilies(r.Families(), labeled))
 	return b.String()
 }
 

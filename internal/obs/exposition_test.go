@@ -11,9 +11,41 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// testRegistry builds a deterministic registry exercising every instrument
-// shape: plain and labeled counters and gauges, a gauge func, label-value
-// escaping, and histograms with and without labels.
+// labeledFamilies builds one registry per label value with fill and
+// merges their families the way ascgw's per-backend view merges backend
+// scrapes: every sample carries its registry's value of the label. It is
+// how a labeled histogram reaches the renderer.
+func labeledFamilies(label string, values []string, fill func(r *Registry, value string)) []*ParsedFamily {
+	var out []*ParsedFamily
+	for _, v := range values {
+		r := NewRegistry()
+		fill(r, v)
+		fams := r.Families()
+		for _, f := range fams {
+			for j := range f.Samples {
+				f.Samples[j] = f.Samples[j].WithLabel(label, v)
+			}
+		}
+		out = MergeFamilies(out, fams)
+	}
+	return out
+}
+
+// testFamilies is the deterministic exposition fixture exercising every
+// instrument shape: testRegistry's, plus a histogram with labels.
+func testFamilies() []*ParsedFamily {
+	stages := labeledFamilies("stage", []string{"compile", "simulate"}, func(r *Registry, stage string) {
+		h := r.NewHistogram("test_stage_seconds", "Stage latency.", []float64{0.5, 2})
+		for _, v := range map[string][]float64{"compile": {0.25}, "simulate": {1, 3}}[stage] {
+			h.Observe(v)
+		}
+	})
+	return MergeFamilies(testRegistry().Families(), stages)
+}
+
+// testRegistry builds a deterministic registry exercising every registry
+// instrument: plain and labeled counters and gauges, a gauge func,
+// label-value escaping, and a histogram.
 func testRegistry() *Registry {
 	r := NewRegistry()
 	jobs := r.NewCounter("test_jobs_total", "Jobs processed.")
@@ -33,10 +65,6 @@ func testRegistry() *Registry {
 	h.Observe(0.5)
 	h.Observe(5)
 	h.Observe(100) // lands in +Inf
-	hv := r.NewHistogramVec("test_stage_seconds", "Stage latency.", []float64{0.5, 2}, "stage")
-	hv.With("compile").Observe(0.25)
-	hv.With("simulate").Observe(1)
-	hv.With("simulate").Observe(3)
 	return r
 }
 
@@ -44,9 +72,7 @@ func testRegistry() *Registry {
 // holds it to the strict parser. CI smokes this test under -race.
 func TestExposition(t *testing.T) {
 	var b strings.Builder
-	if err := testRegistry().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
+	WriteFamilies(&b, testFamilies())
 	got := b.String()
 
 	golden := filepath.Join("testdata", "exposition.golden")
@@ -73,9 +99,7 @@ func TestExposition(t *testing.T) {
 	// Rendering twice must be deterministic (children sorted, no map
 	// iteration order leaking through).
 	var b2 strings.Builder
-	if err := testRegistry().WritePrometheus(&b2); err != nil {
-		t.Fatal(err)
-	}
+	WriteFamilies(&b2, testFamilies())
 	if b2.String() != got {
 		t.Error("two renders of identical registries differ")
 	}

@@ -1,6 +1,6 @@
 // Package obs is a dependency-free metrics core for the serving stack: a
-// registry of counters, gauges, and histograms (each optionally with
-// labeled children) that renders the Prometheus text exposition format
+// registry of counters and gauges (each optionally with labeled children)
+// and histograms that renders the Prometheus text exposition format
 // v0.0.4 through one renderer, WriteFamilies, and reads it back through
 // one parser, ParseText. It exists so ascd can export the simulator's
 // paper-relevant signals — stall cycles by hazard kind, reduction-tree
@@ -211,17 +211,4 @@ func (r *Registry) NewGaugeFunc(name, help string, fn func() float64) {
 func (r *Registry) NewHistogram(name, help string, bounds []float64) *Histogram {
 	f := r.register(name, help, "histogram", nil, bounds, nil)
 	return f.child(nil, func() any { return newHistogram(f.bounds) }).(*Histogram)
-}
-
-// HistogramVec is a histogram family with labeled children.
-type HistogramVec struct{ f *family }
-
-// With returns the child histogram for the given label values.
-func (v *HistogramVec) With(values ...string) *Histogram {
-	return v.f.child(values, func() any { return newHistogram(v.f.bounds) }).(*Histogram)
-}
-
-// NewHistogramVec registers a histogram family with labeled children.
-func (r *Registry) NewHistogramVec(name, help string, bounds []float64, labels ...string) *HistogramVec {
-	return &HistogramVec{f: r.register(name, help, "histogram", labels, bounds, nil)}
 }

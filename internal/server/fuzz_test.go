@@ -121,6 +121,21 @@ func FuzzRequest(f *testing.F) {
 	} {
 		f.Add(mustJSON(f, seed))
 	}
+	// A same-program batch with one job whose local-memory row outgrows a
+	// PE's local memory, and two jobs whose .data image outgrows scalar
+	// memory.
+	small := sum
+	small.Config.LocalMemWords = 8
+	overlong := small
+	overlong.LocalMem = [][]int64{{1}, make([]int64, 9)}
+	bigData := client.RunRequest{Asm: ".data\n.word " + strings.Repeat("0, ", 4096) + "0\n.text\nhalt\n",
+		Config: client.MachineConfig{PEs: 4}}
+	for _, seed := range []any{
+		client.BatchRequest{Jobs: []client.RunRequest{small, small, overlong, small}},
+		client.BatchRequest{Jobs: []client.RunRequest{bigData, bigData}},
+	} {
+		f.Add(mustJSON(f, seed))
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for _, rt := range fuzzRoutes {

@@ -2,6 +2,8 @@ package server_test
 
 import (
 	"context"
+	"errors"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -245,5 +247,82 @@ func TestBatchTracedJobsRunSolo(t *testing.T) {
 	_, body := httpGet(t, c.BaseURL+"/metrics", nil)
 	if v := counterValue(t, body, "asc_gang_jobs_total"); v != 0 {
 		t.Errorf("asc_gang_jobs_total = %v, want 0: traced jobs must run solo", v)
+	}
+}
+
+// soloJob answers req through /v1/run in a batch job's shape, with the
+// hit flags cleared (see noHits).
+func soloJob(t *testing.T, c *client.Client, req client.RunRequest) client.BatchJobResult {
+	t.Helper()
+	res, err := c.Run(context.Background(), req)
+	var ae *client.APIError
+	if errors.As(err, &ae) {
+		return client.BatchJobResult{Status: ae.Status, Error: ae.Message}
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return noHits(client.BatchJobResult{Result: res})
+}
+
+// noHits clears a result's pool and cache hit flags, which depend on what
+// ran before it.
+func noHits(jr client.BatchJobResult) client.BatchJobResult {
+	if r := jr.Result; r != nil {
+		r.PoolHit, r.ProgramCacheHit, r.BlockCacheHit = false, false, false
+	}
+	return jr
+}
+
+// TestGangRunsLanesThatLoad: a same-program batch job that /v1/run refuses
+// for its memory images — a local-memory row one word past a PE's local
+// memory, or a .data image one word past scalar memory — answers exactly
+// what /v1/run answers it, and the jobs left run as one gang of however
+// many lanes that leaves, one included, each with its solo result.
+func TestGangRunsLanesThatLoad(t *testing.T) {
+	job := func(v int64, longRow bool) client.RunRequest {
+		req, _ := sumRequest([]int64{v, 2, 3, 4})
+		req.Config.LocalMemWords, req.DumpLocal = 8, 1
+		if longRow {
+			req.LocalMem[1] = make([]int64, 9)
+		}
+		return req
+	}
+	data := client.RunRequest{Asm: ".data\n.word " + strings.Repeat("0, ", 4096) + "0\n.text\nhalt\n",
+		Config: client.MachineConfig{PEs: 4}}
+	for _, tc := range []struct {
+		jobs  []client.RunRequest
+		fault string // in /v1/run's answer to each refused job
+		gang  int    // jobs left to run ganged
+	}{
+		{[]client.RunRequest{job(1, false), job(2, false), job(3, true), job(4, false)}, "local mem row 1 has 9 words", 3},
+		{[]client.RunRequest{job(1, true), job(2, true), job(3, false), job(4, true)}, "local mem row 1 has 9 words", 1},
+		{[]client.RunRequest{data, data}, "scalar mem image 4097 words, capacity 4096", 0},
+	} {
+		_, c := newTestServer(t, server.Config{Workers: 2})
+		wants := make([]client.BatchJobResult, len(tc.jobs))
+		refused := 0
+		for i := range tc.jobs {
+			if wants[i] = soloJob(t, c, tc.jobs[i]); wants[i].Status == 400 && strings.Contains(wants[i].Error, tc.fault) {
+				refused++
+			}
+		}
+		if refused != len(tc.jobs)-tc.gang {
+			t.Fatalf("%q: /v1/run refused %d jobs, want %d: %+v", tc.fault, refused, len(tc.jobs)-tc.gang, wants)
+		}
+		_, body := httpGet(t, c.BaseURL+"/metrics", nil)
+		before := counterValue(t, body, "asc_gang_jobs_total")
+		batch, err := c.RunBatch(context.Background(), client.BatchRequest{Jobs: tc.jobs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, jr := range batch.Jobs {
+			if got := noHits(jr); !reflect.DeepEqual(got, wants[i]) {
+				t.Errorf("%q: job %d = %+v, want /v1/run's %+v", tc.fault, i, got, wants[i])
+			}
+		}
+		_, body = httpGet(t, c.BaseURL+"/metrics", nil)
+		if got := counterValue(t, body, "asc_gang_jobs_total") - before; got != float64(tc.gang) {
+			t.Errorf("%q: asc_gang_jobs_total rose by %v, want %d", tc.fault, got, tc.gang)
+		}
 	}
 }

@@ -569,49 +569,35 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// lockstep gang — one fetch/decode/issue pass over the shared micro-op
 	// stream drives all of them, the paper's one-broadcast-to-all-PEs
 	// amortization applied across jobs. The wire semantics are unchanged:
-	// per-job results are bit-identical to solo runs.
+	// per-job results are bit-identical to solo runs. Each group takes one
+	// batch-lane slot; a group of one runs solo under its own job span.
 	outcomes := make([]jobOutcome, len(req.Jobs))
-	groups, singles := s.planBatch(&req, outcomes)
 	var wg sync.WaitGroup
-	for _, i := range singles {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			defer s.batchLane.release(1)
-			jctx, sp := dtrace.Start(batchCtx, "job", dtrace.Int("index", int64(i)))
-			jobStart := time.Now()
-			out := canceledBeforeStart
-			if s.batchLane.slot(jctx, c.Log) {
-				out = rewriteBatchCancel(batchCtx, s.execute(jctx, solo{req: &req.Jobs[i]}))
-				s.batchLane.free()
-			}
-			// Sub-jobs observe into the same request-duration histogram the
-			// single-run lane uses: one histogram answers "how long does a
-			// job take here" regardless of how it arrived.
-			s.sh.ObserveLatency(c.Tr, time.Since(jobStart).Seconds())
-			out.endSpan(sp)
-			outcomes[i] = out
-		}(i)
-	}
-	for _, grp := range groups {
+	for _, grp := range s.planBatch(&req, outcomes) {
 		wg.Add(1)
 		go func(grp []int) {
 			defer wg.Done()
 			defer s.batchLane.release(int64(len(grp)))
-			gangStart := time.Now()
-			// One slot drives every lane of the group: that is the gang's
-			// amortization.
-			if s.batchLane.slot(batchCtx, c.Log) {
+			start := time.Now()
+			for _, i := range grp {
+				outcomes[i] = canceledBeforeStart
+			}
+			if i := grp[0]; len(grp) == 1 {
+				jctx, sp := dtrace.Start(batchCtx, "job", dtrace.Int("index", int64(i)))
+				if s.batchLane.slot(jctx, c.Log) {
+					outcomes[i] = rewriteBatchCancel(batchCtx, s.execute(jctx, solo{req: &req.Jobs[i]}))
+					s.batchLane.free()
+				}
+				outcomes[i].endSpan(sp)
+			} else if s.batchLane.slot(batchCtx, c.Log) {
 				s.runGang(batchCtx, req.Jobs, grp, outcomes)
 				s.batchLane.free()
-			} else {
-				for _, i := range grp {
-					outcomes[i] = canceledBeforeStart
-				}
 			}
-			// Lockstep lanes share wall-clock: each lane's duration is the
-			// group's.
-			sec := time.Since(gangStart).Seconds()
+			// Sub-jobs observe into the same request-duration histogram the
+			// single-run lane uses: one histogram answers "how long does a
+			// job take here" regardless of how it arrived. Lockstep lanes
+			// share wall-clock: each lane's duration is the group's.
+			sec := time.Since(start).Seconds()
 			for range grp {
 				s.sh.ObserveLatency(c.Tr, sec)
 			}
@@ -667,16 +653,15 @@ func rewriteBatchCancel(batchCtx context.Context, out jobOutcome) jobOutcome {
 
 // planBatch validates every job once, settling an invalid job's outcome
 // with a per-job 400 (a bad job in a batch never fails the batch) and
-// releasing its batch-lane charge, and partitions the rest into gang
-// groups and solo jobs. Jobs gang when they
-// share a program digest, an architectural configuration, and effective
-// run limits, and at least two of them agree: one shared
-// fetch/decode/issue pass then drives all of them. Ganging is
-// server-internal; per-job results are bit-identical to solo runs. Traced
-// jobs and SMT configurations always run solo.
-func (s *Server) planBatch(req *client.BatchRequest, outcomes []jobOutcome) (groups [][]int, singles []int) {
-	byKey := make(map[string][]int)
-	var order []string
+// releasing its batch-lane charge, and partitions the rest into groups in
+// the order their first jobs appear. Jobs share a group when they share a
+// program digest, an architectural configuration, and effective run
+// limits: one shared fetch/decode/issue pass then drives all of them.
+// Ganging is server-internal; per-job results are bit-identical to solo
+// runs. A traced job or an SMT configuration is a group of one.
+func (s *Server) planBatch(req *client.BatchRequest, outcomes []jobOutcome) [][]int {
+	var groups [][]int
+	byKey := make(map[string]int) // group key → index in groups
 	for i := range req.Jobs {
 		j := &req.Jobs[i]
 		if err := s.validateJob(j); err != nil {
@@ -685,44 +670,17 @@ func (s *Server) planBatch(req *client.BatchRequest, outcomes []jobOutcome) (gro
 			continue
 		}
 		if j.Trace || j.Config.ASC().SMT {
-			singles = append(singles, i)
+			groups = append(groups, []int{i})
 			continue
 		}
 		key := fmt.Sprintf("%s|%s|mc=%d|to=%d",
 			progDigest(j), j.Config.ASC().Key(), s.effMaxCycles(j), s.effTimeout(j))
-		if _, ok := byKey[key]; !ok {
-			order = append(order, key)
+		if g, ok := byKey[key]; ok {
+			groups[g] = append(groups[g], i)
+			continue
 		}
-		byKey[key] = append(byKey[key], i)
+		byKey[key] = len(groups)
+		groups = append(groups, []int{i})
 	}
-	for _, key := range order {
-		grp := byKey[key]
-		if len(grp) >= 2 {
-			groups = append(groups, grp)
-		} else {
-			singles = append(singles, grp...)
-		}
-	}
-	return groups, singles
-}
-
-// memImagesFit mirrors the machine's memory-image validation (rows beyond
-// the PE count are ignored; over-long rows and images are errors) so a bad
-// image is rejected with a per-job 400 before its lane joins a gang — a
-// lane cannot be excluded once its gang is running.
-func memImagesFit(req *client.RunRequest, geom asc.Geometry) error {
-	for pe, row := range req.LocalMem {
-		if pe >= geom.PEs {
-			break
-		}
-		if len(row) > geom.LocalMemWords {
-			return fmt.Errorf("loading local memory: machine: local mem row %d has %d words, capacity %d",
-				pe, len(row), geom.LocalMemWords)
-		}
-	}
-	if len(req.ScalarMem) > geom.ScalarMemWords {
-		return fmt.Errorf("loading scalar memory: machine: scalar mem image %d words, capacity %d",
-			len(req.ScalarMem), geom.ScalarMemWords)
-	}
-	return nil
+	return groups
 }

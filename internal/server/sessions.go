@@ -320,22 +320,7 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if err := s.validate(&req.RunRequest); err != nil {
-		c.Tr.SetError()
-		wire.WriteError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.CheckpointEveryCycles < 0 {
-		c.Tr.SetError()
-		wire.WriteError(w, http.StatusBadRequest, "checkpointEveryCycles must be non-negative")
-		return
-	}
-	if req.Trace {
-		c.Tr.SetError()
-		wire.WriteError(w, http.StatusBadRequest, "sessions do not support trace (trace state is not part of the snapshot); use /v1/run")
-		return
-	}
-	if err := s.checkEnvelopeFits(&req); err != nil {
+	if err := s.validateSession(&req); err != nil {
 		c.Tr.SetError()
 		wire.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -350,18 +335,25 @@ func (s *Server) handleSessions(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// checkEnvelopeFits refuses a session that could mint an envelope (it is
-// resumable or checkpoints periodically) whose resume request would exceed
-// this server's own body limit: no backend configured like it could accept
-// that envelope. The request has passed validate.
-func (s *Server) checkEnvelopeFits(req *client.SessionRequest) error {
-	if !req.Resumable && req.CheckpointEveryCycles == 0 {
+// validateSession is validate for a session request, which also needs a
+// non-negative checkpoint cadence and no trace (trace state is not part of
+// the snapshot). A session that could mint an envelope (it is resumable or
+// checkpoints periodically) is refused when the envelope's resume request
+// would exceed this server's own body limit: no backend configured like it
+// could accept that envelope.
+func (s *Server) validateSession(req *client.SessionRequest) error {
+	if err := s.validate(&req.RunRequest); err != nil {
+		return err
+	}
+	switch {
+	case req.CheckpointEveryCycles < 0:
+		return errors.New("checkpointEveryCycles must be non-negative")
+	case req.Trace:
+		return errors.New("sessions do not support trace (trace state is not part of the snapshot); use /v1/run")
+	case !req.Resumable && req.CheckpointEveryCycles == 0:
 		return nil
 	}
-	g, err := req.Config.ASC().Geometry()
-	if err != nil {
-		return fmt.Errorf("invalid machine config: %w", err)
-	}
+	g, _ := req.Config.ASC().Geometry() // validate passed
 	if n := migrate.ResumeBytes(req.RunRequest, g.SnapshotBytes); n > s.cfg.MaxBodyBytes {
 		return fmt.Errorf("envelope_too_large: this session's envelope could need a %d-byte resume body, over the server's %d-byte request body limit; use fewer PEs, threads or local memory words, or a narrower width",
 			n, s.cfg.MaxBodyBytes)
