@@ -294,9 +294,6 @@ func (g *Gateway) Handler() http.Handler {
 	return dtrace.WithRequestID(mux)
 }
 
-// Registry exposes the gateway's own metrics registry.
-func (g *Gateway) Registry() *obs.Registry { return g.m.reg }
-
 // Shutdown stops admission (new submissions get 503), waits for in-flight
 // requests up to ctx's deadline, and stops the health checker. Idempotent.
 func (g *Gateway) Shutdown(ctx context.Context) error {
@@ -339,13 +336,7 @@ func (g *Gateway) writeUnavailable(w http.ResponseWriter, status int, floorHint 
 // marking tr errored; on true the caller owns one gate unit and one
 // inflight unit and must call release with the returned start time.
 func (g *Gateway) admit(w http.ResponseWriter, tr *dtrace.Active, route string) (start time.Time, ok bool) {
-	ok, draining := g.sh.Gate.Admit(1, func() bool {
-		if g.inflight.Load() >= int64(g.cfg.MaxInflight) {
-			return false
-		}
-		g.inflight.Add(1)
-		return true
-	})
+	ok, draining, _ := g.sh.Gate.Admit(&g.inflight, 1, int64(g.cfg.MaxInflight))
 	switch {
 	case draining:
 		g.m.sheds.With(route, "draining").Inc()
@@ -365,16 +356,15 @@ func (g *Gateway) admit(w http.ResponseWriter, tr *dtrace.Active, route string) 
 // release records an admitted request's latency and returns its slot.
 func (g *Gateway) release(tr *dtrace.Active, start time.Time) {
 	g.sh.ObserveLatency(tr, time.Since(start).Seconds())
-	g.inflight.Add(-1)
-	g.sh.Gate.Done(1)
+	g.sh.Gate.Done(&g.inflight, 1)
 }
 
 // routingKey is what a job hashes on: the pre-submit program digest
 // (progcache.RequestDigest — the same digest the backend caches and gangs
-// by) joined with the full Config.Key(), so one kernel+geometry is one
-// ring arc.
+// by). The digest hashes the machine's architectural key, so one
+// kernel+geometry is one ring arc.
 func routingKey(req *client.RunRequest) string {
-	return progcache.RequestDigest(req.ASCL, req.Asm, req.Config.ASC()) + "|" + req.Config.ASC().Key()
+	return progcache.RequestDigest(req.ASCL, req.Asm, req.Config.ASC())
 }
 
 // candidates returns the ordered backends to try for key: the bounded-
@@ -754,9 +744,8 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) routeGroup(ctx context.Context, req *client.BatchRequest, grp batchGroup,
 	outcomes []client.BatchJobResult, id string, log *slog.Logger) {
 
-	digest, _, _ := strings.Cut(grp.key, "|")
 	ctx, csp := dtrace.Start(ctx, "chunk",
-		dtrace.Str("digest", progcache.ShortDigest(digest)), dtrace.Int("jobs", int64(len(grp.idxs))))
+		dtrace.Str("digest", progcache.ShortDigest(grp.key)), dtrace.Int("jobs", int64(len(grp.idxs))))
 	defer csp.End()
 
 	sub := client.BatchRequest{Jobs: make([]client.RunRequest, len(grp.idxs)), TimeoutMs: req.TimeoutMs}

@@ -79,38 +79,52 @@ func (p *Pool) keyStatsLocked(key string) *Stats {
 }
 
 // checkout pops a warm machine parked under key and retargets it at prog,
-// or builds one on a miss. A program-load failure (e.g. a .data segment
-// larger than scalar memory) does not invalidate the machine: it is
-// re-parked warm, and the checkout counts as neither a hit nor a miss.
-func (p *Pool) checkout(key string, prog *asc.Program, build func() (machine, error)) (machine, bool, error) {
+// or builds one on a miss, and then restores snapshot into it when one is
+// given. A failed program load (e.g. a .data segment larger than scalar
+// memory) or restore (an image of another machine) does not invalidate
+// the machine: both validate before they mutate, so it is re-parked warm.
+// A warm checkout that fails counts as neither a hit nor a miss; a built
+// one keeps its miss, since the build cost was real.
+func (p *Pool) checkout(key string, prog *asc.Program, snapshot []byte, build func() (machine, error)) (machine, bool, error) {
+	var m machine
 	p.mu.Lock()
-	if ms := p.idle[key]; len(ms) > 0 {
-		m := ms[len(ms)-1]
+	ms := p.idle[key]
+	hit := len(ms) > 0
+	if hit {
+		m = ms[len(ms)-1]
 		ms[len(ms)-1] = nil
 		p.idle[key] = ms[:len(ms)-1]
 		p.nIdle--
-		p.mu.Unlock()
-		if err := m.SetProgram(prog); err != nil {
-			p.park(key, m)
+	} else {
+		p.keyStatsLocked(key).Misses++
+	}
+	p.mu.Unlock()
+
+	var err error
+	if hit {
+		err = m.SetProgram(prog)
+	} else {
+		start := time.Now()
+		if m, err = build(); err != nil {
 			return nil, false, err
 		}
 		p.mu.Lock()
-		p.keyStatsLocked(key).Hits++
+		p.keyStatsLocked(key).BuildNanos += int64(time.Since(start))
 		p.mu.Unlock()
-		return m, true, nil
 	}
-	p.keyStatsLocked(key).Misses++
-	p.mu.Unlock()
-
-	start := time.Now()
-	m, err := build()
+	if err == nil && snapshot != nil {
+		err = m.(*asc.Processor).Restore(snapshot)
+	}
 	if err != nil {
+		p.park(key, m)
 		return nil, false, err
 	}
-	p.mu.Lock()
-	p.keyStatsLocked(key).BuildNanos += int64(time.Since(start))
-	p.mu.Unlock()
-	return m, false, nil
+	if hit {
+		p.mu.Lock()
+		p.keyStatsLocked(key).Hits++
+		p.mu.Unlock()
+	}
+	return m, hit, nil
 }
 
 // park shelves a machine under key for reuse, or drops it when the idle
@@ -132,39 +146,20 @@ func (p *Pool) park(key string, m machine) {
 // processor is constructed. Either way the caller owns the processor until
 // it calls Put.
 func (p *Pool) Get(cfg asc.Config, prog *asc.Program) (*asc.Processor, bool, error) {
-	m, hit, err := p.checkout(cfg.Key(), prog, func() (machine, error) { return asc.New(cfg, prog) })
+	return p.GetRestored(cfg, prog, nil)
+}
+
+// GetRestored is Get with an architectural snapshot restored into the
+// checked-out machine, in the same checkout — the warm-pool entry point of
+// every resume. The snapshot must have been taken from a machine with the
+// same configuration and program (machine fingerprinting enforces this).
+// A nil snapshot restores nothing.
+func (p *Pool) GetRestored(cfg asc.Config, prog *asc.Program, snapshot []byte) (*asc.Processor, bool, error) {
+	m, hit, err := p.checkout(cfg.Key(), prog, snapshot, func() (machine, error) { return asc.New(cfg, prog) })
 	if err != nil {
 		return nil, false, err
 	}
 	return m.(*asc.Processor), hit, nil
-}
-
-// GetRestored is Get followed by restoring an architectural snapshot into
-// the checked-out machine — the warm-pool entry point of the live-migration
-// path. The snapshot must have been taken from a machine with the same
-// configuration and program (machine fingerprinting enforces this). On a
-// restore failure the machine is still clean and warm (Restore validates
-// the image before mutating state), so it is re-parked rather than dropped;
-// a warm checkout that fails to restore is un-counted as a hit (the caller
-// never got a usable machine), mirroring the program-load-failure contract
-// of Get; a constructed machine keeps its miss (the build cost was real).
-func (p *Pool) GetRestored(cfg asc.Config, prog *asc.Program, snapshot []byte) (*asc.Processor, bool, error) {
-	proc, hit, err := p.Get(cfg, prog)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := proc.Restore(snapshot); err != nil {
-		p.Put(proc)
-		if hit {
-			// Undo the hit Get recorded: this checkout produced nothing.
-			key := cfg.Key()
-			p.mu.Lock()
-			p.keyStatsLocked(key).Hits--
-			p.mu.Unlock()
-		}
-		return nil, false, err
-	}
-	return proc, hit, nil
 }
 
 // Put parks a processor for reuse under the configuration it was built
@@ -182,7 +177,7 @@ func gangKey(cfg asc.Config, lanes int) string {
 // path. Hits and misses count in the same fleet statistics as solo
 // checkouts, under the gang's composite key.
 func (p *Pool) GetGang(cfg asc.Config, prog *asc.Program, lanes int) (*asc.Gang, bool, error) {
-	m, hit, err := p.checkout(gangKey(cfg, lanes), prog, func() (machine, error) { return asc.NewGang(cfg, prog, lanes) })
+	m, hit, err := p.checkout(gangKey(cfg, lanes), prog, nil, func() (machine, error) { return asc.NewGang(cfg, prog, lanes) })
 	if err != nil {
 		return nil, false, err
 	}

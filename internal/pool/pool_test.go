@@ -159,6 +159,45 @@ func TestSetProgramFailureReparks(t *testing.T) {
 	}
 }
 
+// TestRestoreFailureReparks: a failed restore is counted the way a failed
+// program load is. A warm checkout whose snapshot is refused counts as
+// neither a hit nor a miss, a built one keeps its miss, and both machines
+// are re-parked; a good snapshot then restores into the warm machine.
+func TestRestoreFailureReparks(t *testing.T) {
+	p := New(2)
+	cfg := asc.Config{PEs: 4, Width: 32}
+	if _, _, err := p.GetRestored(cfg, sumProg, []byte("not a snapshot")); err == nil {
+		t.Fatal("a garbage snapshot restored into a built machine")
+	}
+	if s := fleet(p); s.Hits != 0 || s.Misses != 1 || s.Idle != 1 {
+		t.Errorf("after a built checkout's failed restore: hits %d misses %d idle %d, want 0/1/1", s.Hits, s.Misses, s.Idle)
+	}
+	if _, hit, err := p.GetRestored(cfg, sumProg, []byte("not a snapshot")); err == nil || hit {
+		t.Fatalf("a garbage snapshot restored into a warm machine (hit=%t, err=%v)", hit, err)
+	}
+	if s := fleet(p); s.Hits != 0 || s.Misses != 1 || s.Idle != 1 {
+		t.Errorf("after a warm checkout's failed restore: hits %d misses %d idle %d, want 0/1/1", s.Hits, s.Misses, s.Idle)
+	}
+
+	ref, err := asc.New(cfg, sumProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := runSum(t, ref, []int64{1, 2, 3, 4}); sum != 10 {
+		t.Fatalf("reference sum = %d, want 10", sum)
+	}
+	proc, hit, err := p.GetRestored(cfg, sumProg, ref.Snapshot())
+	if err != nil || !hit {
+		t.Fatalf("a good snapshot into the re-parked machine: hit=%t err=%v", hit, err)
+	}
+	if got := proc.ScalarMem(0); got != 10 {
+		t.Errorf("restored scalar word 0 = %d, want 10", got)
+	}
+	if s := fleet(p); s.Hits != 1 || s.Misses != 1 {
+		t.Errorf("hits %d misses %d, want 1/1", s.Hits, s.Misses)
+	}
+}
+
 func TestIdleCapEvicts(t *testing.T) {
 	p := New(1)
 	cfg := asc.Config{PEs: 4}

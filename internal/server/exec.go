@@ -7,9 +7,12 @@
 // job, a batch group of one, a peeled gang lane, a session segment — then
 // runs in runSolo, the only solo checkout; a larger batch group runs in
 // runGang as one gang of the lanes whose images load. Both build their
-// wire result in newResult. The lanes differ only in their admission lane
-// (see lane) and wire shape, and a solo job's callers only in its starting
-// state (see solo).
+// wire result in newResult. A solo job starts fresh from its request's
+// memory images or continues from a resume point (see resumePoint), which
+// a peeling gang lane and an accepted session envelope make alike. Each
+// phase folds its statistics into the simulation metrics where it ran,
+// and a job is observed once, where it finishes. The lanes differ only in
+// their admission lane (see lane) and wire shape.
 package server
 
 import (
@@ -80,27 +83,48 @@ func (s *Server) resolve(ctx context.Context, req *client.RunRequest, env *clien
 	return p, nil
 }
 
-// solo is a solo job's starting state, the only thing its callers differ
-// in. A run or a batch group of one starts fresh from the request's memory
-// images. A peeled gang lane restores the lane's snapshot, carries the
-// lane's statistics, and spends what its cycle budget has left. A session
-// resume restores the envelope and spends what the envelope says is left.
-// sess is nil for jobs that never checkpoint.
+// resumePoint is where a job continues from a snapshot: the statistics of
+// the phases before it, the cycles those phases spent up to the snapshot's
+// boundary, and the cycle budget left. Two sources make one: runGang when
+// a lane peels out of its gang, and a session resume once resolve has
+// accepted the envelope. The phases before it folded their statistics
+// into the simulation metrics where they ran.
+type resumePoint struct {
+	snapshot []byte
+	stats    asc.Stats
+	consumed int64
+	budget   int64
+	limit    int64 // the cycle limit a budget error names
+}
+
+// solo is a solo job: its request, its plan once resolved, and where it
+// starts. A run, a batch group of one or a fresh session starts from the
+// request's memory images (from is nil); a peeled gang lane or a session
+// resume continues from a resume point. env is the envelope a resume came
+// from, which resolve re-validates; sess is nil for jobs that never
+// checkpoint.
 type solo struct {
 	req  *client.RunRequest
 	plan resolved
 	sess *session
-	peel *asc.GangLaneResult
+	from *resumePoint
 	env  *client.SnapshotEnvelope
 }
 
-// execute resolves a solo job's program and runs it.
+// execute resolves a solo job's program and runs it; an envelope becomes
+// the job's resume point once resolve has accepted it.
 func (s *Server) execute(ctx context.Context, r solo) jobOutcome {
 	plan, fail := s.resolve(ctx, r.req, r.env)
 	if fail != nil {
 		return s.failed(r.sess, *fail)
 	}
 	r.plan = plan
+	if env := r.env; env != nil {
+		// The envelope spends what it says is left, within this server's cap.
+		budget := min(max(env.RemainingCycles, 1), s.cfg.MaxCycles)
+		r.from = &resumePoint{snapshot: env.Snapshot, stats: migrate.StatsFromWire(env.Stats),
+			consumed: env.ConsumedCycles, budget: budget, limit: budget}
+	}
 	return s.runSolo(ctx, r)
 }
 
@@ -114,13 +138,14 @@ func (s *Server) failed(sess *session, out jobOutcome) jobOutcome {
 	return out
 }
 
-// runSolo checks out a machine (warm, or restored from the starting
+// runSolo checks out a machine (warm, or restored from the resume point's
 // snapshot), simulates in checkpoint-bounded chunks until the machine
 // halts, the budget runs out, or a checkpoint request suspends it into a
-// fresh envelope, and builds the result. It folds the job's statistics
-// into the simulation metrics once.
+// fresh envelope, and builds the result. The segment folds its own
+// statistics into the simulation metrics, and a job that finishes here is
+// observed once, from its whole-job statistics.
 func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
-	req, sess, prog := r.req, r.sess, r.plan.art.Prog
+	req, sess := r.req, r.sess
 	cfg := req.Config.ASC()
 	if req.Trace {
 		// Bounded record retention: the trace covers the most recent
@@ -129,31 +154,30 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 		// the pool key).
 		cfg.TraceDepth = s.cfg.TraceDepth
 	}
-	// limit is the cycle limit a budget error names; budget is what this
-	// segment may spend. Wall-clock budgets are per segment.
-	limit := s.effMaxCycles(req)
-	budget := limit
-	var (
-		base         asc.Stats // statistics accrued before the starting snapshot
-		baseConsumed int64     // a resumed session's cycles before its envelope
-		proc         *asc.Processor
-		hit          bool
-		err          error
-	)
-	switch {
-	case r.env != nil:
-		limit = min(max(r.env.RemainingCycles, 1), s.cfg.MaxCycles)
-		budget = limit
-		base, baseConsumed = migrate.StatsFromWire(r.env.Stats), r.env.ConsumedCycles
-		proc, hit, err = s.pool.GetRestored(cfg, prog, r.env.Snapshot)
-	case r.peel != nil:
-		budget = max(limit-r.peel.PeelCycle, 1)
-		base = r.peel.Stats
-		proc, hit, err = s.pool.GetRestored(cfg, prog, r.peel.Snapshot)
-	default:
-		proc, hit, err = s.pool.Get(cfg, prog)
+	from := r.from
+	if from == nil {
+		// A fresh job starts at power-on with the request's whole budget.
+		limit := s.effMaxCycles(req)
+		from = &resumePoint{budget: limit, limit: limit}
 	}
+	// whole is the whole-job view of this segment's statistics.
+	whole := func(stats asc.Stats) asc.Stats {
+		if r.from == nil {
+			return stats
+		}
+		return mergeStats(from.stats, stats)
+	}
+	// finish folds the segment that ended the job and observes the job.
+	finish := func(stats asc.Stats) asc.Stats {
+		s.m.fold(stats)
+		all := whole(stats)
+		s.m.finished(all)
+		return all
+	}
+
+	proc, hit, err := s.pool.GetRestored(cfg, r.plan.art.Prog, from.snapshot)
 	if err != nil {
+		s.m.finished(from.stats)
 		return s.failed(sess, checkoutFailed(err, r))
 	}
 	defer func() {
@@ -162,26 +186,10 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 		}
 		s.pool.Put(proc)
 	}()
-
-	if r.env == nil && r.peel == nil {
+	if r.from == nil {
 		if fail := loadImages(req, proc.LoadLocalMem, proc.LoadScalarMem); fail != nil {
 			return s.failed(sess, *fail)
 		}
-	}
-	// fold folds a segment's statistics into the simulation metrics once
-	// and returns the whole-job view. An envelope's earlier segments were
-	// folded where they ran; a peeled lane's gang phase never was.
-	fold := func(stats asc.Stats) asc.Stats {
-		all := stats
-		if r.env != nil || r.peel != nil {
-			all = mergeStats(base, stats)
-		}
-		if r.peel != nil {
-			s.m.fold(all)
-		} else {
-			s.m.fold(stats)
-		}
-		return all
 	}
 
 	var every int64
@@ -195,28 +203,28 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 	defer cancel()
 	_, esp := dtrace.Start(ctx, "exec", dtrace.Bool("pool_hit", hit))
 
-	// mint packs the current quiescent machine state into a sealed
-	// envelope; boundary is proc.Cycle() (the segment's resume point, the
-	// same accounting the gang peel uses — not stats.Cycles, which
-	// includes in-flight completions past the boundary). Those in-flight
-	// cycles are re-simulated after restore, so the envelope's cumulative
-	// cycle count is pinned to the boundary itself: a migrated session's
-	// final merged Cycles then equals an uninterrupted run's to within a
-	// pipeline refill (restore clears microarchitectural state, so the
-	// resumed timeline can differ by a few cycles around the boundary;
-	// instruction and op counts merge exactly).
+	// mint seals the quiescent machine into an envelope. Its cumulative
+	// cycle count is pinned to the boundary, proc.Cycle() (the accounting
+	// a gang peel uses), not to stats.Cycles, which counts in-flight
+	// completions past it: those re-run after a restore. A migrated
+	// session's merged Cycles then equals an uninterrupted run's to within
+	// a pipeline refill (restore clears microarchitectural state);
+	// instruction and op counts merge exactly.
 	mint := func(stats asc.Stats) *client.SnapshotEnvelope {
 		boundary := proc.Cycle()
-		all := mergeStats(base, stats)
-		all.Cycles = baseConsumed + boundary
+		all := whole(stats)
+		all.Cycles = from.consumed + boundary
 		s.m.sessionCheckpoints.Inc()
 		return migrate.Pack(sess.id, *req, r.plan.art.Digest, proc.Snapshot(),
-			baseConsumed+boundary, budget-boundary, sess.checkpoints+1, sess.every, all)
+			from.consumed+boundary, from.budget-boundary, sess.checkpoints+1, sess.every, all)
 	}
-	// suspend parks the session on a segment-ending checkpoint.
+	// suspend parks the session on a segment-ending checkpoint. The
+	// segment folds what it ran up to the boundary; the next one folds
+	// the in-flight cycles it re-runs.
 	suspend := func(stats asc.Stats, fallback string) (*client.SnapshotEnvelope, string) {
 		env := mint(stats)
-		fold(stats)
+		stats.Cycles = proc.Cycle()
+		s.m.fold(stats)
 		reason := sess.suspend(env, fallback)
 		s.parkSession(sess.id)
 		return env, reason
@@ -226,9 +234,9 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 	for {
 		// Chunk the run at the periodic-checkpoint cadence; the engine's
 		// own poll window coarsens very small cadences.
-		target := budget
+		target := from.budget
 		if every > 0 {
-			target = min(proc.Cycle()+every, budget)
+			target = min(proc.Cycle()+every, from.budget)
 		}
 		stats, err = proc.RunContext(runCtx, target)
 		if err == nil {
@@ -252,7 +260,7 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 				return jobOutcome{draining: env}
 			}
 			return jobOutcome{sess: suspended(env, reason, r.env != nil)}
-		case errors.Is(err, asc.ErrCycleLimit) && target < budget:
+		case errors.Is(err, asc.ErrCycleLimit) && target < from.budget:
 			// Periodic checkpoint boundary, not the real budget: export the
 			// envelope and keep running.
 			sess.storeCheckpoint(mint(stats))
@@ -267,13 +275,13 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 			esp.EndErr("client went away; checkpointed")
 			return jobOutcome{sess: suspended(env, reasonDisconnected, r.env != nil)}
 		default:
-			out := runErrOutcome(err, fold(stats), timeout, limit)
+			out := runErrOutcome(err, finish(stats), timeout, from.limit)
 			esp.EndErr(out.errMsg)
 			return s.failed(sess, out)
 		}
 	}
 
-	all := fold(stats)
+	all := finish(stats)
 	esp.SetAttr(dtrace.Int("cycles", all.Cycles))
 	esp.End()
 	var trace *client.Trace
@@ -304,7 +312,7 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 		_ = proc.WriteSnapshot(h)
 		out.sess.StateDigest = hex.EncodeToString(h.Sum(nil))
 	}
-	sess.complete(out.sess, baseConsumed+proc.Cycle())
+	sess.complete(out.sess, from.consumed+proc.Cycle())
 	s.parkSession(sess.id)
 	return out
 }
@@ -312,14 +320,15 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 // checkoutFailed is a job's outcome when no machine could be checked out
 // for it, solo or as a gang lane. A refused envelope image is a conflict
 // (the config/program pair changed underneath it), not a server bug; a
-// peeled lane's own snapshot that fails to restore is one.
+// peeled lane's own snapshot (a resume point with no envelope) that fails
+// to restore is one.
 func checkoutFailed(err error, r solo) jobOutcome {
 	switch {
 	case errors.Is(err, asc.ErrInvalidProgram):
 		return jobOutcome{status: http.StatusUnprocessableEntity, errMsg: fmt.Sprintf("invalid_program: %v", err)}
 	case r.env != nil:
 		return jobOutcome{status: http.StatusConflict, errMsg: fmt.Sprintf("restoring snapshot: %v", err)}
-	case r.peel != nil:
+	case r.from != nil:
 		return jobOutcome{status: http.StatusInternalServerError, errMsg: fmt.Sprintf("resuming peeled job: %v", err)}
 	}
 	return jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("building machine: %v", err)}
@@ -356,8 +365,9 @@ func suspended(env *client.SnapshotEnvelope, reason string, resumed bool) *clien
 // → images → checkout: a compile failure is every job's, a job whose
 // images the machine refuses answers its 400 and stays out, and the rest
 // run as one gang of however many lanes that leaves, one included. A
-// failed gang checkout is every lane's failed solo checkout. Lanes that
-// diverge mid-run peel out of the gang and finish in runSolo.
+// failed gang checkout is every lane's failed solo checkout. The gang
+// folds every lane's lockstep phase; lanes that diverge mid-run peel out
+// of the gang and finish in runSolo from their resume points.
 func (s *Server) runGang(batchCtx context.Context, jobs []client.RunRequest, grp []int, outcomes []jobOutcome) {
 	gctx, gsp := dtrace.Start(batchCtx, "gang_group", dtrace.Int("lanes", int64(len(grp))))
 	defer gsp.End()
@@ -428,19 +438,24 @@ func (s *Server) runGang(batchCtx context.Context, jobs []client.RunRequest, grp
 		s.m.gangJobs.Inc()
 		lp := lanePlan(lane)
 		lr := &res[lane]
+		s.m.fold(lr.Stats) // the gang phase, a peeled lane's included
 		switch {
 		case lr.Peeled:
 			// The continuation runs under the gang's wall-clock deadline.
 			s.m.gangPeels.Inc()
 			pctx, psp := dtrace.Start(runCtx, "peel",
 				dtrace.Int("index", int64(i)), dtrace.Int("peel_cycle", lr.PeelCycle))
-			outcomes[i] = rewriteBatchCancel(batchCtx, s.runSolo(pctx, solo{req: &jobs[i], plan: lp, peel: lr}))
+			// It spends what the gang phase left; a budget error names the
+			// job's own limit.
+			from := &resumePoint{snapshot: lr.Snapshot, stats: lr.Stats, consumed: lr.PeelCycle,
+				budget: max(maxCycles-lr.PeelCycle, 1), limit: maxCycles}
+			outcomes[i] = rewriteBatchCancel(batchCtx, s.runSolo(pctx, solo{req: &jobs[i], plan: lp, from: from}))
 			outcomes[i].endSpan(psp)
 		case lr.Err != nil:
-			s.m.fold(lr.Stats)
+			s.m.finished(lr.Stats)
 			outcomes[i] = rewriteBatchCancel(batchCtx, runErrOutcome(lr.Err, lr.Stats, timeout, maxCycles))
 		default:
-			s.m.fold(lr.Stats)
+			s.m.finished(lr.Stats)
 			out := newResult(&jobs[i], lp, lr.Stats, poolHit, geom,
 				func(w int) int64 { return g.ScalarMem(lane, w) },
 				func(pe, w int) int64 { return g.LocalMem(lane, pe, w) }, nil)

@@ -130,6 +130,7 @@ fin:
 		wants[i] = res
 	}
 
+	obs0, cyc0 := simTotals(t, c.BaseURL)
 	batch, err := c.RunBatch(ctx, client.BatchRequest{Jobs: jobs})
 	if err != nil {
 		t.Fatal(err)
@@ -137,11 +138,13 @@ fin:
 	if batch.Completed != len(jobs) {
 		t.Fatalf("tally = %d/%d/%d, want %d/0/0", batch.Completed, batch.Failed, batch.Canceled, len(jobs))
 	}
+	var merged int64
 	for i, jr := range batch.Jobs {
 		got, want := jr.Result, wants[i]
 		if got == nil {
 			t.Fatalf("job %d: no result (error %q)", i, jr.Error)
 		}
+		merged += got.Cycles
 		// Memory must match bit for bit on every lane, peeled included.
 		for w := range want.ScalarMem {
 			if got.ScalarMem[w] != want.ScalarMem[w] {
@@ -162,6 +165,16 @@ fin:
 	}
 	if v := counterValue(t, body, "asc_gang_jobs_total"); v < float64(len(jobs)) {
 		t.Errorf("asc_gang_jobs_total = %v, want >= %d", v, len(jobs))
+	}
+	// The gang folds every lane's lockstep phase and the peeled lane's
+	// continuation folds only its own, so each job is observed once and
+	// the cycle total grows by the jobs' merged Cycles.
+	obs, cyc := simTotals(t, c.BaseURL)
+	if obs-obs0 != float64(len(jobs)) {
+		t.Errorf("asc_sim_active_threads grew by %v observations, want %d", obs-obs0, len(jobs))
+	}
+	if got := int64(cyc - cyc0); got != merged {
+		t.Errorf("asc_sim_cycles_total grew by %d, want the jobs' merged %d", got, merged)
 	}
 }
 

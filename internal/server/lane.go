@@ -52,18 +52,7 @@ func (s *Server) newLane(noun, full string, rejected *obs.Counter, queue int) *l
 // with release as its jobs finish.
 func (l *lane) admit(w http.ResponseWriter, tr *dtrace.Active, log *slog.Logger, n int64) bool {
 	start := time.Now()
-	var cur int64
-	ok, draining := l.srv.sh.Gate.Admit(int(n), func() bool {
-		for {
-			cur = l.inflight.Load()
-			if cur+n > l.limit {
-				return false
-			}
-			if l.inflight.CompareAndSwap(cur, cur+n) {
-				return true
-			}
-		}
-	})
+	ok, draining, cur := l.srv.sh.Gate.Admit(&l.inflight, n, l.limit)
 	switch {
 	case draining:
 		log.Warn(l.noun+" rejected", "reason", "draining")
@@ -106,10 +95,7 @@ func (l *lane) slot(ctx context.Context, log *slog.Logger) bool {
 func (l *lane) free() { <-l.slots }
 
 // release discharges n finished jobs.
-func (l *lane) release(n int64) {
-	l.inflight.Add(-n)
-	l.srv.sh.Gate.Done(int(n))
-}
+func (l *lane) release(n int64) { l.srv.sh.Gate.Done(&l.inflight, n) }
 
 // waiting is the number of admitted jobs not holding a slot. It is exact
 // for lanes that take one slot per job.

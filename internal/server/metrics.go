@@ -169,9 +169,10 @@ func newMetrics() *metrics {
 	}
 }
 
-// fold accumulates one finished simulation into the cumulative
-// simulation-depth metrics. It runs for failed runs too (a timed-out job
-// still simulated cycles and stalled on hazards).
+// fold accumulates one phase of a simulation — a whole solo run, a gang
+// lane's lockstep phase, a session segment — into the cumulative
+// simulation-depth counters, where the phase ran. It runs for failed runs
+// too (a timed-out job still simulated cycles and stalled on hazards).
 func (m *metrics) fold(s asc.Stats) {
 	m.simCycles.Add(s.Cycles)
 	m.simInstructions.With("scalar").Add(s.Scalar)
@@ -190,8 +191,13 @@ func (m *metrics) fold(s asc.Stats) {
 	for reason, v := range s.BlockFallbacks {
 		m.blockFallbacks.With(reason).Add(v)
 	}
-	if s.Instructions > 0 {
-		m.activeThreads.Observe(float64(s.ActiveThreads()))
+}
+
+// finished observes a job that finished, completed or failed, once, from
+// its whole-job statistics; a suspended session segment is not finished.
+func (m *metrics) finished(all asc.Stats) {
+	if all.Instructions > 0 {
+		m.activeThreads.Observe(float64(all.ActiveThreads()))
 	}
 }
 

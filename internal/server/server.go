@@ -655,8 +655,8 @@ func rewriteBatchCancel(batchCtx context.Context, out jobOutcome) jobOutcome {
 // with a per-job 400 (a bad job in a batch never fails the batch) and
 // releasing its batch-lane charge, and partitions the rest into groups in
 // the order their first jobs appear. Jobs share a group when they share a
-// program digest, an architectural configuration, and effective run
-// limits: one shared fetch/decode/issue pass then drives all of them.
+// program digest (which hashes the architectural configuration) and
+// effective run limits: one shared fetch/decode/issue pass then drives all of them.
 // Ganging is server-internal; per-job results are bit-identical to solo
 // runs. A traced job or an SMT configuration is a group of one.
 func (s *Server) planBatch(req *client.BatchRequest, outcomes []jobOutcome) [][]int {
@@ -673,8 +673,7 @@ func (s *Server) planBatch(req *client.BatchRequest, outcomes []jobOutcome) [][]
 			groups = append(groups, []int{i})
 			continue
 		}
-		key := fmt.Sprintf("%s|%s|mc=%d|to=%d",
-			progDigest(j), j.Config.ASC().Key(), s.effMaxCycles(j), s.effTimeout(j))
+		key := fmt.Sprintf("%s|mc=%d|to=%d", progDigest(j), s.effMaxCycles(j), s.effTimeout(j))
 		if g, ok := byKey[key]; ok {
 			groups[g] = append(groups[g], i)
 			continue

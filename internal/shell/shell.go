@@ -13,6 +13,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dtrace"
@@ -110,25 +111,36 @@ type Gate struct {
 	wg       sync.WaitGroup // admitted, unfinished units
 }
 
-// Admit charges n units unless the gate is closed or charge refuses.
-// charge runs under the read lock, so a Close either precedes the check
-// or waits for the charge to be counted. On ok the caller returns the
-// units with Done.
-func (g *Gate) Admit(n int, charge func() bool) (ok, draining bool) {
+// Admit charges n units against counter unless the gate is closed or the
+// charge would take counter past limit. The charge is one compare-and-swap
+// loop, so concurrent admissions can never overshoot limit together, and
+// it runs under the read lock, so a Close either precedes the check or
+// waits for the charge to be counted. load is the count the last check
+// saw. On ok the caller returns the units with Done.
+func (g *Gate) Admit(counter *atomic.Int64, n, limit int64) (ok, draining bool, load int64) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	if g.draining {
-		return false, true
+		return false, true, 0
 	}
-	if !charge() {
-		return false, false
+	for {
+		load = counter.Load()
+		if load+n > limit {
+			return false, false, load
+		}
+		if counter.CompareAndSwap(load, load+n) {
+			break
+		}
 	}
-	g.wg.Add(n)
-	return true, false
+	g.wg.Add(int(n))
+	return true, false, load
 }
 
-// Done returns n admitted units.
-func (g *Gate) Done(n int) { g.wg.Add(-n) }
+// Done returns n admitted units to counter.
+func (g *Gate) Done(counter *atomic.Int64, n int64) {
+	counter.Add(-n)
+	g.wg.Add(-int(n))
+}
 
 // Close stops admission for good and reports whether this call closed
 // the gate.

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ import (
 // Wait gives up at its context's deadline while a unit is outstanding.
 func TestGateAdmitCloseWait(t *testing.T) {
 	var g Gate
+	var inflight atomic.Int64
 	var admitted, finished sync.WaitGroup
 	var mu sync.Mutex
 	running := 0
@@ -26,7 +28,7 @@ func TestGateAdmitCloseWait(t *testing.T) {
 		admitted.Add(1)
 		go func() {
 			defer admitted.Done()
-			ok, draining := g.Admit(1, func() bool { return true })
+			ok, draining, _ := g.Admit(&inflight, 1, 64)
 			if ok == draining {
 				t.Errorf("Admit = (%v, %v): want exactly one of admitted or draining", ok, draining)
 			}
@@ -43,7 +45,7 @@ func TestGateAdmitCloseWait(t *testing.T) {
 				mu.Lock()
 				running--
 				mu.Unlock()
-				g.Done(1)
+				g.Done(&inflight, 1)
 			}()
 		}()
 	}
@@ -60,21 +62,77 @@ func TestGateAdmitCloseWait(t *testing.T) {
 	}
 	mu.Unlock()
 	finished.Wait()
-	if ok, draining := g.Admit(1, func() bool { return true }); ok || !draining {
+	if ok, draining, _ := g.Admit(&inflight, 1, 64); ok || !draining {
 		t.Errorf("a closed gate admitted: (%v, %v)", ok, draining)
 	}
 
 	var open Gate
-	if ok, draining := open.Admit(1, func() bool { return false }); ok || draining {
-		t.Errorf("a refused charge admitted: (%v, %v)", ok, draining)
+	var held atomic.Int64
+	if ok, draining, load := open.Admit(&held, 2, 1); ok || draining || load != 0 {
+		t.Errorf("a charge past the limit admitted: (%v, %v, %d)", ok, draining, load)
 	}
-	open.Admit(1, func() bool { return true })
+	open.Admit(&held, 1, 1)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	if err := open.Wait(ctx); err == nil {
 		t.Error("Wait returned nil with a unit outstanding")
 	}
-	open.Done(1)
+	open.Done(&held, 1)
+	if n := held.Load(); n != 0 {
+		t.Errorf("counter = %d after Done, want 0", n)
+	}
+}
+
+// TestGateAdmitBound: concurrent admissions against one limit never pass
+// it together. 64 goroutines admit against limit 4 and hold what they
+// get until every one has tried: exactly 4 succeed, and no admitted
+// holder ever reads the counter above 4.
+func TestGateAdmitBound(t *testing.T) {
+	const limit = 4
+	var g Gate
+	var inflight, admitted, peak atomic.Int64
+	var tried sync.WaitGroup
+	start, release := make(chan struct{}), make(chan struct{})
+	var holders sync.WaitGroup
+	for i := 0; i < 64; i++ {
+		tried.Add(1)
+		holders.Add(1)
+		go func() {
+			defer holders.Done()
+			<-start
+			ok, draining, _ := g.Admit(&inflight, 1, limit)
+			if draining {
+				t.Error("an open gate reported draining")
+			}
+			if ok {
+				admitted.Add(1)
+				n := inflight.Load()
+				for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+				}
+			}
+			tried.Done()
+			if ok {
+				<-release
+				g.Done(&inflight, 1)
+			}
+		}()
+	}
+	close(start)
+	tried.Wait()
+	if n := admitted.Load(); n != limit {
+		t.Errorf("%d admissions succeeded against limit %d", n, limit)
+	}
+	if n := inflight.Load(); n != limit {
+		t.Errorf("counter = %d with every admission held, want %d", n, limit)
+	}
+	if n := peak.Load(); n > limit {
+		t.Errorf("an admitted holder read the counter at %d, above the limit %d", n, limit)
+	}
+	close(release)
+	holders.Wait()
+	if n := inflight.Load(); n != 0 {
+		t.Errorf("counter = %d after every Done, want 0", n)
+	}
 }
 
 // TestGateHealth: 200 "ok", 503 with the tier's reason, and 503
