@@ -14,10 +14,10 @@ import (
 // statistics are bit-identical to a solo Processor run.
 //
 // Lockstep requires the lanes' control behavior to agree. A lane whose
-// branch, trap, halt, spawn, or interthread-sync behavior diverges from the
-// gang "peels": it leaves the gang at a quiescent point carrying an
-// architectural Snapshot, which the caller resumes on an ordinary Processor
-// via Restore. Gangs do not support SMT, tracing, or structural network
+// branch, halt, spawn, or interthread-sync behavior diverges from the gang
+// "peels": it leaves the lockstep group on its own copy of the gang's front
+// end and finishes there, within the same Run; a lane that traps finishes
+// with the trap. Gangs do not support SMT, tracing, or structural network
 // co-simulation; NewGang rejects such configurations.
 type Gang struct {
 	cfg  Config
@@ -25,22 +25,17 @@ type Gang struct {
 	core *core.Gang
 }
 
-// GangLaneResult is the terminal state of one gang lane.
+// GangLaneResult is the terminal state of one gang lane, identical to a
+// solo Processor run of the same job.
 type GangLaneResult struct {
-	// Stats is the lane's run statistics: the full run for lanes that
-	// completed in lockstep (identical to a solo run), or the gang-phase
-	// prefix for peeled lanes.
+	// Stats is the lane's run statistics.
 	Stats Stats
 	// Err is the lane's terminal error — an architectural trap, a wrapped
-	// ErrCycleLimit, or a context error — and nil for a clean halt or a
-	// peeled lane.
+	// ErrCycleLimit, or a context error — and nil for a clean halt.
 	Err error
-	// Peeled marks a lane that diverged and must be resumed on a solo
-	// Processor: Restore(Snapshot), then run with the remaining budget.
-	// PeelCycle is the gang cycle the lane left at.
-	Peeled    bool
-	PeelCycle int64
-	Snapshot  []byte
+	// Peeled marks a lane that diverged from the gang and finished on its
+	// own copy of the gang's front end.
+	Peeled bool
 }
 
 // NewGang builds a gang of lanes running prog, sharing the program's
@@ -100,8 +95,8 @@ func (g *Gang) LoadScalarMem(lane int, data []int64) error {
 	return g.core.Lane(lane).LoadScalarMem(data)
 }
 
-// Run simulates until every lane has halted, trapped, or peeled, or until
-// maxCycles elapse (0 = unlimited), returning one result per lane.
+// Run simulates until every lane has halted or trapped, or until maxCycles
+// elapse (0 = unlimited), returning one result per lane.
 func (g *Gang) Run(maxCycles int64) []GangLaneResult {
 	return g.RunContext(context.Background(), maxCycles)
 }
@@ -113,13 +108,7 @@ func (g *Gang) RunContext(ctx context.Context, maxCycles int64) []GangLaneResult
 	res := g.core.RunContext(ctx, maxCycles)
 	out := make([]GangLaneResult, len(res))
 	for i, lr := range res {
-		out[i] = GangLaneResult{
-			Stats:     convertStats(lr.Stats),
-			Err:       lr.Err,
-			Peeled:    lr.Peeled,
-			PeelCycle: lr.PeelCycle,
-			Snapshot:  lr.Snapshot,
-		}
+		out[i] = GangLaneResult{Stats: convertStats(lr.Stats), Err: lr.Err, Peeled: lr.Peeled}
 	}
 	return out
 }

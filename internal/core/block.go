@@ -17,9 +17,10 @@
 // thread, an empty instruction buffer (redirect/refill), a pc outside
 // every block (terminators: control flow and thread management), and a
 // pending deadlock-window expiry (the per-cycle path owns that error).
-// Per-lane traps and divergence need no fallback: a singleton goes
-// through the same exec/peelDivergent pair as the generic issue, and fused
-// kernels are trap-free and outcome-free by construction.
+// Per-lane traps need no fallback: a singleton goes through the same exec
+// as the generic issue. In-block ops cannot diverge — they fall through on
+// every lane — and fused kernels are trap-free and outcome-free by
+// construction.
 //
 // This file is in the hot-path lint set: dispatch keys on precomputed
 // micro-op selector fields only.
@@ -175,16 +176,16 @@ func (e *engine) dispatchOne(tid int, stopAt int64) (blockStep, error) {
 
 	// Issue at issueC, replicating issue for an in-block op (never a
 	// control-flow, thread, or blocking micro-op): in-block ops produce the
-	// same fall-through Outcome on every lane, so peelDivergent finds
-	// nothing; it runs as the enforcement of that invariant.
+	// same fall-through Outcome on every lane, so there is nothing to fork.
 	e.popHead(tid)
 	e.accountStall(eligible, issueC, minIssue, kind, free)
-	out, err := e.exec(tid, d)
-	if err != nil {
+	if _, err := e.exec(tid, d); err != nil {
 		return stepIssued, err
 	}
+	if e.split {
+		panic("core: an in-block micro-op diverged")
+	}
 	e.record(tid, d, issueC)
-	e.peelDivergent(out)
 	e.retire(tid, issueC)
 	e.cycle = issueC + 1
 	return stepIssued, nil

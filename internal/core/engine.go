@@ -10,16 +10,18 @@
 // front end's decisions depend only on the program (shared), the timing
 // parameters (shared), thread PCs and liveness (identical while outcomes
 // agree), and interthread-sync blocking (data-dependent). With more than
-// one lane, divergence is detected at two points and resolved by peeling
-// the minority out of the lockstep set at a quiescent boundary (see
-// gang.go):
+// one lane, divergence is detected at two points and resolved by forking
+// the minority out of the lockstep set onto one-lane copies of the engine
+// (see gang.go):
 //
 //   - pre-issue: a blocking micro-op (TSEND/TRECV/TJOIN) whose blocked
 //     status differs between lanes — the lanes outside the larger agreeing
-//     group peel with the op still pending (blockingStatus);
+//     group fork with the op still pending and redo the cycle
+//     (blockingStatus);
 //   - post-execute: a machine.Outcome (branch direction, halt, exit, spawn)
 //     that differs from the larger agreeing group's — those lanes executed
-//     the op and peel with it counted (settle, peelDivergent).
+//     the op, and each fork follows its own outcome and closes the cycle
+//     (settle, peelDivergent).
 //
 // A lane that traps leaves at once with solo semantics: the trapping
 // instruction is popped and its stall recorded, but it is never counted.
@@ -75,7 +77,8 @@ type engine struct {
 	// the indices of lanes still executing in lockstep and lead caches
 	// lanes[live[0]] (nil once none is live): every front-end decision
 	// reads the leader, and it changes only when the live set does. res[i]
-	// is filled when lane i leaves (peel, trap, or run end). outBuf and
+	// is filled when lane i finishes (trap, run end, or its fork's end);
+	// forks holds the lanes that diverged (gang.go). outBuf and
 	// trapBuf are machine.ExecLanes' per-lane results, indexed like live
 	// (when the lanes agree, only outBuf[0] is written); liveBuf is
 	// scratch for the multi-lane paths. All are reused so Step
@@ -87,12 +90,35 @@ type engine struct {
 	liveBuf []int
 	outBuf  []machine.Outcome
 	trapBuf []error
-	split   bool // outBuf disagrees: peelDivergent has lanes to peel
+	split   bool // outBuf disagrees: peelDivergent has lanes to fork
+	forks   []fork
 
+	runState
+	trace []InstRecord
+	views []headView // views[t] caches thread t's head (see runState)
+
+	// blocks is the block-dispatch tier (block.go): nil when the tier is
+	// off or the configuration excludes it; when on, it also runs fused
+	// superinstructions.
+	blocks *isa.BlockProgram
+
+	// checkpointReq is set by RequestCheckpoint (any goroutine) and
+	// consumed by run at the next cancel-check window boundary, stopping
+	// the run at a quiescent point with ErrCheckpoint.
+	checkpointReq atomic.Bool
+
+	// structural is non-nil when Config.StructuralNetworks is set.
+	structural *structState
+}
+
+// runState is the engine's timing state: the part a fork copies as it
+// stands and restart zeroes.
+type runState struct {
 	cycle         int64
 	lastIssue     int64
 	maxCompletion int64
 	halted        bool
+	nextCheck     int64 // the run's next poll of ctx and the checkpoint flag
 
 	// Sequential functional units become free at these cycles. The control
 	// unit and the PE array have separate multiplier/divider resources.
@@ -106,36 +132,23 @@ type engine struct {
 	stats       Stats
 	idleByKind  [pipeline.NumHazardKinds]int64
 	stallByKind [pipeline.NumHazardKinds]int64
-	trace       []InstRecord
 
 	// The ready set (refreshReady). Bit t of each mask is thread t;
-	// machine.Config caps Threads at 64. views[t] caches thread t's head,
-	// exact for every live thread once refreshReady has run;
-	// wheel[c%wheelSlots] holds the threads to re-check at cycle c;
-	// classified is the cycle the ready set will describe next, so any
-	// other cycle means the clock moved outside Step.
+	// machine.Config caps Threads at 64. The engine's views are exact for
+	// every live thread once refreshReady has run; wheel[c%wheelSlots]
+	// holds the threads to re-check at cycle c; classified is the cycle
+	// the ready set will describe next, so any other cycle means the clock
+	// moved outside Step.
 	mActive    uint64 // threads the leader's machine holds active
 	ready      uint64 // threads ready at the cycle last classified
 	dirty      uint64 // threads whose head view must be reloaded
 	blockHeads uint64 // threads whose head is a blocking micro-op
 	wheel      [wheelSlots]uint64
 	classified int64
-	views      []headView
 
-	// Block-dispatch tier (block.go). blocks is nil when the tier is off
-	// or the configuration excludes it; when on, it also runs fused
-	// superinstructions.
-	blocks          *isa.BlockProgram
+	// Block-plane counters (block.go).
 	blockDispatches int64
 	blockFallbacks  [numFallbacks]int64
-
-	// checkpointReq is set by RequestCheckpoint (any goroutine) and
-	// consumed by run at the next cancel-check window boundary, stopping
-	// the run at a quiescent point with ErrCheckpoint.
-	checkpointReq atomic.Bool
-
-	// structural is non-nil when Config.StructuralNetworks is set.
-	structural *structState
 }
 
 // blocker describes why a thread cannot issue at the current cycle.
@@ -198,16 +211,8 @@ func (e *engine) init(cfg Config, dp *isa.DecodedProgram, newLanes func(machine.
 // restart returns the engine's own state to power-on with every lane live;
 // the lanes, front end, and scoreboard are the caller's.
 func (e *engine) restart() {
-	e.cycle, e.lastIssue, e.maxCompletion = 0, 0, 0
-	e.halted = false
-	e.cuMulFree, e.cuDivFree, e.peMulFree, e.peDivFree = 0, 0, 0, 0
-	e.stats = Stats{PerThread: make([]int64, e.cfg.Machine.Threads)}
-	e.idleByKind, e.stallByKind = [pipeline.NumHazardKinds]int64{}, [pipeline.NumHazardKinds]int64{}
-	e.trace = nil
-	e.ready, e.blockHeads, e.classified = 0, 0, 0
-	e.wheel = [wheelSlots]uint64{}
-	e.blockDispatches = 0
-	e.blockFallbacks = [numFallbacks]int64{}
+	e.runState = runState{stats: Stats{PerThread: make([]int64, e.cfg.Machine.Threads)}}
+	e.trace, e.forks = nil, nil
 	e.checkpointReq.Store(false)
 	if e.cfg.StructuralNetworks {
 		e.structural = newStructState(e.cfg.Machine.PEs, e.cfg.Arity, e.cfg.Machine.Width)
@@ -382,7 +387,7 @@ func (e *engine) refreshReady() {
 // lanes without any prior Outcome divergence), so lanes whose blocked
 // status disagrees would break lockstep on the very next issue decision.
 // The larger agreeing group stays (a tie keeps the leader's group) and the
-// rest peel here — before the op executes, a quiescent point.
+// rest fork here, before the op executes; each fork redoes this cycle.
 func (e *engine) blockingStatus(tid int, d *isa.Decoded) bool {
 	blocked := e.lead.BlockedDecoded(tid, d)
 	if len(e.live) == 1 {
@@ -405,7 +410,7 @@ func (e *engine) blockingStatus(tid int, d *isa.Decoded) bool {
 		if e.lanes[li].BlockedDecoded(tid, d) == blocked {
 			keep = append(keep, li)
 		} else {
-			e.peel(li)
+			e.fork(li, true)
 		}
 	}
 	e.setLive(keep)
@@ -469,7 +474,7 @@ func (e *engine) Step() (bool, error) {
 
 	// Issue phase: bring the ready set up to date, pick one ready thread.
 	e.refreshReady()
-	ready := e.ready
+	ready, issued := e.ready, 0
 	var picked int
 	if e.cfg.Scheduler == SchedFixed {
 		picked = e.front.PickFixed(ready)
@@ -481,7 +486,7 @@ func (e *engine) Step() (bool, error) {
 		if err := e.issue(picked); err != nil {
 			return false, err
 		}
-		issued := 1
+		issued = 1
 		if e.cfg.SMT {
 			// Second issue slot: a thread whose next instruction uses the
 			// other datapath. Statuses are re-evaluated because the first
@@ -492,9 +497,6 @@ func (e *engine) Step() (bool, error) {
 				}
 				issued++
 			}
-		}
-		if extra := bits.OnesCount64(ready) - issued; extra > 0 {
-			e.stats.Contention += int64(extra)
 		}
 	} else if e.mActive != 0 {
 		e.stats.IdleCycles++
@@ -519,12 +521,18 @@ func (e *engine) Step() (bool, error) {
 		}
 	}
 
-	// Fetch phase (same cycle, after issue, so a decode-stage redirect can
-	// refetch immediately). A refilled buffer has a new head.
-	e.dirty |= e.front.Fetch(e.cycle)
-
-	e.cycle++
+	e.tick(bits.OnesCount64(ready) - issued)
 	return !e.done(), nil
+}
+
+// tick closes a cycle: contention (ready threads not issued) is counted,
+// then the fetch phase runs (same cycle, after issue, so a decode-stage
+// redirect can refetch immediately; a refilled buffer has a new head) and
+// the clock advances. It is small enough to inline into Step.
+func (e *engine) tick(contention int) {
+	e.stats.Contention += int64(max(contention, 0))
+	e.dirty |= e.front.Fetch(e.cycle)
+	e.cycle++
 }
 
 // pickSecond selects a thread for the SMT second issue slot: different
@@ -594,7 +602,7 @@ func (e *engine) issue(tid int) error {
 		return err
 	}
 	e.record(tid, d, e.cycle)
-	e.peelDivergent(out)
+	e.peelDivergent(tid, d, out)
 
 	if e.cfg.TraceDepth != 0 {
 		rec := InstRecord{
@@ -609,8 +617,15 @@ func (e *engine) issue(tid int) error {
 			e.trace = e.trace[1:]
 		}
 	}
+	if out.Redirect || out.Halt || out.Exited || out.Spawned >= 0 {
+		e.follow(tid, d, out) // most micro-ops fall through: nothing to follow
+	}
+	return nil
+}
 
-	// Control flow, from the outcome every surviving lane produced.
+// follow applies the control flow of outcome out, of micro-op d issued by
+// thread tid, to the front end: the outcome every live lane produced.
+func (e *engine) follow(tid int, d *isa.Decoded, out machine.Outcome) {
 	switch {
 	case out.Halt:
 		e.halted = true
@@ -634,7 +649,6 @@ func (e *engine) issue(tid int) error {
 		e.front.StartThread(out.Spawned, e.lead.PC(out.Spawned), e.cycle+int64(e.params.SpawnStart)-1)
 		e.invalidate()
 	}
-	return nil
 }
 
 // accountStall attributes the cycles an op issued at issueC waited beyond
@@ -723,21 +737,25 @@ func (e *engine) settle(outs []machine.Outcome, traps []error) (machine.Outcome,
 	return ref, nil
 }
 
-// peelDivergent peels the live lanes whose outcome of the op just recorded
-// differs from ref: they executed it, so their statistics include it.
-func (e *engine) peelDivergent(ref machine.Outcome) {
+// peelDivergent forks the live lanes whose outcome of micro-op d, just
+// recorded for thread tid, differs from ref: they executed it, so their
+// statistics include it.
+func (e *engine) peelDivergent(tid int, d *isa.Decoded, ref machine.Outcome) {
 	if e.split {
 		e.split = false
-		e.peelLanes(ref)
+		e.peelLanes(tid, d, ref)
 	}
 }
 
 // peelLanes is peelDivergent's slow path, taken only when outcomes differ.
-func (e *engine) peelLanes(ref machine.Outcome) {
+// Each fork follows its own outcome and closes the cycle as Step would.
+func (e *engine) peelLanes(tid int, d *isa.Decoded, ref machine.Outcome) {
 	keep := e.liveBuf[:0]
 	for k, li := range e.live {
-		if e.outBuf[k] != ref {
-			e.peel(li)
+		if out := e.outBuf[k]; out != ref {
+			f := e.fork(li, false)
+			f.follow(tid, d, out)
+			f.tick(bits.OnesCount64(e.ready) - 1)
 		} else {
 			keep = append(keep, li)
 		}
@@ -773,13 +791,20 @@ func (e *engine) record(tid int, d *isa.Decoded, c int64) {
 // nil for a clean halt — and always stops at a quiescent point (between
 // cycles), so the engine can be Reset, snapshotted, or resumed afterwards.
 func (e *engine) run(ctx context.Context, maxCycles int64) error {
+	e.nextCheck = e.cycle + cancelCheckWindow
+	return e.resume(ctx, maxCycles, false)
+}
+
+// resume is run from the standing poll boundary. With redo, the first
+// cycle skips the block plane: a fork made before issue redoes a cycle
+// whose block-plane attempt the gang already made and counted.
+func (e *engine) resume(ctx context.Context, maxCycles int64, redo bool) error {
 	done := ctx.Done()
-	nextCheck := e.cycle + cancelCheckWindow
-	for {
+	for ; ; redo = false {
 		if maxCycles > 0 && e.cycle >= maxCycles {
 			return fmt.Errorf("core: %w (limit %d)", ErrCycleLimit, maxCycles)
 		}
-		if e.cycle >= nextCheck {
+		if e.cycle >= e.nextCheck {
 			if e.checkpointReq.CompareAndSwap(true, false) {
 				return fmt.Errorf("core: %w (cycle %d)", ErrCheckpoint, e.cycle)
 			}
@@ -790,12 +815,12 @@ func (e *engine) run(ctx context.Context, maxCycles int64) error {
 				default:
 				}
 			}
-			nextCheck = e.cycle + cancelCheckWindow
+			e.nextCheck = e.cycle + cancelCheckWindow
 		}
-		if e.blocks != nil {
+		if e.blocks != nil && !redo {
 			// Block-dispatch tier: cover as much of the window as the
 			// closed form allows, then fall back to the per-cycle path.
-			stopAt := nextCheck
+			stopAt := e.nextCheck
 			if maxCycles > 0 && maxCycles < stopAt {
 				stopAt = maxCycles
 			}

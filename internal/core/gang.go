@@ -7,12 +7,12 @@
 // same program on the same architecture, each on its machine.NewGangLanes
 // state plane.
 //
-// What is gang-specific lives here: the per-lane results. A lane that
-// diverges peels at a quiescent point carrying an architectural snapshot;
-// the caller resumes it on an ordinary solo processor via
-// Processor.Restore, which yields bit-identical final state for programs
-// whose result does not depend on the issue schedule (in particular, all
-// single-threaded control divergence).
+// What is gang-specific lives here: the per-lane results and the forks. A
+// lane that diverges forks: it moves onto a one-lane copy of the engine —
+// front end, scoreboard, unit reservations, statistics, clock and poll
+// boundary, exactly where its solo run stands — and RunContext finishes it
+// after the lockstep group, on the gang's own planes. Every lane's result
+// is therefore its solo run's, peeled or not.
 package core
 
 import (
@@ -24,25 +24,26 @@ import (
 	"repro/internal/machine"
 )
 
-// LaneResult is the terminal state of one gang lane.
+// LaneResult is the terminal state of one gang lane: its statistics and
+// error are those of a solo run of the same job.
 type LaneResult struct {
-	// Stats is the lane's cycle accounting at the point it left the gang:
-	// the full run for lanes that completed in lockstep (identical to a
-	// solo run), or the gang-phase prefix for peeled lanes.
 	Stats Stats
 
 	// Err is the lane's terminal error: an architectural trap, a wrapped
-	// ErrCycleLimit, a context error, or nil for a clean halt. Unset for
-	// peeled lanes (they have not finished).
+	// ErrCycleLimit, a context error, or nil for a clean halt.
 	Err error
 
-	// Peeled marks a lane that diverged from the gang and must be resumed
-	// on a solo processor. Snapshot is its architectural state at the peel
-	// point (machine.Snapshot format) and PeelCycle the gang cycle it left
-	// at, for continuation budgets and merged accounting.
-	Peeled    bool
-	PeelCycle int64
-	Snapshot  []byte
+	// Peeled marks a lane that diverged from the gang and finished on its
+	// own fork of the engine.
+	Peeled bool
+}
+
+// fork is a lane that left the lockstep group on its own one-lane copy of
+// the engine. redo marks a fork made before issue, which redoes its cycle.
+type fork struct {
+	lane int
+	redo bool
+	*engine
 }
 
 // Gang runs n identically configured, same-program processors in lockstep
@@ -82,7 +83,7 @@ func (g *Gang) Lanes() int { return len(g.lanes) }
 // results).
 func (g *Gang) Lane(i int) *machine.Machine { return g.lanes[i] }
 
-// Run simulates until every lane has finished, peeled, or trapped, or until
+// Run simulates until every lane has finished or trapped, or until
 // maxCycles elapse (0 = no limit).
 func (g *Gang) Run(maxCycles int64) []LaneResult {
 	return g.RunContext(context.Background(), maxCycles)
@@ -91,10 +92,19 @@ func (g *Gang) Run(maxCycles int64) []LaneResult {
 // RunContext is Run with cooperative cancellation, like
 // Processor.RunContext. It always returns one LaneResult per lane; lanes
 // still live when the budget, context, or a deadlock ends the run finalize
-// with the corresponding error. The returned slice is owned by the gang and
+// with the corresponding error. The forks then run to their own ends under
+// the same budget and context. The returned slice is owned by the gang and
 // is invalidated by Reset.
 func (g *Gang) RunContext(ctx context.Context, maxCycles int64) []LaneResult {
 	g.finalizeLive(g.run(ctx, maxCycles))
+	for _, f := range g.forks {
+		var err error
+		if !f.done() {
+			err = f.resume(ctx, maxCycles, f.redo)
+		}
+		f.finalize(f.lane, err)
+	}
+	g.forks = nil
 	return g.res
 }
 
@@ -105,20 +115,23 @@ func (e *engine) laneStats() Stats {
 	return s
 }
 
-// peel records lane li as diverged: snapshot its architectural state and the
-// gang-phase statistics so the caller can resume it solo.
-func (e *engine) peel(li int) {
-	e.res[li] = LaneResult{
-		Peeled:    true,
-		PeelCycle: e.cycle,
-		Snapshot:  e.lanes[li].Snapshot(),
-		Stats:     e.laneStats(),
-	}
+// fork moves lane li out of the lockstep group onto a one-lane copy of the
+// engine that drives the lane on the gang's planes and shares its results.
+func (e *engine) fork(li int, redo bool) *engine {
+	f := &engine{cfg: e.cfg, params: e.params, front: e.front.Clone(), sb: e.sb.Clone(),
+		lanes: e.lanes, live: []int{li}, lead: e.lanes[li], res: e.res,
+		liveBuf: make([]int, 0, 1), outBuf: make([]machine.Outcome, 1), trapBuf: make([]error, 1),
+		runState: e.runState, views: slices.Clone(e.views), blocks: e.blocks}
+	f.stats.PerThread = slices.Clone(e.stats.PerThread)
+	f.invalidate()
+	e.res[li].Peeled = true
+	e.forks = append(e.forks, fork{lane: li, redo: redo, engine: f})
+	return f
 }
 
 // finalize records lane li's terminal result (err nil for a clean halt).
 func (e *engine) finalize(li int, err error) {
-	e.res[li] = LaneResult{Err: err, Stats: e.laneStats()}
+	e.res[li] = LaneResult{Err: err, Stats: e.laneStats(), Peeled: e.res[li].Peeled}
 }
 
 // finalizeLive finalizes every still-live lane with err and empties the

@@ -11,23 +11,6 @@ import (
 	"repro/internal/machine"
 )
 
-// continuePeeled resumes a peeled lane's snapshot on a solo processor and
-// returns the final snapshot.
-func continuePeeled(t *testing.T, cfg Config, dp *isa.DecodedProgram, snap []byte, maxCycles int64) []byte {
-	t.Helper()
-	p, err := NewDecoded(cfg, dp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Run(maxCycles); err != nil {
-		t.Fatalf("peeled continuation: %v", err)
-	}
-	return p.Snapshot()
-}
-
 func buildGangAsm(t *testing.T, cfg Config, src string, lanes int) (*Gang, *isa.DecodedProgram) {
 	t.Helper()
 	prog, err := asm.Assemble(src)
@@ -45,131 +28,85 @@ func buildGangAsm(t *testing.T, cfg Config, src string, lanes int) (*Gang, *isa.
 	return g, dp
 }
 
-// TestGangDivergencePeel forces a mid-program branch divergence: lane 1
-// loads a different word and takes the other branch arm. The divergent lane
-// must peel and, resumed solo from its snapshot, finish bit-identical to a
-// never-ganged run; the surviving lanes must be completely unaffected
-// (snapshots AND statistics identical to solo).
-func TestGangDivergencePeel(t *testing.T) {
-	const src = `
-		lw s1, 0(s0)
-		bnez s1, big
-		addi s2, s0, 5
-		j fin
-	big:
-		addi s2, s0, 9
-	fin:
-		rsum s3, p1
-		sw s2, 1(s0)
-		halt
-	`
-	mc := machine.Config{PEs: 4, Threads: 1, Width: 16}
-	cfg := Config{Machine: mc, Arity: 4}
-	const lanes = 4
-	g, dp := buildGangAsm(t, cfg, src, lanes)
+// loadScalar loads scalar memory image mems[lane] into a machine.
+func loadScalar(t *testing.T, mems [][]int64) func(lane int, m *machine.Machine) {
+	return func(lane int, m *machine.Machine) {
+		t.Helper()
+		if err := m.LoadScalarMem(mems[lane]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
 
-	mems := [lanes][]int64{{0}, {1}, {0}, {0}}
-	soloSnaps := make([][]byte, lanes)
-	soloStats := make([]Stats, lanes)
-	for i := 0; i < lanes; i++ {
+// runMatchingSolo loads every lane of g and, per lane, a solo processor with
+// load, runs both, and fails t unless every lane — peeled or not — ends
+// with its solo run's error, Stats and snapshot. It returns the gang's
+// results.
+func runMatchingSolo(t *testing.T, g *Gang, cfg Config, dp *isa.DecodedProgram, maxCycles int64, load func(lane int, m *machine.Machine)) []LaneResult {
+	t.Helper()
+	for i := 0; i < g.Lanes(); i++ {
+		load(i, g.Lane(i))
+	}
+	res := g.Run(maxCycles)
+	for i, lr := range res {
 		p, err := NewDecoded(cfg, dp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Machine().LoadScalarMem(mems[i]); err != nil {
-			t.Fatal(err)
+		load(i, p.Machine())
+		st, err := p.Run(maxCycles)
+		if errText(lr.Err) != errText(err) {
+			t.Errorf("lane %d (peeled %v): err %v, solo %v", i, lr.Peeled, lr.Err, err)
 		}
-		soloStats[i], err = p.Run(100000)
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(lr.Stats, st) {
+			t.Errorf("lane %d (peeled %v): stats\n got: %+v\nsolo: %+v", i, lr.Peeled, lr.Stats, st)
 		}
-		soloSnaps[i] = p.Snapshot()
+		if !bytes.Equal(g.Lane(i).Snapshot(), p.Snapshot()) {
+			t.Errorf("lane %d (peeled %v): snapshot differs from solo", i, lr.Peeled)
+		}
+	}
+	return res
+}
 
-		if err := g.Lane(i).LoadScalarMem(mems[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
+// branchSrc branches on scalar memory word 0.
+const branchSrc = `
+	lw s1, 0(s0)
+	bnez s1, big
+	addi s2, s0, 5
+	j fin
+big:
+	addi s2, s0, 9
+fin:
+	rsum s3, p1
+	sw s2, 1(s0)
+	halt
+`
 
-	res := g.Run(100000)
-	if !res[1].Peeled {
-		t.Fatalf("lane 1 (divergent branch) not peeled: %+v", res[1])
-	}
-	got := continuePeeled(t, cfg, dp, res[1].Snapshot, 100000)
-	if !bytes.Equal(got, soloSnaps[1]) {
-		t.Error("peeled lane 1 continuation differs from solo run")
-	}
-	for _, i := range []int{0, 2, 3} {
-		if res[i].Peeled || res[i].Err != nil {
-			t.Fatalf("surviving lane %d: %+v", i, res[i])
-		}
-		if !bytes.Equal(g.Lane(i).Snapshot(), soloSnaps[i]) {
-			t.Errorf("surviving lane %d snapshot differs from solo", i)
-		}
-		if !reflect.DeepEqual(res[i].Stats, soloStats[i]) {
-			t.Errorf("surviving lane %d stats %+v, solo %+v", i, res[i].Stats, soloStats[i])
-		}
+// TestGangDivergencePeel forces a mid-program branch divergence: lane 1
+// loads a different word and takes the other branch arm. The divergent lane
+// must peel and finish on its fork with its solo run's snapshot and
+// statistics; the surviving lanes must be completely unaffected.
+func TestGangDivergencePeel(t *testing.T) {
+	mc := machine.Config{PEs: 4, Threads: 1, Width: 16}
+	cfg := Config{Machine: mc, Arity: 4}
+	g, dp := buildGangAsm(t, cfg, branchSrc, 4)
+	res := runMatchingSolo(t, g, cfg, dp, 100000, loadScalar(t, [][]int64{{0}, {1}, {0}, {0}}))
+	if got := peeledLanes(res); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("peeled lanes %v, want exactly [1]", got)
 	}
 }
 
 // TestGangDivergentLeaderPeelsAlone pins the lockstep reference as the
 // majority, not lane 0: when only lane 0 takes the other branch arm, lane 0
-// alone peels and the three agreeing lanes stay in lockstep, finishing
-// with snapshots and statistics identical to solo runs.
+// alone peels and the three agreeing lanes stay in lockstep; every lane
+// finishes with its solo run's snapshot and statistics.
 func TestGangDivergentLeaderPeelsAlone(t *testing.T) {
-	const src = `
-		lw s1, 0(s0)
-		bnez s1, big
-		addi s2, s0, 5
-		j fin
-	big:
-		addi s2, s0, 9
-	fin:
-		rsum s3, p1
-		sw s2, 1(s0)
-		halt
-	`
 	mc := machine.Config{PEs: 4, Threads: 1, Width: 16}
 	cfg := Config{Machine: mc, Arity: 4}
-	const lanes = 4
-	g, dp := buildGangAsm(t, cfg, src, lanes)
-
-	mems := [lanes][]int64{{1}, {0}, {0}, {0}}
-	soloSnaps := make([][]byte, lanes)
-	soloStats := make([]Stats, lanes)
-	for i := 0; i < lanes; i++ {
-		p, err := NewDecoded(cfg, dp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Machine().LoadScalarMem(mems[i]); err != nil {
-			t.Fatal(err)
-		}
-		if soloStats[i], err = p.Run(100000); err != nil {
-			t.Fatal(err)
-		}
-		soloSnaps[i] = p.Snapshot()
-		if err := g.Lane(i).LoadScalarMem(mems[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	res := g.Run(100000)
+	g, dp := buildGangAsm(t, cfg, branchSrc, 4)
+	res := runMatchingSolo(t, g, cfg, dp, 100000, loadScalar(t, [][]int64{{1}, {0}, {0}, {0}}))
 	if got := peeledLanes(res); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("peeled lanes %v, want exactly [0]", got)
-	}
-	if got := continuePeeled(t, cfg, dp, res[0].Snapshot, 100000); !bytes.Equal(got, soloSnaps[0]) {
-		t.Error("peeled lane 0 continuation differs from solo run")
-	}
-	for i := 1; i < lanes; i++ {
-		if res[i].Err != nil {
-			t.Fatalf("surviving lane %d: %v", i, res[i].Err)
-		}
-		if !bytes.Equal(g.Lane(i).Snapshot(), soloSnaps[i]) {
-			t.Errorf("surviving lane %d snapshot differs from solo", i)
-		}
-		if !reflect.DeepEqual(res[i].Stats, soloStats[i]) {
-			t.Errorf("surviving lane %d stats %+v, solo %+v", i, res[i].Stats, soloStats[i])
-		}
 	}
 }
 
@@ -309,89 +246,119 @@ const blockingDivergenceSrc = `
 // target is data-dependent), so one lane's worker has mail while the
 // other's mailbox is empty at the same TRECV — a blocked-status mismatch
 // with no prior Outcome divergence. The minority lane must peel before the
-// TRECV executes and still finish bit-identical to solo.
+// TRECV executes and still finish with its solo run's snapshot and
+// statistics.
 func TestGangBlockingDivergencePeel(t *testing.T) {
 	mc := machine.Config{PEs: 4, Threads: 4, Width: 16}
 	cfg := Config{Machine: mc, Arity: 4}
 	g, dp := buildGangAsm(t, cfg, blockingDivergenceSrc, 2)
-
-	mems := [2][]int64{{0}, {1}}
-	soloSnaps := make([][]byte, 2)
-	for i := 0; i < 2; i++ {
-		p, err := NewDecoded(cfg, dp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Machine().LoadScalarMem(mems[i]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Run(100000); err != nil {
-			t.Fatal(err)
-		}
-		soloSnaps[i] = p.Snapshot()
-		if err := g.Lane(i).LoadScalarMem(mems[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	res := g.Run(100000)
-	if !res[1].Peeled {
-		t.Fatalf("lane 1 (divergent mailbox) not peeled: %+v", res[1])
-	}
-	got := continuePeeled(t, cfg, dp, res[1].Snapshot, 100000)
-	if !bytes.Equal(got, soloSnaps[1]) {
-		t.Error("peeled lane 1 continuation differs from solo run")
-	}
-	if res[0].Err != nil || res[0].Peeled {
-		t.Fatalf("lane 0: %+v", res[0])
-	}
-	if !bytes.Equal(g.Lane(0).Snapshot(), soloSnaps[0]) {
-		t.Error("lane 0 snapshot differs from solo")
+	res := runMatchingSolo(t, g, cfg, dp, 100000, loadScalar(t, [][]int64{{0}, {1}}))
+	if got := peeledLanes(res); !reflect.DeepEqual(got, []int{1}) {
+		t.Fatalf("peeled lanes %v, want exactly [1]", got)
 	}
 }
 
 // TestGangBlockingDivergentLeaderPeelsAlone is the pre-issue surface of
 // the majority rule: lane 0 alone sends its first message to the other
 // worker, so at the TRECV its blocked status disagrees with both other
-// lanes'. Lane 0 alone peels; the agreeing pair finishes in lockstep,
-// bit-identical to solo.
+// lanes'. Lane 0 alone peels; the agreeing pair finishes in lockstep, and
+// every lane matches its solo run in snapshot and statistics.
 func TestGangBlockingDivergentLeaderPeelsAlone(t *testing.T) {
 	mc := machine.Config{PEs: 4, Threads: 4, Width: 16}
 	cfg := Config{Machine: mc, Arity: 4}
 	g, dp := buildGangAsm(t, cfg, blockingDivergenceSrc, 3)
-
-	mems := [3][]int64{{1}, {0}, {0}}
-	soloSnaps := make([][]byte, 3)
-	for i := range mems {
-		p, err := NewDecoded(cfg, dp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Machine().LoadScalarMem(mems[i]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := p.Run(100000); err != nil {
-			t.Fatal(err)
-		}
-		soloSnaps[i] = p.Snapshot()
-		if err := g.Lane(i).LoadScalarMem(mems[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	res := g.Run(100000)
+	res := runMatchingSolo(t, g, cfg, dp, 100000, loadScalar(t, [][]int64{{1}, {0}, {0}}))
 	if got := peeledLanes(res); !reflect.DeepEqual(got, []int{0}) {
 		t.Fatalf("peeled lanes %v, want exactly [0]", got)
 	}
-	if got := continuePeeled(t, cfg, dp, res[0].Snapshot, 100000); !bytes.Equal(got, soloSnaps[0]) {
-		t.Error("peeled lane 0 continuation differs from solo run")
+}
+
+// threeWaySrc jumps through scalar memory word 0 to one of three arms
+// (PCs 7, 9 and 11). The jump waits on a reduction that clears while the
+// worker's ops are ready, so the issue slot is contended at the jump.
+const threeWaySrc = `
+	tspawn s9, work
+	rsum s3, p1
+	lw s1, 0(s0)
+	add s1, s1, s3
+	rsum s3, p1
+	add s1, s1, s3
+	jr s1
+	addi s2, s0, 5
+	j fin
+	addi s2, s0, 9
+	j fin
+	addi s2, s0, 13
+fin:
+	tjoin s9
+	sw s2, 1(s0)
+	halt
+work:
+	rsum s4, p1
+	addi s5, s4, 1
+	addi s6, s4, 2
+	addi s7, s4, 3
+	addi s8, s4, 4
+	addi s5, s4, 5
+	addi s6, s4, 6
+	texit
+`
+
+// longLoopSrc branches on scalar memory word 0 into a reduction loop whose
+// trip count the branch picks, running far past the poll window.
+const longLoopSrc = `
+	lw s1, 0(s0)
+	bnez s1, big
+	li s4, 5000
+	j loop
+big:
+	li s4, 6000
+loop:
+	padd p2, p2, p1
+	addi s4, s4, -1
+	bnez s4, loop
+	sw s2, 1(s0)
+	halt
+`
+
+// TestGangForkMatchesSolo holds every lane of a diverging gang, forked or
+// not, to its solo run — error, Stats and snapshot — with the block plane
+// on and off. The cases pin what a fork must carry over:
+//
+//   - blocking: a fork made at the pre-issue check redoes its cycle from
+//     the top of Step without a second block-plane attempt, so the
+//     cycle's multithread fallback counts once;
+//   - long-loop: a fork keeps the gang's poll boundary, so block dispatch
+//     stops at the cycles the solo run's does;
+//   - three-way: a post-execute fork follows its own outcome, then closes
+//     the cycle as Step would (contention, fetch, clock).
+func TestGangForkMatchesSolo(t *testing.T) {
+	cases := []struct {
+		name    string
+		src     string
+		threads int
+		mems    [][]int64
+		peeled  []int
+	}{
+		{"blocking-2", blockingDivergenceSrc, 4, [][]int64{{0}, {1}}, []int{1}},
+		{"blocking-3", blockingDivergenceSrc, 4, [][]int64{{1}, {0}, {0}}, []int{0}},
+		{"blocking-4", blockingDivergenceSrc, 4, [][]int64{{0}, {1}, {0}, {1}}, []int{1, 3}},
+		{"three-way", threeWaySrc, 2, [][]int64{{7}, {9}, {7}, {11}, {7}, {9}, {7}}, []int{1, 3, 5}},
+		{"long-loop", longLoopSrc, 1, [][]int64{{0}, {1}, {0}}, []int{1}},
 	}
-	for i := 1; i < 3; i++ {
-		if res[i].Err != nil {
-			t.Fatalf("lane %d: %v", i, res[i].Err)
-		}
-		if !bytes.Equal(g.Lane(i).Snapshot(), soloSnaps[i]) {
-			t.Errorf("lane %d snapshot differs from solo", i)
+	for _, tc := range cases {
+		for _, blocks := range []BlocksMode{BlocksAuto, BlocksOff} {
+			t.Run(tc.name+"/blocks-"+blocks.String(), func(t *testing.T) {
+				cfg := Config{Machine: machine.Config{PEs: 4, Threads: tc.threads, Width: 16}, Arity: 4, Blocks: blocks}
+				g, dp := buildGangAsm(t, cfg, tc.src, len(tc.mems))
+				res := runMatchingSolo(t, g, cfg, dp, 100000, loadScalar(t, tc.mems))
+				if got := peeledLanes(res); !reflect.DeepEqual(got, tc.peeled) {
+					t.Fatalf("peeled lanes %v, want %v", got, tc.peeled)
+				}
+				if st := res[tc.peeled[0]].Stats; tc.name == "long-loop" && st.Cycles < 4*cancelCheckWindow {
+					t.Fatalf("forked lane ran %d cycles, want several poll windows", st.Cycles)
+				}
+			})
 		}
 	}
 }

@@ -21,6 +21,7 @@ package cu
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -108,6 +109,18 @@ func (c *CU) Reset(prog *isa.DecodedProgram) {
 	c.fetchRR, c.schedRR = 0, 0
 	c.Fetches, c.Flushes = 0, 0
 	c.StartThread(0, 0, 0)
+}
+
+// Clone returns an independent copy of the front end: the thread status
+// table with each thread's instruction buffer, the round-robin pointers,
+// and the counters.
+func (c *CU) Clone() *CU {
+	d := *c
+	d.threads = slices.Clone(c.threads)
+	for i, t := range c.threads {
+		d.threads[i].buffer = append(make([]Fetched, 0, c.cfg.BufferDepth), t.buffer...)
+	}
+	return &d
 }
 
 // StartThread activates a context fetching from pc; its first fetch happens

@@ -2,7 +2,7 @@
 // the asc serving fleet. It propagates W3C traceparent headers through
 // client → ascgw → ascd, records spans for every meaningful serving stage
 // (gateway routing, retries, batch chunks; backend queue wait, admission,
-// compile, gang grouping, execution, divergence peels), and retains
+// compile, gang grouping, execution with its divergence peel count), and retains
 // finished traces in a bounded per-process ring served as JSON from
 // GET /debug/traces.
 //

@@ -237,6 +237,26 @@ func TestScoreboardRetireAndClear(t *testing.T) {
 	}
 }
 
+// TestScoreboardFilesAreDisjoint pins the one-table layout: each register
+// file has its own span of a thread's row, a KindNone reference indexes
+// none of them, and a clone is independent of its source.
+func TestScoreboardFilesAreDisjoint(t *testing.T) {
+	p := paperParams()
+	sb := NewScoreboard(p, 1)
+	sb.Record(0, dec(t, isa.Inst{Op: isa.RMAX, Rd: 5, Ra: 2}), 10) // s5 pending
+	for _, ref := range []isa.RegRef{{Kind: isa.KindNone, Idx: 5}, {Kind: isa.KindParallel, Idx: 5}, {Kind: isa.KindFlag, Idx: 5}} {
+		d := &isa.Decoded{Class: isa.ClassScalar, NumReads: 1, Reads: [4]isa.RegRef{ref}}
+		if mi, kind := sb.MinIssue(0, d); mi != 0 || kind != HazardNone {
+			t.Errorf("read of %v waits on s5: minIssue=%d kind=%v", ref, mi, kind)
+		}
+	}
+	clone := sb.Clone()
+	sb.ClearThread(0)
+	if mi, _ := clone.MinIssue(0, dec(t, isa.Inst{Op: isa.ADD, Rd: 3, Ra: 5})); mi == 0 {
+		t.Error("clearing the source cleared the clone's s5")
+	}
+}
+
 func TestThreadsAreIndependent(t *testing.T) {
 	p := paperParams()
 	sb := NewScoreboard(p, 2)

@@ -1,6 +1,10 @@
 package pipeline
 
-import "repro/internal/isa"
+import (
+	"slices"
+
+	"repro/internal/isa"
+)
 
 // pending describes an in-flight register write.
 type pending struct {
@@ -13,39 +17,33 @@ type pending struct {
 // Scoreboard is the instruction status table of the control unit (section
 // 6.3): it tracks all in-flight register writes per hardware thread, and the
 // decode units consult it to detect hazards. Registers s0/p0/f0 are
-// hardwired and never tracked.
+// hardwired and never tracked. One table holds every entry, laid out
+// [thread][scalar | parallel | flag register].
 type Scoreboard struct {
 	params Params
-	scalar [][]pending // [thread][reg]
-	par    [][]pending
-	flag   [][]pending
+	tab    [][rowLen]pending
 }
+
+// rowLen is one thread's share of the table; fileBase[k] is where register
+// file k starts in it.
+const rowLen = isa.NumScalarRegs + isa.NumParallelRegs + isa.NumFlagRegs
+
+var fileBase = [...]int{isa.KindScalar: 0, isa.KindParallel: isa.NumScalarRegs, isa.KindFlag: isa.NumScalarRegs + isa.NumParallelRegs}
 
 // NewScoreboard builds a scoreboard for the given thread count.
 func NewScoreboard(params Params, threads int) *Scoreboard {
-	sb := &Scoreboard{params: params}
-	sb.scalar = make([][]pending, threads)
-	sb.par = make([][]pending, threads)
-	sb.flag = make([][]pending, threads)
-	for t := 0; t < threads; t++ {
-		sb.scalar[t] = make([]pending, isa.NumScalarRegs)
-		sb.par[t] = make([]pending, isa.NumParallelRegs)
-		sb.flag[t] = make([]pending, isa.NumFlagRegs)
-	}
-	return sb
+	return &Scoreboard{params: params, tab: make([][rowLen]pending, threads)}
 }
 
-func (sb *Scoreboard) table(tid int, kind isa.RegKind) []pending {
-	switch kind {
-	case isa.KindScalar:
-		return sb.scalar[tid]
-	case isa.KindParallel:
-		return sb.par[tid]
-	case isa.KindFlag:
-		return sb.flag[tid]
-	}
-	return nil
+// Clone returns an independent copy of the scoreboard.
+func (sb *Scoreboard) Clone() *Scoreboard {
+	return &Scoreboard{params: sb.params, tab: slices.Clone(sb.tab)}
 }
+
+// tracked reports whether ref names a register the table holds: not a
+// hardwired one, and not the empty reference (KindNone), which must never
+// index the table.
+func tracked(ref isa.RegRef) bool { return ref.Idx != 0 && ref.Kind != isa.KindNone }
 
 // MinIssue returns the earliest cycle at which thread tid's micro-op may
 // issue given its register dependences, and the hazard class of the
@@ -53,19 +51,16 @@ func (sb *Scoreboard) table(tid int, kind isa.RegKind) []pending {
 // dependence constrains the instruction. The operand set comes from the
 // micro-op's precomputed read/write register lists.
 func (sb *Scoreboard) MinIssue(tid int, d *isa.Decoded) (int64, HazardKind) {
+	row := &sb.tab[tid]
 	consClass := d.Class
 	minIssue := int64(0)
 	kind := HazardNone
 
 	consider := func(ref isa.RegRef) {
-		if ref.Idx == 0 {
-			return // hardwired register: no dependence
-		}
-		tab := sb.table(tid, ref.Kind)
-		if tab == nil {
+		if !tracked(ref) {
 			return
 		}
-		p := tab[ref.Idx]
+		p := row[fileBase[ref.Kind]+int(ref.Idx)]
 		if !p.valid {
 			return
 		}
@@ -90,23 +85,16 @@ func (sb *Scoreboard) MinIssue(tid int, d *isa.Decoded) (int64, HazardKind) {
 // Record notes the register write of a micro-op issued at cycle t, and
 // retires entries the new write supersedes.
 func (sb *Scoreboard) Record(tid int, d *isa.Decoded, t int64) {
-	if !d.HasWrite || d.Write.Idx == 0 {
+	if !d.HasWrite || !tracked(d.Write) {
 		return
 	}
 	loc, ready, ok := sb.params.ResultReady(d, t)
 	if !ok {
 		return
 	}
-	tab := sb.table(tid, d.Write.Kind)
-	tab[d.Write.Idx] = pending{readyAbs: ready, loc: loc, prodClass: d.Class, valid: true}
+	sb.tab[tid][fileBase[d.Write.Kind]+int(d.Write.Idx)] = pending{readyAbs: ready, loc: loc, prodClass: d.Class, valid: true}
 }
 
 // ClearThread wipes a thread's entries; used when a context is recycled by
 // TSPAWN.
-func (sb *Scoreboard) ClearThread(tid int) {
-	for _, tab := range [][]pending{sb.scalar[tid], sb.par[tid], sb.flag[tid]} {
-		for i := range tab {
-			tab[i] = pending{}
-		}
-	}
-}
+func (sb *Scoreboard) ClearThread(tid int) { sb.tab[tid] = [rowLen]pending{} }

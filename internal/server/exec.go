@@ -4,15 +4,15 @@
 //
 // resolve compiles a plan's program once (through progcache, or by
 // re-establishing a migrated envelope's digest). A solo job — a /v1/run
-// job, a batch group of one, a peeled gang lane, a session segment — then
-// runs in runSolo, the only solo checkout; a larger batch group runs in
-// runGang as one gang of the lanes whose images load. Both build their
-// wire result in newResult. A solo job starts fresh from its request's
-// memory images or continues from a resume point (see resumePoint), which
-// a peeling gang lane and an accepted session envelope make alike. Each
-// phase folds its statistics into the simulation metrics where it ran,
-// and a job is observed once, where it finishes. The lanes differ only in
-// their admission lane (see lane) and wire shape.
+// job, a batch group of one, a session segment — then runs in runSolo,
+// the only solo checkout; a larger batch group runs in runGang as one gang
+// of the lanes whose images load, a diverging lane included (the gang
+// finishes it on a fork of its own front end). Both build their wire
+// result in newResult. A solo job starts fresh from its request's memory
+// images or continues from an accepted session envelope. Each segment
+// folds its statistics into the simulation metrics where it ran, and a job
+// is observed once, where it finishes. The lanes differ only in their
+// admission lane (see lane) and wire shape.
 package server
 
 import (
@@ -83,49 +83,14 @@ func (s *Server) resolve(ctx context.Context, req *client.RunRequest, env *clien
 	return p, nil
 }
 
-// resumePoint is where a job continues from a snapshot: the statistics of
-// the phases before it, the cycles those phases spent up to the snapshot's
-// boundary, and the cycle budget left. Two sources make one: runGang when
-// a lane peels out of its gang, and a session resume once resolve has
-// accepted the envelope. The phases before it folded their statistics
-// into the simulation metrics where they ran.
-type resumePoint struct {
-	snapshot []byte
-	stats    asc.Stats
-	consumed int64
-	budget   int64
-	limit    int64 // the cycle limit a budget error names
-}
-
-// solo is a solo job: its request, its plan once resolved, and where it
-// starts. A run, a batch group of one or a fresh session starts from the
-// request's memory images (from is nil); a peeled gang lane or a session
-// resume continues from a resume point. env is the envelope a resume came
-// from, which resolve re-validates; sess is nil for jobs that never
-// checkpoint.
+// solo is a solo job: its request and where it starts. A run, a batch
+// group of one or a fresh session starts from the request's memory images
+// (env is nil); a session resume continues from env, the envelope resolve
+// re-validates. sess is nil for jobs that never checkpoint.
 type solo struct {
 	req  *client.RunRequest
-	plan resolved
 	sess *session
-	from *resumePoint
 	env  *client.SnapshotEnvelope
-}
-
-// execute resolves a solo job's program and runs it; an envelope becomes
-// the job's resume point once resolve has accepted it.
-func (s *Server) execute(ctx context.Context, r solo) jobOutcome {
-	plan, fail := s.resolve(ctx, r.req, r.env)
-	if fail != nil {
-		return s.failed(r.sess, *fail)
-	}
-	r.plan = plan
-	if env := r.env; env != nil {
-		// The envelope spends what it says is left, within this server's cap.
-		budget := min(max(env.RemainingCycles, 1), s.cfg.MaxCycles)
-		r.from = &resumePoint{snapshot: env.Snapshot, stats: migrate.StatsFromWire(env.Stats),
-			consumed: env.ConsumedCycles, budget: budget, limit: budget}
-	}
-	return s.runSolo(ctx, r)
 }
 
 // failed settles a session segment's record as failed; for a job without
@@ -138,14 +103,18 @@ func (s *Server) failed(sess *session, out jobOutcome) jobOutcome {
 	return out
 }
 
-// runSolo checks out a machine (warm, or restored from the resume point's
-// snapshot), simulates in checkpoint-bounded chunks until the machine
-// halts, the budget runs out, or a checkpoint request suspends it into a
-// fresh envelope, and builds the result. The segment folds its own
-// statistics into the simulation metrics, and a job that finishes here is
-// observed once, from its whole-job statistics.
+// runSolo resolves a solo job's program, checks out a machine (warm, or
+// restored from the envelope's snapshot), simulates in checkpoint-bounded
+// chunks until the machine halts, the budget runs out, or a checkpoint
+// request suspends it into a fresh envelope, and builds the result. The
+// segment folds its own statistics into the simulation metrics, and a job
+// that finishes here is observed once, from its whole-job statistics.
 func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 	req, sess := r.req, r.sess
+	plan, fail := s.resolve(ctx, req, r.env)
+	if fail != nil {
+		return s.failed(sess, *fail)
+	}
 	cfg := req.Config.ASC()
 	if req.Trace {
 		// Bounded record retention: the trace covers the most recent
@@ -154,18 +123,26 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 		// the pool key).
 		cfg.TraceDepth = s.cfg.TraceDepth
 	}
-	from := r.from
-	if from == nil {
-		// A fresh job starts at power-on with the request's whole budget.
-		limit := s.effMaxCycles(req)
-		from = &resumePoint{budget: limit, limit: limit}
+	// A fresh job starts at power-on with the request's whole budget. A
+	// resume starts from the envelope's snapshot, after the statistics and
+	// cycles of the segments before it, and spends what the envelope says
+	// is left, within this server's cap.
+	var (
+		snapshot []byte
+		before   asc.Stats
+		consumed int64
+		budget   = s.effMaxCycles(req)
+	)
+	if env := r.env; env != nil {
+		snapshot, before, consumed = env.Snapshot, migrate.StatsFromWire(env.Stats), env.ConsumedCycles
+		budget = min(max(env.RemainingCycles, 1), s.cfg.MaxCycles)
 	}
 	// whole is the whole-job view of this segment's statistics.
 	whole := func(stats asc.Stats) asc.Stats {
-		if r.from == nil {
+		if r.env == nil {
 			return stats
 		}
-		return mergeStats(from.stats, stats)
+		return mergeStats(before, stats)
 	}
 	// finish folds the segment that ended the job and observes the job.
 	finish := func(stats asc.Stats) asc.Stats {
@@ -175,10 +152,10 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 		return all
 	}
 
-	proc, hit, err := s.pool.GetRestored(cfg, r.plan.art.Prog, from.snapshot)
+	proc, hit, err := s.pool.GetRestored(cfg, plan.art.Prog, snapshot)
 	if err != nil {
-		s.m.finished(from.stats)
-		return s.failed(sess, checkoutFailed(err, r))
+		s.m.finished(before)
+		return s.failed(sess, checkoutFailed(err, r.env != nil))
 	}
 	defer func() {
 		if sess != nil {
@@ -186,7 +163,7 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 		}
 		s.pool.Put(proc)
 	}()
-	if r.from == nil {
+	if r.env == nil {
 		if fail := loadImages(req, proc.LoadLocalMem, proc.LoadScalarMem); fail != nil {
 			return s.failed(sess, *fail)
 		}
@@ -204,19 +181,19 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 	_, esp := dtrace.Start(ctx, "exec", dtrace.Bool("pool_hit", hit))
 
 	// mint seals the quiescent machine into an envelope. Its cumulative
-	// cycle count is pinned to the boundary, proc.Cycle() (the accounting
-	// a gang peel uses), not to stats.Cycles, which counts in-flight
-	// completions past it: those re-run after a restore. A migrated
-	// session's merged Cycles then equals an uninterrupted run's to within
-	// a pipeline refill (restore clears microarchitectural state);
-	// instruction and op counts merge exactly.
+	// cycle count is pinned to the boundary, proc.Cycle(), not to
+	// stats.Cycles, which counts in-flight completions past it: those
+	// re-run after a restore. A migrated session's merged Cycles then
+	// equals an uninterrupted run's to within a pipeline refill (restore
+	// clears microarchitectural state); instruction and op counts merge
+	// exactly.
 	mint := func(stats asc.Stats) *client.SnapshotEnvelope {
 		boundary := proc.Cycle()
 		all := whole(stats)
-		all.Cycles = from.consumed + boundary
+		all.Cycles = consumed + boundary
 		s.m.sessionCheckpoints.Inc()
-		return migrate.Pack(sess.id, *req, r.plan.art.Digest, proc.Snapshot(),
-			from.consumed+boundary, from.budget-boundary, sess.checkpoints+1, sess.every, all)
+		return migrate.Pack(sess.id, *req, plan.art.Digest, proc.Snapshot(),
+			consumed+boundary, budget-boundary, sess.checkpoints+1, sess.every, all)
 	}
 	// suspend parks the session on a segment-ending checkpoint. The
 	// segment folds what it ran up to the boundary; the next one folds
@@ -234,9 +211,9 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 	for {
 		// Chunk the run at the periodic-checkpoint cadence; the engine's
 		// own poll window coarsens very small cadences.
-		target := from.budget
+		target := budget
 		if every > 0 {
-			target = min(proc.Cycle()+every, from.budget)
+			target = min(proc.Cycle()+every, budget)
 		}
 		stats, err = proc.RunContext(runCtx, target)
 		if err == nil {
@@ -260,7 +237,7 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 				return jobOutcome{draining: env}
 			}
 			return jobOutcome{sess: suspended(env, reason, r.env != nil)}
-		case errors.Is(err, asc.ErrCycleLimit) && target < from.budget:
+		case errors.Is(err, asc.ErrCycleLimit) && target < budget:
 			// Periodic checkpoint boundary, not the real budget: export the
 			// envelope and keep running.
 			sess.storeCheckpoint(mint(stats))
@@ -275,7 +252,7 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 			esp.EndErr("client went away; checkpointed")
 			return jobOutcome{sess: suspended(env, reasonDisconnected, r.env != nil)}
 		default:
-			out := runErrOutcome(err, finish(stats), timeout, from.limit)
+			out := runErrOutcome(err, finish(stats), timeout, budget)
 			esp.EndErr(out.errMsg)
 			return s.failed(sess, out)
 		}
@@ -290,7 +267,7 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 	}
 	geom, _ := proc.Config().Geometry()
 	out := jobOutcome{
-		result: newResult(req, r.plan, all, hit, geom, proc.ScalarMem, proc.LocalMem, trace),
+		result: newResult(req, plan, all, hit, geom, proc.ScalarMem, proc.LocalMem, trace),
 		stats:  all,
 	}
 	if sess == nil {
@@ -312,24 +289,20 @@ func (s *Server) runSolo(ctx context.Context, r solo) jobOutcome {
 		_ = proc.WriteSnapshot(h)
 		out.sess.StateDigest = hex.EncodeToString(h.Sum(nil))
 	}
-	sess.complete(out.sess, from.consumed+proc.Cycle())
+	sess.complete(out.sess, consumed+proc.Cycle())
 	s.parkSession(sess.id)
 	return out
 }
 
 // checkoutFailed is a job's outcome when no machine could be checked out
-// for it, solo or as a gang lane. A refused envelope image is a conflict
-// (the config/program pair changed underneath it), not a server bug; a
-// peeled lane's own snapshot (a resume point with no envelope) that fails
-// to restore is one.
-func checkoutFailed(err error, r solo) jobOutcome {
+// for it, solo or as a gang lane. A refused envelope image (resumed) is a
+// conflict: the config/program pair changed underneath it.
+func checkoutFailed(err error, resumed bool) jobOutcome {
 	switch {
 	case errors.Is(err, asc.ErrInvalidProgram):
 		return jobOutcome{status: http.StatusUnprocessableEntity, errMsg: fmt.Sprintf("invalid_program: %v", err)}
-	case r.env != nil:
+	case resumed:
 		return jobOutcome{status: http.StatusConflict, errMsg: fmt.Sprintf("restoring snapshot: %v", err)}
-	case r.from != nil:
-		return jobOutcome{status: http.StatusInternalServerError, errMsg: fmt.Sprintf("resuming peeled job: %v", err)}
 	}
 	return jobOutcome{status: http.StatusBadRequest, errMsg: fmt.Sprintf("building machine: %v", err)}
 }
@@ -365,9 +338,9 @@ func suspended(env *client.SnapshotEnvelope, reason string, resumed bool) *clien
 // → images → checkout: a compile failure is every job's, a job whose
 // images the machine refuses answers its 400 and stays out, and the rest
 // run as one gang of however many lanes that leaves, one included. A
-// failed gang checkout is every lane's failed solo checkout. The gang
-// folds every lane's lockstep phase; lanes that diverge mid-run peel out
-// of the gang and finish in runSolo from their resume points.
+// failed gang checkout is every lane's failed solo checkout. A lane that
+// diverges mid-run peels onto a fork of the gang's front end and finishes
+// inside the gang's run, so every lane's result is final there.
 func (s *Server) runGang(batchCtx context.Context, jobs []client.RunRequest, grp []int, outcomes []jobOutcome) {
 	gctx, gsp := dtrace.Start(batchCtx, "gang_group", dtrace.Int("lanes", int64(len(grp))))
 	defer gsp.End()
@@ -411,7 +384,7 @@ func (s *Server) runGang(batchCtx context.Context, jobs []client.RunRequest, grp
 
 	g, poolHit, err := s.pool.GetGang(cfg, plan.art.Prog, len(valid))
 	if err != nil {
-		out := checkoutFailed(err, solo{})
+		out := checkoutFailed(err, false)
 		for lane, i := range valid {
 			lanePlan(lane) // a failed solo checkout's resolve counts too
 			outcomes[i] = out
@@ -432,30 +405,25 @@ func (s *Server) runGang(batchCtx context.Context, jobs []client.RunRequest, grp
 	defer cancel()
 	_, esp := dtrace.Start(gctx, "exec", dtrace.Int("lanes", int64(len(valid))), dtrace.Bool("pool_hit", poolHit))
 	res := g.RunContext(runCtx, maxCycles)
+	var peels int64
+	for _, lr := range res {
+		if lr.Peeled {
+			peels++
+		}
+	}
+	s.m.gangPeels.Add(peels)
+	esp.SetAttr(dtrace.Int("peels", peels))
 	esp.End()
 
 	for lane, i := range valid {
 		s.m.gangJobs.Inc()
 		lp := lanePlan(lane)
 		lr := &res[lane]
-		s.m.fold(lr.Stats) // the gang phase, a peeled lane's included
-		switch {
-		case lr.Peeled:
-			// The continuation runs under the gang's wall-clock deadline.
-			s.m.gangPeels.Inc()
-			pctx, psp := dtrace.Start(runCtx, "peel",
-				dtrace.Int("index", int64(i)), dtrace.Int("peel_cycle", lr.PeelCycle))
-			// It spends what the gang phase left; a budget error names the
-			// job's own limit.
-			from := &resumePoint{snapshot: lr.Snapshot, stats: lr.Stats, consumed: lr.PeelCycle,
-				budget: max(maxCycles-lr.PeelCycle, 1), limit: maxCycles}
-			outcomes[i] = rewriteBatchCancel(batchCtx, s.runSolo(pctx, solo{req: &jobs[i], plan: lp, from: from}))
-			outcomes[i].endSpan(psp)
-		case lr.Err != nil:
-			s.m.finished(lr.Stats)
+		s.m.fold(lr.Stats)
+		s.m.finished(lr.Stats)
+		if lr.Err != nil {
 			outcomes[i] = rewriteBatchCancel(batchCtx, runErrOutcome(lr.Err, lr.Stats, timeout, maxCycles))
-		default:
-			s.m.finished(lr.Stats)
+		} else {
 			out := newResult(&jobs[i], lp, lr.Stats, poolHit, geom,
 				func(w int) int64 { return g.ScalarMem(lane, w) },
 				func(pe, w int) int64 { return g.LocalMem(lane, pe, w) }, nil)
@@ -524,8 +492,8 @@ func runErrOutcome(err error, stats asc.Stats, timeout time.Duration, maxCycles 
 }
 
 // mergeStats combines statistics accrued before a starting snapshot (a
-// peeled lane's gang phase, a resumed session's earlier segments) with a
-// continuation into one whole-job view.
+// resumed session's earlier segments) with a continuation into one
+// whole-job view.
 func mergeStats(a, b asc.Stats) asc.Stats {
 	out := a
 	out.Cycles += b.Cycles

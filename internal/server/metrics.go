@@ -120,7 +120,7 @@ func newMetrics() *metrics {
 		gangSize: reg.NewHistogram("asc_gang_size_jobs",
 			"Lanes per launched gang.", batchSizeBuckets),
 		gangPeels: reg.NewCounter("asc_gang_divergence_peels_total",
-			"Lanes that diverged from their gang mid-run and finished on a solo machine."),
+			"Lanes that diverged from their gang mid-run and finished on their own copy of the gang's front end."),
 
 		sessions: reg.NewCounterVec("asc_sessions_total",
 			"Finished session segments by outcome: completed, suspended (checkpointed into an envelope), failed, rejected.", "outcome"),

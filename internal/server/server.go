@@ -339,7 +339,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	s.m.running.Add(1)
 	start := time.Now()
-	out := s.execute(ctx, solo{req: &req})
+	out := s.runSolo(ctx, solo{req: &req})
 	elapsed := time.Since(start)
 	s.m.running.Add(-1)
 	s.runLane.free()
@@ -585,7 +585,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			if i := grp[0]; len(grp) == 1 {
 				jctx, sp := dtrace.Start(batchCtx, "job", dtrace.Int("index", int64(i)))
 				if s.batchLane.slot(jctx, c.Log) {
-					outcomes[i] = rewriteBatchCancel(batchCtx, s.execute(jctx, solo{req: &req.Jobs[i]}))
+					outcomes[i] = rewriteBatchCancel(batchCtx, s.runSolo(jctx, solo{req: &req.Jobs[i]}))
 					s.batchLane.free()
 				}
 				outcomes[i].endSpan(sp)

@@ -2,13 +2,11 @@
 // envelopes (internal/migrate) and continued on any backend — the serving
 // half of live machine migration.
 //
-// A session is the peel/solo-resume machinery of the gang engine lifted one
-// level up: where a diverged gang lane carries its snapshot to a solo
-// machine on the same backend, a suspended session carries its envelope to
-// a warm machine on *any* backend. The same invariant is preserved at both
-// levels, pinned by the differential tests: a resumed run's final
+// A suspended session carries its envelope to a warm machine on *any*
+// backend, pinned by the differential tests: a resumed run's final
 // architectural state is bit-identical to an uninterrupted one, and its
-// merged statistics equal the uninterrupted run's.
+// merged instruction counts equal the uninterrupted run's (its cycles to
+// within a pipeline refill, since a restore clears the front end).
 //
 // Lifecycle:
 //
@@ -386,7 +384,7 @@ func (s *Server) serveSegment(w http.ResponseWriter, r *http.Request, c shell.Ca
 		job.sess.requestCheckpoint(reasonDraining)
 	}
 	start := time.Now()
-	out := s.execute(ctx, job)
+	out := s.runSolo(ctx, job)
 	s.sh.ObserveLatency(c.Tr, time.Since(start).Seconds())
 	s.writeSessionOutcome(w, c.Tr, c.Log, out)
 }
